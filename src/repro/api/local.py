@@ -15,9 +15,9 @@ import time
 from typing import Sequence
 
 from ..obs.trace import current_trace, start_trace, use_trace
+from ..runtime.fastops import FastVerifier
 from ..runtime.scheduler import BatchScheduler, BatchStats
 from ..service.keystore import Keystore, derive_seed
-from ..sphincs.signer import Sphincs
 from .base import SigningClient
 from .model import (ServiceInfo, SignRequest, SignResult, VerifyRequest,
                     VerifyResult)
@@ -68,6 +68,7 @@ class LocalClient(SigningClient):
         self.transport = transport_label or (
             "pooled" if backend == "pooled" else "local")
         self._schedulers: dict[tuple[str, str], BatchScheduler] = {}
+        self._verifiers: dict[str, FastVerifier] = {}
         self._pool = None
         self._owns_pool = False
         if backend == "pooled":
@@ -183,8 +184,11 @@ class LocalClient(SigningClient):
     def _verify(self, request: VerifyRequest) -> VerifyResult:
         keys, params_name = self.keystore.resolve(request.tenant,
                                                   request.key)
-        valid = Sphincs(params_name).verify(request.message,
-                                            request.signature, keys.public)
+        verifier = self._verifiers.get(params_name)
+        if verifier is None:
+            verifier = self._verifiers[params_name] = FastVerifier(params_name)
+        [valid] = verifier.verify_batch([request.message],
+                                        [request.signature], keys.public)
         return VerifyResult(valid=valid, tenant=request.tenant,
                             key=request.key, params=params_name,
                             transport=self.transport)

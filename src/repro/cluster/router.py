@@ -243,6 +243,30 @@ class RouterService:
             self._track(-1)
         return bool(response["valid"]), response["params"]
 
+    async def verify_many(self, messages: list[bytes],
+                          signatures: list[bytes], tenant: str,
+                          key_name: str = "default"
+                          ) -> tuple[list[bool], str]:
+        """Forward one verify-many frame to the tenant's node;
+        ``(verdicts, params)``.  The node answers a frame with one
+        verify job, so a failure there is the same typed error on every
+        item — re-raised here once."""
+        self.keystore.resolve(tenant, key_name)
+        self._track(+1)
+        try:
+            request = {
+                "op": "verify-many", "tenant": tenant, "key": key_name,
+                "messages": [protocol.pack_bytes(m) for m in messages],
+                "signatures": [protocol.pack_bytes(s) for s in signatures]}
+            response, _ = await self._forward(request)
+        finally:
+            self._track(-1)
+        results = response["results"]
+        for item in results:
+            if not item["ok"]:
+                raise protocol.error_type(item["error"])(item["detail"])
+        return [item["valid"] for item in results], results[0]["params"]
+
     def stats(self) -> dict:
         """Router-side telemetry snapshot plus the cluster section."""
         snapshot = self.telemetry.snapshot()

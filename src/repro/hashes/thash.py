@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 
 from ..params import SphincsParams
 from .address import Address
@@ -30,6 +31,10 @@ from .address import Address
 __all__ = ["HashContext", "mgf1_sha256"]
 
 _BLOCK = 64
+#: Seed midstates one context keeps.  A signer holds a handful of keys; a
+#: long-lived verifier is asked about any public seed a caller names, so
+#: the cache evicts oldest-first past this many rather than growing.
+_MAX_MIDSTATES = 1024
 
 
 def mgf1_sha256(seed: bytes, length: int) -> bytes:
@@ -73,6 +78,7 @@ class HashContext:
         #: default) keeps every hot path hook-free.
         self.tracer = None
         self._midstates: dict[bytes, "hashlib._Hash"] = {}
+        self._midstates_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -99,12 +105,16 @@ class HashContext:
         Callers must ``.copy()`` before updating; the returned object is the
         shared cache entry.  This is the hook the vectorized runtime backend
         uses to run its template-based hot loops off the same midstate cache
-        as the scalar code.
+        as the scalar code.  Safe to call from several threads: an entry
+        evicted while a caller still holds it stays valid for that caller.
         """
         state = self._midstates.get(seed)
         if state is None:
             state = hashlib.sha256(seed + b"\x00" * (_BLOCK - len(seed)))
-            self._midstates[seed] = state
+            with self._midstates_lock:
+                if len(self._midstates) >= _MAX_MIDSTATES:
+                    del self._midstates[next(iter(self._midstates))]
+                self._midstates[seed] = state
         return state
 
     def _seeded(self, seed: bytes) -> "hashlib._Hash":

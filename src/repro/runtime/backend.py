@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 from ..errors import BackendError
 from ..params import SphincsParams, get_params
 from ..sphincs.signer import KeyPair, Sphincs
+from .fastops import FastVerifier
 
 __all__ = ["BackendCapabilities", "BatchSignResult", "SigningBackend"]
 
@@ -84,6 +85,7 @@ class SigningBackend(abc.ABC):
         self.params = get_params(params) if isinstance(params, str) else params
         self.deterministic = deterministic
         self._scheme = Sphincs(self.params, deterministic=deterministic)
+        self._verifier = FastVerifier(self.params, self._scheme.ctx)
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -138,10 +140,14 @@ class SigningBackend(abc.ABC):
                 f"verify_batch got {len(messages)} messages but "
                 f"{len(signatures)} signatures"
             )
-        return [
-            self._scheme.verify(message, signature, public_key)
-            for message, signature in zip(messages, signatures)
-        ]
+        return self._verify_pairs(messages, signatures, public_key)
+
+    def _verify_pairs(self, messages: Sequence[bytes],
+                      signatures: Sequence[bytes],
+                      public_key: bytes) -> list[bool]:
+        """Verdicts for equally many messages and signatures: the
+        template-driven kernel (:class:`~.fastops.FastVerifier`)."""
+        return self._verifier.verify_batch(messages, signatures, public_key)
 
     # ------------------------------------------------------------------
     def _staged_sign(self, messages: Sequence[bytes], keys: KeyPair,

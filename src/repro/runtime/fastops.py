@@ -18,47 +18,89 @@ This module removes that overhead without changing a single hash input:
 Because the byte stream fed to SHA-256 is identical to the scalar path's,
 :class:`FastOps` produces **byte-identical** signatures; the test suite
 pins this equivalence.
+
+:class:`FastVerifier` is the same treatment for verification: it reads the
+signature fields by offset straight out of the blob and completes the WOTS
+chains and auth-path climbs with the chain-step and node-hash loops the
+signer uses, so it feeds SHA-256 the reference ``Sphincs.verify`` byte
+stream and returns the reference verdict.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..hashes.address import AddressTemplate, AddressType, packed_u32
 from ..hashes.thash import HashContext
-from ..params import SphincsParams
-from ..sphincs.encoding import base_w, checksum_digits, message_to_indices
+from ..params import SphincsParams, get_params
+from ..sphincs.encoding import (base_w, checksum_digits, message_to_indices,
+                                split_digest)
 from ..sphincs.fors import ForsSignature
 from ..sphincs.hypertree import HypertreeSignature
-from ..sphincs.merkle import SubtreeCache, TreeLevels, auth_path, batched_leaves
+from ..sphincs.merkle import TreeLevels, auth_path, batched_leaves
 from .layercache import HypertreeLayerCache
 
-__all__ = ["FastOps"]
+__all__ = ["FastOps", "FastVerifier"]
 
 _Z4 = b"\x00\x00\x00\x00"
+
+
+def _wots_digits(message: bytes, params: SphincsParams) -> list[int]:
+    """Base-w digits of an n-byte *message* followed by its checksum."""
+    digits = base_w(message, params.w, params.wots_len1)
+    return digits + checksum_digits(digits, params)
+
+
+def _chain(mid, n: int, pre: bytes, pos_words: Sequence[bytes],
+           value: bytes) -> bytes:
+    """Walk one WOTS chain: one hash per position word in *pos_words*.
+
+    *pre* freezes ADRS through the chain word.  The signer walks
+    ``pos_words[:digit]`` from the secret, the verifier ``[digit:w - 1]``
+    from the signature value.
+    """
+    for p4 in pos_words:
+        h = mid.copy()
+        h.update(pre); h.update(p4); h.update(value)
+        value = h.digest()[:n]
+    return value
+
+
+def _node_hash(mid, n: int, node_prefix: bytes, height: int, index: int,
+               left: bytes, right: bytes) -> bytes:
+    """One Merkle node; *node_prefix* freezes ADRS through word1."""
+    h = mid.copy()
+    h.update(node_prefix)
+    h.update(packed_u32(height)); h.update(packed_u32(index))
+    h.update(left); h.update(right)
+    return h.digest()[:n]
+
+
+def _compress(mid, n: int, adrs: bytes, values: Sequence[bytes]) -> bytes:
+    """``T_l`` over *values* under the full 22-byte *adrs*."""
+    h = mid.copy()
+    h.update(adrs)
+    for value in values:
+        h.update(value)
+    return h.digest()[:n]
 
 
 class FastOps:
     """Low-overhead signing primitives for one (parameter set, key pair).
 
     Bound to the *sk_seed*/*pk_seed* of one key so address templates and
-    the layer cache can be reused across every message of every batch
-    signed under that key.  *subtree_cache* accepts either the per-key
-    :class:`HypertreeLayerCache` (default) or a legacy
-    :class:`SubtreeCache` — both expose ``get_or_build``/``stats``; only
-    the layer cache adds the link-signature fast path and prewarm.
+    the per-key layer *cache* (subtrees, link signatures, prewarm) can be
+    reused across every message of every batch signed under that key.
     """
 
     def __init__(self, ctx: HashContext, sk_seed: bytes, pk_seed: bytes,
-                 subtree_cache: SubtreeCache | HypertreeLayerCache
-                 | None = None):
+                 cache: HypertreeLayerCache | None = None):
         self.params: SphincsParams = ctx.params
         self.n = ctx.n
         self.sk_seed = sk_seed
         self._mid = ctx.midstate(pk_seed)
-        self.cache = (subtree_cache if subtree_cache is not None
+        self.cache = (cache if cache is not None
                       else HypertreeLayerCache(self.params))
-        self._links = (self.cache
-                       if isinstance(self.cache, HypertreeLayerCache)
-                       else None)
         # Word caches for the loop-varying ADRS words.
         self._chain_words = [packed_u32(i) for i in range(self.params.wots_len)]
         self._pos_words = [packed_u32(i) for i in range(self.params.w)]
@@ -85,19 +127,12 @@ class FastOps:
                 h.update(pre); h.update(p4); h.update(value)
                 value = h.digest()[:n]
             values.append(value)
-        h = mid.copy()
-        h.update(AddressTemplate(
-            layer, tree, AddressType.WOTS_PK, keypair, 0, 0).prefix)
-        for value in values:
-            h.update(value)
-        return h.digest()[:n]
+        return _compress(mid, n, AddressTemplate(
+            layer, tree, AddressType.WOTS_PK, keypair, 0, 0).prefix, values)
 
     def wots_sign(self, message: bytes, layer: int, tree: int,
                   keypair: int) -> list[bytes]:
         """WOTS-sign an n-byte *message*: walk each chain to its digit."""
-        params = self.params
-        digits = base_w(message, params.w, params.wots_len1)
-        digits += checksum_digits(digits, params)
         mid, n, sk_seed = self._mid, self.n, self.sk_seed
         prf_pre = AddressTemplate(
             layer, tree, AddressType.WOTS_PRF, keypair).prefix
@@ -105,16 +140,12 @@ class FastOps:
             layer, tree, AddressType.WOTS_HASH, keypair).prefix
         pos_words = self._pos_words
         signature = []
-        for c4, digit in zip(self._chain_words, digits):
+        for c4, digit in zip(self._chain_words,
+                             _wots_digits(message, self.params)):
             h = mid.copy()
             h.update(prf_pre); h.update(c4); h.update(_Z4); h.update(sk_seed)
-            value = h.digest()[:n]
-            pre = hash_pre + c4
-            for p4 in pos_words[:digit]:
-                h = mid.copy()
-                h.update(pre); h.update(p4); h.update(value)
-                value = h.digest()[:n]
-            signature.append(value)
+            signature.append(_chain(mid, n, hash_pre + c4, pos_words[:digit],
+                                    h.digest()[:n]))
         return signature
 
     # ------------------------------------------------------------------
@@ -169,11 +200,10 @@ class FastOps:
         fault injector's consistent-flip mode rebuilds a node's path to
         the root after corrupting a leaf-level sibling).
         """
-        h = self._mid.copy()
-        h.update(AddressTemplate(layer, tree, AddressType.TREE, 0).prefix)
-        h.update(packed_u32(height)); h.update(packed_u32(index))
-        h.update(left); h.update(right)
-        return h.digest()[:self.n]
+        return _node_hash(
+            self._mid, self.n,
+            AddressTemplate(layer, tree, AddressType.TREE, 0).prefix,
+            height, index, left, right)
 
     def root(self) -> bytes:
         """The SPHINCS+ public root (top-layer subtree root)."""
@@ -181,13 +211,7 @@ class FastOps:
 
     def prewarm(self) -> None:
         """Precompute the cache's pinned layers (subtrees + links)."""
-        if self._links is not None:
-            self._links.prewarm(self._build_subtree, self.wots_sign_node)
-
-    def wots_sign_node(self, node: bytes, layer: int, tree: int,
-                       leaf: int) -> list[bytes]:
-        """WOTS-sign *node* with keypair *leaf* of subtree (layer, tree)."""
-        return self.wots_sign(node, layer, tree, leaf)
+        self.cache.prewarm(self._build_subtree, self.wots_sign)
 
     def hypertree_sign(self, message: bytes, idx_tree: int,
                        idx_leaf: int) -> tuple[HypertreeSignature, bytes]:
@@ -195,20 +219,20 @@ class FastOps:
 
         At layers >= 1 the signed node is the child subtree root — fixed
         per key — so the WOTS link signature is served from (and fed
-        back into) the layer cache when one is attached.
+        back into) the layer cache.
         """
         params = self.params
-        links = self._links
+        links = self.cache
         signature: HypertreeSignature = []
         node = message
         tree, leaf = idx_tree, idx_leaf
         for layer in range(params.d):
             levels = self.subtree_levels(layer, tree)
             chain_values = (links.lookup_link(layer, tree, leaf)
-                            if links is not None and layer else None)
+                            if layer else None)
             if chain_values is None:
                 chain_values = self.wots_sign(node, layer, tree, leaf)
-                if links is not None and layer:
+                if layer:
                     links.store_link(layer, tree, leaf, chain_values)
             signature.append((chain_values, auth_path(levels, leaf)))
             node = levels[-1][0]
@@ -250,9 +274,108 @@ class FastOps:
             levels = self.merkle_levels(leaves, node_prefix, base=base)
             signature.append((secrets[leaf_idx], auth_path(levels, leaf_idx)))
             roots.append(levels[-1][0])
-        h = mid.copy()
-        h.update(AddressTemplate(
-            0, idx_tree, AddressType.FORS_ROOTS, idx_leaf, 0, 0).prefix)
-        for root in roots:
-            h.update(root)
-        return signature, h.digest()[:n]
+        return signature, _compress(mid, n, AddressTemplate(
+            0, idx_tree, AddressType.FORS_ROOTS, idx_leaf, 0, 0).prefix, roots)
+
+
+class FastVerifier:
+    """Template-driven verification for one parameter set.
+
+    Holds no per-key state beyond the context's bounded midstate cache, so
+    one instance serves every public key of its parameter set and
+    :meth:`verify_batch` may run on several threads at once.  *ctx* shares
+    an existing context (a backend's, a test's recording one) instead of
+    a fresh one.
+    """
+
+    def __init__(self, params: SphincsParams | str,
+                 ctx: HashContext | None = None):
+        self.params = params = (get_params(params) if isinstance(params, str)
+                                else params)
+        self.ctx = ctx if ctx is not None else HashContext(params)
+        self._chain_words = [packed_u32(i) for i in range(params.wots_len)]
+        self._pos_words = [packed_u32(i) for i in range(params.w - 1)]
+
+    def verify_batch(self, messages: Sequence[bytes],
+                     signatures: Sequence[bytes],
+                     public_key: bytes) -> list[bool]:
+        """Per-pair verdicts under one *public_key*.
+
+        Never raises on a malformed key or signature — the verdict is
+        ``False``, exactly as ``Sphincs.verify`` answers.
+        """
+        params = self.params
+        if len(public_key) != params.pk_bytes:
+            return [False] * len(messages)
+        pk_seed, pk_root = public_key[:params.n], public_key[params.n:]
+        mid = self.ctx.midstate(pk_seed)
+        return [
+            len(signature) == params.sig_bytes
+            and self._root(mid, message, signature, pk_seed,
+                           pk_root) == pk_root
+            for message, signature in zip(messages, signatures, strict=True)
+        ]
+
+    def _root(self, mid, message: bytes, sig: bytes, pk_seed: bytes,
+              pk_root: bytes) -> bytes:
+        """The hypertree root a well-sized *sig* over *message* implies."""
+        params = self.params
+        n = params.n
+        digest = self.ctx.h_msg(sig[:n], pk_seed, pk_root, message)
+        fors_msg, tree, leaf = split_digest(digest, params)
+
+        # FORS: each revealed secret -> leaf -> climb; compress the k roots.
+        leaf_pre = AddressTemplate(
+            0, tree, AddressType.FORS_TREE, leaf, 0).prefix
+        node_pre = AddressTemplate(0, tree, AddressType.FORS_TREE, leaf).prefix
+        log_t, off = params.log_t, n
+        roots = []
+        for fors_tree, index in enumerate(
+                message_to_indices(fors_msg, params)):
+            base = fors_tree * params.t
+            h = mid.copy()
+            h.update(leaf_pre); h.update(packed_u32(base + index))
+            h.update(sig[off:off + n])
+            roots.append(self._climb(mid, node_pre, h.digest()[:n], index,
+                                     sig, off + n, log_t, base))
+            off += (1 + log_t) * n
+        node = _compress(mid, n, AddressTemplate(
+            0, tree, AddressType.FORS_ROOTS, leaf, 0, 0).prefix, roots)
+
+        # Hypertree: per layer, finish the WOTS chains, compress them to
+        # the leaf, climb the auth path; the root is the next layer's
+        # message.
+        chain_words, pos_words = self._chain_words, self._pos_words
+        height = params.tree_height
+        for layer in range(params.d):
+            hash_pre = AddressTemplate(
+                layer, tree, AddressType.WOTS_HASH, leaf).prefix
+            values = []
+            for c4, digit in zip(chain_words, _wots_digits(node, params)):
+                values.append(_chain(mid, n, hash_pre + c4, pos_words[digit:],
+                                     sig[off:off + n]))
+                off += n
+            wots_pk = _compress(mid, n, AddressTemplate(
+                layer, tree, AddressType.WOTS_PK, leaf, 0, 0).prefix, values)
+            node = self._climb(
+                mid, AddressTemplate(layer, tree, AddressType.TREE, 0).prefix,
+                wots_pk, leaf, sig, off, height)
+            off += height * n
+            leaf = tree & (params.tree_leaves - 1)
+            tree >>= height
+        return node
+
+    def _climb(self, mid, node_prefix: bytes, node: bytes, index: int,
+               sig: bytes, off: int, height: int, base: int = 0) -> bytes:
+        """Root of the tree holding *node* at leaf *index*, from the
+        *height* siblings stored at ``sig[off:]``.  *base* is the FORS
+        forest's global leaf offset; XMSS subtrees use 0."""
+        n = self.params.n
+        for level in range(1, height + 1):
+            sibling = sig[off:off + n]
+            off += n
+            left, right = (sibling, node) if index & 1 else (node, sibling)
+            index >>= 1
+            node = _node_hash(mid, n, node_prefix, level,
+                              (base >> level) + index, left, right)
+        return node

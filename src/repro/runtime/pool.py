@@ -235,7 +235,7 @@ def _worker_spans(worker_id: int, trace: tuple, started_wall: float,
     }]
     offset = started_wall
     for stage, seconds in result.stage_seconds.items():
-        if stage in ("pool", "workers_busy", "shard_pool"):
+        if stage in ("pool", "workers_busy"):
             continue  # aggregates, not pipeline stages
         spans.append({
             "trace": trace_id, "span": new_span_id(),

@@ -92,3 +92,11 @@ class ScalarBackend(SigningBackend):
         if cache is not None:
             result.cache_stats = dict(cache.stats)
         return result
+
+    def _verify_pairs(self, messages: Sequence[bytes],
+                      signatures: Sequence[bytes],
+                      public_key: bytes) -> list[bool]:
+        """The reference ``Sphincs.verify`` walk: the second, independent
+        implementation the oracle diffs the fast verifier against."""
+        return [self._scheme.verify(message, signature, public_key)
+                for message, signature in zip(messages, signatures)]

@@ -6,8 +6,7 @@ precomputed templates (:mod:`repro.runtime.fastops`); Merkle subtrees and
 upper-layer WOTS link signatures persist in a per-key
 :class:`~repro.runtime.layercache.HypertreeLayerCache` — the upper
 hypertree layers are shared by construction, so a warm key recomputes
-only the message-dependent bottom of each path.  An optional
-multiprocessing shard pool splits very large batches across cores.
+only the message-dependent bottom of each path.
 
 Signatures are byte-identical to the scalar backend in deterministic mode
 (pinned by ``tests/runtime``) because every SHA-256 input is unchanged —
@@ -32,23 +31,11 @@ from .layercache import (DEFAULT_BUDGET_MB, HypertreeLayerCache,
 __all__ = ["VectorizedBackend"]
 
 
-def _shard_worker(job: tuple) -> list[bytes]:
-    """Sign one shard in a worker process (top-level for picklability)."""
-    params_name, deterministic, key_fields, messages = job
-    backend = VectorizedBackend(params_name, deterministic=deterministic)
-    return backend.sign_batch(messages, KeyPair(*key_fields)).signatures
-
-
 class VectorizedBackend(SigningBackend):
     """Batch signing with amortized hot paths.
 
     Parameters
     ----------
-    shards:
-        When > 1, batches of at least ``2 * shards`` messages are split
-        across a ``multiprocessing`` pool of this many worker processes.
-        Default 0 (in-process); per-stage timings and cache statistics are
-        only available in-process.
     cache_budget_mb:
         Per-key layer-cache byte budget (pinned top layers + LRU working
         set, sized by :mod:`repro.runtime.layercache`).  Default
@@ -62,13 +49,10 @@ class VectorizedBackend(SigningBackend):
     name = "vectorized"
 
     def __init__(self, params: SphincsParams | str,
-                 deterministic: bool = False, shards: int = 0,
+                 deterministic: bool = False,
                  cache_budget_mb: float | None = None,
                  subtree_cache_size: int | None = None):
         super().__init__(params, deterministic=deterministic)
-        if shards < 0:
-            raise BackendError(f"shards must be >= 0, got {shards}")
-        self.shards = shards
         if cache_budget_mb is not None:
             if cache_budget_mb <= 0:
                 raise BackendError(
@@ -90,8 +74,7 @@ class VectorizedBackend(SigningBackend):
             vectorized=True,
             deterministic=self.deterministic,
             preferred_batch=64,
-            notes="address templates + shared midstates + per-key layer cache"
-            + (f", {self.shards}-process shard pool" if self.shards > 1 else ""),
+            notes="address templates + shared midstates + per-key layer cache",
         )
 
     def _ops(self, keys: KeyPair) -> FastOps:
@@ -160,9 +143,6 @@ class VectorizedBackend(SigningBackend):
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
-        if self.shards > 1 and len(messages) >= 2 * self.shards:
-            return self._sign_sharded(messages, keys, started)
-
         ops = self._ops(keys)
 
         def fors_fn(task):
@@ -181,28 +161,3 @@ class VectorizedBackend(SigningBackend):
         result = self._staged_sign(messages, keys, started, fors_fn, ht_fn)
         result.cache_stats = dict(ops.cache.stats)
         return result
-
-    def _sign_sharded(self, messages: Sequence[bytes], keys: KeyPair,
-                      started: float) -> BatchSignResult:
-        import multiprocessing
-
-        shards = min(self.shards, len(messages))
-        chunk = (len(messages) + shards - 1) // shards
-        jobs = [
-            (self.params.name, self.deterministic,
-             (keys.sk_seed, keys.sk_prf, keys.pk_seed, keys.pk_root),
-             list(messages[i:i + chunk]))
-            for i in range(0, len(messages), chunk)
-        ]
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork: spawn still works
-            context = multiprocessing.get_context("spawn")
-        with context.Pool(len(jobs)) as pool:
-            shard_sigs = pool.map(_shard_worker, jobs)
-        signatures = [sig for sigs in shard_sigs for sig in sigs]
-        return self._timed_result(
-            signatures, started,
-            stage_seconds={"shard_pool": time.perf_counter() - started},
-            cache_stats={"shards": len(jobs)},
-        )

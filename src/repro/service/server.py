@@ -44,9 +44,9 @@ from ..obs.log import get_logger
 from ..obs.trace import (TraceContext, Tracer, current_trace, new_span_id,
                          new_trace_id, tap_stages)
 from ..runtime.backend import SigningBackend
+from ..runtime.fastops import FastVerifier
 from ..runtime.pool import WorkerPool
 from ..runtime.registry import get_backend
-from ..sphincs.signer import Sphincs
 from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
 from .dispatch import ShardedDispatcher
@@ -61,7 +61,7 @@ _log = get_logger("service")
 
 #: ``stage_seconds`` keys that are whole-batch aggregates, not pipeline
 #: stages — they must not become stage spans.
-_AGGREGATE_STAGES = ("pool", "workers_busy", "shard_pool")
+_AGGREGATE_STAGES = ("pool", "workers_busy")
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,7 @@ class SigningService:
             max_wait_s=max_wait_s,
         )
         self._backends: dict[str, SigningBackend] = {}
+        self._verifiers: dict[str, FastVerifier] = {}
         self._sign_lock = asyncio.Lock()
         # Multi-core tier: with workers > 0 (or an externally owned pool),
         # batches route through a ShardedDispatcher onto long-lived worker
@@ -268,16 +269,30 @@ class SigningService:
         Returns ``(valid, canonical params name)``.  Verification never
         raises on a bad signature — ``valid`` is simply ``False`` — but
         unknown tenants/keys raise :class:`KeystoreError` exactly like
-        :meth:`sign`.  The hash walk is CPU-bound, so it runs on the
-        default executor; a fresh scheme per call keeps concurrent
-        verifications independent of the signing backends' caches.
+        :meth:`sign`.
+        """
+        [valid], params_name = await self.verify_many(
+            [message], [signature], tenant, key_name)
+        return valid, params_name
+
+    async def verify_many(self, messages: list[bytes],
+                          signatures: list[bytes], tenant: str,
+                          key_name: str = "default"
+                          ) -> tuple[list[bool], str]:
+        """Verify each ``(message, signature)`` pair under one tenant key.
+
+        The key resolves once and the whole batch is one job on the
+        default executor (the hash walk is CPU-bound).  The verifier
+        keeps no per-key state, so concurrent jobs are independent of
+        each other and of the signing backends' caches.
         """
         keys, params_name = self.keystore.resolve(tenant, key_name)
-        scheme = Sphincs(params_name)
-        loop = asyncio.get_running_loop()
-        valid = await loop.run_in_executor(
-            None, scheme.verify, message, signature, keys.public)
-        return valid, params_name
+        verifier = self._verifiers.get(params_name)
+        if verifier is None:
+            verifier = self._verifiers[params_name] = FastVerifier(params_name)
+        verdicts = await asyncio.get_running_loop().run_in_executor(
+            None, verifier.verify_batch, messages, signatures, keys.public)
+        return verdicts, params_name
 
     async def drain(self) -> None:
         """Dispatch and await everything still queued (shutdown path)."""

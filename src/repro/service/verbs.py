@@ -297,34 +297,38 @@ async def _verb_sign_many(server, conn: ConnectionState, args: dict) -> dict:
     return response
 
 
+async def _verify_many_results(server, conn: ConnectionState,
+                               args: dict) -> list[dict]:
+    """Per-pair result items for one verify-many frame (v2 and v3).
+
+    Mirrors sign-many: tenant/key resolution failures fail the whole
+    frame (nothing could have verified).  After that the frame is ONE
+    verify job; an invalid signature is a *result* (valid: false), and
+    an infra failure of the job is reported on every item it covered.
+    """
+    tenant, key = args["tenant"], args["key"]
+    server.service.keystore.resolve(tenant, key)
+    try:
+        verdicts, params = await server.service.verify_many(
+            args["messages"], args["signatures"], tenant, key_name=key)
+    except Exception as exc:  # noqa: BLE001 — typed per item, like sign-many
+        code, detail = error_body(exc, conn.version)
+        return [{"ok": False, "error": code, "detail": detail}
+                for _ in args["messages"]]
+    return [{"ok": True, "valid": valid, "params": params}
+            for valid in verdicts]
+
+
 async def _verb_verify_many(server, conn: ConnectionState,
                             args: dict) -> dict:
-    # Mirrors sign-many: tenant/key resolution failures fail the whole
-    # frame (nothing could have verified), per-pair failures come back
-    # per item.  An invalid signature is a *result* (valid: false), not
-    # an error — only malformed input or infra failures land in errors.
-    tenant, key = args["tenant"], args["key"]
     if len(args["messages"]) != len(args["signatures"]):
         raise ProtocolError(
             f"verify-many pairs each message with a signature: got "
             f"{len(args['messages'])} messages, "
             f"{len(args['signatures'])} signatures")
-    server.service.keystore.resolve(tenant, key)
-    outcomes = await asyncio.gather(
-        *(server.service.verify(message, signature, tenant, key_name=key)
-          for message, signature in zip(args["messages"],
-                                        args["signatures"])),
-        return_exceptions=True)
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            code, detail = error_body(outcome, conn.version)
-            results.append({"ok": False, "error": code, "detail": detail})
-        else:
-            valid, params = outcome
-            results.append({"ok": True, "valid": valid, "params": params})
-    return {"ok": True, "op": "verify-many", "tenant": tenant, "key": key,
-            "results": results}
+    results = await _verify_many_results(server, conn, args)
+    return {"ok": True, "op": "verify-many", "tenant": args["tenant"],
+            "key": args["key"], "results": results}
 
 
 def _ledger(server):
@@ -506,22 +510,8 @@ async def _frame_verify_many(server, conn: ConnectionState,
                              frame: protocol.Frame, send) -> None:
     """Binary verify-many: verdicts are one byte each, so the whole
     batch answers in a single small frame — no streaming variant."""
-    args = protocol.unpack_verify_many_request(frame.payload)
-    tenant, key = args["tenant"], args["key"]
-    server.service.keystore.resolve(tenant, key)
-    outcomes = await asyncio.gather(
-        *(server.service.verify(message, signature, tenant, key_name=key)
-          for message, signature in zip(args["messages"],
-                                        args["signatures"])),
-        return_exceptions=True)
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            code, detail = error_body(outcome, conn.version)
-            results.append({"ok": False, "error": code, "detail": detail})
-        else:
-            valid, params = outcome
-            results.append({"ok": True, "valid": valid, "params": params})
+    results = await _verify_many_results(
+        server, conn, protocol.unpack_verify_many_request(frame.payload))
     await send(protocol.encode_frame(
         frame.verb, protocol.pack_verify_many_result(results),
         id=frame.id, flags=protocol.FLAG_OK))

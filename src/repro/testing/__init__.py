@@ -9,7 +9,8 @@ Correctness in this repository is enforced by machinery, not eyeballs:
 * :mod:`.kat` — **pinned KAT vectors** for 128s/128f/192s/256s under
   ``tests/vectors/``, with regeneration and drift checking.
 * :mod:`.corpus` — seeded, stdlib-only **fuzz generation**: message edge
-  cases, malformed protocol frames, corrupt keystore files.
+  cases, malformed protocol frames, corrupt keystore files, corrupted
+  signatures.
 * :mod:`.faults` — deterministic **bit-flip injection** into the
   tweakable-hash layer (the Genet-style SPHINCS+ fault model).
 * :mod:`.tracing` — structured signing **traces** over the ``sphincs/``
@@ -24,8 +25,9 @@ CLI entry point: ``python -m repro conformance`` (see the README's
 
 from .chaos import FlakyProxy
 from .corpus import (corrupt_keystore_payloads, malformed_frames,
-                     message_corpus)
-from .faults import BitFlipFault, CachedNodeFault, flip_bit, parse_fault
+                     message_corpus, signature_mutations, signature_regions)
+from .faults import (BitFlipFault, CachedNodeFault, VerifyFault, flip_bit,
+                     parse_fault)
 from .kat import (KAT_SETS, check_kat, default_vectors_dir, generate_kat,
                   kat_corpus, load_kat)
 from .oracle import (ConformanceReport, DifferentialOracle, Divergence,
@@ -43,6 +45,7 @@ __all__ = [
     "PathResult",
     "TraceHop",
     "TraceRecorder",
+    "VerifyFault",
     "capture_trace",
     "check_kat",
     "corrupt_keystore_payloads",
@@ -56,4 +59,6 @@ __all__ = [
     "malformed_frames",
     "message_corpus",
     "parse_fault",
+    "signature_mutations",
+    "signature_regions",
 ]

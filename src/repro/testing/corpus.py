@@ -1,6 +1,6 @@
 """Seeded, stdlib-only case generation for the conformance subsystem.
 
-Three generators live here:
+Four generators live here:
 
 * :func:`message_corpus` — the adversarial message set the differential
   oracle feeds every signing path: the empty message, single bytes, long
@@ -12,6 +12,10 @@ Three generators live here:
   invalid JSON, wrong top-level types, missing/ill-typed fields, invalid
   base64, absurd deadlines.  Every one must come back as a structured
   ``ok: false`` response, never as a dropped connection or a traceback.
+* :func:`signature_mutations` — corruptions of one valid signature (a
+  single-bit flip in each region :func:`signature_regions` names, and
+  resized blobs) that every verifier must reject, and on which the fast
+  verifier must agree with the reference.
 * :func:`corrupt_keystore_payloads` — tenant-file corruptions (truncated
   JSON, wrong types, bad hex, short key material, name mismatches) that
   the keystore must quarantine with a typed error.
@@ -25,10 +29,14 @@ from __future__ import annotations
 import json
 import random
 
+from ..params import SphincsParams
+
 __all__ = [
     "message_corpus",
     "malformed_frames",
     "corrupt_keystore_payloads",
+    "signature_regions",
+    "signature_mutations",
 ]
 
 #: Size of the large-payload case in the full (non-smoke) corpus.
@@ -61,6 +69,45 @@ def message_corpus(seed: int = 0,
             length = rng.randrange(1, 2048)
             cases.append((f"random-len-{length}-{i}", rng.randbytes(length)))
     return cases
+
+
+def signature_regions(params: SphincsParams) -> dict[str, tuple[int, int]]:
+    """Named ``(start, length)`` byte ranges of a signature blob.
+
+    The randomizer, the first FORS tree's revealed secret and auth path,
+    and — at the bottom, a middle and the top hypertree layer — the WOTS
+    chain values and the XMSS auth path.
+    """
+    n = params.n
+    fors = n
+    hypertree = fors + params.k * (1 + params.log_t) * n
+    regions = {
+        "randomizer": (0, n),
+        "fors-secret": (fors, n),
+        "fors-auth": (fors + n, params.log_t * n),
+    }
+    top = params.d - 1
+    for layer in sorted({0, top // 2, top}):
+        wots = hypertree + layer * (params.wots_len + params.tree_height) * n
+        regions[f"wots-chain-L{layer}"] = (wots, params.wots_len * n)
+        regions[f"xmss-auth-L{layer}"] = (wots + params.wots_len * n,
+                                          params.tree_height * n)
+    return regions
+
+
+def signature_mutations(params: SphincsParams,
+                        signature: bytes) -> list[tuple[str, bytes]]:
+    """Named corruptions of a valid *signature*; none may verify."""
+    cases = []
+    for name, (start, length) in signature_regions(params).items():
+        blob = bytearray(signature)
+        blob[start + length // 2] ^= 0x10
+        cases.append((f"bitflip-{name}", bytes(blob)))
+    return cases + [
+        ("truncated", signature[:-1]),
+        ("extended", signature + b"\x00"),
+        ("empty", b""),
+    ]
 
 
 def _strip_newlines(blob: bytes) -> bytes:

@@ -27,6 +27,12 @@ emits a signature that still **verifies**, yet differs byte-for-byte from
 the reference — exactly the fault-attack class only a differential oracle
 catches.
 
+:class:`VerifyFault` strikes the other side of the contract: a fast
+verifier that walks the whole signature and then never compares the root
+it reached against the public key accepts every well-formed blob.  Signing
+stays byte-identical, so only the oracle's verify stage — fast verdict
+against reference verdict over corrupted signatures — can ring.
+
 Fault specs are parsed from strings so the CLI can take them directly::
 
     thash:bitflip            # defaults: call 7, bit 0
@@ -36,6 +42,7 @@ Fault specs are parsed from strings so the CLI can take them directly::
     cache:flip               # consistent flip in a cached subtree
     cache:flip:0:3           # ... level 0, bit 3
     cache:flip:0:0:benign    # naive flip (auth path breaks, verify fails)
+    verify:no-root-compare   # fast verifier drops its final root compare
 """
 
 from __future__ import annotations
@@ -45,8 +52,10 @@ from dataclasses import dataclass, field
 
 from ..errors import ConformanceError
 from ..hashes.thash import HashContext
+from ..runtime.fastops import FastVerifier
 
-__all__ = ["BitFlipFault", "CachedNodeFault", "flip_bit", "parse_fault"]
+__all__ = ["BitFlipFault", "CachedNodeFault", "VerifyFault", "flip_bit",
+           "parse_fault"]
 
 _TARGETS = ("thash", "prf")
 
@@ -230,10 +239,8 @@ class CachedNodeFault:
             # The parent layer's cached WOTS link signs the *old* root;
             # drop it so the signer re-signs the corrupted root (a fresh
             # link that verifies) instead of failing on a stale one.
-            drop_link = getattr(ops.cache, "drop_link", None)
-            if drop_link is not None:
-                drop_link(layer + 1, tree >> th,
-                          tree & (params.tree_leaves - 1))
+            ops.cache.drop_link(layer + 1, tree >> th,
+                                tree & (params.tree_leaves - 1))
         self.calls_seen += 1
         self.fired = True
         mode = ("ancestors recomputed, still verifies"
@@ -241,6 +248,47 @@ class CachedNodeFault:
         return (f"flipped bit {self.bit} of cached node "
                 f"level {self.level} index {sibling} in subtree "
                 f"(layer {layer}, tree {tree}); {mode}")
+
+
+@dataclass
+class VerifyFault:
+    """A :class:`~repro.runtime.fastops.FastVerifier` that drops the final
+    ``root == pk_root`` compare: the length gates and the whole walk still
+    run, then every blob that got that far is accepted.
+
+    Installed on the class, so it reaches every tier that verifies through
+    the fast kernel in this process (backends, ``LocalClient``, the
+    service and its wire verbs) and leaves the reference walk alone.
+    """
+
+    #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
+    target: str = field(default="verify", init=False)
+    #: How many ``verify_batch`` calls ran under the fault.
+    calls_seen: int = field(default=0, init=False)
+    #: Whether any verdict was actually produced by the faulty verifier.
+    fired: bool = field(default=False, init=False)
+
+    spec = "verify:no-root-compare"
+
+    @contextmanager
+    def install(self):
+        """Swap the faulty ``verify_batch`` in for the ``with`` block."""
+        original = FastVerifier.verify_batch
+
+        def verify_batch(verifier, messages, signatures, public_key):
+            original(verifier, messages, signatures, public_key)
+            self.calls_seen += 1
+            self.fired = True
+            params = verifier.params
+            return [len(public_key) == params.pk_bytes
+                    and len(signature) == params.sig_bytes
+                    for signature in signatures]
+
+        FastVerifier.verify_batch = verify_batch
+        try:
+            yield self
+        finally:
+            FastVerifier.verify_batch = original
 
 
 def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
@@ -263,18 +311,22 @@ def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
     return CachedNodeFault(consistent=consistent, **kwargs)
 
 
-def parse_fault(spec: str) -> BitFlipFault | CachedNodeFault:
+def parse_fault(spec: str) -> BitFlipFault | CachedNodeFault | VerifyFault:
     """Parse a fault spec: ``target:bitflip[:call_index[:bit]]`` for the
-    hash taps, ``cache:flip[:level[:bit]][:benign]`` for the layer cache.
+    hash taps, ``cache:flip[:level[:bit]][:benign]`` for the layer cache,
+    ``verify:no-root-compare`` for the fast verifier.
     """
     parts = spec.strip().split(":")
+    if spec.strip() == VerifyFault.spec:
+        return VerifyFault()
     if len(parts) >= 2 and parts[0] == "cache" and parts[1] == "flip":
         return _parse_cache_fault(spec, parts)
     if len(parts) < 2 or parts[1] != "bitflip":
         raise ConformanceError(
             f"unsupported fault spec {spec!r}; expected "
-            "'thash:bitflip[:call_index[:bit]]', 'prf:bitflip[...]', or "
-            "'cache:flip[:level[:bit]][:benign]'"
+            "'thash:bitflip[:call_index[:bit]]', 'prf:bitflip[...]', "
+            "'cache:flip[:level[:bit]][:benign]', or "
+            f"{VerifyFault.spec!r}"
         )
     kwargs: dict[str, int] = {}
     try:

@@ -33,6 +33,17 @@ faulty signature fails verification.  The reference path additionally
 localizes the fault with the ``sphincs/`` tracing hooks
 (:func:`repro.testing.tracing.capture_trace`).
 
+Verification gets the same differential treatment.  The serving tiers
+verify through the template-driven kernel
+(:class:`~repro.runtime.fastops.FastVerifier`); ``repro.sphincs`` and the
+``scalar`` backend keep the reference walk.  Every backend path and every
+client path therefore also answers a set of *verify cases* — each corpus
+pair, then the first pair's signature corrupted region by region
+(:func:`~repro.testing.corpus.signature_mutations`) and paired with the
+wrong message — and any verdict that differs from the reference's is a
+``verify`` divergence.  A :class:`~repro.testing.faults.VerifyFault`
+(a fast verifier that never compares the root) must ring exactly there.
+
 A :class:`~repro.testing.faults.CachedNodeFault` runs a focused two-pass
 flow instead: warm the vectorized backend's hypertree layer cache over
 the corpus (pass 1 must byte-match), corrupt one cached subtree node,
@@ -45,6 +56,7 @@ class only the differential compare catches.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -54,8 +66,8 @@ from ..params import SphincsParams, get_params
 from ..runtime.registry import available_backends, get_backend
 from ..runtime.scheduler import BatchScheduler
 from ..sphincs.signer import KeyPair, Sphincs
-from .corpus import message_corpus
-from .faults import BitFlipFault, CachedNodeFault
+from .corpus import message_corpus, signature_mutations
+from .faults import BitFlipFault, CachedNodeFault, VerifyFault
 from .tracing import capture_trace, first_divergence
 
 __all__ = ["Divergence", "PathResult", "ConformanceReport",
@@ -252,7 +264,8 @@ class DifferentialOracle:
                  include_ledger: bool = True,
                  service_backend: str = "vectorized",
                  service_workers: int = 2,
-                 fault: BitFlipFault | CachedNodeFault | None = None,
+                 fault: BitFlipFault | CachedNodeFault | VerifyFault
+                 | None = None,
                  fault_target: str = "scalar"):
         self.params = get_params(params) if isinstance(params, str) else params
         self.backends = (list(backends) if backends is not None
@@ -267,14 +280,21 @@ class DifferentialOracle:
         self.service_workers = service_workers
         self.fault = fault
         self.fault_target = fault_target
+        # Set by each run(): the reference scheme and key, its signature
+        # per corpus case, and the verify cases as ``(label, message,
+        # signature, reference verdict)``.
+        self._scheme: Sphincs | None = None
+        self._keys: KeyPair | None = None
+        self._expected: dict[str, bytes] = {}
+        self._verify_cases: list[tuple[str, bytes, bytes, bool]] = []
 
     # ------------------------------------------------------------------
     def run(self) -> ConformanceReport:
-        scheme = Sphincs(self.params, deterministic=True)
-        keys = scheme.keygen(seed=bytes(3 * self.params.n))
+        scheme = self._scheme = Sphincs(self.params, deterministic=True)
+        keys = self._keys = scheme.keygen(seed=bytes(3 * self.params.n))
 
         reference = PathResult(path="reference")
-        expected: dict[str, bytes] = {}
+        expected = self._expected = {}
         started = time.perf_counter()
         for case, message in self.corpus:
             signature = scheme.sign(message, keys)
@@ -289,89 +309,46 @@ class DifferentialOracle:
                     verify_failed=True,
                     detail="reference signature failed verification",
                 ))
+        cases = [(case, message, expected[case])
+                 for case, message in self.corpus]
+        if self.corpus:
+            case, message = self.corpus[0]
+            cases += [(f"{case}/{label}", message, blob) for label, blob
+                      in signature_mutations(self.params, expected[case])]
+            cases.append((f"{case}/wrong-message", message + b"!",
+                          expected[case]))
+        self._verify_cases = [
+            (label, message, blob,
+             scheme.verify(message, blob, keys.public))
+            for label, message, blob in cases]
         reference.elapsed_s = time.perf_counter() - started
 
         results = [reference]
-        if isinstance(self.fault, CachedNodeFault):
+        fault_fired, fault_hop = False, None
+        if isinstance(self.fault, VerifyFault):
+            # Signing is untouched by this fault; only the paths that
+            # verify through the fast kernel can show it.
+            with self.fault.install():
+                results.extend(self._run_backend(name)
+                               for name in self.backends)
+                if self.include_clients:
+                    results.append(self._run_client(
+                        "client:local", self.service_backend))
+            fault_fired = self.fault.fired
+        elif isinstance(self.fault, CachedNodeFault):
             # Focused two-pass flow: warm pass, cache strike, faulted
             # pass.  The service/scheduler/client tiers share the same
             # backend code, so the cached-state property is established
             # once, where the cache lives.
-            cached_results, fault_hop = self._run_cached_fault(
-                scheme, keys, expected)
+            cached_results, fault_hop = self._run_cached_fault()
             results.extend(cached_results)
-            return ConformanceReport(
-                params=self.params.name,
-                cases=[case for case, _ in self.corpus],
-                results=results,
-                fault_spec=self.fault.spec,
-                fault_fired=self.fault.fired,
-                fault_hop=fault_hop,
-            )
-        fault_fired = False
-        for name in self.backends:
-            fault = self.fault if name == self.fault_target else None
-            results.append(self._run_backend(name, scheme, keys, expected,
-                                             fault))
-            if fault is not None:
-                fault_fired = fault.fired
-        if self.fault is None:
-            results.extend(self._run_warm_paths(scheme, keys, expected))
-        if self.include_scheduler:
-            results.extend(self._run_scheduler(scheme, keys, expected))
-        if self.include_service:
-            results.append(asyncio.run(
-                self._run_service(scheme, keys, expected)))
-            if "pooled" in self.backends:
-                # The multi-core execution tier must honor the same
-                # byte-identical contract end to end: async service ->
-                # sharded dispatcher -> worker pool -> inner backend.
-                results.append(asyncio.run(
-                    self._run_service(scheme, keys, expected,
-                                      workers=self.service_workers)))
-        if self.include_clients:
-            # The unified facade must uphold the same contract through
-            # every transport it abstracts over.
-            results.append(self._run_client(
-                "client:local", scheme, keys, expected,
-                backend=self.service_backend))
-            if "pooled" in self.backends:
-                results.append(self._run_client(
-                    "client:pooled", scheme, keys, expected,
-                    backend="pooled",
-                    backend_options={"pooled":
-                                     {"workers": self.service_workers}}))
-            # Both wire generations must produce byte-identical output:
-            # v2 JSON lines pinned explicitly, and the v3 binary framing
-            # with its streamed sign-many.
-            results.append(asyncio.run(
-                self._run_client_tcp(scheme, keys, expected, version=2)))
-            results.append(asyncio.run(
-                self._run_client_tcp(scheme, keys, expected, version=3)))
-            # The cluster tier joins the same contract: placement and
-            # failover must never change a byte of signature output.
-            results.append(asyncio.run(
-                self._run_client_cluster(scheme, keys, expected)))
-            results.append(asyncio.run(
-                self._run_client_cluster(scheme, keys, expected,
-                                         chaos=True)))
-        if self.include_ledger and self.fault is None:
-            results.append(asyncio.run(
-                self._run_ledger(scheme, keys, expected)))
-
-        fault_hop = None
-        if self.fault is not None and self.corpus:
-            # Localize on the reference path via the sphincs/ trace hooks:
-            # same fault parameters, fresh counters, first corpus message.
-            replica = dataclasses.replace(self.fault)
-            case, message = self.corpus[0]
-            clean = capture_trace(self.params, message, keys)
-            faulted = capture_trace(self.params, message, keys, fault=replica)
-            hit = first_divergence(clean, faulted)
-            if hit is not None:
-                index, _, hop = hit
-                fault_hop = f"hop {index}: {hop.stage}[{hop.label}]"
-
+            fault_fired = self.fault.fired
+        else:
+            results.extend(self._run_all_paths())
+            if self.fault is not None:
+                fault_fired = self.fault.fired
+                if self.corpus:
+                    fault_hop = self._localize_fault()
         return ConformanceReport(
             params=self.params.name,
             cases=[case for case, _ in self.corpus],
@@ -381,14 +358,105 @@ class DifferentialOracle:
             fault_hop=fault_hop,
         )
 
+    def _run_all_paths(self) -> list[PathResult]:
+        results = [
+            self._run_backend(
+                name, self.fault if name == self.fault_target else None)
+            for name in self.backends]
+        if self.fault is None:
+            # Cache-enabled byte-identity passes: the reference backend
+            # with the hypertree layer cache switched on (off by default
+            # there), and the vectorized backend's *second* pass over the
+            # corpus, whose subtrees and upper-layer WOTS link signatures
+            # come out of a warm cache.
+            if "scalar" in self.backends:
+                results.append(self._run_backend(
+                    "scalar", label="backend:scalar+layercache",
+                    cache_budget_mb=32.0))
+            if "vectorized" in self.backends:
+                results.append(self._run_backend(
+                    "vectorized", label="backend:vectorized+warm",
+                    passes=2))
+        if self.include_scheduler:
+            results.extend(self._run_scheduler(name)
+                           for name in self.backends)
+        pooled = "pooled" in self.backends
+        if self.include_service:
+            results.append(asyncio.run(self._run_service()))
+            if pooled:
+                # The multi-core execution tier must honor the same
+                # byte-identical contract end to end: async service ->
+                # sharded dispatcher -> worker pool -> inner backend.
+                results.append(asyncio.run(
+                    self._run_service(workers=self.service_workers)))
+        if self.include_clients:
+            # The unified facade must uphold the same contract through
+            # every transport it abstracts over: in-process, both wire
+            # generations (v2 JSON lines pinned explicitly, v3 binary
+            # framing with its streamed sign-many), and the cluster tier
+            # — where placement and failover must never change a byte.
+            results.append(self._run_client("client:local",
+                                            self.service_backend))
+            if pooled:
+                results.append(self._run_client(
+                    "client:pooled", "pooled",
+                    {"pooled": {"workers": self.service_workers}}))
+            for label, options in (
+                    ("client:tcp", {"version": 2}),
+                    ("client:tcp-v3", {"version": 3}),
+                    ("client:cluster", {"cluster": True}),
+                    ("client:cluster-chaos", {"cluster": True,
+                                              "chaos": True})):
+                results.append(asyncio.run(
+                    self._run_client_wire(label, **options)))
+        if self.include_ledger and self.fault is None:
+            results.append(asyncio.run(self._run_ledger()))
+        return results
+
+    def _localize_fault(self) -> str | None:
+        """Name the first diverging hop on the reference path via the
+        sphincs/ trace hooks: same fault parameters, fresh counters,
+        first corpus message."""
+        replica = dataclasses.replace(self.fault)
+        message = self.corpus[0][1]
+        clean = capture_trace(self.params, message, self._keys)
+        faulted = capture_trace(self.params, message, self._keys,
+                                fault=replica)
+        hit = first_divergence(clean, faulted)
+        if hit is None:
+            return None
+        index, _, hop = hit
+        return f"hop {index}: {hop.stage}[{hop.label}]"
+
     # ------------------------------------------------------------------
-    def _compare(self, result: PathResult, scheme: Sphincs, keys: KeyPair,
-                 expected: dict[str, bytes],
-                 produced: dict[str, bytes],
+    @contextlib.contextmanager
+    def _path(self, label: str):
+        """One row of the report: times the block and files whatever it
+        raises — a declared capability limit (``TuningError``, e.g.
+        modeled-gpu on 128s) as *skipped*, anything else as the path's
+        error.  Both are findings about the path, not crashes of the run."""
+        result = PathResult(path=label)
+        started = time.perf_counter()
+        try:
+            yield result
+        except ConformanceError:
+            raise  # harness misconfiguration, not a conformance finding
+        except TuningError as exc:
+            result.skipped = str(exc)
+        except Exception as exc:  # noqa: BLE001 — a path failing is a finding
+            result.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            result.elapsed_s = time.perf_counter() - started
+
+    def _compare(self, result: PathResult, signatures: list,
                  corpus: list[tuple[str, bytes]] | None = None) -> None:
-        for case, message in (self.corpus if corpus is None else corpus):
+        """Byte-compare a path's *signatures* (in corpus order; ``None``
+        where it produced nothing) against the reference's."""
+        scheme, keys, expected = self._scheme, self._keys, self._expected
+        corpus = self.corpus if corpus is None else corpus
+        produced = list(signatures) + [None] * (len(corpus) - len(signatures))
+        for (case, message), signature in zip(corpus, produced):
             result.count += 1
-            signature = produced.get(case)
             if signature is None:
                 result.divergences.append(Divergence(
                     path=result.path, case=case, stage="missing",
@@ -413,14 +481,44 @@ class DifferentialOracle:
                     verify_failed=not verifies,
                 ))
 
-    def _run_backend(self, name: str, scheme: Sphincs, keys: KeyPair,
-                     expected: dict[str, bytes],
-                     fault: BitFlipFault | None) -> PathResult:
-        result = PathResult(path=f"backend:{name}")
-        started = time.perf_counter()
-        try:
-            backend = get_backend(name, self.params, deterministic=True)
-            messages = [message for _, message in self.corpus]
+    def _diff_verdicts(self, result: PathResult,
+                       cases: list[tuple[str, bytes, bytes, bool]],
+                       verdicts: list[bool]) -> None:
+        """The verify stage: a path's *verdicts* over *cases* against the
+        reference's.  Accepting what the reference rejects is the
+        dangerous direction and reports as ``verify_failed=False``."""
+        for (label, _, _, wanted), verdict in zip(cases, verdicts,
+                                                  strict=True):
+            if verdict != wanted:
+                result.divergences.append(Divergence(
+                    path=result.path, case=label, stage="verify",
+                    verify_failed=not verdict,
+                    detail=("accepted a signature the reference rejects"
+                            if verdict else
+                            "rejected a signature the reference accepts"),
+                ))
+
+    def _cases_within(self, budget: int | None = None
+                    ) -> tuple[list[tuple[str, bytes, bytes, bool]],
+                               list[bytes], list[bytes]]:
+        """The verify cases a path can carry (messages within the
+        transport's *budget*), plus their message and signature columns
+        for one batched verify call."""
+        cases = [case for case in self._verify_cases
+                 if budget is None or len(case[1]) <= budget]
+        return (cases, [message for _, message, _, _ in cases],
+                [blob for _, _, blob, _ in cases])
+
+    # ------------------------------------------------------------------
+    def _run_backend(self, name: str, fault: BitFlipFault | None = None,
+                     label: str | None = None, passes: int = 1,
+                     **options) -> PathResult:
+        """Sign the corpus on backend *name* (*passes* times; the last
+        pass is the one compared) and answer the verify cases."""
+        with self._path(label or f"backend:{name}") as result:
+            backend = get_backend(name, self.params, deterministic=True,
+                                  **options)
+            tap = contextlib.nullcontext()
             if fault is not None:
                 get_context = getattr(backend, "hash_context", None)
                 if get_context is None:
@@ -430,78 +528,23 @@ class DifferentialOracle:
                         "SigningBackend.hash_context)"
                     )
                 try:
-                    context = get_context()
+                    tap = fault.install(get_context())
                 except Exception as exc:  # declared untappable
                     raise ConformanceError(
                         f"cannot install fault on backend {name!r}: {exc}"
                     ) from exc
-                with fault.install(context):
-                    signatures = backend.sign_batch(messages, keys).signatures
-            else:
-                signatures = backend.sign_batch(messages, keys).signatures
-            produced = {case: signature for (case, _), signature
-                        in zip(self.corpus, signatures)}
-            self._compare(result, scheme, keys, expected, produced)
-        except ConformanceError:
-            raise  # harness misconfiguration, not a conformance finding
-        except TuningError as exc:
-            # The backend declares it cannot serve this parameter set
-            # (e.g. modeled-gpu: a 128s FORS tree exceeds the thread
-            # budget).  A stated capability limit is not a divergence.
-            result.skipped = str(exc)
-        except Exception as exc:  # noqa: BLE001 — a path failing is a finding
-            result.error = f"{type(exc).__name__}: {exc}"
-        result.elapsed_s = time.perf_counter() - started
+            messages = [message for _, message in self.corpus]
+            with tap:
+                for _ in range(passes):
+                    signatures = backend.sign_batch(
+                        messages, self._keys).signatures
+            self._compare(result, signatures)
+            cases, case_messages, blobs = self._cases_within()
+            self._diff_verdicts(result, cases, backend.verify_batch(
+                case_messages, blobs, self._keys.public))
         return result
 
-    def _run_warm_paths(self, scheme: Sphincs, keys: KeyPair,
-                        expected: dict[str, bytes]) -> list[PathResult]:
-        """Cache-enabled byte-identity passes.
-
-        ``backend:scalar+layercache`` runs the reference backend with the
-        hypertree layer cache switched on (it is off by default there);
-        ``backend:vectorized+warm`` signs the corpus twice on one backend
-        instance and compares the *second* pass, whose subtrees and
-        upper-layer WOTS link signatures come out of a warm cache.  Both
-        must stay byte-identical to the cold reference.
-        """
-        results = []
-        messages = [message for _, message in self.corpus]
-        if "scalar" in self.backends:
-            result = PathResult(path="backend:scalar+layercache")
-            started = time.perf_counter()
-            try:
-                backend = get_backend("scalar", self.params,
-                                      deterministic=True,
-                                      cache_budget_mb=32.0)
-                signatures = backend.sign_batch(messages, keys).signatures
-                produced = {case: signature for (case, _), signature
-                            in zip(self.corpus, signatures)}
-                self._compare(result, scheme, keys, expected, produced)
-            except Exception as exc:  # noqa: BLE001
-                result.error = f"{type(exc).__name__}: {exc}"
-            result.elapsed_s = time.perf_counter() - started
-            results.append(result)
-        if "vectorized" in self.backends:
-            result = PathResult(path="backend:vectorized+warm")
-            started = time.perf_counter()
-            try:
-                backend = get_backend("vectorized", self.params,
-                                      deterministic=True)
-                backend.sign_batch(messages, keys)  # warms the cache
-                signatures = backend.sign_batch(messages, keys).signatures
-                produced = {case: signature for (case, _), signature
-                            in zip(self.corpus, signatures)}
-                self._compare(result, scheme, keys, expected, produced)
-            except Exception as exc:  # noqa: BLE001
-                result.error = f"{type(exc).__name__}: {exc}"
-            result.elapsed_s = time.perf_counter() - started
-            results.append(result)
-        return results
-
-    def _run_cached_fault(self, scheme: Sphincs, keys: KeyPair,
-                          expected: dict[str, bytes]
-                          ) -> tuple[list[PathResult], str | None]:
+    def _run_cached_fault(self) -> tuple[list[PathResult], str | None]:
         """Warm the layer cache, strike one cached node, sign again.
 
         Returns the warm-pass and faulted-pass results plus the strike's
@@ -509,72 +552,48 @@ class DifferentialOracle:
         pass must byte-match — otherwise the faulted pass would prove
         nothing about the cache.
         """
-        fault = self.fault
+        fault, keys = self.fault, self._keys
         messages = [message for _, message in self.corpus]
-        warm_result = PathResult(path="backend:vectorized+warm")
-        fault_result = PathResult(path="backend:vectorized+cached-fault")
-        detail = None
-        started = time.perf_counter()
-        try:
+        with self._path("backend:vectorized+warm") as warm:
             backend = get_backend("vectorized", self.params,
                                   deterministic=True)
-            signatures = backend.sign_batch(messages, keys).signatures
-            produced = {case: signature for (case, _), signature
-                        in zip(self.corpus, signatures)}
-            self._compare(warm_result, scheme, keys, expected, produced)
-            warm_result.elapsed_s = time.perf_counter() - started
-            if warm_result.divergences:
-                # The clean warm pass is already wrong; a cache strike on
-                # top of it would be meaningless.  fired stays False, so
-                # the CLI reports the fault as never having fired.
-                return [warm_result], None
+            self._compare(warm, backend.sign_batch(messages, keys).signatures)
+        if not warm.ok:
+            # The clean warm pass is already wrong; a cache strike on
+            # top of it would be meaningless.  fired stays False, so
+            # the CLI reports the fault as never having fired.
+            return [warm], None
+        detail = None
+        with self._path("backend:vectorized+cached-fault") as struck:
             # Strike the cached subtree that the first corpus message's
             # hypertree walk traverses, then serve the corrupted cache.
-            started = time.perf_counter()
-            task = scheme.prepare(self.corpus[0][1], keys)
+            task = self._scheme.prepare(self.corpus[0][1], keys)
             detail = fault.apply(backend._ops(keys), task.idx_tree)
-            signatures = backend.sign_batch(messages, keys).signatures
-            produced = {case: signature for (case, _), signature
-                        in zip(self.corpus, signatures)}
-            self._compare(fault_result, scheme, keys, expected, produced)
-            if fault.consistent and not fault_result.divergences:
-                fault_result.divergences.append(Divergence(
-                    path=fault_result.path, case=self.corpus[0][0],
+            self._compare(struck,
+                          backend.sign_batch(messages, keys).signatures)
+            if fault.consistent and not struck.divergences:
+                struck.divergences.append(Divergence(
+                    path=struck.path, case=self.corpus[0][0],
                     stage="cache", verify_failed=False,
                     detail="consistent cached-node flip produced no "
                            "divergence — the strike missed the signing "
                            "path",
                 ))
-        except Exception as exc:  # noqa: BLE001
-            fault_result.error = f"{type(exc).__name__}: {exc}"
-        fault_result.elapsed_s = time.perf_counter() - started
-        return [warm_result, fault_result], detail
+        return [warm, struck], detail
 
-    def _run_scheduler(self, scheme: Sphincs, keys: KeyPair,
-                       expected: dict[str, bytes]) -> list[PathResult]:
-        results = []
-        for name in self.backends:
-            result = PathResult(path=f"scheduler:{name}")
-            started = time.perf_counter()
-            try:
-                scheduler = BatchScheduler(
-                    target_batch_size=max(2, len(self.corpus) // 2),
-                    backend=name, deterministic=True)
-                tickets = scheduler.run(
-                    [message for _, message in self.corpus],
-                    params=self.params.name, backend=name)
-                produced = {case: scheduler.claim(ticket)
-                            for (case, _), ticket
-                            in zip(self.corpus, tickets)}
-                self._compare(result, scheme, keys, expected, produced)
-            except TuningError as exc:
-                result.skipped = str(exc)
-            except Exception as exc:  # noqa: BLE001
-                result.error = f"{type(exc).__name__}: {exc}"
-            result.elapsed_s = time.perf_counter() - started
-            results.append(result)
-        return results
+    def _run_scheduler(self, name: str) -> PathResult:
+        with self._path(f"scheduler:{name}") as result:
+            scheduler = BatchScheduler(
+                target_batch_size=max(2, len(self.corpus) // 2),
+                backend=name, deterministic=True)
+            tickets = scheduler.run(
+                [message for _, message in self.corpus],
+                params=self.params.name, backend=name)
+            self._compare(result,
+                          [scheduler.claim(ticket) for ticket in tickets])
+        return result
 
+    # ------------------------------------------------------------------
     def _client_keystore(self):
         """A keystore whose 'oracle' tenant key equals the reference key
         (same deterministic seed), so facade signatures byte-compare."""
@@ -586,60 +605,59 @@ class DifferentialOracle:
                               seed=bytes(3 * self.params.n))
         return keystore
 
-    def _client_compare(self, result: PathResult, scheme: Sphincs,
-                        keys: KeyPair, expected: dict[str, bytes],
-                        corpus: list[tuple[str, bytes]],
-                        signed: list, verdict) -> None:
-        produced = {case: item.signature
-                    for (case, _), item in zip(corpus, signed)}
-        self._compare(result, scheme, keys, expected, produced,
-                      corpus=corpus)
-        # The facade's verify must accept what the facade signed —
-        # the served-verification half of the contract.
-        if corpus and not verdict.valid:
-            result.divergences.append(Divergence(
-                path=result.path, case=corpus[0][0], stage="client-verify",
-                verify_failed=True,
-                detail="facade verify rejected a facade signature",
-            ))
+    def _service(self, corpus: list, **options):
+        """A deterministic ``SigningService`` over the oracle tenant,
+        batched so *corpus* spans more than one dispatch."""
+        from ..service import SigningService
 
-    def _run_client(self, label: str, scheme: Sphincs, keys: KeyPair,
-                    expected: dict[str, bytes], backend: str,
+        return SigningService(
+            self._client_keystore(), backend=self.service_backend,
+            target_batch_size=max(2, len(corpus) // 2), max_wait_s=0.05,
+            max_pending=max(64, 2 * len(corpus)), deterministic=True,
+            **options)
+
+    def _client_compare(self, result: PathResult,
+                        corpus: list[tuple[str, bytes]], signed: list,
+                        cases: list, verdicts: list) -> None:
+        self._compare(result, [item.signature for item in signed], corpus)
+        # The served-verification half of the contract: the facade's
+        # verdicts over the verify cases must be the reference's.
+        self._diff_verdicts(result, cases,
+                            [verdict.valid for verdict in verdicts])
+
+    def _run_client(self, label: str, backend: str,
                     backend_options: dict | None = None) -> PathResult:
         from ..api import LocalClient
 
-        result = PathResult(path=label)
-        started = time.perf_counter()
-        client = None
-        try:
-            client = LocalClient(self._client_keystore(), backend=backend,
-                                 deterministic=True,
-                                 backend_options=backend_options)
-            signed = client.sign_many(
-                "oracle", [message for _, message in self.corpus])
-            case, message = self.corpus[0]
-            verdict = client.verify("oracle", message, signed[0].signature)
-            self._client_compare(result, scheme, keys, expected,
-                                 self.corpus, signed, verdict)
-        except TuningError as exc:
-            result.skipped = str(exc)
-        except Exception as exc:  # noqa: BLE001 — a path failing is a finding
-            result.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if client is not None:
-                client.close()
-        result.elapsed_s = time.perf_counter() - started
+        with self._path(label) as result:
+            with LocalClient(self._client_keystore(), backend=backend,
+                             deterministic=True,
+                             backend_options=backend_options) as client:
+                signed = client.sign_many(
+                    "oracle", [message for _, message in self.corpus])
+                cases, messages, blobs = self._cases_within()
+                self._client_compare(
+                    result, self.corpus, signed, cases,
+                    client.verify_many("oracle", messages, blobs))
         return result
 
-    async def _run_client_tcp(self, scheme: Sphincs, keys: KeyPair,
-                              expected: dict[str, bytes],
-                              version: int = 3) -> PathResult:
-        from ..api import AsyncClient
-        from ..service import SigningServer, SigningService, protocol
+    async def _run_client_wire(self, label: str, version: int = 3,
+                               cluster: bool = False,
+                               chaos: bool = False) -> PathResult:
+        """Facade -> live endpoint, byte-compared.
 
-        result = PathResult(path="client:tcp" if version < 3
-                            else "client:tcp-v3")
-        started = time.perf_counter()
+        The endpoint is one ``SigningServer`` spoken to at wire *version*,
+        or (``cluster``) a router over two signing nodes.  With ``chaos``
+        the node owning the "oracle" tenant is killed halfway through the
+        corpus: the router must re-home the shard onto the surviving node
+        and — because both nodes hold identically seeded keys and sign
+        deterministically — the failover signatures must stay
+        byte-identical too.
+        """
+        from ..api import AsyncClient, AsyncClusterClient
+        from ..cluster import LocalCluster
+        from ..service import SigningServer, protocol
+
         # The wire can only frame messages up to the per-mode message
         # bound (the full corpus includes a 1 MiB case); skipping
         # oversized cases is a stated transport bound, not a divergence.
@@ -647,134 +665,55 @@ class DifferentialOracle:
                   else protocol.MAX_MESSAGE_BYTES)
         corpus = [(case, message) for case, message in self.corpus
                   if len(message) <= budget]
-        server = None
-        client = None
-        try:
-            service = SigningService(
-                self._client_keystore(), backend=self.service_backend,
-                target_batch_size=max(2, len(corpus) // 2),
-                max_wait_s=0.05, max_pending=max(64, 2 * len(corpus)),
-                deterministic=True)
-            server = SigningServer(service, port=0)
-            await server.start()
-            client = await AsyncClient.connect(port=server.port,
-                                               version=version)
-            signed = await client.sign_many(
-                "oracle", [message for _, message in corpus])
-            case, message = corpus[0]
-            verdict = await client.verify("oracle", message,
-                                          signed[0].signature)
-            self._client_compare(result, scheme, keys, expected, corpus,
-                                 signed, verdict)
-        except Exception as exc:  # noqa: BLE001
-            result.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if client is not None:
-                await client.close()
-            if server is not None:
-                await server.stop()
-        result.elapsed_s = time.perf_counter() - started
+        with self._path(label) as result:
+            async with contextlib.AsyncExitStack() as stack:
+                if cluster:
+                    fleet = await LocalCluster(
+                        [lambda: self._service(corpus)] * 2,
+                        health_interval_s=0.05).start()
+                    stack.push_async_callback(fleet.stop)
+                    client = await AsyncClusterClient.connect(
+                        port=fleet.port)
+                else:
+                    server = SigningServer(self._service(corpus), port=0)
+                    stack.push_async_callback(server.stop)
+                    await server.start()
+                    client = await AsyncClient.connect(port=server.port,
+                                                       version=version)
+                stack.push_async_callback(client.close)
+                messages = [message for _, message in corpus]
+                half = max(1, len(messages) // 2) if chaos else len(messages)
+                signed = list(await client.sign_many("oracle",
+                                                     messages[:half]))
+                if chaos:
+                    # Kill the shard's current owner between batches: the
+                    # second half must come back from the failover node.
+                    await fleet.kill_node(fleet.owner("oracle"))
+                    signed.extend(await client.sign_many("oracle",
+                                                         messages[half:]))
+                cases, case_messages, blobs = self._cases_within(budget)
+                self._client_compare(
+                    result, corpus, signed, cases,
+                    await client.verify_many("oracle", case_messages, blobs))
         return result
 
-    async def _run_client_cluster(self, scheme: Sphincs, keys: KeyPair,
-                                  expected: dict[str, bytes],
-                                  chaos: bool = False) -> PathResult:
-        """Facade -> cluster router -> 2 signing nodes, byte-compared.
-
-        With ``chaos=True`` the node owning the "oracle" tenant is
-        killed halfway through the corpus: the router must re-home the
-        shard onto the surviving node and — because both nodes hold
-        identically seeded keys and sign deterministically — the
-        failover signatures must stay byte-identical too.
-        """
-        from ..api import AsyncClusterClient
-        from ..cluster import LocalCluster
-        from ..service import SigningService, protocol
-
-        result = PathResult(path="client:cluster-chaos" if chaos
-                            else "client:cluster")
-        started = time.perf_counter()
-        budget = protocol.MAX_MESSAGE_BYTES_V3
-        corpus = [(case, message) for case, message in self.corpus
-                  if len(message) <= budget]
-        cluster = None
-        client = None
-        try:
-            def factory() -> SigningService:
-                return SigningService(
-                    self._client_keystore(), backend=self.service_backend,
-                    target_batch_size=max(2, len(corpus) // 2),
-                    max_wait_s=0.05,
-                    max_pending=max(64, 2 * len(corpus)),
-                    deterministic=True)
-
-            cluster = await LocalCluster(
-                [factory, factory], health_interval_s=0.05).start()
-            client = await AsyncClusterClient.connect(port=cluster.port)
-            messages = [message for _, message in corpus]
-            if chaos:
-                half = max(1, len(messages) // 2)
-                signed = list(await client.sign_many(
-                    "oracle", messages[:half]))
-                # Kill the shard's current owner between batches: the
-                # second half must come back from the failover node.
-                await cluster.kill_node(cluster.owner("oracle"))
-                signed.extend(await client.sign_many(
-                    "oracle", messages[half:]))
-            else:
-                signed = list(await client.sign_many("oracle", messages))
-            case, message = corpus[0]
-            verdict = await client.verify("oracle", message,
-                                          signed[0].signature)
-            self._client_compare(result, scheme, keys, expected, corpus,
-                                 signed, verdict)
-        except Exception as exc:  # noqa: BLE001
-            result.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if client is not None:
-                await client.close()
-            if cluster is not None:
-                await cluster.stop()
-        result.elapsed_s = time.perf_counter() - started
-        return result
-
-    async def _run_service(self, scheme: Sphincs, keys: KeyPair,
-                           expected: dict[str, bytes],
-                           workers: int = 0) -> PathResult:
-        from ..service import Keystore, SigningService
-
+    async def _run_service(self, workers: int = 0) -> PathResult:
         label = (f"service:pooled[{workers}]" if workers
                  else f"service:{self.service_backend}")
-        result = PathResult(path=label)
-        started = time.perf_counter()
-        service = None
-        try:
-            keystore = Keystore()
-            keystore.add_tenant("oracle", self.params.name)
-            keystore.generate_key("oracle", "default",
-                                  seed=bytes(3 * self.params.n))
-            service = SigningService(
-                keystore, backend=self.service_backend,
-                target_batch_size=max(2, len(self.corpus) // 2),
-                max_wait_s=0.05, max_pending=max(64, 2 * len(self.corpus)),
-                deterministic=True, workers=workers)
-            outcomes = await asyncio.gather(*[
-                service.sign(message, "oracle")
-                for _, message in self.corpus])
-            produced = {case: outcome.signature for (case, _), outcome
-                        in zip(self.corpus, outcomes)}
-            self._compare(result, scheme, keys, expected, produced)
-        except Exception as exc:  # noqa: BLE001
-            result.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if service is not None:
+        with self._path(label) as result:
+            service = self._service(self.corpus, workers=workers)
+            try:
+                outcomes = await asyncio.gather(*[
+                    service.sign(message, "oracle")
+                    for _, message in self.corpus])
+                self._compare(result,
+                              [outcome.signature for outcome in outcomes])
+            finally:
                 await service.drain()
                 service.close()
-        result.elapsed_s = time.perf_counter() - started
         return result
 
-    async def _run_ledger(self, scheme: Sphincs, keys: KeyPair,
-                          expected: dict[str, bytes]) -> PathResult:
+    async def _run_ledger(self) -> PathResult:
         """Corpus -> transparency log -> differential audit.
 
         Three nets, in order: the batch signature embedded in each
@@ -790,55 +729,41 @@ class DifferentialOracle:
         from ..api import LocalClient, verify_inclusion
         from ..ledger import LedgerService, decode_entry, run_audit
 
-        result = PathResult(path="ledger:audit")
-        started = time.perf_counter()
-        client = None
-        try:
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-oracle-ledger-") as tmp:
-                root = Path(tmp) / "log"
-                keystore = self._client_keystore()
-                client = LocalClient(keystore, backend=self.service_backend,
-                                     deterministic=True)
-                ledger = LedgerService(
-                    client, tenant="oracle", root=root,
-                    batch_size=max(2, len(self.corpus) // 2))
-                receipts = await ledger.append_many(
-                    [message for _, message in self.corpus])
-                produced = {case: decode_entry(receipt.entry)[1]
-                            for (case, _), receipt
-                            in zip(self.corpus, receipts)}
-                self._compare(result, scheme, keys, expected, produced)
-                for (case, _), receipt in zip(self.corpus, receipts):
-                    proof = ledger.prove(receipt.index,
-                                         receipt.checkpoint.size)
-                    if not verify_inclusion(client, proof):
-                        result.divergences.append(Divergence(
-                            path=result.path, case=case, stage="inclusion",
-                            verify_failed=True,
-                            detail=f"acknowledged entry {receipt.index} "
-                                   "has no verifying inclusion proof"))
-                await ledger.close()
-                report = run_audit(root, keystore, tenant="oracle",
-                                   deterministic=True)
-                if not report["ok"]:
-                    for problem in report["problems"]:
-                        result.divergences.append(Divergence(
-                            path=result.path, case="<audit>", stage="audit",
-                            verify_failed=True, detail=problem))
-                elif report["signatures_matched"] != report["checkpoints"]:
+        with self._path("ledger:audit") as result, \
+                tempfile.TemporaryDirectory(
+                    prefix="repro-oracle-ledger-") as tmp, \
+                LocalClient(self._client_keystore(),
+                            backend=self.service_backend,
+                            deterministic=True) as client:
+            root = Path(tmp) / "log"
+            ledger = LedgerService(
+                client, tenant="oracle", root=root,
+                batch_size=max(2, len(self.corpus) // 2))
+            receipts = await ledger.append_many(
+                [message for _, message in self.corpus])
+            self._compare(result, [decode_entry(receipt.entry)[1]
+                                   for receipt in receipts])
+            for (case, _), receipt in zip(self.corpus, receipts):
+                proof = ledger.prove(receipt.index, receipt.checkpoint.size)
+                if not verify_inclusion(client, proof):
+                    result.divergences.append(Divergence(
+                        path=result.path, case=case, stage="inclusion",
+                        verify_failed=True,
+                        detail=f"acknowledged entry {receipt.index} "
+                               "has no verifying inclusion proof"))
+            await ledger.close()
+            report = run_audit(root, client.keystore, tenant="oracle",
+                               deterministic=True)
+            if not report["ok"]:
+                for problem in report["problems"]:
                     result.divergences.append(Divergence(
                         path=result.path, case="<audit>", stage="audit",
-                        verify_failed=False,
-                        detail=f"only {report['signatures_matched']} of "
-                               f"{report['checkpoints']} checkpoint "
-                               "signatures matched the reference"))
-        except TuningError as exc:
-            result.skipped = str(exc)
-        except Exception as exc:  # noqa: BLE001
-            result.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            if client is not None:
-                client.close()
-        result.elapsed_s = time.perf_counter() - started
+                        verify_failed=True, detail=problem))
+            elif report["signatures_matched"] != report["checkpoints"]:
+                result.divergences.append(Divergence(
+                    path=result.path, case="<audit>", stage="audit",
+                    verify_failed=False,
+                    detail=f"only {report['signatures_matched']} of "
+                           f"{report['checkpoints']} checkpoint "
+                           "signatures matched the reference"))
         return result

@@ -278,6 +278,37 @@ class TestVerifyMany:
             assert all(v.transport == "tcp" for v in verdicts)
             assert all(v.params == "SPHINCS+-128f" for v in verdicts)
 
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_one_verify_job_per_frame(self, live_server, monkeypatch,
+                                      version):
+        """A verify-many frame is one ``verify_batch`` job over all its
+        pairs (v2 JSON and v3 binary alike), not a job per pair."""
+        from repro.runtime.fastops import FastVerifier
+
+        genuine, jobs = FastVerifier.verify_batch, []
+
+        def counted(self, messages, signatures, public_key):
+            jobs.append(len(messages))
+            return genuine(self, messages, signatures, public_key)
+
+        monkeypatch.setattr(FastVerifier, "verify_batch", counted)
+        messages = [b"j0", b"j1", b"j2"]
+        expected, _ = reference_signatures(messages[:2])
+
+        async def scenario():
+            client = await api.AsyncClient.connect(port=live_server.port,
+                                                   version=version)
+            try:
+                return await client.verify_many(
+                    "acme", messages, expected + [expected[0]])
+            finally:
+                await client.close()
+
+        verdicts = asyncio.run_coroutine_threadsafe(
+            scenario(), live_server.loop).result(120)
+        assert [v.valid for v in verdicts] == [True, True, False]
+        assert jobs == [3]
+
     def test_tcp_unknown_tenant_raises_once(self, live_server):
         with api.connect("tcp", port=live_server.port) as client:
             with pytest.raises(KeystoreError):

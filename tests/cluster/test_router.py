@@ -84,6 +84,37 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_verify_many_is_one_forwarded_frame(self, monkeypatch):
+        """Northbound verify-many forwards as one southbound verify-many
+        (one verify job on the node): per-pair verdicts in order, invalid
+        is a result, not an error."""
+        from repro.runtime.fastops import FastVerifier
+
+        genuine, jobs = FastVerifier.verify_batch, []
+
+        def counted(self, messages, signatures, public_key):
+            jobs.append(len(messages))
+            return genuine(self, messages, signatures, public_key)
+
+        monkeypatch.setattr(FastVerifier, "verify_batch", counted)
+
+        async def scenario():
+            cluster = await make_cluster().start()
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            try:
+                signature = (await client.sign("acme", b"paid")).signature
+                verdicts = await client.verify_many(
+                    "acme", [b"paid", b"unpaid", b"paid"],
+                    [signature, signature, signature[:-1]])
+                assert [v.valid for v in verdicts] == [True, False, False]
+                assert all(v.transport == "cluster" for v in verdicts)
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+        assert jobs == [3]
+
     def test_stats_carries_the_cluster_section(self):
         async def scenario():
             cluster = await make_cluster().start()

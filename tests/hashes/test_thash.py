@@ -61,6 +61,54 @@ class TestThash:
         assert first == second
         assert len(ctx128._midstates) == 1
 
+    def test_midstate_cache_is_bounded(self, ctx128):
+        """Oldest-out eviction: thousands of distinct seeds leave the cache
+        at its fixed capacity, and an evicted seed hashes as it did."""
+        from repro.hashes import thash
+
+        seeds = [i.to_bytes(16, "big") for i in range(5 * thash._MAX_MIDSTATES)]
+        first = ctx128.thash(seeds[0], _adrs(), b"m" * 16)
+        for seed in seeds[1:]:
+            ctx128.midstate(seed)
+            assert len(ctx128._midstates) <= thash._MAX_MIDSTATES
+        assert len(ctx128._midstates) == thash._MAX_MIDSTATES
+        assert seeds[0] not in ctx128._midstates
+        assert seeds[-1] in ctx128._midstates
+        assert ctx128.thash(seeds[0], _adrs(), b"m" * 16) == first
+        assert first == HashContext(ctx128.params).thash(
+            seeds[0], _adrs(), b"m" * 16)
+
+    def test_midstate_cache_survives_concurrent_eviction(self, ctx128,
+                                                         monkeypatch):
+        """More threads than cores churn a 4-entry cache: every returned
+        midstate is the right one and the cache never outgrows its cap."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.hashes import thash
+
+        monkeypatch.setattr(thash, "_MAX_MIDSTATES", 4)
+        seeds = [bytes([i]) * 16 for i in range(32)]
+        expected = {seed: hashlib.sha256(seed + bytes(48)).digest()
+                    for seed in seeds}
+
+        def churn(offset: int) -> int:
+            wrong = 0
+            for step in range(2000):
+                seed = seeds[(offset + 7 * step) % len(seeds)]
+                wrong += ctx128.midstate(seed).digest() != expected[seed]
+                wrong += len(ctx128._midstates) > 4
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(churn, offset) for offset in range(8)]
+                assert [f.result(timeout=60) for f in futures] == [0] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestPrf:
     def test_prf_is_t1_over_sk_seed(self, ctx128):

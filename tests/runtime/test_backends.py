@@ -85,13 +85,6 @@ class TestEquivalence:
         scheme = Sphincs("128f", deterministic=True)
         assert vectorized.sign(b"single", keys) == scheme.sign(b"single", keys)
 
-    def test_shard_pool_matches_inline(self, vectorized, keys):
-        sharded = get_backend("vectorized", "128f", deterministic=True,
-                              shards=2)
-        messages = MESSAGES + [b"delta"]
-        assert (sharded.sign_batch(messages, keys).signatures
-                == vectorized.sign_batch(messages, keys).signatures)
-
 
 class TestAllBackendsVerify:
     @pytest.mark.parametrize("name", ["scalar", "vectorized", "modeled-gpu"])
@@ -160,7 +153,3 @@ class TestVectorizedInternals:
         assert set(result.stage_seconds) == {
             "prepare", "fors", "hypertree", "serialize"}
         assert result.stage_seconds["hypertree"] > 0
-
-    def test_negative_shards_rejected(self):
-        with pytest.raises(BackendError, match="shards"):
-            get_backend("vectorized", "128f", shards=-1)

@@ -1,0 +1,241 @@
+"""The template-driven verifier against the reference ``Sphincs.verify``.
+
+Two independent implementations, one verdict: every parameter set with a
+pinned KAT file, valid signatures, a hypothesis-chosen single-bit flip in
+each region of the blob, malformed blobs and keys.  Plus the work itself:
+the fast path must hash the *same inputs* as the reference (so the same
+~6.4 k compressions on 128f) at well under half the CPU cost.
+"""
+
+import functools
+import hashlib
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import BackendError
+from repro.hashes import thash
+from repro.hashes.thash import HashContext
+from repro.params import get_params
+from repro.runtime import get_backend
+from repro.runtime.fastops import FastVerifier
+from repro.sphincs.signer import Sphincs
+from repro.testing import flip_bit, signature_regions
+from repro.testing.kat import KAT_SETS
+
+MESSAGES = [b"", b"fast verify"]
+
+
+class Signed:
+    """One key, two signed messages and both verifiers for a parameter set."""
+
+    def __init__(self, name: str):
+        self.params = get_params(name)
+        backend = get_backend("vectorized", name, deterministic=True)
+        self.keys = backend.keygen(seed=bytes(range(3 * self.params.n)))
+        self.signatures = backend.sign_batch(MESSAGES, self.keys).signatures
+        self.reference = Sphincs(self.params)
+        self.fast = FastVerifier(self.params)
+
+    def verdicts(self, message, signature, public_key=None):
+        """(reference, fast) verdicts for one pair."""
+        public_key = self.keys.public if public_key is None else public_key
+        return (self.reference.verify(message, signature, public_key),
+                self.fast.verify_batch([message], [signature],
+                                       public_key)[0])
+
+
+signed_set = functools.lru_cache(maxsize=None)(Signed)  # sign each set once
+
+
+@pytest.fixture(scope="module", params=KAT_SETS)
+def signed(request):
+    return signed_set(request.param)
+
+
+@pytest.fixture(scope="module")
+def signed_128f():
+    return signed_set("128f")
+
+
+class TestVerdictsMatchReference:
+    def test_valid_signatures(self, signed):
+        for message, signature in zip(MESSAGES, signed.signatures):
+            assert signed.verdicts(message, signature) == (True, True)
+        assert signed.fast.verify_batch(
+            MESSAGES, signed.signatures, signed.keys.public) == [True, True]
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_bit_flip_in_each_region(self, signed, data):
+        """Randomizer, FORS secret and auth path, and WOTS chain values and
+        XMSS auth path at layer 0, a middle layer and the top layer."""
+        regions = signature_regions(signed.params)
+        name = data.draw(st.sampled_from(sorted(regions)), label="region")
+        start, length = regions[name]
+        bit = data.draw(st.integers(0, 8 * length - 1), label="bit")
+        mutated = flip_bit(signed.signatures[1], 8 * start + bit)
+        assert signed.verdicts(MESSAGES[1], mutated) == (False, False)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda sig: sig[:-1],
+        lambda sig: sig[:len(sig) // 2],
+        lambda sig: sig + b"\0",
+        lambda sig: b"",
+        lambda sig: bytes(len(sig)),
+    ], ids=["short-by-one", "half", "extended", "empty", "all-zero"])
+    def test_malformed_blobs(self, signed, mutate):
+        assert signed.verdicts(
+            MESSAGES[1], mutate(signed.signatures[1])) == (False, False)
+
+    def test_wrong_message(self, signed):
+        assert signed.verdicts(b"another message",
+                               signed.signatures[1]) == (False, False)
+        assert signed.verdicts(MESSAGES[0],
+                               signed.signatures[1]) == (False, False)
+
+    def test_wrong_public_key(self, signed):
+        n, public = signed.params.n, signed.keys.public
+        for bit in (0, 8 * n - 1, 8 * n, 16 * n - 1):  # seed and root halves
+            assert signed.verdicts(MESSAGES[1], signed.signatures[1],
+                                   flip_bit(public, bit)) == (False, False)
+
+    @pytest.mark.parametrize("resize", [
+        lambda pk: pk[:-1], lambda pk: pk + b"\0", lambda pk: b"",
+        lambda pk: pk[:len(pk) // 2],
+    ], ids=["short", "long", "empty", "seed-only"])
+    def test_wrong_length_public_key(self, signed, resize):
+        public = resize(signed.keys.public)
+        assert signed.verdicts(MESSAGES[1], signed.signatures[1],
+                               public) == (False, False)
+        assert signed.fast.verify_batch(MESSAGES, signed.signatures,
+                                        public) == [False, False]
+
+
+class TestBackendEntryPoint:
+    def test_length_mismatch_still_raises(self, signed_128f):
+        for name in ("scalar", "vectorized"):
+            backend = get_backend(name, "128f")
+            with pytest.raises(BackendError, match="verify_batch"):
+                backend.verify_batch(MESSAGES, signed_128f.signatures[:1],
+                                     signed_128f.keys.public)
+
+    def test_scalar_keeps_the_reference_walk(self, signed_128f, monkeypatch):
+        """The oracle needs two implementations: ``scalar`` must not ride
+        the fast kernel, every other backend must."""
+        calls = []
+        monkeypatch.setattr(
+            FastVerifier, "verify_batch",
+            lambda self, messages, *_: calls.append(1) or [True] * len(messages))
+        args = (MESSAGES, signed_128f.signatures, signed_128f.keys.public)
+        assert get_backend("scalar", "128f").verify_batch(*args) == [True, True]
+        assert not calls
+        get_backend("vectorized", "128f").verify_batch(*args)
+        assert calls
+
+
+class _Recorder:
+    """Stands in for a SHA-256 midstate; logs each finished hash's input."""
+
+    def __init__(self, log, state, data=b""):
+        self._log, self._state, self._data = log, state, data
+
+    def copy(self):
+        return _Recorder(self._log, self._state.copy(), self._data)
+
+    def update(self, chunk):
+        self._state.update(chunk)
+        self._data += bytes(chunk)
+
+    def digest(self):
+        self._log.append(self._data)
+        return self._state.digest()
+
+
+class RecordingContext(HashContext):
+    """A context whose midstates record every tweakable-hash input."""
+
+    def __init__(self, params):
+        super().__init__(params, count_hashes=True)
+        self.inputs: list[bytes] = []
+
+    def midstate(self, seed):
+        return _Recorder(self.inputs, super().midstate(seed))
+
+
+class TestSameWork:
+    def test_same_hash_inputs_and_compressions_as_reference(self, signed_128f):
+        """Both walks feed SHA-256 the same inputs in the same order, so
+        the reference's own tally (some 6.4 k compressions, by the WOTS
+        digits of the signature) prices the fast walk too."""
+        message, signature = MESSAGES[1], signed_128f.signatures[1]
+        public = signed_128f.keys.public
+
+        ref_ctx = RecordingContext(signed_128f.params)
+        reference = Sphincs(signed_128f.params)
+        reference.ctx = reference.fors.ctx = ref_ctx
+        reference.hypertree.ctx = reference.hypertree.wots.ctx = ref_ctx
+        assert reference.verify(message, signature, public)
+
+        fast_ctx = RecordingContext(signed_128f.params)
+        assert FastVerifier(signed_128f.params, fast_ctx).verify_batch(
+            [message], [signature], public) == [True]
+
+        assert fast_ctx.inputs == ref_ctx.inputs
+        # Compressions past the seed block, as HashContext._tally counts
+        # them, plus H_msg's own (tallied by the shared ctx.h_msg).
+        h_msg_calls = fast_ctx.hash_calls
+        walked = sum((len(data) + 9 + 63) // 64 for data in fast_ctx.inputs)
+        assert walked + h_msg_calls == ref_ctx.hash_calls
+        assert 6000 < ref_ctx.hash_calls < 7000
+
+    def test_costs_under_half_the_reference(self, signed_128f):
+        """≤ 0.45× the reference, same process, interleaved rounds."""
+        args = (MESSAGES * 2, signed_128f.signatures * 2,
+                signed_128f.keys.public)
+
+        def cpu(fn) -> float:
+            started = time.process_time()
+            fn()
+            return time.process_time() - started
+
+        ref_s, fast_s = [], []
+        for _ in range(5):
+            ref_s.append(cpu(lambda: [
+                signed_128f.reference.verify(m, s, args[2])
+                for m, s in zip(args[0], args[1])]))
+            fast_s.append(cpu(lambda: signed_128f.fast.verify_batch(*args)))
+        assert min(fast_s) <= 0.45 * min(ref_s), (fast_s, ref_s)
+
+
+class TestConcurrentVerify:
+    def test_thread_pool_under_midstate_eviction(self, signed_128f,
+                                                 monkeypatch):
+        """``SigningService.verify`` runs on executor threads: one shared
+        verifier, more threads than cores, a midstate cache small enough
+        that the keys evict each other — every verdict stays right."""
+        monkeypatch.setattr(thash, "_MAX_MIDSTATES", 2)
+        verifier = FastVerifier(signed_128f.params)
+        real = signed_128f.keys.public
+        others = [hashlib.sha256(bytes([i])).digest() for i in range(6)]
+
+        def job(index: int) -> list[bool]:
+            public = real if index % 2 else others[index % len(others)]
+            return verifier.verify_batch(MESSAGES, signed_128f.signatures,
+                                         public)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(job, index) for index in range(32)]
+                verdicts = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert verdicts == [[bool(index % 2)] * 2 for index in range(32)]
+        assert len(verifier.ctx._midstates) <= 2

@@ -40,6 +40,17 @@ class TestParseFault:
         with pytest.raises(ConformanceError):
             parse_fault(spec)
 
+    def test_verify_fault_spec(self):
+        from repro.testing import VerifyFault
+
+        fault = parse_fault("verify:no-root-compare")
+        assert isinstance(fault, VerifyFault)
+        assert fault.spec == "verify:no-root-compare"
+        assert (fault.target, fault.fired, fault.calls_seen) == (
+            "verify", False, 0)
+        with pytest.raises(ConformanceError, match="no-root-compare"):
+            parse_fault("verify:skip-everything")
+
     def test_cache_fault_specs(self):
         fault = parse_fault("cache:flip")
         assert isinstance(fault, CachedNodeFault)

@@ -115,6 +115,54 @@ class TestFaultInjection:
         assert "NEVER FIRED" in report.render()
 
 
+class TestVerifyStage:
+    def test_verify_cases_cover_every_region_and_agree(self,
+                                                       differential_oracle):
+        """A clean tree: every path's verdicts over the verify cases
+        (valid pairs, one flip per signature region, resized blobs, wrong
+        message) equal the reference's."""
+        oracle = differential_oracle(
+            "128f", backends=["scalar", "vectorized"],
+            corpus=SMALL_CORPUS[:1], include_scheduler=False,
+            include_ledger=False)
+        assert oracle.run().passed
+        labels = [label for label, _, _, _ in oracle._verify_cases]
+        assert labels[0] == "empty"
+        for fragment in ("randomizer", "fors-secret", "fors-auth",
+                         "wots-chain-L0", "xmss-auth-L21", "truncated",
+                         "extended", "empty/empty", "wrong-message"):
+            assert any(fragment in label for label in labels), fragment
+        assert [wanted for _, _, _, wanted in oracle._verify_cases] == (
+            [True] + [False] * (len(labels) - 1))
+
+    def test_verifier_without_root_compare_rings(self, differential_oracle):
+        """The alarm: a fast verifier that never compares the root leaves
+        every signature byte-identical and is still reported — by the
+        fast paths only, as the accept-what-the-reference-rejects class."""
+        from repro.runtime.fastops import FastVerifier
+
+        genuine = FastVerifier.verify_batch
+        fault = parse_fault("verify:no-root-compare")
+        oracle = differential_oracle(
+            "128f", backends=["scalar", "vectorized"],
+            corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
+        report = oracle.run()
+        assert FastVerifier.verify_batch is genuine  # uninstalled again
+        assert not report.passed
+        assert report.fault_fired and fault.calls_seen >= 2
+        by_path = {result.path: result for result in report.results}
+        assert set(by_path) == {"reference", "backend:scalar",
+                                "backend:vectorized", "client:local"}
+        assert by_path["backend:scalar"].ok  # the reference walk
+        for path in ("backend:vectorized", "client:local"):
+            result = by_path[path]
+            assert result.matched == result.count == 1  # signing untouched
+            assert result.divergences
+            assert all(d.stage == "verify" and not d.verify_failed
+                       for d in result.divergences)
+        assert report.first_divergence().stage == "verify"
+
+
 class TestExtensibility:
     def test_registered_backend_joins_and_gets_caught(self):
         class CorruptedBackend(ScalarBackend):
