@@ -1,13 +1,13 @@
 """Worker-pool scaling — the multi-core execution tier's perf baseline.
 
 Not a paper table: for pools of 1 / 2 / 4 workers, a fixed multi-tenant
-workload (several keys, several batches each, submitted all at once so
-the pool can overlap them across workers) is signed and the achieved
-sig/s plus per-batch p95 latency are recorded as ``pool_scaling.json``
-next to the other baselines.  On a multi-core box throughput should
-scale near-linearly with the pool size — that is the whole argument of
-the worker tier — while on a single core the configs tie and the record
-simply pins that machine's shape.
+workload (several keys, several batches each, signed one batch after
+another — each batch's plan spreads over every worker) is signed and the
+achieved sig/s plus per-batch p95 latency are recorded as
+``pool_scaling.json`` next to the other baselines.  On a multi-core box
+throughput should scale with the pool size up to the core count — that
+is the whole argument of the worker tier — while on a single core the
+configs tie and the record simply pins that machine's shape.
 
 Byte-identity of the pooled path is asserted against the scalar
 reference here too, so a perf baseline can never be produced by a pool
@@ -53,30 +53,23 @@ def test_pool_scaling_1_2_4_workers(emit):
 
     configs = {}
     for workers in WORKER_CONFIGS:
-        with WorkerPool(workers=workers, deterministic=True) as pool:
-            # Warm every tenant key on its shard owner first, so the
-            # measurement sees steady-state workers, not cold caches.
-            for tenant, keys, _ in work:
-                pool.warm(keys, PARAMS, shard_key=f"{tenant}/default")
+        with WorkerPool(workers=workers) as pool:
+            backend = get_backend("pooled", PARAMS, deterministic=True,
+                                  pool=pool)
+            # Warm every tenant key's pinned layers first, so the
+            # measurement sees steady state, not cold caches.
+            for _, keys, _ in work:
+                backend.prewarm_key(keys)
             pool.ping(timeout=10.0)
 
             started = time.perf_counter()
-            jobs = [
-                (index, time.monotonic(),
-                 pool.submit(messages, keys, PARAMS,
-                             shard_key=f"{tenant}/default"))
-                for index, (tenant, keys, messages) in enumerate(work)
-            ]
             batch_ms = []
             signed = 0
-            for index, submitted_at, job_id in jobs:
-                outcome = pool.result(job_id)
-                # done_at is stamped by the collector, so this is true
-                # submit->completion latency per batch, independent of
-                # the order results are picked up in here.
-                batch_ms.append((outcome.done_at - submitted_at) * 1000.0)
-                signed += len(outcome.signatures)
-                assert outcome.signatures == expected[index], (
+            for index, (_, keys, messages) in enumerate(work):
+                result = backend.sign_batch(messages, keys)
+                batch_ms.append(result.elapsed_s * 1000.0)
+                signed += result.count
+                assert result.signatures == expected[index], (
                     f"pooled signatures diverged from the scalar "
                     f"reference at {workers} workers, batch {index}"
                 )

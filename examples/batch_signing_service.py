@@ -5,22 +5,23 @@ PR 1's runtime signs batches fast; this example fronts it with the
 ``repro.service`` tier the way a real deployment would: two tenants with
 their own named keys and parameter sets share one asyncio signing
 service, traffic arrives as an on/off *bursty* stream (the worst case
-for naive batching), and the deadline-aware batcher decides per queue
-whether to wait for a full batch or ship early because a request's
-latency budget is up.
+for naive batching), and the work-conserving batcher ships a request at
+once while the signer is idle and lets a burst pile up — and ride
+together — behind the batch in flight.
 
 What to watch in the output:
 
-* The batch-size histogram — bursts fill whole batches, the straggler
-  after each burst ships as a small one when its deadline fires.
+* The batch-size histogram — the head of each burst goes alone, the
+  rest of the burst fills whole batches behind it.
 * p50 vs p99 total latency — the batching delay the paper trades
   against throughput, measured per request.
-* The wallet tenant's lone low-latency request — a batch of one, signed
-  within its 40 ms queue budget instead of stranding behind the target
-  batch size.
-* With ``--workers N``, the per-worker pool table — each tenant's queue
-  homes on one worker via the consistent-hash ring, and batches for
-  different tenants sign concurrently on different cores.
+* The wallet tenant's lone low-latency request — a batch of one,
+  dispatched the moment it arrives instead of stranding behind the
+  target batch size.
+* With ``--workers N``, the per-worker pool table — every batch's
+  signing plan (FORS + one task per hypertree layer, per message)
+  spreads over all N pinned workers, so even a batch of one uses
+  every core.
 
 The client side is the unified ``repro.api`` facade: an ``AsyncClient``
 negotiates protocol v2 (``hello`` — see the printed capability line),

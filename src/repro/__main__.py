@@ -199,29 +199,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     backend_options: dict[str, dict] = {}
     pool = None
     if args.workers > 0:
-        # Multi-core tier: every worker hosts the named backend.  One
-        # pool config per run, so exactly one inner backend is allowed —
-        # dropping the rest silently would fake the comparison the user
-        # asked for.
+        # Multi-core tier: the pool runs the signing plan of exactly one
+        # backend — dropping the rest silently would fake the comparison
+        # the user asked for.
         if len(backends) != 1:
             print("serve: --workers takes exactly one --backends entry "
-                  f"(the pool's inner backend), got {args.backends!r}",
-                  file=sys.stderr)
+                  f"(the backend whose plan the pool runs), got "
+                  f"{args.backends!r}", file=sys.stderr)
             return 2
         if backends[0] == "pooled":
             print("serve: --workers already routes through the pooled "
-                  "backend; name the inner backend (e.g. vectorized), "
-                  "not 'pooled'", file=sys.stderr)
+                  "backend; name the inner backend (vectorized), not "
+                  "'pooled'", file=sys.stderr)
             return 2
-        # One shared pool for every parameter set: workers host one warm
-        # backend per set, so per-set PooledBackend instances must share
-        # processes rather than each spawning their own.
+        if backends[0] != "vectorized":
+            print("serve: the worker pool runs the vectorized signing "
+                  f"plan; it cannot host {backends[0]!r}", file=sys.stderr)
+            return 2
+        # One shared pool under every parameter set's pooled backend.
         from .runtime import WorkerPool
 
-        pool = WorkerPool(workers=args.workers, backend=backends[0],
-                          deterministic=args.deterministic,
-                          cache_budget_mb=args.cache_budget_mb)
-        backend_options["pooled"] = {"pool": pool}
+        pool = WorkerPool(workers=args.workers)
+        backend_options["pooled"] = {
+            "pool": pool, "cache_budget_mb": args.cache_budget_mb}
         backends = ["pooled"]
     elif args.cache_budget_mb is not None:
         # In-process tier: thread the budget into every cache-aware
@@ -282,6 +282,16 @@ def _build_keystore(args: argparse.Namespace):
     return keystore
 
 
+def _auto_workers() -> int:
+    """The pool size for the CPUs this process may run on: one worker
+    each where there are at least two, else none (sign in-process)."""
+    import os
+
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    return cpus if cpus >= 2 else 0
+
+
 def _build_service(args: argparse.Namespace, keystore=None):
     """Construct the SigningService a serve-async/loadtest run fronts."""
     from .service import SigningService
@@ -304,10 +314,29 @@ def _build_service(args: argparse.Namespace, keystore=None):
         max_wait_s=args.max_wait_ms / 1000.0,
         max_pending=args.max_pending,
         deterministic=args.deterministic,
-        workers=args.workers,
+        workers=args.workers or 0,
         cache_budget_mb=args.cache_budget_mb,
         tracer=tracer,
     )
+
+
+def _run_service(main) -> int:
+    """``asyncio.run(main())`` with SIGTERM handled like Ctrl-C: the main
+    task is cancelled, so its ``finally`` blocks stop the servers and
+    close the worker pool instead of leaving its processes behind."""
+    import asyncio
+    import signal
+
+    async def guarded():
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
+        return await main()
+
+    try:
+        return asyncio.run(guarded())
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        print("\nshutting down")
+        return 0
 
 
 def _start_metrics(args: argparse.Namespace, service):
@@ -334,9 +363,12 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         help="latency budget before a partial batch ships")
     parser.add_argument("--max-pending", type=int, default=256,
                         help="shed requests beyond this queue depth")
-    parser.add_argument("--workers", type=int, default=0,
+    parser.add_argument("--workers", type=int, default=None,
                         help="size of the multi-process worker pool "
-                             "(0 = sign in-process)")
+                             "(0 = sign in-process; default: serve-async "
+                             "takes one worker per CPU it may run on "
+                             "when there are two or more, everything "
+                             "else signs in-process)")
     parser.add_argument("--deterministic", action="store_true",
                         help="deterministic backends and tenant key seeds")
     parser.add_argument("--cache-budget-mb", type=float, default=None,
@@ -359,7 +391,11 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
 
     from .service import SigningServer
 
-    async def run() -> None:
+    if args.workers is None:
+        args.workers = _auto_workers()
+
+    async def run() -> int:
+        # Workers are forked here, before the port is announced.
         service = _build_service(args)
         server = SigningServer(service, host=args.host, port=args.port)
         await server.start()
@@ -392,12 +428,9 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
                 metrics.close()
             if service.tracer is not None:
                 service.tracer.close()
+        return 0
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    return 0
+    return _run_service(run)
 
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
@@ -476,10 +509,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nshutting down")
-        return 0
+        return _run_service(run)
     except ServiceError as exc:
         print(f"serve-cluster: {exc}", file=sys.stderr)
         return 2
@@ -579,7 +609,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         print(render_snapshot(stats, title="Server telemetry"))
         return 0 if report.failed == 0 else 1
 
-    return asyncio.run(run())
+    return _run_service(run)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:

@@ -62,8 +62,8 @@ def connect(transport: str = "local", **options) -> SigningClient:
       its constructor (``keystore``, ``backend``, ``deterministic``,
       ``backend_options``).
     * ``"pooled"`` — :class:`LocalClient` on the multi-core worker-pool
-      backend; ``workers=N`` sizes the pool and ``inner`` names the
-      backend each worker hosts (default ``vectorized``).
+      backend (the vectorized signing plan, its tasks spread over
+      worker processes); ``workers=N`` sizes the pool.
     * ``"tcp"`` — :class:`TcpClient` against a ``repro serve-async``
       server; options forward to :meth:`TcpClient.connect` (``host``,
       ``port``, ``min_version``, ``timeout``).
@@ -79,8 +79,6 @@ def connect(transport: str = "local", **options) -> SigningClient:
         pooled = dict(backend_options.get("pooled", {}))
         if "workers" in options:
             pooled["workers"] = options.pop("workers")
-        if "inner" in options:
-            pooled["inner"] = options.pop("inner")
         backend_options["pooled"] = pooled
         return LocalClient(backend="pooled",
                            backend_options=backend_options, **options)

@@ -79,9 +79,7 @@ class LocalClient(SigningClient):
                 from ..runtime.pool import WorkerPool
 
                 options["pool"] = WorkerPool(
-                    workers=options.pop("workers", 2),
-                    backend=options.pop("inner", "vectorized"),
-                    deterministic=deterministic)
+                    workers=options.pop("workers", 2))
                 self._owns_pool = True
             self._pool = options["pool"]
             self.backend_options["pooled"] = options

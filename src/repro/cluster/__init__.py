@@ -8,12 +8,10 @@ backend :class:`~repro.service.server.SigningServer` nodes southbound,
 so clients, the CLI, and the load generator work against a cluster
 completely unchanged.
 
-Placement is consistent hashing over the tenant name — the same
-:class:`~repro.runtime.pool.HashRing` the worker pool uses for cache
-affinity, lifted one level: tenant → node instead of ``(tenant, key)``
-→ worker.  A node failure re-homes only that node's arc of tenants
-(onto the next slot in ring-preference order), and the shard snaps back
-the moment the node recovers.  Requests that cannot be placed anywhere
+Placement is consistent hashing over the tenant name
+(:class:`~.ring.HashRing`).  A node failure re-homes only that node's
+arc of tenants (onto the next slot in ring-preference order), and the
+shard snaps back the moment the node recovers.  Requests that cannot be placed anywhere
 fail with a typed ``unavailable`` error — never a hang — and are safe
 to resubmit because nothing was signed.
 

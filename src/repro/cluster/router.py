@@ -12,7 +12,7 @@ touches the service surface.
 
 Placement and failover
 ----------------------
-The shard key is the tenant name.  :meth:`~repro.runtime.pool.HashRing.
+The shard key is the tenant name.  :meth:`~repro.cluster.ring.HashRing.
 preference` yields every node slot in clockwise ring order from the
 tenant's hash point; the router forwards to the first *live* entry.  That
 single rule gives the whole failover story:
@@ -42,7 +42,7 @@ from ..errors import (ConnectionLostError, NodeUnavailableError,
                       OverloadedError, ServiceError)
 from ..obs.log import get_logger
 from ..obs.trace import Tracer
-from ..runtime.pool import HashRing
+from .ring import HashRing
 from ..service import protocol
 from ..service.client import ServiceClient
 from ..service.keystore import Keystore

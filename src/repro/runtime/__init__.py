@@ -18,7 +18,7 @@ registering one new backend — not forking the signer.
 """
 
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
-from .pool import PooledBackend, PoolSignOutcome, WorkerPool
+from .pool import PooledBackend, WorkerPool
 from .registry import available_backends, get_backend, register_backend
 from .scheduler import BatchScheduler, BatchStats
 
@@ -33,5 +33,4 @@ __all__ = [
     "BatchStats",
     "WorkerPool",
     "PooledBackend",
-    "PoolSignOutcome",
 ]

@@ -53,6 +53,9 @@ class BatchSignResult:
     # For modeled backends: the analytical-model outcome for the same
     # batch (a ``repro.core.batch.BatchResult``); None on pure-CPU paths.
     modeled: Any = None
+    # For the pooled backend: what each worker process contributed
+    # (``plan.TaskRun.workers``); empty on in-process paths.
+    workers: dict[int, dict] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -74,11 +77,6 @@ class SigningBackend(abc.ABC):
     """
 
     name: str = "abstract"
-    #: Whether independent batches may be dispatched to this backend
-    #: concurrently.  In-process backends default to False (their caches
-    #: are not thread-safe and the GIL serializes hashing anyway); the
-    #: worker-pool backend overrides this so a service overlaps batches.
-    concurrent_dispatch: bool = False
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False):
@@ -115,8 +113,8 @@ class SigningBackend(abc.ABC):
         return self.sign_batch([message], keys).signatures[0]
 
     # ------------------------------------------------------------------
-    # Layer-cache hooks — no-ops by default so callers (worker pool,
-    # service warm/invalidate paths) can drive every backend uniformly.
+    # Layer-cache hooks — no-ops by default so callers (the service's
+    # prewarm/invalidate paths) can drive every backend uniformly.
     # ------------------------------------------------------------------
     def prewarm_key(self, keys: KeyPair) -> None:
         """Precompute per-key warm state (layer caches), if any."""

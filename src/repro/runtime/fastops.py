@@ -13,7 +13,15 @@ This module removes that overhead without changing a single hash input:
   per-key :class:`~repro.runtime.layercache.HypertreeLayerCache` — a
   batch signed under one key revisits the upper hypertree layers for
   every message, and at layers >= 1 the signed node (the child subtree
-  root) is message-independent, so the whole link signature is reusable.
+  root) is message-independent, so the whole link signature is reusable;
+* a subtree build keeps every chain value of its *signing* leaves (the
+  leaf's chain table), so WOTS-signing with that leaf is a lookup instead
+  of a second walk (:mod:`repro.runtime.plan` consumes the tables);
+* a built subtree is one ``bytes`` object — every node, level after
+  level, leaves first, root last (:func:`node_slice`) — and a link
+  signature one more: what the cache holds per entry is what its byte
+  model says, not a few dozen small objects, and a worker's result
+  pickles as two buffers.
 
 Because the byte stream fed to SHA-256 is identical to the scalar path's,
 :class:`FastOps` produces **byte-identical** signatures; the test suite
@@ -36,19 +44,35 @@ from ..params import SphincsParams, get_params
 from ..sphincs.encoding import (base_w, checksum_digits, message_to_indices,
                                 split_digest)
 from ..sphincs.fors import ForsSignature
-from ..sphincs.hypertree import HypertreeSignature
 from ..sphincs.merkle import TreeLevels, auth_path, batched_leaves
 from .layercache import HypertreeLayerCache
 
-__all__ = ["FastOps", "FastVerifier"]
+__all__ = ["FastOps", "FastVerifier", "flat_auth_path", "node_slice",
+           "wots_digits"]
 
 _Z4 = b"\x00\x00\x00\x00"
 
 
-def _wots_digits(message: bytes, params: SphincsParams) -> list[int]:
+def wots_digits(message: bytes, params: SphincsParams) -> list[int]:
     """Base-w digits of an n-byte *message* followed by its checksum."""
     digits = base_w(message, params.w, params.wots_len1)
     return digits + checksum_digits(digits, params)
+
+
+def node_slice(level: int, index: int, n: int, leaves: int) -> slice:
+    """Where node *index* of *level* (0 = leaves) sits in a flat subtree
+    of *leaves* leaves: levels are laid end to end, ``leaves >> level``
+    nodes each, so the root is the last *n* bytes."""
+    start = (2 * leaves - (2 * leaves >> level) + index) * n
+    return slice(start, start + n)
+
+
+def flat_auth_path(nodes: bytes, leaf: int, n: int,
+                   height: int) -> list[bytes]:
+    """Sibling nodes from *leaf* up to (excluding) the root of a flat
+    subtree — ``merkle.auth_path`` for the one-buffer layout."""
+    return [nodes[node_slice(level, (leaf >> level) ^ 1, n, 1 << height)]
+            for level in range(height)]
 
 
 def _chain(mid, n: int, pre: bytes, pos_words: Sequence[bytes],
@@ -99,8 +123,8 @@ class FastOps:
         self.n = ctx.n
         self.sk_seed = sk_seed
         self._mid = ctx.midstate(pk_seed)
-        self.cache = (cache if cache is not None
-                      else HypertreeLayerCache(self.params))
+        #: ``None`` in a pool worker: it runs tasks, the coordinator caches.
+        self.cache = cache
         # Word caches for the loop-varying ADRS words.
         self._chain_words = [packed_u32(i) for i in range(self.params.wots_len)]
         self._pos_words = [packed_u32(i) for i in range(self.params.w)]
@@ -108,8 +132,14 @@ class FastOps:
     # ------------------------------------------------------------------
     # WOTS+
     # ------------------------------------------------------------------
-    def wots_leaf(self, layer: int, tree: int, keypair: int) -> bytes:
-        """``wots_gen_leaf`` — the hottest loop of the whole scheme."""
+    def wots_leaf(self, layer: int, tree: int, keypair: int,
+                  keep: list[bytes] | None = None) -> bytes:
+        """``wots_gen_leaf`` — the hottest loop of the whole scheme.
+
+        With *keep*, every chain value the walk passes — secret first,
+        ``w`` per chain, chain after chain — is appended to it: the
+        leaf's chain table, from which a WOTS signature is a lookup.
+        """
         mid, n, sk_seed = self._mid, self.n, self.sk_seed
         prf_pre = AddressTemplate(
             layer, tree, AddressType.WOTS_PRF, keypair).prefix
@@ -122,10 +152,15 @@ class FastOps:
             h.update(prf_pre); h.update(c4); h.update(_Z4); h.update(sk_seed)
             value = h.digest()[:n]
             pre = hash_pre + c4
-            for p4 in pos_words:
-                h = mid.copy()
-                h.update(pre); h.update(p4); h.update(value)
-                value = h.digest()[:n]
+            if keep is None:
+                value = _chain(mid, n, pre, pos_words, value)
+            else:
+                keep.append(value)
+                for p4 in pos_words:
+                    h = mid.copy()
+                    h.update(pre); h.update(p4); h.update(value)
+                    value = h.digest()[:n]
+                    keep.append(value)
             values.append(value)
         return _compress(mid, n, AddressTemplate(
             layer, tree, AddressType.WOTS_PK, keypair, 0, 0).prefix, values)
@@ -141,7 +176,7 @@ class FastOps:
         pos_words = self._pos_words
         signature = []
         for c4, digit in zip(self._chain_words,
-                             _wots_digits(message, self.params)):
+                             wots_digits(message, self.params)):
             h = mid.copy()
             h.update(prf_pre); h.update(c4); h.update(_Z4); h.update(sk_seed)
             signature.append(_chain(mid, n, hash_pre + c4, pos_words[:digit],
@@ -179,18 +214,35 @@ class FastOps:
     # ------------------------------------------------------------------
     # Hypertree
     # ------------------------------------------------------------------
-    def subtree_levels(self, layer: int, tree: int) -> TreeLevels:
-        """Cached XMSS subtree at (layer, tree)."""
+    def subtree_nodes(self, layer: int, tree: int) -> bytes:
+        """Cached XMSS subtree at (layer, tree), flat (:func:`node_slice`)."""
         return self.cache.get_or_build(
-            (layer, tree), lambda: self._build_subtree(layer, tree)
+            (layer, tree), lambda: self.build_subtree(layer, tree)[0]
         )
 
-    def _build_subtree(self, layer: int, tree: int) -> TreeLevels:
-        leaves = batched_leaves(
-            lambda i: self.wots_leaf(layer, tree, i), self.params.tree_leaves
-        )
+    def build_subtree(self, layer: int, tree: int,
+                      sign_leaves: Sequence[int] = ()
+                      ) -> tuple[bytes, dict[int, bytes]]:
+        """Build the XMSS subtree at (layer, tree) from scratch.
+
+        Returns its nodes, flat, and for each leaf in *sign_leaves* that
+        leaf's chain table (``wots_len * w`` values of n bytes, joined).
+        A table holds WOTS secret-chain values: sign from it and drop it.
+        """
+        tables: dict[int, bytes] = {}
+
+        def leaf(index: int) -> bytes:
+            if index not in sign_leaves:
+                return self.wots_leaf(layer, tree, index)
+            keep: list[bytes] = []
+            node = self.wots_leaf(layer, tree, index, keep)
+            tables[index] = b"".join(keep)
+            return node
+
+        leaves = batched_leaves(leaf, self.params.tree_leaves)
         node_prefix = AddressTemplate(layer, tree, AddressType.TREE, 0).prefix
-        return self.merkle_levels(leaves, node_prefix)
+        levels = self.merkle_levels(leaves, node_prefix)
+        return b"".join(node for level in levels for node in level), tables
 
     def tree_node_hash(self, layer: int, tree: int, height: int,
                        index: int, left: bytes, right: bytes) -> bytes:
@@ -207,38 +259,14 @@ class FastOps:
 
     def root(self) -> bytes:
         """The SPHINCS+ public root (top-layer subtree root)."""
-        return self.subtree_levels(self.params.d - 1, 0)[-1][0]
+        return self.subtree_nodes(self.params.d - 1, 0)[-self.n:]
 
     def prewarm(self) -> None:
         """Precompute the cache's pinned layers (subtrees + links)."""
-        self.cache.prewarm(self._build_subtree, self.wots_sign)
-
-    def hypertree_sign(self, message: bytes, idx_tree: int,
-                       idx_leaf: int) -> tuple[HypertreeSignature, bytes]:
-        """Sign along the hypertree path (see ``Hypertree.sign``).
-
-        At layers >= 1 the signed node is the child subtree root — fixed
-        per key — so the WOTS link signature is served from (and fed
-        back into) the layer cache.
-        """
-        params = self.params
-        links = self.cache
-        signature: HypertreeSignature = []
-        node = message
-        tree, leaf = idx_tree, idx_leaf
-        for layer in range(params.d):
-            levels = self.subtree_levels(layer, tree)
-            chain_values = (links.lookup_link(layer, tree, leaf)
-                            if layer else None)
-            if chain_values is None:
-                chain_values = self.wots_sign(node, layer, tree, leaf)
-                if layer:
-                    links.store_link(layer, tree, leaf, chain_values)
-            signature.append((chain_values, auth_path(levels, leaf)))
-            node = levels[-1][0]
-            leaf = tree & (params.tree_leaves - 1)
-            tree >>= params.tree_height
-        return signature, node
+        self.cache.prewarm(
+            lambda layer, tree: self.build_subtree(layer, tree)[0],
+            lambda child, layer, tree, leaf: b"".join(
+                self.wots_sign(child[-self.n:], layer, tree, leaf)))
 
     # ------------------------------------------------------------------
     # FORS
@@ -351,7 +379,7 @@ class FastVerifier:
             hash_pre = AddressTemplate(
                 layer, tree, AddressType.WOTS_HASH, leaf).prefix
             values = []
-            for c4, digit in zip(chain_words, _wots_digits(node, params)):
+            for c4, digit in zip(chain_words, wots_digits(node, params)):
                 values.append(_chain(mid, n, hash_pre + c4, pos_words[digit:],
                                      sig[off:off + n]))
                 off += n

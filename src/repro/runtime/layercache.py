@@ -18,7 +18,7 @@ cached link is byte-identical to a recomputed one.
   subtrees a busy key happens to revisit.
 
 The model functions size the cache: every tier (scalar backend,
-vectorized backend, worker pool, service CLI) converts the single
+vectorized and pooled backends, service CLI) converts the single
 ``--cache-budget-mb`` knob to bytes and asks :func:`choose_pinned_layers`
 for the default ``c`` per parameter set, trading prewarm cost and memory
 against per-signature hash savings (the caching/fault-analysis trade-off
@@ -35,10 +35,15 @@ from typing import Callable
 from ..params import PARAMETER_SETS, SphincsParams, get_params
 from ..sphincs.merkle import TreeLevels
 
+#: What the cache holds is its user's business: the reference walk
+#: (``sphincs.hypertree``) stores level lists and chain-value lists, the
+#: fast path (``runtime.fastops``) one flat buffer each.
+Subtree = TreeLevels | bytes
+Link = list[bytes] | bytes
+
 __all__ = [
     "DEFAULT_BUDGET_MB",
     "HypertreeLayerCache",
-    "budget_for_entries",
     "choose_pinned_layers",
     "link_entry_bytes",
     "pinned_bytes",
@@ -138,16 +143,6 @@ def savings_fraction(params: SphincsParams, layers: int) -> float:
     return sign_hashes_saved(params, layers) / params.total_sign_hashes()
 
 
-def budget_for_entries(params: SphincsParams, entries: int) -> int:
-    """Map a legacy raw-entry-count cache size to a byte budget.
-
-    Bridges the old ``subtree_cache_size`` knob (a bare count with no
-    byte accounting) onto the shared model so one budget governs every
-    tier.
-    """
-    return max(1, entries) * tree_entry_bytes(params)
-
-
 def choose_pinned_layers(params: SphincsParams, budget_bytes: int,
                          max_prewarm_hashes: int = 600_000) -> int:
     """Default pinned layer count for *params* under *budget_bytes*.
@@ -223,11 +218,11 @@ class HypertreeLayerCache:
 
         self._tree_bytes = tree_entry_bytes(self.params)
         self._link_bytes = link_entry_bytes(self.params)
-        self._pinned_trees: dict[tuple[int, int], TreeLevels] = {}
-        self._pinned_links: dict[tuple[int, int, int], list[bytes]] = {}
-        self._lru_trees: OrderedDict[tuple[int, int], TreeLevels] = \
+        self._pinned_trees: dict[tuple[int, int], Subtree] = {}
+        self._pinned_links: dict[tuple[int, int, int], Link] = {}
+        self._lru_trees: OrderedDict[tuple[int, int], Subtree] = \
             OrderedDict()
-        self._lru_links: OrderedDict[tuple[int, int, int], list[bytes]] = \
+        self._lru_links: OrderedDict[tuple[int, int, int], Link] = \
             OrderedDict()
         self._lru_bytes = 0
 
@@ -241,7 +236,7 @@ class HypertreeLayerCache:
     # ------------------------------------------------------------------
     # Subtrees
     # ------------------------------------------------------------------
-    def lookup_tree(self, layer: int, tree: int) -> TreeLevels | None:
+    def lookup_tree(self, layer: int, tree: int) -> Subtree | None:
         levels = self._pinned_trees.get((layer, tree))
         if levels is None:
             levels = self._lru_trees.get((layer, tree))
@@ -253,7 +248,7 @@ class HypertreeLayerCache:
         self.hits += 1
         return levels
 
-    def store_tree(self, layer: int, tree: int, levels: TreeLevels) -> None:
+    def store_tree(self, layer: int, tree: int, levels: Subtree) -> None:
         if layer >= self.pinned_floor:
             self._pinned_trees[(layer, tree)] = levels
             return
@@ -265,8 +260,8 @@ class HypertreeLayerCache:
         self._evict()
 
     def get_or_build(self, key: tuple[int, int],
-                     build: Callable[[], TreeLevels]) -> TreeLevels:
-        """Drop-in for the old ``SubtreeCache.get_or_build`` interface."""
+                     build: Callable[[], Subtree]) -> Subtree:
+        """The cached subtree at *key*, built (and stored) on a miss."""
         layer, tree = key
         levels = self.lookup_tree(layer, tree)
         if levels is None:
@@ -278,7 +273,7 @@ class HypertreeLayerCache:
     # WOTS link signatures (layer >= 1 only)
     # ------------------------------------------------------------------
     def lookup_link(self, layer: int, tree: int,
-                    leaf: int) -> list[bytes] | None:
+                    leaf: int) -> Link | None:
         chains = self._pinned_links.get((layer, tree, leaf))
         if chains is None:
             chains = self._lru_links.get((layer, tree, leaf))
@@ -291,7 +286,7 @@ class HypertreeLayerCache:
         return chains
 
     def store_link(self, layer: int, tree: int, leaf: int,
-                   chains: list[bytes]) -> None:
+                   chains: Link) -> None:
         if layer < 1:
             return  # layer 0 signs the message-dependent FORS pk
         if layer >= self.pinned_floor:
@@ -326,17 +321,17 @@ class HypertreeLayerCache:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    def prewarm(self, build_tree: Callable[[int, int], TreeLevels],
-                sign_link: Callable[[bytes, int, int, int], list[bytes]]
+    def prewarm(self, build_tree: Callable[[int, int], Subtree],
+                sign_link: Callable[[Subtree, int, int, int], Link]
                 | None = None) -> None:
         """Populate the pinned region bottom-up.
 
-        ``build_tree(layer, tree)`` computes a subtree's levels;
-        ``sign_link(node, layer, tree, leaf)`` WOTS-signs *node* with
-        keypair *leaf* of subtree ``(layer, tree)``.  Building runs
-        bottom-up so each layer's link signatures can sign the child
-        roots built just before.  Bypasses the hit/miss counters — a
-        prewarm is neither.
+        ``build_tree(layer, tree)`` computes a subtree;
+        ``sign_link(child, layer, tree, leaf)`` WOTS-signs the root of
+        subtree *child* with keypair *leaf* of subtree ``(layer, tree)``.
+        Building runs bottom-up so each layer's link signatures can sign
+        the child roots built just before.  Bypasses the hit/miss
+        counters — a prewarm is neither.
         """
         params = self.params
         leaves = params.tree_leaves
@@ -354,7 +349,7 @@ class HypertreeLayerCache:
                     child = self._pinned_trees[
                         (layer - 1, tree * leaves + leaf)]
                     self._pinned_links[(layer, tree, leaf)] = \
-                        sign_link(child[-1][0], layer, tree, leaf)
+                        sign_link(child, layer, tree, leaf)
         self.prewarmed = True
 
     # ------------------------------------------------------------------
@@ -379,7 +374,7 @@ class HypertreeLayerCache:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Counters; keeps the legacy ``SubtreeCache.stats`` keys."""
+        """Counters (``hits`` / ``misses`` count subtree lookups)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -288,8 +288,6 @@ class BatchScheduler:
             params=result.params, batch_size=result.count)
         offset = sign_start
         for stage, seconds in result.stage_seconds.items():
-            if stage in ("pool", "workers_busy"):
-                continue  # aggregates, not pipeline stages
             self.tracer.record_span(
                 stage, trace=ctx, parent_id=sign_id,
                 start=offset, end=offset + seconds)

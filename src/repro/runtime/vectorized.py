@@ -25,8 +25,8 @@ from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
 from .fastops import FastOps
-from .layercache import (DEFAULT_BUDGET_MB, HypertreeLayerCache,
-                         budget_for_entries)
+from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
+from .plan import FORS, SigningPlan, TaskRun, run_task
 
 __all__ = ["VectorizedBackend"]
 
@@ -34,35 +34,29 @@ __all__ = ["VectorizedBackend"]
 class VectorizedBackend(SigningBackend):
     """Batch signing with amortized hot paths.
 
+    A batch is one :class:`~.plan.SigningPlan`: its tasks run here, one
+    after another; :class:`~.pool.PooledBackend` overrides
+    :meth:`_run_tasks` to run the same tasks on worker processes.
+
     Parameters
     ----------
     cache_budget_mb:
         Per-key layer-cache byte budget (pinned top layers + LRU working
         set, sized by :mod:`repro.runtime.layercache`).  Default
         ``DEFAULT_BUDGET_MB``.
-    subtree_cache_size:
-        Deprecated raw-entry-count knob; mapped onto the byte-budget
-        model (``entries * tree_entry_bytes``) when *cache_budget_mb* is
-        not given.
     """
 
     name = "vectorized"
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False,
-                 cache_budget_mb: float | None = None,
-                 subtree_cache_size: int | None = None):
+                 cache_budget_mb: float | None = None):
         super().__init__(params, deterministic=deterministic)
-        if cache_budget_mb is not None:
-            if cache_budget_mb <= 0:
-                raise BackendError(
-                    f"cache_budget_mb must be > 0, got {cache_budget_mb}")
-            self._budget_bytes = int(cache_budget_mb * 1024 * 1024)
-        elif subtree_cache_size is not None:
-            self._budget_bytes = budget_for_entries(self.params,
-                                                    subtree_cache_size)
-        else:
-            self._budget_bytes = int(DEFAULT_BUDGET_MB * 1024 * 1024)
+        if cache_budget_mb is not None and cache_budget_mb <= 0:
+            raise BackendError(
+                f"cache_budget_mb must be > 0, got {cache_budget_mb}")
+        self._budget_bytes = int(
+            (cache_budget_mb or DEFAULT_BUDGET_MB) * 1024 * 1024)
         self.ctx: HashContext = self._scheme.ctx  # shared midstate cache
         self._fastops: dict[tuple[bytes, bytes], FastOps] = {}
 
@@ -143,21 +137,33 @@ class VectorizedBackend(SigningBackend):
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
+        ops, scheme = self._ops(keys), self._scheme
+        sign_tasks = [scheme.prepare(message, keys) for message in messages]
+        prepared = time.perf_counter()
+        plan = SigningPlan(ops, sign_tasks)
+        run = self._run_tasks(plan.tasks, keys)
+        pieces = plan.stitch(run.results, keys.pk_root)
+        stitched = time.perf_counter()
+        signatures = [scheme.assemble(task, fors_sig, ht_sig)
+                      for task, (fors_sig, ht_sig) in zip(sign_tasks, pieces)]
+        # "hypertree" is what this process spent between prepare and
+        # serialize outside the stages the run accounted for.
+        stage_seconds = {"prepare": prepared - started, **run.stages}
+        stage_seconds["hypertree"] = (stitched - prepared
+                                      - sum(run.stages.values()))
+        stage_seconds["serialize"] = time.perf_counter() - stitched
+        return self._timed_result(
+            signatures, started, stage_seconds=stage_seconds,
+            cache_stats={**ops.cache.stats, **run.stats},
+            workers=run.workers)
+
+    def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
+        """Run the plan's *tasks* under *keys*, here and in order."""
         ops = self._ops(keys)
-
-        def fors_fn(task):
-            return ops.fors_sign(task.fors_msg, task.idx_tree, task.idx_leaf)
-
-        def ht_fn(task, fors_pk):
-            ht_sig, root = ops.hypertree_sign(
-                fors_pk, task.idx_tree, task.idx_leaf
-            )
-            if root != keys.pk_root:
-                raise BackendError(
-                    "vectorized hypertree root does not match public key"
-                )
-            return ht_sig
-
-        result = self._staged_sign(messages, keys, started, fors_fn, ht_fn)
-        result.cache_stats = dict(ops.cache.stats)
-        return result
+        results, fors_s = [], 0.0
+        for task in tasks:
+            task_started = time.perf_counter()
+            results.append(run_task(ops, task))
+            if task[0] == FORS:
+                fors_s += time.perf_counter() - task_started
+        return TaskRun(results, {"fors": fors_s})

@@ -16,19 +16,14 @@ Module map
     256 hash-bucket shard directories), an LRU bound on resident
     tenants, and per-tenant admission rate limiting.
 :mod:`.batcher`
-    :class:`DeadlineBatcher` — per-(tenant, key) queues dispatched when
-    they reach the target batch size *or* the oldest request's latency
-    budget expires, whichever comes first.
+    :class:`DeadlineBatcher` — per-(tenant, key) queues, work-conserving:
+    a request ships at once while the signer is idle, arrivals behind a
+    batch in flight ship together when it completes (or earlier, at the
+    target batch size or the oldest request's latency budget).
 :mod:`.server`
     :class:`SigningService` (keystore + batcher + admission control +
     telemetry, in-process ``await service.sign(...)`` API) and
     :class:`SigningServer` (the newline-delimited JSON TCP front end).
-:mod:`.dispatch`
-    :class:`ShardedDispatcher` — consistent-hashes ``(tenant, key)``
-    batches onto the slots of a :class:`~repro.runtime.pool.WorkerPool`
-    when the service runs with ``workers=N``, preserving per-key cache
-    affinity while different tenants sign concurrently on different
-    cores.
 :mod:`.client`
     :class:`ServiceClient` — pipelined async TCP client; many in-flight
     requests per connection, matched by request id.
@@ -61,7 +56,6 @@ from ..errors import (ConnectionLostError, KeystoreError, OverloadedError,
                       UnsupportedVersionError)
 from .batcher import DeadlineBatcher, PendingSign
 from .client import ServiceClient
-from .dispatch import DispatchOutcome, ShardedDispatcher
 from .keystore import Keystore, TenantRecord, derive_seed
 from .loadgen import (TRACES, LoadGenerator, LoadReport, bursty_trace,
                       make_trace, poisson_trace, ramp_trace)
@@ -75,7 +69,6 @@ __all__ = [
     "default_registry",
     "UnknownVerbError", "UnsupportedVersionError", "ConnectionLostError",
     "DeadlineBatcher", "PendingSign",
-    "ShardedDispatcher", "DispatchOutcome",
     "Keystore", "TenantRecord", "derive_seed",
     "SigningService", "SigningServer", "SignOutcome",
     "ServiceClient",

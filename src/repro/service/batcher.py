@@ -1,25 +1,28 @@
-"""Deadline-aware batching: the latency-vs-throughput knob, as code.
+"""Work-conserving batching: batches form exactly when there is queueing.
 
 The paper's batching analysis says SPHINCS+ engines only pay off when fed
-whole batches; a live service cannot wait forever for a batch to fill.
-:class:`DeadlineBatcher` resolves that tension per queue: requests for the
-same ``(tenant, key)`` accumulate until the queue reaches the target batch
-size *or* the oldest request's latency budget expires — whichever comes
-first — and then the whole queue is handed to the dispatch coroutine.  A
-lone request is therefore never stranded: its own deadline timer fires
-and it ships as a batch of one.
+whole batches; a live service cannot hold a request back for a batch that
+may never form.  :class:`DeadlineBatcher` resolves that per queue: while
+nothing is in flight a request ships the moment it arrives — the signer
+is idle, waiting would buy nothing — and while a batch *is* in flight,
+requests for the same ``(tenant, key)`` accumulate.  When the signer
+frees, the queue holding the oldest request ships whole.  So batch size
+follows load: a lone caller sees no wait, a burst rides together.
+
+Two caps bound a queue while the signer is busy: it ships at once when it
+reaches the target batch size, and when its oldest request's latency
+budget (``max_wait_s``, or the request's own ``deadline_ms``) expires —
+beside the batch already in flight, so no request waits longer than its
+budget to be *dispatched*.
 
 The batcher owns no crypto.  The service supplies ``dispatch(queue_key,
 batch)``; the batcher owns queues, per-queue deadline timers, and the
 per-request futures callers await.
 
-``BatchScheduler`` (``repro.runtime.scheduler``) offers the same
-size-or-deadline policy to *synchronous* callers via ``max_wait_s`` +
-``poll()``.  The two are deliberately separate implementations: the
-scheduler keys queues by (params, backend) with one key pair per set and
-is driven by a polling loop, while this batcher keys by (tenant, key) —
-a batch must share a key pair — and uses event-loop timers and futures.
-A change to the dispatch *policy* (when a queue ships) belongs in both.
+``BatchScheduler`` (``repro.runtime.scheduler``) serves *synchronous*
+callers, who hand it a whole batch and flush explicitly: there is no
+arrival process for a shipping policy to act on, so this policy lives
+here alone.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class PendingSign:
 
 
 class DeadlineBatcher:
-    """Group requests per key and dispatch on size-or-deadline.
+    """Group requests per key; ship when the signer is free, or at a cap.
 
     Parameters
     ----------
@@ -67,10 +70,11 @@ class DeadlineBatcher:
         each request's future.  If it raises, the batcher fails every
         still-unresolved future in the batch with the exception.
     target_batch_size:
-        Dispatch a queue immediately once it holds this many requests.
+        Dispatch a queue once it holds this many requests, even beside a
+        batch in flight.
     max_wait_s:
         Default latency budget: the longest a request may sit queued
-        before its queue is dispatched regardless of fill level.
+        behind a batch in flight before its queue is dispatched anyway.
         Per-request budgets (``budget_s`` on :meth:`submit`) override it.
     """
 
@@ -131,7 +135,8 @@ class DeadlineBatcher:
         queue_key = (tenant, key_name)
         queue = self._queues.setdefault(queue_key, [])
         queue.append(request)
-        if len(queue) >= self.target_batch_size:
+        if (not self._inflight_requests
+                or len(queue) >= self.target_batch_size):
             self._fire(queue_key)
         else:
             self._arm(queue_key, request.deadline_at, loop)
@@ -196,3 +201,7 @@ class DeadlineBatcher:
                     request.future.set_exception(exc)
         finally:
             self._inflight_requests -= len(batch)
+            if not self._inflight_requests and self._queues:
+                # The signer is free: whoever has waited longest goes.
+                self._fire(min(self._queues, key=lambda key:
+                               self._queues[key][0].enqueued_at))

@@ -19,7 +19,7 @@ mount just the shards it owns)::
         9c/edge-fleet.json
 
 The shard directory is the first byte of ``sha256(tenant)`` in hex —
-the same hash family the cluster's :class:`~repro.runtime.pool.HashRing`
+the same hash family the cluster's :class:`~repro.cluster.ring.HashRing`
 uses for placement, so co-owned tenants cluster on disk the way they
 cluster on the ring.  The per-tenant JSON payload is unchanged from the
 original flat layout; only the location moved.

@@ -12,19 +12,17 @@ Design notes
 * **Batches share a key pair.**  Queues are keyed ``(tenant, key)``; the
   dispatch path signs a batch with one ``sign_batch`` call on the cached
   backend for the tenant's parameter set.
-* **Signing runs off the event loop.**  ``sign_batch`` is CPU-bound
-  Python, so dispatch hands it to the default executor; a single dispatch
-  lock serializes batches for in-process backends because their caches
-  are not thread-safe and the GIL would serialize the hashing anyway.
-  Backends that declare ``concurrent_dispatch`` (the worker pool) skip
-  the lock entirely — two ready queues for different tenants sign at the
-  same time on different cores.
+* **Signing runs off the event loop, one batch at a time.**
+  ``sign_batch`` is CPU-bound Python, so dispatch hands it to the
+  default executor; a single dispatch lock serializes batches because
+  the per-key layer caches are not thread-safe — and one batch already
+  uses every core there is to use.
 * **A worker pool scales across cores.**  Construct the service with
-  ``workers=N`` and batches route through a
-  :class:`~.dispatch.ShardedDispatcher` onto a persistent
-  :class:`~repro.runtime.pool.WorkerPool`: each ``(tenant, key)`` homes
-  on one worker (cache affinity), oversized batches split across all of
-  them, and a crashed worker is respawned with its batches requeued.
+  ``workers=N`` and every batch signs on the ``pooled`` backend: its
+  signing plan's tasks spread over a persistent
+  :class:`~repro.runtime.pool.WorkerPool` (so even a batch of one uses
+  all N cores), the layer cache stays in this process, and a crashed
+  worker is respawned with its tasks requeued.
 * **Admission control sheds early.**  If queued depth has reached
   ``max_pending``, :meth:`SigningService.sign` raises
   :class:`OverloadedError` *before* queueing — the client gets an
@@ -34,7 +32,6 @@ Design notes
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
 from dataclasses import dataclass
 
@@ -49,7 +46,6 @@ from ..runtime.pool import WorkerPool
 from ..runtime.registry import get_backend
 from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
-from .dispatch import ShardedDispatcher
 from .keystore import Keystore
 from .telemetry import Telemetry, render_snapshot
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
@@ -58,11 +54,6 @@ from .verbs import (ConnectionState, VerbRegistry, default_registry,
 __all__ = ["SignOutcome", "SigningService", "SigningServer"]
 
 _log = get_logger("service")
-
-#: ``stage_seconds`` keys that are whole-batch aggregates, not pipeline
-#: stages — they must not become stage spans.
-_AGGREGATE_STAGES = ("pool", "workers_busy")
-
 
 @dataclass(frozen=True)
 class SignOutcome:
@@ -119,36 +110,27 @@ class SigningService:
         self._verifiers: dict[str, FastVerifier] = {}
         self._sign_lock = asyncio.Lock()
         # Multi-core tier: with workers > 0 (or an externally owned pool),
-        # batches route through a ShardedDispatcher onto long-lived worker
-        # processes instead of the in-process backend.
+        # batches sign on the pooled backend — one pool under every
+        # parameter set — instead of the in-process one.
         self._owns_pool = pool is None and workers > 0
         self.pool = pool if pool is not None else (
-            WorkerPool(workers=workers, backend=backend,
-                       deterministic=deterministic,
-                       backend_options=self.backend_options.get(backend, {}),
-                       cache_budget_mb=cache_budget_mb)
-            if workers > 0 else None)
-        self.dispatcher = (ShardedDispatcher(self.pool)
-                           if self.pool is not None else None)
-        if self.dispatcher is not None:
-            self.telemetry.set_pool_provider(self.dispatcher.stats)
-            self._preload_tenant_keys()
+            WorkerPool(workers=workers) if workers > 0 else None)
+        #: The registry name batches sign on.
+        self._engine = backend
+        if self.pool is not None:
+            if backend not in ("vectorized", "pooled"):
+                raise ServiceError(
+                    f"a worker pool runs the vectorized signing plan; it "
+                    f"cannot host backend {backend!r}")
+            self._engine = "pooled"
+            self.backend_options = {"pooled": {"pool": self.pool}}
+            self.telemetry.set_pool_provider(self.pool.stats)
         self.telemetry.set_cache_provider(self._cache_snapshot)
-        # Key rotation / tenant delete must reach every tier's layer
-        # cache — a retired key's cached subtrees must never sign again.
+        # Key rotation / tenant delete must reach the layer cache — a
+        # retired key's cached subtrees must never sign again.
         add_listener = getattr(self.keystore, "add_listener", None)
         if add_listener is not None:
             add_listener(self._on_key_event)
-
-    def _preload_tenant_keys(self) -> None:
-        """Prewarm every known tenant key on its home worker, so the
-        first real batch for a tenant skips the cold layer-cache build."""
-        assert self.dispatcher is not None
-        for tenant in self.keystore.tenants():
-            params = self.keystore.params_for(tenant)
-            for key_name in self.keystore.key_names(tenant):
-                keys, _ = self.keystore.resolve(tenant, key_name)
-                self.dispatcher.warm(tenant, key_name, keys, params)
 
     def _on_key_event(self, event: str, tenant: str,
                       key_name: str | None, old_keys) -> None:
@@ -156,38 +138,24 @@ class SigningService:
         _log.info("key-event", change=event, tenant=tenant,
                   key=key_name, invalidated=old_keys is not None)
         if old_keys is not None:
-            if self.pool is not None:
-                self.pool.invalidate(old_keys)
             for backend in self._backends.values():
                 backend.invalidate_key(old_keys)
-        if event == "key-rotated" and key_name is not None:
+        if (event == "key-rotated" and key_name is not None
+                and self.cache_budget_mb is not None):
             keys, params = self.keystore.resolve(tenant, key_name)
-            if self.dispatcher is not None:
-                self.dispatcher.warm(tenant, key_name, keys, params)
-            elif self.cache_budget_mb is not None:
-                backend = self._backends.get(params)
-                if backend is not None:
-                    backend.prewarm_key(keys)
+            backend = self._backends.get(params)
+            if backend is not None:
+                backend.prewarm_key(keys)
 
     def _cache_snapshot(self) -> dict:
-        """Layer-cache stats across tiers (the snapshot's ``cache``
-        section): one scope per in-process backend, one merged scope for
-        the worker pool's latest per-worker reports."""
+        """Layer-cache stats (the snapshot's ``cache`` section): one
+        scope per parameter set's backend.  The caches live in this
+        process on every tier — pool workers hold none."""
         scopes: dict[str, dict] = {}
         for params_name, backend in sorted(self._backends.items()):
             stats = backend.cache_stats()
             if stats:
                 scopes[f"in-process {params_name}"] = stats
-        if self.pool is not None:
-            totals: dict[str, int] = {}
-            for worker_stats in self.pool.stats_by_worker:
-                for key, value in worker_stats.cache.items():
-                    if key in ("pinned_layers", "budget_bytes"):
-                        totals[key] = max(totals.get(key, 0), value)
-                    else:
-                        totals[key] = totals.get(key, 0) + value
-            if totals:
-                scopes["workers"] = totals
         if not scopes:
             return {}
         snapshot: dict = {"scopes": scopes}
@@ -313,12 +281,12 @@ class SigningService:
     def _backend_for(self, params_name: str) -> SigningBackend:
         instance = self._backends.get(params_name)
         if instance is None:
-            options = dict(self.backend_options.get(self.backend_name, {}))
+            options = dict(self.backend_options.get(self._engine, {}))
             if (self.cache_budget_mb is not None
-                    and self.backend_name in self._CACHE_AWARE):
+                    and self._engine in self._CACHE_AWARE):
                 options.setdefault("cache_budget_mb", self.cache_budget_mb)
             instance = get_backend(
-                self.backend_name, params_name,
+                self._engine, params_name,
                 deterministic=self.deterministic,
                 **options,
             )
@@ -340,74 +308,49 @@ class SigningService:
         tenant, key_name = queue_key
         loop = asyncio.get_running_loop()
         # Requests carrying a trace context (tracer installed at submit
-        # time).  One dispatch span id per traced request, allocated up
-        # front so worker-side spans can parent to the first one.
+        # time), and one dispatch span id for each.
         traced = ([request for request in batch
                    if request.trace is not None]
                   if self.tracer is not None else [])
         dispatch_ids = [new_span_id() for _ in traced]
         stage_seconds: dict[str, float] = {}
         stage_hashes: dict[str, int] | None = None
+        workers: dict[int, dict] = {}
         try:
             keys, params_name = self.keystore.resolve(tenant, key_name)
             messages = [request.message for request in batch]
-            if self.dispatcher is not None:
-                # Pooled path: no dispatch lock — queues for different
-                # (tenant, key) shards sign concurrently on different
-                # worker processes.  The batcher fires each ready queue
-                # as its own task, so nothing here awaits a *previous*
-                # batch before this one starts.
+            backend = self._backend_for(params_name)
+            async with self._sign_lock:
                 dispatch_started = loop.time()
                 # Spans anchor on one wall-clock read; durations come
                 # from the monotonic clock so an NTP step mid-batch
                 # cannot produce negative or inflated sign spans.
                 dispatch_wall = sign_start = time.time()
                 dispatch_mono = time.perf_counter()
-                outcome = await self.dispatcher.sign_batch(
-                    tenant, key_name, messages, keys, params_name,
-                    trace=((traced[0].trace.trace_id, dispatch_ids[0])
-                           if traced else None))
-                sign_end = dispatch_wall + (time.perf_counter()
-                                            - dispatch_mono)
-                signatures = outcome.signatures
-                backend_name = f"pooled[{self.pool.workers}]"
-                if traced and outcome.spans:
-                    # Worker-side spans (worker + signer stages) already
-                    # carry the first traced request's ids.
-                    self.tracer.ingest(outcome.spans)
-            else:
-                backend = self._backend_for(params_name)
-                # Concurrent-dispatch backends skip the lock: independent
-                # batches may sign at the same time.
-                guard = (contextlib.nullcontext()
-                         if backend.concurrent_dispatch
-                         else self._sign_lock)
-                async with guard:
-                    dispatch_started = loop.time()
-                    dispatch_wall = sign_start = time.time()
-                    dispatch_mono = time.perf_counter()
-                    if traced:
-                        # Tap the hash-context hook for the batch: adds
-                        # wots/merkle sub-stage times and per-stage hash
-                        # counts on backends that expose the hook (the
-                        # guard lock serializes access to the context).
-                        with tap_stages(backend) as tap:
-                            result = await loop.run_in_executor(
-                                None, backend.sign_batch, messages, keys)
-                    else:
-                        tap = None
+                if traced:
+                    # Tap the hash-context hook for the batch: adds
+                    # wots/merkle sub-stage times and per-stage hash
+                    # counts on backends that expose the hook (the
+                    # sign lock serializes access to the context).
+                    with tap_stages(backend) as tap:
                         result = await loop.run_in_executor(
                             None, backend.sign_batch, messages, keys)
-                    sign_end = dispatch_wall + (time.perf_counter()
-                                                - dispatch_mono)
-                signatures = result.signatures
-                backend_name = result.backend
-                if traced:
-                    stage_seconds = dict(result.stage_seconds)
-                    if tap is not None:
-                        stage_hashes = dict(tap.stage_hashes)
-                        for stage, seconds in tap.stage_seconds.items():
-                            stage_seconds.setdefault(stage, seconds)
+                else:
+                    tap = None
+                    result = await loop.run_in_executor(
+                        None, backend.sign_batch, messages, keys)
+                sign_end = dispatch_wall + (time.perf_counter()
+                                            - dispatch_mono)
+            signatures = result.signatures
+            backend_name = (f"pooled[{self.pool.workers}]"
+                            if self.pool is not None else result.backend)
+            if traced:
+                stage_seconds = dict(result.stage_seconds)
+                workers = result.workers
+                if tap is not None:
+                    stage_hashes = dict(tap.stage_hashes)
+                    for stage, seconds in tap.stage_seconds.items():
+                        stage_seconds.setdefault(stage, seconds)
             if len(signatures) != len(batch):
                 raise ServiceError(
                     f"backend {self.backend_name!r} returned "
@@ -427,7 +370,7 @@ class SigningService:
             self._emit_spans(traced, dispatch_ids, backend_name,
                              len(batch), dispatch_wall, done_wall,
                              sign_start, sign_end, stage_seconds,
-                             stage_hashes)
+                             stage_hashes, workers)
         self.telemetry.record_batch(len(batch))
         for request, signature in zip(batch, signatures):
             wait_ms = (dispatch_started - request.enqueued_at) * 1000.0
@@ -446,8 +389,10 @@ class SigningService:
                     batch_size: int, dispatch_wall: float,
                     done_wall: float, sign_start: float, sign_end: float,
                     stage_seconds: dict[str, float],
-                    stage_hashes: dict[str, int] | None) -> None:
-        """Per-request queue/dispatch/sign (+ signer stage) spans.
+                    stage_hashes: dict[str, int] | None,
+                    workers: dict[int, dict]) -> None:
+        """Per-request queue/dispatch/sign (+ signer stage) spans, and on
+        the pooled tier one ``worker`` span per process that ran tasks.
 
         Every traced request in the batch gets the full breakdown — a
         batch amortizes one backend call over its requests, so the stage
@@ -473,9 +418,12 @@ class SigningService:
                 "sign", trace=trace, span_id=sign_id,
                 parent_id=dispatch_id, start=sign_start, end=sign_end)
             offset = sign_start
+            for worker, share in workers.items():
+                tracer.record_span(
+                    "worker", trace=trace, parent_id=sign_id,
+                    start=share["start"], end=share["end"], worker=worker,
+                    tasks=share["tasks"], busy_s=round(share["busy_s"], 6))
             for stage, seconds in stage_seconds.items():
-                if stage in _AGGREGATE_STAGES:
-                    continue
                 attrs = {}
                 if stage_hashes and stage in stage_hashes:
                     attrs["hashes"] = stage_hashes[stage]

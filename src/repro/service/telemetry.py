@@ -180,8 +180,7 @@ class Telemetry:
                 registry.gauge(f"repro_pool_{key}",
                                "Worker pool health").set(pool[key])
         for slot, worker in pool.get("per_worker", {}).items():
-            for key in ("utilization", "queue_depth", "in_flight",
-                        "signed"):
+            for key in ("utilization", "in_flight", "tasks"):
                 if key in worker:
                     registry.gauge(f"repro_worker_{key}",
                                    "Per-worker pool state",
@@ -200,16 +199,15 @@ class Telemetry:
                                    scope=scope).set(value)
 
     def set_pool_provider(self, provider: Callable[[], dict] | None) -> None:
-        """Attach a worker-pool stats source (e.g.
-        ``ShardedDispatcher.stats``).  When set, every snapshot carries a
-        ``pool`` section with per-worker utilization, queue depth, and
-        requeue/respawn counters — the execution tier's half of the
-        service dashboard."""
+        """Attach a worker-pool stats source (``WorkerPool.stats``).
+        When set, every snapshot carries a ``pool`` section with
+        per-worker utilization, tasks in flight, and requeue/respawn
+        counters — the execution tier's half of the service dashboard."""
         self._pool_provider = provider
 
     def set_cache_provider(self, provider: Callable[[], dict] | None) -> None:
         """Attach a layer-cache stats source (the signing service's
-        aggregate over its in-process backends and worker snapshots).
+        aggregate over its backends).
         When set, every snapshot carries a ``cache`` section with
         hit/miss/evict/bytes counters per scope."""
         self._cache_provider = provider
@@ -322,46 +320,21 @@ def render_snapshot(snapshot: dict, title: str = "Signing service telemetry") ->
     if pool:
         per_worker = pool.get("per_worker", {})
         sections.append(format_table(
-            ["worker", "alive", "jobs", "signed", "busy s", "util",
-             "queue", "in-flight", "requeues", "respawns"],
-            [[slot, "yes" if w.get("alive") else "NO", w.get("jobs", 0),
-              w.get("signed", 0), w.get("busy_s", 0.0),
+            ["worker", "alive", "cpu", "tasks", "busy s", "util",
+             "in-flight", "requeues", "respawns"],
+            [[slot, "yes" if w.get("alive") else "NO", w.get("cpu", "-"),
+              w.get("tasks", 0), w.get("busy_s", 0.0),
               f"{100.0 * w.get('utilization', 0.0):.1f}%",
-              w.get("queue_depth", 0), w.get("in_flight", 0),
-              w.get("requeues", 0), w.get("respawns", 0)]
+              w.get("in_flight", 0), w.get("requeues", 0),
+              w.get("respawns", 0)]
              for slot, w in sorted(per_worker.items(),
                                    key=lambda item: int(item[0]))],
             title=(f"Worker pool ({pool.get('alive', 0)}/"
-                   f"{pool.get('workers', 0)} alive, backend "
-                   f"{pool.get('backend', '?')!r}, "
+                   f"{pool.get('workers', 0)} alive, "
+                   f"{pool.get('pending', 0)} tasks pending, "
                    f"{pool.get('requeues', 0)} requeues, "
                    f"{pool.get('respawns', 0)} respawns)"),
         ))
-        worker_caches = [(slot, w.get("cache", {}))
-                         for slot, w in sorted(per_worker.items(),
-                                               key=lambda item: int(item[0]))
-                         if w.get("cache")]
-        if worker_caches:
-            sections.append(format_table(
-                ["worker", "tree hits", "tree misses", "link hits",
-                 "link misses", "evictions", "KiB", "pinned layers"],
-                [[slot, c.get("hits", 0), c.get("misses", 0),
-                  c.get("link_hits", 0), c.get("link_misses", 0),
-                  c.get("evictions", 0),
-                  round(c.get("bytes", 0) / 1024, 1),
-                  c.get("pinned_layers", 0)]
-                 for slot, c in worker_caches],
-                title="Per-worker layer caches (latest snapshots)",
-            ))
-        routes = pool.get("routes", {})
-        if routes:
-            sections.append(format_table(
-                ["tenant/key", "home worker", "batches", "messages"],
-                [[route, entry.get("slot", "?"), entry.get("batches", 0),
-                  entry.get("messages", 0)]
-                 for route, entry in sorted(routes.items())],
-                title="Shard routing (consistent hash)",
-            ))
 
     cache = snapshot.get("cache")
     if cache:

@@ -20,7 +20,6 @@ __all__ = [
     "auth_path",
     "root_from_auth",
     "batched_leaves",
-    "SubtreeCache",
     "TreeLevels",
 ]
 
@@ -37,51 +36,6 @@ def batched_leaves(leaf_fn: Callable[[int], bytes], count: int) -> list[bytes]:
     function.
     """
     return [leaf_fn(index) for index in range(count)]
-
-
-class SubtreeCache:
-    """A bounded memo of computed Merkle subtrees, keyed by the caller.
-
-    Batch signing under one key recomputes the same upper hypertree
-    subtrees for every message (the top layer is *always* tree 0); caching
-    the full level lists makes those repeats free.  Eviction is FIFO — the
-    access pattern is a stream of whole batches, so recency tracking buys
-    nothing over insertion order.
-    """
-
-    def __init__(self, max_entries: int = 512):
-        if max_entries < 1:
-            raise ValueError(
-                f"SubtreeCache needs max_entries >= 1, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._store: dict[object, TreeLevels] = {}
-
-    def get_or_build(self, key: object,
-                     build: Callable[[], TreeLevels]) -> TreeLevels:
-        levels = self._store.get(key)
-        if levels is not None:
-            self.hits += 1
-            return levels
-        self.misses += 1
-        levels = build()
-        if len(self._store) >= self.max_entries:
-            self._store.pop(next(iter(self._store)))
-        self._store[key] = levels
-        return levels
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._store)}
 
 
 def treehash(

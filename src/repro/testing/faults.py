@@ -33,6 +33,11 @@ it reached against the public key accepts every well-formed blob.  Signing
 stays byte-identical, so only the oracle's verify stage — fast verdict
 against reference verdict over corrupted signatures — can ring.
 
+:class:`PlanFault` strikes the signing plan's chain-table lookup: a WOTS
+signature read one table position too far.  The plan's own ``root ==
+pk_root`` check cannot see it — the root comes from the subtree, not from
+the chain values — so only the byte-compare and the verify round-trip ring.
+
 Fault specs are parsed from strings so the CLI can take them directly::
 
     thash:bitflip            # defaults: call 7, bit 0
@@ -43,6 +48,7 @@ Fault specs are parsed from strings so the CLI can take them directly::
     cache:flip:0:3           # ... level 0, bit 3
     cache:flip:0:0:benign    # naive flip (auth path breaks, verify fails)
     verify:no-root-compare   # fast verifier drops its final root compare
+    plan:chain-table-off-by-one  # stitch reads each chain one step too far
 """
 
 from __future__ import annotations
@@ -52,10 +58,11 @@ from dataclasses import dataclass, field
 
 from ..errors import ConformanceError
 from ..hashes.thash import HashContext
-from ..runtime.fastops import FastVerifier
+from ..runtime import plan
+from ..runtime.fastops import FastVerifier, node_slice
 
-__all__ = ["BitFlipFault", "CachedNodeFault", "VerifyFault", "flip_bit",
-           "parse_fault"]
+__all__ = ["BitFlipFault", "CachedNodeFault", "PlanFault", "VerifyFault",
+           "flip_bit", "parse_fault"]
 
 _TARGETS = ("thash", "prf")
 
@@ -221,26 +228,30 @@ class CachedNodeFault:
         tree = idx_tree >> (th * layer)
         leaf = ((idx_tree >> (th * (layer - 1))) & (params.tree_leaves - 1)
                 if layer else idx_tree & (params.tree_leaves - 1))
-        # Build-or-fetch the cached subtree, then mutate it in place —
-        # the next signing pass serves the corrupted copy.
-        levels = ops.subtree_levels(layer, tree)
+        # Build-or-fetch the cached subtree, corrupt a copy and put that
+        # in its place — the next signing pass serves the corrupted one.
+        n, leaves = params.n, params.tree_leaves
+        nodes = bytearray(ops.subtree_nodes(layer, tree))
         sibling = (leaf >> self.level) ^ 1
-        levels[self.level][sibling] = flip_bit(
-            levels[self.level][sibling], self.bit)
+        struck = node_slice(self.level, sibling, n, leaves)
+        nodes[struck] = flip_bit(bytes(nodes[struck]), self.bit)
         if self.consistent:
             # Recompute the ancestors along the leaf's path so the tree
             # is self-consistent again (with a different root).
             for height in range(self.level + 1, th + 1):
                 index = leaf >> height
-                left = levels[height - 1][2 * index]
-                right = levels[height - 1][2 * index + 1]
-                levels[height][index] = ops.tree_node_hash(
-                    layer, tree, height, index, left, right)
+                below = node_slice(height - 1, 2 * index, n, leaves).start
+                nodes[node_slice(height, index, n, leaves)] = \
+                    ops.tree_node_hash(
+                        layer, tree, height, index,
+                        bytes(nodes[below:below + n]),
+                        bytes(nodes[below + n:below + 2 * n]))
             # The parent layer's cached WOTS link signs the *old* root;
             # drop it so the signer re-signs the corrupted root (a fresh
             # link that verifies) instead of failing on a stale one.
             ops.cache.drop_link(layer + 1, tree >> th,
                                 tree & (params.tree_leaves - 1))
+        ops.cache.store_tree(layer, tree, bytes(nodes))
         self.calls_seen += 1
         self.fired = True
         mode = ("ancestors recomputed, still verifies"
@@ -291,6 +302,42 @@ class VerifyFault:
             FastVerifier.verify_batch = original
 
 
+@dataclass
+class PlanFault:
+    """A :func:`~repro.runtime.plan.chain_values` that reads every chain
+    one table position past its digit — the off-by-one a chain-table
+    stitch invites.  Installed on the module, so it reaches every tier
+    that signs through the plan in this process (vectorized, pooled —
+    whose stitch runs here — and the clients over them); the reference
+    and scalar walks never touch a table.
+    """
+
+    #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
+    target: str = field(default="plan", init=False)
+    #: How many WOTS signatures were read out of a table under the fault.
+    calls_seen: int = field(default=0, init=False)
+    #: Whether any signature was actually stitched from a shifted table.
+    fired: bool = field(default=False, init=False)
+
+    spec = "plan:chain-table-off-by-one"
+
+    @contextmanager
+    def install(self):
+        """Swap the faulty lookup in for the ``with`` block."""
+        original = plan.chain_values
+
+        def chain_values(table, digits, n, w):
+            self.calls_seen += 1
+            self.fired = True
+            return original(table[n:] + table[:n], digits, n, w)
+
+        plan.chain_values = chain_values
+        try:
+            yield self
+        finally:
+            plan.chain_values = original
+
+
 def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
     """Parse ``cache:flip[:level[:bit]][:benign]``."""
     fields = parts[2:]
@@ -311,22 +358,25 @@ def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
     return CachedNodeFault(consistent=consistent, **kwargs)
 
 
-def parse_fault(spec: str) -> BitFlipFault | CachedNodeFault | VerifyFault:
+def parse_fault(spec: str
+                ) -> BitFlipFault | CachedNodeFault | VerifyFault | PlanFault:
     """Parse a fault spec: ``target:bitflip[:call_index[:bit]]`` for the
     hash taps, ``cache:flip[:level[:bit]][:benign]`` for the layer cache,
-    ``verify:no-root-compare`` for the fast verifier.
+    ``verify:no-root-compare`` for the fast verifier,
+    ``plan:chain-table-off-by-one`` for the signing plan's stitch.
     """
     parts = spec.strip().split(":")
-    if spec.strip() == VerifyFault.spec:
-        return VerifyFault()
+    for fault in (VerifyFault, PlanFault):
+        if spec.strip() == fault.spec:
+            return fault()
     if len(parts) >= 2 and parts[0] == "cache" and parts[1] == "flip":
         return _parse_cache_fault(spec, parts)
     if len(parts) < 2 or parts[1] != "bitflip":
         raise ConformanceError(
             f"unsupported fault spec {spec!r}; expected "
             "'thash:bitflip[:call_index[:bit]]', 'prf:bitflip[...]', "
-            "'cache:flip[:level[:bit]][:benign]', or "
-            f"{VerifyFault.spec!r}"
+            "'cache:flip[:level[:bit]][:benign]', "
+            f"{VerifyFault.spec!r}, or {PlanFault.spec!r}"
         )
     kwargs: dict[str, int] = {}
     try:

@@ -67,7 +67,7 @@ from ..runtime.registry import available_backends, get_backend
 from ..runtime.scheduler import BatchScheduler
 from ..sphincs.signer import KeyPair, Sphincs
 from .corpus import message_corpus, signature_mutations
-from .faults import BitFlipFault, CachedNodeFault, VerifyFault
+from .faults import BitFlipFault, CachedNodeFault, PlanFault, VerifyFault
 from .tracing import capture_trace, first_divergence
 
 __all__ = ["Divergence", "PathResult", "ConformanceReport",
@@ -229,8 +229,8 @@ class DifferentialOracle:
         Also push the corpus through the ``BatchScheduler`` layer (per
         backend) and the async ``SigningService`` (vectorized).  When the
         ``pooled`` backend is in play, the service pass additionally runs
-        with a ``service_workers``-process worker pool behind the sharded
-        dispatcher, proving the whole multi-core tier byte-identical.
+        on a ``service_workers``-process worker pool, proving the whole
+        multi-core tier byte-identical.
     include_clients:
         Also drive the corpus through the :mod:`repro.api` facade on
         every transport: ``client:local`` (in-process scheduler),
@@ -265,7 +265,7 @@ class DifferentialOracle:
                  service_backend: str = "vectorized",
                  service_workers: int = 2,
                  fault: BitFlipFault | CachedNodeFault | VerifyFault
-                 | None = None,
+                 | PlanFault | None = None,
                  fault_target: str = "scalar"):
         self.params = get_params(params) if isinstance(params, str) else params
         self.backends = (list(backends) if backends is not None
@@ -325,9 +325,10 @@ class DifferentialOracle:
 
         results = [reference]
         fault_fired, fault_hop = False, None
-        if isinstance(self.fault, VerifyFault):
-            # Signing is untouched by this fault; only the paths that
-            # verify through the fast kernel can show it.
+        if isinstance(self.fault, (VerifyFault, PlanFault)):
+            # Installed process-wide on the fast kernels: the verifier
+            # (signing untouched; only paths that verify through it can
+            # show it) or the signing plan's stitch (vectorized, pooled).
             with self.fault.install():
                 results.extend(self._run_backend(name)
                                for name in self.backends)
@@ -366,17 +367,19 @@ class DifferentialOracle:
         if self.fault is None:
             # Cache-enabled byte-identity passes: the reference backend
             # with the hypertree layer cache switched on (off by default
-            # there), and the vectorized backend's *second* pass over the
-            # corpus, whose subtrees and upper-layer WOTS link signatures
-            # come out of a warm cache.
+            # there) ...
             if "scalar" in self.backends:
                 results.append(self._run_backend(
                     "scalar", label="backend:scalar+layercache",
                     cache_budget_mb=32.0))
-            if "vectorized" in self.backends:
-                results.append(self._run_backend(
-                    "vectorized", label="backend:vectorized+warm",
-                    passes=2))
+            # ... and both plan executors' *second* pass over the corpus,
+            # whose subtrees and upper-layer WOTS link signatures come
+            # out of a warm cache (no chain tables; on the pool, nothing
+            # but FORS leaves the coordinator).
+            for name in ("vectorized", "pooled"):
+                if name in self.backends:
+                    results.append(self._run_backend(
+                        name, label=f"backend:{name}+warm", passes=2))
         if self.include_scheduler:
             results.extend(self._run_scheduler(name)
                            for name in self.backends)
@@ -386,7 +389,7 @@ class DifferentialOracle:
             if pooled:
                 # The multi-core execution tier must honor the same
                 # byte-identical contract end to end: async service ->
-                # sharded dispatcher -> worker pool -> inner backend.
+                # pooled backend -> signing-plan tasks on the worker pool.
                 results.append(asyncio.run(
                     self._run_service(workers=self.service_workers)))
         if self.include_clients:

@@ -73,8 +73,11 @@ class TestEndToEnd:
                     assert result.transport == "cluster"
                     # The outcome names the node that actually signed.
                     assert result.backend.startswith("node")
-                    assert result.signature == reference_signature(
-                        tenant, message)
+                    # Off the loop: a third of a second of blocking
+                    # hashing would starve the 50 ms health probes and
+                    # mark every in-process node down.
+                    assert result.signature == await asyncio.to_thread(
+                        reference_signature, tenant, message)
                     verdict = await client.verify(tenant, message,
                                                   result.signature)
                     assert verdict.valid

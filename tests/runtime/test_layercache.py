@@ -22,7 +22,6 @@ from repro.runtime import WorkerPool, get_backend
 from repro.runtime.layercache import (
     DEFAULT_BUDGET_MB,
     HypertreeLayerCache,
-    budget_for_entries,
     choose_pinned_layers,
     link_entry_bytes,
     pinned_bytes,
@@ -81,12 +80,6 @@ class TestModel:
         uncapped = choose_pinned_layers(params, budget)
         assert capped <= uncapped
         assert prewarm_hashes(params, uncapped) <= 600_000
-
-    def test_budget_for_entries_bridges_legacy_knob(self):
-        params = get_params("128f")
-        assert budget_for_entries(params, 1) == tree_entry_bytes(params)
-        assert budget_for_entries(params, 8) == 8 * tree_entry_bytes(params)
-        assert budget_for_entries(params, 0) == tree_entry_bytes(params)
 
     def test_tradeoff_table_covers_every_set(self):
         rows = tradeoff_table()
@@ -228,12 +221,6 @@ class TestBackendIntegration:
         stats = cached.cache_stats()
         assert stats["hits"] > 0
 
-    def test_legacy_subtree_cache_size_maps_to_budget(self):
-        params = get_params("128f")
-        backend = get_backend("vectorized", "128f", deterministic=True,
-                              subtree_cache_size=4)
-        assert backend._budget_bytes == budget_for_entries(params, 4)
-
     @pytest.mark.parametrize("params_name", KAT_SETS)
     def test_cached_vs_cold_byte_identity(self, params_name):
         """Pass 2 (warm layer cache) must equal pass 1 (cold) everywhere."""
@@ -325,20 +312,27 @@ class TestServiceInvalidation:
 
 class TestPoolPrewarm:
     def test_warm_on_spawn_reports_cache_snapshot(self):
+        """The pooled tier's one layer cache is the coordinator's: warm
+        it, sign through one worker, kill the worker — the respawned one
+        needs no re-warming, because workers never held anything."""
         scalar = get_backend("scalar", "128f", deterministic=True)
         keys = scalar.keygen(seed=_seed("128f"))
         messages = [b"pool-cache-0", b"pool-cache-1"]
         expected = scalar.sign_batch(messages, keys).signatures
-        with WorkerPool(workers=1, deterministic=True) as pool:
-            pool.warm(keys, "128f")
-            pool.ping(timeout=10.0)
-            per_worker = pool.stats()["per_worker"]
-            cache = per_worker["0"]["cache"]
+        with WorkerPool(workers=1) as pool:
+            backend = get_backend("pooled", "128f", deterministic=True,
+                                  pool=pool)
+            backend.prewarm_key(keys)
+            cache = backend.cache_stats()
             assert cache["pinned_trees"] > 0
             assert cache["pinned_layers"] >= 1
-            outcome = pool.sign_batch(messages, keys, "128f")
-            assert outcome.signatures == expected
-            # Invalidation round-trips without killing the worker.
-            pool.invalidate(keys, "128f")
-            assert pool.sign_batch(messages, keys,
-                                   "128f").signatures == expected
+            assert "cache" not in pool.stats()["per_worker"]["0"]
+            assert backend.sign_batch(messages, keys).signatures == expected
+            pool.inject_crash(0, when="now")
+            assert backend.sign_batch(messages, keys).signatures == expected
+            assert backend.cache_stats()["pinned_trees"] \
+                == cache["pinned_trees"]
+            # Invalidation is local too, and signing recovers from it.
+            backend.invalidate_key(keys)
+            assert backend.cache_stats() == {"keys": 0}
+            assert backend.sign_batch(messages, keys).signatures == expected

@@ -1,20 +1,23 @@
-"""The worker pool: sharded routing, byte-identity, and crash recovery.
+"""The worker pool: plan tasks on pinned workers, byte-identity, crash recovery.
 
 The load-bearing properties: (1) the pooled path produces signatures
-byte-identical to the scalar reference — split or unsplit, crash or no
-crash; (2) a worker that dies mid-batch is transparent to the caller —
-the batch is requeued onto a sibling, the dead slot respawns, and only
-retry exhaustion surfaces as the typed
+byte-identical to the scalar reference — one message or many, crash or no
+crash; (2) a plan's tasks spread over every worker, pull-style, and each
+worker sits on its own CPU; (3) a worker that dies mid-plan is
+transparent to the caller — the tasks it held go back in line, the dead
+slot respawns, and only retry exhaustion surfaces as the typed
 :class:`~repro.errors.WorkerCrashedError`.
 """
 
+import os
 import time
 
 import pytest
 
+from repro.cluster.ring import HashRing
 from repro.errors import BackendError, WorkerCrashedError
 from repro.runtime import WorkerPool, available_backends, get_backend
-from repro.runtime.pool import HashRing
+from repro.runtime.plan import FORS, SUBTREE
 
 MESSAGES = [b"alpha", b"bravo", b"charlie", b"delta", b"echo"]
 SEED = bytes(48)
@@ -33,8 +36,14 @@ def reference(keys):
 
 @pytest.fixture(scope="module")
 def pool():
-    with WorkerPool(workers=2, deterministic=True) as shared:
+    with WorkerPool(workers=2) as shared:
         yield shared
+
+
+def _pooled(pool, **options):
+    """A fresh pooled backend (cold layer cache) over *pool*."""
+    return get_backend("pooled", "128f", deterministic=True, pool=pool,
+                       **options)
 
 
 def _wait_until(predicate, timeout_s: float = 10.0) -> bool:
@@ -47,6 +56,9 @@ def _wait_until(predicate, timeout_s: float = 10.0) -> bool:
 
 
 class TestHashRing:
+    """The ring left ``runtime.pool`` for ``repro.cluster.ring`` when the
+    pool stopped routing by key; its tests stayed where they were."""
+
     def test_routing_is_deterministic_and_in_range(self):
         ring = HashRing(4)
         slots = [ring.slot_for(f"tenant-{i}/default") for i in range(64)]
@@ -63,70 +75,102 @@ class TestHashRing:
 
 class TestPoolSigning:
     def test_byte_identical_to_reference(self, pool, keys, reference):
-        outcome = pool.sign_batch(MESSAGES, keys, "128f",
-                                  shard_key="acme/default")
-        assert outcome.signatures == reference
-        assert outcome.requeues == 0
-        assert len(outcome.workers) == 1
+        result = _pooled(pool).sign_batch(MESSAGES, keys)
+        assert result.signatures == reference
+        assert result.cache_stats["requeues"] == 0
 
     def test_split_batch_byte_identical(self, pool, keys, reference):
-        outcome = pool.sign_batch(MESSAGES * 2, keys, "128f", split=True)
-        assert outcome.signatures == reference + reference
-        assert set(outcome.workers) == {0, 1}
+        """A batch is split task by task: both workers take part."""
+        result = _pooled(pool).sign_batch(MESSAGES * 2, keys)
+        assert result.signatures == reference + reference
+        assert set(result.workers) == {0, 1}
 
-    def test_shard_affinity_is_stable(self, pool, keys):
-        slot = pool.worker_for("acme/default")
-        for _ in range(3):
-            outcome = pool.sign_batch([b"affine"], keys, "128f",
-                                      shard_key="acme/default")
-            assert outcome.workers == (slot,)
+    def test_one_signature_uses_every_worker(self, pool, keys, reference):
+        """The point of the plan: a lone message is FORS plus one subtree
+        task per layer, handed out in turn, so both workers run some."""
+        result = _pooled(pool).sign_batch(MESSAGES[:1], keys)
+        assert result.signatures == reference[:1]
+        shares = result.workers
+        assert set(shares) == {0, 1}
+        assert sum(share["tasks"] for share in shares.values()) == 1 + 22
+        assert min(share["tasks"] for share in shares.values()) >= 5
+
+    def test_two_task_plan_spreads_over_both_workers(self, pool, keys):
+        run = pool.run("128f", keys, [(SUBTREE, 21, 0, (0,)),
+                                      (SUBTREE, 20, 0, (1,))])
+        assert set(run.workers) == {0, 1}
+        nodes, tables = run.results[0]
+        assert len(nodes) == 15 * 16 and nodes[-16:] == keys.pk_root
+        assert set(tables) == {0} and len(tables[0]) == 35 * 16 * 16
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_workers_are_pinned_one_per_cpu(self, pool):
+        allowed = sorted(os.sched_getaffinity(0))
+        assert pool.ping(timeout=10.0) == {0: True, 1: True}
+        for slot, proc in enumerate(pool._procs):
+            expected = allowed[slot % len(allowed)]
+            assert os.sched_getaffinity(proc.pid) == {expected}
+            assert pool.stats()["per_worker"][str(slot)]["cpu"] == expected
 
     def test_empty_batch(self, pool, keys):
-        outcome = pool.sign_batch([], keys, "128f")
-        assert outcome.signatures == []
-        assert outcome.workers == ()
+        assert pool.run("128f", keys, []).results == []
+        assert _pooled(pool).sign_batch([], keys).signatures == []
 
     def test_ping_and_stats_shape(self, pool):
         assert pool.ping(timeout=10.0) == {0: True, 1: True}
         stats = pool.stats()
         assert stats["workers"] == 2
         assert stats["alive"] == 2
+        assert stats["pending"] == 0
         assert set(stats["per_worker"]) == {"0", "1"}
         for worker in stats["per_worker"].values():
             assert worker["alive"] is True
             assert worker["utilization"] >= 0.0
-            assert worker["in_flight"] >= 0
+            assert worker["in_flight"] == 0
 
-    def test_warm_preloads_key_caches(self, keys):
-        with WorkerPool(workers=1, deterministic=True) as fresh:
-            fresh.warm(keys, "128f")
-            assert _wait_until(
-                lambda: fresh.stats()["per_worker"]["0"]["warms"] == 1)
+    def test_warm_preloads_key_caches(self, pool, keys):
+        """Prewarm fills the coordinator's cache — the only one there is —
+        and a replayed message then leaves a lone FORS task, which is not
+        worth a pipe: nothing reaches a worker."""
+        backend = _pooled(pool)
+        backend.prewarm_key(keys)
+        assert backend.cache_stats()["pinned_trees"] > 0
+        first = backend.sign_batch([b"replayed"], keys).signatures
+        done = [w["tasks"] for w in pool.stats()["per_worker"].values()]
+        again = backend.sign_batch([b"replayed"], keys)
+        assert again.signatures == first
+        assert not again.workers
+        assert done == [w["tasks"]
+                        for w in pool.stats()["per_worker"].values()]
 
     def test_result_timeout_abandons_the_job(self, pool, keys):
-        job_id = pool.submit([b"slow enough to outlive 1ms"], keys, "128f",
-                             worker=0)
+        tasks = [(FORS, bytes(25), 1, 1)] * 6
         with pytest.raises(BackendError, match="timed out"):
-            pool.result(job_id, timeout=0.001)
-        # The worker still finishes the batch, but the result must be
-        # discarded (not parked forever) and the accounting must settle.
-        assert _wait_until(lambda: job_id not in pool._jobs)
-        assert _wait_until(
-            lambda: pool.stats()["per_worker"]["0"]["in_flight"] == 0)
-        assert job_id not in pool._results
-        assert job_id not in pool._abandoned
-        # The slot keeps serving afterwards.
-        assert pool.sign_batch([b"next"], keys, "128f",
-                               worker=0).signatures
+            pool.run("128f", keys, tasks, timeout=0.001)
+        # The workers still finish what they held, but the results are
+        # dropped, the unstarted tasks withdrawn, the accounting settles.
+        assert pool.stats()["pending"] == 0
+        assert _wait_until(lambda: all(
+            worker["in_flight"] == 0
+            for worker in pool.stats()["per_worker"].values()))
+        assert not any(pool._outstanding)
+        # The pool keeps serving afterwards.
+        assert len(pool.run("128f", keys, tasks[:1]).results) == 1
 
     def test_worker_side_error_is_typed_not_a_crash(self, pool, keys):
+        with pytest.raises(BackendError, match="failed batch.*TypeError"):
+            pool.run("128f", keys, [(SUBTREE, "not-a-layer", 0, ())])
+        # The worker survived the error and keeps serving.
+        assert pool.alive_workers() == 2
+        assert _pooled(pool).sign_batch([b"y"], keys).signatures
+
+    def test_wrong_key_is_caught_by_the_stitch(self, pool, keys):
         from repro.sphincs.signer import KeyPair
 
-        bad = KeyPair(b"\x00" * 3, keys.sk_prf, keys.pk_seed, keys.pk_root)
-        with pytest.raises(BackendError, match="failed batch"):
-            pool.sign_batch([b"x"], bad, "128f")
-        # The worker survived the error and keeps serving.
-        assert pool.sign_batch([b"y"], keys, "128f").signatures
+        bad = KeyPair(b"\x01" * 16, keys.sk_prf, keys.pk_seed, keys.pk_root)
+        with pytest.raises(BackendError, match="root does not match"):
+            _pooled(pool).sign_batch([b"x"], bad)
 
 
 class TestValidation:
@@ -136,62 +180,54 @@ class TestValidation:
         with pytest.raises(BackendError, match="max_retries"):
             WorkerPool(workers=1, max_retries=-1)
 
-    def test_out_of_range_slot_rejected(self, pool, keys):
+    def test_out_of_range_slot_rejected(self, pool):
         with pytest.raises(BackendError, match="out of range"):
-            pool.submit([b"x"], keys, "128f", worker=7)
+            pool.inject_crash(7)
 
     def test_bad_crash_spec_rejected(self, pool):
         with pytest.raises(BackendError, match="inject_crash"):
             pool.inject_crash(0, when="eventually")
 
     def test_closed_pool_rejects_submissions(self, keys):
-        closing = WorkerPool(workers=1, deterministic=True)
+        closing = WorkerPool(workers=1)
         closing.close()
         with pytest.raises(BackendError, match="closed"):
-            closing.submit([b"x"], keys, "128f")
+            closing.run("128f", keys, [(FORS, bytes(25), 0, 0)])
 
 
 class TestCrashRecovery:
-    """Kill workers mid-batch; the acceptance story of the pool."""
+    """Kill workers mid-plan; the acceptance story of the pool."""
 
     def test_mid_batch_crash_requeues_to_sibling(self, keys, reference):
-        with WorkerPool(workers=2, deterministic=True,
-                        max_retries=2) as pool:
-            victim = pool.worker_for("victim/default")
-            sibling = 1 - victim
-            pool.inject_crash(victim, when="next-job")
-            outcome = pool.sign_batch(MESSAGES, keys, "128f",
-                                      shard_key="victim/default")
-            # Byte-identical result despite the crash, served by the
-            # sibling, and the requeue is visible to the caller.
-            assert outcome.signatures == reference
-            assert outcome.workers == (sibling,)
-            assert outcome.requeues == 1
+        with WorkerPool(workers=2, max_retries=2) as pool:
+            pool.inject_crash(0, when="next-job")
+            result = _pooled(pool).sign_batch(MESSAGES, keys)
+            # Byte-identical result despite the crash, and the requeue
+            # (the two tasks the victim held) is visible to the caller.
+            assert result.signatures == reference
+            assert 1 <= result.cache_stats["requeues"] <= 2
             # The pool heals back to N workers...
             assert _wait_until(lambda: pool.alive_workers() == 2)
             stats = pool.stats()
             assert stats["respawns"] == 1
-            assert stats["per_worker"][str(victim)]["requeues"] == 1
+            assert stats["per_worker"]["0"]["requeues"] >= 1
             # ...and the respawned slot serves again.
-            again = pool.sign_batch(MESSAGES[:1], keys, "128f",
-                                    worker=victim)
-            assert again.workers == (victim,)
+            again = _pooled(pool).sign_batch(MESSAGES[:1], keys)
+            assert set(again.workers) == {0, 1}
 
     def test_retry_exhaustion_raises_typed_error(self, keys):
-        with WorkerPool(workers=2, deterministic=True,
-                        max_retries=0) as pool:
+        with WorkerPool(workers=2, max_retries=0) as pool:
             pool.inject_crash(0, when="next-job")
             pool.inject_crash(1, when="next-job")
             with pytest.raises(WorkerCrashedError, match="exhausted"):
-                pool.sign_batch(MESSAGES[:2], keys, "128f", worker=0)
+                _pooled(pool).sign_batch(MESSAGES[:2], keys)
 
     def test_failed_respawns_do_not_burn_the_retry_budget(self, keys):
-        """max_retries bounds actual delivery attempts, not recovery
-        ticks: with every respawn transiently failing and no live
-        sibling, the batch parks instead of exhausting its budget at
-        one tick per 50 ms."""
-        with WorkerPool(workers=1, deterministic=True,
-                        max_retries=1) as pool:
+        """max_retries bounds how often a task is stranded by a dying
+        worker, not recovery ticks: with every respawn transiently
+        failing and no live sibling, the tasks wait in line instead of
+        exhausting their budget at one tick per 50 ms."""
+        with WorkerPool(workers=1, max_retries=1) as pool:
             real_spawn = pool._spawn
             failures = {"left": 4}
 
@@ -203,24 +239,24 @@ class TestCrashRecovery:
 
             pool._spawn = flaky_spawn
             pool.inject_crash(0, when="next-job")
-            outcome = pool.sign_batch([b"parked"], keys, "128f",
-                                      worker=0, timeout=60.0)
-            # Four failed respawn ticks passed before delivery; only the
-            # single real redelivery counts against max_retries=1.
-            assert outcome.requeues == 1
+            result = _pooled(pool).sign_batch([b"parked"], keys)
+            # Four failed respawn ticks passed before delivery; the two
+            # tasks the victim held were each stranded exactly once.
+            assert result.cache_stats["requeues"] == 2
             assert failures["left"] == 0
+            assert pool.stats()["respawns"] == 1
             scalar = get_backend("scalar", "128f", deterministic=True)
-            assert outcome.signatures == [scalar.sign(b"parked", keys)]
+            assert result.signatures == [scalar.sign(b"parked", keys)]
 
-    def test_crash_now_respawns_idle_worker(self, keys):
-        with WorkerPool(workers=2, deterministic=True) as pool:
+    def test_crash_now_respawns_idle_worker(self, keys, reference):
+        with WorkerPool(workers=2) as pool:
             pool.inject_crash(0, when="now")
             assert _wait_until(lambda: pool.stats()["respawns"] == 1)
             assert _wait_until(lambda: pool.alive_workers() == 2)
             # Both slots still sign correctly after the respawn.
-            outcome = pool.sign_batch(MESSAGES[:2], keys, "128f",
-                                      worker=0)
-            assert outcome.workers == (0,)
+            result = _pooled(pool).sign_batch(MESSAGES[:2], keys)
+            assert result.signatures == reference[:2]
+            assert set(result.workers) == {0, 1}
 
 
 class TestPooledBackend:
@@ -240,7 +276,6 @@ class TestPooledBackend:
             caps = backend.capabilities()
             assert caps.name == "pooled"
             assert "worker pool" in caps.notes
-            assert backend.concurrent_dispatch is True
         finally:
             backend.close()
 
@@ -250,7 +285,7 @@ class TestPooledBackend:
         assert backend.sign_batch([b"shared"], keys).count == 1
         backend.close()  # must NOT close the shared pool
         assert pool.alive_workers() == 2
-        assert pool.sign_batch([b"still-up"], keys, "128f").signatures
+        assert _pooled(pool).sign_batch([b"still-up"], keys).signatures
 
     def test_hash_context_declared_untappable(self):
         backend = get_backend("pooled", "128f", deterministic=True,

@@ -1,11 +1,10 @@
-"""Sharded dispatch and the pooled service tier.
+"""The pooled service tier.
 
-Covers the service-side half of the multi-core story: consistent-hash
-routing of ``(tenant, key)`` onto workers, the pooled end-to-end signing
-path (byte-identical, crash-transparent), per-worker telemetry in the
-``stats`` snapshot, and the dispatch-overlap regression — two ready
-batches for different tenants must sign *concurrently* when the backend
-supports it, instead of serializing behind the service's sign lock.
+Covers the service-side half of the multi-core story: the pooled
+end-to-end signing path (byte-identical, crash-transparent, one request
+spread over every worker), per-worker telemetry in the ``stats``
+snapshot, and dispatch order — one batch signs at a time, each on all
+cores, so two tenants' batches follow one another instead of competing.
 """
 
 import asyncio
@@ -14,11 +13,12 @@ import time
 
 import pytest
 
-from repro.runtime import WorkerPool, get_backend, register_backend
+from repro.errors import ServiceError
+from repro.runtime import get_backend, register_backend
 from repro.runtime.backend import BackendCapabilities, SigningBackend
 from repro.runtime.registry import _REGISTRY
-from repro.service import (Keystore, ShardedDispatcher, SigningService,
-                           derive_seed, render_snapshot)
+from repro.service import (Keystore, SigningService, derive_seed,
+                           render_snapshot)
 
 SEED = bytes(48)
 
@@ -30,57 +30,6 @@ def _keystore(tenants=("acme", "beta")) -> Keystore:
         keystore.generate_key(name, "default",
                               seed=derive_seed(f"{name}/default", 16))
     return keystore
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool(workers=2, deterministic=True) as shared:
-        yield shared
-
-
-class TestShardedDispatcher:
-    def test_route_is_stable_and_recorded(self, pool):
-        dispatcher = ShardedDispatcher(pool)
-        slot = dispatcher.route("acme", "default")
-        assert slot == dispatcher.route("acme", "default")
-        assert 0 <= slot < pool.workers
-
-    def test_sign_batch_routes_and_counts(self, pool):
-        dispatcher = ShardedDispatcher(pool)
-        keystore = _keystore(("acme",))
-        keys, params = keystore.resolve("acme", "default")
-        messages = [b"one", b"two"]
-
-        async def run():
-            return await dispatcher.sign_batch(
-                "acme", "default", messages, keys, params)
-
-        outcome = asyncio.run(run())
-        scalar = get_backend("scalar", "128f", deterministic=True)
-        assert outcome.signatures == scalar.sign_batch(messages,
-                                                       keys).signatures
-        assert outcome.workers == (dispatcher.route("acme", "default"),)
-        assert not outcome.split
-        stats = dispatcher.stats()
-        assert stats["routes"]["acme/default"]["batches"] == 1
-        assert stats["routes"]["acme/default"]["messages"] == 2
-
-    def test_large_batch_splits_across_workers(self, pool):
-        dispatcher = ShardedDispatcher(pool, split_factor=2)
-        keystore = _keystore(("acme",))
-        keys, params = keystore.resolve("acme", "default")
-        messages = [f"m{i}".encode() for i in range(2 * pool.workers)]
-
-        async def run():
-            return await dispatcher.sign_batch(
-                "acme", "default", messages, keys, params)
-
-        outcome = asyncio.run(run())
-        assert outcome.split
-        assert set(outcome.workers) == {0, 1}
-        scalar = get_backend("scalar", "128f", deterministic=True)
-        assert outcome.signatures == scalar.sign_batch(messages,
-                                                       keys).signatures
 
 
 class TestPooledService:
@@ -114,25 +63,19 @@ class TestPooledService:
         assert stats["config"]["workers"] == 2
         pool_stats = stats["pool"]
         assert pool_stats["alive"] == 2
-        assert {"acme/default", "beta/default"} <= set(pool_stats["routes"])
-        # ...and renders in the human report.
+        # ... every worker took part (4 signatures of 23 tasks each) ...
+        assert all(worker["tasks"] > 20
+                   for worker in pool_stats["per_worker"].values())
+        # ... the layer caches are this process's, one scope per set ...
+        assert set(stats["cache"]["scopes"]) == {"in-process SPHINCS+-128f"}
+        # ...and it all renders in the human report.
         report = render_snapshot(stats)
         assert "Worker pool (2/2 alive" in report
-        assert "Shard routing (consistent hash)" in report
+        assert "Hypertree layer caches" in report
 
-    def test_tenant_keys_preloaded_on_home_workers(self):
-        keystore = _keystore()
-        service = SigningService(keystore, deterministic=True, workers=2)
-        try:
-            def warmed() -> int:
-                per_worker = service.pool.stats()["per_worker"].values()
-                return sum(worker["warms"] for worker in per_worker)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and warmed() < 2:
-                time.sleep(0.05)
-            assert warmed() == 2  # one key per tenant, each warmed once
-        finally:
-            service.close()
+    def test_pool_cannot_host_another_backend(self):
+        with pytest.raises(ServiceError, match="signing plan"):
+            SigningService(_keystore(), backend="scalar", workers=1)
 
     def test_worker_crash_is_transparent_to_clients(self):
         keystore = _keystore(("acme",))
@@ -141,8 +84,7 @@ class TestPooledService:
                                  workers=2)
 
         async def run():
-            victim = service.dispatcher.route("acme", "default")
-            service.pool.inject_crash(victim, when="next-job")
+            service.pool.inject_crash(0, when="next-job")
             outcome = await service.sign(b"survives", "acme")
             await service.drain()
             return outcome
@@ -160,24 +102,16 @@ class TestPooledService:
             SigningService(_keystore(), workers=-1)
 
 
-class TestDispatchOverlap:
-    """Regression: dispatch must not serialize independent batches.
+class TestDispatchOrder:
+    """One batch signs at a time — the layer caches are not thread-safe,
+    and a batch already uses every core — whatever the backend."""
 
-    The service used to hold one sign lock across every dispatch, so two
-    ready queues for different tenants signed strictly one-after-another
-    even on a backend built for concurrency.  With a concurrent-dispatch
-    backend, both batches must be *inside* ``sign_batch`` at the same
-    time — proven here with a barrier that only opens when the two
-    dispatches overlap (the old serialized behaviour deadlocks the
-    barrier and fails the test by timeout exception).
-    """
+    def test_two_tenants_batches_never_overlap(self):
+        inside = threading.Semaphore(1)
+        overlaps = []
 
-    def test_two_tenant_batches_sign_concurrently(self):
-        barrier = threading.Barrier(2, timeout=15.0)
-
-        class Rendezvous(SigningBackend):
-            name = "test-rendezvous"
-            concurrent_dispatch = True
+        class Exclusive(SigningBackend):
+            name = "test-exclusive"
 
             def capabilities(self):
                 return BackendCapabilities(
@@ -185,57 +119,27 @@ class TestDispatchOverlap:
                     deterministic=True, preferred_batch=1)
 
             def sign_batch(self, messages, keys):
-                barrier.wait()  # both tenants' batches must be here at once
+                overlaps.append(not inside.acquire(blocking=False))
+                time.sleep(0.02)
+                inside.release()
                 return self._timed_result(
                     [b"sig" for _ in messages], time.perf_counter())
 
-        register_backend("test-rendezvous", Rendezvous)
-        keystore = _keystore()
-        service = SigningService(keystore, backend="test-rendezvous",
+        register_backend("test-exclusive", Exclusive)
+        service = SigningService(_keystore(), backend="test-exclusive",
                                  target_batch_size=1, max_wait_s=0.05,
                                  deterministic=True)
 
         async def run():
-            return await asyncio.gather(
-                service.sign(b"a", "acme"), service.sign(b"b", "beta"))
+            return await asyncio.gather(*[
+                service.sign(f"m{i}".encode(), tenant)
+                for i in range(3) for tenant in ("acme", "beta")])
 
         try:
             outcomes = asyncio.run(run())
-            assert [o.signature for o in outcomes] == [b"sig", b"sig"]
+            assert [o.signature for o in outcomes] == [b"sig"] * 6
+            # target_batch_size=1: each request shipped alone, at once.
+            assert len(overlaps) == 6 and not any(overlaps)
         finally:
             service.close()
-            _REGISTRY.pop("test-rendezvous", None)
-
-    def test_pooled_batches_overlap_across_tenants(self):
-        """The same property through the real pool: with 2 workers and 2
-        tenants homed on different slots, both batches are in flight at
-        once (observed from the pool's own accounting)."""
-        keystore = _keystore()
-        service = SigningService(keystore, target_batch_size=8,
-                                 max_wait_s=0.02, deterministic=True,
-                                 workers=2)
-        peak = {"in_flight": 0}
-
-        async def run():
-            async def watch():
-                for _ in range(400):
-                    stats = service.pool.stats()
-                    in_flight = sum(w["in_flight"]
-                                    for w in stats["per_worker"].values())
-                    peak["in_flight"] = max(peak["in_flight"], in_flight)
-                    await asyncio.sleep(0.005)
-
-            watcher = asyncio.create_task(watch())
-            await asyncio.gather(*[
-                service.sign(f"m{i}".encode(), tenant)
-                for i in range(3) for tenant in ("acme", "beta")])
-            watcher.cancel()
-            await service.drain()
-
-        try:
-            asyncio.run(run())
-        finally:
-            service.close()
-        assert peak["in_flight"] >= 2, (
-            "two tenants' batches never overlapped in the pool"
-        )
+            _REGISTRY.pop("test-exclusive", None)

@@ -1,0 +1,82 @@
+"""A served worker pool leaves no process behind, however the server ends.
+
+``serve-async --workers 2`` is spawned in its own session, so every
+process it starts — the pool's workers are forked before the port is
+announced — can be found again by session id.  SIGTERM must shut the
+server down like Ctrl-C (pool closed, exit 0); SIGKILL gives the server
+no chance to, and the workers must notice on their own that their parent
+is gone.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from repro import __main__ as cli
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+pytestmark = pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs /proc to list a session")
+
+
+def _session_members(session: int) -> list[int]:
+    """Live (not zombie) processes whose session id is *session*."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # ended since it was listed
+        if int(fields[3]) == session and fields[0] not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+def _serve(*flags: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve-async", "--port", "0",
+         "--deterministic", *flags],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, start_new_session=True)
+    assert "listening on" in server.stdout.readline()
+    return server
+
+
+@pytest.mark.parametrize("how, exit_code", [(signal.SIGTERM, 0),
+                                            (signal.SIGKILL, -signal.SIGKILL)])
+def test_no_session_member_survives_the_server(how, exit_code):
+    server = _serve("--workers", "2")
+    try:
+        # The workers exist by the time the port is announced.
+        assert len(_session_members(server.pid)) == 3
+        server.send_signal(how)
+        assert server.wait(timeout=10) == exit_code
+        time.sleep(1.0)
+        assert _session_members(server.pid) == []
+    finally:
+        server.stdout.close()
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.wait()
+
+
+def test_pool_size_follows_the_cpus_the_server_may_use(monkeypatch):
+    """No ``--workers``: one worker per allowed CPU from two up, and on a
+    single CPU no pool at all — processes there would only add IPC."""
+    for cpus, workers in (({0}, 0), ({0, 1}, 2), ({2, 3, 5, 7}, 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
+                            raising=False)
+        assert cli._auto_workers() == workers

@@ -33,10 +33,13 @@ class TestInProcess:
     def test_concurrent_requests_share_a_batch_and_verify(self):
         async def scenario():
             service = make_service(target_batch_size=3, max_wait_s=10.0)
-            messages = [b"tx-0", b"tx-1", b"tx-2"]
+            messages = [b"tx-0", b"tx-1", b"tx-2", b"tx-3"]
             outcomes = await asyncio.wait_for(asyncio.gather(
                 *(service.sign(m, "demo") for m in messages)), timeout=60)
-            assert [o.batch_size for o in outcomes] == [3, 3, 3]
+            # The first finds the signer idle and goes alone, at once;
+            # the rest arrive while it signs and ride together.
+            assert [o.batch_size for o in outcomes] == [1, 3, 3, 3]
+            assert outcomes[0].wait_ms < 5.0
             assert all(o.params == "SPHINCS+-128f" for o in outcomes)
             assert all(o.total_ms >= o.wait_ms >= 0 for o in outcomes)
             keys, params = service.keystore.resolve("demo")
@@ -47,12 +50,15 @@ class TestInProcess:
         asyncio.run(scenario())
 
     def test_lone_request_signed_within_deadline(self):
-        """Acceptance: a lone sub-batch-size request is not stranded."""
+        """Acceptance: a lone sub-batch-size request is not stranded —
+        nor even delayed: with the signer idle it never waits out
+        ``max_wait_s``."""
         async def scenario():
-            service = make_service(target_batch_size=64, max_wait_s=0.05)
+            service = make_service(target_batch_size=64, max_wait_s=10.0)
             outcome = await asyncio.wait_for(
                 service.sign(b"straggler", "demo"), timeout=30)
             assert outcome.batch_size == 1
+            assert outcome.wait_ms < 5.0
             keys, params = service.keystore.resolve("demo")
             assert Sphincs(params).verify(b"straggler", outcome.signature,
                                           keys.public)
@@ -71,18 +77,20 @@ class TestInProcess:
     def test_admission_control_sheds_beyond_watermark(self):
         async def scenario():
             service = make_service(target_batch_size=64, max_wait_s=10.0,
-                                   max_pending=2)
-            accepted = [asyncio.ensure_future(service.sign(b"a", "demo")),
-                        asyncio.ensure_future(service.sign(b"b", "demo"))]
-            await asyncio.sleep(0)  # let both enqueue
-            assert service.batcher.pending == 2
+                                   max_pending=3)
+            accepted = [asyncio.ensure_future(service.sign(m, "demo"))
+                        for m in (b"a", b"b", b"c")]
+            await asyncio.sleep(0)  # let all three enqueue
+            # One in flight (it found the signer idle), two behind it.
+            assert (service.batcher.pending,
+                    service.batcher.in_flight) == (2, 1)
             with pytest.raises(OverloadedError, match="shed"):
-                await service.sign(b"c", "demo")
+                await service.sign(b"d", "demo")
             stats = service.stats()
             assert stats["tenants"]["demo"]["shed"] == 1
             await service.drain()  # accepted requests still complete
             outcomes = await asyncio.gather(*accepted)
-            assert {o.batch_size for o in outcomes} == {2}
+            assert [o.batch_size for o in outcomes] == [1, 2, 2]
 
         asyncio.run(scenario())
 
@@ -122,11 +130,13 @@ class TestInProcess:
 
             backend.sign_batch = truncated
             futures = [asyncio.ensure_future(service.sign(m, "demo"))
-                       for m in (b"a", b"b")]
-            for future in futures:
-                with pytest.raises(ServiceError, match="returned 1"):
+                       for m in (b"a", b"b", b"c")]
+            # A batch of one, then the batch of two that queued behind it.
+            for future, returned in zip(futures, (0, 1, 1)):
+                with pytest.raises(ServiceError,
+                                   match=f"returned {returned}"):
                     await asyncio.wait_for(future, timeout=60)
-            assert service.stats()["tenants"]["demo"]["failed"] == 2
+            assert service.stats()["tenants"]["demo"]["failed"] == 3
 
         asyncio.run(scenario())
 
@@ -134,10 +144,11 @@ class TestInProcess:
         async def scenario():
             service = make_service(target_batch_size=2, max_wait_s=10.0)
             await asyncio.gather(service.sign(b"a", "demo"),
-                                 service.sign(b"b", "demo"))
+                                 service.sign(b"b", "demo"),
+                                 service.sign(b"c", "demo"))
             stats = service.stats()
-            assert stats["tenants"]["demo"]["signed"] == 2
-            assert stats["batches"]["histogram"] == {"2": 1}
+            assert stats["tenants"]["demo"]["signed"] == 3
+            assert stats["batches"]["histogram"] == {"1": 1, "2": 1}
             assert stats["latency_ms"]["total"]["p99"] > 0
             assert stats["queue"]["depth"] == 0
             assert stats["config"]["tenants"] == {"demo": "SPHINCS+-128f"}
@@ -156,18 +167,20 @@ class TestTcp:
             client = await ServiceClient.open(port=server.port)
             try:
                 assert await client.ping()
-                responses = await asyncio.wait_for(asyncio.gather(
-                    client.sign(b"wire-0", "demo"),
-                    client.sign(b"wire-1", "demo")), timeout=60)
+                responses = await asyncio.wait_for(asyncio.gather(*(
+                    client.sign(f"wire-{i}".encode(), "demo")
+                    for i in range(3))), timeout=60)
                 keys, params = service.keystore.resolve("demo")
                 scheme = Sphincs(params)
                 for i, response in enumerate(responses):
-                    assert response["batch_size"] == 2
                     assert scheme.verify(f"wire-{i}".encode(),
                                          response["signature"], keys.public)
+                # Pipelined on one connection: the first ships alone,
+                # the two behind it as a batch.
+                assert sorted(r["batch_size"] for r in responses) == [1, 2, 2]
                 stats = await client.stats()
-                assert stats["tenants"]["demo"]["signed"] == 2
-                assert stats["batches"]["histogram"] == {"2": 1}
+                assert stats["tenants"]["demo"]["signed"] == 3
+                assert stats["batches"]["histogram"] == {"1": 1, "2": 1}
             finally:
                 await client.close()
                 await server.stop()
@@ -186,11 +199,12 @@ class TestTcp:
                     await client.sign(b"x", "ghost")
                 accepted = asyncio.ensure_future(
                     client.sign(b"a", "demo"))
-                # Wait until the server has actually queued the first sign.
-                for _ in range(100):
-                    if service.batcher.pending:
+                # Wait until the server has actually taken the first sign
+                # (it ships at once, so it is in flight, not queued).
+                for _ in range(1000):
+                    if service.batcher.in_flight:
                         break
-                    await asyncio.sleep(0.01)
+                    await asyncio.sleep(0.001)
                 with pytest.raises(OverloadedError):
                     await client.sign(b"b", "demo")
                 with pytest.raises(ProtocolError, match="unknown verb"):

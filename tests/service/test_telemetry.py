@@ -192,15 +192,15 @@ class TestRegistryDualWrite:
         telemetry = Telemetry()
         telemetry.set_pool_provider(lambda: {
             "workers": 2, "alive": 2, "requeues": 0, "respawns": 1,
-            "per_worker": {"0": {"utilization": 0.5, "signed": 9}}})
+            "per_worker": {"0": {"utilization": 0.5, "tasks": 9}}})
         telemetry.set_cache_provider(lambda: {
             "scopes": {"worker-0": {"hits": 11, "bytes": 2048}}})
         families = telemetry.registry.collect()
         [respawns] = families["repro_pool_respawns"]["series"]
         assert respawns["value"] == 1.0
-        [signed] = families["repro_worker_signed"]["series"]
-        assert signed["labels"] == {"worker": "0"}
-        assert signed["value"] == 9.0
+        [tasks] = families["repro_worker_tasks"]["series"]
+        assert tasks["labels"] == {"worker": "0"}
+        assert tasks["value"] == 9.0
         [hits] = families["repro_cache_hits"]["series"]
         assert hits["labels"] == {"scope": "worker-0"}
         assert hits["value"] == 11.0

@@ -51,6 +51,25 @@ class TestParseFault:
         with pytest.raises(ConformanceError, match="no-root-compare"):
             parse_fault("verify:skip-everything")
 
+    def test_plan_fault_spec_and_install(self):
+        from repro.runtime import plan
+        from repro.testing import PlanFault
+
+        fault = parse_fault("plan:chain-table-off-by-one")
+        assert isinstance(fault, PlanFault)
+        assert (fault.target, fault.fired, fault.calls_seen) == (
+            "plan", False, 0)
+        genuine = plan.chain_values
+        table = bytes(range(2 * 4 * 2))  # 2 chains, w = 4, n = 2
+        with fault.install():
+            # Every chain is read one position past its digit.
+            assert plan.chain_values(table, [0, 2], 2, 4) == \
+                genuine(table, [1, 3], 2, 4)
+        assert plan.chain_values is genuine
+        assert fault.fired and fault.calls_seen == 1
+        with pytest.raises(ConformanceError, match="off-by-one"):
+            parse_fault("plan:something-else")
+
     def test_cache_fault_specs(self):
         fault = parse_fault("cache:flip")
         assert isinstance(fault, CachedNodeFault)

@@ -163,6 +163,32 @@ class TestVerifyStage:
         assert report.first_divergence().stage == "verify"
 
 
+    def test_chain_table_off_by_one_rings(self, differential_oracle):
+        """The alarm for the signing plan's stitch: a WOTS signature read
+        one table position too far passes the plan's own root check, and
+        must be reported — as a wots divergence that fails verification —
+        by both plan executors and by nothing else."""
+        from repro.runtime import plan
+
+        genuine = plan.chain_values
+        fault = parse_fault("plan:chain-table-off-by-one")
+        oracle = differential_oracle(
+            "128f", backends=["scalar", "vectorized", "pooled"],
+            corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
+        report = oracle.run()
+        assert plan.chain_values is genuine  # uninstalled again
+        assert not report.passed
+        assert report.fault_fired and fault.calls_seen >= 3 * 22
+        by_path = {result.path: result for result in report.results}
+        assert by_path["backend:scalar"].ok  # never touches a table
+        for path in ("backend:vectorized", "backend:pooled", "client:local"):
+            [divergence] = [d for d in by_path[path].divergences
+                            if d.stage != "verify"]
+            assert divergence.stage == "wots (layer 0)"
+            assert divergence.verify_failed  # caught by verify, not served
+        assert report.first_divergence().stage == "wots (layer 0)"
+
+
 class TestExtensibility:
     def test_registered_backend_joins_and_gets_caught(self):
         class CorruptedBackend(ScalarBackend):
