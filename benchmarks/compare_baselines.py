@@ -99,10 +99,9 @@ WATCHED: dict[str, list[Metric]] = {
         Metric(("speedup",), higher_is_better=True),
         Metric(("scalar", "sigs_per_s"), higher_is_better=True),
         Metric(("vectorized", "sigs_per_s"), higher_is_better=True),
-        Metric(("warm", "sigs_per_s"), higher_is_better=True,
-               optional=True),
-        Metric(("warm", "speedup_vs_cold"), higher_is_better=True,
-               optional=True),
+        # The replay row is a memo lookup timed in microseconds: the
+        # benchmark asserts it is >= 2x cold; a relative gate on it
+        # would only measure timer noise.
     ],
     "service_latency.json": [
         Metric(("achieved_sigs_per_s",), higher_is_better=True),

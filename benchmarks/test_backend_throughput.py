@@ -9,10 +9,10 @@ Two acceptance bars:
 * the vectorized backend must be >= 1.5x scalar sig/s cold (measured
   ~3x: address templates + shared midstates + the layer cache's
   first-pass subtree reuse), and
-* the *warm* pass — the same batch signed again on the same backend,
-  so every hypertree subtree and upper-layer WOTS link signature comes
-  out of the per-key layer cache — must be >= 2x the cold vectorized
-  pass (the cache-effectiveness gate; measured higher).
+* the *replay* pass — the same batch signed again on the same backend,
+  so every signature comes out of the per-key replay memo — must be
+  >= 2x the cold vectorized pass (the memo-works gate; measured three
+  orders of magnitude higher, and no statement about fresh traffic).
 """
 
 import json
@@ -34,25 +34,24 @@ def test_scalar_vs_vectorized_64_batch(emit):
 
     result_scalar = scalar.sign_batch(messages, keys)
     result_vector = vectorized.sign_batch(messages, keys)
-    # Same instance, same batch: deterministic mode repeats idx_tree per
-    # message, so the second pass serves subtrees *and* link signatures
-    # from the warm layer cache — the steady-state number a service with
-    # repeat traffic actually sees.
-    result_warm = vectorized.sign_batch(messages, keys)
+    # Same instance, same batch: in deterministic mode the second pass
+    # is answered from the replay memo — what an idempotent retry costs,
+    # not what a new message does.
+    result_replay = vectorized.sign_batch(messages, keys)
 
     # Same bytes, different speed — the whole point of the backend split.
     assert result_scalar.signatures == result_vector.signatures
-    assert result_scalar.signatures == result_warm.signatures
+    assert result_scalar.signatures == result_replay.signatures
 
     ratio = result_vector.sigs_per_s / result_scalar.sigs_per_s
     assert ratio >= 1.5, (
         f"vectorized backend must be >= 1.5x scalar on a {BATCH}-message "
         f"batch, measured {ratio:.2f}x"
     )
-    warm_ratio = result_warm.sigs_per_s / result_vector.sigs_per_s
-    assert warm_ratio >= 2.0, (
-        f"warm layer-cache pass must be >= 2x the cold vectorized pass "
-        f"on a {BATCH}-message batch, measured {warm_ratio:.2f}x"
+    replay_ratio = result_replay.sigs_per_s / result_vector.sigs_per_s
+    assert replay_ratio >= 2.0, (
+        f"replayed pass must be >= 2x the cold vectorized pass "
+        f"on a {BATCH}-message batch, measured {replay_ratio:.2f}x"
     )
 
     record = {
@@ -72,11 +71,11 @@ def test_scalar_vs_vectorized_64_batch(emit):
                               in result_vector.stage_seconds.items()},
             "subtree_cache": result_vector.cache_stats,
         },
-        "warm": {
-            "elapsed_s": round(result_warm.elapsed_s, 4),
-            "sigs_per_s": round(result_warm.sigs_per_s, 4),
-            "speedup_vs_cold": round(warm_ratio, 4),
-            "cache": result_warm.cache_stats,
+        "replay": {
+            "elapsed_s": round(result_replay.elapsed_s, 4),
+            "sigs_per_s": round(result_replay.sigs_per_s, 4),
+            "speedup_vs_cold": round(replay_ratio, 4),
+            "cache": result_replay.cache_stats,
         },
         "speedup": round(ratio, 4),
     }
@@ -92,9 +91,9 @@ def test_scalar_vs_vectorized_64_batch(emit):
              round(result_scalar.sigs_per_s, 2), "1.00x"],
             ["vectorized (cold)", BATCH, round(result_vector.elapsed_s, 2),
              round(result_vector.sigs_per_s, 2), f"{ratio:.2f}x"],
-            ["vectorized (warm)", BATCH, round(result_warm.elapsed_s, 2),
-             round(result_warm.sigs_per_s, 2),
-             f"{warm_ratio * ratio:.2f}x"],
+            ["vectorized (replay)", BATCH, round(result_replay.elapsed_s, 4),
+             round(result_replay.sigs_per_s),
+             f"{replay_ratio * ratio:,.0f}x"],
         ],
         title=f"Backend throughput, {BATCH}-message batch, SPHINCS+-128f",
     ))

@@ -12,7 +12,9 @@ JSON perf baselines and gated by ``compare_baselines.py``:
 
 ``live``
     A real server on localhost, one v2 client and one v3 client
-    signing the same warm working set through the facade (pipelined
+    *replaying* the same working set through the facade — every
+    signature after the warm-up pass is a memo lookup, so what is
+    measured is the wire, not signing (pipelined
     single ``sign`` calls, so both modes form the same server-side
     batches).  Wire bytes come from the client's own
     ``bytes_sent``/``bytes_received`` counters.  CPU-seconds per
@@ -24,8 +26,8 @@ JSON perf baselines and gated by ``compare_baselines.py``:
     server share the process, so this is the whole stack).
 
 The in-test acceptance gate: v3 must move >=25% fewer bytes per
-signature and spend less CPU per signature than v2 on the warm
-vectorized path.
+signature and spend less CPU per signature than v2 on replayed
+traffic.
 
 Set ``REPRO_SMOKE=1`` for the tiny CI configuration.
 """
@@ -99,7 +101,7 @@ def _codec_phase() -> dict:
 
 
 def _live_phase() -> dict:
-    """Same warm working set through a live server, v2 then v3."""
+    """Same replayed working set through a live server, v2 then v3."""
     service = SigningService(
         Keystore(), backend="vectorized",
         target_batch_size=BATCH, max_wait_s=0.02,
@@ -136,7 +138,7 @@ def _live_phase() -> dict:
                 assert v2._wire.binary is False
                 assert v3._wire.binary is True
                 # Warm-up both modes before anything is measured: fill
-                # the layer cache and fault in both code paths.
+                # the replay memo and fault in both code paths.
                 await one_pass(v2)
                 await one_pass(v3)
                 samples2, samples3 = [], []
@@ -186,7 +188,7 @@ def test_wire_efficiency(emit):
 
     # The acceptance gate for the v3 framing work: fewer bytes moved
     # per signature (>=25%) and less CPU spent per signature, both on
-    # the warm vectorized path.
+    # replayed traffic.
     assert live["bytes_reduction"] >= 0.25, (
         f"v3 moved only {live['bytes_reduction']:.1%} fewer bytes/sig "
         f"than v2 (need >= 25%)")
@@ -224,5 +226,5 @@ def test_wire_efficiency(emit):
           f"paired)"]],
         title=f"Wire efficiency, v2 JSON lines vs v3 binary frames "
               f"({MESSAGES} msgs x {MESSAGE_BYTES} B, batch {BATCH}, "
-              f"warm vectorized)",
+              f"replay)",
     ))

@@ -223,13 +223,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend_options["pooled"] = {
             "pool": pool, "cache_budget_mb": args.cache_budget_mb}
         backends = ["pooled"]
-    elif args.cache_budget_mb is not None:
-        # In-process tier: thread the budget into every cache-aware
-        # backend the run names (modeled backends ignore the knob).
-        for backend in backends:
-            if backend in ("scalar", "vectorized"):
-                backend_options.setdefault(backend, {})[
-                    "cache_budget_mb"] = args.cache_budget_mb
+    elif args.cache_budget_mb is not None and "vectorized" in backends:
+        # In-process tier: the one cache-aware backend takes the budget
+        # (the reference and the modeled backend hold no cache).
+        backend_options["vectorized"] = {
+            "cache_budget_mb": args.cache_budget_mb}
     scheduler = BatchScheduler(
         target_batch_size=args.batch_size or args.messages,
         deterministic=args.deterministic,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..errors import BackendError
 from ..params import SphincsParams, get_params
@@ -148,36 +148,6 @@ class SigningBackend(abc.ABC):
         return self._verifier.verify_batch(messages, signatures, public_key)
 
     # ------------------------------------------------------------------
-    def _staged_sign(self, messages: Sequence[bytes], keys: KeyPair,
-                     started: float,
-                     fors_fn: Callable[..., tuple],
-                     ht_fn: Callable[..., list]) -> BatchSignResult:
-        """Shared per-message stage driver with timing accounting.
-
-        ``fors_fn(task) -> (fors_sig, fors_pk)`` and
-        ``ht_fn(task, fors_pk) -> ht_sig`` supply the backend-specific
-        middle stages; prepare/assemble always run through the scheme.
-        """
-        scheme = self._scheme
-        stage = {"prepare": 0.0, "fors": 0.0, "hypertree": 0.0,
-                 "serialize": 0.0}
-        signatures: list[bytes] = []
-        for message in messages:
-            t0 = time.perf_counter()
-            task = scheme.prepare(message, keys)
-            t1 = time.perf_counter()
-            fors_sig, fors_pk = fors_fn(task)
-            t2 = time.perf_counter()
-            ht_sig = ht_fn(task, fors_pk)
-            t3 = time.perf_counter()
-            signatures.append(scheme.assemble(task, fors_sig, ht_sig))
-            t4 = time.perf_counter()
-            stage["prepare"] += t1 - t0
-            stage["fors"] += t2 - t1
-            stage["hypertree"] += t3 - t2
-            stage["serialize"] += t4 - t3
-        return self._timed_result(signatures, started, stage_seconds=stage)
-
     def _timed_result(self, signatures: list[bytes], started: float,
                       **extra: Any) -> BatchSignResult:
         return BatchSignResult(

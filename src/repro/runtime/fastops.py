@@ -9,11 +9,11 @@ This module removes that overhead without changing a single hash input:
   (``hashes.address``) — inner loops append one cached 4-byte word;
 * every hash is ``midstate.copy() -> update -> digest`` against the
   *shared* ``HashContext`` midstate cache;
-* Merkle subtrees and upper-layer WOTS link signatures are held in a
-  per-key :class:`~repro.runtime.layercache.HypertreeLayerCache` — a
-  batch signed under one key revisits the upper hypertree layers for
-  every message, and at layers >= 1 the signed node (the child subtree
-  root) is message-independent, so the whole link signature is reusable;
+* the top layers' Merkle subtrees and WOTS link signatures are held in a
+  per-key :class:`~repro.runtime.layercache.HypertreeLayerCache` — every
+  message signed under one key revisits the upper hypertree layers, and
+  at layers >= 1 the signed node (the child subtree root) is
+  message-independent, so the whole link signature is reusable;
 * a subtree build keeps every chain value of its *signing* leaves (the
   leaf's chain table), so WOTS-signing with that leaf is a lookup instead
   of a second walk (:mod:`repro.runtime.plan` consumes the tables);
@@ -215,10 +215,13 @@ class FastOps:
     # Hypertree
     # ------------------------------------------------------------------
     def subtree_nodes(self, layer: int, tree: int) -> bytes:
-        """Cached XMSS subtree at (layer, tree), flat (:func:`node_slice`)."""
-        return self.cache.get_or_build(
-            (layer, tree), lambda: self.build_subtree(layer, tree)[0]
-        )
+        """XMSS subtree at (layer, tree), flat (:func:`node_slice`): out
+        of the cache, or built (and offered to it)."""
+        nodes = self.cache.lookup_tree(layer, tree)
+        if nodes is None:
+            nodes = self.build_subtree(layer, tree)[0]
+            self.cache.store_tree(layer, tree, nodes)
+        return nodes
 
     def build_subtree(self, layer: int, tree: int,
                       sign_leaves: Sequence[int] = ()

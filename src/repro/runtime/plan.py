@@ -10,8 +10,10 @@ leaf, so it hands the visited values back as that leaf's *chain table*
 and the signature becomes a lookup.
 
 :class:`SigningPlan` enumerates those tasks for a batch of prepared
-messages against the per-key layer cache (a cached subtree needs no
-task; a subtree two messages share is one task carrying both leaves) and
+messages against the per-key layer cache (a cached subtree — the pinned
+top layers — needs no task; a subtree two messages share is one task
+carrying both leaves; a message the cache's replay memo answered never
+reaches a plan) and
 :meth:`SigningPlan.stitch` chains the results.  Who runs the tasks is
 the backend's business: :class:`~.vectorized.VectorizedBackend` calls
 :func:`run_task` in a loop, :class:`~.pool.PooledBackend` hands the same
@@ -106,9 +108,10 @@ class SigningPlan:
 
     def stitch(self, results: Sequence, pk_root: bytes) -> list[tuple]:
         """``(fors_sig, ht_sig)`` per message from the tasks' *results*
-        (same order as :attr:`tasks`).  New subtrees and pinned or walked
-        link signatures go into the cache; chain tables are read and
-        dropped.  Raises if a walk does not end at *pk_root*.
+        (same order as :attr:`tasks`).  The cache is offered every new
+        subtree and link signature and keeps the pinned layers'; chain
+        tables are read and dropped.  Raises if a walk does not end at
+        *pk_root*.
         """
         ops, params, cache = self.ops, self.ops.params, self.ops.cache
         n, height = params.n, params.tree_height
@@ -122,20 +125,15 @@ class SigningPlan:
                 if nodes is None:
                     nodes, tables = results[self._built_by[layer, tree]]
                     table = tables[leaf]
-                chains = cache.lookup_link(layer, tree, leaf) \
-                    if layer else None
-                if chains is None and table is not None:
-                    chains = chain_values(table, wots_digits(node, params),
-                                          n, params.w)
-                    # Read from a table, a link cost nothing; below the
-                    # pinned layers it is not kept, or every fresh message
-                    # would grow the cache by a link per layer for nothing.
-                    if layer >= cache.pinned_floor:
-                        cache.store_link(layer, tree, leaf, chains)
-                elif chains is None:
-                    # A cached subtree has no table: walk the chains, and
-                    # keep what the walk cost — this subtree is in use.
-                    chains = b"".join(ops.wots_sign(node, layer, tree, leaf))
+                chains = cache.lookup_link(layer, tree, leaf)
+                if chains is None:
+                    if table is not None:
+                        chains = chain_values(
+                            table, wots_digits(node, params), n, params.w)
+                    else:  # a cached subtree has no table: walk the chains
+                        chains = b"".join(
+                            ops.wots_sign(node, layer, tree, leaf))
+                    # Kept where the layer is pinned, dropped below.
                     cache.store_link(layer, tree, leaf, chains)
                 # One buffer of wots_len chain values: serializes the same.
                 ht_sig.append(([chains],

@@ -625,8 +625,8 @@ class PooledBackend(VectorizedBackend):
     Registered as ``"pooled"``: ``get_backend("pooled", "128f",
     workers=4)`` gives the scheduler, oracle, and CLI a multi-core target
     with no new wiring.  Planning, the per-key layer cache, the stitch
-    and serialization stay in this process, and so does a plan of one
-    task: a replayed message (every subtree cached) never touches IPC.
+    and serialization stay in this process, and a replayed message (a
+    memo hit) has no plan: it never touches IPC.
 
     Parameters
     ----------
@@ -661,10 +661,6 @@ class PooledBackend(VectorizedBackend):
         )
 
     def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
-        if len(tasks) < 2:
-            # Nothing to run side by side — a replayed message's lone
-            # FORS task — is not worth a trip through the pipes.
-            return super()._run_tasks(tasks, keys)
         return self.pool.run(self.params.name, keys, tasks)
 
     def close(self) -> None:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
-from .layercache import HypertreeLayerCache
 
 __all__ = ["ScalarBackend"]
 
@@ -22,22 +20,11 @@ __all__ = ["ScalarBackend"]
 class ScalarBackend(SigningBackend):
     """One-message-at-a-time signing through the reference stages.
 
-    The layer cache is **off by default** here: an uncached walk is what
-    makes this backend the correctness anchor (and the fault-injection
-    tap point).  Passing ``cache_budget_mb`` opts one in — used by the
-    differential oracle to prove the cached reference path is
-    byte-identical to the cold one.
+    No cache, no memo, no fast path: an uncached walk is what makes this
+    backend the correctness anchor (and the fault-injection tap point).
     """
 
     name = "scalar"
-
-    def __init__(self, params: SphincsParams | str,
-                 deterministic: bool = False,
-                 cache_budget_mb: float | None = None):
-        super().__init__(params, deterministic=deterministic)
-        self._budget_bytes = (int(cache_budget_mb * 1024 * 1024)
-                              if cache_budget_mb else None)
-        self._caches: dict[tuple[bytes, bytes], HypertreeLayerCache] = {}
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -46,52 +33,30 @@ class ScalarBackend(SigningBackend):
             vectorized=False,
             deterministic=self.deterministic,
             preferred_batch=1,
-            notes="reference functional layer; correctness baseline"
-            + (", layer cache on" if self._budget_bytes else ""),
+            notes="reference functional layer; correctness baseline",
         )
-
-    def _cache_for(self, keys: KeyPair) -> HypertreeLayerCache | None:
-        if self._budget_bytes is None:
-            return None
-        key = (keys.sk_seed, keys.pk_seed)
-        cache = self._caches.get(key)
-        if cache is None:
-            if len(self._caches) >= 8:
-                self._caches.pop(next(iter(self._caches)))
-            cache = HypertreeLayerCache(self.params, self._budget_bytes)
-            self._caches[key] = cache
-        return cache
-
-    def invalidate_key(self, keys: KeyPair) -> None:
-        self._caches.pop((keys.sk_seed, keys.pk_seed), None)
-
-    def invalidate_all(self) -> None:
-        self._caches.clear()
-
-    def cache_stats(self) -> dict[str, int]:
-        totals: dict[str, int] = {"keys": len(self._caches)}
-        for cache in self._caches.values():
-            for field, value in cache.stats.items():
-                if field in ("pinned_layers", "budget_bytes"):
-                    totals[field] = max(totals.get(field, 0), value)
-                else:
-                    totals[field] = totals.get(field, 0) + value
-        return totals
 
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
         scheme = self._scheme
-        cache = self._cache_for(keys)
-        result = self._staged_sign(
-            messages, keys, started,
-            lambda task: scheme.fors_stage(task, keys),
-            lambda task, fors_pk: scheme.hypertree_stage(
-                task, keys, fors_pk, cache=cache),
-        )
-        if cache is not None:
-            result.cache_stats = dict(cache.stats)
-        return result
+        stage = dict.fromkeys(
+            ("prepare", "fors", "hypertree", "serialize"), 0.0)
+        signatures: list[bytes] = []
+        for message in messages:
+            t0 = time.perf_counter()
+            task = scheme.prepare(message, keys)
+            t1 = time.perf_counter()
+            fors_sig, fors_pk = scheme.fors_stage(task, keys)
+            t2 = time.perf_counter()
+            ht_sig = scheme.hypertree_stage(task, keys, fors_pk)
+            t3 = time.perf_counter()
+            signatures.append(scheme.assemble(task, fors_sig, ht_sig))
+            t4 = time.perf_counter()
+            for name, spent in zip(stage, (t1 - t0, t2 - t1, t3 - t2,
+                                           t4 - t3)):
+                stage[name] += spent
+        return self._timed_result(signatures, started, stage_seconds=stage)
 
     def _verify_pairs(self, messages: Sequence[bytes],
                       signatures: Sequence[bytes],

@@ -2,11 +2,12 @@
 
 Same hashes, far less interpreter overhead.  One shared
 :class:`HashContext` midstate cache feeds every stage; addresses come from
-precomputed templates (:mod:`repro.runtime.fastops`); Merkle subtrees and
-upper-layer WOTS link signatures persist in a per-key
-:class:`~repro.runtime.layercache.HypertreeLayerCache` — the upper
-hypertree layers are shared by construction, so a warm key recomputes
-only the message-dependent bottom of each path.
+precomputed templates (:mod:`repro.runtime.fastops`); the top hypertree
+layers' subtrees and WOTS link signatures persist in a per-key
+:class:`~repro.runtime.layercache.HypertreeLayerCache` — they are shared
+by construction, so a warm key recomputes only the message-dependent
+bottom of each path — and in deterministic mode the same object
+remembers finished signatures, so a replayed message is a lookup.
 
 Signatures are byte-identical to the scalar backend in deterministic mode
 (pinned by ``tests/runtime``) because every SHA-256 input is unchanged —
@@ -41,8 +42,8 @@ class VectorizedBackend(SigningBackend):
     Parameters
     ----------
     cache_budget_mb:
-        Per-key layer-cache byte budget (pinned top layers + LRU working
-        set, sized by :mod:`repro.runtime.layercache`).  Default
+        Per-key layer-cache byte budget (pinned top layers + replay
+        memo, sized by :mod:`repro.runtime.layercache`).  Default
         ``DEFAULT_BUDGET_MB``.
     """
 
@@ -139,13 +140,27 @@ class VectorizedBackend(SigningBackend):
         started = time.perf_counter()
         ops, scheme = self._ops(keys), self._scheme
         sign_tasks = [scheme.prepare(message, keys) for message in messages]
-        prepared = time.perf_counter()
-        plan = SigningPlan(ops, sign_tasks)
-        run = self._run_tasks(plan.tasks, keys)
-        pieces = plan.stitch(run.results, keys.pk_root)
-        stitched = time.perf_counter()
-        signatures = [scheme.assemble(task, fors_sig, ht_sig)
-                      for task, (fors_sig, ht_sig) in zip(sign_tasks, pieces)]
+        # With R fixed by the key and the message, a signature is a pure
+        # function of the key and what prepare returned: a replay is a
+        # lookup.  Randomized, R never repeats and the memo stays empty.
+        memo_keys = [(task.randomizer, task.fors_msg, task.idx_tree,
+                      task.idx_leaf) for task in sign_tasks]
+        signatures = [ops.cache.recall(key) if self.deterministic else None
+                      for key in memo_keys]
+        missed = [index for index, signature in enumerate(signatures)
+                  if signature is None]
+        prepared = stitched = time.perf_counter()
+        run = TaskRun([], {"fors": 0.0})
+        if missed:
+            plan = SigningPlan(ops, [sign_tasks[index] for index in missed])
+            run = self._run_tasks(plan.tasks, keys)
+            pieces = plan.stitch(run.results, keys.pk_root)
+            stitched = time.perf_counter()
+            for index, (fors_sig, ht_sig) in zip(missed, pieces):
+                signature = signatures[index] = scheme.assemble(
+                    sign_tasks[index], fors_sig, ht_sig)
+                if self.deterministic:
+                    ops.cache.remember(memo_keys[index], signature)
         # "hypertree" is what this process spent between prepare and
         # serialize outside the stages the run accounted for.
         stage_seconds = {"prepare": prepared - started, **run.stages}

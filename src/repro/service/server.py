@@ -275,8 +275,9 @@ class SigningService:
     # Dispatch (called by the batcher)
     # ------------------------------------------------------------------
     #: Backends whose constructor takes the shared ``cache_budget_mb``
-    #: knob (the modeled backend has no layer cache to size).
-    _CACHE_AWARE = ("scalar", "vectorized", "pooled")
+    #: knob (the reference and the modeled backend have no layer cache
+    #: to size).
+    _CACHE_AWARE = ("vectorized", "pooled")
 
     def _backend_for(self, params_name: str) -> SigningBackend:
         instance = self._backends.get(params_name)

@@ -341,11 +341,11 @@ def render_snapshot(snapshot: dict, title: str = "Signing service telemetry") ->
         scopes = cache.get("scopes", {})
         budget = cache.get("budget_mb")
         sections.append(format_table(
-            ["cache scope", "tree hits", "tree misses", "link hits",
-             "link misses", "evictions", "KiB", "pinned layers"],
+            ["cache scope", "hits", "misses", "memo hits", "memo entries",
+             "KiB", "pinned layers"],
             [[scope, c.get("hits", 0), c.get("misses", 0),
-              c.get("link_hits", 0), c.get("link_misses", 0),
-              c.get("evictions", 0), round(c.get("bytes", 0) / 1024, 1),
+              c.get("memo_hits", 0), c.get("memo_entries", 0),
+              round(c.get("bytes", 0) / 1024, 1),
               c.get("pinned_layers", 0)]
              for scope, c in sorted(scopes.items())],
             title="Hypertree layer caches"

@@ -34,12 +34,7 @@ class Hypertree:
     # ------------------------------------------------------------------
     def subtree_levels(self, sk_seed: bytes, pk_seed: bytes, layer: int,
                        tree: int) -> TreeLevels:
-        """All Merkle levels of the subtree at (layer, tree).
-
-        Public as a reusable stage: runtime backends cache these per
-        (layer, tree) across a batch — repeated signatures under one key
-        always revisit the upper layers.
-        """
+        """All Merkle levels of the subtree at (layer, tree)."""
         def leaf(i: int) -> bytes:
             adrs = Address().set_layer(layer).set_tree(tree)
             adrs.set_type(AddressType.WOTS_HASH)
@@ -55,9 +50,6 @@ class Hypertree:
                                    levels[-1][0])
         return levels
 
-    # Backwards-compatible alias for the pre-runtime private name.
-    _subtree_levels = subtree_levels
-
     def root(self, sk_seed: bytes, pk_seed: bytes) -> bytes:
         """The public root (top-layer subtree root)."""
         levels = self.subtree_levels(sk_seed, pk_seed, self.params.d - 1, 0)
@@ -66,17 +58,14 @@ class Hypertree:
     # ------------------------------------------------------------------
     def layer_stage(self, node: bytes, sk_seed: bytes, pk_seed: bytes,
                     layer: int, tree: int, leaf: int,
-                    levels: TreeLevels | None = None,
                     ) -> tuple[XmssSignature, bytes]:
         """One XMSS layer of the signing walk.
 
         WOTS-signs *node* with keypair *leaf* of subtree (layer, tree) and
         returns that layer's signature plus the subtree root (the next
-        layer's message).  *levels* lets callers supply a precomputed (e.g.
-        cached) subtree instead of rebuilding it.
+        layer's message).
         """
-        if levels is None:
-            levels = self.subtree_levels(sk_seed, pk_seed, layer, tree)
+        levels = self.subtree_levels(sk_seed, pk_seed, layer, tree)
         wots_adrs = Address().set_layer(layer).set_tree(tree)
         wots_adrs.set_type(AddressType.WOTS_HASH)
         wots_adrs.set_keypair(leaf)
@@ -84,42 +73,20 @@ class Hypertree:
         return (chain_values, auth_path(levels, leaf)), levels[-1][0]
 
     def sign(self, message: bytes, sk_seed: bytes, pk_seed: bytes,
-             idx_tree: int, idx_leaf: int,
-             cache=None) -> tuple[HypertreeSignature, bytes]:
+             idx_tree: int, idx_leaf: int) -> tuple[HypertreeSignature, bytes]:
         """Sign *message* (the FORS pk) along the hypertree path.
 
         Returns the d-layer signature and the recomputed top root (callers
         may compare it against the public key as a self-check).
-
-        *cache* is an optional per-key
-        :class:`~repro.runtime.layercache.HypertreeLayerCache`: cached
-        subtrees skip the rebuild, and at layers >= 1 — where the signed
-        node is the (message-independent) child subtree root — a cached
-        WOTS link signature skips the chain walk entirely.
         """
         params = self.params
         signature: HypertreeSignature = []
         node = message
         tree, leaf = idx_tree, idx_leaf
         for layer in range(params.d):
-            levels = cache.lookup_tree(layer, tree) if cache is not None \
-                else None
-            chain_values = (cache.lookup_link(layer, tree, leaf)
-                            if cache is not None and layer else None)
-            if levels is None:
-                levels = self.subtree_levels(sk_seed, pk_seed, layer, tree)
-                if cache is not None:
-                    cache.store_tree(layer, tree, levels)
-            if chain_values is not None:
-                xmss_sig: XmssSignature = (chain_values,
-                                           auth_path(levels, leaf))
-                node = levels[-1][0]
-            else:
-                xmss_sig, node = self.layer_stage(
-                    node, sk_seed, pk_seed, layer, tree, leaf, levels=levels
-                )
-                if cache is not None and layer:
-                    cache.store_link(layer, tree, leaf, xmss_sig[0])
+            xmss_sig, node = self.layer_stage(
+                node, sk_seed, pk_seed, layer, tree, leaf
+            )
             signature.append(xmss_sig)
             # Walk up: the low tree_height bits of `tree` select the next
             # leaf, the rest the next tree (paper Figure 2's index update).

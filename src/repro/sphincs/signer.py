@@ -139,15 +139,10 @@ class Sphincs:
         )
 
     def hypertree_stage(self, task: SignTask, keys: KeyPair,
-                        fors_pk: bytes, cache=None) -> HypertreeSignature:
-        """Stage 3: sign the FORS public key along the hypertree path.
-
-        *cache* is an optional per-key hypertree layer cache passed
-        through to :meth:`Hypertree.sign`.
-        """
+                        fors_pk: bytes) -> HypertreeSignature:
+        """Stage 3: sign the FORS public key along the hypertree path."""
         ht_sig, root = self.hypertree.sign(
-            fors_pk, keys.sk_seed, keys.pk_seed, task.idx_tree,
-            task.idx_leaf, cache=cache
+            fors_pk, keys.sk_seed, keys.pk_seed, task.idx_tree, task.idx_leaf
         )
         if root != keys.pk_root:
             raise SignatureFormatError(

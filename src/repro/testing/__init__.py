@@ -26,8 +26,8 @@ CLI entry point: ``python -m repro conformance`` (see the README's
 from .chaos import FlakyProxy
 from .corpus import (corrupt_keystore_payloads, malformed_frames,
                      message_corpus, signature_mutations, signature_regions)
-from .faults import (BitFlipFault, CachedNodeFault, PlanFault, VerifyFault,
-                     flip_bit, parse_fault)
+from .faults import (BitFlipFault, CachedNodeFault, MemoFault, PlanFault,
+                     VerifyFault, flip_bit, parse_fault)
 from .kat import (KAT_SETS, check_kat, default_vectors_dir, generate_kat,
                   kat_corpus, load_kat)
 from .oracle import (ConformanceReport, DifferentialOracle, Divergence,
@@ -42,6 +42,7 @@ __all__ = [
     "Divergence",
     "FlakyProxy",
     "KAT_SETS",
+    "MemoFault",
     "PathResult",
     "PlanFault",
     "TraceHop",

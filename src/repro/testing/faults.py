@@ -18,14 +18,22 @@ divergence to a stage and lets CI replay the exact same fault on every
 push.
 
 :class:`CachedNodeFault` extends the threat model to the hypertree layer
-cache: it corrupts one node *inside a cached subtree* between two signing
-passes.  A naive flip leaves the auth path inconsistent with the root, so
-verification fails — detectable.  The dangerous variant (``consistent``,
-the default) also recomputes the flipped node's ancestors, producing a
-subtree that is internally consistent but *wrong*: the signer happily
-emits a signature that still **verifies**, yet differs byte-for-byte from
-the reference — exactly the fault-attack class only a differential oracle
+cache: it corrupts one node *inside a pinned subtree* after a clean
+signing pass; the next fresh message whose path crosses that subtree
+(:meth:`CachedNodeFault.crossing_message`) carries the strike.  A naive
+flip leaves the auth path inconsistent with the root, so verification
+fails — detectable.  The dangerous variant (``consistent``, the default)
+also recomputes the flipped node's ancestors, producing a subtree that
+is internally consistent but *wrong*: the signer happily emits a
+signature that still **verifies**, yet differs byte-for-byte from the
+reference — exactly the fault-attack class only a differential oracle
 catches.
+
+:class:`MemoFault` strikes the same cache's replay memo: every signature
+enters it with one bit flipped.  A memo hit signs nothing, so the strike
+can never cost a second WOTS signature under one key — but every replay
+serves bytes that fail verification, and first sight is clean, so only a
+path that signs its traffic twice can ring.
 
 :class:`VerifyFault` strikes the other side of the contract: a fast
 verifier that walks the whole signature and then never compares the root
@@ -47,12 +55,15 @@ Fault specs are parsed from strings so the CLI can take them directly::
     cache:flip               # consistent flip in a cached subtree
     cache:flip:0:3           # ... level 0, bit 3
     cache:flip:0:0:benign    # naive flip (auth path breaks, verify fails)
+    memo:flip                # every memoised signature has bit 0 flipped
+    memo:flip:5              # ... bit 5
     verify:no-root-compare   # fast verifier drops its final root compare
     plan:chain-table-off-by-one  # stitch reads each chain one step too far
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -60,9 +71,10 @@ from ..errors import ConformanceError
 from ..hashes.thash import HashContext
 from ..runtime import plan
 from ..runtime.fastops import FastVerifier, node_slice
+from ..runtime.layercache import HypertreeLayerCache
 
-__all__ = ["BitFlipFault", "CachedNodeFault", "PlanFault", "VerifyFault",
-           "flip_bit", "parse_fault"]
+__all__ = ["BitFlipFault", "CachedNodeFault", "MemoFault", "PlanFault",
+           "VerifyFault", "flip_bit", "parse_fault"]
 
 _TARGETS = ("thash", "prf")
 
@@ -155,9 +167,10 @@ class CachedNodeFault:
     """Flip one bit of one node inside a cached hypertree subtree.
 
     Models a memory fault (rowhammer, cosmic ray, hostile DMA) hitting
-    the layer cache *after* it was built and validated.  Applied between
-    two signing passes over the same traffic, so the divergence is
-    provably the cached state and nothing else.
+    the layer cache *after* it was built and validated.  Applied after a
+    clean signing pass, then shown by a fresh message across the struck
+    subtree (a replayed one is a memo hit and reads no subtree), so the
+    divergence is provably the cached state and nothing else.
 
     Parameters
     ----------
@@ -206,20 +219,45 @@ class CachedNodeFault:
         base = f"cache:flip:{self.level}:{self.bit}"
         return base if self.consistent else base + ":benign"
 
-    def apply(self, ops, idx_tree: int) -> str:
-        """Corrupt the cached subtree that signing *idx_tree* traverses.
-
-        *ops* is the backend's per-key :class:`~.runtime.fastops.FastOps`
-        instance; its layer cache holds (or will hold) the target
-        subtree.  Returns a human-readable detail string for the report.
-        """
-        params = ops.params
-        th = params.tree_height
+    def _struck_layer(self, params) -> int:
         layer = params.d - 1 - self.layer_from_top
         if layer < 0:
             raise ConformanceError(
                 f"layer_from_top {self.layer_from_top} exceeds hypertree "
                 f"depth d={params.d}"
+            )
+        return layer
+
+    def crossing_message(self, scheme, keys, idx_tree: int) -> bytes:
+        """A fresh message whose hypertree walk crosses the subtree a
+        strike on *idx_tree* corrupts, at the same leaf — so the flipped
+        sibling is in its auth path.  *scheme* is the deterministic
+        reference; a candidate costs its two ``prepare`` hashes and one
+        in ``tree_leaves ** (layer_from_top + 1)`` fits.
+        """
+        shift = scheme.params.tree_height * max(
+            0, self._struck_layer(scheme.params) - 1)
+        for attempt in itertools.count():
+            message = b"cache-fault probe %d" % attempt
+            if scheme.prepare(message, keys).idx_tree >> shift \
+                    == idx_tree >> shift:
+                return message
+
+    def apply(self, ops, idx_tree: int) -> str:
+        """Corrupt the cached subtree that signing *idx_tree* traverses.
+
+        *ops* is the backend's per-key :class:`~.runtime.fastops.FastOps`
+        instance; its layer cache must pin the target subtree's layer.
+        Returns a human-readable detail string for the report.
+        """
+        params = ops.params
+        th = params.tree_height
+        layer = self._struck_layer(params)
+        if layer < ops.cache.pinned_floor:
+            raise ConformanceError(
+                f"layer {layer} of {params.name} is below the cache's "
+                f"pinned layers (floor {ops.cache.pinned_floor}): there "
+                "is no cached subtree to strike"
             )
         if self.level >= th:
             raise ConformanceError(
@@ -247,10 +285,11 @@ class CachedNodeFault:
                         bytes(nodes[below:below + n]),
                         bytes(nodes[below + n:below + 2 * n]))
             # The parent layer's cached WOTS link signs the *old* root;
-            # drop it so the signer re-signs the corrupted root (a fresh
-            # link that verifies) instead of failing on a stale one.
-            ops.cache.drop_link(layer + 1, tree >> th,
-                                tree & (params.tree_leaves - 1))
+            # replace it with one over the corrupted root (a fresh link
+            # that verifies), as a signer without the stale one would.
+            parent = (layer + 1, tree >> th, tree & (params.tree_leaves - 1))
+            ops.cache.store_link(*parent, b"".join(
+                ops.wots_sign(bytes(nodes[-n:]), *parent)))
         ops.cache.store_tree(layer, tree, bytes(nodes))
         self.calls_seen += 1
         self.fired = True
@@ -338,6 +377,48 @@ class PlanFault:
             plan.chain_values = original
 
 
+@dataclass
+class MemoFault:
+    """A replay memo whose entries each have bit *bit* flipped: corruption
+    at rest in the one place a finished signature is kept.  Installed on
+    the class, so it reaches every tier that signs through the plan in
+    this process.  First sight is assembled fresh and is clean; the flip
+    shows on replay, as a signature that fails verification.
+    """
+
+    bit: int = 0
+    #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
+    target: str = field(default="memo", init=False)
+    #: How many signatures entered a memo under the fault.
+    calls_seen: int = field(default=0, init=False)
+    #: Whether any memoised signature was actually corrupted.
+    fired: bool = field(default=False, init=False)
+
+    def __post_init__(self) -> None:
+        if self.bit < 0:
+            raise ConformanceError(f"bit must be >= 0, got {self.bit}")
+
+    @property
+    def spec(self) -> str:
+        return f"memo:flip:{self.bit}"
+
+    @contextmanager
+    def install(self):
+        """Swap the corrupting ``remember`` in for the ``with`` block."""
+        original = HypertreeLayerCache.remember
+
+        def remember(cache, key, signature):
+            self.calls_seen += 1
+            self.fired = True
+            original(cache, key, flip_bit(signature, self.bit))
+
+        HypertreeLayerCache.remember = remember
+        try:
+            yield self
+        finally:
+            HypertreeLayerCache.remember = original
+
+
 def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
     """Parse ``cache:flip[:level[:bit]][:benign]``."""
     fields = parts[2:]
@@ -358,10 +439,11 @@ def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
     return CachedNodeFault(consistent=consistent, **kwargs)
 
 
-def parse_fault(spec: str
-                ) -> BitFlipFault | CachedNodeFault | VerifyFault | PlanFault:
+def parse_fault(spec: str) -> (BitFlipFault | CachedNodeFault | MemoFault
+                               | VerifyFault | PlanFault):
     """Parse a fault spec: ``target:bitflip[:call_index[:bit]]`` for the
     hash taps, ``cache:flip[:level[:bit]][:benign]`` for the layer cache,
+    ``memo:flip[:bit]`` for its replay memo,
     ``verify:no-root-compare`` for the fast verifier,
     ``plan:chain-table-off-by-one`` for the signing plan's stitch.
     """
@@ -371,11 +453,17 @@ def parse_fault(spec: str
             return fault()
     if len(parts) >= 2 and parts[0] == "cache" and parts[1] == "flip":
         return _parse_cache_fault(spec, parts)
+    if parts[:2] == ["memo", "flip"] and len(parts) <= 3:
+        try:
+            return MemoFault(*map(int, parts[2:]))
+        except ValueError as exc:
+            raise ConformanceError(
+                f"bad fault spec {spec!r}: {exc}") from exc
     if len(parts) < 2 or parts[1] != "bitflip":
         raise ConformanceError(
             f"unsupported fault spec {spec!r}; expected "
             "'thash:bitflip[:call_index[:bit]]', 'prf:bitflip[...]', "
-            "'cache:flip[:level[:bit]][:benign]', "
+            "'cache:flip[:level[:bit]][:benign]', 'memo:flip[:bit]', "
             f"{VerifyFault.spec!r}, or {PlanFault.spec!r}"
         )
     kwargs: dict[str, int] = {}

@@ -46,11 +46,18 @@ wrong message — and any verdict that differs from the reference's is a
 
 A :class:`~repro.testing.faults.CachedNodeFault` runs a focused two-pass
 flow instead: warm the vectorized backend's hypertree layer cache over
-the corpus (pass 1 must byte-match), corrupt one cached subtree node,
-then sign the corpus again — the divergence is provably the cached state.
+the corpus (pass 1 must byte-match), corrupt one pinned subtree node,
+then sign a *fresh* message whose path crosses that subtree — the corpus
+again would be answered from the replay memo and read no subtree — so
+the divergence is provably the cached state.
 A *consistent* strike produces signatures that still verify, so the
 report must show ``verify_failed=False`` divergences: the fault-attack
 class only the differential compare catches.
+
+A :class:`~repro.testing.faults.MemoFault` (every memoised signature has
+a bit flipped) cannot show on first sight, so it runs the paths that sign
+the corpus twice: ``backend:vectorized+warm``, ``backend:pooled+warm``
+and a replaying ``client:local``.
 """
 
 from __future__ import annotations
@@ -67,7 +74,8 @@ from ..runtime.registry import available_backends, get_backend
 from ..runtime.scheduler import BatchScheduler
 from ..sphincs.signer import KeyPair, Sphincs
 from .corpus import message_corpus, signature_mutations
-from .faults import BitFlipFault, CachedNodeFault, PlanFault, VerifyFault
+from .faults import (BitFlipFault, CachedNodeFault, MemoFault, PlanFault,
+                     VerifyFault)
 from .tracing import capture_trace, first_divergence
 
 __all__ = ["Divergence", "PathResult", "ConformanceReport",
@@ -264,8 +272,8 @@ class DifferentialOracle:
                  include_ledger: bool = True,
                  service_backend: str = "vectorized",
                  service_workers: int = 2,
-                 fault: BitFlipFault | CachedNodeFault | VerifyFault
-                 | PlanFault | None = None,
+                 fault: BitFlipFault | CachedNodeFault | MemoFault
+                 | VerifyFault | PlanFault | None = None,
                  fault_target: str = "scalar"):
         self.params = get_params(params) if isinstance(params, str) else params
         self.backends = (list(backends) if backends is not None
@@ -336,11 +344,20 @@ class DifferentialOracle:
                     results.append(self._run_client(
                         "client:local", self.service_backend))
             fault_fired = self.fault.fired
+        elif isinstance(self.fault, MemoFault):
+            # Installed process-wide on the replay memo.  First sight is
+            # assembled fresh and clean: only a second pass can show it.
+            with self.fault.install():
+                results.extend(self._run_warm_backends())
+                if self.include_clients:
+                    results.append(self._run_client(
+                        "client:local", self.service_backend, passes=2))
+            fault_fired = self.fault.fired
         elif isinstance(self.fault, CachedNodeFault):
-            # Focused two-pass flow: warm pass, cache strike, faulted
-            # pass.  The service/scheduler/client tiers share the same
-            # backend code, so the cached-state property is established
-            # once, where the cache lives.
+            # Focused two-pass flow: warm pass, cache strike, a fresh
+            # message across the strike.  The service/scheduler/client
+            # tiers share the same backend code, so the cached-state
+            # property is established once, where the cache lives.
             cached_results, fault_hop = self._run_cached_fault()
             results.extend(cached_results)
             fault_fired = self.fault.fired
@@ -365,21 +382,7 @@ class DifferentialOracle:
                 name, self.fault if name == self.fault_target else None)
             for name in self.backends]
         if self.fault is None:
-            # Cache-enabled byte-identity passes: the reference backend
-            # with the hypertree layer cache switched on (off by default
-            # there) ...
-            if "scalar" in self.backends:
-                results.append(self._run_backend(
-                    "scalar", label="backend:scalar+layercache",
-                    cache_budget_mb=32.0))
-            # ... and both plan executors' *second* pass over the corpus,
-            # whose subtrees and upper-layer WOTS link signatures come
-            # out of a warm cache (no chain tables; on the pool, nothing
-            # but FORS leaves the coordinator).
-            for name in ("vectorized", "pooled"):
-                if name in self.backends:
-                    results.append(self._run_backend(
-                        name, label=f"backend:{name}+warm", passes=2))
+            results.extend(self._run_warm_backends())
         if self.include_scheduler:
             results.extend(self._run_scheduler(name)
                            for name in self.backends)
@@ -415,6 +418,15 @@ class DifferentialOracle:
         if self.include_ledger and self.fault is None:
             results.append(asyncio.run(self._run_ledger()))
         return results
+
+    def _run_warm_backends(self) -> list[PathResult]:
+        """Both plan executors' *second* pass over the corpus: every
+        signature comes out of the replay memo (no plan, and on the pool
+        no task) and must still be the reference's bytes."""
+        return [self._run_backend(name, label=f"backend:{name}+warm",
+                                  passes=2)
+                for name in ("vectorized", "pooled")
+                if name in self.backends]
 
     def _localize_fault(self) -> str | None:
         """Name the first diverging hop on the reference path via the
@@ -548,7 +560,7 @@ class DifferentialOracle:
         return result
 
     def _run_cached_fault(self) -> tuple[list[PathResult], str | None]:
-        """Warm the layer cache, strike one cached node, sign again.
+        """Warm the layer cache, strike one pinned node, sign across it.
 
         Returns the warm-pass and faulted-pass results plus the strike's
         detail string (reported as the fault localization).  The warm
@@ -568,15 +580,21 @@ class DifferentialOracle:
             return [warm], None
         detail = None
         with self._path("backend:vectorized+cached-fault") as struck:
-            # Strike the cached subtree that the first corpus message's
-            # hypertree walk traverses, then serve the corrupted cache.
-            task = self._scheme.prepare(self.corpus[0][1], keys)
-            detail = fault.apply(backend._ops(keys), task.idx_tree)
+            # Strike the pinned subtree that the first corpus message's
+            # hypertree walk traverses, then sign a fresh message whose
+            # walk crosses it too: the corpus again would be all memo
+            # hits, which read no subtree.
+            idx_tree = self._scheme.prepare(self.corpus[0][1], keys).idx_tree
+            detail = fault.apply(backend._ops(keys), idx_tree)
+            case = "cache-fault probe"
+            probe = fault.crossing_message(self._scheme, keys, idx_tree)
+            self._expected[case] = self._scheme.sign(probe, keys)
             self._compare(struck,
-                          backend.sign_batch(messages, keys).signatures)
+                          backend.sign_batch([probe], keys).signatures,
+                          [(case, probe)])
             if fault.consistent and not struck.divergences:
                 struck.divergences.append(Divergence(
-                    path=struck.path, case=self.corpus[0][0],
+                    path=struck.path, case=case,
                     stage="cache", verify_failed=False,
                     detail="consistent cached-node flip produced no "
                            "divergence — the strike missed the signing "
@@ -629,15 +647,19 @@ class DifferentialOracle:
                             [verdict.valid for verdict in verdicts])
 
     def _run_client(self, label: str, backend: str,
-                    backend_options: dict | None = None) -> PathResult:
+                    backend_options: dict | None = None,
+                    passes: int = 1) -> PathResult:
+        """The corpus through a ``LocalClient`` (*passes* times; the last
+        pass is the one compared), then the verify cases."""
         from ..api import LocalClient
 
         with self._path(label) as result:
             with LocalClient(self._client_keystore(), backend=backend,
                              deterministic=True,
                              backend_options=backend_options) as client:
-                signed = client.sign_many(
-                    "oracle", [message for _, message in self.corpus])
+                for _ in range(passes):
+                    signed = client.sign_many(
+                        "oracle", [message for _, message in self.corpus])
                 cases, messages, blobs = self._cases_within()
                 self._client_compare(
                     result, self.corpus, signed, cases,

@@ -5,12 +5,15 @@ Three properties carry the whole feature:
 * the **model** (``repro.runtime.layercache``) sizes pinned regions
   sanely — budgets map to layer counts monotonically and the prewarm cap
   is honored;
-* the **cache** itself is a correct two-region store — pinned entries
-  survive any pressure, LRU entries evict oldest-first within the byte
-  budget, and invalidation really forgets;
+* the **cache** itself is a correct two-part store — pinned entries
+  survive any pressure, nothing below the pinned layers is kept, memoised
+  signatures go oldest-first within the byte budget, and invalidation
+  really forgets;
 * a **warm cache changes no bytes** — cached-vs-cold signatures are
   identical on every pinned KAT parameter set, and key rotation / tenant
   deletion drop the stale state before it can sign again.
+
+(The replay memo's end-to-end behaviour is in ``test_memo.py``.)
 """
 
 import asyncio
@@ -24,6 +27,8 @@ from repro.runtime.layercache import (
     HypertreeLayerCache,
     choose_pinned_layers,
     link_entry_bytes,
+    memo_capacity,
+    memo_entry_bytes,
     pinned_bytes,
     pinned_link_count,
     pinned_tree_count,
@@ -39,14 +44,13 @@ def _seed(params_name: str) -> bytes:
     return bytes(3 * get_params(params_name).n)
 
 
-def _fake_levels(params):
-    """Structurally-shaped subtree levels with meaningless bytes."""
-    levels = []
-    width = params.tree_leaves
-    while width >= 1:
-        levels.append([bytes(params.n) for _ in range(width)])
-        width //= 2
-    return levels
+def _fake_nodes(params) -> bytes:
+    """A flat subtree's worth of meaningless bytes."""
+    return bytes((2 * params.tree_leaves - 1) * params.n)
+
+
+def _fake_signature(params, tag: int) -> bytes:
+    return tag.to_bytes(4, "big") * (params.sig_bytes // 4)
 
 
 class TestModel:
@@ -56,8 +60,12 @@ class TestModel:
         assert pinned_tree_count(params, 0) == 0
         assert pinned_tree_count(params, 1) == 1
         assert pinned_tree_count(params, 3) == 1 + leaves + leaves ** 2
-        # Links: one per pinned tree below the top layer.
-        assert pinned_link_count(params, 3) == pinned_tree_count(params, 3) - 1
+        # Links: every leaf of a pinned tree signs one child root ...
+        assert pinned_link_count(params, 3) \
+            == leaves * pinned_tree_count(params, 3)
+        # ... except at layer 0, which signs the FORS public key.
+        assert pinned_link_count(params, params.d) \
+            == leaves * pinned_tree_count(params, params.d - 1)
 
     def test_choose_pinned_layers_monotone_in_budget(self):
         params = get_params("128f")
@@ -85,10 +93,23 @@ class TestModel:
         rows = tradeoff_table()
         names = {row["params"] for row in rows}
         assert {get_params(name).name for name in KAT_SETS} <= names
+        budget = int(DEFAULT_BUDGET_MB * 1024 * 1024)
         for row in rows:
             assert row["pinned_layers"] >= 1, row
             assert 0.0 < row["saved_fraction"] < 1.0, row
             assert row["prewarm_hashes"] <= 600_000, row
+            # The memo gets what the pinned layers leave: at least half.
+            params = get_params(row["params"])
+            assert (budget // 2 <= row["memo_entries"]
+                    * memo_entry_bytes(params) <= budget), row
+
+    def test_memo_capacity_is_the_budget_the_pinned_layers_leave(self):
+        params = get_params("128f")
+        full = pinned_bytes(params, 3)
+        entry = memo_entry_bytes(params)
+        assert memo_capacity(params, full, 3) == 0
+        assert memo_capacity(params, full + 5 * entry + 1, 3) == 5
+        assert memo_capacity(params, 0, 3) == 0
 
     def test_savings_fraction_grows_with_layers(self):
         params = get_params("128f")
@@ -101,81 +122,114 @@ class TestModel:
 class TestCacheLifecycle:
     def test_miss_then_hit_counters(self):
         params = get_params("128f")
-        cache = HypertreeLayerCache(params, pinned_layers=0)
-        assert cache.lookup_tree(0, 7) is None
-        cache.store_tree(0, 7, _fake_levels(params))
-        assert cache.lookup_tree(0, 7) is not None
+        top = params.d - 1
+        cache = HypertreeLayerCache(params, pinned_layers=1)
+        assert cache.lookup_tree(top, 0) is None
+        cache.store_tree(top, 0, _fake_nodes(params))
+        assert cache.lookup_tree(top, 0) is not None
         assert cache.stats["misses"] == 1
         assert cache.stats["hits"] == 1
+        # A memo hit is one more hit; a memo miss is not a miss (the
+        # subtree lookups that follow it are).
+        assert cache.recall("key") is None
+        cache.remember("key", b"signature")
+        assert cache.recall("key") == b"signature"
+        assert cache.stats["misses"] == 1
+        assert cache.stats["hits"] == 2
+        assert cache.stats["memo_hits"] == 1
+
+    def test_nothing_below_the_pinned_layers_is_kept(self):
+        params = get_params("128f")
+        cache = HypertreeLayerCache(params, pinned_layers=2)
+        floor = cache.pinned_floor
+        assert floor == params.d - 2
+        cache.store_tree(floor - 1, 0, _fake_nodes(params))
+        cache.store_link(floor - 1, 0, 0, b"chain")
+        assert cache.lookup_tree(floor - 1, 0) is None
+        assert cache.lookup_link(floor - 1, 0, 0) is None
+        assert cache.bytes_used == 0
 
     def test_lru_evicts_oldest_under_byte_pressure(self):
         params = get_params("128f")
-        budget = 2 * tree_entry_bytes(params)
+        budget = 2 * memo_entry_bytes(params)
         cache = HypertreeLayerCache(params, budget_bytes=budget,
                                     pinned_layers=0)
-        for tree in range(4):
-            cache.store_tree(0, tree, _fake_levels(params))
-        assert cache.stats["evictions"] == 2
+        assert cache.memo_capacity == 2
+        for tag in range(4):
+            cache.remember(tag, _fake_signature(params, tag))
+        assert cache.stats["memo_entries"] == 2
         assert cache.bytes_used <= budget
-        assert cache.lookup_tree(0, 0) is None  # oldest, gone
-        assert cache.lookup_tree(0, 3) is not None  # newest, resident
+        assert cache.recall(0) is None  # oldest, gone
+        assert cache.recall(3) == _fake_signature(params, 3)
 
     def test_lookup_refreshes_recency(self):
         params = get_params("128f")
-        budget = 2 * tree_entry_bytes(params)
-        cache = HypertreeLayerCache(params, budget_bytes=budget,
-                                    pinned_layers=0)
-        cache.store_tree(0, 0, _fake_levels(params))
-        cache.store_tree(0, 1, _fake_levels(params))
-        cache.lookup_tree(0, 0)  # 0 becomes most-recent
-        cache.store_tree(0, 2, _fake_levels(params))  # evicts 1, not 0
-        assert cache.lookup_tree(0, 1) is None
-        assert cache.lookup_tree(0, 0) is not None
+        cache = HypertreeLayerCache(
+            params, budget_bytes=2 * memo_entry_bytes(params),
+            pinned_layers=0)
+        cache.remember(0, _fake_signature(params, 0))
+        cache.remember(1, _fake_signature(params, 1))
+        cache.recall(0)  # 0 becomes most-recent
+        cache.remember(2, _fake_signature(params, 2))  # evicts 1, not 0
+        assert cache.recall(1) is None
+        assert cache.recall(0) is not None
 
     def test_pinned_entries_survive_pressure(self):
         params = get_params("128f")
         top = params.d - 1
         cache = HypertreeLayerCache(
-            params, budget_bytes=2 * tree_entry_bytes(params),
-            pinned_layers=1)
-        cache.store_tree(top, 0, _fake_levels(params))  # pinned region
-        for tree in range(6):
-            cache.store_tree(0, tree, _fake_levels(params))
+            params, budget_bytes=pinned_bytes(params, 1)
+            + 2 * memo_entry_bytes(params), pinned_layers=1)
+        cache.store_tree(top, 0, _fake_nodes(params))  # pinned region
+        cache.store_link(top, 0, 3, b"chain")
+        for tag in range(6):
+            cache.remember(tag, _fake_signature(params, tag))
         assert cache.lookup_tree(top, 0) is not None
+        assert cache.lookup_link(top, 0, 3) == b"chain"
         assert cache.stats["pinned_trees"] == 1
+        assert cache.stats["memo_entries"] == 2
+        assert cache.bytes_used <= cache.budget_bytes
 
     def test_layer0_links_never_cached(self):
         params = get_params("128f")
-        cache = HypertreeLayerCache(params, pinned_layers=0)
-        cache.store_link(0, 0, 0, [b"chain"])
+        cache = HypertreeLayerCache(params, pinned_layers=params.d)
+        cache.store_link(0, 0, 0, b"chain")
         assert cache.lookup_link(0, 0, 0) is None
-        cache.store_link(1, 0, 0, [b"chain"])
-        assert cache.lookup_link(1, 0, 0) == [b"chain"]
-        cache.drop_link(1, 0, 0)
-        assert cache.lookup_link(1, 0, 0) is None
+        cache.store_link(1, 0, 0, b"chain")
+        assert cache.lookup_link(1, 0, 0) == b"chain"
 
     def test_link_budget_accounting(self):
+        """A fully populated pinned region plus a full memo is the
+        budget: every link a pinned tree can hold is in the model."""
         params = get_params("128f")
-        budget = 2 * link_entry_bytes(params)
+        leaves, top = params.tree_leaves, params.d - 1
+        budget = pinned_bytes(params, 2) + 3 * memo_entry_bytes(params)
         cache = HypertreeLayerCache(params, budget_bytes=budget,
-                                    pinned_layers=0)
-        for leaf in range(4):
-            cache.store_link(1, 0, leaf, [b"chain"])
-        assert cache.stats["evictions"] == 2
-        assert cache.lookup_link(1, 0, 0) is None
-        assert cache.lookup_link(1, 0, 3) is not None
+                                    pinned_layers=2)
+        for layer, trees in ((top, 1), (top - 1, leaves)):
+            for tree in range(trees):
+                cache.store_tree(layer, tree, _fake_nodes(params))
+                for leaf in range(leaves):
+                    cache.store_link(layer, tree, leaf, b"chain")
+        assert cache.bytes_used == pinned_bytes(params, 2)
+        assert (cache.bytes_used - (1 + leaves) * tree_entry_bytes(params)
+                == (1 + leaves) * leaves * link_entry_bytes(params))
+        for tag in range(5):
+            cache.remember(tag, _fake_signature(params, tag))
+        assert cache.bytes_used == budget
 
     def test_clear_forgets_everything(self):
         params = get_params("128f")
-        cache = HypertreeLayerCache(params, pinned_layers=1)
-        cache.store_tree(params.d - 1, 0, _fake_levels(params))
-        cache.store_tree(0, 0, _fake_levels(params))
-        cache.store_link(1, 0, 0, [b"chain"])
-        assert len(cache) == 3
+        cache = HypertreeLayerCache(params, pinned_layers=2)
+        cache.store_tree(params.d - 1, 0, _fake_nodes(params))
+        cache.store_link(params.d - 1, 0, 0, b"chain")
+        cache.remember("key", _fake_signature(params, 1))
+        assert cache.bytes_used > 0
         cache.clear()
-        assert len(cache) == 0
         assert cache.bytes_used == 0
-        assert not cache.prewarmed
+        assert cache.lookup_tree(params.d - 1, 0) is None
+        assert cache.lookup_link(params.d - 1, 0, 0) is None
+        assert cache.recall("key") is None
 
 
 class TestBackendIntegration:
@@ -208,32 +262,24 @@ class TestBackendIntegration:
         backend.invalidate_key(keys)
         assert backend.cache_stats() == {"keys": 0}
 
-    def test_scalar_layer_cache_byte_identical(self):
-        cold = get_backend("scalar", "128f", deterministic=True)
-        cached = get_backend("scalar", "128f", deterministic=True,
-                             cache_budget_mb=8.0)
-        keys = cold.keygen(seed=_seed("128f"))
-        messages = [b"scalar-cache-0", b"scalar-cache-1"]
-        expected = cold.sign_batch(messages, keys).signatures
-        # Two passes: the second serves the warm cache.
-        assert cached.sign_batch(messages, keys).signatures == expected
-        assert cached.sign_batch(messages, keys).signatures == expected
-        stats = cached.cache_stats()
-        assert stats["hits"] > 0
-
     @pytest.mark.parametrize("params_name", KAT_SETS)
     def test_cached_vs_cold_byte_identity(self, params_name):
-        """Pass 2 (warm layer cache) must equal pass 1 (cold) everywhere."""
-        backend = get_backend("vectorized", params_name, deterministic=True)
-        keys = backend.keygen(seed=_seed(params_name))
+        """A signature over prewarmed pinned layers (subtrees and link
+        signatures out of the cache, no chain table there) must equal
+        the one a cold backend builds from scratch."""
+        cold = get_backend("vectorized", params_name, deterministic=True)
+        keys = cold.keygen(seed=_seed(params_name))
         message = f"layer-cache {params_name}".encode()
-        cold = backend.sign_batch([message], keys).signatures
-        warm_result = backend.sign_batch([message], keys)
-        assert warm_result.signatures == cold
-        assert backend.verify_batch([message], warm_result.signatures,
-                                    keys.public) == [True]
+        expected = cold.sign_batch([message], keys).signatures
+        warm = get_backend("vectorized", params_name, deterministic=True)
+        warm.prewarm_key(keys)
+        warm_result = warm.sign_batch([message], keys)
+        assert warm_result.signatures == expected
+        assert warm.verify_batch([message], warm_result.signatures,
+                                 keys.public) == [True]
         # The warm pass genuinely came out of the cache.
         assert warm_result.cache_stats["hits"] > 0
+        assert warm_result.cache_stats["memo_hits"] == 0
 
 
 class TestServiceInvalidation:
@@ -329,7 +375,10 @@ class TestPoolPrewarm:
             assert "cache" not in pool.stats()["per_worker"]["0"]
             assert backend.sign_batch(messages, keys).signatures == expected
             pool.inject_crash(0, when="now")
-            assert backend.sign_batch(messages, keys).signatures == expected
+            # Fresh messages: a replay would be a memo hit, no worker.
+            fresh = [b"pool-cache-2", b"pool-cache-3"]
+            assert backend.sign_batch(fresh, keys).signatures \
+                == scalar.sign_batch(fresh, keys).signatures
             assert backend.cache_stats()["pinned_trees"] \
                 == cache["pinned_trees"]
             # Invalidation is local too, and signing recovers from it.

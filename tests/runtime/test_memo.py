@@ -1,0 +1,229 @@
+"""The replay memo: a signature seen before is a lookup, byte for byte.
+
+In deterministic mode a signature is a pure function of the key pair and
+what ``Sphincs.prepare`` returns, so ``VectorizedBackend.sign_batch`` keeps
+finished signatures under exactly that key and answers a replay without a
+plan: no FORS, no subtree, no stitch, no pool trip — only the two message
+hashes that compute the key.  Randomized, the randomizer never repeats
+and the memo is neither read nor filled.  (First, second and tenth sight
+against the reference on every KAT parameter set, inline and pooled:
+``test_plan.py::test_inline_and_pooled_plans_match_the_reference``; a
+replay through the pool handing it no task:
+``test_pool.py::TestPoolSigning::test_warm_preloads_key_caches``.)
+"""
+
+import asyncio
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
+from test_fast_verify import RecordingContext
+
+from repro.hashes.thash import HashContext
+from repro.params import get_params
+from repro.runtime import get_backend
+from repro.runtime.layercache import (HypertreeLayerCache, memo_entry_bytes,
+                                      pinned_bytes)
+from repro.sphincs.signer import Sphincs
+
+
+def test_replay_hashes_the_message_and_nothing_else():
+    params = get_params("128f")
+    backend = get_backend("vectorized", "128f", deterministic=True)
+    ctx = backend.ctx = backend._scheme.ctx = RecordingContext(params)
+    keys = Sphincs(params).keygen(seed=bytes(3 * params.n))
+    message = bytes(4096)
+
+    backend.sign_batch([message], keys)
+    assert len(ctx.inputs) > 100_000
+    inputs, calls = len(ctx.inputs), ctx.hash_calls
+    backend.sign_batch([message], keys)
+    # No tweakable hash ran (thash, prf and the midstate kernels all
+    # record or tally) — the compressions are PRF_msg's and H_msg's.
+    assert len(ctx.inputs) == inputs
+    counting = HashContext(params, count_hashes=True)
+    randomizer = counting.prf_msg(keys.sk_prf, keys.pk_seed, message)
+    counting.h_msg(randomizer, keys.pk_seed, keys.pk_root, message)
+    assert ctx.hash_calls - calls == counting.hash_calls
+
+
+def test_randomized_mode_never_reads_or_fills_the_memo():
+    backend = get_backend("vectorized", "128f")
+    keys = backend.keygen(seed=bytes(48))
+    pinned = backend.cache_stats()["bytes"]  # keygen built the top tree
+    first, second = (backend.sign_batch([b"same"], keys) for _ in range(2))
+    assert first.signatures != second.signatures
+    assert backend.verify_batch([b"same"] * 2, first.signatures
+                                + second.signatures, keys.public) == [True] * 2
+    stats = backend.cache_stats()
+    assert stats["memo_entries"] == stats["memo_hits"] == 0
+    # Whatever the cache grew by is pinned subtrees and links, and stays.
+    assert stats["bytes"] > pinned
+    backend.sign_batch([b"same"], keys)
+    assert backend.cache_stats()["memo_entries"] == 0
+
+
+def test_invalidated_key_forgets_its_signatures():
+    backend = get_backend("vectorized", "128f", deterministic=True)
+    keys = backend.keygen(seed=bytes(48))
+    signature = backend.sign(b"rotate me", keys)
+    assert backend.cache_stats()["memo_entries"] == 1
+    backend.invalidate_key(keys)
+    assert backend.cache_stats() == {"keys": 0}
+    assert backend.sign(b"rotate me", keys) == signature
+    assert backend.cache_stats()["memo_hits"] == 0
+
+
+def test_rotation_serves_the_new_keys_signature():
+    from repro.service import Keystore, SigningService, derive_seed
+
+    keystore = Keystore()
+    keystore.add_tenant("acme", "128f")
+    keystore.generate_key("acme", "default",
+                          seed=derive_seed("acme/default", 16))
+    service = SigningService(keystore, backend="vectorized",
+                             target_batch_size=1, max_wait_s=0.01,
+                             deterministic=True)
+    reference = Sphincs("128f", deterministic=True)
+
+    async def run():
+        try:
+            old_keys = keystore.resolve("acme")[0]
+            before = await service.sign(b"same request", "acme")
+            replayed = await service.sign(b"same request", "acme")
+            new_keys = keystore.rotate_key("acme", "default")
+            after = await service.sign(b"same request", "acme")
+            return old_keys, new_keys, before, replayed, after
+        finally:
+            await service.drain()
+            service.close()
+
+    old_keys, new_keys, before, replayed, after = asyncio.run(run())
+    assert before.signature == replayed.signature \
+        == reference.sign(b"same request", old_keys)
+    assert after.signature == reference.sign(b"same request", new_keys)
+    assert after.signature != before.signature
+
+
+def test_cache_table_and_stats_verb_report_the_memo():
+    from repro.service import Keystore, SigningService
+    from repro.service.telemetry import render_snapshot
+
+    keystore = Keystore()
+    keystore.add_tenant("acme", "128f")
+    keystore.generate_key("acme", "default", seed=bytes(48))
+    service = SigningService(keystore, backend="vectorized",
+                             target_batch_size=1, max_wait_s=0.01,
+                             deterministic=True)
+
+    async def run():
+        try:
+            for _ in range(3):
+                await service.sign(b"stats", "acme")
+            return service.stats()
+        finally:
+            await service.drain()
+            service.close()
+
+    stats = asyncio.run(run())
+    [scope] = stats["cache"]["scopes"].values()
+    assert scope["memo_entries"] == 1 and scope["memo_hits"] == 2
+    assert scope["hits"] >= 2
+    assert not {"evictions", "link_hits", "link_misses"} & set(scope)
+    report = render_snapshot(stats)
+    table = report[report.index("Hypertree layer caches"):]
+    header = table.splitlines()[1]
+    assert "memo hits" in header and "memo entries" in header
+    assert "evictions" not in table and "link" not in table
+
+
+# ----------------------------------------------------------------------
+# Model-based: the cache against a dict and a recency list
+# ----------------------------------------------------------------------
+_PARAMS = get_params("128f")
+_PINNED = 2
+_CAPACITY = 3
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Pinned stores are kept for good or dropped by layer; the memo is a
+    bounded LRU; the byte count never passes the budget."""
+
+    def __init__(self):
+        super().__init__()
+        self.cache = HypertreeLayerCache(
+            _PARAMS, pinned_layers=_PINNED,
+            budget_bytes=pinned_bytes(_PARAMS, _PINNED)
+            + _CAPACITY * memo_entry_bytes(_PARAMS) + 17)
+        self.memo: dict[int, bytes] = {}
+        self.recency: list[int] = []  # least recent first
+        self.trees: set = set()
+        self.links: set = set()
+
+    def _touch(self, key: int) -> None:
+        if key in self.recency:
+            self.recency.remove(key)
+        self.recency.append(key)
+
+    @rule(key=st.integers(0, 7), value=st.binary(min_size=1, max_size=8))
+    def remember(self, key, value):
+        self.cache.remember(key, value)
+        self.memo[key] = value
+        self._touch(key)
+        while len(self.recency) > _CAPACITY:
+            del self.memo[self.recency.pop(0)]
+
+    @rule(key=st.integers(0, 7))
+    def recall(self, key):
+        hits = self.cache.stats["hits"]
+        assert self.cache.recall(key) == self.memo.get(key)
+        if key in self.memo:
+            self._touch(key)
+        assert self.cache.stats["hits"] == hits + (key in self.memo)
+
+    @rule(back=st.integers(0, 3), tree=st.integers(0, 511))
+    def store_tree(self, back, tree):
+        layer = _PARAMS.d - 1 - back
+        tree %= _PARAMS.tree_leaves ** back  # a tree that exists
+        self.cache.store_tree(layer, tree, b"nodes")
+        if back < _PINNED:
+            self.trees.add((layer, tree))
+
+    @rule(back=st.integers(0, 3), tree=st.integers(0, 511),
+          leaf=st.integers(0, 7))
+    def store_link(self, back, tree, leaf):
+        layer = _PARAMS.d - 1 - back
+        tree %= _PARAMS.tree_leaves ** back
+        self.cache.store_link(layer, tree, leaf, b"chains")
+        if back < _PINNED:
+            self.links.add((layer, tree, leaf))
+
+    @precondition(lambda self: self.memo or self.trees or self.links)
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.memo.clear()
+        self.recency.clear()
+        self.trees.clear()
+        self.links.clear()
+
+    @invariant()
+    def bytes_stay_inside_the_budget(self):
+        assert self.cache.stats["bytes"] <= self.cache.budget_bytes
+
+    @invariant()
+    def memo_is_the_model(self):
+        assert self.cache.stats["memo_entries"] == len(self.memo)
+        assert list(self.cache._memo) == self.recency
+        assert dict(self.cache._memo) == self.memo
+
+    @invariant()
+    def pinned_entries_are_never_evicted(self):
+        assert set(self.cache._trees) == self.trees
+        assert set(self.cache._links) == self.links
+
+
+CacheMachine.TestCase.settings = settings(max_examples=60, deadline=None,
+                                          stateful_step_count=40)
+TestCacheMachine = CacheMachine.TestCase

@@ -1,7 +1,8 @@
 """The signing plan: same bytes as the reference, less work, any executor.
 
 Inline and pooled runs of one plan must equal ``Sphincs.sign`` byte for
-byte on every KAT parameter set, fresh and replayed; the plan must feed
+byte on every KAT parameter set, fresh and replayed (a replay is a memo
+hit: no plan at all — see ``test_memo.py``); the plan must feed
 SHA-256 exactly the reference's inputs minus the WOTS re-walk its chain
 tables replace (and the k FORS secrets the reference derives twice); its
 tasks and cache hits must cover each hypertree layer exactly once
@@ -37,7 +38,8 @@ def test_inline_and_pooled_plans_match_the_reference(params_name, pool):
     reference = Sphincs(params, deterministic=True)
     keys = reference.keygen(seed=bytes(range(3 * params.n)))
     message = f"one plan, {params_name}".encode()
-    expected = reference.sign(message, keys)
+    expected, unseen = (reference.sign(message, keys),
+                        reference.sign(b"", keys))
 
     inline = get_backend("vectorized", params_name, deterministic=True)
     pooled = get_backend("pooled", params_name, deterministic=True,
@@ -46,12 +48,16 @@ def test_inline_and_pooled_plans_match_the_reference(params_name, pool):
         fresh = backend.sign_batch([message], keys)
         assert fresh.signatures == [expected]
         assert fresh.cache_stats["misses"] == params.d
-        # Replayed: every subtree and upper link is cached, so the plan
-        # is its FORS task alone and there is no table to read from.
-        replayed = backend.sign_batch([message], keys)
-        assert replayed.signatures == [expected]
-        assert replayed.cache_stats["misses"] == params.d
-        assert replayed.cache_stats["hits"] == params.d
+        # Replayed: the memo answers, there is no plan and no lookup —
+        # on second sight as on the tenth.
+        for sight in range(2, 11):
+            replayed = backend.sign_batch([message], keys)
+            assert replayed.signatures == [expected]
+            assert replayed.cache_stats["misses"] == params.d
+            assert replayed.cache_stats["hits"] == sight - 1
+        # A batch that mixes sights plans only what is new.
+        mixed = backend.sign_batch([message, b"", message], keys)
+        assert mixed.signatures == [expected, unseen, expected]
     assert set(fresh.workers) == {0, 1} and not replayed.workers
 
 
@@ -80,9 +86,9 @@ def test_plan_hashes_the_reference_inputs_minus_the_wots_rewalk():
     walk_ctx = RecordingContext(params)
     walker = FastOps(walk_ctx, keys.sk_seed, keys.pk_seed)
     node = results[0][1]
-    for layer, tree, leaf, _ in plan.paths[0]:
+    for (layer, tree, leaf, _), (nodes, _) in zip(plan.paths[0], results[1:]):
         walker.wots_sign(node, layer, tree, leaf)
-        node = ops.cache.lookup_tree(layer, tree)[-params.n:]
+        node = nodes[-params.n:]
     assert node == keys.pk_root
 
     counted = collections.Counter
@@ -110,7 +116,7 @@ def test_tasks_and_cache_hits_cover_each_layer_once(idx_tree, idx_leaf,
     is either a cache hit or covered by exactly one subtree task carrying
     that layer's signing leaf — also for a second message in the batch."""
     params = get_params("128f")
-    cache = HypertreeLayerCache(params)
+    cache = HypertreeLayerCache(params, pinned_layers=params.d)
     ops = FastOps(RecordingContext(params), bytes(16), bytes(16), cache)
     tree = idx_tree
     for layer in range(params.d):

@@ -131,8 +131,8 @@ class TestPoolSigning:
 
     def test_warm_preloads_key_caches(self, pool, keys):
         """Prewarm fills the coordinator's cache — the only one there is —
-        and a replayed message then leaves a lone FORS task, which is not
-        worth a pipe: nothing reaches a worker."""
+        and a replayed message is answered from its memo: there is no
+        plan, so nothing reaches a worker."""
         backend = _pooled(pool)
         backend.prewarm_key(keys)
         assert backend.cache_stats()["pinned_trees"] > 0
@@ -141,6 +141,9 @@ class TestPoolSigning:
         again = backend.sign_batch([b"replayed"], keys)
         assert again.signatures == first
         assert not again.workers
+        assert set(again.stage_seconds) == {
+            "prepare", "fors", "hypertree", "serialize"}
+        assert again.stage_seconds["fors"] == 0.0
         assert done == [w["tasks"]
                         for w in pool.stats()["per_worker"].values()]
 

@@ -34,7 +34,8 @@ class TestParseFault:
         "thash", "thash:stuckat", "gamma:bitflip", "thash:bitflip:x",
         "thash:bitflip:1:2:3:4", "thash:bitflip:-1",
         "cache:bitflip", "cache:flip:x", "cache:flip:0:0:benign:extra",
-        "cache:flip:-1",
+        "cache:flip:-1", "memo:flip:x", "memo:flip:-1", "memo:flip:0:1",
+        "memo:drop",
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConformanceError):
@@ -80,6 +81,24 @@ class TestParseFault:
         assert (fault.level, fault.bit, fault.consistent) == (0, 3, False)
         # The spec round-trips, so CI logs reproduce exactly.
         assert parse_fault(fault.spec).spec == fault.spec
+
+    def test_memo_fault_spec_and_install(self):
+        from repro.runtime.layercache import HypertreeLayerCache
+        from repro.testing import MemoFault
+
+        fault = parse_fault("memo:flip")
+        assert isinstance(fault, MemoFault)
+        assert (fault.target, fault.bit, fault.fired, fault.calls_seen) == (
+            "memo", 0, False, 0)
+        fault = parse_fault("memo:flip:9")
+        assert parse_fault(fault.spec).spec == fault.spec == "memo:flip:9"
+        genuine = HypertreeLayerCache.remember
+        cache = HypertreeLayerCache("128f")
+        with fault.install():
+            cache.remember("key", bytes(4))
+        assert HypertreeLayerCache.remember is genuine
+        assert cache.recall("key") == flip_bit(bytes(4), 9)
+        assert fault.fired and fault.calls_seen == 1
 
 
 class TestInstall:
@@ -146,43 +165,58 @@ class TestCachedNodeFault:
     naive (benign) flip breaks the auth path and verification catches it;
     the consistent flip re-derives the corrupted subtree's ancestors and
     yields a signature that still verifies — only the byte-level
-    differential compare sees it."""
+    differential compare sees it.  Either shows on the next *fresh*
+    message across the struck subtree; a replay is a memo hit and reads
+    no subtree."""
 
-    def _warm_backend(self):
+    def _struck_backend(self, fault):
         scheme = Sphincs("128f", deterministic=True)
         backend = get_backend("vectorized", "128f", deterministic=True)
         keys = backend.keygen(seed=bytes(48))
-        message = b"cache fault victim"
-        clean = backend.sign_batch([message], keys).signatures[0]
-        task = scheme.prepare(message, keys)
-        return scheme, backend, keys, message, clean, task
+        victim = b"cache fault victim"
+        clean = backend.sign_batch([victim], keys).signatures[0]
+        idx_tree = scheme.prepare(victim, keys).idx_tree
+        detail = fault.apply(backend._ops(keys), idx_tree)
+        assert fault.fired
+        probe = fault.crossing_message(scheme, keys, idx_tree)
+        assert probe != victim
+        # Same subtree, same leaf, one layer below the top.
+        assert scheme.prepare(probe, keys).idx_tree >> 57 == idx_tree >> 57
+        # The struck cache is not read for a message it has seen.
+        assert backend.sign_batch([victim], keys).signatures[0] == clean
+        return scheme, backend, keys, probe, detail
 
     def test_layer_from_top_zero_rejected(self):
         with pytest.raises(ConformanceError, match="layer_from_top"):
             CachedNodeFault(layer_from_top=0)
 
+    def test_strike_below_the_pinned_layers_rejected(self):
+        # 128s pins its top layer only: one below it nothing is cached.
+        backend = get_backend("vectorized", "128s", deterministic=True)
+        keys = backend.keygen(seed=bytes(48))
+        with pytest.raises(ConformanceError, match="no cached subtree"):
+            CachedNodeFault().apply(backend._ops(keys), 0)
+
     def test_benign_flip_caught_by_verify(self):
-        scheme, backend, keys, message, clean, task = self._warm_backend()
-        fault = CachedNodeFault(consistent=False)
-        detail = fault.apply(backend._ops(keys), task.idx_tree)
-        assert fault.fired and "stale" in detail
-        faulty = backend.sign_batch([message], keys).signatures[0]
-        assert faulty != clean
-        assert not scheme.verify(message, faulty, keys.public)
+        scheme, backend, keys, probe, detail = self._struck_backend(
+            CachedNodeFault(consistent=False))
+        assert "stale" in detail
+        faulty = backend.sign_batch([probe], keys).signatures[0]
+        assert faulty != scheme.sign(probe, keys)
+        assert not scheme.verify(probe, faulty, keys.public)
 
     def test_consistent_flip_still_verifies(self):
-        scheme, backend, keys, message, clean, task = self._warm_backend()
-        fault = CachedNodeFault(consistent=True)
-        fault.apply(backend._ops(keys), task.idx_tree)
-        faulty = backend.sign_batch([message], keys).signatures[0]
+        scheme, backend, keys, probe, _ = self._struck_backend(
+            CachedNodeFault(consistent=True))
+        faulty = backend.sign_batch([probe], keys).signatures[0]
         # The dangerous class: wrong bytes, yet verification accepts —
         # which is exactly why the oracle byte-compares every tier.
-        assert faulty != clean
-        assert scheme.verify(message, faulty, keys.public)
+        assert faulty != scheme.sign(probe, keys)
+        assert scheme.verify(probe, faulty, keys.public)
 
     def test_invalidation_heals_the_strike(self):
-        scheme, backend, keys, message, clean, task = self._warm_backend()
-        CachedNodeFault().apply(backend._ops(keys), task.idx_tree)
+        scheme, backend, keys, probe, _ = self._struck_backend(
+            CachedNodeFault())
         backend.invalidate_key(keys)
-        healed = backend.sign_batch([message], keys).signatures[0]
-        assert healed == clean
+        assert backend.sign_batch([probe], keys).signatures[0] \
+            == scheme.sign(probe, keys)

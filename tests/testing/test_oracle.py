@@ -21,7 +21,6 @@ class TestCleanTree:
         assert report.first_divergence() is None
         paths = {result.path for result in report.results}
         assert paths == {"reference", "backend:scalar", "backend:vectorized",
-                         "backend:scalar+layercache",
                          "backend:vectorized+warm",
                          "scheduler:scalar", "scheduler:vectorized",
                          "ledger:audit"}
