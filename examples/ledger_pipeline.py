@@ -37,7 +37,7 @@ from repro.ledger import (InclusionProof, LedgerServer, LedgerService,
 from repro.obs.metrics import MetricsRegistry
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningService,
-                           bursty_trace, derive_seed, protocol)
+                           bursty_trace, derive_seed)
 
 TENANT = "ledger"
 PARAMS = "128f"
@@ -74,7 +74,7 @@ async def main() -> None:
               f"signing + log verbs, segments under {root}")
 
         client = await ServiceClient.open(port=server.port)
-        granted = await client.request({"op": "hello", "version": 3})
+        granted = await client.call("hello", version=3)
         print(f"negotiated protocol v{granted['version']} "
               f"({'binary frames' if client.binary else 'JSON lines'})\n")
 
@@ -89,10 +89,7 @@ async def main() -> None:
                                               key=lambda pair: pair[1])]
             receipts, checkpoints = [], []
             for burst in bursts:
-                reply = await client.request({
-                    "op": "log-append",
-                    "entries": [protocol.pack_bytes(event)
-                                for event in burst]})
+                reply = await client.call("log-append", entries=burst)
                 receipts.extend(reply["receipts"])
                 checkpoints.append(reply["checkpoint"])
                 head = reply["checkpoint"]
@@ -107,9 +104,8 @@ async def main() -> None:
             #    against nothing but the tenant key.
             verifier = LocalClient(build_keystore(), deterministic=True)
             for position in (0, len(receipts) - 1):
-                reply = await client.request({
-                    "op": "log-proof",
-                    "index": receipts[position]["index"]})
+                reply = await client.call(
+                    "log-proof", index=receipts[position]["index"])
                 proof = InclusionProof.from_dict(reply["proof"])
                 ok = verify_inclusion(verifier, proof)
                 print(f"entry {proof.index} of {proof.size}: inclusion "
@@ -121,8 +117,8 @@ async def main() -> None:
             #    the first sealed head and the current one.
             if len(checkpoints) > 1:
                 old = checkpoints[0]
-                reply = await client.request({"op": "log-checkpoint",
-                                              "since": old["size"]})
+                reply = await client.call("log-checkpoint",
+                                          since=old["size"])
                 head = reply["checkpoint"]
                 consistent = verify_consistency_path(
                     old["size"], bytes.fromhex(old["root"]),

@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Sequence
 
-from ..errors import ServiceError, UnsupportedVersionError
+from ..errors import ProtocolError, ServiceError, UnsupportedVersionError
 from ..obs.trace import TraceContext, Tracer, current_trace, start_trace
 from ..service import protocol
 from ..service.client import ServiceClient
@@ -36,18 +36,26 @@ __all__ = ["AsyncClient", "TcpClient"]
 
 
 def _sign_result(response: dict, request: SignRequest,
-                 signature: bytes | None = None,
                  transport: str = "tcp") -> SignResult:
     return SignResult(
-        signature=(signature if signature is not None
-                   else protocol.unpack_bytes(response["signature"],
-                                              name="signature")),
+        signature=response["signature"],
         tenant=request.tenant, key=request.key,
         params=response["params"], backend=response["backend"],
         batch_size=response["batch_size"],
         wait_ms=response["wait_ms"], total_ms=response["total_ms"],
         transport=transport,
     )
+
+
+def _ok_items(chunks: list[list], responses: list[dict]):
+    """``(request, ok item)`` pairs in request order; the first failed
+    item raises its typed error."""
+    for chunk, response in zip(chunks, responses):
+        for request, item in zip(chunk, response["results"]):
+            if not item.get("ok"):
+                raise protocol.error_type(item.get("error"))(
+                    item.get("detail", "batch item failed"))
+            yield request, item
 
 
 class AsyncClient:
@@ -81,7 +89,7 @@ class AsyncClient:
                       tracer: Tracer | None = None) -> "AsyncClient":
         wire = await ServiceClient.open(host, port)
         try:
-            hello = await wire.request({"op": "hello", "version": version})
+            hello = await wire.call("hello", version=version)
         except ServiceError as exc:
             await wire.close()
             if isinstance(exc, UnsupportedVersionError):
@@ -151,15 +159,13 @@ class AsyncClient:
         return self._info
 
     async def keys(self, tenant: str) -> tuple[str, ...]:
-        response = await self._wire.request({"op": "keys",
-                                             "tenant": tenant})
-        return tuple(response["keys"])
+        return tuple((await self._wire.call("keys", tenant=tenant))["keys"])
 
     async def ping(self) -> bool:
-        return (await self._wire.request({"op": "ping"}))["ok"] is True
+        return await self._wire.ping()
 
     async def stats(self) -> dict:
-        return (await self._wire.request({"op": "stats"}))["stats"]
+        return await self._wire.stats()
 
     async def close(self) -> None:
         await self._wire.close()
@@ -173,23 +179,14 @@ class AsyncClient:
     # ------------------------------------------------------------------
     # Transport primitives (request-object level, shared with TcpClient)
     # ------------------------------------------------------------------
-    def _message_budget(self) -> int:
-        """Raw message bytes one frame can carry in the current mode:
-        v3 frames skip base64, so the same 1 MiB wire cap fits ~33%
-        more payload than a v2 JSON line."""
-        return (protocol.MAX_MESSAGE_BYTES_V3 if self._wire.binary
-                else protocol.MAX_MESSAGE_BYTES)
-
     def _check_frame_fit(self, message: bytes, extra: int = 0) -> None:
         """Reject payloads whose frame would overflow the server's wire
         limit *before* writing — an oversized frame is answered with an
         unmatchable error and costs the whole connection.  ``extra``
         counts other raw binary riding the same frame (a verify frame
         carries the signature next to the message)."""
-        budget = self._message_budget()
+        budget = self._wire.message_budget
         if len(message) + extra > budget:
-            from ..errors import ProtocolError
-
             raise ProtocolError(
                 f"message of {len(message)} bytes exceeds the wire "
                 f"frame bound ({budget - extra} "
@@ -219,93 +216,57 @@ class AsyncClient:
         # produce a negative or inflated client-request span.
         started_wall = time.time()
         started_mono = time.perf_counter()
-        if self._wire.binary:
-            response = await self._wire.request_frame(
-                protocol.FRAME_CODES["sign"],
-                protocol.pack_sign_request(
-                    request.tenant, request.key, request.message,
-                    request.deadline_ms,
-                    ctx.trace_id if ctx is not None else None))
-            signature = response["signature"]
-        else:
-            payload = {"op": "sign", "tenant": request.tenant,
-                       "key": request.key,
-                       "message": protocol.pack_bytes(request.message)}
-            if request.deadline_ms is not None:
-                payload["deadline_ms"] = request.deadline_ms
-            if ctx is not None:
-                payload["trace"] = ctx.trace_id
-            response = await self._wire.request(payload)
-            signature = None
+        response = await self._wire.call(
+            "sign", tenant=request.tenant, key=request.key,
+            message=request.message, deadline_ms=request.deadline_ms,
+            trace=ctx.trace_id if ctx is not None else None)
         if ctx is not None and self._tracer is not None:
             self._tracer.record_span(
                 "client-request", trace=ctx, span_id=ctx.span_id,
                 start=started_wall,
                 end=started_wall + (time.perf_counter() - started_mono),
                 tenant=request.tenant, key=request.key)
-        return _sign_result(response, request, signature=signature,
-                            transport=self.transport)
+        return _sign_result(response, request, transport=self.transport)
 
-    def _chunk(self, requests: Sequence[SignRequest]
-               ) -> list[list[SignRequest]]:
+    def _chunk(self, requests: Sequence, size) -> list[list]:
         """Chunk greedily by both the server's max_batch and the frame's
-        byte budget (many large messages must not overflow one frame);
-        frames pipeline on one socket, so chunking costs latency only
+        byte budget (many large messages must not overflow one frame;
+        ``size(request)`` is the raw binary a request adds to it).
+        Frames pipeline on one socket, so chunking costs latency only
         when the server is the bottleneck.  Never emits an empty chunk —
-        an empty batch means no chunks, and therefore no wire traffic.
+        an empty batch means no chunks, and therefore no wire traffic
+        (a zero-message frame is a protocol error).
         """
         limit = self._info.max_batch or len(requests)
-        budget = self._message_budget()
-        chunks: list[list[SignRequest]] = []
+        budget = self._wire.message_budget
+        chunks: list[list] = []
         chunk_bytes = 0
         for request in requests:
-            size = len(request.message)
+            nbytes = size(request)
             if not chunks or len(chunks[-1]) >= limit \
-                    or chunk_bytes + size > budget:
+                    or chunk_bytes + nbytes > budget:
                 chunks.append([])
                 chunk_bytes = 0
             chunks[-1].append(request)
-            chunk_bytes += size
+            chunk_bytes += nbytes
         return chunks
 
     async def _sign_many(self, requests: Sequence[SignRequest]
                          ) -> list[SignResult]:
-        if not requests:
-            # Nothing to sign: answering locally matters because a
-            # zero-message sign-many frame is a protocol error — the old
-            # chunker seeded one empty chunk and sent it anyway.
-            return []
         for request in requests:
             self._check_frame_fit(request.message)
-        chunks = self._chunk(requests)
+        chunks = self._chunk(requests,
+                             lambda request: len(request.message))
         contexts = [self._trace_for_frame() for _ in chunks]
         started_wall = time.time()
         started_mono = time.perf_counter()
-        if self._wire.binary:
-            responses = await asyncio.gather(*(
-                self._wire.sign_many_stream(
-                    chunk[0].tenant,
-                    [request.message for request in chunk],
-                    key_name=chunk[0].key,
-                    deadline_ms=chunk[0].deadline_ms,
-                    trace=ctx.trace_id if ctx is not None else None)
-                for chunk, ctx in zip(chunks, contexts)))
-        else:
-            responses = [response["results"] for response in
-                         await asyncio.gather(*(
-                             self._wire.request({
-                                 "op": "sign-many",
-                                 "tenant": chunk[0].tenant,
-                                 "key": chunk[0].key,
-                                 "messages": [
-                                     protocol.pack_bytes(request.message)
-                                     for request in chunk],
-                                 **({"deadline_ms": chunk[0].deadline_ms}
-                                    if chunk[0].deadline_ms is not None
-                                    else {}),
-                                 **({"trace": ctx.trace_id}
-                                    if ctx is not None else {}),
-                             }) for chunk, ctx in zip(chunks, contexts)))]
+        responses = await asyncio.gather(*(
+            self._wire.call(
+                "sign-many", tenant=chunk[0].tenant, key=chunk[0].key,
+                messages=[request.message for request in chunk],
+                deadline_ms=chunk[0].deadline_ms,
+                trace=ctx.trace_id if ctx is not None else None)
+            for chunk, ctx in zip(chunks, contexts)))
         if self._tracer is not None:
             ended = started_wall + (time.perf_counter() - started_mono)
             for chunk, ctx in zip(chunks, contexts):
@@ -315,91 +276,39 @@ class AsyncClient:
                         start=started_wall, end=ended,
                         tenant=chunk[0].tenant, key=chunk[0].key,
                         batch_size=len(chunk))
-        results: list[SignResult] = []
-        for chunk, items in zip(chunks, responses):
-            for request, item in zip(chunk, items):
-                if not item.get("ok"):
-                    raise protocol.error_type(item.get("error"))(
-                        item.get("detail", "sign-many item failed"))
-                signature = item["signature"]
-                results.append(_sign_result(
-                    item, request,
-                    signature=(signature if isinstance(signature, bytes)
-                               else None),
-                    transport=self.transport))
-        return results
+        return [_sign_result(item, request, transport=self.transport)
+                for request, item in _ok_items(chunks, responses)]
 
     async def _verify(self, request: VerifyRequest) -> VerifyResult:
         self._check_frame_fit(request.message,
                               extra=len(request.signature))
-        if self._wire.binary:
-            response = await self._wire.request_frame(
-                protocol.FRAME_CODES["verify"],
-                protocol.pack_verify_request(
-                    request.tenant, request.key, request.message,
-                    request.signature))
-        else:
-            response = await self._wire.request({
-                "op": "verify", "tenant": request.tenant,
-                "key": request.key,
-                "message": protocol.pack_bytes(request.message),
-                "signature": protocol.pack_bytes(request.signature),
-            })
+        response = await self._wire.call(
+            "verify", tenant=request.tenant, key=request.key,
+            message=request.message, signature=request.signature)
         return VerifyResult(valid=response["valid"], tenant=request.tenant,
                             key=request.key, params=response["params"],
                             transport=self.transport)
 
     async def _verify_many(self, requests: Sequence[VerifyRequest]
                            ) -> list[VerifyResult]:
-        if not requests:
-            return []
         for request in requests:
             self._check_frame_fit(request.message,
                                   extra=len(request.signature))
-        # Chunk like sign_many, but the byte budget counts both halves of
-        # each pair — message and signature ride the same frame.
-        limit = self._info.max_batch or len(requests)
-        budget = self._message_budget()
-        chunks: list[list[VerifyRequest]] = []
-        chunk_bytes = 0
-        for request in requests:
-            size = len(request.message) + len(request.signature)
-            if not chunks or len(chunks[-1]) >= limit \
-                    or chunk_bytes + size > budget:
-                chunks.append([])
-                chunk_bytes = 0
-            chunks[-1].append(request)
-            chunk_bytes += size
-        if self._wire.binary:
-            responses = await asyncio.gather(*(
-                self._wire.request_frame(
-                    protocol.FRAME_CODES["verify-many"],
-                    protocol.pack_verify_many_request(
-                        chunk[0].tenant, chunk[0].key,
-                        [request.message for request in chunk],
-                        [request.signature for request in chunk]))
-                for chunk in chunks))
-        else:
-            responses = await asyncio.gather(*(
-                self._wire.request({
-                    "op": "verify-many", "tenant": chunk[0].tenant,
-                    "key": chunk[0].key,
-                    "messages": [protocol.pack_bytes(request.message)
-                                 for request in chunk],
-                    "signatures": [protocol.pack_bytes(request.signature)
-                                   for request in chunk],
-                }) for chunk in chunks))
-        results: list[VerifyResult] = []
-        for chunk, response in zip(chunks, responses):
-            for request, item in zip(chunk, response["results"]):
-                if not item.get("ok"):
-                    raise protocol.error_type(item.get("error"))(
-                        item.get("detail", "verify-many item failed"))
-                results.append(VerifyResult(
-                    valid=item["valid"], tenant=request.tenant,
-                    key=request.key, params=item["params"],
-                    transport=self.transport))
-        return results
+        # The byte budget counts both halves of each pair — message and
+        # signature ride the same frame.
+        chunks = self._chunk(
+            requests, lambda request: (len(request.message)
+                                       + len(request.signature)))
+        responses = await asyncio.gather(*(
+            self._wire.call(
+                "verify-many", tenant=chunk[0].tenant, key=chunk[0].key,
+                messages=[request.message for request in chunk],
+                signatures=[request.signature for request in chunk])
+            for chunk in chunks))
+        return [VerifyResult(valid=item["valid"], tenant=request.tenant,
+                             key=request.key, params=item["params"],
+                             transport=self.transport)
+                for request, item in _ok_items(chunks, responses)]
 
 
 class TcpClient(SigningClient):

@@ -4,7 +4,7 @@
 surface (``sign`` / ``verify`` / ``stats`` / ``keystore`` /
 ``metrics_registry``) but owns no batcher or backend — every request is
 placed on one of N backend :class:`~..service.server.SigningServer` nodes
-over the wire protocol and forwarded through a pipelined
+over the wire protocol and forwarded, as typed values, through a pipelined
 :class:`~..service.client.ServiceClient`.  :class:`ClusterRouter` wraps it
 in a stock ``SigningServer``, which is the whole trick: the router speaks
 protocol v1/v2/v3 northbound *unchanged* because the verb table only ever
@@ -41,7 +41,7 @@ import contextlib
 from ..errors import (ConnectionLostError, NodeUnavailableError,
                       OverloadedError, ServiceError)
 from ..obs.log import get_logger
-from ..obs.trace import Tracer
+from ..obs.trace import Tracer, current_trace
 from .ring import HashRing
 from ..service import protocol
 from ..service.client import ServiceClient
@@ -207,15 +207,17 @@ class RouterService:
         self.telemetry.record_submitted(tenant)
         loop = asyncio.get_running_loop()
         started = loop.time()
-        self._track(+1)
+        # The northbound verb installed the client's trace id as the
+        # ambient context; forwarding it joins the node's spans to it.
+        trace = current_trace()
         try:
-            response, node = await self._forward_sign(
-                message, tenant, key_name, deadline_ms)
+            response, node = await self._forward(
+                "sign", tenant, key=key_name, message=message,
+                deadline_ms=deadline_ms,
+                trace=trace.trace_id if trace is not None else None)
         except Exception:
             self.telemetry.record_failed(tenant)
             raise
-        finally:
-            self._track(-1)
         self._note_home(tenant, node)
         total_ms = (loop.time() - started) * 1000.0
         self.telemetry.record_batch(response.get("batch_size", 1))
@@ -233,14 +235,9 @@ class RouterService:
                      key_name: str = "default") -> tuple[bool, str]:
         """Forward a verify to the tenant's node; ``(valid, params)``."""
         self.keystore.resolve(tenant, key_name)
-        self._track(+1)
-        try:
-            request = {"op": "verify", "tenant": tenant, "key": key_name,
-                       "message": protocol.pack_bytes(message),
-                       "signature": protocol.pack_bytes(signature)}
-            response, _ = await self._forward(request)
-        finally:
-            self._track(-1)
+        response, _ = await self._forward(
+            "verify", tenant, key=key_name, message=message,
+            signature=signature)
         return bool(response["valid"]), response["params"]
 
     async def verify_many(self, messages: list[bytes],
@@ -252,15 +249,9 @@ class RouterService:
         verify job, so a failure there is the same typed error on every
         item — re-raised here once."""
         self.keystore.resolve(tenant, key_name)
-        self._track(+1)
-        try:
-            request = {
-                "op": "verify-many", "tenant": tenant, "key": key_name,
-                "messages": [protocol.pack_bytes(m) for m in messages],
-                "signatures": [protocol.pack_bytes(s) for s in signatures]}
-            response, _ = await self._forward(request)
-        finally:
-            self._track(-1)
+        response, _ = await self._forward(
+            "verify-many", tenant, key=key_name, messages=messages,
+            signatures=signatures)
         results = response["results"]
         for item in results:
             if not item["ok"]:
@@ -314,40 +305,29 @@ class RouterService:
                 f"{len(self._nodes)} nodes are down")
         return live + [node for node in preference if not node.up]
 
-    async def _forward_sign(self, message: bytes, tenant: str,
-                            key_name: str, deadline_ms: float | None
-                            ) -> tuple[dict, _Node]:
+    async def _forward(self, op: str, tenant: str,
+                       **fields) -> tuple[dict, _Node]:
+        """Call *op* on the tenant's node, failing over down the ring:
+        ``(typed response, the node that answered)``.  Counted in
+        flight until it returns, so shutdown can wait it out."""
         last: Exception | None = None
-        for attempt, node in enumerate(self._candidates(tenant)):
-            if attempt > self.max_retries:
-                break
-            try:
-                wire = await self._wire(node)
-                return await wire.sign(message, tenant, key_name,
-                                       deadline_ms), node
-            except _NODE_ERRORS as exc:
-                last = exc
-                self._mark_down(node, reason=str(exc))
+        self._track(+1)
+        try:
+            for attempt, node in enumerate(self._candidates(tenant)):
+                if attempt > self.max_retries:
+                    break
+                try:
+                    wire = await self._wire(node)
+                    return await wire.call(op, tenant=tenant,
+                                           **fields), node
+                except _NODE_ERRORS as exc:
+                    last = exc
+                    self._mark_down(node, reason=str(exc))
+        finally:
+            self._track(-1)
         raise NodeUnavailableError(
-            f"no node accepted tenant {tenant!r} after "
+            f"no node accepted {op!r} for tenant {tenant!r} after "
             f"{self.max_retries + 1} attempts (last: {last})")
-
-    async def _forward(self, request: dict) -> tuple[dict, _Node]:
-        tenant = request.get("tenant", "")
-        last: Exception | None = None
-        for attempt, node in enumerate(self._candidates(tenant)):
-            if attempt > self.max_retries:
-                break
-            try:
-                wire = await self._wire(node)
-                return await wire.request(request), node
-            except _NODE_ERRORS as exc:
-                last = exc
-                self._mark_down(node, reason=str(exc))
-        raise NodeUnavailableError(
-            f"no node accepted {request.get('op')!r} for tenant "
-            f"{tenant!r} after {self.max_retries + 1} attempts "
-            f"(last: {last})")
 
     # ------------------------------------------------------------------
     # Node liveness
@@ -357,9 +337,8 @@ class RouterService:
         try:
             # One hello upgrades the southbound wire to the newest
             # protocol the node speaks (v3 flips it to binary frames).
-            await wire.request({"op": "hello",
-                                "version": protocol.PROTOCOL_VERSION})
-        except Exception:
+            await wire.call("hello", version=protocol.PROTOCOL_VERSION)
+        except BaseException:  # incl. the health loop's wait_for cancel
             with contextlib.suppress(Exception):
                 await wire.close()
             raise

@@ -30,7 +30,7 @@ class BackendError(ReproError):
 
 
 class UnknownTicketError(BackendError, KeyError):
-    """A scheduler ticket that was never issued, already claimed, or evicted.
+    """A scheduler ticket that was never issued or was already claimed.
 
     ``BatchScheduler.signature``/``claim`` return ``None`` only for tickets
     that are still queued; every other miss raises this so callers cannot

@@ -572,6 +572,11 @@ class WorkerPool:
         can never write to a discarded pipe or see a task twice.
         """
         with self._cond:
+            if self._closing:
+                # close() landed while the collector was mid-iteration:
+                # the "dead" worker is one it just told to exit, and a
+                # replacement would never be told — it would outlive us.
+                return
             proc = self._procs[slot]
             if proc is not None:
                 # Salvage any results the worker delivered before dying.

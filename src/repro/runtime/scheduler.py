@@ -5,8 +5,7 @@ with.  Callers submit individual messages and get tickets back; the
 scheduler groups them into per-(parameter set, backend) queues, dispatches
 a backend's ``sign_batch`` whenever a queue reaches its target size, and
 keeps per-batch statistics (wall time, sig/s, cache hits, modeled KOPS)
-for reporting.  A pluggable router decides which backend serves which
-message — by parameter set, payload, or anything else.
+for reporting.
 
 This is the architecture the paper argues for: restructure a message
 stream into batches, then schedule the batches onto heterogeneous
@@ -27,13 +26,6 @@ from .registry import get_backend
 
 __all__ = ["BatchStats", "BatchScheduler"]
 
-# router(params_name, message) -> backend name
-Router = Callable[[str, bytes], str]
-
-# Combined size bound on the claimed/evicted ticket-id sets before the
-# oldest half is folded into a floor watermark (see _compact_terminal).
-_MAX_TERMINAL_TRACKED = 4096
-
 
 @dataclass(frozen=True)
 class BatchStats:
@@ -53,7 +45,6 @@ class BatchStats:
 class _Queue:
     tickets: list[int] = field(default_factory=list)
     messages: list[bytes] = field(default_factory=list)
-    enqueued: list[float] = field(default_factory=list)
 
 
 class BatchScheduler:
@@ -65,9 +56,7 @@ class BatchScheduler:
         Dispatch a queue as soon as it holds this many messages
         (:meth:`flush` dispatches partial queues).
     backend:
-        Default backend name for messages the router does not claim.
-    router:
-        Optional ``(params_name, message) -> backend name`` callable.
+        Backend name for messages submitted without an explicit one.
     verify:
         When true, every dispatched batch is immediately verified and the
         verdict recorded in its :class:`BatchStats` — a service-level
@@ -75,19 +64,6 @@ class BatchScheduler:
     backend_options:
         Per-backend-name constructor kwargs, e.g.
         ``{"modeled-gpu": {"device": "RTX 3080"}}``.
-    max_wait_s:
-        Latency budget per queue: :meth:`poll` dispatches any queue whose
-        *oldest* message has waited at least this long, so a trickle of
-        traffic is never stranded below the batch-size target.  ``None``
-        (the default) keeps the original size-only behaviour.
-    max_retained:
-        Bound on the signed-result store.  When more than this many
-        unclaimed signatures are retained, the oldest are evicted
-        (FIFO by signing order; ``evicted`` counts them).  ``None``
-        retains everything.
-    on_dispatch:
-        Hook called with each batch's :class:`BatchStats` right after
-        dispatch — the attachment point for service telemetry.
     keys_provider:
         Optional ``(canonical params name) -> KeyPair`` hook consulted
         before the scheduler generates its own key pair — how the
@@ -101,9 +77,6 @@ class BatchScheduler:
         the backend's ``stage_seconds``.  ``None`` keeps dispatch
         hook-free — the observability overhead benchmark measures
         exactly this toggle.
-    clock:
-        Monotonic time source for queue-age accounting (injectable for
-        deterministic tests).
 
     >>> sched = BatchScheduler(target_batch_size=2, deterministic=True)
     >>> tickets = [sched.submit(b"a"), sched.submit(b"b")]  # dispatches
@@ -113,54 +86,28 @@ class BatchScheduler:
 
     def __init__(self, target_batch_size: int = 64,
                  backend: str = "vectorized",
-                 router: Router | None = None,
                  deterministic: bool = False,
                  verify: bool = False,
                  backend_options: dict[str, dict] | None = None,
-                 max_wait_s: float | None = None,
-                 max_retained: int | None = None,
-                 on_dispatch: Callable[[BatchStats], None] | None = None,
                  keys_provider: Callable[[str], KeyPair] | None = None,
-                 tracer=None,
-                 clock: Callable[[], float] = time.monotonic):
+                 tracer=None):
         if target_batch_size < 1:
             raise BackendError(
                 f"target_batch_size must be >= 1, got {target_batch_size}"
             )
-        if max_wait_s is not None and max_wait_s <= 0:
-            raise BackendError(f"max_wait_s must be > 0, got {max_wait_s}")
-        if max_retained is not None and max_retained < 1:
-            raise BackendError(
-                f"max_retained must be >= 1, got {max_retained}"
-            )
         self.target_batch_size = target_batch_size
         self.default_backend = backend
-        self.router = router
         self.deterministic = deterministic
         self.verify = verify
         self.backend_options = backend_options or {}
-        self.max_wait_s = max_wait_s
-        self.max_retained = max_retained
-        self.on_dispatch = on_dispatch
         self.keys_provider = keys_provider
         self.tracer = tracer
-        self.clock = clock
-        self.evicted = 0
         self.batches: list[BatchStats] = []
         self._backends: dict[tuple[str, str], SigningBackend] = {}
         self._keys: dict[str, KeyPair] = {}
         self._queues: dict[tuple[str, str], _Queue] = {}
         self._signatures: dict[int, bytes] = {}
         self._next_ticket = 0
-        # Terminal ticket states, so signature()/claim() can distinguish
-        # "not dispatched yet" (None) from "gone" (UnknownTicketError).
-        # Bounded: once the sets exceed _MAX_TERMINAL_TRACKED, the oldest
-        # half is compacted into _terminal_floor — tickets below the
-        # floor that are neither stored nor queued are reported with a
-        # combined "claimed or evicted" message instead of the exact one.
-        self._claimed: set[int] = set()
-        self._evicted_tickets: set[int] = set()
-        self._terminal_floor = 0
 
     # ------------------------------------------------------------------
     # Key and backend management
@@ -205,14 +152,12 @@ class BatchScheduler:
         """Queue *message*; returns a ticket redeemable for the signature."""
         params_name = get_params(params).name
         if backend is None:
-            backend = (self.router(params_name, message) if self.router
-                       else self.default_backend)
+            backend = self.default_backend
         ticket = self._next_ticket
         self._next_ticket += 1
         queue = self._queues.setdefault((params_name, backend), _Queue())
         queue.tickets.append(ticket)
         queue.messages.append(message)
-        queue.enqueued.append(self.clock())
         if len(queue.messages) >= self.target_batch_size:
             self._dispatch((params_name, backend))
         return ticket
@@ -249,22 +194,8 @@ class BatchScheduler:
             verified = all(backend.verify_batch(
                 queue.messages, result.signatures, keys.public
             ))
-        if self.max_retained is not None:
-            # Never evict below the batch just stored: its caller has not
-            # had a chance to claim yet, and signature() returning None
-            # for a just-returned ticket is indistinguishable from
-            # "still queued".
-            bound = max(self.max_retained, len(queue.tickets))
-            while len(self._signatures) > bound:
-                oldest = next(iter(self._signatures))
-                self._signatures.pop(oldest)
-                self._evicted_tickets.add(oldest)
-                self.evicted += 1
-            self._compact_terminal()
         stats = self._stats(result, verified)
         self.batches.append(stats)
-        if self.on_dispatch is not None:
-            self.on_dispatch(stats)
         return stats
 
     def _record_spans(self, result: BatchSignResult, sign_start: float,
@@ -316,35 +247,6 @@ class BatchScheduler:
                 dispatched.append(stats)
         return dispatched
 
-    def poll(self, now: float | None = None) -> list[BatchStats]:
-        """Dispatch queues whose oldest message exceeded ``max_wait_s``.
-
-        The deadline half of deadline-aware batching for synchronous
-        callers: a driver loop calls :meth:`poll` periodically (an async
-        service uses real timers — see ``repro.service``) and partial
-        batches ship once their latency budget is spent.  No-op when
-        ``max_wait_s`` is None.
-        """
-        if self.max_wait_s is None:
-            return []
-        if now is None:
-            now = self.clock()
-        dispatched = []
-        for key, queue in list(self._queues.items()):
-            if queue.enqueued and now - queue.enqueued[0] >= self.max_wait_s:
-                stats = self._dispatch(key)
-                if stats is not None:
-                    dispatched.append(stats)
-        return dispatched
-
-    def oldest_wait_s(self, now: float | None = None) -> float | None:
-        """Age of the oldest queued message (None when nothing queued)."""
-        if now is None:
-            now = self.clock()
-        ages = [now - queue.enqueued[0]
-                for queue in self._queues.values() if queue.enqueued]
-        return max(ages) if ages else None
-
     def run(self, messages: Iterable[bytes], params: str = "128f",
             backend: str | None = None) -> list[int]:
         """Submit *messages*, flush, and return their tickets."""
@@ -356,99 +258,47 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     # Results and reporting
     # ------------------------------------------------------------------
-    def _compact_terminal(self) -> None:
-        """Keep the terminal-ticket sets bounded for long-lived services.
-
-        Tickets are issued monotonically, so folding the oldest tracked
-        half into ``_terminal_floor`` retains exact diagnostics for
-        recent tickets while old ones collapse to a single integer — the
-        sets can never grow past ``_MAX_TERMINAL_TRACKED`` entries no
-        matter how many signatures a service claims over its lifetime.
+    def _redeem(self, ticket: int, take: bool) -> bytes | None:
+        """The stored signature for *ticket*, or ``None`` while it is
+        still queued — the one meaning ``None`` has.  Everything else
+        raises :class:`UnknownTicketError`, so callers cannot confuse
+        "not signed yet" with "gone forever".
         """
-        if (len(self._claimed) + len(self._evicted_tickets)
-                <= _MAX_TERMINAL_TRACKED):
-            return
-        tracked = sorted(self._claimed | self._evicted_tickets)
-        cutoff = tracked[len(tracked) // 2]
-        self._terminal_floor = max(self._terminal_floor, cutoff + 1)
-        self._claimed = {t for t in self._claimed if t > cutoff}
-        self._evicted_tickets = {t for t in self._evicted_tickets
-                                 if t > cutoff}
-
-    def _is_queued(self, ticket: int) -> bool:
-        return any(ticket in queue.tickets
-                   for queue in self._queues.values())
-
-    def _validate_ticket_type(self, ticket: int) -> None:
-        """Reject non-int tickets *before* any dict lookup.
-
-        ``True`` and ``1.0`` hash equal to ticket ``1`` — without this
-        gate, ``claim(True)`` would silently redeem someone else's
-        signature instead of raising.
-        """
-        if not isinstance(ticket, int) or isinstance(ticket, bool):
+        # Type first, before any dict lookup: ``True`` and ``1.0`` hash
+        # equal to ticket ``1`` and would silently redeem someone
+        # else's signature.
+        if (not isinstance(ticket, int) or isinstance(ticket, bool)
+                or not 0 <= ticket < self._next_ticket):
             raise UnknownTicketError(
                 f"ticket {ticket!r} was never issued by this scheduler"
             )
-
-    def _check_ticket(self, ticket: int) -> None:
-        """Raise :class:`UnknownTicketError` unless *ticket* is live.
-
-        A live ticket is one that was issued and is still queued (its
-        signature simply does not exist yet).  Everything else — never
-        issued, already claimed, evicted under ``max_retained`` — raises,
-        so ``None`` keeps exactly one meaning: not dispatched yet.
-        """
-        if ticket < 0 or ticket >= self._next_ticket:
-            raise UnknownTicketError(
-                f"ticket {ticket!r} was never issued by this scheduler"
-            )
-        if ticket in self._claimed:
+        blob = (self._signatures.pop(ticket, None) if take
+                else self._signatures.get(ticket))
+        # An issued ticket that is neither stored nor queued can only
+        # have been claimed.
+        if blob is None and not any(ticket in queue.tickets
+                                    for queue in self._queues.values()):
             raise UnknownTicketError(f"ticket {ticket} was already claimed")
-        if ticket in self._evicted_tickets:
-            raise UnknownTicketError(
-                f"ticket {ticket} was evicted from the result store "
-                f"(max_retained={self.max_retained}); claim tickets "
-                "promptly or raise the bound"
-            )
-        if ticket < self._terminal_floor and not self._is_queued(ticket):
-            # Exact state was compacted away; it is definitely gone.
-            raise UnknownTicketError(
-                f"ticket {ticket} was already claimed or evicted"
-            )
+        return blob
 
     def signature(self, ticket: int) -> bytes | None:
         """Peek at the signature for *ticket* (None while still queued).
 
         Signed results are retained until :meth:`claim`\\ ed (signatures
-        are 17-50 KB each).  A long-running service should claim tickets
-        once redeemed, or construct the scheduler with ``max_retained``
-        so the result store stays bounded — unclaimed signatures beyond
-        the bound are evicted oldest-first and counted in ``evicted``.
-        Raises :class:`UnknownTicketError` for tickets that were never
-        issued, were already claimed, or were evicted.
+        are 17-50 KB each), so a long-running caller should claim tickets
+        once redeemed.  Raises :class:`UnknownTicketError` for tickets
+        that were never issued or were already claimed.
         """
-        self._validate_ticket_type(ticket)
-        blob = self._signatures.get(ticket)
-        if blob is None:
-            self._check_ticket(ticket)
-        return blob
+        return self._redeem(ticket, take=False)
 
     def claim(self, ticket: int) -> bytes | None:
         """Redeem *ticket*: return its signature and release the storage.
 
         ``None`` means the ticket is still queued; a second claim of the
         same ticket raises :class:`UnknownTicketError`, as do never-issued
-        and evicted tickets.
+        tickets.
         """
-        self._validate_ticket_type(ticket)
-        blob = self._signatures.pop(ticket, None)
-        if blob is None:
-            self._check_ticket(ticket)
-            return None
-        self._claimed.add(ticket)
-        self._compact_terminal()
-        return blob
+        return self._redeem(ticket, take=True)
 
     @property
     def pending(self) -> int:

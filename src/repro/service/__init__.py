@@ -25,13 +25,15 @@ Module map
     telemetry, in-process ``await service.sign(...)`` API) and
     :class:`SigningServer` (the newline-delimited JSON TCP front end).
 :mod:`.client`
-    :class:`ServiceClient` — pipelined async TCP client; many in-flight
+    :class:`ServiceClient` — the pipelined wire transport: one typed
+    ``call(op, **fields)`` whatever the connection speaks; many in-flight
     requests per connection, matched by request id.
 :mod:`.protocol`
-    The wire format: one JSON object per line; base64 binary fields;
-    stable error codes; version constants (v1: ``sign`` / ``stats`` /
-    ``ping``; v2 adds ``hello`` negotiation, ``verify``, ``sign-many``,
-    ``keys``).
+    The wire format, and the only module that knows which dialect a
+    connection speaks: one JSON object per line with base64 binary
+    fields (v1: ``sign`` / ``stats`` / ``ping``; v2 adds ``hello``
+    negotiation, ``verify``, ``sign-many``, ``keys``) or v3 binary
+    frames; stable error codes; version constants.
 :mod:`.verbs`
     The verb registry the server dispatches through: one table of
     schema-validated, version-gated handlers (adding a verb is one

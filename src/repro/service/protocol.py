@@ -87,6 +87,12 @@ A ``hello`` asking for a version the server does not speak is answered
 with a *downgrade offer* — ``ok: true`` and the highest version the
 server supports — never a hang or a bare close; the client decides
 whether to proceed or raise ``UnsupportedVersionError``.
+
+Which of the two layouts a connection speaks is decided once, at
+``hello``, and known only here: :class:`LineDialect` and
+:class:`FrameDialect` turn typed requests and results (``bytes`` are
+``bytes``) into wire bytes and back, for the client and the server
+alike, so every other module handles one request shape.
 """
 
 from __future__ import annotations
@@ -97,6 +103,7 @@ import binascii
 import json
 import struct
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..errors import (ConnectionLostError, FrameTooLargeError, KeystoreError,
                       LedgerError, NodeUnavailableError, OverloadedError,
@@ -106,7 +113,8 @@ from ..params import PARAMETER_SETS
 
 __all__ = [
     "FRAME_CODES", "FRAME_ERROR", "FRAME_LIMIT", "FRAME_SIGN_MANY_END",
-    "FRAME_SIGN_MANY_ITEM", "FRAME_VERBS", "Frame", "LINE_LIMIT",
+    "FRAME_SIGN_MANY_ITEM", "FRAME_VERBS", "Frame", "FrameDialect",
+    "LINE_LIMIT", "LineDialect",
     "MAX_SIGN_MANY", "MAX_SIGN_MANY_V3", "MAX_SIGNATURE_B64",
     "MAX_MESSAGE_BYTES", "MAX_MESSAGE_BYTES_V3", "PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS", "decode", "decode_frame", "encode",
@@ -158,7 +166,7 @@ ERROR_UNAVAILABLE = "unavailable"              # cluster: no live node owns it
 ERROR_LEDGER = "ledger"                        # transparency-log refusal
 
 #: Wire error code -> the typed exception a client raises for it.  The
-#: single authoritative map: both the v1 ServiceClient and the repro.api
+#: single authoritative map: the wire transport and the repro.api
 #: clients resolve codes through :func:`error_type`.
 ERROR_TYPES: dict[str, type[ServiceError]] = {
     ERROR_OVERLOADED: OverloadedError,
@@ -177,9 +185,16 @@ def error_type(code: object) -> type[ServiceError]:
     return ERROR_TYPES.get(code, ServiceError)  # type: ignore[arg-type]
 
 
+def _bytes_as_base64(value: object) -> str:
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return pack_bytes(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def encode(message: dict) -> bytes:
-    """Serialize one protocol message to a wire line."""
-    return json.dumps(message, separators=(",", ":")).encode() + b"\n"
+    """Serialize one protocol message to a wire line (``bytes`` values
+    travel base64-encoded)."""
+    return pack_json(message) + b"\n"
 
 
 def decode(line: bytes) -> dict:
@@ -361,19 +376,17 @@ class _Cursor:
     def u32(self, name: str) -> int:
         return int.from_bytes(self.take(4, name), "big")
 
-    def str8(self, name: str) -> str:
-        raw = self.take(self.u8(name), name)
+    def _text(self, count: int, name: str) -> str:
         try:
-            return str(raw, "utf-8")
+            return str(self.take(count, name), "utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"{name!r} is not valid UTF-8") from exc
 
+    def str8(self, name: str) -> str:
+        return self._text(self.u8(name), name)
+
     def str16(self, name: str) -> str:
-        raw = self.take(self.u16(name), name)
-        try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"{name!r} is not valid UTF-8") from exc
+        return self._text(self.u16(name), name)
 
     def bytes32(self, name: str) -> bytes:
         return bytes(self.take(self.u32(name), name))
@@ -415,31 +428,41 @@ def _check_trace(trace: str, name: str = "trace") -> str:
 
 
 # --- sign ---------------------------------------------------------------
-def pack_sign_request(tenant: str, key: str, message: bytes,
-                      deadline_ms: float | None = None,
-                      trace: str | None = None) -> bytes:
+def _pack_sign_head(tenant: str, key: str, deadline_ms: float | None,
+                    trace: str | None) -> bytes:
+    """tenant, key, deadline, trace: how sign and sign-many both open."""
     return b"".join((
         _str8(tenant, "tenant"), _str8(key, "key"),
         _pack_deadline(deadline_ms),
-        _str8(_check_trace(trace) if trace else "", "trace"),
-        _bytes32(message),
-    ))
+        _str8(_check_trace(trace) if trace else "", "trace")))
+
+
+def _unpack_sign_head(cursor: _Cursor) -> dict:
+    tenant = cursor.str8("tenant")
+    key = cursor.str8("key")
+    micros = cursor.u32("deadline")
+    trace = cursor.str8("trace")
+    return {
+        "tenant": tenant, "key": key or "default",
+        "deadline_ms": None if micros == _NO_DEADLINE else micros / 1000.0,
+        "trace": _check_trace(trace) if trace else None,
+    }
+
+
+def pack_sign_request(tenant: str, key: str, message: bytes,
+                      deadline_ms: float | None = None,
+                      trace: str | None = None) -> bytes:
+    return (_pack_sign_head(tenant, key, deadline_ms, trace)
+            + _bytes32(message))
 
 
 def unpack_sign_request(payload: bytes | memoryview) -> dict:
     """-> verb-handler args: tenant, key, message, deadline_ms, trace."""
     cursor = _Cursor(payload)
-    tenant = cursor.str8("tenant")
-    key = cursor.str8("key")
-    micros = cursor.u32("deadline")
-    trace = cursor.str8("trace")
-    message = cursor.bytes32("message")
+    args = _unpack_sign_head(cursor)
+    args["message"] = cursor.bytes32("message")
     cursor.done("sign")
-    return {
-        "tenant": tenant, "key": key or "default", "message": message,
-        "deadline_ms": None if micros == _NO_DEADLINE else micros / 1000.0,
-        "trace": _check_trace(trace) if trace else None,
-    }
+    return args
 
 
 def pack_sign_result(signature: bytes, params: str, backend: str,
@@ -450,6 +473,12 @@ def pack_sign_result(signature: bytes, params: str, backend: str,
         _str8(params, "params"), _str8(backend, "backend"),
         _bytes32(signature),
     ))
+
+
+def _pack_sign_result_dict(result: dict) -> bytes:
+    return pack_sign_result(
+        result["signature"], result["params"], result["backend"],
+        result["batch_size"], result["wait_ms"], result["total_ms"])
 
 
 def _unpack_sign_result(cursor: _Cursor) -> dict:
@@ -592,9 +621,7 @@ def pack_sign_many_request(tenant: str, key: str,
             f"sign-many frame holds {len(messages)} messages; v3 caps "
             f"frames at {MAX_SIGN_MANY_V3} — split the batch")
     return b"".join((
-        _str8(tenant, "tenant"), _str8(key, "key"),
-        _pack_deadline(deadline_ms),
-        _str8(_check_trace(trace) if trace else "", "trace"),
+        _pack_sign_head(tenant, key, deadline_ms, trace),
         len(messages).to_bytes(2, "big"),
         *(_bytes32(message) for message in messages),
     ))
@@ -602,10 +629,7 @@ def pack_sign_many_request(tenant: str, key: str,
 
 def unpack_sign_many_request(payload: bytes | memoryview) -> dict:
     cursor = _Cursor(payload)
-    tenant = cursor.str8("tenant")
-    key = cursor.str8("key")
-    micros = cursor.u32("deadline")
-    trace = cursor.str8("trace")
+    args = _unpack_sign_head(cursor)
     count = cursor.u16("count")
     if count == 0:
         raise ProtocolError("'messages' must be a non-empty list")
@@ -614,14 +638,10 @@ def unpack_sign_many_request(payload: bytes | memoryview) -> dict:
             f"sign-many frame declares {count} messages; this server "
             f"caps v3 frames at {MAX_SIGN_MANY_V3} (see 'max_batch' in "
             "the hello response) — split the batch")
-    messages = [cursor.bytes32(f"messages[{index}]")
-                for index in range(count)]
+    args["messages"] = [cursor.bytes32(f"messages[{index}]")
+                        for index in range(count)]
     cursor.done("sign-many")
-    return {
-        "tenant": tenant, "key": key or "default", "messages": messages,
-        "deadline_ms": None if micros == _NO_DEADLINE else micros / 1000.0,
-        "trace": _check_trace(trace) if trace else None,
-    }
+    return args
 
 
 def pack_sign_many_item(index: int, result: dict | None = None,
@@ -632,9 +652,7 @@ def pack_sign_many_item(index: int, result: dict | None = None,
         code, detail = error
         return head + b"\0" + _str8(code, "error") + _str16(detail)
     assert result is not None
-    return head + b"\1" + pack_sign_result(
-        result["signature"], result["params"], result["backend"],
-        result["batch_size"], result["wait_ms"], result["total_ms"])
+    return head + b"\1" + _pack_sign_result_dict(result)
 
 
 def unpack_sign_many_item(payload: bytes | memoryview) -> tuple[int, dict]:
@@ -675,7 +693,8 @@ def unpack_error(payload: bytes | memoryview) -> dict:
 
 
 def pack_json(body: dict) -> bytes:
-    return json.dumps(body, separators=(",", ":")).encode()
+    return json.dumps(body, separators=(",", ":"),
+                      default=_bytes_as_base64).encode()
 
 
 def unpack_json(payload: bytes | memoryview) -> dict:
@@ -687,3 +706,287 @@ def unpack_json(payload: bytes | memoryview) -> dict:
         raise ProtocolError(
             f"expected a JSON object payload, got {type(body).__name__}")
     return body
+
+
+# ----------------------------------------------------------------------
+# Dialects: typed requests and results <-> the bytes of one connection
+# ----------------------------------------------------------------------
+class _HotVerb(NamedTuple):
+    """A verb v3 packs as binary fields instead of a JSON payload."""
+
+    pack_request: Callable[..., bytes]
+    unpack_request: Callable[[memoryview], dict]
+    #: ``None`` for ``sign-many``: no single result frame, items stream.
+    pack_result: Callable[[dict], bytes] | None
+    unpack_result: Callable[[memoryview], dict] | None
+
+
+_HOT: dict[str, _HotVerb] = {
+    "sign": _HotVerb(pack_sign_request, unpack_sign_request,
+                     _pack_sign_result_dict, unpack_sign_result),
+    "verify": _HotVerb(
+        pack_verify_request, unpack_verify_request,
+        lambda result: pack_verify_result(result["valid"],
+                                          result["params"]),
+        unpack_verify_result),
+    "sign-many": _HotVerb(pack_sign_many_request,
+                          unpack_sign_many_request, None, None),
+    "verify-many": _HotVerb(
+        pack_verify_many_request, unpack_verify_many_request,
+        lambda result: pack_verify_many_result(result["results"]),
+        unpack_verify_many_result),
+}
+
+
+def _error_response(code: str, detail: str) -> dict:
+    return {"ok": False, "error": code, "detail": detail}
+
+
+class LineDialect:
+    """JSON lines (v1/v2, and every connection until a v3 ``hello``)."""
+
+    binary = False
+    #: Raw message bytes one request can carry (base64 inflates 3 -> 4).
+    message_budget = MAX_MESSAGE_BYTES
+
+    def upgraded(self, version: object) -> "LineDialect | FrameDialect":
+        """The dialect both ends speak once a ``hello`` granted
+        *version*: every byte after a v3 grant is a binary frame."""
+        if isinstance(version, int) and version >= 3:
+            return FrameDialect()
+        return self
+
+    # -- client side ----------------------------------------------------
+    def encode_request(self, op: str, request_id: int,
+                       fields: dict) -> bytes:
+        return encode({"op": op, **fields, "id": request_id})
+
+    async def read_reply(self, reader: asyncio.StreamReader
+                         ) -> tuple[object, dict | None, int] | None:
+        """-> ``(request id, response, wire bytes)``; ``None`` on EOF.
+
+        The id is ``None`` for a fatal error the server could not
+        attribute to a request.  A hot verb's response comes back as
+        the typed result its v3 frame would carry: the echoed request
+        fields dropped, signatures as raw bytes.
+        """
+        line = await reader.readline()
+        if not line:
+            return None
+        response = decode(line)
+        request_id = response.pop("id", None)
+        op = response.get("op")
+        if response.get("ok") and op in _HOT:
+            for echo in ("op", "tenant", "key", "trace"):
+                response.pop(echo, None)
+            signed = (response["results"] if op == "sign-many"
+                      else [response] if op == "sign" else ())
+            for item in signed:
+                if item.get("ok"):
+                    item["signature"] = unpack_bytes(item["signature"],
+                                                     name="signature")
+        return request_id, response, len(line)
+
+    # -- server side ----------------------------------------------------
+    async def read_request(self, reader: asyncio.StreamReader
+                           ) -> tuple[object, object, object] | None:
+        """-> ``(op, request id, body)``; ``None`` on EOF.
+
+        An unparseable line is not fatal (the next line starts clean):
+        its :class:`ProtocolError` rides as the body, for
+        :meth:`parse_request` to raise where it can be answered.
+        """
+        while True:
+            try:
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError) as exc:
+                # The rest of the line was never read, so the stream
+                # cannot be resynchronized.
+                raise FrameTooLargeError("line too long") from exc
+            if not line:
+                return None
+            if line.strip():
+                break
+        try:
+            body = decode(line)
+        except ProtocolError as exc:
+            return None, None, exc
+        return body.get("op"), body.get("id"), body
+
+    def parse_request(self, op: object, body: object, registry,
+                      version: int) -> tuple:
+        """-> ``(verb, typed args)`` through *registry*'s field schema."""
+        if isinstance(body, ProtocolError):
+            raise body
+        return registry.resolve(body, version)
+
+    async def reply(self, send, op: str, request_id: object, args: dict,
+                    result) -> None:
+        """Write *result*; a streamed one (``(index, item)`` pairs in
+        completion order) is collected into one response line."""
+        if not isinstance(result, dict):
+            items: list[dict | None] = [None] * len(args["messages"])
+            async for index, item in result:
+                items[index] = item
+            result = {"ok": True, "op": op, "tenant": args["tenant"],
+                      "key": args["key"], "results": items}
+            if args.get("trace"):
+                result["trace"] = args["trace"]
+        if request_id is not None:
+            result["id"] = request_id
+        await send(encode(result))
+
+    def encode_error(self, request_id: object, code: str,
+                     detail: str) -> bytes:
+        response = _error_response(code, detail)
+        if request_id is not None:
+            response["id"] = request_id
+        return encode(response)
+
+
+class FrameDialect:
+    """Length-prefixed binary frames (v3), from the ``hello`` onward."""
+
+    binary = True
+    #: v3 frames skip base64, so the same 1 MiB wire cap fits ~33% more.
+    message_budget = MAX_MESSAGE_BYTES_V3
+
+    def __init__(self):
+        #: Client side: open ``sign-many`` streams, request id -> the
+        #: items received so far (by request index).
+        self._streams: dict[int, list[dict | None]] = {}
+
+    def upgraded(self, version: object) -> "FrameDialect":
+        return self
+
+    # -- client side ----------------------------------------------------
+    def encode_request(self, op: str, request_id: int,
+                       fields: dict) -> bytes:
+        code = FRAME_CODES.get(op) if isinstance(op, str) else None
+        if code is None:
+            raise ProtocolError(
+                f"'op' must name a verb with a frame code, got {op!r}")
+        if op not in _HOT:
+            payload = pack_json(fields) if fields else b""
+        else:
+            try:
+                payload = _HOT[op].pack_request(**fields)
+            except TypeError as exc:
+                raise ProtocolError(f"verb {op!r}: {exc}") from exc
+            if op == "sign-many":
+                self._streams[request_id] = [None] * len(fields["messages"])
+        return encode_frame(code, payload, id=request_id)
+
+    async def read_reply(self, reader: asyncio.StreamReader
+                         ) -> tuple[object, dict | None, int] | None:
+        """-> ``(request id, response, wire bytes)``; ``None`` on EOF.
+
+        The id is ``None`` on the reserved id 0 (a fatal error frame);
+        the response is ``None`` for a streamed ``sign-many`` item —
+        the stream's single response follows its end frame, items in
+        request order.
+        """
+        frame = await read_frame(reader)
+        if frame is None:
+            return None
+        return (frame.id or None, self._decode_reply(frame),
+                _FULL_HEADER.size + len(frame.payload))
+
+    def _decode_reply(self, frame: Frame) -> dict | None:
+        if frame.verb == FRAME_SIGN_MANY_ITEM:
+            index, item = unpack_sign_many_item(frame.payload)
+            items = self._streams.get(frame.id)
+            if items is None:
+                return None
+            if 0 <= index < len(items):
+                items[index] = item
+                return None
+            del self._streams[frame.id]
+            return _error_response(
+                ERROR_PROTOCOL, f"sign-many stream answered index {index} "
+                                f"for a {len(items)}-item batch")
+        if frame.verb == FRAME_SIGN_MANY_END:
+            unpack_sign_many_end(frame.payload)
+            items = self._streams.pop(frame.id, None)
+            if items is None:
+                return None
+            missing = [index for index, item in enumerate(items)
+                       if item is None]
+            if missing:
+                return _error_response(
+                    ERROR_PROTOCOL, f"sign-many stream ended with "
+                                    f"{len(missing)} unanswered items "
+                                    f"(indexes {missing})")
+            return {"ok": True, "results": items}
+        if frame.verb == FRAME_ERROR:
+            self._streams.pop(frame.id, None)  # whole-frame failure
+            return unpack_error(frame.payload)
+        hot = _HOT.get(FRAME_VERBS.get(frame.verb))
+        return (hot.unpack_result if hot else unpack_json)(frame.payload)
+
+    # -- server side ----------------------------------------------------
+    async def read_request(self, reader: asyncio.StreamReader
+                           ) -> tuple[object, object, object] | None:
+        """-> ``(op, request id, payload)``; ``None`` on EOF.  An
+        unassigned frame code stands in for the op it does not name."""
+        frame = await read_frame(reader)
+        if frame is None:
+            return None
+        return FRAME_VERBS.get(frame.verb, frame.verb), frame.id, \
+            frame.payload
+
+    def parse_request(self, op: object, payload: memoryview, registry,
+                      version: int) -> tuple:
+        """-> ``(verb, typed args)``.
+
+        Hot verbs decode straight off the binary payload (the codec
+        already validates field types and bounds); every other verb
+        carries its v2 JSON body and resolves through *registry*'s
+        field schema, so cold verbs stay single-sourced.
+        """
+        if not isinstance(op, str):
+            raise UnknownVerbError(
+                f"unknown frame verb 0x{op:02x} "
+                f"(serving: {', '.join(registry.names(version))})")
+        if op in _HOT:
+            return (registry.lookup(op, version),
+                    _HOT[op].unpack_request(payload))
+        request = unpack_json(payload) if len(payload) else {}
+        request["op"] = op
+        if op == "hello":
+            wanted = request.get("version")
+            if isinstance(wanted, int) and wanted < 3:
+                raise ProtocolError(
+                    "a binary (v3) connection cannot renegotiate below "
+                    "v3 — reconnect and send the lower hello as JSON")
+        return registry.resolve(request, version)
+
+    async def reply(self, send, op: str, request_id: int, args: dict,
+                    result) -> None:
+        """Write *result*; a streamed one goes out one item frame per
+        ``(index, item)`` as it lands, then an end frame with the count."""
+        # Packed inside the call, so a signature-sized payload is not
+        # kept alive beside its frame for the length of the send.
+        if isinstance(result, dict):
+            pack = _HOT[op].pack_result if op in _HOT else pack_json
+            await send(encode_frame(FRAME_CODES[op], pack(result),
+                                    id=request_id, flags=FLAG_OK))
+            return
+        count = 0
+        async for index, item in result:
+            await send(encode_frame(
+                FRAME_SIGN_MANY_ITEM,
+                pack_sign_many_item(index, result=item) if item["ok"]
+                else pack_sign_many_item(
+                    index, error=(item["error"], item["detail"])),
+                id=request_id, flags=FLAG_OK))
+            count += 1
+        await send(encode_frame(FRAME_SIGN_MANY_END,
+                                pack_sign_many_end(count), id=request_id,
+                                flags=FLAG_OK))
+
+    def encode_error(self, request_id: int | None, code: str,
+                     detail: str) -> bytes:
+        # Id 0 is reserved for failures no request maps to.
+        return encode_frame(FRAME_ERROR, pack_error(code, detail),
+                            id=request_id or 0)

@@ -49,7 +49,7 @@ from .batcher import DeadlineBatcher, PendingSign, QueueKey
 from .keystore import Keystore
 from .telemetry import Telemetry, render_snapshot
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
-                    error_body, serve_frame)
+                    error_body)
 
 __all__ = ["SignOutcome", "SigningService", "SigningServer"]
 
@@ -567,46 +567,46 @@ class SigningServer:
         tasks: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
         conn = ConnectionState()
+        dialect = protocol.LineDialect()
         connection = asyncio.current_task()
         if connection is not None:
             self._connections[connection] = writer
+
+        async def send(data: bytes) -> None:
+            try:
+                async with write_lock:
+                    writer.write(data)
+                    await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # client went away; nothing to report to
+
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(writer, write_lock, {
-                        "ok": False, "error": protocol.ERROR_PROTOCOL,
-                        "detail": "line too long",
-                    })
+                    request = await dialect.read_request(reader)
+                except FrameTooLargeError as exc:
+                    # The oversized line/frame was never read, so the
+                    # stream cannot be resynchronized: report without an
+                    # id (no request maps to it) and close.
+                    await send(dialect.encode_error(
+                        None, protocol.ERROR_PROTOCOL, str(exc)))
                     break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                request = None
-                try:
-                    request = protocol.decode(line)
                 except ProtocolError:
-                    pass  # the serve task reports the typed decode error
-                if request is not None and request.get("op") == "hello":
+                    break  # dropped mid-frame: nobody left to answer
+                if request is None:
+                    break
+                if request[0] == "hello":
                     # hello is served inline, not as a task: a v3 grant
                     # flips this connection to binary frames, and the
                     # switch must land before the next read — the client
                     # sends its first frame right after the hello line.
-                    await self._serve_decoded(request, writer, write_lock,
-                                              conn)
-                    if conn.version >= 3:
-                        await self._serve_frames(reader, writer,
-                                                 write_lock, conn, tasks)
-                        break
+                    await self._serve(dialect, request, send, conn)
+                    dialect = dialect.upgraded(conn.version)
                     continue
                 # Each request runs as its own task so a client can
                 # pipeline: a slow sign never blocks a ping or stats.
                 task = loop.create_task(
-                    self._serve_line(line, writer, write_lock, conn)
-                    if request is None else
-                    self._serve_decoded(request, writer, write_lock, conn))
+                    self._serve(dialect, request, send, conn))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         except (ConnectionResetError, BrokenPipeError):
@@ -622,78 +622,16 @@ class SigningServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _serve_frames(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            write_lock: asyncio.Lock, conn: ConnectionState,
-                            tasks: set[asyncio.Task]) -> None:
-        """The v3 read loop: binary frames from the hello onward."""
-        loop = asyncio.get_running_loop()
-
-        async def send(data: bytes) -> None:
-            await self._send_raw(writer, write_lock, data)
-
-        while True:
-            try:
-                frame = await protocol.read_frame(reader)
-            except FrameTooLargeError as exc:
-                # The oversized body was never read, so the stream cannot
-                # be resynchronized: report on the reserved id 0 (no
-                # request maps to it) and close the connection.
-                await send(protocol.encode_frame(
-                    protocol.FRAME_ERROR,
-                    protocol.pack_error(protocol.ERROR_PROTOCOL, str(exc))))
-                return
-            except ProtocolError:
-                return  # dropped mid-frame: nobody left to answer
-            if frame is None:
-                return
-            task = loop.create_task(serve_frame(self, conn, frame, send))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          write_lock: asyncio.Lock,
-                          conn: ConnectionState) -> None:
+    async def _serve(self, dialect, request: tuple, send,
+                     conn: ConnectionState) -> None:
+        """Serve one request read by *dialect*: typed args in, a typed
+        result (or typed error) out, written back in the same dialect."""
+        op, request_id, body = request
         try:
-            request = protocol.decode(line)
-        except ProtocolError as exc:
-            await self._send(writer, write_lock, {
-                "ok": False, "error": protocol.ERROR_PROTOCOL,
-                "detail": str(exc)})
-            return
-        await self._serve_decoded(request, writer, write_lock, conn)
-
-    async def _serve_decoded(self, request: dict,
-                             writer: asyncio.StreamWriter,
-                             write_lock: asyncio.Lock,
-                             conn: ConnectionState) -> None:
-        request_id = request.get("id")
-        try:
-            response = await self._serve_request(request, conn)
+            verb, args = dialect.parse_request(op, body, self.registry,
+                                               conn.version)
+            await dialect.reply(send, verb.name, request_id, args,
+                                await verb.handler(self, conn, args))
         except Exception as exc:  # noqa: BLE001 — report, don't kill the conn
             code, detail = error_body(exc, conn.version)
-            response = {"ok": False, "error": code, "detail": detail}
-        if request_id is not None:
-            response["id"] = request_id
-        await self._send(writer, write_lock, response)
-
-    async def _serve_request(self, request: dict,
-                             conn: ConnectionState) -> dict:
-        verb, args = self.registry.resolve(request, conn.version)
-        return await verb.handler(self, conn, args)
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, write_lock: asyncio.Lock,
-                    response: dict) -> None:
-        await SigningServer._send_raw(writer, write_lock,
-                                      protocol.encode(response))
-
-    @staticmethod
-    async def _send_raw(writer: asyncio.StreamWriter,
-                        write_lock: asyncio.Lock, data: bytes) -> None:
-        try:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; nothing to report to
+            await send(dialect.encode_error(request_id, code, detail))

@@ -26,8 +26,7 @@ from ..obs.trace import TraceContext, new_span_id, use_trace
 from . import protocol
 
 __all__ = ["ConnectionState", "FieldSpec", "Verb", "VerbRegistry",
-           "default_registry", "error_body", "ledger_registry",
-           "serve_frame"]
+           "default_registry", "error_body", "ledger_registry"]
 
 
 @dataclass
@@ -133,7 +132,10 @@ def _spec(name: str, kind: Callable[[object, str], Any], *,
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-Handler = Callable[[Any, ConnectionState, dict], Awaitable[dict]]
+#: ``await handler(server, conn, typed args)`` -> the response dict
+#: (binary fields as raw bytes), or — ``sign-many`` — an async iterator
+#: of ``(index, item)`` the connection's dialect collects or streams.
+Handler = Callable[[Any, ConnectionState, dict], Awaitable[Any]]
 
 
 @dataclass(frozen=True)
@@ -169,15 +171,13 @@ class VerbRegistry:
         return tuple(sorted(name for name, verb in self._verbs.items()
                             if verb.min_version <= version))
 
-    def resolve(self, request: dict,
-                version: int) -> tuple[Verb, dict]:
-        """Validate one decoded frame into ``(verb, parsed args)``.
+    def lookup(self, op: object, version: int) -> Verb:
+        """The verb *op* names at *version*.
 
         Raises :class:`UnknownVerbError` for an op outside the table (or
         gated behind a higher protocol version than the connection
-        negotiated) and :class:`ProtocolError` for schema violations.
+        negotiated).
         """
-        op = request.get("op")
         if not isinstance(op, str):
             raise ProtocolError(
                 f"'op' must be a string naming a verb, got {op!r}"
@@ -195,13 +195,23 @@ class VerbRegistry:
                 '{"op": "hello", "version": 2} first (serving: '
                 + ", ".join(self.names(version)) + ")"
             )
+        return verb
+
+    def resolve(self, request: dict,
+                version: int) -> tuple[Verb, dict]:
+        """Validate one decoded JSON request into ``(verb, parsed args)``.
+
+        Raises like :meth:`lookup`, plus :class:`ProtocolError` for
+        schema violations.
+        """
+        verb = self.lookup(request.get("op"), version)
         args = {}
         for spec in verb.fields:
             value = request.get(spec.name, _MISSING)
             if value is _MISSING:
                 if spec.required:
                     raise ProtocolError(
-                        f"verb {op!r} requires field {spec.name!r}"
+                        f"verb {verb.name!r} requires field {spec.name!r}"
                     )
                 args[spec.name] = spec.default
             else:
@@ -228,23 +238,33 @@ async def _verb_stats(server, conn: ConnectionState, args: dict) -> dict:
     return {"ok": True, "op": "stats", "stats": server.service.stats()}
 
 
+def _traced(args: dict):
+    """A client-sent trace id as the ambient context for the service
+    call, so the request's root span joins the client's trace."""
+    return use_trace(TraceContext(args["trace"], new_span_id())
+                     if args.get("trace") else None)
+
+
+def _signed(outcome) -> dict:
+    return {"ok": True, "signature": outcome.signature,
+            "params": outcome.params, "backend": outcome.backend,
+            "batch_size": outcome.batch_size, "wait_ms": outcome.wait_ms,
+            "total_ms": outcome.total_ms}
+
+
+def _failed(exc: BaseException, version: int) -> dict:
+    """A per-item failure: the shared mapping keeps its code identical
+    to the whole-frame one ("overloaded", "unavailable", ...)."""
+    code, detail = error_body(exc, version)
+    return {"ok": False, "error": code, "detail": detail}
+
+
 async def _verb_sign(server, conn: ConnectionState, args: dict) -> dict:
-    # A client-sent trace id is installed as the ambient context for the
-    # service call, so the request's root span joins the client's trace.
-    with use_trace(TraceContext(args["trace"], new_span_id())
-                   if args.get("trace") else None):
+    with _traced(args):
         outcome = await server.service.sign(
             args["message"], args["tenant"], key_name=args["key"],
             deadline_ms=args["deadline_ms"])
-    response = {
-        "ok": True, "op": "sign",
-        "signature": protocol.pack_bytes(outcome.signature),
-        "params": outcome.params,
-        "backend": outcome.backend,
-        "batch_size": outcome.batch_size,
-        "wait_ms": outcome.wait_ms,
-        "total_ms": outcome.total_ms,
-    }
+    response = {"ok": True, "op": "sign", **_signed(outcome)}
     if args.get("trace"):
         response["trace"] = args["trace"]
     return response
@@ -257,78 +277,62 @@ async def _verb_verify(server, conn: ConnectionState, args: dict) -> dict:
     return {"ok": True, "op": "verify", "valid": valid, "params": params}
 
 
-async def _verb_sign_many(server, conn: ConnectionState, args: dict) -> dict:
-    # Tenant/key resolution failures fail the whole frame (nothing could
-    # have signed); per-message failures after that come back per item so
-    # one shed request does not discard its siblings' signatures.
+async def _verb_sign_many(server, conn: ConnectionState, args: dict):
+    """-> ``(index, item)`` pairs, each the moment its batch lands.
+
+    Tenant/key resolution failures fail the whole frame (nothing could
+    have signed); per-message failures after that come back per item so
+    one shed request does not discard its siblings' signatures.
+    """
     tenant, key = args["tenant"], args["key"]
     server.service.keystore.resolve(tenant, key)
     # One client trace id covers the whole frame: each message's root
     # request span shares it (the breakdown keys stages per trace).
-    with use_trace(TraceContext(args["trace"], new_span_id())
-                   if args.get("trace") else None):
-        outcomes = await asyncio.gather(
-            *(server.service.sign(message, tenant, key_name=key,
-                                  deadline_ms=args["deadline_ms"])
-              for message in args["messages"]),
-            return_exceptions=True)
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            # The shared mapping keeps per-item codes identical to the
-            # whole-frame ones ("overloaded", "unavailable", ...).
-            code, detail = error_body(outcome, conn.version)
-            results.append({"ok": False, "error": code,
-                            "detail": detail})
-        else:
-            results.append({
-                "ok": True,
-                "signature": protocol.pack_bytes(outcome.signature),
-                "params": outcome.params,
-                "backend": outcome.backend,
-                "batch_size": outcome.batch_size,
-                "wait_ms": outcome.wait_ms,
-                "total_ms": outcome.total_ms,
-            })
-    response = {"ok": True, "op": "sign-many", "tenant": tenant,
-                "key": key, "results": results}
-    if args.get("trace"):
-        response["trace"] = args["trace"]
-    return response
+    with _traced(args):
+        by_task = {
+            asyncio.ensure_future(server.service.sign(
+                message, tenant, key_name=key,
+                deadline_ms=args["deadline_ms"])): index
+            for index, message in enumerate(args["messages"])
+        }
+    return _as_signed(by_task, conn.version)
 
 
-async def _verify_many_results(server, conn: ConnectionState,
-                               args: dict) -> list[dict]:
-    """Per-pair result items for one verify-many frame (v2 and v3).
-
-    Mirrors sign-many: tenant/key resolution failures fail the whole
-    frame (nothing could have verified).  After that the frame is ONE
-    verify job; an invalid signature is a *result* (valid: false), and
-    an infra failure of the job is reported on every item it covered.
-    """
-    tenant, key = args["tenant"], args["key"]
-    server.service.keystore.resolve(tenant, key)
-    try:
-        verdicts, params = await server.service.verify_many(
-            args["messages"], args["signatures"], tenant, key_name=key)
-    except Exception as exc:  # noqa: BLE001 — typed per item, like sign-many
-        code, detail = error_body(exc, conn.version)
-        return [{"ok": False, "error": code, "detail": detail}
-                for _ in args["messages"]]
-    return [{"ok": True, "valid": valid, "params": params}
-            for valid in verdicts]
+async def _as_signed(by_task: dict, version: int):
+    pending = set(by_task)
+    while pending:
+        done, pending = await asyncio.wait(
+            pending, return_when=asyncio.FIRST_COMPLETED)
+        for task in done:
+            exc = task.exception()
+            yield by_task[task], (_signed(task.result()) if exc is None
+                                  else _failed(exc, version))
 
 
 async def _verb_verify_many(server, conn: ConnectionState,
                             args: dict) -> dict:
-    if len(args["messages"]) != len(args["signatures"]):
+    """Mirrors sign-many: tenant/key resolution failures fail the whole
+    frame (nothing could have verified).  After that the frame is ONE
+    verify job; an invalid signature is a *result* (valid: false), and
+    an infra failure of the job is reported on every item it covered.
+    Verdicts are one byte each on v3, so no streaming variant."""
+    tenant, key = args["tenant"], args["key"]
+    messages, signatures = args["messages"], args["signatures"]
+    if len(messages) != len(signatures):
         raise ProtocolError(
             f"verify-many pairs each message with a signature: got "
-            f"{len(args['messages'])} messages, "
-            f"{len(args['signatures'])} signatures")
-    results = await _verify_many_results(server, conn, args)
-    return {"ok": True, "op": "verify-many", "tenant": args["tenant"],
-            "key": args["key"], "results": results}
+            f"{len(messages)} messages, {len(signatures)} signatures")
+    server.service.keystore.resolve(tenant, key)
+    try:
+        verdicts, params = await server.service.verify_many(
+            messages, signatures, tenant, key_name=key)
+    except Exception as exc:  # noqa: BLE001 — typed per item, like sign-many
+        results = [_failed(exc, conn.version) for _ in messages]
+    else:
+        results = [{"ok": True, "valid": valid, "params": params}
+                   for valid in verdicts]
+    return {"ok": True, "op": "verify-many", "tenant": tenant, "key": key,
+            "results": results}
 
 
 def _ledger(server):
@@ -343,10 +347,8 @@ def _ledger(server):
 async def _verb_log_append(server, conn: ConnectionState,
                            args: dict) -> dict:
     ledger = _ledger(server)
-    # A client trace id becomes the ambient context for the whole
-    # pipeline, so one trace spans ingest -> batch-sign -> checkpoint.
-    with use_trace(TraceContext(args["trace"], new_span_id())
-                   if args.get("trace") else None):
+    # One trace spans ingest -> batch-sign -> checkpoint.
+    with _traced(args):
         receipts = await ledger.append_many(args["entries"])
     response = {
         "ok": True, "op": "log-append",
@@ -401,9 +403,6 @@ async def _verb_keys(server, conn: ConnectionState, args: dict) -> dict:
             "params": keystore.params_for(tenant), "keys": list(names)}
 
 
-# ----------------------------------------------------------------------
-# Protocol v3: binary frame dispatch
-# ----------------------------------------------------------------------
 def error_body(exc: BaseException, version: int) -> tuple[str, str]:
     """Map one handler exception to its wire ``(code, detail)`` pair.
 
@@ -427,142 +426,6 @@ def error_body(exc: BaseException, version: int) -> tuple[str, str]:
     if isinstance(exc, LedgerError):
         return protocol.ERROR_LEDGER, str(exc)
     return protocol.ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-
-
-async def _frame_sign(server, conn: ConnectionState,
-                      frame: protocol.Frame, send) -> None:
-    args = protocol.unpack_sign_request(frame.payload)
-    with use_trace(TraceContext(args["trace"], new_span_id())
-                   if args["trace"] else None):
-        outcome = await server.service.sign(
-            args["message"], args["tenant"], key_name=args["key"],
-            deadline_ms=args["deadline_ms"])
-    await send(protocol.encode_frame(
-        frame.verb,
-        protocol.pack_sign_result(
-            outcome.signature, outcome.params, outcome.backend,
-            outcome.batch_size, outcome.wait_ms, outcome.total_ms),
-        id=frame.id, flags=protocol.FLAG_OK))
-
-
-async def _frame_verify(server, conn: ConnectionState,
-                        frame: protocol.Frame, send) -> None:
-    args = protocol.unpack_verify_request(frame.payload)
-    valid, params = await server.service.verify(
-        args["message"], args["signature"], args["tenant"],
-        key_name=args["key"])
-    await send(protocol.encode_frame(
-        frame.verb, protocol.pack_verify_result(valid, params),
-        id=frame.id, flags=protocol.FLAG_OK))
-
-
-async def _frame_sign_many(server, conn: ConnectionState,
-                           frame: protocol.Frame, send) -> None:
-    """Streaming sign-many: one item frame per message *as it signs*.
-
-    v2 buffers the whole batch into one response line; here each result
-    goes out the moment its batch lands, tagged with the request index,
-    and a final end frame carries the count.  Tenant/key resolution
-    failures still fail the whole frame (nothing could have signed);
-    per-message failures ride as not-ok item frames.
-    """
-    args = protocol.unpack_sign_many_request(frame.payload)
-    tenant, key = args["tenant"], args["key"]
-    server.service.keystore.resolve(tenant, key)
-    with use_trace(TraceContext(args["trace"], new_span_id())
-                   if args["trace"] else None):
-        by_task = {
-            asyncio.ensure_future(server.service.sign(
-                message, tenant, key_name=key,
-                deadline_ms=args["deadline_ms"])): index
-            for index, message in enumerate(args["messages"])
-        }
-    pending = set(by_task)
-    while pending:
-        done, pending = await asyncio.wait(
-            pending, return_when=asyncio.FIRST_COMPLETED)
-        for task in done:
-            index = by_task[task]
-            exc = task.exception()
-            if exc is not None:
-                payload = protocol.pack_sign_many_item(
-                    index, error=error_body(exc, conn.version))
-            else:
-                outcome = task.result()
-                payload = protocol.pack_sign_many_item(index, result={
-                    "signature": outcome.signature,
-                    "params": outcome.params,
-                    "backend": outcome.backend,
-                    "batch_size": outcome.batch_size,
-                    "wait_ms": outcome.wait_ms,
-                    "total_ms": outcome.total_ms,
-                })
-            await send(protocol.encode_frame(
-                protocol.FRAME_SIGN_MANY_ITEM, payload, id=frame.id,
-                flags=protocol.FLAG_OK))
-    await send(protocol.encode_frame(
-        protocol.FRAME_SIGN_MANY_END,
-        protocol.pack_sign_many_end(len(by_task)), id=frame.id,
-        flags=protocol.FLAG_OK))
-
-
-async def _frame_verify_many(server, conn: ConnectionState,
-                             frame: protocol.Frame, send) -> None:
-    """Binary verify-many: verdicts are one byte each, so the whole
-    batch answers in a single small frame — no streaming variant."""
-    results = await _verify_many_results(
-        server, conn, protocol.unpack_verify_many_request(frame.payload))
-    await send(protocol.encode_frame(
-        frame.verb, protocol.pack_verify_many_result(results),
-        id=frame.id, flags=protocol.FLAG_OK))
-
-
-_HOT_FRAMES = {
-    protocol.FRAME_CODES["sign"]: _frame_sign,
-    protocol.FRAME_CODES["verify"]: _frame_verify,
-    protocol.FRAME_CODES["sign-many"]: _frame_sign_many,
-    protocol.FRAME_CODES["verify-many"]: _frame_verify_many,
-}
-
-
-async def serve_frame(server, conn: ConnectionState,
-                      frame: protocol.Frame, send) -> None:
-    """Serve one decoded v3 frame; *send* transmits an encoded reply.
-
-    Hot verbs (sign / verify / sign-many) decode straight off the binary
-    payload — no JSON, no base64, no registry schema pass (the codec
-    already validates field types and bounds).  Every other verb carries
-    its v2 JSON body as the frame payload and resolves through the same
-    registry as line mode, so cold verbs stay single-sourced.
-    """
-    try:
-        hot = _HOT_FRAMES.get(frame.verb)
-        if hot is not None:
-            await hot(server, conn, frame, send)
-            return
-        op = protocol.FRAME_VERBS.get(frame.verb)
-        if op is None:
-            raise UnknownVerbError(
-                f"unknown frame verb 0x{frame.verb:02x} "
-                f"(serving: {', '.join(server.registry.names(conn.version))})")
-        request = (protocol.unpack_json(frame.payload)
-                   if len(frame.payload) else {})
-        request["op"] = op
-        if op == "hello":
-            version = request.get("version")
-            if isinstance(version, int) and version < 3:
-                raise ProtocolError(
-                    "a binary (v3) connection cannot renegotiate below "
-                    "v3 — reconnect and send the lower hello as JSON")
-        response = await server._serve_request(request, conn)
-        await send(protocol.encode_frame(
-            frame.verb, protocol.pack_json(response), id=frame.id,
-            flags=protocol.FLAG_OK))
-    except Exception as exc:  # noqa: BLE001 — report, don't kill the conn
-        code, detail = error_body(exc, conn.version)
-        await send(protocol.encode_frame(
-            protocol.FRAME_ERROR, protocol.pack_error(code, detail),
-            id=frame.id))
 
 
 def default_registry() -> VerbRegistry:

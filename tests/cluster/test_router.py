@@ -6,15 +6,19 @@ real ``ClusterRouter`` (via ``LocalCluster``), driven through the typed
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.api import AsyncClusterClient
 from repro.cluster import LocalCluster, RouterService
+from repro.cluster.ring import HashRing
 from repro.errors import (KeystoreError, NodeUnavailableError,
                           OverloadedError, ServiceError)
 from repro.params import get_params
-from repro.service import Keystore, SigningService, derive_seed
+from repro.obs.trace import TraceContext, Tracer, use_trace
+from repro.service import (Keystore, SigningServer, SigningService,
+                           derive_seed, protocol)
 from repro.sphincs.signer import Sphincs
 
 TENANTS = ("acme", "edge", "wallet")
@@ -260,6 +264,88 @@ class TestFailover:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+
+    def test_hung_node_fails_over(self):
+        """A node that answered ``hello`` and then went silent still
+        holds its connection, so only the health loop's ping timeout
+        notices; the requests in flight on it must then fail over to
+        the next ring candidate, not fail."""
+        answered = []
+
+        async def silent_after_one_hello(reader, writer):
+            line = await reader.readline()
+            if not answered:
+                answered.append(True)
+                writer.write(protocol.encode(
+                    {"ok": True, "op": "hello", "version": 3,
+                     "id": json.loads(line)["id"]}))
+            await reader.read()  # swallow every request, answer none
+            writer.close()
+
+        async def scenario():
+            live = SigningServer(make_service(), port=0)
+            await live.start()
+            hung = await asyncio.start_server(silent_after_one_hello,
+                                              "127.0.0.1", 0)
+            slot = HashRing(2).preference("acme")[0]
+            addresses = [(live.host, live.port)] * 2
+            addresses[slot] = ("127.0.0.1",
+                               hung.sockets[0].getsockname()[1])
+            router = RouterService(addresses, make_keystore(),
+                                   health_interval_s=0.2)
+            await router.start()
+            try:
+                assert router.owner("acme") == slot
+                outcome = await asyncio.wait_for(
+                    router.sign(b"stuck?", "acme"), timeout=30)
+                assert outcome.signature == reference_signature(
+                    "acme", b"stuck?")
+                assert outcome.backend.startswith(f"node{1 - slot}:")
+                up = {entry["labels"]["node"]: entry["value"]
+                      for entry in router.metrics_registry.collect()[
+                          "repro_node_up"]["series"]}
+                assert up == {str(slot): 0.0, str(1 - slot): 1.0}
+            finally:
+                await router.aclose()
+                hung.close()
+                await live.stop()
+
+        asyncio.run(scenario())
+
+
+class TestTracing:
+    def test_client_trace_id_reaches_the_node(self):
+        """One trace id from the client through the router to the node
+        that signs: the node's spans join the *client's* trace."""
+        node_tracer = Tracer()
+
+        def traced_node() -> SigningService:
+            return SigningService(make_keystore(), target_batch_size=2,
+                                  max_wait_s=0.02, deterministic=True,
+                                  tracer=node_tracer)
+
+        async def scenario():
+            cluster = await LocalCluster([traced_node] * 2).start()
+            # A router advertises the trace capability once it has a
+            # tracer of its own (the client only sends ids it may).
+            cluster.router_service.tracer = Tracer()
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            try:
+                with use_trace(TraceContext("c11e27", "0001")):
+                    await client.sign("acme", b"follow me")
+                await client.sign("acme", b"untraced")
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+        traces = node_tracer.traces()
+        assert {"request", "queue", "sign"} <= {
+            span.name for span in traces["c11e27"]}
+        # Nothing is sent southbound when no trace is current: the
+        # second request rooted a fresh trace on the node.
+        assert len(traces) == 2
 
 
 class TestAdmission:

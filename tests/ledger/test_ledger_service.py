@@ -18,7 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningService,
-                           derive_seed, protocol)
+                           derive_seed)
 
 TENANT = "ledger"
 
@@ -250,36 +250,31 @@ class TestServedVerbs:
             client = None
             try:
                 client = await ServiceClient.open(port=server.port)
-                hello = await client.request({"op": "hello",
-                                              "version": version})
+                hello = await client.call("hello", version=version)
                 assert hello["version"] == version
                 assert client.binary is (version >= 3)
-                appended = await client.request({
-                    "op": "log-append",
-                    "entries": [protocol.pack_bytes(b"wire event %d" % i)
-                                for i in range(3)],
-                })
+                appended = await client.call(
+                    "log-append",
+                    entries=[b"wire event %d" % i for i in range(3)])
                 assert appended["ok"]
                 assert [r["index"] for r in appended["receipts"]] == [
                     0, 1, 2]
                 checkpoint = appended["checkpoint"]
                 assert checkpoint["size"] == 3
 
-                proof = await client.request({"op": "log-proof",
-                                              "index": 1, "size": 3})
+                proof = await client.call("log-proof", index=1, size=3)
                 assert proof["ok"]
                 verifier = LocalClient(make_keystore(),
                                        deterministic=True)
                 assert verify_inclusion(verifier, proof["proof"])
                 verifier.close()
 
-                head = await client.request({"op": "log-checkpoint"})
+                head = await client.call("log-checkpoint")
                 assert head["ok"]
                 assert head["checkpoint"] == checkpoint
 
                 with pytest.raises(LedgerError):
-                    await client.request({"op": "log-proof", "index": 9,
-                                          "size": 3})
+                    await client.call("log-proof", index=9, size=3)
             finally:
                 if client is not None:
                     await client.close()
@@ -294,17 +289,13 @@ class TestServedVerbs:
             client = None
             try:
                 client = await ServiceClient.open(port=server.port)
-                await client.request({"op": "hello", "version": 2})
-                first = await client.request({
-                    "op": "log-append",
-                    "entries": [protocol.pack_bytes(b"a"),
-                                protocol.pack_bytes(b"b")]})
-                await client.request({
-                    "op": "log-append",
-                    "entries": [protocol.pack_bytes(b"c")]})
+                await client.call("hello", version=2)
+                first = await client.call("log-append",
+                                          entries=[b"a", b"b"])
+                await client.call("log-append", entries=[b"c"])
                 old = first["checkpoint"]
-                response = await client.request({"op": "log-checkpoint",
-                                                 "since": old["size"]})
+                response = await client.call("log-checkpoint",
+                                             since=old["size"])
                 head = response["checkpoint"]
                 assert head["size"] == 3
                 assert verify_consistency_path(
@@ -334,9 +325,9 @@ class TestServedVerbs:
             client = None
             try:
                 client = await ServiceClient.open(port=server.port)
-                await client.request({"op": "hello", "version": 2})
+                await client.call("hello", version=2)
                 with pytest.raises(LedgerError, match="does not host"):
-                    await client.request({"op": "log-checkpoint"})
+                    await client.call("log-checkpoint")
             finally:
                 if client is not None:
                     await client.close()

@@ -209,11 +209,9 @@ class TestWireTracing:
             try:
                 await client.sign("demo", b"m0", deadline_ms=5000)
                 wire = client._wire
-                families = (await wire.request(
-                    {"op": "metrics"}))["metrics"]
+                families = (await wire.call("metrics"))["metrics"]
                 assert families["repro_requests_total"]["type"] == "counter"
-                reply = await wire.request(
-                    {"op": "metrics", "format": "prometheus"})
+                reply = await wire.call("metrics", format="prometheus")
                 samples = parse_prometheus(reply["body"])
                 signed = [value for labels, value
                           in samples["repro_requests_total"]

@@ -262,6 +262,17 @@ class TestCrashRecovery:
             assert set(result.workers) == {0, 1}
 
 
+    def test_no_respawn_once_the_pool_is_closing(self):
+        """The collector can be mid-iteration when close() tells the
+        workers to exit; it must not take those exits for crashes and
+        staff the slots again with workers nobody will ever stop."""
+        pool = WorkerPool(workers=1)
+        pool.close()
+        pool._recover(0)
+        assert pool.stats_by_worker[0].respawns == 0
+        assert not pool._procs[0].is_alive()
+
+
 class TestPooledBackend:
     def test_registered_in_registry(self):
         assert "pooled" in available_backends()

@@ -66,29 +66,6 @@ class TestQueueing:
 
 
 class TestRouting:
-    def test_router_selects_backend(self):
-        routed = []
-
-        def router(params_name, message):
-            routed.append(message)
-            return "vectorized" if message.startswith(b"hot") else "scalar"
-
-        scheduler = BatchScheduler(target_batch_size=1, deterministic=True,
-                                   router=router)
-        scheduler.submit(b"hot path")
-        scheduler.submit(b"cold path")
-        assert len(routed) == 2
-        backends = {stats.backend for stats in scheduler.batches}
-        assert backends == {"vectorized", "scalar"}
-
-    def test_explicit_backend_overrides_router(self):
-        scheduler = BatchScheduler(
-            target_batch_size=1, deterministic=True,
-            router=lambda p, m: pytest.fail("router must not be consulted"),
-        )
-        scheduler.submit(b"explicit", backend="vectorized")
-        assert scheduler.batches[0].backend == "vectorized"
-
     def test_shared_key_across_backends(self):
         """One key per parameter set: traffic can move between backends."""
         scheduler = BatchScheduler(target_batch_size=1, deterministic=True)
@@ -96,107 +73,6 @@ class TestRouting:
         t_vector = scheduler.submit(b"same", backend="vectorized")
         assert (scheduler.signature(t_scalar)
                 == scheduler.signature(t_vector))
-
-
-class TestDeadlinePolling:
-    """max_wait_s / poll(): the synchronous mirror of the async service
-    tier's deadline dispatch (repro.service.batcher has the timer-driven
-    version; the policy must match)."""
-
-    def make(self, **kwargs):
-        clock = {"now": 100.0}
-        scheduler = BatchScheduler(
-            target_batch_size=8, deterministic=True,
-            clock=lambda: clock["now"], **kwargs)
-        return scheduler, clock
-
-    def test_poll_dispatches_expired_queue(self):
-        scheduler, clock = self.make(max_wait_s=0.5)
-        ticket = scheduler.submit(b"trickle")
-        assert scheduler.poll() == []  # budget not yet spent
-        assert scheduler.signature(ticket) is None
-        clock["now"] += 0.6
-        stats = scheduler.poll()
-        assert len(stats) == 1 and stats[0].count == 1
-        assert scheduler.signature(ticket) is not None
-
-    def test_poll_uses_oldest_message_age(self):
-        scheduler, clock = self.make(max_wait_s=0.5)
-        scheduler.submit(b"old")
-        clock["now"] += 0.4
-        scheduler.submit(b"young")
-        assert scheduler.oldest_wait_s() == pytest.approx(0.4)
-        clock["now"] += 0.2  # old: 0.6 over budget; young: only 0.2
-        assert scheduler.poll()[0].count == 2  # whole queue ships together
-        assert scheduler.oldest_wait_s() is None
-
-    def test_poll_without_budget_is_noop(self):
-        scheduler, clock = self.make()
-        scheduler.submit(b"queued")
-        clock["now"] += 1e6
-        assert scheduler.poll() == []
-        assert scheduler.pending == 1
-
-    def test_explicit_now_overrides_clock(self):
-        scheduler, _ = self.make(max_wait_s=0.5)
-        scheduler.submit(b"m")
-        assert scheduler.poll(now=100.1) == []
-        assert len(scheduler.poll(now=101.0)) == 1
-
-    def test_bad_max_wait(self):
-        with pytest.raises(BackendError, match="max_wait_s"):
-            BatchScheduler(max_wait_s=0.0)
-
-
-class TestResultStoreBounds:
-    def test_max_retained_evicts_oldest(self):
-        scheduler = BatchScheduler(target_batch_size=1, deterministic=True,
-                                   max_retained=2)
-        tickets = [scheduler.submit(f"m{i}".encode()) for i in range(3)]
-        assert scheduler.evicted == 1
-        with pytest.raises(UnknownTicketError, match="evicted"):
-            scheduler.signature(tickets[0])  # oldest evicted
-        assert scheduler.signature(tickets[1]) is not None
-        assert scheduler.signature(tickets[2]) is not None
-
-    def test_oversized_batch_retained_until_next_dispatch(self):
-        """A batch larger than max_retained is never evicted before its
-        caller can claim it — only the next dispatch trims it."""
-        scheduler = BatchScheduler(target_batch_size=3, deterministic=True,
-                                   max_retained=2)
-        tickets = [scheduler.submit(f"m{i}".encode()) for i in range(3)]
-        assert scheduler.evicted == 0
-        assert all(scheduler.signature(t) is not None for t in tickets)
-        late = scheduler.submit(b"later")
-        scheduler.flush()
-        assert scheduler.evicted == 2  # trimmed back to the bound
-        assert scheduler.signature(late) is not None
-
-    def test_claim_makes_room(self):
-        scheduler = BatchScheduler(target_batch_size=1, deterministic=True,
-                                   max_retained=2)
-        first = scheduler.submit(b"m0")
-        assert scheduler.claim(first) is not None
-        tickets = [scheduler.submit(f"m{i}".encode()) for i in (1, 2)]
-        assert scheduler.evicted == 0  # claim freed the slot
-        assert all(scheduler.signature(t) is not None for t in tickets)
-
-    def test_bad_max_retained(self):
-        with pytest.raises(BackendError, match="max_retained"):
-            BatchScheduler(max_retained=0)
-
-
-class TestDispatchHook:
-    def test_on_dispatch_sees_every_batch(self):
-        seen = []
-        scheduler = BatchScheduler(target_batch_size=2, deterministic=True,
-                                   on_dispatch=seen.append)
-        scheduler.submit(b"a")
-        scheduler.submit(b"b")  # full batch
-        scheduler.submit(b"c")
-        scheduler.flush()       # partial batch
-        assert [stats.count for stats in seen] == [2, 1]
-        assert seen == scheduler.batches
 
 
 class TestReporting:

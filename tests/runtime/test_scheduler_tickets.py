@@ -1,9 +1,9 @@
 """Ticket lifecycle: None means exactly one thing — not dispatched yet.
 
 Satellite for the conformance PR: `signature()`/`claim()` raise the typed
-`UnknownTicketError` for never-issued, already-claimed, and evicted
-tickets, so callers can no longer mistake an evicted result (gone
-forever) for a queued one (coming soon).
+`UnknownTicketError` for never-issued and already-claimed tickets, so
+callers can no longer mistake a claimed result (gone forever) for a
+queued one (coming soon).
 """
 
 import pytest
@@ -75,48 +75,3 @@ class TestClaimed:
             scheduler.claim(ticket)
         with pytest.raises(UnknownTicketError, match="already claimed"):
             scheduler.signature(ticket)
-
-
-class TestTerminalCompaction:
-    def test_tracking_sets_stay_bounded(self):
-        from repro.runtime import scheduler as scheduler_module
-
-        scheduler = make_scheduler(max_retained=1)
-        bound = scheduler_module._MAX_TERMINAL_TRACKED
-        # Fake a long-lived service cheaply: register terminal tickets
-        # through the same bookkeeping the real paths use.
-        for i in range(bound + 100):
-            scheduler._next_ticket = i + 1
-            scheduler._claimed.add(i)
-            scheduler._compact_terminal()
-        assert (len(scheduler._claimed)
-                + len(scheduler._evicted_tickets)) <= bound
-        assert scheduler._terminal_floor > 0
-        # Compacted-away tickets still raise, with the combined message.
-        with pytest.raises(UnknownTicketError, match="claimed or evicted"):
-            scheduler.signature(0)
-        # Recent ones keep their exact diagnosis.
-        with pytest.raises(UnknownTicketError, match="already claimed"):
-            scheduler.signature(bound + 99)
-
-    def test_old_but_still_queued_ticket_survives_compaction(self):
-        scheduler = make_scheduler(target_batch_size=10**9)
-        old = scheduler.submit(b"stuck in queue")
-        scheduler._terminal_floor = old + 1  # as if compaction passed it
-        assert scheduler.signature(old) is None  # queued, not terminal
-        scheduler.flush()
-        assert scheduler.claim(old) is not None
-
-
-class TestEvicted:
-    def test_evicted_ticket_raises_with_remedy(self):
-        scheduler = make_scheduler(max_retained=2)
-        tickets = [scheduler.submit(f"m{i}".encode()) for i in range(3)]
-        assert scheduler.evicted == 1
-        with pytest.raises(UnknownTicketError, match="evicted"):
-            scheduler.signature(tickets[0])
-        with pytest.raises(UnknownTicketError, match="max_retained=2"):
-            scheduler.claim(tickets[0])
-        # The retained ones are untouched.
-        assert scheduler.signature(tickets[1]) is not None
-        assert scheduler.claim(tickets[2]) is not None

@@ -265,29 +265,9 @@ class TestNegotiationV3:
                 try:
                     with pytest.raises(ProtocolError,
                                        match="renegotiate"):
-                        await client._wire.request(
-                            {"op": "hello", "version": 2})
+                        await client._wire.call("hello", version=2)
                 finally:
                     await client.close()
-            finally:
-                await server.stop()
-
-        run(scenario())
-
-    def test_frame_helpers_require_v3(self):
-        async def scenario():
-            server = make_server()
-            await server.start()
-            try:
-                wire = await ServiceClient.open(port=server.port)
-                try:
-                    with pytest.raises(ProtocolError, match="v3"):
-                        await wire.request_frame(
-                            protocol.FRAME_CODES["ping"], b"")
-                    with pytest.raises(ProtocolError, match="v3"):
-                        await wire.sign_many_stream("demo", [b"m"])
-                finally:
-                    await wire.close()
             finally:
                 await server.stop()
 
@@ -369,8 +349,9 @@ class TestStreamingSignMany:
                 client = await AsyncClient.connect(port=server.port)
                 try:
                     messages = [f"stream {i}".encode() for i in range(5)]
-                    items = await client._wire.sign_many_stream(
-                        "demo", messages)
+                    items = (await client._wire.call(
+                        "sign-many", tenant="demo", key="default",
+                        messages=messages))["results"]
                     assert len(items) == 5
                     public = server.service.keystore.resolve(
                         "demo", "default")[0].public
@@ -418,8 +399,10 @@ class TestStreamingSignMany:
             try:
                 client = await AsyncClient.connect(port=server.port)
                 try:
-                    items = await client._wire.sign_many_stream(
-                        "demo", [f"m{i}".encode() for i in range(6)])
+                    items = (await client._wire.call(
+                        "sign-many", tenant="demo", key="default",
+                        messages=[f"m{i}".encode()
+                                  for i in range(6)]))["results"]
                     accepted = [i for i in items if i["ok"]]
                     shed = [i for i in items if not i["ok"]]
                     assert len(accepted) == 2
@@ -443,9 +426,10 @@ class TestStreamingSignMany:
                 client = await AsyncClient.connect(port=server.port)
                 try:
                     with pytest.raises(ProtocolError):
-                        await client._wire.sign_many_stream(
-                            "demo",
-                            [b"x"] * (protocol.MAX_SIGN_MANY_V3 + 1))
+                        await client._wire.call(
+                            "sign-many", tenant="demo", key="default",
+                            messages=[b"x"] * (protocol.MAX_SIGN_MANY_V3
+                                               + 1))
                     # The connection survives the local rejection.
                     assert await client.ping() is True
                 finally:
@@ -491,8 +475,7 @@ class TestOverlongInput:
             await server.start()
             try:
                 wire = await ServiceClient.open(port=server.port)
-                [hello] = [await wire.request(
-                    {"op": "hello", "version": 2})]
+                hello = await wire.call("hello", version=2)
                 assert hello["version"] == 2 and wire.binary is False
                 # Pipeline a sign that will still be batching when the
                 # poison line lands.
@@ -550,8 +533,8 @@ class TestOverlongInput:
                 client = await AsyncClient.connect(port=server.port)
                 wire = client._wire
                 stream = asyncio.ensure_future(
-                    wire.sign_many_stream(
-                        "demo", [b"a", b"b", b"c"]))
+                    wire.call("sign-many", tenant="demo", key="default",
+                              messages=[b"a", b"b", b"c"]))
                 await asyncio.sleep(0.02)
                 wire._write(
                     (protocol.FRAME_LIMIT + 1).to_bytes(4, "big")

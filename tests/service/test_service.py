@@ -208,7 +208,7 @@ class TestTcp:
                 with pytest.raises(OverloadedError):
                     await client.sign(b"b", "demo")
                 with pytest.raises(ProtocolError, match="unknown verb"):
-                    await client.request({"op": "frobnicate"})
+                    await client.call("frobnicate")
                 await service.drain()
                 assert (await asyncio.wait_for(accepted, 60))["batch_size"] == 1
             finally:
