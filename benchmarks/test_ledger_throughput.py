@@ -14,6 +14,16 @@ replays the on-disk bytes.  Three rates are recorded as
 * ``audit.entries_per_s`` — audited entries per second for the full
   replay (signature verification plus deterministic byte-compare).
 
+All three are wall-clock rates, so worker processes are inside them: the
+log signs through ``LocalClient``, which runs the signing plan on one
+pinned worker per allowed CPU from two up and in-process on one.  The
+record says which (``signing_workers``; 0 is in-process) — a rate is
+only comparable with a baseline of the same executor, and the pinned
+JSONs were measured in-process.  The proofs all cite the newest
+checkpoint, so its signature is walked once and recalled after
+(:class:`~repro.runtime.fastops.FastVerifier`'s memo); each entry
+signature is walked.
+
 The run also asserts the pipeline invariant outright: every receipt must
 verify and the audit must come back clean — a throughput number measured
 over unverifiable entries would be meaningless.  Set ``REPRO_SMOKE=1``
@@ -107,6 +117,7 @@ def test_ledger_throughput(emit, tmp_path):
         return ledger, receipts, append
 
     try:
+        workers = client.info().workers
         ledger, receipts, append = asyncio.run(scenario())
         proofs = _proof_phase(ledger, client, receipts)
     finally:
@@ -117,6 +128,7 @@ def test_ledger_throughput(emit, tmp_path):
         "params": f"SPHINCS+-{PARAMS}",
         "smoke": SMOKE,
         "cpu_count": os.cpu_count(),
+        "signing_workers": workers,
         "append": append,
         "proofs": proofs,
         "audit": audit,
@@ -135,5 +147,7 @@ def test_ledger_throughput(emit, tmp_path):
          ["audit replay", audit["entries_verified"], audit["elapsed_s"],
           audit["entries_per_s"]]],
         title=(f"Ledger pipeline, {ENTRIES} entries sealed in batches of "
-               f"{BATCH_SIZE}, {os.cpu_count()} CPU core(s)"),
+               f"{BATCH_SIZE}, {os.cpu_count()} CPU core(s), signing "
+               + (f"on {workers} worker processes" if workers
+                  else "in-process")),
     ))

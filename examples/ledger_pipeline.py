@@ -102,16 +102,18 @@ async def main() -> None:
             # 2. Distrust the server: fetch an inclusion proof for the
             #    first and last entries and verify them client-side
             #    against nothing but the tenant key.
-            verifier = LocalClient(build_keystore(), deterministic=True)
-            for position in (0, len(receipts) - 1):
-                reply = await client.call(
-                    "log-proof", index=receipts[position]["index"])
-                proof = InclusionProof.from_dict(reply["proof"])
-                ok = verify_inclusion(verifier, proof)
-                print(f"entry {proof.index} of {proof.size}: inclusion "
-                      f"path of {len(proof.path)} node(s), "
-                      f"client-side verify -> {ok}")
-                assert ok, "acknowledged entry failed client-side proof"
+            #    The client owns worker processes: ``with`` stops them.
+            with LocalClient(build_keystore(),
+                             deterministic=True) as verifier:
+                for position in (0, len(receipts) - 1):
+                    reply = await client.call(
+                        "log-proof", index=receipts[position]["index"])
+                    proof = InclusionProof.from_dict(reply["proof"])
+                    ok = verify_inclusion(verifier, proof)
+                    print(f"entry {proof.index} of {proof.size}: "
+                          f"inclusion path of {len(proof.path)} node(s), "
+                          f"client-side verify -> {ok}")
+                    assert ok, "acknowledged entry failed client-side proof"
 
             # 3. The log only ever extends: a consistency proof between
             #    the first sealed head and the current one.
@@ -128,7 +130,6 @@ async def main() -> None:
                 print(f"consistency {old['size']} -> {head['size']}: "
                       f"old head is a prefix -> {consistent}")
                 assert consistent, "the log rewrote history"
-            verifier.close()
             print()
         finally:
             await client.close()

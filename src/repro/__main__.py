@@ -98,6 +98,7 @@ def _make_api_client(args: argparse.Namespace, command: str):
             return None, 2
     from .service import Keystore
 
+    client = None
     try:
         keystore = Keystore(root=args.keystore) if args.keystore else None
         options = {"keystore": keystore,
@@ -112,6 +113,8 @@ def _make_api_client(args: argparse.Namespace, command: str):
     except api.ServiceError as exc:
         # e.g. a --keystore tenant pinned to a different --params, or a
         # quarantined corrupt tenant file.
+        if client is not None:
+            client.close()  # it owns worker processes
         print(f"{command}: {exc}", file=sys.stderr)
         return None, 2
     return client, None
@@ -212,17 +215,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   "backend; name the inner backend (vectorized), not "
                   "'pooled'", file=sys.stderr)
             return 2
-        if backends[0] != "vectorized":
-            print("serve: the worker pool runs the vectorized signing "
-                  f"plan; it cannot host {backends[0]!r}", file=sys.stderr)
-            return 2
-        # One shared pool under every parameter set's pooled backend.
-        from .runtime import WorkerPool
+        from .errors import BackendError
+        from .runtime.pool import plan_executor
 
-        pool = WorkerPool(workers=args.workers)
-        backend_options["pooled"] = {
-            "pool": pool, "cache_budget_mb": args.cache_budget_mb}
-        backends = ["pooled"]
+        # One shared pool under every parameter set's pooled backend.
+        try:
+            engine, backend_options, pool = plan_executor(
+                backends[0], args.workers,
+                {"cache_budget_mb": args.cache_budget_mb})
+        except BackendError as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
+        backends = [engine]
     elif args.cache_budget_mb is not None and "vectorized" in backends:
         # In-process tier: the one cache-aware backend takes the budget
         # (the reference and the modeled backend hold no cache).
@@ -278,16 +282,6 @@ def _build_keystore(args: argparse.Namespace):
                     if args.deterministic else None)
             keystore.generate_key(name, "default", seed=seed)
     return keystore
-
-
-def _auto_workers() -> int:
-    """The pool size for the CPUs this process may run on: one worker
-    each where there are at least two, else none (sign in-process)."""
-    import os
-
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    return cpus if cpus >= 2 else 0
 
 
 def _build_service(args: argparse.Namespace, keystore=None):
@@ -387,10 +381,11 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_serve_async(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .runtime.pool import auto_workers
     from .service import SigningServer
 
     if args.workers is None:
-        args.workers = _auto_workers()
+        args.workers = auto_workers()
 
     async def run() -> int:
         # Workers are forked here, before the port is announced.

@@ -12,9 +12,10 @@ served at all.  ``repro.api`` is the one contract:
 >>> result = client.sign("acme", b"payload")
 >>> client.verify("acme", b"payload", result.signature).valid
 True
+>>> client.close()  # it owns worker processes from two CPUs up
 
-The same four lines work with ``api.connect("pooled", workers=4)``
-(multi-core worker pool) and ``api.connect("tcp", host=..., port=...)``
+The same lines work with ``api.connect("pooled", workers=4)``
+(a worker pool of a stated size) and ``api.connect("tcp", host=..., port=...)``
 (a remote ``repro serve-async`` service speaking protocol v2); asyncio
 callers use :class:`AsyncClient` directly.  Results are always
 :class:`SignResult` / :class:`VerifyResult`, capability discovery is
@@ -60,10 +61,10 @@ def connect(transport: str = "local", **options) -> SigningClient:
 
     * ``"local"`` — in-process :class:`LocalClient`; options forward to
       its constructor (``keystore``, ``backend``, ``deterministic``,
-      ``backend_options``).
-    * ``"pooled"`` — :class:`LocalClient` on the multi-core worker-pool
-      backend (the vectorized signing plan, its tasks spread over
-      worker processes); ``workers=N`` sizes the pool.
+      ``backend_options``); by default the vectorized signing plan on
+      one worker process per allowed CPU (in-process on one CPU).
+    * ``"pooled"`` — the same plan on a pool of a stated size:
+      ``workers=N``.
     * ``"tcp"`` — :class:`TcpClient` against a ``repro serve-async``
       server; options forward to :meth:`TcpClient.connect` (``host``,
       ``port``, ``min_version``, ``timeout``).

@@ -4,9 +4,11 @@
 per ``(tenant, key)`` — tenant keys come from a
 :class:`~repro.service.keystore.Keystore` (injected through the
 scheduler's ``keys_provider`` hook), and any registered backend can
-execute, including ``pooled`` for multi-core fan-out.  One ``sign_many``
-call is one scheduler batch, so the local transport exposes exactly the
-amortization the runtime was built for.
+execute.  One ``sign_many`` call is one scheduler batch, so the local
+transport exposes exactly the amortization the runtime was built for —
+on every CPU the process may use: the default ``vectorized`` plan runs on
+a worker pool the client owns (:func:`~repro.runtime.pool.auto_workers`)
+until :meth:`LocalClient.close`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Sequence
 
 from ..obs.trace import current_trace, start_trace, use_trace
 from ..runtime.fastops import FastVerifier
-from ..runtime.scheduler import BatchScheduler, BatchStats
+from ..runtime.pool import auto_workers, plan_executor
+from ..runtime.scheduler import BatchScheduler
 from ..service.keystore import Keystore, derive_seed
 from .base import SigningClient
 from .model import (ServiceInfo, SignRequest, SignResult, VerifyRequest,
@@ -38,9 +41,10 @@ class LocalClient(SigningClient):
         Tenant/key registry; defaults to a fresh in-memory store
         (populate it with :meth:`add_tenant`).
     backend:
-        Any registered runtime backend — ``vectorized`` (default),
-        ``scalar``, ``modeled-gpu``, or ``pooled`` for the multi-core
-        worker-pool tier.
+        Any registered runtime backend — ``vectorized`` (default: one
+        pinned worker process per allowed CPU from two up, in-process
+        on one), ``scalar``, ``modeled-gpu``, or ``pooled`` for a
+        worker pool of a fixed size.
     backend_options:
         Per-backend constructor kwargs, e.g.
         ``{"pooled": {"workers": 4}}``.
@@ -64,26 +68,21 @@ class LocalClient(SigningClient):
         self.backend_name = backend
         self.deterministic = deterministic
         self.tracer = tracer
-        self.backend_options = dict(backend_options or {})
         self.transport = transport_label or (
             "pooled" if backend == "pooled" else "local")
         self._schedulers: dict[tuple[str, str], BatchScheduler] = {}
         self._verifiers: dict[str, FastVerifier] = {}
-        self._pool = None
-        self._owns_pool = False
-        if backend == "pooled":
-            # One worker pool shared by every (tenant, key) scheduler —
-            # without this, each tenant would spawn its own processes.
-            options = dict(self.backend_options.get("pooled", {}))
-            if options.get("pool") is None:
-                from ..runtime.pool import WorkerPool
-
-                options["pool"] = WorkerPool(
-                    workers=options.pop("workers", 2))
-                self._owns_pool = True
-            self._pool = options["pool"]
-            self.backend_options["pooled"] = options
-        self._closed = False
+        # One pool under every (tenant, key) scheduler, started here and
+        # stopped by close(): a worker per allowed CPU for ``vectorized``
+        # (none on one CPU), the size it was given for ``pooled``.
+        options = dict((backend_options or {}).get(backend, {}))
+        workers = (auto_workers() if backend == "vectorized"
+                   else options.pop("workers", 2) if backend == "pooled"
+                   else 0)
+        self._engine, self.backend_options, self._pool = plan_executor(
+            backend, workers, options)
+        # A rotated or deleted key must stop signing here too.
+        self.keystore.add_listener(self._on_key_event)
 
     # ------------------------------------------------------------------
     # Tenant management convenience (local transport only: remote tenants
@@ -110,13 +109,20 @@ class LocalClient(SigningClient):
     # ------------------------------------------------------------------
     # Transport primitives
     # ------------------------------------------------------------------
+    def _on_key_event(self, event: str, tenant: str, key: str,
+                      old_keys) -> None:
+        """Keystore listener: the scheduler holds the retired key pair
+        and, through its backend, that key's layer cache and replay memo
+        — drop all of it; the next request resolves the new key."""
+        self._schedulers.pop((tenant, key), None)
+
     def _scheduler_for(self, tenant: str, key: str) -> BatchScheduler:
         entry = self._schedulers.get((tenant, key))
         if entry is None:
             keys, _ = self.keystore.resolve(tenant, key)
             entry = BatchScheduler(
                 target_batch_size=_NEVER_AUTODISPATCH,
-                backend=self.backend_name,
+                backend=self._engine,
                 deterministic=self.deterministic,
                 backend_options=self.backend_options,
                 keys_provider=lambda params_name, _keys=keys: _keys,
@@ -125,59 +131,39 @@ class LocalClient(SigningClient):
             self._schedulers[(tenant, key)] = entry
         return entry
 
-    def _result(self, request: SignRequest, signature: bytes,
-                stats: BatchStats) -> SignResult:
-        return SignResult(
-            signature=signature, tenant=request.tenant, key=request.key,
-            params=stats.params, backend=stats.backend,
-            batch_size=stats.count, wait_ms=0.0,
-            total_ms=round(stats.elapsed_s * 1000.0, 3),
-            transport=self.transport,
-        )
-
     def _sign(self, request: SignRequest) -> SignResult:
         return self._sign_many([request])[0]
 
     def _sign_many(self,
                    requests: Sequence[SignRequest]) -> list[SignResult]:
-        # Group by (tenant, key): each group is one scheduler batch, and
-        # results come back in request order.
-        groups: dict[tuple[str, str], list[tuple[int, SignRequest]]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault((request.tenant, request.key), []).append(
-                (index, request))
-        results: list[SignResult | None] = [None] * len(requests)
-        for (tenant, key), members in groups.items():
-            _, params_name = self.keystore.resolve(tenant, key)
-            scheduler = self._scheduler_for(tenant, key)
-            if self.tracer is not None:
-                # One trace per facade batch: the root client-request
-                # span plus the scheduler's sign/stage spans underneath.
-                ctx = current_trace() or start_trace()
-                # Wall clock anchors the span; duration is monotonic so
-                # an NTP step mid-batch cannot distort it.
-                started = time.time()
-                started_mono = time.perf_counter()
-                with use_trace(ctx):
-                    tickets = [scheduler.submit(request.message,
-                                                params=params_name)
-                               for _, request in members]
-                    [stats] = scheduler.flush()
-                self.tracer.record_span(
-                    "client-request", trace=ctx, span_id=ctx.span_id,
-                    start=started,
-                    end=started + (time.perf_counter() - started_mono),
-                    tenant=tenant, key=key, batch_size=len(members))
-            else:
-                tickets = [scheduler.submit(request.message,
-                                            params=params_name)
-                           for _, request in members]
-                [stats] = scheduler.flush()
-            for (index, request), ticket in zip(members, tickets):
-                signature = scheduler.claim(ticket)
-                assert signature is not None  # flushed above
-                results[index] = self._result(request, signature, stats)
-        return [result for result in results if result is not None]
+        # The facade builds the list under one (tenant, key): one
+        # scheduler batch, results in request order.
+        tenant, key = requests[0].tenant, requests[0].key
+        _, params_name = self.keystore.resolve(tenant, key)
+        scheduler = self._scheduler_for(tenant, key)
+        # One trace per facade batch: the root client-request span plus
+        # the scheduler's sign/stage spans underneath.
+        ctx = ((current_trace() or start_trace())
+               if self.tracer is not None else current_trace())
+        # Wall clock anchors the span; duration is monotonic so an NTP
+        # step mid-batch cannot distort it.
+        started, started_mono = time.time(), time.perf_counter()
+        with use_trace(ctx):
+            tickets = [scheduler.submit(request.message, params=params_name)
+                       for request in requests]
+            [stats] = scheduler.flush()
+        if self.tracer is not None:
+            self.tracer.record_span(
+                "client-request", trace=ctx, span_id=ctx.span_id,
+                start=started,
+                end=started + (time.perf_counter() - started_mono),
+                tenant=tenant, key=key, batch_size=len(requests))
+        return [SignResult(
+            signature=scheduler.claim(ticket), tenant=tenant, key=key,
+            params=stats.params, backend=stats.backend,
+            batch_size=stats.count, wait_ms=0.0,
+            total_ms=round(stats.elapsed_s * 1000.0, 3),
+            transport=self.transport) for ticket in tickets]
 
     def _verify(self, request: VerifyRequest) -> VerifyResult:
         keys, params_name = self.keystore.resolve(request.tenant,
@@ -214,9 +200,6 @@ class LocalClient(SigningClient):
         return self.keystore.key_names(tenant)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         self._schedulers.clear()
-        if self._pool is not None and self._owns_pool:
+        if self._pool is not None:
             self._pool.close()

@@ -57,11 +57,6 @@ class DeviceSpec:
     def cores_per_sm(self) -> int:
         return self.cuda_cores // self.num_sms
 
-    @property
-    def peak_warp_issue_per_cycle(self) -> int:
-        """Warp-instructions issuable per SM per cycle (scheduler count)."""
-        return self.schedulers_per_sm
-
     def query(self) -> dict[str, int]:
         """A ``cudaGetDeviceProperties``-style dict (Tree Tuning's probe)."""
         return {

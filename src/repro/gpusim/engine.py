@@ -74,10 +74,6 @@ class KernelTiming:
     def time_ms(self) -> float:
         return self.time_s * 1e3
 
-    @property
-    def time_us(self) -> float:
-        return self.time_s * 1e6
-
 
 class TimingEngine:
     """Times kernel launches against the analytical model."""

@@ -85,14 +85,6 @@ class ConflictReport:
     def total_conflicts(self) -> int:
         return self.load_conflicts + self.store_conflicts
 
-    def merge(self, other: "ConflictReport") -> "ConflictReport":
-        return ConflictReport(
-            self.load_wavefronts + other.load_wavefronts,
-            self.load_ideal + other.load_ideal,
-            self.store_wavefronts + other.store_wavefronts,
-            self.store_ideal + other.store_ideal,
-        )
-
 
 class SharedMemoryBankModel:
     """The 32-bank wavefront-replay rule."""

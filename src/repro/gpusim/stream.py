@@ -83,10 +83,6 @@ class TimelineResult:
         return self.makespan_s - self.gpu_busy_s
 
     @property
-    def launch_overhead_us(self) -> float:
-        return self.launch_overhead_s * 1e6
-
-    @property
     def launch_latency_s(self) -> float:
         """Total Nsight-style launch latency (API call to kernel start,
         including queueing behind dependences) across all records."""

@@ -122,9 +122,6 @@ class SigningBackend(abc.ABC):
     def invalidate_key(self, keys: KeyPair) -> None:
         """Drop per-key cached state (key rotation / tenant delete)."""
 
-    def invalidate_all(self) -> None:
-        """Drop all per-key cached state."""
-
     def cache_stats(self) -> dict[str, int]:
         """Aggregate cache counters for telemetry; empty if uncached."""
         return {}

@@ -31,11 +31,16 @@ pins this equivalence.
 signature fields by offset straight out of the blob and completes the WOTS
 chains and auth-path climbs with the chain-step and node-hash loops the
 signer uses, so it feeds SHA-256 the reference ``Sphincs.verify`` byte
-stream and returns the reference verdict.
+stream and returns the reference verdict — and remembers the exact
+triples it accepted, so a signature that verified once (a ledger
+checkpoint every inclusion proof carries) is a lookup afterwards.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 from ..hashes.address import AddressTemplate, AddressType, packed_u32
@@ -51,6 +56,10 @@ __all__ = ["FastOps", "FastVerifier", "flat_auth_path", "node_slice",
            "wots_digits"]
 
 _Z4 = b"\x00\x00\x00\x00"
+
+#: Accepted triples a :class:`FastVerifier` remembers, as 32-byte digests
+#: (~100 KB full): several thousand ledger rounds' distinct checkpoints.
+VERIFY_MEMO_CAPACITY = 1024
 
 
 def wots_digits(message: bytes, params: SphincsParams) -> list[int]:
@@ -312,11 +321,18 @@ class FastOps:
 class FastVerifier:
     """Template-driven verification for one parameter set.
 
-    Holds no per-key state beyond the context's bounded midstate cache, so
-    one instance serves every public key of its parameter set and
-    :meth:`verify_batch` may run on several threads at once.  *ctx* shares
-    an existing context (a backend's, a test's recording one) instead of
-    a fresh one.
+    Holds no per-key state beyond the context's bounded midstate cache and
+    the verify memo, so one instance serves every public key of its
+    parameter set and :meth:`verify_batch` may run on several threads at
+    once.  *ctx* shares an existing context (a backend's, a test's
+    recording one) instead of a fresh one.
+
+    The **verify memo** is the read-side twin of the signing replay memo
+    (:class:`~repro.runtime.layercache.HypertreeLayerCache`): a bounded,
+    least-recently-used set of digests of triples that verified *true*.
+    A false verdict is never kept, and the digest covers all three of
+    key, message and signature, so a rotated key or a signature that
+    differs in one bit misses and is walked in full.
     """
 
     def __init__(self, params: SphincsParams | str,
@@ -326,6 +342,25 @@ class FastVerifier:
         self.ctx = ctx if ctx is not None else HashContext(params)
         self._chain_words = [packed_u32(i) for i in range(params.wots_len)]
         self._pos_words = [packed_u32(i) for i in range(params.w - 1)]
+        self._memo: OrderedDict[bytes, None] = OrderedDict()
+        self._memo_lock = threading.Lock()
+        self.memo_hits = 0
+
+    @staticmethod
+    def _memo_key(public_key: bytes, message: bytes,
+                  signature: bytes) -> bytes:
+        """SHA-256 over the length-framed triple: framing keeps two
+        triples that split the same bytes differently apart."""
+        digest = hashlib.sha256()
+        for part in (public_key, message, signature):
+            digest.update(len(part).to_bytes(8, "big"))
+            digest.update(part)
+        return digest.digest()
+
+    def cache_stats(self) -> dict[str, int]:
+        """Verify-memo counters, under the replay memo's field names."""
+        return {"memo_hits": self.memo_hits,
+                "memo_entries": len(self._memo)}
 
     def verify_batch(self, messages: Sequence[bytes],
                      signatures: Sequence[bytes],
@@ -338,14 +373,32 @@ class FastVerifier:
         params = self.params
         if len(public_key) != params.pk_bytes:
             return [False] * len(messages)
-        pk_seed, pk_root = public_key[:params.n], public_key[params.n:]
-        mid = self.ctx.midstate(pk_seed)
+        mid = self.ctx.midstate(public_key[:params.n])
         return [
             len(signature) == params.sig_bytes
-            and self._root(mid, message, signature, pk_seed,
-                           pk_root) == pk_root
+            and self._verdict(mid, message, signature, public_key)
             for message, signature in zip(messages, signatures, strict=True)
         ]
+
+    def _verdict(self, mid, message: bytes, signature: bytes,
+                 public_key: bytes) -> bool:
+        """Whether a well-sized *signature* verifies: recalled, or walked
+        and — only when true — remembered."""
+        key = self._memo_key(public_key, message, signature)
+        with self._memo_lock:
+            if key in self._memo:
+                self._memo.move_to_end(key)
+                self.memo_hits += 1
+                return True
+        n = self.params.n
+        pk_seed, pk_root = public_key[:n], public_key[n:]
+        if self._root(mid, message, signature, pk_seed, pk_root) != pk_root:
+            return False
+        with self._memo_lock:
+            self._memo[key] = None
+            if len(self._memo) > VERIFY_MEMO_CAPACITY:
+                self._memo.popitem(last=False)
+        return True
 
     def _root(self, mid, message: bytes, sig: bytes, pk_seed: bytes,
               pk_root: bytes) -> bytes:

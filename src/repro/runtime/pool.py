@@ -44,7 +44,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection
 from typing import Sequence
 
@@ -60,7 +60,8 @@ from .vectorized import VectorizedBackend
 
 _log = get_logger("pool")
 
-__all__ = ["PooledBackend", "WorkerPool", "WorkerStats"]
+__all__ = ["PooledBackend", "WorkerPool", "WorkerStats", "auto_workers",
+           "plan_executor"]
 
 #: Tasks a worker may hold: one running, one already in its pipe so the
 #: next starts without a round trip through the coordinator.
@@ -621,6 +622,36 @@ class WorkerPool:
             self._cond.notify_all()
 
 
+def auto_workers() -> int:
+    """The pool size for the CPUs this process may run on: one worker
+    each where there are at least two, else none (a pool on one CPU is
+    the same hashing plus the IPC, so the plan runs in-process)."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    return cpus if cpus >= 2 else 0
+
+
+def plan_executor(backend: str, workers: int, options: dict | None = None
+                  ) -> tuple[str, dict[str, dict], WorkerPool | None]:
+    """Where *backend*'s batches sign: ``(engine, backend_options, pool)``.
+
+    With *workers* > 0 the engine is ``"pooled"`` and its options are
+    *options* plus a pool started here, the caller's to close; otherwise
+    *backend* itself, in this process.  The one place a client, a service
+    or the CLI starts a pool; :class:`BackendError` for a backend with no
+    plan to run on one.
+    """
+    options = dict(options or {})
+    if workers <= 0:
+        return backend, {backend: options}, None
+    if backend not in ("vectorized", "pooled"):
+        raise BackendError(
+            f"a worker pool runs the vectorized signing plan; it cannot "
+            f"host backend {backend!r}")
+    pool = WorkerPool(workers=workers)
+    return "pooled", {"pooled": {**options, "pool": pool}}, pool
+
+
 # ----------------------------------------------------------------------
 # Backend adapter
 # ----------------------------------------------------------------------
@@ -655,15 +686,10 @@ class PooledBackend(VectorizedBackend):
             workers=workers, max_retries=max_retries)
 
     def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            kind="cpu",
-            vectorized=True,
-            deterministic=self.deterministic,
-            preferred_batch=64,
+        return replace(
+            super().capabilities(),
             notes=(f"signing plan on a {self.pool.workers}-process worker "
-                   "pool, pull-dispatched, crash-recovering"),
-        )
+                   "pool, pull-dispatched, crash-recovering"))
 
     def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
         return self.pool.run(self.params.name, keys, tasks)

@@ -93,9 +93,6 @@ class VectorizedBackend(SigningBackend):
         """Drop all cached state for *keys* (rotation / tenant delete)."""
         self._fastops.pop((keys.sk_seed, keys.pk_seed), None)
 
-    def invalidate_all(self) -> None:
-        self._fastops.clear()
-
     def cache_stats(self) -> dict[str, int]:
         """Aggregate layer-cache counters across every resident key."""
         totals: dict[str, int] = {"keys": len(self._fastops)}

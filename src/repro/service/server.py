@@ -35,14 +35,14 @@ import asyncio
 import time
 from dataclasses import dataclass
 
-from ..errors import (FrameTooLargeError, KeystoreError, OverloadedError,
-                      ProtocolError, ServiceError)
+from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
+                      OverloadedError, ProtocolError, ServiceError)
 from ..obs.log import get_logger
 from ..obs.trace import (TraceContext, Tracer, current_trace, new_span_id,
                          new_trace_id, tap_stages)
 from ..runtime.backend import SigningBackend
 from ..runtime.fastops import FastVerifier
-from ..runtime.pool import WorkerPool
+from ..runtime.pool import plan_executor
 from ..runtime.registry import get_backend
 from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
@@ -81,7 +81,6 @@ class SigningService:
                  backend_options: dict[str, dict] | None = None,
                  telemetry: Telemetry | None = None,
                  workers: int = 0,
-                 pool: WorkerPool | None = None,
                  cache_budget_mb: float | None = None,
                  tracer: Tracer | None = None):
         if max_pending < 1:
@@ -94,7 +93,6 @@ class SigningService:
         self.backend_name = backend
         self.max_pending = max_pending
         self.deterministic = deterministic
-        self.backend_options = backend_options or {}
         self.cache_budget_mb = cache_budget_mb
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: The unified metrics registry every tier's counters land in —
@@ -109,28 +107,20 @@ class SigningService:
         self._backends: dict[str, SigningBackend] = {}
         self._verifiers: dict[str, FastVerifier] = {}
         self._sign_lock = asyncio.Lock()
-        # Multi-core tier: with workers > 0 (or an externally owned pool),
-        # batches sign on the pooled backend — one pool under every
-        # parameter set — instead of the in-process one.
-        self._owns_pool = pool is None and workers > 0
-        self.pool = pool if pool is not None else (
-            WorkerPool(workers=workers) if workers > 0 else None)
-        #: The registry name batches sign on.
-        self._engine = backend
+        # Multi-core tier: with workers > 0, batches sign on the pooled
+        # backend — one pool under every parameter set — instead of the
+        # in-process one.  ``_engine`` is the registry name they sign on.
+        try:
+            self._engine, self.backend_options, self.pool = plan_executor(
+                backend, workers, (backend_options or {}).get(backend))
+        except BackendError as exc:
+            raise ServiceError(str(exc)) from None
         if self.pool is not None:
-            if backend not in ("vectorized", "pooled"):
-                raise ServiceError(
-                    f"a worker pool runs the vectorized signing plan; it "
-                    f"cannot host backend {backend!r}")
-            self._engine = "pooled"
-            self.backend_options = {"pooled": {"pool": self.pool}}
             self.telemetry.set_pool_provider(self.pool.stats)
         self.telemetry.set_cache_provider(self._cache_snapshot)
         # Key rotation / tenant delete must reach the layer cache — a
         # retired key's cached subtrees must never sign again.
-        add_listener = getattr(self.keystore, "add_listener", None)
-        if add_listener is not None:
-            add_listener(self._on_key_event)
+        self.keystore.add_listener(self._on_key_event)
 
     def _on_key_event(self, event: str, tenant: str,
                       key_name: str | None, old_keys) -> None:
@@ -148,14 +138,17 @@ class SigningService:
                 backend.prewarm_key(keys)
 
     def _cache_snapshot(self) -> dict:
-        """Layer-cache stats (the snapshot's ``cache`` section): one
-        scope per parameter set's backend.  The caches live in this
-        process on every tier — pool workers hold none."""
+        """Cache stats (the snapshot's ``cache`` section): one scope per
+        parameter set's backend (layer cache + replay memo) and one per
+        verifier (verify memo).  The caches live in this process on
+        every tier — pool workers hold none."""
         scopes: dict[str, dict] = {}
         for params_name, backend in sorted(self._backends.items()):
             stats = backend.cache_stats()
             if stats:
                 scopes[f"in-process {params_name}"] = stats
+        for params_name, verifier in sorted(self._verifiers.items()):
+            scopes[f"verify {params_name}"] = verifier.cache_stats()
         if not scopes:
             return {}
         snapshot: dict = {"scopes": scopes}
@@ -268,7 +261,7 @@ class SigningService:
 
     def close(self) -> None:
         self.batcher.close()
-        if self.pool is not None and self._owns_pool:
+        if self.pool is not None:
             self.pool.close()
 
     # ------------------------------------------------------------------

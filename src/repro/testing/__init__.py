@@ -27,7 +27,7 @@ from .chaos import FlakyProxy
 from .corpus import (corrupt_keystore_payloads, malformed_frames,
                      message_corpus, signature_mutations, signature_regions)
 from .faults import (BitFlipFault, CachedNodeFault, MemoFault, PlanFault,
-                     VerifyFault, flip_bit, parse_fault)
+                     VerifyFault, VerifyMemoFault, flip_bit, parse_fault)
 from .kat import (KAT_SETS, check_kat, default_vectors_dir, generate_kat,
                   kat_corpus, load_kat)
 from .oracle import (ConformanceReport, DifferentialOracle, Divergence,
@@ -48,6 +48,7 @@ __all__ = [
     "TraceHop",
     "TraceRecorder",
     "VerifyFault",
+    "VerifyMemoFault",
     "capture_trace",
     "check_kat",
     "corrupt_keystore_payloads",

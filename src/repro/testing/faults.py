@@ -40,6 +40,10 @@ verifier that walks the whole signature and then never compares the root
 it reached against the public key accepts every well-formed blob.  Signing
 stays byte-identical, so only the oracle's verify stage — fast verdict
 against reference verdict over corrupted signatures — can ring.
+:class:`VerifyMemoFault` strikes the verifier's memo of accepted triples
+instead: keyed without the signature, it answers for any blob presented
+with a ``(key, message)`` it has accepted once — so the verify stage
+checks each corrupted signature *after* its valid twin.
 
 :class:`PlanFault` strikes the signing plan's chain-table lookup: a WOTS
 signature read one table position too far.  The plan's own ``root ==
@@ -58,6 +62,7 @@ Fault specs are parsed from strings so the CLI can take them directly::
     memo:flip                # every memoised signature has bit 0 flipped
     memo:flip:5              # ... bit 5
     verify:no-root-compare   # fast verifier drops its final root compare
+    verify:memo-ignores-signature  # verify memo keyed on (key, message) only
     plan:chain-table-off-by-one  # stitch reads each chain one step too far
 """
 
@@ -74,7 +79,7 @@ from ..runtime.fastops import FastVerifier, node_slice
 from ..runtime.layercache import HypertreeLayerCache
 
 __all__ = ["BitFlipFault", "CachedNodeFault", "MemoFault", "PlanFault",
-           "VerifyFault", "flip_bit", "parse_fault"]
+           "VerifyFault", "VerifyMemoFault", "flip_bit", "parse_fault"]
 
 _TARGETS = ("thash", "prf")
 
@@ -91,7 +96,31 @@ def flip_bit(data: bytes, bit: int) -> bytes:
 
 
 @dataclass
-class BitFlipFault:
+class _Fault:
+    """What every fault carries — the counters the CLI prints — and the
+    swap of one class or module attribute most are installed by."""
+
+    #: How many times the faulty code ran (BitFlipFault: calls tapped).
+    calls_seen: int = field(default=0, init=False)
+    #: Whether the fault actually fired.
+    fired: bool = field(default=False, init=False)
+
+    def _ran(self) -> None:
+        self.calls_seen += 1
+        self.fired = True
+
+    @contextmanager
+    def _swapped(self, owner, name: str, replacement):
+        original = owner.__dict__[name]
+        setattr(owner, name, replacement)
+        try:
+            yield self
+        finally:
+            setattr(owner, name, original)
+
+
+@dataclass
+class BitFlipFault(_Fault):
     """Flip one bit of one hash-call output, deterministically.
 
     Parameters
@@ -109,10 +138,6 @@ class BitFlipFault:
     target: str = "thash"
     call_index: int = 7
     bit: int = 0
-    #: How many target calls the installed hook has seen.
-    calls_seen: int = field(default=0, init=False)
-    #: Whether the fault actually fired (the tapped call was reached).
-    fired: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.target not in _TARGETS:
@@ -163,7 +188,7 @@ class BitFlipFault:
 
 
 @dataclass
-class CachedNodeFault:
+class CachedNodeFault(_Fault):
     """Flip one bit of one node inside a cached hypertree subtree.
 
     Models a memory fault (rowhammer, cosmic ray, hostile DMA) hitting
@@ -198,11 +223,7 @@ class CachedNodeFault:
     layer_from_top: int = 1
     consistent: bool = True
     #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
-    target: str = field(default="cache", init=False)
-    #: How many cache strikes the fault has performed.
-    calls_seen: int = field(default=0, init=False)
-    #: Whether the fault actually fired (a cached subtree was corrupted).
-    fired: bool = field(default=False, init=False)
+    target = "cache"
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -291,8 +312,7 @@ class CachedNodeFault:
             ops.cache.store_link(*parent, b"".join(
                 ops.wots_sign(bytes(nodes[-n:]), *parent)))
         ops.cache.store_tree(layer, tree, bytes(nodes))
-        self.calls_seen += 1
-        self.fired = True
+        self._ran()
         mode = ("ancestors recomputed, still verifies"
                 if self.consistent else "auth path left stale")
         return (f"flipped bit {self.bit} of cached node "
@@ -301,7 +321,7 @@ class CachedNodeFault:
 
 
 @dataclass
-class VerifyFault:
+class VerifyFault(_Fault):
     """A :class:`~repro.runtime.fastops.FastVerifier` that drops the final
     ``root == pk_root`` compare: the length gates and the whole walk still
     run, then every blob that got that far is accepted.
@@ -312,37 +332,49 @@ class VerifyFault:
     """
 
     #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
-    target: str = field(default="verify", init=False)
-    #: How many ``verify_batch`` calls ran under the fault.
-    calls_seen: int = field(default=0, init=False)
-    #: Whether any verdict was actually produced by the faulty verifier.
-    fired: bool = field(default=False, init=False)
-
+    target = "verify"
     spec = "verify:no-root-compare"
 
-    @contextmanager
     def install(self):
         """Swap the faulty ``verify_batch`` in for the ``with`` block."""
         original = FastVerifier.verify_batch
 
         def verify_batch(verifier, messages, signatures, public_key):
             original(verifier, messages, signatures, public_key)
-            self.calls_seen += 1
-            self.fired = True
+            self._ran()
             params = verifier.params
             return [len(public_key) == params.pk_bytes
                     and len(signature) == params.sig_bytes
                     for signature in signatures]
 
-        FastVerifier.verify_batch = verify_batch
-        try:
-            yield self
-        finally:
-            FastVerifier.verify_batch = original
+        return self._swapped(FastVerifier, "verify_batch", verify_batch)
 
 
 @dataclass
-class PlanFault:
+class VerifyMemoFault(VerifyFault):
+    """A verifier whose memo of accepted triples is keyed without the
+    signature: once a ``(key, message)`` has verified, every well-sized
+    blob presented with it is "remembered" as valid.  First sight is
+    walked in full, so only a corrupted signature checked after its valid
+    twin can ring.
+    """
+
+    spec = "verify:memo-ignores-signature"
+
+    def install(self):
+        """Swap the signature-blind key in for the ``with`` block."""
+        original = FastVerifier._memo_key
+
+        def memo_key(public_key, message, signature):
+            self._ran()
+            return original(public_key, message, b"")
+
+        return self._swapped(FastVerifier, "_memo_key",
+                             staticmethod(memo_key))
+
+
+@dataclass
+class PlanFault(_Fault):
     """A :func:`~repro.runtime.plan.chain_values` that reads every chain
     one table position past its digit — the off-by-one a chain-table
     stitch invites.  Installed on the module, so it reaches every tier
@@ -352,33 +384,22 @@ class PlanFault:
     """
 
     #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
-    target: str = field(default="plan", init=False)
-    #: How many WOTS signatures were read out of a table under the fault.
-    calls_seen: int = field(default=0, init=False)
-    #: Whether any signature was actually stitched from a shifted table.
-    fired: bool = field(default=False, init=False)
-
+    target = "plan"
     spec = "plan:chain-table-off-by-one"
 
-    @contextmanager
     def install(self):
         """Swap the faulty lookup in for the ``with`` block."""
         original = plan.chain_values
 
         def chain_values(table, digits, n, w):
-            self.calls_seen += 1
-            self.fired = True
+            self._ran()
             return original(table[n:] + table[:n], digits, n, w)
 
-        plan.chain_values = chain_values
-        try:
-            yield self
-        finally:
-            plan.chain_values = original
+        return self._swapped(plan, "chain_values", chain_values)
 
 
 @dataclass
-class MemoFault:
+class MemoFault(_Fault):
     """A replay memo whose entries each have bit *bit* flipped: corruption
     at rest in the one place a finished signature is kept.  Installed on
     the class, so it reaches every tier that signs through the plan in
@@ -387,12 +408,9 @@ class MemoFault:
     """
 
     bit: int = 0
+
     #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
-    target: str = field(default="memo", init=False)
-    #: How many signatures entered a memo under the fault.
-    calls_seen: int = field(default=0, init=False)
-    #: Whether any memoised signature was actually corrupted.
-    fired: bool = field(default=False, init=False)
+    target = "memo"
 
     def __post_init__(self) -> None:
         if self.bit < 0:
@@ -402,41 +420,25 @@ class MemoFault:
     def spec(self) -> str:
         return f"memo:flip:{self.bit}"
 
-    @contextmanager
     def install(self):
         """Swap the corrupting ``remember`` in for the ``with`` block."""
         original = HypertreeLayerCache.remember
 
         def remember(cache, key, signature):
-            self.calls_seen += 1
-            self.fired = True
+            self._ran()
             original(cache, key, flip_bit(signature, self.bit))
 
-        HypertreeLayerCache.remember = remember
-        try:
-            yield self
-        finally:
-            HypertreeLayerCache.remember = original
+        return self._swapped(HypertreeLayerCache, "remember", remember)
 
 
-def _parse_cache_fault(spec: str, parts: list[str]) -> CachedNodeFault:
-    """Parse ``cache:flip[:level[:bit]][:benign]``."""
-    fields = parts[2:]
-    consistent = True
-    if fields and fields[-1] == "benign":
-        consistent = False
-        fields = fields[:-1]
-    kwargs: dict[str, int] = {}
+def _int_fields(spec: str, fields: list[str], *names: str) -> dict[str, int]:
+    """The optional trailing integer *fields* of *spec*, by name."""
     try:
-        if len(fields) >= 1:
-            kwargs["level"] = int(fields[0])
-        if len(fields) >= 2:
-            kwargs["bit"] = int(fields[1])
-        if len(fields) > 2:
+        if len(fields) > len(names):
             raise ValueError("too many fields")
+        return dict(zip(names, map(int, fields)))
     except ValueError as exc:
         raise ConformanceError(f"bad fault spec {spec!r}: {exc}") from exc
-    return CachedNodeFault(consistent=consistent, **kwargs)
 
 
 def parse_fault(spec: str) -> (BitFlipFault | CachedNodeFault | MemoFault
@@ -444,36 +446,27 @@ def parse_fault(spec: str) -> (BitFlipFault | CachedNodeFault | MemoFault
     """Parse a fault spec: ``target:bitflip[:call_index[:bit]]`` for the
     hash taps, ``cache:flip[:level[:bit]][:benign]`` for the layer cache,
     ``memo:flip[:bit]`` for its replay memo,
-    ``verify:no-root-compare`` for the fast verifier,
+    ``verify:no-root-compare`` / ``verify:memo-ignores-signature`` for
+    the fast verifier,
     ``plan:chain-table-off-by-one`` for the signing plan's stitch.
     """
     parts = spec.strip().split(":")
-    for fault in (VerifyFault, PlanFault):
+    for fault in (VerifyFault, VerifyMemoFault, PlanFault):
         if spec.strip() == fault.spec:
             return fault()
-    if len(parts) >= 2 and parts[0] == "cache" and parts[1] == "flip":
-        return _parse_cache_fault(spec, parts)
-    if parts[:2] == ["memo", "flip"] and len(parts) <= 3:
-        try:
-            return MemoFault(*map(int, parts[2:]))
-        except ValueError as exc:
-            raise ConformanceError(
-                f"bad fault spec {spec!r}: {exc}") from exc
+    if parts[:2] == ["cache", "flip"]:
+        benign = parts[-1] == "benign"
+        return CachedNodeFault(consistent=not benign, **_int_fields(
+            spec, parts[2:-1] if benign else parts[2:], "level", "bit"))
+    if parts[:2] == ["memo", "flip"]:
+        return MemoFault(**_int_fields(spec, parts[2:], "bit"))
     if len(parts) < 2 or parts[1] != "bitflip":
         raise ConformanceError(
             f"unsupported fault spec {spec!r}; expected "
             "'thash:bitflip[:call_index[:bit]]', 'prf:bitflip[...]', "
             "'cache:flip[:level[:bit]][:benign]', 'memo:flip[:bit]', "
-            f"{VerifyFault.spec!r}, or {PlanFault.spec!r}"
+            f"{VerifyFault.spec!r}, {VerifyMemoFault.spec!r}, or "
+            f"{PlanFault.spec!r}"
         )
-    kwargs: dict[str, int] = {}
-    try:
-        if len(parts) >= 3:
-            kwargs["call_index"] = int(parts[2])
-        if len(parts) >= 4:
-            kwargs["bit"] = int(parts[3])
-        if len(parts) > 4:
-            raise ValueError("too many fields")
-    except ValueError as exc:
-        raise ConformanceError(f"bad fault spec {spec!r}: {exc}") from exc
-    return BitFlipFault(target=parts[0], **kwargs)
+    return BitFlipFault(target=parts[0], **_int_fields(
+        spec, parts[2:], "call_index", "bit"))

@@ -42,7 +42,10 @@ pair, then the first pair's signature corrupted region by region
 (:func:`~repro.testing.corpus.signature_mutations`) and paired with the
 wrong message — and any verdict that differs from the reference's is a
 ``verify`` divergence.  A :class:`~repro.testing.faults.VerifyFault`
-(a fast verifier that never compares the root) must ring exactly there.
+(a fast verifier that never compares the root, or one whose memo of
+accepted triples forgets the signature) must ring exactly there — which
+is why the corrupted signatures come *after* the valid one they were
+made from, in one verifier's sight.
 
 A :class:`~repro.testing.faults.CachedNodeFault` runs a focused two-pass
 flow instead: warm the vectorized backend's hypertree layer cache over
@@ -317,6 +320,8 @@ class DifferentialOracle:
                     verify_failed=True,
                     detail="reference signature failed verification",
                 ))
+        # Each corruption after the signature it was made from: a verify
+        # memo keyed on less than the whole signature answers for it here.
         cases = [(case, message, expected[case])
                  for case, message in self.corpus]
         if self.corpus:

@@ -19,6 +19,7 @@ import pytest
 from repro.api import AsyncClusterClient, LocalClient, verify_inclusion
 from repro.ledger import LedgerService, run_audit
 from repro.params import get_params
+from repro.runtime.pool import auto_workers
 from repro.service import Keystore, SigningService, derive_seed
 from repro.service.loadgen import bursty_trace, ramp_trace
 
@@ -82,13 +83,11 @@ def assert_invariant(ledger, client, receipts, tmp_path, keystore):
 
 
 class TestPoolWorkerCrash:
-    def test_bursty_appends_survive_worker_crash(self, tmp_path):
+    def survive_worker_crash(self, tmp_path, **client_options):
         async def scenario():
             keystore = make_keystore()
-            client = LocalClient(keystore, backend="pooled",
-                                 deterministic=True,
-                                 backend_options={"pooled":
-                                                  {"workers": 2}})
+            client = LocalClient(keystore, deterministic=True,
+                                 **client_options)
             ledger = LedgerService(client, tenant=TENANT,
                                    root=tmp_path / "log", batch_size=4,
                                    max_wait_ms=10.0)
@@ -108,12 +107,25 @@ class TestPoolWorkerCrash:
                 # any that did fail must have failed typed and clean.
                 assert receipts, "no append survived the worker crash"
                 assert len(receipts) + len(failed) == len(offsets)
+                assert client._pool.stats()["respawns"] == 1
                 assert_invariant(ledger, client, receipts, tmp_path,
                                  keystore)
             finally:
                 client.close()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+
+    def test_bursty_appends_survive_worker_crash(self, tmp_path):
+        self.survive_worker_crash(
+            tmp_path, backend="pooled",
+            backend_options={"pooled": {"workers": 2}})
+
+    @pytest.mark.skipif(auto_workers() == 0,
+                        reason="one CPU: the default client has no pool")
+    def test_default_client_survives_worker_crash(self, tmp_path):
+        """The pool ``LocalClient()`` picks for itself recovers like the
+        one a caller sized."""
+        self.survive_worker_crash(tmp_path)
 
 
 class TestClusterNodeKill:
@@ -156,11 +168,10 @@ class TestClusterNodeKill:
                 assert len(receipts) + len(failed) == len(offsets) + 2
                 # Failover must not have changed signature bytes: the
                 # deterministic audit byte-compares every checkpoint.
-                verifier = LocalClient(make_keystore(),
-                                       deterministic=True)
-                assert_invariant(ledger, verifier, receipts, tmp_path,
-                                 make_keystore())
-                verifier.close()
+                with LocalClient(make_keystore(),
+                                 deterministic=True) as verifier:
+                    assert_invariant(ledger, verifier, receipts, tmp_path,
+                                     make_keystore())
             finally:
                 await ledger.close()
                 await client.close()

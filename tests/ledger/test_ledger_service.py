@@ -170,7 +170,7 @@ class TestRecovery:
             head = ledger.head
             await ledger.close()
 
-            reborn = LedgerService(make_client(), tenant=TENANT,
+            reborn = LedgerService(client, tenant=TENANT,
                                    root=tmp_path / "log", batch_size=2)
             assert reborn.log.size == 2
             assert reborn.head is not None
@@ -199,7 +199,7 @@ class TestRecovery:
             # The un-checkpointed tail, written as the crash left it.
             ledger.log.append([b"never acked"])
 
-            reborn = LedgerService(make_client(), tenant=TENANT,
+            reborn = LedgerService(client, tenant=TENANT,
                                    root=tmp_path / "log", batch_size=2)
             assert reborn.log.size == sealed
             assert reborn.head.size == sealed
@@ -207,7 +207,7 @@ class TestRecovery:
             await reborn.close()
             # The truncated index is reused; the new entry is covered.
             assert receipts[0].index == sealed
-            assert verify_inclusion(make_client(), reborn.prove(sealed))
+            assert verify_inclusion(client, reborn.prove(sealed))
             client.close()
 
         asyncio.run(scenario())
@@ -224,9 +224,9 @@ class TestRecovery:
         asyncio.run(scenario())
         for segment in (tmp_path / "log" / "segments").glob("*.seg"):
             segment.unlink()
-        with pytest.raises(LedgerError, match="missing"):
-            LedgerService(make_client(), tenant=TENANT,
-                          root=tmp_path / "log")
+        with make_client() as client, \
+                pytest.raises(LedgerError, match="missing"):
+            LedgerService(client, tenant=TENANT, root=tmp_path / "log")
 
 
 class TestServedVerbs:
@@ -264,10 +264,9 @@ class TestServedVerbs:
 
                 proof = await client.call("log-proof", index=1, size=3)
                 assert proof["ok"]
-                verifier = LocalClient(make_keystore(),
-                                       deterministic=True)
-                assert verify_inclusion(verifier, proof["proof"])
-                verifier.close()
+                with LocalClient(make_keystore(),
+                                 deterministic=True) as verifier:
+                    assert verify_inclusion(verifier, proof["proof"])
 
                 head = await client.call("log-checkpoint")
                 assert head["ok"]

@@ -8,6 +8,7 @@ off, and the export renders through ``repro trace``.
 
 import asyncio
 import json
+import os
 import urllib.request
 
 import pytest
@@ -225,23 +226,25 @@ class TestWireTracing:
 
 
 class TestLocalClientTracing:
-    def test_local_facade_traces_scheduler_stages(self):
-        tracer = Tracer()
-        client = LocalClient(deterministic=True, tracer=tracer)
-        client.add_tenant("acme")
-        try:
-            client.sign_many("acme", [b"l0", b"l1"])
-        finally:
-            client.close()
-        [(_, spans)] = tracer.traces().items()
-        names = [span.name for span in spans]
-        assert "client-request" in names and "sign" in names
-        assert {"prepare", "fors", "hypertree", "serialize"} \
-            <= set(names)
-        root = next(s for s in spans if s.name == "client-request")
-        sign = next(s for s in spans if s.name == "sign")
-        assert sign.parent_id == root.span_id
-        assert sign.trace_id == root.trace_id
+    def test_local_facade_traces_scheduler_stages(self, monkeypatch):
+        # The stage that runs the plan's tasks is named for where they
+        # ran: "fors" timed in-process on one CPU, "pool" from two up.
+        for cpus, tasks_stage in (({0}, "fors"), ({0, 1}, "pool")):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus, raising=False)
+            tracer = Tracer()
+            with LocalClient(deterministic=True, tracer=tracer) as client:
+                client.add_tenant("acme")
+                client.sign_many("acme", [b"l0", b"l1"])
+            [(_, spans)] = tracer.traces().items()
+            names = [span.name for span in spans]
+            assert "client-request" in names and "sign" in names
+            assert {"prepare", tasks_stage, "hypertree", "serialize"} \
+                <= set(names)
+            root = next(s for s in spans if s.name == "client-request")
+            sign = next(s for s in spans if s.name == "sign")
+            assert sign.parent_id == root.span_id
+            assert sign.trace_id == root.trace_id
 
     def test_local_signatures_identical_with_tracer(self):
         def run(tracer):

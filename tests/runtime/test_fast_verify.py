@@ -21,7 +21,7 @@ from repro.errors import BackendError
 from repro.hashes import thash
 from repro.hashes.thash import HashContext
 from repro.params import get_params
-from repro.runtime import get_backend
+from repro.runtime import fastops, get_backend
 from repro.runtime.fastops import FastVerifier
 from repro.sphincs.signer import Sphincs
 from repro.testing import flip_bit, signature_regions
@@ -196,8 +196,7 @@ class TestSameWork:
 
     def test_costs_under_half_the_reference(self, signed_128f):
         """≤ 0.45× the reference, same process, interleaved rounds."""
-        args = (MESSAGES * 2, signed_128f.signatures * 2,
-                signed_128f.keys.public)
+        args = (MESSAGES, signed_128f.signatures, signed_128f.keys.public)
 
         def cpu(fn) -> float:
             started = time.process_time()
@@ -209,8 +208,118 @@ class TestSameWork:
             ref_s.append(cpu(lambda: [
                 signed_128f.reference.verify(m, s, args[2])
                 for m, s in zip(args[0], args[1])]))
-            fast_s.append(cpu(lambda: signed_128f.fast.verify_batch(*args)))
+            # A verifier that has seen nothing: the walk, not the memo.
+            unseen = FastVerifier(signed_128f.params)
+            fast_s.append(cpu(lambda: unseen.verify_batch(*args)))
         assert min(fast_s) <= 0.45 * min(ref_s), (fast_s, ref_s)
+
+
+class TestVerifyMemo:
+    """A triple that verified once is a lookup; nothing less than the
+    whole triple, and nothing that did not verify, ever is."""
+
+    def test_second_sight_is_a_hit_and_skips_the_walk(self, signed_128f):
+        ctx = RecordingContext(signed_128f.params)
+        verifier = FastVerifier(signed_128f.params, ctx)
+        args = (MESSAGES, signed_128f.signatures, signed_128f.keys.public)
+        assert verifier.verify_batch(*args) == [True, True]
+        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 2}
+        walked = len(ctx.inputs)
+        assert verifier.verify_batch(*args) == [True, True]
+        assert verifier.cache_stats() == {"memo_hits": 2, "memo_entries": 2}
+        assert len(ctx.inputs) == walked
+
+    def test_flipped_signature_bit_after_its_valid_twin(self, signed_128f):
+        verifier = FastVerifier(signed_128f.params)
+        message, signature = MESSAGES[1], signed_128f.signatures[1]
+        public = signed_128f.keys.public
+        flipped = [flip_bit(signature, bit)
+                   for bit in (0, 8 * len(signature) // 2,
+                               8 * len(signature) - 1)]
+        assert verifier.verify_batch(
+            [message] * 4, [signature, *flipped], public) == [
+                True, False, False, False]
+        # A false verdict is never remembered: asked again, walked again.
+        assert verifier.verify_batch([message], [flipped[0]],
+                                     public) == [False]
+        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 1}
+
+    def test_same_message_and_signature_under_a_rotated_key(
+            self, signed_128f):
+        verifier = FastVerifier(signed_128f.params)
+        message, signature = MESSAGES[1], signed_128f.signatures[1]
+        key_a = signed_128f.keys.public
+        key_b = get_backend("vectorized", "128f").keygen(
+            seed=bytes(3 * signed_128f.params.n)).public
+        assert verifier.verify_batch([message], [signature], key_a) == [True]
+        assert verifier.verify_batch([message], [signature],
+                                     key_b) == [False]
+        assert verifier.memo_hits == 0
+
+    def test_bounded_under_ten_times_its_capacity(self, signed_128f,
+                                                  monkeypatch):
+        """Least recently used out; accept every blob so ten capacities
+        of distinct triples cost no signing."""
+        monkeypatch.setattr(fastops, "VERIFY_MEMO_CAPACITY", 8)
+        verifier = FastVerifier(signed_128f.params)
+        monkeypatch.setattr(
+            verifier, "_root", lambda mid, msg, sig, seed, root: root)
+        public, blob = signed_128f.keys.public, signed_128f.signatures[0]
+        messages = [b"distinct %d" % index for index in range(80)]
+        for message in messages:
+            assert verifier.verify_batch([message], [blob], public) == [True]
+            assert verifier.cache_stats()["memo_entries"] <= 8
+        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 8}
+        # The newest eight are the ones kept.
+        assert verifier.verify_batch(messages[-8:], [blob] * 8,
+                                     public) == [True] * 8
+        assert verifier.memo_hits == 8
+
+    def test_hit_counter_is_exact_under_threads(self, signed_128f):
+        """More threads than cores on one verifier: every recall counts
+        once (a lost update would leave the counter short)."""
+        verifier = FastVerifier(signed_128f.params)
+        args = (MESSAGES, signed_128f.signatures, signed_128f.keys.public)
+        assert verifier.verify_batch(*args) == [True, True]
+
+        def job(_):
+            return [verifier.verify_batch(*args) for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                answers = list(pool.map(job, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [[[True, True]] * 50] * 8
+        assert verifier.cache_stats() == {"memo_hits": 8 * 50 * 2,
+                                          "memo_entries": 2}
+
+    def test_served_verify_shows_its_hits_in_stats(self, signed_128f):
+        import asyncio
+
+        from repro.service import Keystore, SigningService
+
+        keystore = Keystore()
+        keystore.add_tenant("acme", "128f")
+        keystore.generate_key("acme", "default",
+                              seed=bytes(range(3 * signed_128f.params.n)))
+        service = SigningService(keystore, deterministic=True)
+
+        async def twice():
+            for _ in range(2):
+                assert await service.verify(
+                    MESSAGES[0], signed_128f.signatures[0], "acme") == (
+                        True, "SPHINCS+-128f")
+            return service.stats()
+
+        try:
+            stats = asyncio.run(twice())
+        finally:
+            service.close()
+        assert stats["cache"]["scopes"]["verify SPHINCS+-128f"] == {
+            "memo_hits": 1, "memo_entries": 1}
 
 
 class TestConcurrentVerify:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import __main__ as cli
+from repro.runtime.pool import auto_workers
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -74,9 +74,10 @@ def test_no_session_member_survives_the_server(how, exit_code):
 
 
 def test_pool_size_follows_the_cpus_the_server_may_use(monkeypatch):
-    """No ``--workers``: one worker per allowed CPU from two up, and on a
-    single CPU no pool at all — processes there would only add IPC."""
+    """No ``--workers`` (and ``LocalClient("vectorized")``): one worker
+    per allowed CPU from two up, and on a single CPU no pool at all —
+    processes there would only add IPC."""
     for cpus, workers in (({0}, 0), ({0, 1}, 2), ({2, 3, 5, 7}, 4)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
                             raising=False)
-        assert cli._auto_workers() == workers
+        assert auto_workers() == workers

@@ -52,6 +52,24 @@ class TestParseFault:
         with pytest.raises(ConformanceError, match="no-root-compare"):
             parse_fault("verify:skip-everything")
 
+    def test_verify_memo_fault_spec_and_install(self):
+        from repro.runtime.fastops import FastVerifier
+        from repro.testing import VerifyMemoFault
+
+        fault = parse_fault("verify:memo-ignores-signature")
+        assert isinstance(fault, VerifyMemoFault)
+        assert fault.spec == "verify:memo-ignores-signature"
+        genuine = FastVerifier._memo_key
+        with fault.install():
+            assert (FastVerifier._memo_key(b"k", b"m", b"one")
+                    == FastVerifier._memo_key(b"k", b"m", b"other")
+                    == genuine(b"k", b"m", b""))
+        assert FastVerifier._memo_key is genuine
+        assert fault.fired and fault.calls_seen == 2
+        assert genuine(b"k", b"m", b"one") != genuine(b"k", b"m", b"other")
+        # Length framing: the same bytes split differently stay apart.
+        assert genuine(b"ab", b"c", b"") != genuine(b"a", b"bc", b"")
+
     def test_plan_fault_spec_and_install(self):
         from repro.runtime import plan
         from repro.testing import PlanFault

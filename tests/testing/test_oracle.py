@@ -162,6 +162,31 @@ class TestVerifyStage:
         assert report.first_divergence().stage == "verify"
 
 
+    def test_signature_blind_verify_memo_rings(self, differential_oracle):
+        """The alarm for the verify memo: keyed without the signature, it
+        answers for every well-sized corruption of a signature it has
+        accepted — and only because the verify stage checks those after
+        their valid twin does anything diverge."""
+        from repro.runtime.fastops import FastVerifier
+
+        genuine = FastVerifier._memo_key
+        fault = parse_fault("verify:memo-ignores-signature")
+        oracle = differential_oracle(
+            "128f", backends=["scalar", "vectorized"],
+            corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
+        report = oracle.run()
+        assert FastVerifier._memo_key is genuine  # uninstalled again
+        assert not report.passed and report.fault_fired
+        by_path = {result.path: result for result in report.results}
+        assert by_path["backend:scalar"].ok  # the reference walk
+        for path in ("backend:vectorized", "client:local"):
+            result = by_path[path]
+            assert result.matched == result.count == 1  # signing untouched
+            assert {d.case.split("/")[-1].split("-")[0]
+                    for d in result.divergences} == {"bitflip"}
+            assert all(d.stage == "verify" and not d.verify_failed
+                       for d in result.divergences)
+
     def test_chain_table_off_by_one_rings(self, differential_oracle):
         """The alarm for the signing plan's stitch: a WOTS signature read
         one table position too far passes the plan's own root check, and
