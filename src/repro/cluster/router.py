@@ -105,7 +105,6 @@ class RouterService:
 
     def __init__(self, nodes: list[tuple[str, int]], keystore: Keystore,
                  *, max_retries: int = 2, health_interval_s: float = 0.5,
-                 telemetry: Telemetry | None = None,
                  tracer: Tracer | None = None):
         if not nodes:
             raise ServiceError("a cluster needs at least one node")
@@ -116,8 +115,11 @@ class RouterService:
         self.backend_name = "cluster"
         self.pool = None  # capabilities(): a router has no local workers
         self.tracer = tracer
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry = Telemetry()
         self.metrics_registry = self.telemetry.registry
+        self.telemetry.add_source("queue",
+                                  lambda: {"depth": self._in_flight})
+        self.telemetry.add_source("keystore", keystore.cache_stats)
         self.max_retries = max_retries
         self.health_interval_s = health_interval_s
         self.ring = HashRing(len(nodes))
@@ -125,7 +127,6 @@ class RouterService:
                        for i, (host, port) in enumerate(nodes)]
         #: Last node each tenant was served by; a change is a re-home.
         self._homes: dict[str, int] = {}
-        self._rehomes = 0
         self._in_flight = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -198,9 +199,8 @@ class RouterService:
         candidate are unreachable.
         """
         self.keystore.resolve(tenant, key_name)  # fail fast, never forward
-        admit = getattr(self.keystore, "admit", None)
-        if admit is not None and not admit(tenant):
-            self.telemetry.record_shed(tenant)
+        if not self.keystore.admit(tenant):
+            self.telemetry.record_shed(tenant, "rate-limit")
             raise OverloadedError(
                 f"tenant {tenant!r} exhausted its admission rate-limit "
                 "budget; request shed")
@@ -279,7 +279,9 @@ class RouterService:
                        "tenants": homes.get(node.index, 0)}
                       for node in self._nodes],
             "live_nodes": sum(node.up for node in self._nodes),
-            "rehomes": self._rehomes,
+            "rehomes": int(sum(
+                series.value for _, series in self.metrics_registry.family(
+                    "repro_cluster_rehomes_total"))),
             "shards": {tenant: self._homes[tenant]
                        for tenant in sorted(self._homes)},
         }
@@ -382,7 +384,6 @@ class RouterService:
             return
         self._homes[tenant] = node.index
         if previous is not None:
-            self._rehomes += 1
             self.metrics_registry.counter(
                 "repro_cluster_rehomes_total",
                 "Tenant shards moved to a different node",
@@ -396,6 +397,7 @@ class RouterService:
 
     def _track(self, delta: int) -> None:
         self._in_flight += delta
+        self.telemetry.observe_depth(self._in_flight)
         if self._in_flight == 0:
             self._idle.set()
         else:

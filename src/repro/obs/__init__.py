@@ -12,9 +12,10 @@ Three small, dependency-free subsystems, each usable on its own:
     JSONL export.  ``repro trace`` renders the critical path.
 :mod:`.metrics`
     A :class:`~.metrics.MetricsRegistry` of counters, gauges, and
-    fixed-bucket histograms — the single sink behind
-    :class:`~repro.service.telemetry.Telemetry` — with a Prometheus
-    text exposition and an optional stdlib HTTP scrape endpoint.
+    fixed-bucket histograms — the one store of every service-tier
+    number; :class:`~repro.service.telemetry.Telemetry` writes to it
+    and the ``stats`` verb is a view of it — with a Prometheus text
+    exposition and an optional stdlib HTTP scrape endpoint.
 :mod:`.log`
     JSON-lines structured logging with trace-id correlation, adopted at
     the service's accept/shed/crash/respawn/invalidation points.

@@ -1,14 +1,14 @@
-"""The unified metrics registry: counters, gauges, histograms, scraping.
+"""The metrics registry: counters, gauges, histograms, scraping.
 
-Before this module the service had three parallel metric mechanisms —
-``Telemetry``'s per-tenant counters, the ``set_pool_provider`` callback,
-and the ``set_cache_provider`` callback — each with its own snapshot
-shape.  :class:`MetricsRegistry` is the single sink behind all of them:
-``Telemetry`` dual-writes its counters here, and the provider callbacks
-become *collectors* (run guarded at scrape time), so one registry holds
-everything a dashboard needs.
+:class:`MetricsRegistry` is the one store of every service-tier number.
+A number is written once, to a series here; what an operator reads are
+views of those series: the ``stats`` verb and its rendered report
+(:meth:`repro.service.telemetry.Telemetry.snapshot`, built on
+:meth:`MetricsRegistry.family`), and the scrape below.  State owned
+elsewhere (the pool, the caches, the queue) is read at scrape time by
+*collectors*, never copied in on the hot path.
 
-Exposed two ways:
+The scrape is exposed two ways:
 
 * the ``metrics`` protocol verb returns :meth:`MetricsRegistry.collect`
   (JSON) or the Prometheus text exposition;
@@ -24,7 +24,11 @@ CI smoke job (and tests) to prove the exposition round-trips.
 from __future__ import annotations
 
 import json
+import re
 import threading
+from bisect import bisect_left
+from collections import deque
+from itertools import accumulate
 from typing import Callable, Iterable
 
 __all__ = ["MetricsRegistry", "MetricsServer", "parse_prometheus",
@@ -44,21 +48,14 @@ def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class _Metric:
-    """Base: one (name, label set) series.  All mutation under the
-    registry's lock — see :class:`MetricsRegistry`."""
+class Counter:
+    """One (name, label set) series.  All mutation under the registry's
+    lock — see :class:`MetricsRegistry`."""
 
-    kind = "untyped"
-
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
-
-
-class Counter(_Metric):
     kind = "counter"
 
     def __init__(self, lock: threading.Lock):
-        super().__init__(lock)
+        self._lock = lock
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -66,52 +63,52 @@ class Counter(_Metric):
             self.value += amount
 
 
-class Gauge(_Metric):
+class Gauge(Counter):
     kind = "gauge"
-
-    def __init__(self, lock: threading.Lock):
-        super().__init__(lock)
-        self.value = 0.0
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to *value*; a high-water mark never falls."""
         with self._lock:
-            self.value += amount
+            if value > self.value:
+                self.value = float(value)
 
 
-class Histogram(_Metric):
+class Histogram:
+    """Fixed buckets, plus — with ``window`` — the last *window* raw
+    observations, so a view can report exact percentiles of recent
+    traffic where the buckets only bound them."""
+
     kind = "histogram"
 
     def __init__(self, lock: threading.Lock,
-                 buckets: Iterable[float] = LATENCY_BUCKETS_MS):
-        super().__init__(lock)
+                 buckets: Iterable[float] = LATENCY_BUCKETS_MS,
+                 window: int = 0):
+        self._lock = lock
         self.bounds = tuple(sorted(float(b) for b in buckets))
         self.counts = [0] * (len(self.bounds) + 1)  # +1 for +Inf
         self.total = 0.0
         self.count = 0
+        self._recent: deque[float] = deque(maxlen=window)
 
     def observe(self, value: float) -> None:
         with self._lock:
             self.count += 1
             self.total += value
-            for index, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.counts[index] += 1
-                    return
-            self.counts[-1] += 1
+            self._recent.append(value)
+            # First bucket whose bound is >= value; past them all, +Inf.
+            self.counts[bisect_left(self.bounds, value)] += 1
 
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(le bound, cumulative count)`` pairs, +Inf last."""
-        pairs = []
-        running = 0
-        for bound, count in zip(self.bounds, self.counts):
-            running += count
-            pairs.append((bound, running))
-        pairs.append((float("inf"), running + self.counts[-1]))
-        return pairs
+    def recent(self) -> list[float]:
+        """The retained window, oldest first (empty without one)."""
+        with self._lock:
+            return list(self._recent)
+
+
+_Metric = Counter | Histogram
 
 
 class MetricsRegistry:
@@ -161,10 +158,17 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   buckets: Iterable[float] = LATENCY_BUCKETS_MS,
-                  **labels: str) -> Histogram:
+                  window: int = 0, **labels: str) -> Histogram:
         return self._get(name, "histogram",
-                         lambda: Histogram(self._lock, buckets),
+                         lambda: Histogram(self._lock, buckets, window),
                          help, labels)
+
+    def family(self, name: str) -> list[tuple[dict[str, str], _Metric]]:
+        """Every series of family *name* as ``(labels, series)`` — what
+        a view reads (collectors are not run; see :meth:`collect`)."""
+        with self._lock:
+            return [(dict(label_key), series) for (family, label_key),
+                    series in self._series.items() if family == name]
 
     def add_collector(self, name: str,
                       collector: Callable[["MetricsRegistry"], None]
@@ -174,7 +178,12 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append((name, collector))
 
-    def run_collectors(self) -> None:
+    # ------------------------------------------------------------------
+    # Exports
+    # ------------------------------------------------------------------
+    def collect(self) -> dict:
+        """JSON-safe snapshot of every series (the ``metrics`` verb),
+        taken after running the collectors."""
         with self._lock:
             collectors = list(self._collectors)
         for name, collector in collectors:
@@ -185,13 +194,6 @@ class MetricsRegistry:
                     "repro_collector_errors_total",
                     "Scrape-time collector failures", collector=name,
                     error=type(exc).__name__).inc()
-
-    # ------------------------------------------------------------------
-    # Exports
-    # ------------------------------------------------------------------
-    def collect(self) -> dict:
-        """JSON-safe snapshot of every series (the ``metrics`` verb)."""
-        self.run_collectors()
         with self._lock:
             families: dict[str, dict] = {}
             for (name, label_key), series in sorted(self._series.items()):
@@ -204,10 +206,10 @@ class MetricsRegistry:
                 if isinstance(series, Histogram):
                     entry["count"] = series.count
                     entry["sum"] = round(series.total, 6)
-                    entry["buckets"] = {
-                        ("+Inf" if bound == float("inf") else f"{bound:g}"):
-                            cumulative
-                        for bound, cumulative in series.cumulative()}
+                    # Prometheus buckets are cumulative, +Inf last.
+                    entry["buckets"] = dict(zip(
+                        [f"{bound:g}" for bound in series.bounds] + ["+Inf"],
+                        accumulate(series.counts)))
                 else:
                     entry["value"] = round(series.value, 6)
                 family["series"].append(entry)
@@ -257,6 +259,10 @@ def render_prometheus(families: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: One ``key="value"`` pair of a label set; the value may hold escapes.
+_LABEL = re.compile(r'\s*(\w+)\s*="((?:[^"\\]|\\.)*)",?')
+
+
 def parse_prometheus(text: str) -> dict[str, list[tuple[dict, float]]]:
     """Parse exposition text back into ``{name: [(labels, value)]}``.
 
@@ -270,39 +276,20 @@ def parse_prometheus(text: str) -> dict[str, list[tuple[dict, float]]]:
         if not line or line.startswith("#"):
             continue
         name_part, _, value_part = line.rpartition(" ")
-        if not name_part:
-            raise ValueError(f"line {lineno}: no metric name: {line!r}")
-        labels: dict[str, str] = {}
-        name = name_part
-        if "{" in name_part:
-            if not name_part.endswith("}"):
-                raise ValueError(f"line {lineno}: unterminated labels")
-            name, _, label_blob = name_part.partition("{")
-            blob = label_blob[:-1]
-            while blob:
-                key, sep, rest = blob.partition("=")
-                if not sep or not rest.startswith('"'):
-                    raise ValueError(
-                        f"line {lineno}: malformed label in {line!r}")
-                # Find the closing quote, honouring backslash escapes.
-                index, chars = 1, []
-                while index < len(rest):
-                    char = rest[index]
-                    if char == "\\" and index + 1 < len(rest):
-                        chars.append(rest[index + 1])
-                        index += 2
-                        continue
-                    if char == '"':
-                        break
-                    chars.append(char)
-                    index += 1
-                else:
-                    raise ValueError(
-                        f"line {lineno}: unterminated label value")
-                labels[key.strip()] = "".join(chars)
-                blob = rest[index + 1:].lstrip(",")
+        name, brace, blob = name_part.partition("{")
+        if brace and not blob.endswith("}"):
+            raise ValueError(f"line {lineno}: unterminated labels")
         if not name.replace("_", "").replace(":", "").isalnum():
             raise ValueError(f"line {lineno}: bad metric name {name!r}")
+        labels: dict[str, str] = {}
+        position, blob = 0, blob[:-1]
+        while position < len(blob):
+            pair = _LABEL.match(blob, position)
+            if pair is None:
+                raise ValueError(
+                    f"line {lineno}: malformed label in {line!r}")
+            labels[pair[1]] = re.sub(r"\\(.)", r"\1", pair[2])
+            position = pair.end()
         try:
             value = float(value_part)
         except ValueError as exc:

@@ -79,7 +79,6 @@ class SigningService:
                  max_pending: int = 256,
                  deterministic: bool = False,
                  backend_options: dict[str, dict] | None = None,
-                 telemetry: Telemetry | None = None,
                  workers: int = 0,
                  cache_budget_mb: float | None = None,
                  tracer: Tracer | None = None):
@@ -94,9 +93,9 @@ class SigningService:
         self.max_pending = max_pending
         self.deterministic = deterministic
         self.cache_budget_mb = cache_budget_mb
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        #: The unified metrics registry every tier's counters land in —
-        #: the ``metrics`` verb and the Prometheus endpoint read it.
+        self.telemetry = Telemetry()
+        #: The one store of every service-tier number — the ``stats``
+        #: verb, the ``metrics`` verb and the Prometheus endpoint read it.
         self.metrics_registry = self.telemetry.registry
         #: Optional span sink; ``None`` keeps every sign path hook-free.
         self.tracer = tracer
@@ -115,9 +114,11 @@ class SigningService:
                 backend, workers, (backend_options or {}).get(backend))
         except BackendError as exc:
             raise ServiceError(str(exc)) from None
+        self.telemetry.add_source("queue", lambda: {"depth": self._depth()})
         if self.pool is not None:
-            self.telemetry.set_pool_provider(self.pool.stats)
-        self.telemetry.set_cache_provider(self._cache_snapshot)
+            self.telemetry.add_source("pool", self.pool.stats)
+        self.telemetry.add_source("cache", self._cache_snapshot)
+        self.telemetry.add_source("keystore", self.keystore.cache_stats)
         # Key rotation / tenant delete must reach the layer cache — a
         # retired key's cached subtrees must never sign again.
         self.keystore.add_listener(self._on_key_event)
@@ -136,6 +137,10 @@ class SigningService:
             backend = self._backends.get(params)
             if backend is not None:
                 backend.prewarm_key(keys)
+
+    def _depth(self) -> int:
+        """Requests holding capacity: queued or dispatched-but-unsigned."""
+        return self.batcher.pending + self.batcher.in_flight
 
     def _cache_snapshot(self) -> dict:
         """Cache stats (the snapshot's ``cache`` section): one scope per
@@ -171,20 +176,18 @@ class SigningService:
         :class:`OverloadedError` when the service sheds the request.
         """
         self.keystore.resolve(tenant, key_name)  # fail fast, before queueing
-        admit = getattr(self.keystore, "admit", None)
-        if admit is not None and not admit(tenant):
-            self.telemetry.record_shed(tenant)
+        if not self.keystore.admit(tenant):
+            self.telemetry.record_shed(tenant, "rate-limit")
             _log.warn("request-rate-limited", tenant=tenant)
             raise OverloadedError(
                 f"tenant {tenant!r} exhausted its admission rate-limit "
                 "budget; request shed"
             )
-        # Dispatched-but-unsigned requests (batcher.in_flight) still hold
-        # capacity: batches serialize behind the sign lock, so sustained
-        # overload must shed instead of piling batches up there.
-        depth = self.batcher.pending + self.batcher.in_flight
+        # Sustained overload must shed instead of piling batches up
+        # behind the sign lock.
+        depth = self._depth()
         if depth >= self.max_pending:
-            self.telemetry.record_shed(tenant)
+            self.telemetry.record_shed(tenant, "queue-full")
             _log.warn("request-shed", tenant=tenant, depth=depth,
                       max_pending=self.max_pending)
             raise OverloadedError(
@@ -432,8 +435,7 @@ class SigningService:
     def stats(self) -> dict:
         """Telemetry snapshot plus live queue depth and configuration."""
         snapshot = self.telemetry.snapshot()
-        snapshot["queue"]["depth"] = (self.batcher.pending
-                                      + self.batcher.in_flight)
+        snapshot["queue"]["depth"] = self._depth()
         snapshot["config"] = {
             "backend": self.backend_name,
             "workers": self.pool.workers if self.pool is not None else 0,

@@ -1,45 +1,44 @@
-"""Service telemetry: counters, batch-size histogram, latency percentiles.
+"""Service telemetry: the service tier's events, written once, viewed thrice.
 
-One :class:`Telemetry` instance rides along with a signing service and
-records everything its dashboard needs: per-tenant request counters
-(submitted / signed / shed / failed), the batch-size histogram that shows
-what the deadline-aware batcher actually dispatched, queue-depth peaks,
-and reservoirs of end-to-end and queue-wait latencies from which p50/p95/
-p99 are computed.
+One :class:`Telemetry` rides along with a signing service (or a cluster
+router).  Its ``record_*`` / ``observe_depth`` entry points write each
+event once, to a series of its :class:`~repro.obs.metrics.MetricsRegistry`
+— per-tenant request counters (submitted / signed / shed / failed, and
+shed by reason), exact batch sizes, the queue-depth high-water mark, and
+end-to-end and queue-wait latency histograms that also retain their most
+recent raw observations.  Nothing is kept beside the registry.
 
-Everything is exposed two ways: :meth:`Telemetry.snapshot` returns a
-JSON-safe dict (what the ``stats`` protocol verb ships over the wire) and
-:func:`render_snapshot` renders any such dict — local or received from a
-remote service — as the human-readable report the CLI prints.
+Those series are read three ways: :meth:`Telemetry.snapshot` computes the
+JSON-safe dict the ``stats`` protocol verb ships, :func:`render_snapshot`
+renders any such dict — local or received from a remote service — as the
+report the CLI prints, and the ``metrics`` verb / ``GET /metrics`` scrape
+the registry itself.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
-from ..obs.metrics import (BATCH_BUCKETS, LATENCY_BUCKETS_MS,
-                           MetricsRegistry)
+from ..obs.metrics import BATCH_BUCKETS, Counter, MetricsRegistry
 
-__all__ = ["SNAPSHOT_SCHEMA", "Telemetry", "TenantCounters", "percentile",
-           "render_snapshot"]
+__all__ = ["SNAPSHOT_SCHEMA", "Telemetry", "percentile", "render_snapshot"]
 
-#: Keep this many most-recent latency samples per reservoir.  Old samples
+#: Keep this many most-recent latency samples per histogram.  Old samples
 #: roll off so a long-lived service reports *current* tail latency, and the
 #: snapshot stays bounded no matter how much traffic has passed through.
 LATENCY_WINDOW = 4096
 
 #: Version of the :meth:`Telemetry.snapshot` shape.  Bump whenever a
-#: section is renamed, removed, or changes meaning, so dashboards and
-#: ``compare_baselines.py`` can detect drift instead of misreading.
+#: section is renamed, removed, or changes meaning, so whatever parses
+#: the ``stats`` payload can detect drift instead of misreading.
 #: (1 = the pre-observability implicit shape; 2 adds this field itself
 #: plus ``started_at``/``uptime_s``.)
 SNAPSHOT_SCHEMA = 2
+
+_OUTCOMES = ("submitted", "signed", "shed", "failed")
 
 
 def percentile(samples: list[float], p: float) -> float:
@@ -51,173 +50,137 @@ def percentile(samples: list[float], p: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-@dataclass
-class TenantCounters:
-    """Request accounting for one tenant."""
+#: How a section source's dict becomes gauges at scrape time.  One row per
+#: family prefix: the section, where its values sit (``None``: the section
+#: itself; else the key of a dict of rows and the label naming a row), the
+#: prefix, the help text, and the keys exported (``None``: every number).
+_GAUGES = (
+    ("queue", None, "repro_queue", "Outstanding requests", ("depth",)),
+    ("pool", None, "repro_pool", "Worker pool health",
+     ("workers", "alive", "requeues", "respawns")),
+    ("pool", ("per_worker", "worker"), "repro_worker",
+     "Per-worker pool state", ("utilization", "in_flight", "tasks")),
+    ("cache", ("scopes", "scope"), "repro_cache",
+     "Layer-cache counters by scope", None),
+    ("keystore", None, "repro_keystore",
+     "Keystore cache and admission counters",
+     ("hits", "misses", "loads", "evictions", "rate_denials", "resident")),
+)
 
-    submitted: int = 0
-    signed: int = 0
-    shed: int = 0
-    failed: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {"submitted": self.submitted, "signed": self.signed,
-                "shed": self.shed, "failed": self.failed}
+def _export(registry: MetricsRegistry, name: str, section: dict) -> None:
+    """Set the gauges of section *name* from its source's dict."""
+    for source, rows, prefix, help_, keys in _GAUGES:
+        if source != name:
+            continue
+        tables = ([({}, section)] if rows is None else
+                  [({rows[1]: str(row)}, values) for row, values
+                   in (section or {}).get(rows[0], {}).items()])
+        for labels, values in tables:
+            for key in keys if keys is not None else values:
+                if isinstance(values.get(key), (int, float)):
+                    registry.gauge(f"{prefix}_{key}", help_,
+                                   **labels).set(values[key])
 
 
 class Telemetry:
-    """Accumulates service metrics; cheap to record, snapshot on demand.
+    """The write API and the ``stats`` view over one registry.
 
-    Recording is thread-safe: the service's event loop, the worker
-    pool's collector thread, and benchmark harnesses may all record
-    concurrently without losing increments.  Every counter dual-writes
-    into the attached :class:`~repro.obs.metrics.MetricsRegistry` —
-    *the* unified metric sink (the ``metrics`` verb and the Prometheus
-    endpoint read it) — while the legacy ``snapshot()`` shape stays
-    intact for the ``stats`` verb and dashboards.
+    Holds the registry, the section sources and its start times — no
+    counter, window or lock of its own.  Recording is thread-safe (every
+    series updates under the registry's lock): the service's event
+    loop, the worker pool's collector thread and benchmark harnesses
+    may record concurrently without losing increments.  Series handles
+    are resolved once and kept, so an event costs one lock acquisition
+    per series it touches.
     """
 
-    def __init__(self, latency_window: int = LATENCY_WINDOW,
-                 registry: MetricsRegistry | None = None):
-        self.tenants: dict[str, TenantCounters] = {}
-        self.batch_histogram: dict[int, int] = {}
-        self.batches = 0
-        self.peak_depth = 0
-        self._lock = threading.Lock()
-        self._total_ms: deque[float] = deque(maxlen=latency_window)
-        self._wait_ms: deque[float] = deque(maxlen=latency_window)
-        self._pool_provider: Callable[[], dict] | None = None
-        self._cache_provider: Callable[[], dict] | None = None
+    def __init__(self, latency_window: int = LATENCY_WINDOW):
+        self.registry = registry = MetricsRegistry()
         self._started_wall = time.time()
         self._started_mono = time.monotonic()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        # The old provider-callback pattern, absorbed: providers become
-        # scrape-time collectors feeding gauges, so the pool and cache
-        # sections show up in /metrics without a second mechanism.
-        self.registry.add_collector("pool", self._collect_pool)
-        self.registry.add_collector("cache", self._collect_cache)
+        self._sources: dict[str, Callable[[], dict]] = {}
+        self._counters: dict[tuple[str, ...], Counter] = {}
+        self._total_ms = registry.histogram(
+            "repro_request_latency_ms", "Enqueue-to-signature latency",
+            window=latency_window)
+        self._wait_ms = registry.histogram(
+            "repro_queue_wait_ms", "Enqueue-to-dispatch queue wait",
+            window=latency_window)
+        self._batch_size = registry.histogram(
+            "repro_batch_size", "Dispatched batch sizes",
+            buckets=BATCH_BUCKETS)
+        self._peak = registry.gauge("repro_queue_depth_peak",
+                                    "Peak outstanding requests")
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _tenant(self, tenant: str) -> TenantCounters:
-        counters = self.tenants.get(tenant)
-        if counters is None:
-            counters = self.tenants[tenant] = TenantCounters()
-        return counters
+    def _counter(self, name: str, help_: str, **labels: str) -> Counter:
+        key = (name, *labels.values())
+        series = self._counters.get(key)
+        if series is None:
+            series = self._counters[key] = self.registry.counter(
+                name, help_, **labels)
+        return series
 
     def _count_request(self, tenant: str, outcome: str,
                        amount: int = 1) -> None:
-        self.registry.counter(
-            "repro_requests_total", "Requests by tenant and outcome",
-            tenant=tenant, outcome=outcome).inc(amount)
+        self._counter("repro_requests_total",
+                      "Requests by tenant and outcome",
+                      tenant=tenant, outcome=outcome).inc(amount)
 
     def record_submitted(self, tenant: str) -> None:
-        with self._lock:
-            self._tenant(tenant).submitted += 1
         self._count_request(tenant, "submitted")
 
-    def record_shed(self, tenant: str) -> None:
-        with self._lock:
-            counters = self._tenant(tenant)
-            counters.submitted += 1
-            counters.shed += 1
+    def record_shed(self, tenant: str, reason: str) -> None:
+        """A request refused at the door; *reason* is ``rate-limit``
+        (the tenant's admission budget) or ``queue-full`` (the
+        ``max_pending`` watermark)."""
         self._count_request(tenant, "submitted")
         self._count_request(tenant, "shed")
+        self._counter("repro_shed_total",
+                      "Requests shed, by tenant and reason",
+                      tenant=tenant, reason=reason).inc()
 
     def record_failed(self, tenant: str, count: int = 1) -> None:
-        with self._lock:
-            self._tenant(tenant).failed += count
         self._count_request(tenant, "failed", count)
 
     def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_histogram[size] = \
-                self.batch_histogram.get(size, 0) + 1
-        self.registry.counter("repro_batches_total",
-                              "Batches dispatched").inc()
-        self.registry.histogram("repro_batch_size",
-                                "Dispatched batch sizes",
-                                buckets=BATCH_BUCKETS).observe(size)
+        self._counter("repro_batches_total", "Batches dispatched",
+                      size=str(size)).inc()
+        self._batch_size.observe(size)
 
     def record_signed(self, tenant: str, total_ms: float,
                       wait_ms: float) -> None:
-        with self._lock:
-            self._tenant(tenant).signed += 1
-            self._total_ms.append(total_ms)
-            self._wait_ms.append(wait_ms)
         self._count_request(tenant, "signed")
-        self.registry.histogram(
-            "repro_request_latency_ms", "Enqueue-to-signature latency",
-            buckets=LATENCY_BUCKETS_MS).observe(total_ms)
-        self.registry.histogram(
-            "repro_queue_wait_ms", "Enqueue-to-dispatch queue wait",
-            buckets=LATENCY_BUCKETS_MS).observe(wait_ms)
+        self._total_ms.observe(total_ms)
+        self._wait_ms.observe(wait_ms)
 
     def observe_depth(self, depth: int) -> None:
-        with self._lock:
-            if depth > self.peak_depth:
-                self.peak_depth = depth
-        self.registry.gauge("repro_queue_depth",
-                            "Outstanding requests at last submit"
-                            ).set(depth)
-        self.registry.gauge("repro_queue_depth_peak",
-                            "Peak outstanding requests"
-                            ).set(self.peak_depth)
+        """Feed the high-water mark; the live depth is a section source
+        (``queue``), read when somebody looks."""
+        self._peak.set_max(depth)
 
-    # ------------------------------------------------------------------
-    # Scrape-time collectors (the registry half of the providers)
-    # ------------------------------------------------------------------
-    def _collect_pool(self, registry: MetricsRegistry) -> None:
-        provider = self._pool_provider
-        if provider is None:
-            return
-        pool = provider()
-        for key in ("workers", "alive", "requeues", "respawns"):
-            if key in pool:
-                registry.gauge(f"repro_pool_{key}",
-                               "Worker pool health").set(pool[key])
-        for slot, worker in pool.get("per_worker", {}).items():
-            for key in ("utilization", "in_flight", "tasks"):
-                if key in worker:
-                    registry.gauge(f"repro_worker_{key}",
-                                   "Per-worker pool state",
-                                   worker=str(slot)).set(worker[key])
+    def add_source(self, name: str, source: Callable[[], dict]) -> None:
+        """Register *source* as the *name* section (``queue``, ``pool``,
+        ``cache`` or ``keystore``): state owned elsewhere, read on demand.
 
-    def _collect_cache(self, registry: MetricsRegistry) -> None:
-        provider = self._cache_provider
-        if provider is None:
-            return
-        cache = provider()
-        for scope, stats in (cache or {}).get("scopes", {}).items():
-            for key, value in stats.items():
-                if isinstance(value, (int, float)):
-                    registry.gauge(f"repro_cache_{key}",
-                                   "Layer-cache counters by scope",
-                                   scope=scope).set(value)
-
-    def set_pool_provider(self, provider: Callable[[], dict] | None) -> None:
-        """Attach a worker-pool stats source (``WorkerPool.stats``).
-        When set, every snapshot carries a ``pool`` section with
-        per-worker utilization, tasks in flight, and requeue/respawn
-        counters — the execution tier's half of the service dashboard."""
-        self._pool_provider = provider
-
-    def set_cache_provider(self, provider: Callable[[], dict] | None) -> None:
-        """Attach a layer-cache stats source (the signing service's
-        aggregate over its backends).
-        When set, every snapshot carries a ``cache`` section with
-        hit/miss/evict/bytes counters per scope."""
-        self._cache_provider = provider
+        One registration feeds both views: :meth:`snapshot` calls it for
+        the ``pool`` / ``cache`` sections of the ``stats`` payload (a
+        raising source reports ``{"error": ...}`` there), and every
+        scrape calls it to set the section's gauges — see ``_GAUGES`` (a
+        raising source counts in ``repro_collector_errors_total``).
+        """
+        self._sources[name] = source
+        self.registry.add_collector(
+            name, lambda registry: _export(registry, name, source()))
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     @staticmethod
-    def _latency_summary(samples: deque[float]) -> dict[str, float]:
-        values = list(samples)
+    def _latency_summary(values: list[float]) -> dict[str, float]:
         return {
             "count": len(values),
             "mean": round(sum(values) / len(values), 3) if values else 0.0,
@@ -228,60 +191,56 @@ class Telemetry:
         }
 
     @staticmethod
-    def _provider_section(provider: Callable[[], dict]) -> dict | None:
-        """One provider's snapshot section, defensively.
+    def _section(source: Callable[[], dict]) -> dict:
+        """One source's snapshot section, defensively.
 
-        A raising provider must not poison the whole ``stats`` verb —
-        its scope reports ``{"error": ...}`` and every other section
+        A raising source must not poison the whole ``stats`` verb —
+        its section reports ``{"error": ...}`` and every other section
         still ships.  The returned dict is deep-copied so a caller
         mutating the snapshot (dashboards decorate these dicts freely)
-        can never corrupt the provider's shared live state.
+        can never corrupt the source's shared live state.
         """
         try:
-            section = provider()
+            section = source()
         except Exception as exc:  # noqa: BLE001 — reported, not raised
             return {"error": f"{type(exc).__name__}: {exc}"}
-        if not section:
-            return None
-        return copy.deepcopy(section)
+        return copy.deepcopy(section) if section else {}
 
     def snapshot(self) -> dict:
-        """A JSON-safe dict of every metric (the ``stats`` verb payload)."""
-        snapshot = self._base_snapshot()
-        if self._pool_provider is not None:
-            pool = self._provider_section(self._pool_provider)
-            snapshot["pool"] = pool if pool is not None else {}
-        if self._cache_provider is not None:
-            cache = self._provider_section(self._cache_provider)
-            if cache is not None:
-                snapshot["cache"] = cache
+        """A JSON-safe dict of every metric (the ``stats`` verb payload),
+        computed from the registry's series."""
+        tenants: dict[str, dict[str, int]] = {}
+        for labels, series in self.registry.family("repro_requests_total"):
+            tenants.setdefault(labels["tenant"], dict.fromkeys(_OUTCOMES, 0)
+                               )[labels["outcome"]] = int(series.value)
+        sizes = {int(labels["size"]): int(series.value) for labels, series
+                 in self.registry.family("repro_batches_total")}
+        snapshot = {
+            "snapshot_schema": SNAPSHOT_SCHEMA,
+            "started_at": round(self._started_wall, 3),
+            "uptime_s": round(time.monotonic() - self._started_mono, 3),
+            "tenants": dict(sorted(tenants.items())),
+            "batches": {
+                "dispatched": sum(sizes.values()),
+                # JSON object keys must be strings; sizes sort
+                # numerically again in render_snapshot.
+                "histogram": {str(size): count
+                              for size, count in sorted(sizes.items())},
+            },
+            "queue": {"peak_depth": int(self._peak.value)},
+            "latency_ms": {
+                "total": self._latency_summary(self._total_ms.recent()),
+                "wait": self._latency_summary(self._wait_ms.recent()),
+            },
+        }
+        for name in ("pool", "cache"):  # the sections schema 2 carries
+            if name in self._sources:
+                section = self._section(self._sources[name])
+                # An empty cache section is left out; a pool that has
+                # nothing to say is still a pool.
+                if section or name == "pool":
+                    snapshot[name] = section
         return snapshot
-
-    def _base_snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "snapshot_schema": SNAPSHOT_SCHEMA,
-                "started_at": round(self._started_wall, 3),
-                "uptime_s": round(time.monotonic() - self._started_mono,
-                                  3),
-                "tenants": {name: counters.as_dict() for name, counters
-                            in sorted(self.tenants.items())},
-                "batches": {
-                    "dispatched": self.batches,
-                    # JSON object keys must be strings; sizes sort
-                    # numerically again in render_snapshot.
-                    "histogram": {str(size): count for size, count
-                                  in sorted(self.batch_histogram.items())},
-                },
-                "queue": {"peak_depth": self.peak_depth},
-                "latency_ms": {
-                    "total": self._latency_summary(self._total_ms),
-                    "wait": self._latency_summary(self._wait_ms),
-                },
-            }
-
-    def report(self, title: str = "Signing service telemetry") -> str:
-        return render_snapshot(self.snapshot(), title=title)
 
 
 def render_snapshot(snapshot: dict, title: str = "Signing service telemetry") -> str:
@@ -289,10 +248,9 @@ def render_snapshot(snapshot: dict, title: str = "Signing service telemetry") ->
     from ..analysis.reporting import format_table
 
     sections = [format_table(
-        ["tenant", "submitted", "signed", "shed", "failed"],
-        [[name, c.get("submitted", 0), c.get("signed", 0),
-          c.get("shed", 0), c.get("failed", 0)]
-         for name, c in snapshot.get("tenants", {}).items()],
+        ["tenant", *_OUTCOMES],
+        [[name, *(counts.get(outcome, 0) for outcome in _OUTCOMES)]
+         for name, counts in snapshot.get("tenants", {}).items()],
         title=title,
     )]
 

@@ -185,8 +185,14 @@ class TestFailover:
                 assert second.backend.startswith(f"node{1 - victim}")
                 snapshot = cluster.router_service.stats()
                 assert snapshot["cluster"]["live_nodes"] == 1
-                assert snapshot["cluster"]["rehomes"] >= 1
+                assert snapshot["cluster"]["rehomes"] == 1
                 assert snapshot["cluster"]["shards"][tenant] == 1 - victim
+                # The section is a view of the one counter, not a copy.
+                registry = cluster.router_service.metrics_registry
+                registry.counter("repro_cluster_rehomes_total",
+                                 tenant=tenant).inc(2)
+                assert cluster.router_service.stats()[
+                    "cluster"]["rehomes"] == 3
             finally:
                 await client.close()
                 await cluster.stop()
@@ -362,6 +368,18 @@ class TestAdmission:
                     await client.sign("acme", b"denied")
                 snapshot = cluster.router_service.stats()
                 assert snapshot["cluster"]["live_nodes"] == 2
+                # The one forwarded request was in flight: the router
+                # feeds the high-water mark, and reads its depth live.
+                assert snapshot["queue"] == {"peak_depth": 1, "depth": 0}
+                families = cluster.router_service.metrics_registry.collect()
+                [shed] = families["repro_shed_total"]["series"]
+                assert shed == {"labels": {"tenant": "acme",
+                                           "reason": "rate-limit"},
+                                "value": 1.0}
+                [depth] = families["repro_queue_depth"]["series"]
+                assert depth["value"] == 0.0
+                [denials] = families["repro_keystore_rate_denials"]["series"]
+                assert denials["value"] == 1.0
             finally:
                 await client.close()
                 await cluster.stop()

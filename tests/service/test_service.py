@@ -94,6 +94,60 @@ class TestInProcess:
 
         asyncio.run(scenario())
 
+    def test_depth_gauge_falls_back_to_zero_once_drained(self):
+        """``repro_queue_depth`` is read at the scrape from the same
+        expression ``stats()["queue"]["depth"]`` uses — it used to be
+        set at submit time only, so an idle server showed the depth of
+        its last submit forever."""
+        def scraped(service, name):
+            [series] = service.metrics_registry.collect()[name]["series"]
+            return series["value"]
+
+        async def scenario():
+            service = make_service(target_batch_size=64, max_wait_s=10.0)
+            waiting = [asyncio.ensure_future(service.sign(m, "demo"))
+                       for m in (b"a", b"b", b"c")]
+            await asyncio.sleep(0)  # let all three enqueue
+            assert service.stats()["queue"]["depth"] == 3
+            assert scraped(service, "repro_queue_depth") == 3.0
+            await service.drain()
+            await asyncio.gather(*waiting)
+            assert service.stats()["queue"] == {"peak_depth": 3, "depth": 0}
+            assert scraped(service, "repro_queue_depth") == 0.0
+            assert scraped(service, "repro_queue_depth_peak") == 3.0
+
+        asyncio.run(scenario())
+
+    def test_each_shed_says_why(self):
+        """Both refusals at the door land in ``repro_shed_total`` under
+        their own reason, and the keystore's admission counters are
+        scrapeable beside them."""
+        async def scenario():
+            keystore = make_keystore()
+            keystore.set_rate_limit("demo", 0.001, rate_burst=3.0)
+            service = SigningService(keystore, target_batch_size=64,
+                                     max_wait_s=10.0, max_pending=2,
+                                     deterministic=True)
+            accepted = [asyncio.ensure_future(service.sign(m, "demo"))
+                        for m in (b"a", b"b")]
+            await asyncio.sleep(0)
+            with pytest.raises(OverloadedError, match="watermark"):
+                await service.sign(b"c", "demo")   # third token, full queue
+            with pytest.raises(OverloadedError, match="rate-limit"):
+                await service.sign(b"d", "demo")   # bucket empty
+            await service.drain()
+            await asyncio.gather(*accepted)
+            families = service.metrics_registry.collect()
+            assert {(s["labels"]["tenant"], s["labels"]["reason"]): s["value"]
+                    for s in families["repro_shed_total"]["series"]} == {
+                ("demo", "queue-full"): 1.0, ("demo", "rate-limit"): 1.0}
+            assert service.stats()["tenants"]["demo"]["shed"] == 2
+            [denials] = families["repro_keystore_rate_denials"]["series"]
+            assert denials["value"] == 1.0
+            assert "repro_keystore_resident" in families
+
+        asyncio.run(scenario())
+
     def test_admission_counts_inflight_batches(self):
         """Dispatched-but-unsigned requests still occupy the watermark:
         sustained overload must shed, not pile batches behind the sign
