@@ -7,10 +7,10 @@ The JSON perf baselines (``backend_throughput.json``,
 ``cluster_scaling.json``, ``ledger_throughput.json``) live under
 ``benchmarks/results/`` (full mode) and ``benchmarks/results/smoke/``
 (``REPRO_SMOKE=1`` mode) and are committed to the repository.  Running
-the benchmarks rewrites the mode's files in the working tree; this
-script then compares every watched metric in the freshly measured files
-against the *pinned* (committed) copies and exits non-zero naming each
-metric that regressed beyond the tolerance.
+the benchmarks writes the mode's freshly measured files under the
+untracked ``benchmarks/out/`` (``out/smoke/``); this script compares
+every watched metric in them against the *pinned* (tracked) copies and
+exits non-zero naming each metric that regressed beyond the tolerance.
 
 Modes are compared like-for-like — a smoke measurement is only ever
 diffed against the pinned smoke baseline — so the CI gate can run the
@@ -31,15 +31,12 @@ Usage::
         # the alarm rings before trusting its silence)
 
     python benchmarks/compare_baselines.py --regen-baselines
-        # re-runs the watched benchmarks to refresh this mode's
-        # pinned files in place (commit the result), mirroring --regen-kats
-
-By default the pinned copy is read from ``git show HEAD:<path>`` so the
-comparison works even after the benchmarks have overwritten the working
-tree; pass ``--baseline-dir`` to diff against a directory instead.
+        # re-runs the watched benchmarks and copies what they measured
+        # over this mode's pinned files (commit the result), mirroring
+        # --regen-kats; the only thing that writes benchmarks/results/
 
 Exit codes: 0 clean, 1 regression (or self-check alarm failure),
-2 misconfiguration (missing files, not a git checkout).
+2 misconfiguration (missing files).
 """
 
 from __future__ import annotations
@@ -48,13 +45,15 @@ import argparse
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 from dataclasses import dataclass
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
-RESULTS_DIR = BENCH_DIR / "results"
+RESULTS_DIR = BENCH_DIR / "results"   # pinned, tracked
+OUT_DIR = BENCH_DIR / "out"           # measured, untracked
 
 #: The benchmark files that (re)generate each baseline.
 BASELINE_SOURCES = {
@@ -165,8 +164,8 @@ def smoke_mode() -> bool:
     return os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
 
-def mode_dir() -> pathlib.Path:
-    return RESULTS_DIR / "smoke" if smoke_mode() else RESULTS_DIR
+def mode_dir(root: pathlib.Path) -> pathlib.Path:
+    return root / "smoke" if smoke_mode() else root
 
 
 def lookup(record: dict, path: tuple[str, ...]):
@@ -178,25 +177,17 @@ def lookup(record: dict, path: tuple[str, ...]):
     return node if isinstance(node, (int, float)) else None
 
 
+def _load(root: pathlib.Path, filename: str) -> dict | None:
+    path = mode_dir(root) / filename
+    return json.loads(path.read_text()) if path.exists() else None
+
+
 def load_measured(filename: str) -> dict | None:
-    path = mode_dir() / filename
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
+    return _load(OUT_DIR, filename)
 
 
-def load_pinned(filename: str,
-                baseline_dir: pathlib.Path | None) -> dict | None:
-    if baseline_dir is not None:
-        path = baseline_dir / filename
-        return json.loads(path.read_text()) if path.exists() else None
-    rel = (mode_dir() / filename).relative_to(REPO_ROOT)
-    proc = subprocess.run(
-        ["git", "show", f"HEAD:{rel.as_posix()}"],
-        cwd=REPO_ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        return None
-    return json.loads(proc.stdout)
+def load_pinned(filename: str) -> dict | None:
+    return _load(RESULTS_DIR, filename)
 
 
 @dataclass(frozen=True)
@@ -265,8 +256,7 @@ def compare_record(filename: str, pinned: dict, measured: dict,
     return verdicts
 
 
-def run_gate(tolerance: float,
-             baseline_dir: pathlib.Path | None) -> tuple[int, list[Verdict]]:
+def run_gate(tolerance: float) -> tuple[int, list[Verdict]]:
     verdicts: list[Verdict] = []
     compared_any = False
     for filename in WATCHED:
@@ -276,11 +266,12 @@ def run_gate(tolerance: float,
             # derived from BASELINE_SOURCES and the pyproject pytest
             # config (pythonpath = ["src"]), so it never drifts into a
             # stale `PYTHONPATH=...` hint again.
-            print(f"{filename}: no fresh measurement in {mode_dir()} — "
+            print(f"{filename}: no fresh measurement in "
+                  f"{mode_dir(OUT_DIR)} — "
                   f"run its benchmark first:\n"
                   f"    {verify_command(filename)}", file=sys.stderr)
             return 2, verdicts
-        pinned = load_pinned(filename, baseline_dir)
+        pinned = load_pinned(filename)
         if pinned is None:
             print(f"{filename}: no pinned baseline (first run?) — skipped")
             continue
@@ -319,15 +310,14 @@ def run_gate(tolerance: float,
     return 0, verdicts
 
 
-def run_self_check(tolerance: float,
-                   baseline_dir: pathlib.Path | None) -> int:
+def run_self_check(tolerance: float) -> int:
     """Prove the gate fires: perturb each file's first comparable metric
     past tolerance in the regressing direction and require a failure."""
     missed = []
     proved = 0
     for filename, metrics in WATCHED.items():
         measured = load_measured(filename)
-        pinned = load_pinned(filename, baseline_dir)
+        pinned = load_pinned(filename)
         if measured is None or pinned is None:
             print(f"self-check: {filename} unavailable — skipped")
             continue
@@ -370,7 +360,9 @@ def run_self_check(tolerance: float,
 
 
 def regen_baselines() -> int:
-    """Re-run the watched benchmarks so this mode's pinned files refresh."""
+    """Re-run the watched benchmarks and pin what they measured: each
+    baseline's JSON and rendered table move from ``out/`` over this
+    mode's tracked copy."""
     files = [str(BENCH_DIR / source)
              for source in BASELINE_SOURCES.values()]
     proc = subprocess.run(
@@ -380,8 +372,14 @@ def regen_baselines() -> int:
         print("regen: benchmark run failed; baselines not refreshed",
               file=sys.stderr)
         return 2
+    measured, pinned = mode_dir(OUT_DIR), mode_dir(RESULTS_DIR)
+    pinned.mkdir(parents=True, exist_ok=True)
+    for filename in BASELINE_SOURCES:
+        for name in (filename, filename.replace(".json", ".txt")):
+            if (measured / name).exists():
+                shutil.copyfile(measured / name, pinned / name)
     print(f"regen: refreshed {', '.join(BASELINE_SOURCES)} under "
-          f"{mode_dir()} — review `git diff benchmarks/results` and "
+          f"{pinned} — review `git diff benchmarks/results` and "
           "commit to pin")
     return 0
 
@@ -392,9 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional regression per metric "
                              "(default 0.25 = ±25%%)")
-    parser.add_argument("--baseline-dir", default=None,
-                        help="diff against this directory instead of the "
-                             "committed files at git HEAD")
     parser.add_argument("--self-check", action="store_true",
                         help="inject a fake regression and require the "
                              "gate to catch it")
@@ -406,13 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"--tolerance must be in (0, 1), got {args.tolerance}",
               file=sys.stderr)
         return 2
-    baseline_dir = (pathlib.Path(args.baseline_dir)
-                    if args.baseline_dir else None)
     if args.regen_baselines:
         return regen_baselines()
     if args.self_check:
-        return run_self_check(args.tolerance, baseline_dir)
-    code, _ = run_gate(args.tolerance, baseline_dir)
+        return run_self_check(args.tolerance)
+    code, _ = run_gate(args.tolerance)
     return code
 
 

@@ -2,8 +2,11 @@
 
 Every bench renders its paper-vs-measured table through :func:`emit`, which
 prints it (visible with ``pytest -s`` and in the benchmark log) and writes
-it under ``benchmarks/results/`` so the full set of reproduced tables can
-be inspected after a run.
+it under the untracked ``benchmarks/out/`` so the full set of reproduced
+tables can be inspected after a run.  The pinned copies under
+``benchmarks/results/`` are written by
+``compare_baselines.py --regen-baselines`` and by nothing else, so a test
+run leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -16,18 +19,18 @@ import pytest
 from repro.gpusim.device import get_device
 from repro.gpusim.engine import TimingEngine
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+OUT_DIR = pathlib.Path(__file__).parent / "out"
 
-#: Smoke mode (``REPRO_SMOKE=1``): tiny configurations for CI.  JSON perf
-#: baselines are mode-specific — smoke runs write under ``results/smoke/``
-#: so they never clobber the pinned full-mode numbers (and vice versa);
-#: ``compare_baselines.py`` picks the matching pinned file per mode.
+#: Smoke mode (``REPRO_SMOKE=1``): tiny configurations for CI.  Measured
+#: output is mode-specific — smoke runs write under ``out/smoke/`` — and
+#: ``compare_baselines.py`` diffs it against the matching pinned file
+#: (``results/`` or ``results/smoke/``).
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
 
 def json_baseline_dir() -> pathlib.Path:
-    """Where this run's JSON perf baselines belong (mode-specific)."""
-    directory = RESULTS_DIR / "smoke" if SMOKE else RESULTS_DIR
+    """Where this run's measured tables and JSON belong (mode-specific)."""
+    directory = OUT_DIR / "smoke" if SMOKE else OUT_DIR
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
@@ -44,8 +47,6 @@ def engine():
 
 @pytest.fixture(scope="session")
 def emit():
-    # Same mode split as the JSON baselines: a smoke run must never
-    # clobber the pinned full-mode tables in the working tree.
     directory = json_baseline_dir()
 
     def _emit(name: str, text: str) -> None:

@@ -21,7 +21,7 @@ callers use :class:`AsyncClient` directly.  Results are always
 :class:`SignResult` / :class:`VerifyResult`, capability discovery is
 always :meth:`~SigningClient.info`, and failures are always the typed
 :mod:`repro.errors` service family — ``except OverloadedError`` means
-the same thing against an in-process scheduler and a remote server.
+the same thing against an in-process engine and a remote server.
 
 The public surface of this package is pinned by
 ``tests/api_surface.json`` (regenerate deliberately with

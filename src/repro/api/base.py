@@ -51,7 +51,7 @@ class SigningClient(abc.ABC):
 
         The batched entry point: transports amortize framing and batch
         the work (a TCP client packs ``max_batch``-sized ``sign-many``
-        frames; the local client signs one scheduler batch).  Lists
+        frames; the local client signs one backend batch).  Lists
         larger than the transport's frame cap are chunked transparently.
 
         All-or-nothing on every transport: if any message fails (shed,
@@ -82,7 +82,8 @@ class SigningClient(abc.ABC):
 
         The batched counterpart of :meth:`verify`, mirroring
         :meth:`sign_many`: remote transports pack ``verify-many`` frames
-        (chunked to the server's ``max_batch``), the local client loops.
+        (chunked to the server's ``max_batch``), the local client
+        verifies one batch under a key resolved once.
         Each pair answers in order with its own :class:`VerifyResult` —
         an invalid signature is a result (``valid=False``), not an
         error.  Unknown tenants/keys and transport failures raise.
@@ -111,22 +112,21 @@ class SigningClient(abc.ABC):
     # ------------------------------------------------------------------
     # Transport primitives
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _sign(self, request: SignRequest) -> SignResult: ...
-
+    # The batched forms are the primitives (a non-empty list under one
+    # tenant key); a wire with single-request verbs overrides both forms.
     @abc.abstractmethod
     def _sign_many(self,
                    requests: Sequence[SignRequest]) -> list[SignResult]: ...
 
     @abc.abstractmethod
-    def _verify(self, request: VerifyRequest) -> VerifyResult: ...
-
     def _verify_many(self, requests: Sequence[VerifyRequest]
-                     ) -> list[VerifyResult]:
-        # Default: per-pair loop.  In-process transports keep it (one
-        # scheme call each either way); wire transports override to pack
-        # batched verify-many frames.
-        return [self._verify(request) for request in requests]
+                     ) -> list[VerifyResult]: ...
+
+    def _sign(self, request: SignRequest) -> SignResult:
+        return self._sign_many([request])[0]
+
+    def _verify(self, request: VerifyRequest) -> VerifyResult:
+        return self._verify_many([request])[0]
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "SigningClient":

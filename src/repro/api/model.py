@@ -1,7 +1,7 @@
 """Typed request/response model shared by every ``repro.api`` transport.
 
 One request shape, one result shape, one error surface — whether the
-call signs in-process on a :class:`~repro.runtime.scheduler.BatchScheduler`,
+call signs in-process on a :class:`~repro.service.engine.SigningEngine`,
 fans out across a worker pool, or crosses a TCP socket.  Requests
 validate in ``__post_init__`` so every transport rejects malformed input
 identically (a :class:`~repro.errors.ProtocolError`, the same type a
@@ -11,7 +11,7 @@ that produced them so mixed-fleet telemetry can attribute latency.
 The error hierarchy is the existing :mod:`repro.errors` service family;
 wire error codes map back to it through
 :func:`repro.service.protocol.error_type`, so ``except OverloadedError``
-behaves the same against a local scheduler and a remote server.
+behaves the same against a local engine and a remote server.
 """
 
 from __future__ import annotations

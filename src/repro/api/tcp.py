@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from typing import Sequence
 
 from ..errors import ProtocolError, ServiceError, UnsupportedVersionError
-from ..obs.trace import TraceContext, Tracer, current_trace, start_trace
+from ..obs.trace import (SpanClock, TraceContext, Tracer, current_trace,
+                         start_trace)
 from ..service import protocol
 from ..service.client import ServiceClient
 from .base import SigningClient
@@ -211,11 +211,7 @@ class AsyncClient:
     async def _sign(self, request: SignRequest) -> SignResult:
         self._check_frame_fit(request.message)
         ctx = self._trace_for_frame()
-        # Span timestamps anchor on one wall-clock read; the duration
-        # comes from the monotonic clock, so a wall step (NTP) cannot
-        # produce a negative or inflated client-request span.
-        started_wall = time.time()
-        started_mono = time.perf_counter()
+        clock = SpanClock()
         response = await self._wire.call(
             "sign", tenant=request.tenant, key=request.key,
             message=request.message, deadline_ms=request.deadline_ms,
@@ -223,8 +219,7 @@ class AsyncClient:
         if ctx is not None and self._tracer is not None:
             self._tracer.record_span(
                 "client-request", trace=ctx, span_id=ctx.span_id,
-                start=started_wall,
-                end=started_wall + (time.perf_counter() - started_mono),
+                start=clock.start, end=clock.end(),
                 tenant=request.tenant, key=request.key)
         return _sign_result(response, request, transport=self.transport)
 
@@ -258,8 +253,7 @@ class AsyncClient:
         chunks = self._chunk(requests,
                              lambda request: len(request.message))
         contexts = [self._trace_for_frame() for _ in chunks]
-        started_wall = time.time()
-        started_mono = time.perf_counter()
+        clock = SpanClock()
         responses = await asyncio.gather(*(
             self._wire.call(
                 "sign-many", tenant=chunk[0].tenant, key=chunk[0].key,
@@ -268,12 +262,12 @@ class AsyncClient:
                 trace=ctx.trace_id if ctx is not None else None)
             for chunk, ctx in zip(chunks, contexts)))
         if self._tracer is not None:
-            ended = started_wall + (time.perf_counter() - started_mono)
+            ended = clock.end()
             for chunk, ctx in zip(chunks, contexts):
                 if ctx is not None:
                     self._tracer.record_span(
                         "client-request", trace=ctx, span_id=ctx.span_id,
-                        start=started_wall, end=ended,
+                        start=clock.start, end=ended,
                         tenant=chunk[0].tenant, key=chunk[0].key,
                         batch_size=len(chunk))
         return [_sign_result(item, request, transport=self.transport)

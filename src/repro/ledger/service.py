@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import LedgerError, ProtocolError
-from ..obs.trace import Tracer, current_trace, start_trace, use_trace
+from ..obs.trace import (SpanClock, Tracer, current_trace, start_trace,
+                         use_trace)
 from ..service.server import SigningServer, SigningService
 from .merkle import EMPTY_ROOT, MerkleLog, leaf_hash
 
@@ -356,8 +357,7 @@ class LedgerService:
     async def _seal(self, batch: list) -> None:
         payloads = [payload for payload, _, _, _ in batch]
         ctx = next((ctx for _, _, ctx, _ in batch if ctx is not None), None)
-        started_wall = time.time()
-        started_mono = time.perf_counter()
+        clock = SpanClock()
         try:
             with use_trace(ctx):
                 results = await self._call(
@@ -392,11 +392,11 @@ class LedgerService:
         self._sealed.inc()
         self._acked.inc(len(batch))
         self._entries_gauge.set(float(new_size))
-        ended = started_wall + (time.perf_counter() - started_mono)
+        ended = clock.end()
         if self.tracer is not None and ctx is not None:
             self.tracer.record_span(
                 "seal", trace=ctx, span_id=ctx.span_id,
-                start=started_wall, end=ended, tenant=self.tenant,
+                start=clock.start, end=ended, tenant=self.tenant,
                 batch_size=len(batch), size=new_size)
         for offset, (_, future, entry_ctx, enqueued) in enumerate(batch):
             if self.tracer is not None and (entry_ctx or ctx) is not None:
@@ -420,7 +420,7 @@ class LedgerService:
             raise LedgerError("the log has no sealed checkpoint yet")
         size = self._head.size if size is None else size
         checkpoint = self.checkpoint_for(size)
-        started = time.time()
+        clock = SpanClock()
         proof = InclusionProof(
             index=index, size=size, entry=self.log.entry(index),
             path=tuple(self.log.inclusion_path(index, size)),
@@ -431,7 +431,8 @@ class LedgerService:
             if ctx is not None:
                 self.tracer.record_span(
                     "prove", trace=ctx, parent_id=ctx.span_id,
-                    start=started, end=time.time(), index=index, size=size)
+                    start=clock.start, end=clock.end(), index=index,
+                    size=size)
         return proof
 
     def consistency(self, since: int) -> tuple[Checkpoint, list[bytes]]:

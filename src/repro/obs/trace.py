@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-__all__ = ["Span", "StageAggregator", "TraceContext", "Tracer",
+__all__ = ["Span", "SpanClock", "StageAggregator", "TraceContext", "Tracer",
            "current_trace", "load_spans", "new_span_id", "new_trace_id",
            "render_critical_path", "start_trace", "use_trace"]
 
@@ -102,6 +102,19 @@ def use_trace(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         yield ctx
     finally:
         _CURRENT.reset(token)
+
+
+class SpanClock:
+    """The span clock rule, written once: one wall-clock read anchors a
+    span on the timeline every tier shares (``start``), and :meth:`end`
+    is that anchor plus monotonic elapsed time — so a wall step (NTP)
+    inside the span cannot yield a negative or inflated duration."""
+
+    def __init__(self) -> None:
+        self.start, self._mono = time.time(), time.perf_counter()
+
+    def end(self) -> float:
+        return self.start + (time.perf_counter() - self._mono)
 
 
 @dataclass(frozen=True)
@@ -206,18 +219,39 @@ class Tracer:
         """
         parent = trace if trace is not None else current_trace()
         ctx = parent.child() if parent is not None else start_trace()
-        # One wall-clock read anchors the span on the timeline; the
-        # duration comes from the monotonic clock, so a wall step (NTP)
-        # inside the block cannot yield a negative or inflated span.
-        started = time.time()
-        started_mono = time.perf_counter()
+        clock = SpanClock()
         with use_trace(ctx):
             yield ctx
         self.record_span(
-            name, trace=ctx, start=started,
-            end=started + (time.perf_counter() - started_mono),
+            name, trace=ctx, start=clock.start, end=clock.end(),
             parent_id=parent.span_id if parent is not None else None,
             span_id=ctx.span_id, **attrs)
+
+    def record_sign(self, trace: TraceContext, parent_id: str | None,
+                    start: float, end: float, stage_seconds: dict[str, float],
+                    stage_hashes: dict[str, int] | None = None,
+                    workers: dict[int, dict] | None = None, **attrs) -> None:
+        """One backend call as a ``sign`` span under *parent_id*, a
+        ``worker`` span per pool process that ran its tasks, and a
+        sub-span per signer stage (``BatchSignResult.stage_seconds``),
+        laid out sequentially from the sign start: the stages run in
+        that order, so the reconstruction matches reality to within the
+        untimed gaps between them."""
+        sign_id = new_span_id()
+        self.record_span("sign", trace=trace, span_id=sign_id,
+                         parent_id=parent_id, start=start, end=end, **attrs)
+        for worker, share in (workers or {}).items():
+            self.record_span(
+                "worker", trace=trace, parent_id=sign_id,
+                start=share["start"], end=share["end"], worker=worker,
+                tasks=share["tasks"], busy_s=round(share["busy_s"], 6))
+        offset = start
+        for stage, seconds in stage_seconds.items():
+            counted = ({"hashes": stage_hashes[stage]}
+                       if stage_hashes and stage in stage_hashes else {})
+            self.record_span(stage, trace=trace, parent_id=sign_id,
+                             start=offset, end=offset + seconds, **counted)
+            offset += seconds
 
     # ------------------------------------------------------------------
     def spans(self) -> list[Span]:
@@ -250,7 +284,7 @@ class StageAggregator:
     previous hop* to the reported stage — turning the oracle's
     divergence hook into a per-stage profiler with no new plumbing in
     the signer.  Install on a backend's tappable hash context for the
-    duration of one batch (see ``SigningService._dispatch``).
+    duration of one batch (see ``SigningService._sign_batch``).
     """
 
     def __init__(self, ctx) -> None:

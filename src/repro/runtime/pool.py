@@ -631,20 +631,25 @@ def auto_workers() -> int:
     return cpus if cpus >= 2 else 0
 
 
+#: Backends that run the :class:`~.plan.SigningPlan`: a pool can host
+#: them, and a cache budget sizes their per-key layer cache.
+PLAN_BACKENDS = ("vectorized", "pooled")
+
+
 def plan_executor(backend: str, workers: int, options: dict | None = None
                   ) -> tuple[str, dict[str, dict], WorkerPool | None]:
     """Where *backend*'s batches sign: ``(engine, backend_options, pool)``.
 
     With *workers* > 0 the engine is ``"pooled"`` and its options are
     *options* plus a pool started here, the caller's to close; otherwise
-    *backend* itself, in this process.  The one place a client, a service
+    *backend* itself, in this process.  The one place a signing engine
     or the CLI starts a pool; :class:`BackendError` for a backend with no
     plan to run on one.
     """
     options = dict(options or {})
     if workers <= 0:
         return backend, {backend: options}, None
-    if backend not in ("vectorized", "pooled"):
+    if backend not in PLAN_BACKENDS:
         raise BackendError(
             f"a worker pool runs the vectorized signing plan; it cannot "
             f"host backend {backend!r}")

@@ -1,11 +1,13 @@
-"""The throughput service layer: queueing, routing, per-batch statistics.
+"""The offline batch layer: queueing, routing, per-batch statistics.
 
-:class:`BatchScheduler` is what a signing *service* fronts the runtime
-with.  Callers submit individual messages and get tickets back; the
+:class:`BatchScheduler` is for callers that *queue*: the ``repro serve``
+batch CLI, the conformance oracle's ``scheduler:*`` paths, the benchmark
+ladder.  They submit individual messages and get tickets back; the
 scheduler groups them into per-(parameter set, backend) queues, dispatches
 a backend's ``sign_batch`` whenever a queue reaches its target size, and
 keeps per-batch statistics (wall time, sig/s, cache hits, modeled KOPS)
-for reporting.
+for reporting.  The request-serving tiers sign through a
+:class:`~repro.service.engine.SigningEngine`, not through here.
 
 This is the architecture the paper argues for: restructure a message
 stream into batches, then schedule the batches onto heterogeneous
@@ -14,11 +16,11 @@ execution engines.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..errors import BackendError, UnknownTicketError
+from ..obs.trace import SpanClock, current_trace, start_trace
 from ..params import get_params
 from ..sphincs.signer import KeyPair
 from .backend import BatchSignResult, SigningBackend
@@ -66,10 +68,10 @@ class BatchScheduler:
         ``{"modeled-gpu": {"device": "RTX 3080"}}``.
     keys_provider:
         Optional ``(canonical params name) -> KeyPair`` hook consulted
-        before the scheduler generates its own key pair — how the
-        ``repro.api`` local transport signs under *keystore* keys
-        (tenant-owned, persisted) instead of scheduler-generated ones.
-        Resolved once per parameter set, then cached like generated keys.
+        before the scheduler generates its own key pair — how a caller
+        signs under keys it already holds (a keystore's, a benchmark's)
+        instead of scheduler-generated ones.  Resolved once per
+        parameter set, then cached like generated keys.
     tracer:
         Optional :class:`repro.obs.trace.Tracer`.  When set, every
         dispatched batch records a ``sign`` span (joined to the ambient
@@ -171,16 +173,18 @@ class BatchScheduler:
         # backend (bad route, misconfiguration) must not strand tickets.
         backend = self.backend_for(params_name, backend_name)
         keys = self.keys_for(params_name)
-        # Wall clock anchors the sign span once; its end is derived from
-        # the monotonic clock so an NTP step mid-batch cannot produce a
-        # negative or inflated span.
-        sign_start = time.time() if self.tracer is not None else 0.0
-        sign_mono = time.perf_counter()
+        clock = SpanClock()
         result = backend.sign_batch(queue.messages, keys)
         if self.tracer is not None:
-            self._record_spans(result, sign_start,
-                               sign_start + (time.perf_counter()
-                                             - sign_mono))
+            # Joined to the ambient trace context when one is current;
+            # otherwise the sign span roots a fresh trace.
+            ambient = current_trace()
+            self.tracer.record_sign(
+                ambient if ambient is not None else start_trace(),
+                ambient.span_id if ambient is not None else None,
+                clock.start, clock.end(), result.stage_seconds,
+                backend=result.backend, params=result.params,
+                batch_size=result.count)
         if len(result.signatures) != len(queue.messages):
             raise BackendError(
                 f"backend {backend_name!r} returned {len(result.signatures)} "
@@ -197,32 +201,6 @@ class BatchScheduler:
         stats = self._stats(result, verified)
         self.batches.append(stats)
         return stats
-
-    def _record_spans(self, result: BatchSignResult, sign_start: float,
-                      sign_end: float) -> None:
-        """One ``sign`` span per dispatched batch, with stage sub-spans.
-
-        Joined to the ambient trace context when one is current (the
-        local API facade installs one per call); otherwise the sign span
-        roots a fresh trace.  Stage sub-spans are laid out sequentially
-        from the sign start — the stages run in that order.
-        """
-        from ..obs.trace import current_trace, new_span_id, start_trace
-
-        ambient = current_trace()
-        ctx = ambient if ambient is not None else start_trace()
-        sign_id = new_span_id()
-        self.tracer.record_span(
-            "sign", trace=ctx, span_id=sign_id,
-            parent_id=ambient.span_id if ambient is not None else None,
-            start=sign_start, end=sign_end, backend=result.backend,
-            params=result.params, batch_size=result.count)
-        offset = sign_start
-        for stage, seconds in result.stage_seconds.items():
-            self.tracer.record_span(
-                stage, trace=ctx, parent_id=sign_id,
-                start=offset, end=offset + seconds)
-            offset += seconds
 
     def _stats(self, result: BatchSignResult,
                verified: bool | None) -> BatchStats:

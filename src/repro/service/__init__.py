@@ -20,8 +20,11 @@ Module map
     a request ships at once while the signer is idle, arrivals behind a
     batch in flight ship together when it completes (or earlier, at the
     target batch size or the oldest request's latency budget).
+:mod:`.engine`
+    :class:`~.engine.SigningEngine` — keys, executor, backends, verifiers,
+    cache invalidation: what the service and ``repro.api``'s local client use.
 :mod:`.server`
-    :class:`SigningService` (keystore + batcher + admission control +
+    :class:`SigningService` (engine + batcher + admission control +
     telemetry, in-process ``await service.sign(...)`` API) and
     :class:`SigningServer` (the newline-delimited JSON TCP front end).
 :mod:`.client`

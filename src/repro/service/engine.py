@@ -1,0 +1,158 @@
+"""The signing engine: what every front signs and verifies through.
+
+:class:`SigningEngine` owns the chain *keystore → executor → one backend
+and one verifier per parameter set → invalidate on key events → cache
+stats*.  It has two fronts and knows neither: the in-process
+:class:`~repro.api.local.LocalClient` calls it synchronously,
+:class:`~.server.SigningService` from executor threads under its sign lock.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Sequence
+
+from ..errors import ServiceError
+from ..obs.log import get_logger
+from ..runtime.backend import BatchSignResult, SigningBackend
+from ..runtime.fastops import FastVerifier
+from ..runtime.pool import PLAN_BACKENDS, plan_executor
+from ..runtime.registry import get_backend
+from .keystore import Keystore
+
+__all__ = ["SigningEngine"]
+
+_log = get_logger("service")
+
+
+class SigningEngine:
+    """Sign and verify batches under keystore keys.
+
+    Parameters
+    ----------
+    keystore:
+        Where ``(tenant, key)`` resolves; listened to until :meth:`close`.
+    backend / backend_options:
+        A registered runtime backend and per-name constructor kwargs.
+        One instance per parameter set, built on first use; a
+        plan-running one keeps at most 8 keys' layer caches resident
+        (``VectorizedBackend._ops``), oldest out.
+    workers:
+        ``> 0`` signs on a pool of that many processes, owned here.
+    cache_budget_mb:
+        An explicit per-key layer-cache budget is the operator opting
+        into warm caches: it sizes plan-running backends, and every key
+        is prewarmed when its backend is built and after a rotation.
+        Backends with no layer cache ignore it.
+    """
+
+    def __init__(self, keystore: Keystore, backend: str = "vectorized",
+                 deterministic: bool = False,
+                 backend_options: dict[str, dict] | None = None,
+                 workers: int = 0,
+                 cache_budget_mb: float | None = None):
+        self.keystore = keystore
+        self.backend_name = backend
+        self.deterministic = deterministic
+        self.cache_budget_mb = cache_budget_mb
+        self._executor, options, self.pool = plan_executor(
+            backend, workers, (backend_options or {}).get(backend))
+        self._options = options[self._executor]
+        if cache_budget_mb is not None and self._executor in PLAN_BACKENDS:
+            self._options.setdefault("cache_budget_mb", cache_budget_mb)
+        self._backends: dict[str, SigningBackend] = {}
+        self._verifiers: dict[str, FastVerifier] = {}
+        # Callers arrive on several threads (the service's executor, a
+        # ledger's ``to_thread``): backends and verifiers are built under it.
+        self._lock = threading.Lock()
+        # A retired key's cached subtrees must never sign again.
+        keystore.add_listener(self._on_key_event)
+
+    # ------------------------------------------------------------------
+    def backend_for(self, params_name: str) -> SigningBackend:
+        """The backend for *params_name* (canonical), built — and with a
+        cache budget, prewarmed — on first use."""
+        with self._lock:
+            backend = self._backends.get(params_name)
+            if backend is None:
+                backend = self._backends[params_name] = get_backend(
+                    self._executor, params_name,
+                    deterministic=self.deterministic, **self._options)
+                if self.cache_budget_mb is not None:
+                    for tenant in self.keystore.tenants():
+                        if self.keystore.params_for(tenant) != params_name:
+                            continue
+                        for key in self.keystore.key_names(tenant):
+                            backend.prewarm_key(
+                                self.keystore.resolve(tenant, key)[0])
+            return backend
+
+    def _on_key_event(self, event: str, tenant: str, key: str | None,
+                      old_keys) -> None:
+        """Keystore listener: invalidate (and re-prewarm) on key change."""
+        _log.info("key-event", change=event, tenant=tenant, key=key,
+                  invalidated=old_keys is not None)
+        if old_keys is not None:
+            for backend in list(self._backends.values()):
+                backend.invalidate_key(old_keys)
+        if (event == "key-rotated" and key is not None
+                and self.cache_budget_mb is not None):
+            keys, params_name = self.keystore.resolve(tenant, key)
+            backend = self._backends.get(params_name)
+            if backend is not None:
+                backend.prewarm_key(keys)
+
+    # ------------------------------------------------------------------
+    def sign_batch(self, tenant: str, key: str, messages: Sequence[bytes]
+                   ) -> tuple[BatchSignResult, str]:
+        """*messages* signed under the tenant's named key as one backend
+        batch: ``(result, canonical params name)``.  An unknown tenant
+        or key raises :class:`~repro.errors.KeystoreError` first."""
+        keys, params_name = self.keystore.resolve(tenant, key)
+        result = self.backend_for(params_name).sign_batch(messages, keys)
+        if len(result.signatures) != len(messages):
+            raise ServiceError(
+                f"backend {self.backend_name!r} returned "
+                f"{len(result.signatures)} signatures for "
+                f"{len(messages)} messages")
+        return result, params_name
+
+    def verify_batch(self, tenant: str, key: str, messages: Sequence[bytes],
+                     signatures: Sequence[bytes]) -> tuple[list[bool], str]:
+        """``(per-pair verdicts, canonical params name)`` under the
+        tenant's named key, resolved once; a bad signature is ``False``,
+        never an error.  The verifier keeps its own hash context, so a
+        verify may run while a sign is in flight."""
+        keys, params_name = self.keystore.resolve(tenant, key)
+        with self._lock:
+            verifier = self._verifiers.get(params_name)
+            if verifier is None:
+                verifier = self._verifiers[params_name] = FastVerifier(
+                    params_name)
+        return (verifier.verify_batch(messages, signatures, keys.public),
+                params_name)
+
+    # ------------------------------------------------------------------
+    def cache_stats(self) -> dict:
+        """The ``cache`` section of a stats snapshot: one scope per
+        parameter set's backend (layer cache + replay memo) and one per
+        verifier (verify memo), all in this process: pool workers hold none."""
+        scopes: dict[str, dict] = {}
+        for params_name, backend in sorted(self._backends.items()):
+            stats = backend.cache_stats()
+            if stats:
+                scopes[f"in-process {params_name}"] = stats
+        for params_name, verifier in sorted(self._verifiers.items()):
+            scopes[f"verify {params_name}"] = verifier.cache_stats()
+        if not scopes:
+            return {}
+        snapshot: dict = {"scopes": scopes}
+        if self.cache_budget_mb is not None:
+            snapshot["budget_mb"] = self.cache_budget_mb
+        return snapshot
+
+    def close(self) -> None:
+        """Unsubscribe from the keystore and stop the pool; idempotent."""
+        self.keystore.remove_listener(self._on_key_event)
+        if self.pool is not None:
+            self.pool.close()

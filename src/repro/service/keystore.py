@@ -63,6 +63,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -185,12 +186,15 @@ class Keystore:
         self._index: dict[str, Path] = {}
         self._stats = {"hits": 0, "misses": 0, "loads": 0, "evictions": 0,
                        "rate_denials": 0}
+        # Lookups come from the event loop and from the threads a signing
+        # engine resolves on: no eviction between the LRU's get and move.
+        self._lock = threading.RLock()
         # Key-lifecycle listeners: fn(event, tenant, key_name, old_keys).
         # Events: "key-rotated" (old_keys = the retired pair) and
         # "tenant-deleted" (fired once per key the tenant held).  The
-        # signing service subscribes to invalidate every tier's layer
-        # caches — stale cached subtrees of a retired key must never
-        # produce another signature.
+        # signing engine subscribes to invalidate its layer caches —
+        # stale cached subtrees of a retired key must never produce
+        # another signature.
         self._listeners: list[Callable[[str, str, str | None,
                                         KeyPair | None], None]] = []
         if self.root is not None:
@@ -332,6 +336,11 @@ class Keystore:
         """Subscribe to key-lifecycle events (rotation, tenant delete)."""
         self._listeners.append(listener)
 
+    def remove_listener(self, listener) -> None:
+        """Unsubscribe *listener* (a no-op when absent: ``close()`` twice)."""
+        if listener in self._listeners:
+            self._listeners.remove(listener)
+
     def _notify(self, event: str, tenant: str, key_name: str | None,
                 old_keys: KeyPair | None) -> None:
         for listener in self._listeners:
@@ -418,26 +427,28 @@ class Keystore:
                 "max_cached": self.max_cached}
 
     def _cache(self, record: TenantRecord) -> None:
-        self._tenants[record.name] = record
-        self._tenants.move_to_end(record.name)
-        if self.max_cached is not None:
-            while len(self._tenants) > self.max_cached:
-                self._tenants.popitem(last=False)
-                self._stats["evictions"] += 1
+        with self._lock:
+            self._tenants[record.name] = record
+            self._tenants.move_to_end(record.name)
+            if self.max_cached is not None:
+                while len(self._tenants) > self.max_cached:
+                    self._tenants.popitem(last=False)
+                    self._stats["evictions"] += 1
 
     def _record(self, tenant: str) -> TenantRecord:
-        record = self._tenants.get(tenant)
-        if record is not None:
-            self._stats["hits"] += 1
-            self._tenants.move_to_end(tenant)
-            return record
-        path = self._index.get(tenant)
-        if path is not None:
-            self._stats["misses"] += 1
-            self._stats["loads"] += 1
-            record = self._load_tenant(path)
-            self._cache(record)
-            return record
+        with self._lock:
+            record = self._tenants.get(tenant)
+            if record is not None:
+                self._stats["hits"] += 1
+                self._tenants.move_to_end(tenant)
+                return record
+            path = self._index.get(tenant)
+            if path is not None:
+                self._stats["misses"] += 1
+                self._stats["loads"] += 1
+                record = self._load_tenant(path)
+                self._cache(record)
+                return record
         known = ", ".join(self.tenants()) or "<none>"
         raise KeystoreError(
             f"unknown tenant {tenant!r} (tenants: {known})"

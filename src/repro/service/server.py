@@ -10,19 +10,18 @@ newline-delimited JSON protocol over TCP (see :mod:`.protocol`).
 Design notes
 ------------
 * **Batches share a key pair.**  Queues are keyed ``(tenant, key)``; the
-  dispatch path signs a batch with one ``sign_batch`` call on the cached
-  backend for the tenant's parameter set.
+  dispatch path signs a batch with one ``sign_batch`` call on the
+  :class:`~.engine.SigningEngine`, which owns keys, backends, verifiers,
+  pool and cache invalidation (``repro.api``'s local client fronts one too).
 * **Signing runs off the event loop, one batch at a time.**
   ``sign_batch`` is CPU-bound Python, so dispatch hands it to the
   default executor; a single dispatch lock serializes batches because
   the per-key layer caches are not thread-safe — and one batch already
   uses every core there is to use.
-* **A worker pool scales across cores.**  Construct the service with
-  ``workers=N`` and every batch signs on the ``pooled`` backend: its
-  signing plan's tasks spread over a persistent
-  :class:`~repro.runtime.pool.WorkerPool` (so even a batch of one uses
-  all N cores), the layer cache stays in this process, and a crashed
-  worker is respawned with its tasks requeued.
+* **A worker pool scales across cores.**  With ``workers=N`` the engine
+  spreads every batch's signing plan over a persistent
+  :class:`~repro.runtime.pool.WorkerPool` (even a batch of one uses all
+  N cores); the layer cache stays in this process.
 * **Admission control sheds early.**  If queued depth has reached
   ``max_pending``, :meth:`SigningService.sign` raises
   :class:`OverloadedError` *before* queueing — the client gets an
@@ -32,20 +31,16 @@ Design notes
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 
 from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
                       OverloadedError, ProtocolError, ServiceError)
 from ..obs.log import get_logger
-from ..obs.trace import (TraceContext, Tracer, current_trace, new_span_id,
-                         new_trace_id, tap_stages)
-from ..runtime.backend import SigningBackend
-from ..runtime.fastops import FastVerifier
-from ..runtime.pool import plan_executor
-from ..runtime.registry import get_backend
+from ..obs.trace import (SpanClock, TraceContext, Tracer, current_trace,
+                         new_span_id, new_trace_id, tap_stages)
 from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
+from .engine import SigningEngine
 from .keystore import Keystore
 from .telemetry import Telemetry, render_snapshot
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
@@ -91,8 +86,6 @@ class SigningService:
         self.keystore = keystore if keystore is not None else Keystore()
         self.backend_name = backend
         self.max_pending = max_pending
-        self.deterministic = deterministic
-        self.cache_budget_mb = cache_budget_mb
         self.telemetry = Telemetry()
         #: The one store of every service-tier number — the ``stats``
         #: verb, the ``metrics`` verb and the Prometheus endpoint read it.
@@ -103,63 +96,26 @@ class SigningService:
             self._dispatch, target_batch_size=target_batch_size,
             max_wait_s=max_wait_s,
         )
-        self._backends: dict[str, SigningBackend] = {}
-        self._verifiers: dict[str, FastVerifier] = {}
         self._sign_lock = asyncio.Lock()
-        # Multi-core tier: with workers > 0, batches sign on the pooled
-        # backend — one pool under every parameter set — instead of the
-        # in-process one.  ``_engine`` is the registry name they sign on.
+        # Multi-core tier: with workers > 0 the engine signs every batch
+        # on a pool — one pool under every parameter set.
         try:
-            self._engine, self.backend_options, self.pool = plan_executor(
-                backend, workers, (backend_options or {}).get(backend))
+            self.engine = SigningEngine(
+                self.keystore, backend, deterministic=deterministic,
+                backend_options=backend_options, workers=workers,
+                cache_budget_mb=cache_budget_mb)
         except BackendError as exc:
             raise ServiceError(str(exc)) from None
+        self.pool = self.engine.pool
         self.telemetry.add_source("queue", lambda: {"depth": self._depth()})
         if self.pool is not None:
             self.telemetry.add_source("pool", self.pool.stats)
-        self.telemetry.add_source("cache", self._cache_snapshot)
+        self.telemetry.add_source("cache", self.engine.cache_stats)
         self.telemetry.add_source("keystore", self.keystore.cache_stats)
-        # Key rotation / tenant delete must reach the layer cache — a
-        # retired key's cached subtrees must never sign again.
-        self.keystore.add_listener(self._on_key_event)
-
-    def _on_key_event(self, event: str, tenant: str,
-                      key_name: str | None, old_keys) -> None:
-        """Keystore listener: invalidate (and re-prewarm) on key change."""
-        _log.info("key-event", change=event, tenant=tenant,
-                  key=key_name, invalidated=old_keys is not None)
-        if old_keys is not None:
-            for backend in self._backends.values():
-                backend.invalidate_key(old_keys)
-        if (event == "key-rotated" and key_name is not None
-                and self.cache_budget_mb is not None):
-            keys, params = self.keystore.resolve(tenant, key_name)
-            backend = self._backends.get(params)
-            if backend is not None:
-                backend.prewarm_key(keys)
 
     def _depth(self) -> int:
         """Requests holding capacity: queued or dispatched-but-unsigned."""
         return self.batcher.pending + self.batcher.in_flight
-
-    def _cache_snapshot(self) -> dict:
-        """Cache stats (the snapshot's ``cache`` section): one scope per
-        parameter set's backend (layer cache + replay memo) and one per
-        verifier (verify memo).  The caches live in this process on
-        every tier — pool workers hold none."""
-        scopes: dict[str, dict] = {}
-        for params_name, backend in sorted(self._backends.items()):
-            stats = backend.cache_stats()
-            if stats:
-                scopes[f"in-process {params_name}"] = stats
-        for params_name, verifier in sorted(self._verifiers.items()):
-            scopes[f"verify {params_name}"] = verifier.cache_stats()
-        if not scopes:
-            return {}
-        snapshot: dict = {"scopes": scopes}
-        if self.cache_budget_mb is not None:
-            snapshot["budget_mb"] = self.cache_budget_mb
-        return snapshot
 
     # ------------------------------------------------------------------
     # In-process client API
@@ -197,8 +153,7 @@ class SigningService:
         self.telemetry.record_submitted(tenant)
         self.telemetry.observe_depth(depth + 1)
         budget_s = None if deadline_ms is None else deadline_ms / 1000.0
-        trace = None
-        submitted_wall = submitted_mono = 0.0
+        trace = clock = None
         if self.tracer is not None:
             # Root span of this request's trace.  The trace id comes from
             # the caller's ambient context (the TCP verb layer installs
@@ -210,19 +165,14 @@ class SigningService:
                 incoming.trace_id if incoming is not None
                 else new_trace_id(),
                 new_span_id())
-            # Wall clock anchors the span on the timeline once; the
-            # duration comes from the monotonic clock so an NTP step
-            # mid-request cannot yield a negative or inflated span.
-            submitted_wall = time.time()
-            submitted_mono = time.perf_counter()
+            clock = SpanClock()
         outcome = await self.batcher.submit(tenant, key_name, message,
                                             budget_s=budget_s, trace=trace)
         if trace is not None:
             self.tracer.record_span(
                 "request", trace=trace, span_id=trace.span_id,
-                start=submitted_wall,
-                end=submitted_wall + (time.perf_counter() - submitted_mono),
-                tenant=tenant, key=key_name, backend=outcome.backend,
+                start=clock.start, end=clock.end(), tenant=tenant,
+                key=key_name, backend=outcome.backend,
                 batch_size=outcome.batch_size)
         return outcome
 
@@ -243,20 +193,14 @@ class SigningService:
                           signatures: list[bytes], tenant: str,
                           key_name: str = "default"
                           ) -> tuple[list[bool], str]:
-        """Verify each ``(message, signature)`` pair under one tenant key.
-
-        The key resolves once and the whole batch is one job on the
-        default executor (the hash walk is CPU-bound).  The verifier
-        keeps no per-key state, so concurrent jobs are independent of
-        each other and of the signing backends' caches.
+        """Verify each ``(message, signature)`` pair under one tenant key:
+        the engine's ``verify_batch`` as one job on the default executor
+        (the hash walk is CPU-bound), independent of any other job and
+        of the signing backends' caches.
         """
-        keys, params_name = self.keystore.resolve(tenant, key_name)
-        verifier = self._verifiers.get(params_name)
-        if verifier is None:
-            verifier = self._verifiers[params_name] = FastVerifier(params_name)
-        verdicts = await asyncio.get_running_loop().run_in_executor(
-            None, verifier.verify_batch, messages, signatures, keys.public)
-        return verdicts, params_name
+        return await asyncio.get_running_loop().run_in_executor(
+            None, self.engine.verify_batch, tenant, key_name, messages,
+            signatures)
 
     async def drain(self) -> None:
         """Dispatch and await everything still queued (shutdown path)."""
@@ -264,112 +208,75 @@ class SigningService:
 
     def close(self) -> None:
         self.batcher.close()
-        if self.pool is not None:
-            self.pool.close()
+        self.engine.close()
 
     # ------------------------------------------------------------------
     # Dispatch (called by the batcher)
     # ------------------------------------------------------------------
-    #: Backends whose constructor takes the shared ``cache_budget_mb``
-    #: knob (the reference and the modeled backend have no layer cache
-    #: to size).
-    _CACHE_AWARE = ("vectorized", "pooled")
-
-    def _backend_for(self, params_name: str) -> SigningBackend:
-        instance = self._backends.get(params_name)
-        if instance is None:
-            options = dict(self.backend_options.get(self._engine, {}))
-            if (self.cache_budget_mb is not None
-                    and self._engine in self._CACHE_AWARE):
-                options.setdefault("cache_budget_mb", self.cache_budget_mb)
-            instance = get_backend(
-                self._engine, params_name,
-                deterministic=self.deterministic,
-                **options,
-            )
-            self._backends[params_name] = instance
-            if self.cache_budget_mb is not None:
-                # Explicit budget = the operator opted into warm caches:
-                # prewarm this parameter set's tenant keys now so the
-                # first batch already runs the fast path.
-                for tenant in self.keystore.tenants():
-                    if self.keystore.params_for(tenant) != params_name:
-                        continue
-                    for key_name in self.keystore.key_names(tenant):
-                        keys, _ = self.keystore.resolve(tenant, key_name)
-                        instance.prewarm_key(keys)
-        return instance
+    def _sign_batch(self, tenant: str, key_name: str,
+                    messages: list[bytes], traced: bool):
+        """One batch, on the executor thread: ``(result, params name,
+        stage hashes)``.  A traced batch signs with the backend's
+        hash-context hook tapped, which adds wots/merkle sub-stage times
+        and per-stage hash counts on backends that expose the hook (the
+        sign lock serializes access to the context)."""
+        if not traced:
+            return *self.engine.sign_batch(tenant, key_name, messages), None
+        backend = self.engine.backend_for(self.keystore.params_for(tenant))
+        with tap_stages(backend) as tap:
+            result, params_name = self.engine.sign_batch(
+                tenant, key_name, messages)
+        if tap is None:
+            return result, params_name, None
+        for stage, seconds in tap.stage_seconds.items():
+            result.stage_seconds.setdefault(stage, seconds)
+        return result, params_name, tap.stage_hashes
 
     async def _dispatch(self, queue_key: QueueKey,
                         batch: list[PendingSign]) -> None:
         tenant, key_name = queue_key
         loop = asyncio.get_running_loop()
-        # Requests carrying a trace context (tracer installed at submit
-        # time), and one dispatch span id for each.
+        # Requests carrying a trace context (a tracer at submit time).
         traced = ([request for request in batch
                    if request.trace is not None]
                   if self.tracer is not None else [])
-        dispatch_ids = [new_span_id() for _ in traced]
-        stage_seconds: dict[str, float] = {}
-        stage_hashes: dict[str, int] | None = None
-        workers: dict[int, dict] = {}
+        messages = [request.message for request in batch]
         try:
-            keys, params_name = self.keystore.resolve(tenant, key_name)
-            messages = [request.message for request in batch]
-            backend = self._backend_for(params_name)
             async with self._sign_lock:
                 dispatch_started = loop.time()
-                # Spans anchor on one wall-clock read; durations come
-                # from the monotonic clock so an NTP step mid-batch
-                # cannot produce negative or inflated sign spans.
-                dispatch_wall = sign_start = time.time()
-                dispatch_mono = time.perf_counter()
-                if traced:
-                    # Tap the hash-context hook for the batch: adds
-                    # wots/merkle sub-stage times and per-stage hash
-                    # counts on backends that expose the hook (the
-                    # sign lock serializes access to the context).
-                    with tap_stages(backend) as tap:
-                        result = await loop.run_in_executor(
-                            None, backend.sign_batch, messages, keys)
-                else:
-                    tap = None
-                    result = await loop.run_in_executor(
-                        None, backend.sign_batch, messages, keys)
-                sign_end = dispatch_wall + (time.perf_counter()
-                                            - dispatch_mono)
-            signatures = result.signatures
-            backend_name = (f"pooled[{self.pool.workers}]"
-                            if self.pool is not None else result.backend)
-            if traced:
-                stage_seconds = dict(result.stage_seconds)
-                workers = result.workers
-                if tap is not None:
-                    stage_hashes = dict(tap.stage_hashes)
-                    for stage, seconds in tap.stage_seconds.items():
-                        stage_seconds.setdefault(stage, seconds)
-            if len(signatures) != len(batch):
-                raise ServiceError(
-                    f"backend {self.backend_name!r} returned "
-                    f"{len(signatures)} signatures for "
-                    f"{len(batch)} messages"
-                )
+                clock = SpanClock()
+                result, params_name, stage_hashes = (
+                    await loop.run_in_executor(
+                        None, self._sign_batch, tenant, key_name, messages,
+                        bool(traced)))
+                sign_end = clock.end()
         except Exception as exc:
             self.telemetry.record_failed(tenant, len(batch))
             _log.error("batch-failed", tenant=tenant, key=key_name,
                        batch=len(batch),
                        error=f"{type(exc).__name__}: {exc}")
             raise  # the batcher forwards this to every future in the batch
-        done = loop.time()
-        if traced:
-            done_wall = dispatch_wall + (time.perf_counter()
-                                         - dispatch_mono)
-            self._emit_spans(traced, dispatch_ids, backend_name,
-                             len(batch), dispatch_wall, done_wall,
-                             sign_start, sign_end, stage_seconds,
-                             stage_hashes, workers)
+        backend_name = (f"pooled[{self.pool.workers}]"
+                        if self.pool is not None else result.backend)
+        done, done_wall = loop.time(), clock.end()
+        # Every traced request in the batch gets the full breakdown: a
+        # batch amortizes one backend call over its requests, so the stage
+        # timings legitimately describe each request's critical path.
+        for request in traced:
+            trace, dispatch_id = request.trace, new_span_id()
+            self.tracer.record_span(
+                "queue", trace=trace, parent_id=trace.span_id,
+                start=request.enqueued_wall, end=clock.start,
+                batch_size=len(batch))
+            self.tracer.record_span(
+                "dispatch", trace=trace, span_id=dispatch_id,
+                parent_id=trace.span_id, start=clock.start, end=done_wall,
+                backend=backend_name, batch_size=len(batch))
+            self.tracer.record_sign(
+                trace, dispatch_id, clock.start, sign_end,
+                result.stage_seconds, stage_hashes, result.workers)
         self.telemetry.record_batch(len(batch))
-        for request, signature in zip(batch, signatures):
+        for request, signature in zip(batch, result.signatures):
             wait_ms = (dispatch_started - request.enqueued_at) * 1000.0
             total_ms = (done - request.enqueued_at) * 1000.0
             self.telemetry.record_signed(tenant, total_ms, wait_ms)
@@ -380,54 +287,6 @@ class SigningService:
                     batch_size=len(batch), wait_ms=round(wait_ms, 3),
                     total_ms=round(total_ms, 3),
                 ))
-
-    def _emit_spans(self, traced: list[PendingSign],
-                    dispatch_ids: list[str], backend_name: str,
-                    batch_size: int, dispatch_wall: float,
-                    done_wall: float, sign_start: float, sign_end: float,
-                    stage_seconds: dict[str, float],
-                    stage_hashes: dict[str, int] | None,
-                    workers: dict[int, dict]) -> None:
-        """Per-request queue/dispatch/sign (+ signer stage) spans, and on
-        the pooled tier one ``worker`` span per process that ran tasks.
-
-        Every traced request in the batch gets the full breakdown — a
-        batch amortizes one backend call over its requests, so the stage
-        timings legitimately describe each request's critical path.
-        Stage sub-spans are laid out sequentially from the sign start;
-        the stages run in that order, so the reconstruction matches
-        reality to within the untimed gaps between them.
-        """
-        tracer = self.tracer
-        for request, dispatch_id in zip(traced, dispatch_ids):
-            trace = request.trace
-            tracer.record_span(
-                "queue", trace=trace, parent_id=trace.span_id,
-                start=request.enqueued_wall, end=dispatch_wall,
-                batch_size=batch_size)
-            tracer.record_span(
-                "dispatch", trace=trace, span_id=dispatch_id,
-                parent_id=trace.span_id, start=dispatch_wall,
-                end=done_wall, backend=backend_name,
-                batch_size=batch_size)
-            sign_id = new_span_id()
-            tracer.record_span(
-                "sign", trace=trace, span_id=sign_id,
-                parent_id=dispatch_id, start=sign_start, end=sign_end)
-            offset = sign_start
-            for worker, share in workers.items():
-                tracer.record_span(
-                    "worker", trace=trace, parent_id=sign_id,
-                    start=share["start"], end=share["end"], worker=worker,
-                    tasks=share["tasks"], busy_s=round(share["busy_s"], 6))
-            for stage, seconds in stage_seconds.items():
-                attrs = {}
-                if stage_hashes and stage in stage_hashes:
-                    attrs["hashes"] = stage_hashes[stage]
-                tracer.record_span(
-                    stage, trace=trace, parent_id=sign_id,
-                    start=offset, end=offset + seconds, **attrs)
-                offset += seconds
 
     # ------------------------------------------------------------------
     # Introspection
@@ -442,7 +301,7 @@ class SigningService:
             "target_batch_size": self.batcher.target_batch_size,
             "max_wait_ms": round(self.batcher.max_wait_s * 1000.0, 3),
             "max_pending": self.max_pending,
-            "cache_budget_mb": self.cache_budget_mb,
+            "cache_budget_mb": self.engine.cache_budget_mb,
             "tenants": {name: self.keystore.params_for(name)
                         for name in self.keystore.tenants()},
         }

@@ -265,6 +265,39 @@ class TestVerifyMany:
             with pytest.raises(ValueError, match="pairs each message"):
                 client.verify_many("acme", [b"one"], [])
 
+    def test_local_is_one_verify_job_with_the_oracles_verdicts(
+            self, monkeypatch):
+        """As the served tier: the key resolves once and the pairs are
+        one ``verify_batch`` job — over the oracle's cases (each
+        corruption after its valid twin, then the wrong key), and an
+        unknown tenant or key raises before anything is hashed."""
+        from repro.runtime.fastops import FastVerifier
+        from repro.testing.corpus import signature_mutations
+
+        genuine, jobs = FastVerifier.verify_batch, []
+
+        def counted(self, messages, signatures, public_key):
+            jobs.append(len(messages))
+            return genuine(self, messages, signatures, public_key)
+
+        monkeypatch.setattr(FastVerifier, "verify_batch", counted)
+        [valid], _ = reference_signatures([b"twin"])
+        corrupted = [blob for _, blob in signature_mutations(
+            get_params("128f"), valid)]
+        blobs = [valid, *corrupted, valid]
+        messages = [b"twin"] * (1 + len(corrupted)) + [b"twin!"]
+        with make_local() as client:
+            client.add_tenant("other", "128f", seed=bytes(range(48)))
+            verdicts = client.verify_many("acme", messages, blobs)
+            assert [v.valid for v in verdicts] == (
+                [True] + [False] * (len(corrupted) + 1))
+            assert jobs == [len(blobs)]
+            assert not client.verify("other", b"twin", valid).valid
+            for tenant, key in (("ghost", "default"), ("acme", "missing")):
+                with pytest.raises(KeystoreError):
+                    client.verify_many(tenant, [b"twin"], [valid], key=key)
+            assert jobs == [len(blobs), 1]
+
     def test_tcp_binary_frames_round_trip(self, live_server):
         messages = [b"w0", b"w1", b"w2"]
         expected, _ = reference_signatures(messages)

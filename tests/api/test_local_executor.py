@@ -3,8 +3,9 @@
 ``LocalClient("vectorized")`` runs the signing plan on one pinned worker
 per allowed CPU where there are two or more, and in this process on one.
 Whichever it picks, the bytes are the reference's; the workers are the
-client's own — alive from construction, gone a second after ``close()`` —
-and a key rotated in the keystore stops signing at once.
+client's own — alive from construction, gone a second after ``close()``.
+(That a rotated key stops signing is the engine's promise:
+``tests/service/test_signing_engine.py`` checks it through both fronts.)
 """
 
 import hashlib
@@ -18,8 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import LocalClient
-from repro.service import Keystore
-from repro.sphincs.signer import Sphincs
 from repro.testing.kat import KAT_SETS, load_kat
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -107,17 +106,3 @@ def test_close_leaves_no_worker_behind(monkeypatch):
         client.close()
         time.sleep(1.0)
         assert live_children() - before == set(), f"leak, round {attempt}"
-
-
-def test_a_rotated_key_stops_signing():
-    keystore = Keystore()
-    with LocalClient(keystore, deterministic=True) as client:
-        client.add_tenant("t", "128f")
-        old_public = keystore.resolve("t")[0].public
-        client.sign("t", b"before rotation")
-        new_public = keystore.rotate_key("t", "default").public
-        fresh = client.sign("t", b"after rotation").signature
-        scheme = Sphincs("128f")
-        assert scheme.verify(b"after rotation", fresh, new_public)
-        assert not scheme.verify(b"after rotation", fresh, old_public)
-        assert client.verify("t", b"after rotation", fresh).valid

@@ -96,7 +96,7 @@ class TestPoolWorkerCrash:
             async def crash():
                 # Kill one worker on its next sign job — mid-batch for
                 # whatever seal is in flight.
-                client._pool.inject_crash(0, when="next-job")
+                client.engine.pool.inject_crash(0, when="next-job")
 
             receipts, failed = await drive(ledger, offsets,
                                            chaos_after=5, chaos=crash)
@@ -107,7 +107,7 @@ class TestPoolWorkerCrash:
                 # any that did fail must have failed typed and clean.
                 assert receipts, "no append survived the worker crash"
                 assert len(receipts) + len(failed) == len(offsets)
-                assert client._pool.stats()["respawns"] == 1
+                assert client.engine.pool.stats()["respawns"] == 1
                 assert_invariant(ledger, client, receipts, tmp_path,
                                  keystore)
             finally:

@@ -304,7 +304,7 @@ class TestServiceInvalidation:
                 old_pk = keystore.resolve("acme")[0].public
                 new_keys = keystore.rotate_key("acme", "default")
                 after = await service.sign(b"post-rotation", "acme")
-                scheme_verify = service._backend_for("SPHINCS+-128f")
+                scheme_verify = service.engine.backend_for("SPHINCS+-128f")
                 assert scheme_verify.verify_batch(
                     [b"post-rotation"], [after.signature],
                     new_keys.public) == [True]
@@ -326,7 +326,7 @@ class TestServiceInvalidation:
             keystore, service = self._service(tmp_path)
             try:
                 await service.sign(b"hello", "acme")
-                backend = service._backend_for("SPHINCS+-128f")
+                backend = service.engine.backend_for("SPHINCS+-128f")
                 assert backend.cache_stats().get("keys", 0) > 0
                 keystore.delete_tenant("acme")
                 assert backend.cache_stats().get("keys", 0) == 0

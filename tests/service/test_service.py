@@ -174,7 +174,7 @@ class TestInProcess:
         request in the batch, never leave a future hanging."""
         async def scenario():
             service = make_service(target_batch_size=2, max_wait_s=10.0)
-            backend = service._backend_for("SPHINCS+-128f")
+            backend = service.engine.backend_for("SPHINCS+-128f")
             original = backend.sign_batch
 
             def truncated(messages, keys):

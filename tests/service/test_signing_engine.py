@@ -1,0 +1,257 @@
+"""One signing engine, two fronts.
+
+``SigningEngine`` owns keys → executor → one backend and one verifier per
+parameter set → invalidation on key events → cache stats; ``LocalClient``
+and ``SigningService`` are fronts over it.  Whatever the engine promises
+is checked here through both fronts from one test body.
+"""
+
+import asyncio
+import gc
+import os
+import weakref
+from collections import deque
+
+import pytest
+
+from repro.api import LocalClient
+from repro.errors import BackendError, KeystoreError, ServiceError
+from repro.service import Keystore, SigningService, derive_seed
+from repro.service.engine import SigningEngine
+from repro.sphincs.signer import Sphincs
+
+PARAMS = "SPHINCS+-128f"
+FRONTS = ("local", "served")
+
+
+def make_keystore(*tenants):
+    keystore = Keystore()
+    for tenant in tenants:
+        keystore.add_tenant(tenant, "128f")
+        keystore.generate_key(tenant, "default",
+                              seed=derive_seed(f"{tenant}/default", 16))
+    return keystore
+
+
+class Front:
+    """One calling shape over both fronts of an engine."""
+
+    def __init__(self, kind, keystore, **options):
+        self.kind = kind
+        if kind == "local":
+            self.owner = LocalClient(keystore, deterministic=True, **options)
+        else:
+            self.owner = SigningService(
+                keystore, deterministic=True, target_batch_size=1,
+                max_wait_s=0.01, **options)
+        self.engine = self.owner.engine
+
+    async def sign(self, tenant, message):
+        if self.kind == "local":
+            return self.owner.sign(tenant, message).signature
+        return (await self.owner.sign(message, tenant)).signature
+
+    async def verify(self, tenant, message, signature):
+        if self.kind == "local":
+            return self.owner.verify(tenant, message, signature).valid
+        return (await self.owner.verify(message, signature, tenant))[0]
+
+    async def close(self):
+        if self.kind == "served":
+            await self.owner.drain()
+        self.owner.close()
+
+
+def run_on(kind, keystore, scenario, **options):
+    """Run ``scenario(front)`` on a fresh front of *kind*, then close it."""
+    async def main():
+        front = Front(kind, keystore, **options)
+        try:
+            return await scenario(front)
+        finally:
+            await front.close()
+
+    return asyncio.run(main())
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """In-process executor on both fronts: no pool to fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+
+
+@pytest.mark.parametrize("kind", FRONTS)
+def test_a_rotated_key_stops_signing(kind, one_cpu):
+    keystore = make_keystore("t")
+
+    async def scenario(front):
+        old_public = keystore.resolve("t")[0].public
+        await front.sign("t", b"before rotation")
+        new_public = keystore.rotate_key("t", "default").public
+        fresh = await front.sign("t", b"after rotation")
+        scheme = Sphincs("128f")
+        assert scheme.verify(b"after rotation", fresh, new_public)
+        assert not scheme.verify(b"after rotation", fresh, old_public)
+        assert await front.verify("t", b"after rotation", fresh)
+
+    run_on(kind, keystore, scenario)
+
+
+def test_budget_prewarms_and_reports_the_same_through_the_service(one_cpu):
+    """``cache_budget_mb`` is the engine's: built directly or by the
+    service (``serve-async --cache-budget-mb``), the first use of a
+    parameter set prewarms every key of it and ``stats`` says so."""
+    engine = SigningEngine(make_keystore("acme"), deterministic=True,
+                           cache_budget_mb=2)
+    service = SigningService(make_keystore("acme"), deterministic=True,
+                             cache_budget_mb=2)
+    try:
+        for each in (engine, service.engine):
+            each.backend_for(PARAMS)
+        direct = engine.cache_stats()
+        assert direct["budget_mb"] == 2
+        assert direct["scopes"][f"in-process {PARAMS}"]["pinned_trees"] > 0
+        assert service.stats()["cache"] == direct
+    finally:
+        engine.close()
+        service.close()
+    # No budget, no prewarm: the local client never takes one.
+    with LocalClient(make_keystore("acme"), deterministic=True) as client:
+        assert client.engine.backend_for(PARAMS).cache_stats() == {"keys": 0}
+        assert "budget_mb" not in client.engine.cache_stats()
+
+
+@pytest.mark.parametrize("backend", ("scalar", "modeled-gpu"))
+@pytest.mark.parametrize("kind", FRONTS)
+def test_backends_without_a_plan_still_sign(kind, backend):
+    """No plan, so no pool whatever the CPU count, and a cache budget
+    is not theirs to take."""
+    keystore = make_keystore("acme")
+    options = {"cache_budget_mb": 2} if kind == "served" else {}
+
+    async def scenario(front):
+        assert front.engine.pool is None
+        signature = await front.sign("acme", b"no plan")
+        keys = keystore.resolve("acme")[0]
+        assert signature == Sphincs("128f", deterministic=True).sign(
+            b"no plan", keys)
+        assert await front.verify("acme", b"no plan", signature)
+        assert front.engine.backend_for(PARAMS).name == backend
+
+    run_on(kind, keystore, scenario, backend=backend, **options)
+
+
+@pytest.mark.parametrize("backend", ("scalar", "modeled-gpu"))
+def test_a_pool_is_refused_for_them(backend):
+    keystore = Keystore()
+    refusal = "a worker pool runs the vectorized signing plan"
+    with pytest.raises(BackendError, match=refusal):
+        SigningEngine(keystore, backend, workers=2)
+    with pytest.raises(ServiceError, match=refusal):
+        SigningService(keystore, backend=backend, workers=2)
+    assert keystore._listeners == []  # a refused engine never subscribed
+
+
+def test_unknown_tenant_or_key_raises_before_any_backend_exists():
+    engine = SigningEngine(make_keystore("acme"))
+    try:
+        for tenant, key in (("ghost", "default"), ("acme", "missing")):
+            with pytest.raises(KeystoreError):
+                engine.sign_batch(tenant, key, [b"x"])
+            with pytest.raises(KeystoreError):
+                engine.verify_batch(tenant, key, [b"x"], [b"y"])
+        assert engine.cache_stats() == {}
+    finally:
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# Bounded: one backend per parameter set, nothing kept per call
+# ----------------------------------------------------------------------
+def test_twelve_tenants_share_one_backend_of_eight_resident_keys(one_cpu):
+    tenants = [f"tenant-{index:02d}" for index in range(12)]
+    keystore = make_keystore(*tenants)
+    reference = Sphincs("128f", deterministic=True)
+    with LocalClient(keystore, deterministic=True) as client:
+        signed = {tenant: client.sign(tenant, b"shared message").signature
+                  for tenant in tenants}
+        assert list(client.engine._backends) == [PARAMS]
+        backend = client.engine.backend_for(PARAMS)
+        assert backend.cache_stats()["keys"] == 8
+        # The first four were evicted on the way; signing under one
+        # again re-derives its pinned top and gives the same bytes.
+        assert (client.sign(tenants[0], b"shared message").signature
+                == signed[tenants[0]])
+        assert backend.cache_stats()["keys"] == 8
+    for tenant in tenants[8:]:
+        assert signed[tenant] == reference.sign(
+            b"shared message", keystore.resolve(tenant)[0])
+
+
+def container_sizes(root, depth=8):
+    """``{path: len}`` of every dict/list/set/deque reachable from
+    *root*'s attributes, *depth* levels down."""
+    sizes, seen = {}, set()
+
+    def walk(value, path, left):
+        if id(value) in seen or left < 0:
+            return
+        seen.add(id(value))
+        if isinstance(value, (dict, list, set, deque)):
+            sizes[path] = len(value)
+        if isinstance(value, dict):
+            children = value.items()
+        elif isinstance(value, (list, set, tuple, deque)):
+            children = enumerate(value)
+        else:
+            children = getattr(value, "__dict__", {}).items()
+        for key, item in children:
+            walk(item, f"{path}[{key!r}]", left - 1)
+
+    walk(root, "client", depth)
+    return sizes
+
+
+def test_sign_many_grows_no_per_call_container(one_cpu):
+    """A long-lived client (a ``LedgerService``'s) must stay flat: 200
+    calls leave every container it can reach the size two calls did."""
+    with LocalClient(make_keystore("acme"), deterministic=True) as client:
+        for _ in range(2):
+            client.sign_many("acme", [b"replayed"])
+        before = container_sizes(client)
+        assert any(path.endswith("['_backends']") for path in before)
+        for _ in range(200):
+            client.sign_many("acme", [b"replayed"])
+        after = container_sizes(client)
+    assert {path: size for path, size in after.items()
+            if before.get(path) != size} == {}
+
+
+# ----------------------------------------------------------------------
+# Close what you subscribe to
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", FRONTS)
+def test_a_closed_owner_is_unsubscribed_and_collectable(kind, monkeypatch):
+    keystore = make_keystore("acme")
+    events = []
+    genuine = SigningEngine._on_key_event
+    monkeypatch.setattr(
+        SigningEngine, "_on_key_event",
+        lambda self, *event: (events.append(event[0]),
+                              genuine(self, *event))[1])
+    # The default client from two CPUs up: the engine owns a pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    async def scenario(front):
+        await front.sign("acme", b"subscribed")
+        keystore.rotate_key("acme", "default")
+        assert events == ["key-rotated"]
+        return weakref.ref(front.owner), weakref.ref(front.engine)
+
+    owner, engine = run_on(kind, keystore, scenario)
+    gc.collect()
+    assert owner() is None and engine() is None
+    keystore.rotate_key("acme", "default")  # the keystore lives on
+    assert events == ["key-rotated"] and keystore._listeners == []
