@@ -417,7 +417,8 @@ def render_critical_path(spans: Iterable[Span], top: int = 10) -> str:
         rows.append([
             entry["trace"][:12],
             attrs.get("tenant", "-"),
-            attrs.get("backend", "-"),
+            attrs.get("backend", "-") + (" (replay)" if attrs.get("replay")
+                                         else ""),
             attrs.get("batch_size", "-"),
             round(entry["total_ms"], 2),
             *(round(stages.get(name, 0.0), 2) for name in CRITICAL_STAGES),

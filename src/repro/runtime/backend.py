@@ -126,6 +126,10 @@ class SigningBackend(abc.ABC):
         """Aggregate cache counters for telemetry; empty if uncached."""
         return {}
 
+    def recall(self, message: bytes, keys: KeyPair) -> bytes | None:
+        """A remembered signature of *message*; none kept by default."""
+        return None
+
     def verify_batch(self, messages: Sequence[bytes],
                      signatures: Sequence[bytes],
                      public_key: bytes) -> list[bool]:

@@ -35,6 +35,7 @@ table and the fault-attack caveat).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Callable, Hashable
 
@@ -240,6 +241,8 @@ class HypertreeLayerCache:
         self._trees: dict[tuple[int, int], bytes] = {}
         self._links: dict[tuple[int, int, int], bytes] = {}
         self._memo: OrderedDict[Hashable, bytes] = OrderedDict()
+        # The memo alone has a second reader: a service's event loop.
+        self._memo_lock = threading.Lock()
 
         self.hits = 0
         self.misses = 0
@@ -280,19 +283,20 @@ class HypertreeLayerCache:
         A hit counts as a cache hit: it stands for every lookup the
         replayed signature would have made.
         """
-        signature = self._memo.get(key)
-        if signature is not None:
-            self._memo.move_to_end(key)
-            self.hits += 1
-            self.memo_hits += 1
+        with self._memo_lock:
+            signature = self._memo.get(key)
+            if signature is not None:
+                self._memo.move_to_end(key)
+                self.memo_hits += 1
         return signature
 
     def remember(self, key: Hashable, signature: bytes) -> None:
         """Keep *signature* under *key*, the least recently used out."""
-        self._memo[key] = signature
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_capacity:
-            self._memo.popitem(last=False)
+        with self._memo_lock:
+            self._memo[key] = signature
+            self._memo.move_to_end(key)
+            while len(self._memo) > self.memo_capacity:
+                self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     def prewarm(self, build_tree: Callable[[int, int], bytes],
@@ -328,7 +332,8 @@ class HypertreeLayerCache:
         """Drop every entry (key rotation / tenant delete)."""
         self._trees.clear()
         self._links.clear()
-        self._memo.clear()
+        with self._memo_lock:
+            self._memo.clear()
 
     @property
     def bytes_used(self) -> int:
@@ -341,7 +346,7 @@ class HypertreeLayerCache:
         """Counters: ``hits`` / ``misses`` count subtree lookups, and a
         memo hit is one more hit."""
         return {
-            "hits": self.hits,
+            "hits": self.hits + self.memo_hits,
             "misses": self.misses,
             "memo_hits": self.memo_hits,
             "memo_entries": len(self._memo),

@@ -132,16 +132,26 @@ class VectorizedBackend(SigningBackend):
         return KeyPair(sk_seed, sk_prf, pk_seed, ops.root())
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _memo_key(task) -> tuple:
+        """With R fixed by the key and the message, a signature is a pure
+        function of the key and what ``prepare`` returned."""
+        return (task.randomizer, task.fors_msg, task.idx_tree, task.idx_leaf)
+
+    def recall(self, message: bytes, keys: KeyPair) -> bytes | None:
+        """The remembered signature of *message* or ``None``: two hashes and a
+        lookup, safe beside a running :meth:`sign_batch`, and nothing built."""
+        ops = self._fastops.get((keys.sk_seed, keys.pk_seed))
+        return None if ops is None else ops.cache.recall(
+            self._memo_key(self._scheme.prepare(message, keys)))
+
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
         ops, scheme = self._ops(keys), self._scheme
         sign_tasks = [scheme.prepare(message, keys) for message in messages]
-        # With R fixed by the key and the message, a signature is a pure
-        # function of the key and what prepare returned: a replay is a
-        # lookup.  Randomized, R never repeats and the memo stays empty.
-        memo_keys = [(task.randomizer, task.fors_msg, task.idx_tree,
-                      task.idx_leaf) for task in sign_tasks]
+        # Randomized, R never repeats and the memo stays empty.
+        memo_keys = [self._memo_key(task) for task in sign_tasks]
         signatures = [ops.cache.recall(key) if self.deterministic else None
                       for key in memo_keys]
         missed = [index for index, signature in enumerate(signatures)

@@ -4,7 +4,8 @@
 and one verifier per parameter set → invalidate on key events → cache
 stats*.  It has two fronts and knows neither: the in-process
 :class:`~repro.api.local.LocalClient` calls it synchronously,
-:class:`~.server.SigningService` from executor threads under its sign lock.
+:class:`~.server.SigningService` from executor threads under its sign lock
+(and, for ``recall`` only, from its event loop).
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from ..runtime.pool import PLAN_BACKENDS, plan_executor
 from ..runtime.registry import get_backend
 from .keystore import Keystore
 
-__all__ = ["SigningEngine"]
+__all__ = ["ON_LOOP_BYTES", "SigningEngine"]
+
+#: Most bytes ``recall`` hashes (a service's event loop waits ~0.13 ms).
+ON_LOOP_BYTES = 64 * 1024
 
 _log = get_logger("service")
 
@@ -103,6 +107,19 @@ class SigningEngine:
                 backend.prewarm_key(keys)
 
     # ------------------------------------------------------------------
+    def recall(self, tenant: str, key: str, message: bytes
+               ) -> tuple[bytes, str] | None:
+        """``(signature, canonical params name)`` if the replay memo
+        remembers *message* under the tenant's key (deterministic mode
+        only).  Non-blocking: at most ``ON_LOOP_BYTES`` hashed, nothing
+        built; its one effect is the memo's recency and hit count."""
+        if not self.deterministic or len(message) > ON_LOOP_BYTES:
+            return None
+        keys, params_name = self.keystore.resolve(tenant, key)
+        backend = self._backends.get(params_name)
+        signature = backend.recall(message, keys) if backend else None
+        return None if signature is None else (signature, params_name)
+
     def sign_batch(self, tenant: str, key: str, messages: Sequence[bytes]
                    ) -> tuple[BatchSignResult, str]:
         """*messages* signed under the tenant's named key as one backend

@@ -17,7 +17,7 @@ Design notes
   ``sign_batch`` is CPU-bound Python, so dispatch hands it to the
   default executor; a single dispatch lock serializes batches because
   the per-key layer caches are not thread-safe — and one batch already
-  uses every core there is to use.
+  uses every core there is to use.  A replay is answered on the loop.
 * **A worker pool scales across cores.**  With ``workers=N`` the engine
   spreads every batch's signing plan over a persistent
   :class:`~repro.runtime.pool.WorkerPool` (even a batch of one uses all
@@ -31,6 +31,7 @@ Design notes
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass
 
 from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
@@ -139,20 +140,6 @@ class SigningService:
                 f"tenant {tenant!r} exhausted its admission rate-limit "
                 "budget; request shed"
             )
-        # Sustained overload must shed instead of piling batches up
-        # behind the sign lock.
-        depth = self._depth()
-        if depth >= self.max_pending:
-            self.telemetry.record_shed(tenant, "queue-full")
-            _log.warn("request-shed", tenant=tenant, depth=depth,
-                      max_pending=self.max_pending)
-            raise OverloadedError(
-                f"queue depth {depth} at watermark {self.max_pending}; "
-                "request shed"
-            )
-        self.telemetry.record_submitted(tenant)
-        self.telemetry.observe_depth(depth + 1)
-        budget_s = None if deadline_ms is None else deadline_ms / 1000.0
         trace = clock = None
         if self.tracer is not None:
             # Root span of this request's trace.  The trace id comes from
@@ -166,14 +153,46 @@ class SigningService:
                 else new_trace_id(),
                 new_span_id())
             clock = SpanClock()
-        outcome = await self.batcher.submit(tenant, key_name, message,
-                                            budget_s=budget_s, trace=trace)
+        # A replay is answered here, on the loop: no queue slot (so no
+        # ``max_pending``), sign lock or executor; closed, ``submit`` refuses.
+        started = time.perf_counter()
+        hit = (None if self.batcher._closed
+               else self.engine.recall(tenant, key_name, message))
+        if hit is not None:
+            total_ms = (time.perf_counter() - started) * 1000.0
+            self.telemetry.record_submitted(tenant)
+            self.telemetry.record_batch(1)
+            self.telemetry.record_signed(tenant, total_ms, 0.0)
+            outcome = SignOutcome(
+                signature=hit[0], tenant=tenant, key_name=key_name,
+                params=hit[1], backend=(
+                    f"pooled[{self.pool.workers}]" if self.pool is not None
+                    else self.backend_name),  # as ``_dispatch`` labels it
+                batch_size=1, wait_ms=0.0, total_ms=round(total_ms, 3))
+        else:
+            # Sustained overload must shed instead of piling batches up
+            # behind the sign lock.
+            depth = self._depth()
+            if depth >= self.max_pending:
+                self.telemetry.record_shed(tenant, "queue-full")
+                _log.warn("request-shed", tenant=tenant, depth=depth,
+                          max_pending=self.max_pending)
+                raise OverloadedError(
+                    f"queue depth {depth} at watermark {self.max_pending}; "
+                    "request shed"
+                )
+            self.telemetry.record_submitted(tenant)
+            self.telemetry.observe_depth(depth + 1)
+            budget_s = None if deadline_ms is None else deadline_ms / 1000.0
+            outcome = await self.batcher.submit(
+                tenant, key_name, message, budget_s=budget_s, trace=trace)
         if trace is not None:
             self.tracer.record_span(
                 "request", trace=trace, span_id=trace.span_id,
                 start=clock.start, end=clock.end(), tenant=tenant,
                 key=key_name, backend=outcome.backend,
-                batch_size=outcome.batch_size)
+                batch_size=outcome.batch_size,
+                **({"replay": True} if hit is not None else {}))
         return outcome
 
     async def verify(self, message: bytes, signature: bytes, tenant: str,

@@ -354,6 +354,8 @@ class DifferentialOracle:
             # assembled fresh and clean: only a second pass can show it.
             with self.fault.install():
                 results.extend(self._run_warm_backends())
+                if self.include_service:  # pass two is ``engine.recall``
+                    results.append(asyncio.run(self._run_service(passes=2)))
                 if self.include_clients:
                     results.append(self._run_client(
                         "client:local", self.service_backend, passes=2))
@@ -727,15 +729,17 @@ class DifferentialOracle:
                     await client.verify_many("oracle", case_messages, blobs))
         return result
 
-    async def _run_service(self, workers: int = 0) -> PathResult:
+    async def _run_service(self, workers: int = 0,
+                           passes: int = 1) -> PathResult:
         label = (f"service:pooled[{workers}]" if workers
                  else f"service:{self.service_backend}")
         with self._path(label) as result:
             service = self._service(self.corpus, workers=workers)
             try:
-                outcomes = await asyncio.gather(*[
-                    service.sign(message, "oracle")
-                    for _, message in self.corpus])
+                for _ in range(passes):  # the last pass is compared
+                    outcomes = await asyncio.gather(*[
+                        service.sign(message, "oracle")
+                        for _, message in self.corpus])
                 self._compare(result,
                               [outcome.signature for outcome in outcomes])
             finally:

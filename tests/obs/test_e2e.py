@@ -86,6 +86,32 @@ class TestServiceTracing:
 
         asyncio.run(scenario())
 
+    def test_a_replay_is_one_root_span_and_nothing_under_it(self):
+        """A remembered signature is answered on the event loop: its
+        trace is the ``request`` root, marked ``replay``, with no queue,
+        dispatch or sign beneath — and ``repro trace`` says so."""
+        from repro.obs.trace import render_critical_path
+
+        async def scenario():
+            tracer = Tracer()
+            service = make_service(tracer=tracer)
+            first = await asyncio.wait_for(
+                service.sign(b"again", "demo"), timeout=60)
+            assert_request_traces(tracer, expected_requests=1)
+            replay = await service.sign(b"again", "demo")
+            assert replay.signature == first.signature
+            fresh, replayed = tracer.traces().values()
+            assert all("replay" not in span.attrs for span in fresh)
+            [root] = replayed
+            assert root.name == "request" and root.parent_id is None
+            assert root.attrs == {"tenant": "demo", "key": "default",
+                                  "backend": "vectorized", "batch_size": 1,
+                                  "replay": True}
+            report = render_critical_path(tracer.spans())
+            assert report.count("vectorized (replay)") == 1
+
+        asyncio.run(scenario())
+
     def test_signatures_byte_identical_tracing_on_vs_off(self):
         async def scenario(tracer):
             service = make_service(target_batch_size=2, max_wait_s=10.0,

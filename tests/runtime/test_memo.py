@@ -13,6 +13,8 @@ replay through the pool handing it no task:
 """
 
 import asyncio
+import sys
+import threading
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -136,6 +138,45 @@ def test_cache_table_and_stats_verb_report_the_memo():
     header = table.splitlines()[1]
     assert "memo hits" in header and "memo entries" in header
     assert "evictions" not in table and "link" not in table
+
+
+def test_memo_survives_a_recalling_thread_beside_a_remembering_one():
+    """A service's event loop recalls while its executor thread
+    remembers past capacity: unlocked, ``get`` then ``move_to_end`` meets
+    the other thread's ``popitem`` (``KeyError``) and ``memo_hits += 1``
+    loses updates."""
+    params, capacity = get_params("128f"), 4
+    cache = HypertreeLayerCache(
+        params, pinned_layers=0,
+        budget_bytes=capacity * memo_entry_bytes(params))
+    assert cache.memo_capacity == capacity
+    errors, done = [], threading.Event()
+
+    def remember():
+        try:
+            for key in range(100_000):
+                cache.remember(key % 8, b"signature")
+        except Exception as exc:  # noqa: BLE001 — the finding itself
+            errors.append(exc)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    writer = threading.Thread(target=remember)
+    try:
+        writer.start()
+        observed = key = 0
+        while not done.is_set():
+            observed += cache.recall(key % 8) is not None
+            key += 1
+        writer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and errors == []
+    assert key > 0 and cache.stats["memo_hits"] == observed
+    assert cache.stats["memo_entries"] == capacity
+    assert cache.stats["bytes"] <= cache.budget_bytes
 
 
 # ----------------------------------------------------------------------

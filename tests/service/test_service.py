@@ -212,6 +212,178 @@ class TestInProcess:
         asyncio.run(scenario())
 
 
+class TestReplay:
+    """A remembered signature never leaves the event loop:
+    ``SigningEngine.recall`` answers it before the watermark, the
+    batcher, the sign lock and the executor thread."""
+
+    @staticmethod
+    def _no_executor(monkeypatch):
+        """From here on, any trip to an executor thread is a failure."""
+        def refuse(self, executor, func, *args):
+            raise AssertionError(f"left the event loop for {func!r}")
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", refuse)
+
+    def test_replays_make_no_executor_call_and_count_as_signed(
+            self, monkeypatch):
+        async def scenario():
+            service = make_service()
+            first = await service.sign(b"attestation", "demo")
+            self._no_executor(monkeypatch)
+            replays = [await service.sign(b"attestation", "demo")
+                       for _ in range(5)]
+            assert {o.signature for o in replays} == {first.signature}
+            assert all((o.batch_size, o.wait_ms, o.backend, o.params)
+                       == (1, 0.0, first.backend, first.params)
+                       and 0.0 <= o.total_ms < 5.0 for o in replays)
+            # Telemetry parity: each hit is the submitted, signed batch
+            # of one it would have been, and held no capacity.
+            stats = service.stats()
+            assert stats["tenants"]["demo"] == {
+                "submitted": 6, "signed": 6, "shed": 0, "failed": 0}
+            assert stats["batches"] == {"dispatched": 6,
+                                        "histogram": {"1": 6}}
+            assert stats["queue"] == {"peak_depth": 1, "depth": 0}
+            assert stats["latency_ms"]["total"]["count"] == 6
+            assert stats["latency_ms"]["wait"]["count"] == 6
+            [scope] = stats["cache"]["scopes"].values()
+            assert scope["memo_hits"] == 5 and scope["memo_entries"] == 1
+
+        asyncio.run(scenario())
+
+    def test_a_replay_does_not_wait_behind_a_fresh_batch(self):
+        """Head-of-line blocking, which no ``bench/`` workload shows."""
+        async def scenario():
+            service = make_service()
+            first = await service.sign(b"hot", "demo")
+            fresh = asyncio.ensure_future(service.sign(b"cold", "demo"))
+            while not service.batcher.in_flight:
+                await asyncio.sleep(0)
+            replay = await service.sign(b"hot", "demo")
+            assert not fresh.done()  # still signing; the replay is back
+            assert replay.signature == first.signature
+            assert (await asyncio.wait_for(fresh, 60)).batch_size == 1
+
+        asyncio.run(scenario())
+
+    def test_a_replay_passes_the_watermark_but_not_the_rate_limit(self):
+        async def scenario():
+            keystore = make_keystore()
+            service = SigningService(keystore, target_batch_size=64,
+                                     max_wait_s=10.0, max_pending=1,
+                                     deterministic=True)
+            first = await service.sign(b"hot", "demo")
+            holder = asyncio.ensure_future(service.sign(b"cold", "demo"))
+            await asyncio.sleep(0)
+            with pytest.raises(OverloadedError, match="watermark"):
+                await service.sign(b"colder", "demo")
+            # At the watermark a replay is still answered: it takes no slot.
+            assert (await service.sign(b"hot", "demo")).signature \
+                == first.signature
+            keystore.set_rate_limit("demo", 0.001, rate_burst=1.0)
+            await service.sign(b"hot", "demo")  # the bucket's one token
+            with pytest.raises(OverloadedError, match="rate-limit"):
+                await service.sign(b"hot", "demo")
+            families = service.metrics_registry.collect()
+            assert {s["labels"]["reason"]: s["value"] for s
+                    in families["repro_shed_total"]["series"]} == {
+                "queue-full": 1.0, "rate-limit": 1.0}
+            await asyncio.wait_for(holder, 60)
+
+        asyncio.run(scenario())
+
+    def test_randomized_signing_never_recalls(self):
+        async def scenario():
+            service = make_service(deterministic=False)
+            first, second = [await service.sign(b"same", "demo")
+                             for _ in range(2)]
+            assert first.signature != second.signature
+            assert service.engine.recall("demo", "default", b"same") is None
+            [scope] = service.stats()["cache"]["scopes"].values()
+            assert scope["memo_hits"] == scope["memo_entries"] == 0
+            assert service.stats()["batches"]["dispatched"] == 2
+
+        asyncio.run(scenario())
+
+    def test_a_message_over_the_on_loop_bound_takes_the_batcher(self):
+        from repro.service.engine import ON_LOOP_BYTES
+
+        async def scenario():
+            service = make_service()
+            largest, over = bytes(ON_LOOP_BYTES), bytes(ON_LOOP_BYTES + 1)
+            first = {m: await service.sign(m, "demo")
+                     for m in (largest, over)}
+            dispatched = []
+            dispatch = service.batcher._dispatch
+
+            async def spy(queue_key, batch):
+                dispatched.extend(request.message for request in batch)
+                await dispatch(queue_key, batch)
+
+            service.batcher._dispatch = spy
+            for message in (largest, over):
+                replay = await service.sign(message, "demo")
+                assert replay.signature == first[message].signature
+            assert dispatched == [over]
+            assert service.engine.recall("demo", "default", over) is None
+
+        asyncio.run(scenario())
+
+    def test_rotation_misses_and_signs_fresh_under_the_new_key(
+            self, monkeypatch):
+        async def scenario():
+            service = make_service()
+            before = await service.sign(b"same", "demo")
+            service.keystore.rotate_key("demo", "default")
+            assert service.engine.recall("demo", "default", b"same") is None
+            after = await service.sign(b"same", "demo")
+            assert after.signature != before.signature
+            keys, params = service.keystore.resolve("demo")
+            assert Sphincs(params).verify(b"same", after.signature,
+                                          keys.public)
+            self._no_executor(monkeypatch)
+            assert (await service.sign(b"same", "demo")).signature \
+                == after.signature
+
+        asyncio.run(scenario())
+
+    def test_a_miss_builds_nothing(self):
+        """``recall`` has no side effect beyond memo recency and hit
+        counters: asking about a key that never signed leaves no backend,
+        no per-key cache and no verifier behind."""
+        service = make_service()
+        engine = service.engine
+        assert engine.recall("demo", "default", b"never signed") is None
+        assert engine._backends == {} and engine._verifiers == {}
+        backend = engine.backend_for("SPHINCS+-128f")
+        service.keystore.generate_key("demo", "spare", seed=bytes(48))
+        assert engine.recall("demo", "spare", b"never signed") is None
+        assert backend._fastops == {}  # no key's cache became resident
+        assert list(engine._backends) == ["SPHINCS+-128f"]
+        assert backend.cache_stats() == {"keys": 0}
+        with pytest.raises(KeystoreError):
+            engine.recall("ghost", "default", b"x")
+        service.close()
+
+    def test_a_closed_service_recalls_nothing(self):
+        """A replay is refused after ``close()`` exactly like a fresh
+        message: the batcher's refusal is the one closed check."""
+        async def scenario():
+            service = make_service()
+            await service.sign(b"hot", "demo")
+            service.close()
+            before = service.stats()
+            for message in (b"hot", b"cold"):
+                with pytest.raises(ServiceError, match="batcher is closed"):
+                    await service.sign(message, "demo")
+            after = service.stats()
+            assert after["tenants"]["demo"]["signed"] == 1
+            assert after["cache"] == before["cache"]  # no hit counted
+
+        asyncio.run(scenario())
+
+
 class TestTcp:
     def test_sign_stats_ping_over_tcp(self):
         async def scenario():
