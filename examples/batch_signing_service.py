@@ -19,9 +19,9 @@ What to watch in the output:
   dispatched the moment it arrives instead of stranding behind the
   target batch size.
 * With ``--workers N``, the per-worker pool table — every batch's
-  signing plan (FORS + one task per hypertree layer, per message)
-  spreads over all N pinned workers, so even a batch of one uses
-  every core.
+  signing plan (one fused run of layers per message, cut into pieces
+  when the batch is small) spreads over all N pinned workers, so even
+  a batch of one uses every core.
 
 The client side is the unified ``repro.api`` facade: an ``AsyncClient``
 negotiates protocol v2 (``hello`` — see the printed capability line),

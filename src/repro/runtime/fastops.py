@@ -20,8 +20,7 @@ This module removes that overhead without changing a single hash input:
 * a built subtree is one ``bytes`` object — every node, level after
   level, leaves first, root last (:func:`node_slice`) — and a link
   signature one more: what the cache holds per entry is what its byte
-  model says, not a few dozen small objects, and a worker's result
-  pickles as two buffers.
+  model says, not a few dozen small objects.
 
 Because the byte stream fed to SHA-256 is identical to the scalar path's,
 :class:`FastOps` produces **byte-identical** signatures; the test suite

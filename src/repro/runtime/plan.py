@@ -1,19 +1,22 @@
-"""The signing plan: a batch of signatures as independent tasks + a stitch.
+"""The signing plan: a batch of signatures as fused runs of layers + a stitch.
 
 Once ``H_msg`` is split, everything expensive in a SPHINCS+ signature is
-known and mutually independent: the FORS forest under ``(idx_tree,
-idx_leaf)``, and the XMSS subtree at each of the ``d`` hypertree layers
-on the path from that leaf to the root.  Only the WOTS signatures chain
-the layers together — layer ``l`` signs the root of layer ``l - 1`` —
-and a subtree build has just walked every WOTS chain of its signing
-leaf, so it hands the visited values back as that leaf's *chain table*
-and the signature becomes a lookup.
+known: the FORS forest under ``(idx_tree, idx_leaf)``, and the XMSS
+subtree at each of the ``d`` hypertree layers on the path from that leaf
+to the root.  Only the WOTS signatures chain the layers together — layer
+``l`` signs the root of layer ``l - 1`` — and a subtree build has just
+walked every WOTS chain of its signing leaf, so it keeps the visited
+values as that leaf's *chain table* and the signature becomes a lookup.
 
-:class:`SigningPlan` enumerates those tasks for a batch of prepared
-messages against the per-key layer cache (a cached subtree — the pinned
-top layers — needs no task; a subtree two messages share is one task
-carrying both leaves; a message the cache's replay memo answered never
-reaches a plan) and
+Below the layer cache's pinned floor nothing is kept or shared, so a
+message's work there is one **run** (the paper's Tree Fusion): FORS, then
+each layer signing the root below out of the table it has just walked.
+:func:`cut` splits a run at layer boundaries to keep every worker busy;
+only a piece above a cut, not knowing the root below it, hands a table back.
+
+:class:`SigningPlan` lists those pieces for a batch of prepared messages,
+plus one ``SUBTREE`` fill per pinned subtree the per-key layer cache does
+not hold yet (a message its replay memo answered never reaches a plan);
 :meth:`SigningPlan.stitch` chains the results.  Who runs the tasks is
 the backend's business: :class:`~.vectorized.VectorizedBackend` calls
 :func:`run_task` in a loop, :class:`~.pool.PooledBackend` hands the same
@@ -23,6 +26,7 @@ caller's process; a task is a plain tuple and its executor keeps nothing.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,12 +34,12 @@ from ..errors import BackendError
 from ..sphincs.signer import SignTask
 from .fastops import FastOps, flat_auth_path, wots_digits
 
-__all__ = ["FORS", "SUBTREE", "SigningPlan", "TaskRun", "chain_values",
-           "run_task"]
+__all__ = ["RUN", "SUBTREE", "SigningPlan", "TaskRun", "chain_values",
+           "cut", "run_task"]
 
-#: Task kinds — ``(FORS, fors_msg, idx_tree, idx_leaf)`` and
-#: ``(SUBTREE, layer, tree, sign_leaves)``.
-FORS, SUBTREE = "fors", "subtree"
+#: Task kinds — ``(RUN, fors_msg | None, layer, tree, leaf, layers)``: FORS
+#: if given, then *layers* layers up — and ``(SUBTREE, layer, tree, leaves)``
+RUN, SUBTREE = "run", "subtree"
 
 
 @dataclass
@@ -45,18 +49,50 @@ class TaskRun:
     results: list
     #: Wall seconds per named stage the run accounts for itself.
     stages: dict[str, float]
-    #: Counters for ``BatchSignResult.cache_stats`` (pool: requeues, ...).
+    #: For ``BatchSignResult.cache_stats``: tasks, ipc_bytes, requeues, ...
     stats: dict[str, int] = field(default_factory=dict)
     #: Per worker process that took part: ``{"start", "end"}`` on the wall
     #: clock, ``"tasks"`` and ``"busy_s"``.  Empty when run in-process.
     workers: dict[int, dict] = field(default_factory=dict)
 
 
+def cut(floor: int, workers: int, messages: int) -> list[range]:
+    """The layer ranges a message's run below *floor* is cut into, bottom
+    up, FORS riding the first: one in-process (*workers* 0) and from four
+    messages per worker, else about four near-equal tasks per worker
+    between the messages, at the finest FORS and each layer by itself."""
+    pieces = min(floor + 1, max(1, -(-4 * workers // messages)))
+    size, larger = divmod(floor + 1, pieces)  # larger first: handed out first
+    bounds = [piece * size + min(piece, larger) for piece in range(pieces + 1)]
+    return [range(max(low - 1, 0), high - 1)
+            for low, high in zip(bounds, bounds[1:])]
+
+
 def run_task(ops: FastOps, task: tuple):
-    """Execute one task: ``(fors_sig, fors_pk)`` or ``(nodes, tables)``."""
-    if task[0] == FORS:
-        return ops.fors_sign(*task[1:])
-    return ops.build_subtree(*task[1:])
+    """``SUBTREE``: ``(nodes, tables)``.  ``RUN``: ``(fors_sig, table,
+    hops, root, fors_seconds)``, a ``([wots_sig], auth_path)`` hop per layer;
+    above a cut the first ``wots_sig`` is ``None`` and *table* its leaf's."""
+    if task[0] == SUBTREE:
+        return ops.build_subtree(*task[1:])
+    _, fors_msg, first, tree, leaf, layers = task
+    params, n, height = ops.params, ops.n, ops.params.tree_height
+    started = time.perf_counter()
+    fors_sig, node = (None, None) if fors_msg is None else ops.fors_sign(
+        fors_msg, tree, leaf)
+    fors_seconds = time.perf_counter() - started
+    table, hops = None, []
+    for layer in range(first, first + layers):
+        nodes, tables = ops.build_subtree(layer, tree, (leaf,))
+        if node is None:  # above a cut: the root below is another piece's
+            table, chains = tables[leaf], None
+        else:
+            chains = chain_values(tables[leaf], wots_digits(node, params),
+                                  n, params.w)
+        # One buffer of wots_len chain values: serializes the same.
+        hops.append(([chains], flat_auth_path(nodes, leaf, n, height)))
+        node = nodes[-n:]
+        leaf, tree = tree & (params.tree_leaves - 1), tree >> height
+    return fors_sig, table, hops, node, fors_seconds
 
 
 def chain_values(table: bytes, digits: Sequence[int], n: int,
@@ -70,36 +106,39 @@ def chain_values(table: bytes, digits: Sequence[int], n: int,
 class SigningPlan:
     """The tasks a batch of prepared messages needs, and their stitch.
 
-    ``tasks`` lists the FORS tasks (one per message, same order) and then
-    one subtree task per distinct uncached ``(layer, tree)`` on any
-    message's path.  ``paths[i]`` is message *i*'s walk up the hypertree
-    as ``(layer, tree, leaf, nodes)``, ``nodes`` being the cached subtree
-    (flat, see :func:`~.fastops.node_slice`) or ``None`` where a task
-    builds it.
+    ``tasks`` lists every message's run (``len(cuts)`` pieces each, bottom
+    up, messages in order; *cuts* is :func:`cut`'s answer, by default one
+    piece) and then one subtree fill per distinct uncached ``(layer, tree)``
+    at or above the pinned floor on any message's path.  ``paths[i]`` is
+    message *i*'s walk through those pinned layers as ``(layer, tree, leaf,
+    nodes)``, ``nodes`` being the cached subtree (flat, see
+    :func:`~.fastops.node_slice`) or ``None`` where a fill builds it.
     """
 
-    def __init__(self, ops: FastOps, sign_tasks: Sequence[SignTask]):
-        params, cache = ops.params, ops.cache
+    def __init__(self, ops: FastOps, sign_tasks: Sequence[SignTask],
+                 cuts: Sequence[range] | None = None):
+        params, cache, floor = ops.params, ops.cache, ops.cache.pinned_floor
         self.ops = ops
-        self.tasks: list[tuple] = [
-            (FORS, task.fors_msg, task.idx_tree, task.idx_leaf)
-            for task in sign_tasks]
+        self.cuts = cuts if cuts is not None else [range(floor)]
+        self.tasks: list[tuple] = []
         self.paths: list[list[tuple]] = []
         wanted: dict[tuple[int, int], set[int]] = {}
         for task in sign_tasks:
-            path = []
-            tree, leaf = task.idx_tree, task.idx_leaf
+            hops, tree, leaf = [], task.idx_tree, task.idx_leaf
             for layer in range(params.d):
-                nodes = None
-                if (layer, tree) in wanted:
-                    wanted[layer, tree].add(leaf)
-                else:
-                    nodes = cache.lookup_tree(layer, tree)
-                    if nodes is None:
-                        wanted[layer, tree] = {leaf}
-                path.append((layer, tree, leaf, nodes))
+                hops.append((layer, tree, leaf))
                 leaf = tree & (params.tree_leaves - 1)
                 tree >>= params.tree_height
+            self.tasks += [
+                (RUN, None if index else task.fors_msg, *hops[piece.start],
+                 len(piece)) for index, piece in enumerate(self.cuts)]
+            path = []
+            for layer, tree, leaf in hops:
+                nodes = cache.lookup_tree(layer, tree)  # a miss below it
+                if layer >= floor:
+                    if nodes is None:
+                        wanted.setdefault((layer, tree), set()).add(leaf)
+                    path.append((layer, tree, leaf, nodes))
             self.paths.append(path)
         self._built_by = {}  # (layer, tree) -> index into tasks
         for key, leaves in wanted.items():
@@ -109,17 +148,23 @@ class SigningPlan:
     def stitch(self, results: Sequence, pk_root: bytes) -> list[tuple]:
         """``(fors_sig, ht_sig)`` per message from the tasks' *results*
         (same order as :attr:`tasks`).  The cache is offered every new
-        subtree and link signature and keeps the pinned layers'; chain
-        tables are read and dropped.  Raises if a walk does not end at
-        *pk_root*.
+        pinned subtree and link signature; chain tables are read and
+        dropped.  Raises if a walk does not end at *pk_root*.
         """
         ops, params, cache = self.ops, self.ops.params, self.ops.cache
-        n, height = params.n, params.tree_height
+        n, height, pieces = params.n, params.tree_height, len(self.cuts)
         for key, index in self._built_by.items():
             cache.store_tree(*key, results[index][0])
-        pieces = []
-        for (fors_sig, node), path in zip(results, self.paths):
-            ht_sig = []
+        signatures = []
+        for index, path in enumerate(self.paths):
+            run = results[index * pieces:(index + 1) * pieces]
+            fors_sig, node, ht_sig = run[0][0], None, []
+            for _, table, hops, root, _ in run:
+                if table is not None:  # above a cut: signs the root below
+                    hops[0] = ([chain_values(table, wots_digits(
+                        node, params), n, params.w)], hops[0][1])
+                ht_sig += hops
+                node = root
             for layer, tree, leaf, nodes in path:
                 table = None
                 if nodes is None:
@@ -135,7 +180,6 @@ class SigningPlan:
                             ops.wots_sign(node, layer, tree, leaf))
                     # Kept where the layer is pinned, dropped below.
                     cache.store_link(layer, tree, leaf, chains)
-                # One buffer of wots_len chain values: serializes the same.
                 ht_sig.append(([chains],
                                flat_auth_path(nodes, leaf, n, height)))
                 node = nodes[-n:]
@@ -143,5 +187,5 @@ class SigningPlan:
                 raise BackendError(
                     "signing plan's hypertree root does not match the "
                     "public key")
-            pieces.append((fors_sig, ht_sig))
-        return pieces
+            signatures.append((fors_sig, ht_sig))
+        return signatures

@@ -1,12 +1,11 @@
 """The multi-core execution tier: plan tasks on pinned worker processes.
 
 :class:`WorkerPool` keeps N long-lived worker processes that execute
-:mod:`~repro.runtime.plan` tasks — one FORS forest, one XMSS subtree —
-and keep nothing between them: every task names its parameter set and
-key seeds, and the per-key layer cache stays with whoever planned the
-batch.  One signature is twenty-odd independent tasks, so a lone request
-uses every core, and a batch is balanced task by task rather than split
-into per-worker halves.
+:mod:`~repro.runtime.plan` tasks — a fused run of one message's layers,
+one pinned XMSS subtree — and keep nothing between them: every task
+names its parameter set and key seeds, and the per-key layer cache stays
+with whoever planned the batch.  A lone request's run comes cut into about
+four tasks per worker, a batch's whole: ~17 KB back per 128f signature.
 
 Tasks are handed out pull-style: a worker holds at most
 ``_MAX_OUTSTANDING`` (one running, one waiting in its pipe), and each
@@ -29,9 +28,8 @@ Workers ask the kernel to kill them when their parent goes
 inbox has been quiet), so a SIGKILLed server leaks nothing.
 
 :class:`PooledBackend` is the vectorized backend with its task loop moved
-onto a pool, registered as ``"pooled"``.  Signatures are byte-identical —
-the same plan, the same tasks, the same stitch; the pool only changes
-*where* the tasks run.
+onto a pool, registered as ``"pooled"``: the same plan and stitch, so the
+same bytes; the pool's size only decides where a run is cut.
 """
 
 from __future__ import annotations
@@ -39,8 +37,10 @@ from __future__ import annotations
 import atexit
 import collections
 import ctypes
+import functools
 import itertools
 import os
+import pickle
 import signal
 import threading
 import time
@@ -116,9 +116,11 @@ def _worker_main(worker_id: int, cpu: int | None, parent: int,
             os.sched_setaffinity(0, {cpu})
         except OSError:
             pass  # the CPU left our set since the pool read it: float
-    contexts: dict[str, HashContext] = {}
-    memo: dict[tuple, FastOps] = {}
     crash_armed = False
+
+    @functools.lru_cache(maxsize=8)
+    def ops_for(params_name: str, sk_seed: bytes, pk_seed: bytes) -> FastOps:
+        return FastOps(HashContext(get_params(params_name)), sk_seed, pk_seed)
 
     while True:
         try:
@@ -146,17 +148,8 @@ def _worker_main(worker_id: int, cpu: int | None, parent: int,
                 os._exit(_CRASH_EXIT_CODE)
             started_wall, started = time.time(), time.perf_counter()
             try:
-                ops = memo.get((params_name, sk_seed, pk_seed))
-                if ops is None:
-                    if len(memo) >= 8:
-                        memo.pop(next(iter(memo)))
-                    ctx = contexts.get(params_name)
-                    if ctx is None:
-                        ctx = contexts[params_name] = HashContext(
-                            get_params(params_name))
-                    ops = memo[params_name, sk_seed, pk_seed] = FastOps(
-                        ctx, sk_seed, pk_seed)
-                result = run_task(ops, task)
+                result = run_task(ops_for(params_name, sk_seed, pk_seed),
+                                  task)
                 outbox.send(("done", worker_id, task_id, result,
                              started_wall, time.perf_counter() - started))
             except Exception as exc:  # noqa: BLE001 — typed error, not a crash
@@ -193,6 +186,7 @@ class _Run:
     remaining: int
     error: Exception | None = None
     requeues: int = 0
+    ipc_bytes: int = 0  # pickled length of every result received
     workers: dict[int, dict] = field(default_factory=dict)
 
 
@@ -404,8 +398,8 @@ class WorkerPool:
                 raise run.error
         return TaskRun(
             run.results, {"pool": time.perf_counter() - started},
-            {"workers": len(run.workers), "requeues": run.requeues},
-            run.workers)
+            {"workers": len(run.workers), "requeues": run.requeues,
+             "tasks": len(tasks), "ipc_bytes": run.ipc_bytes}, run.workers)
 
     # ------------------------------------------------------------------
     # Health, heartbeat, fault injection
@@ -529,12 +523,13 @@ class WorkerPool:
         is closed (its worker is gone)."""
         try:
             while outbox.poll():
-                self._handle_message(outbox.recv())
+                data = outbox.recv_bytes()
+                self._handle_message(pickle.loads(data), len(data))
         except (EOFError, OSError, ValueError):
             return False
         return True
 
-    def _handle_message(self, message: tuple) -> None:
+    def _handle_message(self, message: tuple, size: int) -> None:
         kind, worker_id = message[0], message[1]
         stats = self.stats_by_worker[worker_id]
         with self._cond:
@@ -556,6 +551,7 @@ class WorkerPool:
                 share["tasks"] += 1
                 share["busy_s"] += busy_s
                 run.results[task.index] = message[3]
+                run.ipc_bytes += size
                 run.remaining -= 1
             else:
                 stats.failed += 1
@@ -679,6 +675,7 @@ class PooledBackend(VectorizedBackend):
     """
 
     name = "pooled"
+    _workers = property(lambda self: self.pool.workers)
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False, workers: int = 2,

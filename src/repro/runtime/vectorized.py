@@ -27,7 +27,7 @@ from ..sphincs.signer import KeyPair
 from .backend import BackendCapabilities, BatchSignResult, SigningBackend
 from .fastops import FastOps
 from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
-from .plan import FORS, SigningPlan, TaskRun, run_task
+from .plan import RUN, SigningPlan, TaskRun, cut, run_task
 
 __all__ = ["VectorizedBackend"]
 
@@ -48,6 +48,7 @@ class VectorizedBackend(SigningBackend):
     """
 
     name = "vectorized"
+    _workers = 0  #: processes the plan's tasks run on (0: this one)
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False,
@@ -154,12 +155,17 @@ class VectorizedBackend(SigningBackend):
         memo_keys = [self._memo_key(task) for task in sign_tasks]
         signatures = [ops.cache.recall(key) if self.deterministic else None
                       for key in memo_keys]
+        # A memo key missed twice in one batch is planned once, the first time.
+        first: dict[tuple, int] = {}
         missed = [index for index, signature in enumerate(signatures)
-                  if signature is None]
+                  if signature is None
+                  and first.setdefault(memo_keys[index], index) == index]
         prepared = stitched = time.perf_counter()
         run = TaskRun([], {"fors": 0.0})
         if missed:
-            plan = SigningPlan(ops, [sign_tasks[index] for index in missed])
+            plan = SigningPlan(
+                ops, [sign_tasks[index] for index in missed],
+                cut(ops.cache.pinned_floor, self._workers, len(missed)))
             run = self._run_tasks(plan.tasks, keys)
             pieces = plan.stitch(run.results, keys.pk_root)
             stitched = time.perf_counter()
@@ -168,6 +174,8 @@ class VectorizedBackend(SigningBackend):
                     sign_tasks[index], fors_sig, ht_sig)
                 if self.deterministic:
                     ops.cache.remember(memo_keys[index], signature)
+            signatures = [signature or signatures[first[key]]
+                          for key, signature in zip(memo_keys, signatures)]
         # "hypertree" is what this process spent between prepare and
         # serialize outside the stages the run accounted for.
         stage_seconds = {"prepare": prepared - started, **run.stages}
@@ -182,10 +190,8 @@ class VectorizedBackend(SigningBackend):
     def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
         """Run the plan's *tasks* under *keys*, here and in order."""
         ops = self._ops(keys)
-        results, fors_s = [], 0.0
-        for task in tasks:
-            task_started = time.perf_counter()
-            results.append(run_task(ops, task))
-            if task[0] == FORS:
-                fors_s += time.perf_counter() - task_started
-        return TaskRun(results, {"fors": fors_s})
+        results = [run_task(ops, task) for task in tasks]
+        fors_s = sum(result[-1] for task, result in zip(tasks, results)
+                     if task[0] == RUN)
+        return TaskRun(results, {"fors": fors_s},
+                       {"tasks": len(tasks), "ipc_bytes": 0})

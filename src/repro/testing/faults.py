@@ -63,12 +63,13 @@ Fault specs are parsed from strings so the CLI can take them directly::
     memo:flip:5              # ... bit 5
     verify:no-root-compare   # fast verifier drops its final root compare
     verify:memo-ignores-signature  # verify memo keyed on (key, message) only
-    plan:chain-table-off-by-one  # stitch reads each chain one step too far
+    plan:chain-table-off-by-one  # lookups read each chain one step too far
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -377,25 +378,36 @@ class VerifyMemoFault(VerifyFault):
 class PlanFault(_Fault):
     """A :func:`~repro.runtime.plan.chain_values` that reads every chain
     one table position past its digit — the off-by-one a chain-table
-    stitch invites.  Installed on the module, so it reaches every tier
-    that signs through the plan in this process (vectorized, pooled —
-    whose stitch runs here — and the clients over them); the reference
-    and scalar walks never touch a table.
+    lookup invites.  Installed on the module, so it reaches every tier
+    that signs through the plan in this process (vectorized, pooled, the
+    clients over them) **and every worker pool forked inside the**
+    ``with`` **block**: a fused run looks its layers up in the worker, so
+    a pool started before :meth:`install` signs clean.  Workers count
+    into a shared counter, folded into :attr:`calls_seen` / :attr:`fired`
+    when the block ends.  Reference and scalar walks never touch a table.
     """
 
     #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
     target = "plan"
     spec = "plan:chain-table-off-by-one"
 
+    @contextmanager
     def install(self):
         """Swap the faulty lookup in for the ``with`` block."""
         original = plan.chain_values
+        lookups = multiprocessing.Value("q", 0)  # inherited through fork
 
         def chain_values(table, digits, n, w):
-            self._ran()
+            with lookups.get_lock():
+                lookups.value += 1
             return original(table[n:] + table[:n], digits, n, w)
 
-        return self._swapped(plan, "chain_values", chain_values)
+        try:
+            with self._swapped(plan, "chain_values", chain_values):
+                yield self
+        finally:
+            self.calls_seen += lookups.value
+            self.fired = self.calls_seen > 0
 
 
 @dataclass
@@ -448,7 +460,7 @@ def parse_fault(spec: str) -> (BitFlipFault | CachedNodeFault | MemoFault
     ``memo:flip[:bit]`` for its replay memo,
     ``verify:no-root-compare`` / ``verify:memo-ignores-signature`` for
     the fast verifier,
-    ``plan:chain-table-off-by-one`` for the signing plan's stitch.
+    ``plan:chain-table-off-by-one`` for the signing plan's table lookups.
     """
     parts = spec.strip().split(":")
     for fault in (VerifyFault, VerifyMemoFault, PlanFault):

@@ -341,7 +341,10 @@ class DifferentialOracle:
         if isinstance(self.fault, (VerifyFault, PlanFault)):
             # Installed process-wide on the fast kernels: the verifier
             # (signing untouched; only paths that verify through it can
-            # show it) or the signing plan's stitch (vectorized, pooled).
+            # show it) or the signing plan's table lookup (vectorized,
+            # pooled).  Every pooled path below builds its backend, and so
+            # forks its workers, inside the block: a fused run looks up in
+            # the worker, which has the fault only by inheriting it.
             with self.fault.install():
                 results.extend(self._run_backend(name)
                                for name in self.backends)

@@ -2,26 +2,28 @@
 
 Inline and pooled runs of one plan must equal ``Sphincs.sign`` byte for
 byte on every KAT parameter set, fresh and replayed (a replay is a memo
-hit: no plan at all — see ``test_memo.py``); the plan must feed
-SHA-256 exactly the reference's inputs minus the WOTS re-walk its chain
-tables replace (and the k FORS secrets the reference derives twice); its
-tasks and cache hits must cover each hypertree layer exactly once
-whatever the cache holds; and a worker dying mid-plan must not change a
-byte.
+hit: no plan at all — see ``test_memo.py``) and wherever a message's run
+of layers is cut; the plan must feed SHA-256 exactly the reference's
+inputs minus the WOTS re-walk its chain tables replace (and the k FORS
+secrets the reference derives twice); its runs, fills and cache hits
+must cover each hypertree layer exactly once whatever the cache holds;
+and a worker dying mid-plan must not change a byte.
 """
 
 import collections
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_fast_verify import RecordingContext
 
+from repro.hashes.thash import HashContext
 from repro.params import get_params
 from repro.runtime import WorkerPool, get_backend
 from repro.runtime.fastops import FastOps
 from repro.runtime.layercache import HypertreeLayerCache
-from repro.runtime.plan import FORS, SUBTREE, SigningPlan, run_task
+from repro.runtime.plan import RUN, SUBTREE, SigningPlan, cut, run_task
 from repro.sphincs.signer import SignTask, Sphincs
 from repro.testing.kat import KAT_SETS
 
@@ -32,14 +34,21 @@ def pool():
         yield shared
 
 
+@functools.lru_cache(maxsize=None)
+def _reference(params_name):
+    """``(scheme, keys, message, its reference signature)`` — the slow
+    half of the ``s`` sets' tests, signed once for both."""
+    reference = Sphincs(get_params(params_name), deterministic=True)
+    keys = reference.keygen(seed=bytes(range(3 * reference.params.n)))
+    message = f"one plan, {params_name}".encode()
+    return reference, keys, message, reference.sign(message, keys)
+
+
 @pytest.mark.parametrize("params_name", KAT_SETS)
 def test_inline_and_pooled_plans_match_the_reference(params_name, pool):
     params = get_params(params_name)
-    reference = Sphincs(params, deterministic=True)
-    keys = reference.keygen(seed=bytes(range(3 * params.n)))
-    message = f"one plan, {params_name}".encode()
-    expected, unseen = (reference.sign(message, keys),
-                        reference.sign(b"", keys))
+    reference, keys, message, expected = _reference(params_name)
+    unseen = reference.sign(b"", keys)
 
     inline = get_backend("vectorized", params_name, deterministic=True)
     pooled = get_backend("pooled", params_name, deterministic=True,
@@ -55,10 +64,64 @@ def test_inline_and_pooled_plans_match_the_reference(params_name, pool):
             assert replayed.signatures == [expected]
             assert replayed.cache_stats["misses"] == params.d
             assert replayed.cache_stats["hits"] == sight - 1
-        # A batch that mixes sights plans only what is new.
-        mixed = backend.sign_batch([message, b"", message], keys)
-        assert mixed.signatures == [expected, unseen, expected]
+        # A batch that mixes sights plans only what is new, and a new
+        # message that is in it twice once.
+        mixed = backend.sign_batch([message, b"", message, b""], keys)
+        assert mixed.signatures == [expected, unseen, expected, unseen]
+        assert (mixed.cache_stats["misses"]
+                - replayed.cache_stats["misses"]) <= params.d
     assert set(fresh.workers) == {0, 1} and not replayed.workers
+
+
+@pytest.mark.parametrize("params_name", KAT_SETS)
+def test_every_cut_of_a_run_stitches_to_the_reference(params_name, pool):
+    """From one piece to a task per tree (FORS by itself, a piece per
+    layer — the plan before runs), in-process and through the pool, on a
+    key whose pinned layers are not there yet and then on a warm one.
+    In-process a subtree, a pure function of its arguments, is built once
+    for all the cuts: what differs between them is who signs which root
+    from which table, and that runs every time."""
+    params = get_params(params_name)
+    reference, keys, message, expected = _reference(params_name)
+    sign_task = reference.prepare(message, keys)
+
+    class BuildsOnce(FastOps):
+        build_subtree = functools.lru_cache(maxsize=None)(
+            FastOps.build_subtree)
+
+    def inline(ops, tasks):
+        return [run_task(ops, task) for task in tasks]
+
+    def pooled(ops, tasks):
+        return pool.run(params_name, keys, tasks).results
+
+    for run_tasks in (inline, pooled):
+        ops = BuildsOnce(HashContext(params), keys.sk_seed, keys.pk_seed,
+                         HypertreeLayerCache(params))
+        floor = ops.cache.pinned_floor
+        for pieces in range(1, floor + 2):
+            plan = SigningPlan(ops, [sign_task], cut(floor, pieces, 4))
+            cold = params.d - floor if pieces == 1 else 0
+            assert len(plan.tasks) == pieces + cold
+            [(fors_sig, ht_sig)] = plan.stitch(run_tasks(ops, plan.tasks),
+                                               keys.pk_root)
+            assert reference.assemble(sign_task, fors_sig,
+                                      ht_sig) == expected, pieces
+
+
+@given(floor=st.integers(0, 22), workers=st.integers(1, 8),
+       messages=st.integers(1, 32))
+def test_a_cut_partitions_the_layers_below_the_floor(floor, workers,
+                                                     messages):
+    """Contiguous, bottom up, nothing twice and nothing left out; only
+    the first piece may be FORS by itself; never finer than a task per
+    tree, and whole from four messages per worker and in-process."""
+    cuts = cut(floor, workers, messages)
+    assert 1 <= len(cuts) <= floor + 1
+    assert [layer for piece in cuts for layer in piece] == list(range(floor))
+    assert all(len(piece) for piece in cuts[1:])
+    assert len(cuts) == min(floor + 1, -(-4 * workers // messages))
+    assert cut(floor, 0, messages) == [range(floor)]
 
 
 def test_plan_hashes_the_reference_inputs_minus_the_wots_rewalk():
@@ -82,13 +145,18 @@ def test_plan_hashes_the_reference_inputs_minus_the_wots_rewalk():
     assert reference.assemble(sign_task, fors_sig, ht_sig) == expected
 
     # What the plan skipped: per layer, the walk from each chain's secret
-    # to its digit — re-derived here by the walk the plan falls back to.
+    # to its digit — re-derived here by the walk the plan falls back to
+    # (each layer's root from a third, unrecorded, set of ops).
     walk_ctx = RecordingContext(params)
     walker = FastOps(walk_ctx, keys.sk_seed, keys.pk_seed)
-    node = results[0][1]
-    for (layer, tree, leaf, _), (nodes, _) in zip(plan.paths[0], results[1:]):
+    builder = FastOps(HashContext(params), keys.sk_seed, keys.pk_seed)
+    node = builder.fors_sign(sign_task.fors_msg, sign_task.idx_tree,
+                             sign_task.idx_leaf)[1]
+    tree, leaf = sign_task.idx_tree, sign_task.idx_leaf
+    for layer in range(params.d):
         walker.wots_sign(node, layer, tree, leaf)
-        node = nodes[-params.n:]
+        node = builder.build_subtree(layer, tree)[0][-params.n:]
+        leaf, tree = tree & 7, tree >> 3
     assert node == keys.pk_root
 
     counted = collections.Counter
@@ -109,43 +177,64 @@ def test_plan_hashes_the_reference_inputs_minus_the_wots_rewalk():
 @settings(max_examples=60, deadline=None)
 @given(idx_tree=st.integers(0, 2 ** 63 - 1), idx_leaf=st.integers(0, 7),
        second_tree=st.integers(0, 2 ** 63 - 1),
-       cached=st.sets(st.integers(0, 21)))
+       pinned=st.integers(0, 22), cached=st.sets(st.integers(0, 21)),
+       workers=st.integers(0, 8))
 def test_tasks_and_cache_hits_cover_each_layer_once(idx_tree, idx_leaf,
-                                                    second_tree, cached):
-    """Whatever the cache holds, each of the 22 layers of a message's path
-    is either a cache hit or covered by exactly one subtree task carrying
-    that layer's signing leaf — also for a second message in the batch."""
+                                                    second_tree, pinned,
+                                                    cached, workers):
+    """Whatever the cache pins and holds and however the run is cut, each
+    of the 22 layers of a message's path is a cache hit, inside exactly
+    one piece of that message's run, or covered by exactly one shared
+    subtree fill carrying that layer's signing leaf — also for a second
+    message in the batch; and FORS rides exactly one piece."""
     params = get_params("128f")
-    cache = HypertreeLayerCache(params, pinned_layers=params.d)
+    cache = HypertreeLayerCache(params, pinned_layers=pinned)
+    floor = cache.pinned_floor
     ops = FastOps(RecordingContext(params), bytes(16), bytes(16), cache)
     tree = idx_tree
     for layer in range(params.d):
-        if layer in cached:
+        if layer in cached:  # kept only at or above the floor
             cache.store_tree(layer, tree, b"cached")
         tree >>= params.tree_height
     messages = [SignTask(b"", b"", b"fors-a", idx_tree, idx_leaf),
                 SignTask(b"", b"", b"fors-b", second_tree, 7 - idx_leaf)]
-    plan = SigningPlan(ops, messages)
+    plan = SigningPlan(ops, messages, cut(floor, workers, 2))
 
-    assert plan.tasks[:2] == [(FORS, b"fors-a", idx_tree, idx_leaf),
-                              (FORS, b"fors-b", second_tree, 7 - idx_leaf)]
-    subtrees = plan.tasks[2:]
-    assert all(task[0] == SUBTREE for task in subtrees)
-    built = {(layer, tree): leaves for _, layer, tree, leaves in subtrees}
-    assert len(built) == len(subtrees)  # no subtree is built twice
-    for message, path in zip(messages, plan.paths):
-        assert [hop[0] for hop in path] == list(range(params.d))
+    pieces = len(plan.cuts)
+    runs, fills = plan.tasks[:2 * pieces], plan.tasks[2 * pieces:]
+    assert all(task[0] == RUN for task in runs)
+    assert all(task[0] == SUBTREE for task in fills)
+    built = {(layer, tree): leaves for _, layer, tree, leaves in fills}
+    assert len(built) == len(fills)  # no subtree is filled twice
+    assert all(layer >= floor for layer, _ in built)
+    for index, (message, path) in enumerate(zip(messages, plan.paths)):
+        run = runs[index * pieces:(index + 1) * pieces]
+        assert [task[1] for task in run] == [message.fors_msg] + [None] * (
+            pieces - 1)
+        covered = {}  # layer -> (tree, leaf) the run signs with there
+        for _, _, first, tree, leaf, layers in run:
+            for layer in range(first, first + layers):
+                assert layer not in covered
+                covered[layer] = (tree, leaf)
+                leaf, tree = tree & 7, tree >> 3
+        assert sorted(covered) == list(range(floor))
+        assert [hop[0] for hop in path] == list(range(floor, params.d))
+        hits = {layer: (tree, leaf, nodes)
+                for layer, tree, leaf, nodes in path}
         tree, leaf = message.idx_tree, message.idx_leaf
-        for layer, hop_tree, hop_leaf, levels in path:
-            assert (hop_tree, hop_leaf) == (tree, leaf)
-            if levels is None:
-                assert leaf in built[layer, tree]
+        for layer in range(params.d):
+            if layer < floor:
+                assert covered[layer] == (tree, leaf)
             else:
-                assert (layer, tree) not in built
-                assert levels == b"cached"
+                assert hits[layer][:2] == (tree, leaf)
+                if hits[layer][2] is None:
+                    assert leaf in built[layer, tree]
+                else:
+                    assert (layer, tree) not in built
+                    assert hits[layer][2] == b"cached"
             leaf, tree = tree & 7, tree >> 3
         assert tree == 0
-    # Nothing is built that no path asked for.
+    # Nothing is filled that no path asked for.
     assert sum(len(leaves) for leaves in built.values()) <= sum(
         1 for path in plan.paths for hop in path if hop[3] is None)
 

@@ -17,7 +17,7 @@ import pytest
 from repro.cluster.ring import HashRing
 from repro.errors import BackendError, WorkerCrashedError
 from repro.runtime import WorkerPool, available_backends, get_backend
-from repro.runtime.plan import FORS, SUBTREE
+from repro.runtime.plan import RUN, SUBTREE, cut
 
 MESSAGES = [b"alpha", b"bravo", b"charlie", b"delta", b"echo"]
 SEED = bytes(48)
@@ -86,14 +86,16 @@ class TestPoolSigning:
         assert set(result.workers) == {0, 1}
 
     def test_one_signature_uses_every_worker(self, pool, keys, reference):
-        """The point of the plan: a lone message is FORS plus one subtree
-        task per layer, handed out in turn, so both workers run some."""
+        """The point of the cut: a lone message's run is handed out in
+        pieces (here beside the three pinned subtrees a cold key still
+        has to fill), in turn, so both workers run some."""
         result = _pooled(pool).sign_batch(MESSAGES[:1], keys)
         assert result.signatures == reference[:1]
         shares = result.workers
         assert set(shares) == {0, 1}
-        assert sum(share["tasks"] for share in shares.values()) == 1 + 22
-        assert min(share["tasks"] for share in shares.values()) >= 5
+        assert sum(share["tasks"] for share in shares.values()) == len(
+            cut(19, 2, 1)) + 3 == result.cache_stats["tasks"]
+        assert min(share["tasks"] for share in shares.values()) >= 3
 
     def test_two_task_plan_spreads_over_both_workers(self, pool, keys):
         run = pool.run("128f", keys, [(SUBTREE, 21, 0, (0,)),
@@ -148,7 +150,7 @@ class TestPoolSigning:
                         for w in pool.stats()["per_worker"].values()]
 
     def test_result_timeout_abandons_the_job(self, pool, keys):
-        tasks = [(FORS, bytes(25), 1, 1)] * 6
+        tasks = [(RUN, bytes(25), 0, 1, 1, 0)] * 6
         with pytest.raises(BackendError, match="timed out"):
             pool.run("128f", keys, tasks, timeout=0.001)
         # The workers still finish what they held, but the results are
@@ -176,6 +178,48 @@ class TestPoolSigning:
             _pooled(pool).sign_batch([b"x"], bad)
 
 
+class TestIpcPerSignature:
+    """The north star's "IPC bytes per signature, gated exactly": what a
+    pooled 128f signature costs in round trips and result bytes.  The
+    parent's plan was 20 tasks and ~179 KB per warm-key signature, 19
+    chain tables of 8,960 B among them."""
+
+    TABLE = 35 * 16 * 16  # one leaf's chain table
+
+    @pytest.fixture(scope="class")
+    def warm(self, pool, keys):
+        backend = _pooled(pool)
+        backend.prewarm_key(keys)
+        return backend
+
+    def test_a_batch_is_one_task_and_no_table_per_signature(self, warm,
+                                                            keys):
+        messages = [f"ipc batch {i}".encode() for i in range(16)]
+        stats = warm.sign_batch(messages, keys).cache_stats
+        assert stats["tasks"] == 16
+        assert 14_000 * 16 < stats["ipc_bytes"] <= 20_000 * 16
+
+    def test_a_lone_message_carries_a_table_per_cut(self, warm, keys):
+        pieces = len(cut(19, 2, 1))
+        assert 1 < pieces < 20
+        lone = warm.sign_batch([b"ipc lone"], keys).cache_stats
+        whole = warm.sign_batch(
+            [f"ipc whole {i}".encode() for i in range(8)], keys).cache_stats
+        assert (lone["tasks"], whole["tasks"]) == (pieces, 8)
+        # The same signature either way; each piece above a cut sends
+        # its first layer's table in place of that layer's 35 chain
+        # values, plus one more envelope.
+        extra = lone["ipc_bytes"] - whole["ipc_bytes"] // 8
+        tables, envelopes = divmod(extra, self.TABLE - 35 * 16)
+        assert tables == pieces - 1 and envelopes < 100 * pieces
+
+    def test_in_process_counts_tasks_and_no_bytes(self, keys):
+        inline = get_backend("vectorized", "128f", deterministic=True)
+        inline.prewarm_key(keys)
+        stats = inline.sign_batch([b"ipc inline"], keys).cache_stats
+        assert (stats["tasks"], stats["ipc_bytes"]) == (1, 0)
+
+
 class TestValidation:
     def test_bad_sizes_rejected(self):
         with pytest.raises(BackendError, match="workers"):
@@ -195,7 +239,7 @@ class TestValidation:
         closing = WorkerPool(workers=1)
         closing.close()
         with pytest.raises(BackendError, match="closed"):
-            closing.run("128f", keys, [(FORS, bytes(25), 0, 0)])
+            closing.run("128f", keys, [(RUN, bytes(25), 0, 0, 0, 0)])
 
 
 class TestCrashRecovery:

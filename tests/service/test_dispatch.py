@@ -63,8 +63,9 @@ class TestPooledService:
         assert stats["config"]["workers"] == 2
         pool_stats = stats["pool"]
         assert pool_stats["alive"] == 2
-        # ... every worker took part (4 signatures of 23 tasks each) ...
-        assert all(worker["tasks"] > 20
+        # ... every worker took part (4 signatures in batches of one or
+        # two: each message's run cut into four or eight pieces) ...
+        assert all(worker["tasks"] >= 8
                    for worker in pool_stats["per_worker"].values())
         # ... the layer caches are this process's, one scope per set ...
         assert set(stats["cache"]["scopes"]) == {"in-process SPHINCS+-128f"}

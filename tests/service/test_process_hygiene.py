@@ -81,3 +81,40 @@ def test_pool_size_follows_the_cpus_the_server_may_use(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
                             raising=False)
         assert auto_workers() == workers
+
+
+_RECV_LOOP = """
+import resource, socket
+{prepare}
+ours, theirs = socket.socketpair()
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for calls in (200, 1000):  # settle, then measure
+    before = faults()
+    for _ in range(calls):
+        ours.sendall(b"x" * 4096)
+        theirs.recv(256 * 1024)  # what an asyncio transport reads with
+print((faults() - before) / calls)
+"""
+
+
+def test_a_served_read_buffer_costs_no_page_fault():
+    """``_pin_heap_thresholds`` is what ``serve-async`` / ``serve-cluster``
+    run first: after it, asyncio's 256 KiB ``recv`` buffer comes off a heap
+    that is neither mmapped per call nor trimmed, whatever the heap held
+    before (a fresh interpreter without it read 3 faults per call where
+    this was written; not asserted, it is the allocator's to change)."""
+    import ctypes
+
+    if not hasattr(ctypes.CDLL(None), "gnu_get_libc_version"):
+        pytest.skip("the thresholds are glibc's")
+
+    def per_call(prepare: str) -> float:
+        done = subprocess.run(
+            [sys.executable, "-c", _RECV_LOOP.format(prepare=prepare)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), text=True,
+            capture_output=True, timeout=60, check=True)
+        return float(done.stdout)
+
+    assert per_call("from repro.__main__ import _pin_heap_thresholds\n"
+                    "_pin_heap_thresholds()") < 0.05

@@ -212,6 +212,47 @@ class TestVerifyStage:
             assert divergence.verify_failed  # caught by verify, not served
         assert report.first_divergence().stage == "wots (layer 0)"
 
+    def test_off_by_one_rings_from_inside_the_workers(self,
+                                                      differential_oracle):
+        """An uncut run looks every layer below the floor up in its
+        worker, which has the fault only because its pool was forked
+        inside ``install()``: eight messages on a warm key are eight
+        tasks with no lookup left for the coordinator, every signature
+        must fail verification, and the workers' count must come home."""
+        from repro.runtime import get_backend
+
+        scheme = Sphincs("128f", deterministic=True)
+        keys = scheme.keygen(seed=bytes(48))
+        messages = [f"uncut {i}".encode() for i in range(8)]
+        fault = parse_fault("plan:chain-table-off-by-one")
+        with fault.install():
+            backend = get_backend("pooled", "128f", deterministic=True,
+                                  workers=2)
+            try:
+                backend.prewarm_key(keys)
+                result = backend.sign_batch(messages, keys)
+            finally:
+                backend.close()
+        assert result.cache_stats["tasks"] == 8
+        assert not any(scheme.verify(message, signature, keys.public)
+                       for message, signature
+                       in zip(messages, result.signatures))
+        # 19 layers below the floor per message, all in the workers; the
+        # coordinator walked the floor's link without a table.
+        assert fault.fired and fault.calls_seen == 8 * 19
+
+        fault = parse_fault("plan:chain-table-off-by-one")
+        report = differential_oracle(
+            "128f", backends=["pooled"], fault=fault, corpus=[
+                (f"uncut-{i}", message)
+                for i, message in enumerate(messages)]).run()
+        assert report.fault_fired and not report.passed
+        [pooled] = [result for result in report.results
+                    if result.path == "backend:pooled"]
+        signing = [d for d in pooled.divergences if d.stage != "verify"]
+        assert len(signing) == 8 and all(
+            d.stage == "wots (layer 0)" and d.verify_failed for d in signing)
+
 
 class TestExtensibility:
     def test_registered_backend_joins_and_gets_caught(self):
