@@ -1,17 +1,27 @@
-"""Benchmark-harness fixtures.
+"""Paper-table harness: render, then hold against the tracked copy.
 
-Every bench renders its paper-vs-measured table through :func:`emit`, which
-prints it (visible with ``pytest -s`` and in the benchmark log) and writes
-it under the untracked ``benchmarks/out/`` so the full set of reproduced
-tables can be inspected after a run.  The pinned copies under
-``benchmarks/results/`` are written by
-``compare_baselines.py --regen-baselines`` and by nothing else, so a test
-run leaves the working tree clean.
+Every file here reproduces one of the paper's tables or figures from the
+analytical model and renders it through :func:`emit`, which prints it
+(visible with ``pytest -s``), writes it under the untracked
+``benchmarks/out/`` and compares it with the tracked
+``benchmarks/results/<name>.txt``: a table that no longer matches fails
+its test naming the file and the first differing line.  The model is
+deterministic, so any difference is a change to the model.
+
+``python -m pytest benchmarks --regen-tables`` rewrites the tracked
+copies instead of comparing them (review ``git diff benchmarks/results``
+and commit) — the same deliberate-change convention as
+``--regen-api-surface`` and ``repro conformance --regen-kats``, and the
+only thing that writes ``benchmarks/results/``, so a test run leaves the
+working tree clean.
+
+Measured performance of the signing stack is not here: ``bench/run.py``
+measures it and ``bench/compare.py`` gates it.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 import pathlib
 
 import pytest
@@ -20,19 +30,37 @@ from repro.gpusim.device import get_device
 from repro.gpusim.engine import TimingEngine
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-#: Smoke mode (``REPRO_SMOKE=1``): tiny configurations for CI.  Measured
-#: output is mode-specific — smoke runs write under ``out/smoke/`` — and
-#: ``compare_baselines.py`` diffs it against the matching pinned file
-#: (``results/`` or ``results/smoke/``).
-SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def json_baseline_dir() -> pathlib.Path:
-    """Where this run's measured tables and JSON belong (mode-specific)."""
-    directory = OUT_DIR / "smoke" if SMOKE else OUT_DIR
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen-tables", action="store_true", default=False,
+        help="rewrite benchmarks/results/*.txt from the tables this run "
+             "renders instead of comparing against them")
+
+
+def check_table(name: str, text: str, regen: bool,
+                results_dir: pathlib.Path = RESULTS_DIR) -> None:
+    """Fail unless *text* is what ``<results_dir>/<name>.txt`` tracks;
+    with *regen*, make it so instead."""
+    tracked = results_dir / f"{name}.txt"
+    rendered = text + "\n"
+    if regen:
+        tracked.write_text(rendered)
+        return
+    hint = ("if the change is deliberate: `python -m pytest benchmarks "
+            "--regen-tables`, review the diff, commit")
+    if not tracked.exists():
+        pytest.fail(f"{tracked} does not exist — {hint}", pytrace=False)
+    pairs = itertools.zip_longest(tracked.read_text().split("\n"),
+                                  rendered.split("\n"))
+    for number, (want, got) in enumerate(pairs, start=1):
+        if want != got:
+            pytest.fail(
+                f"{tracked}:{number} differs from the rendered table\n"
+                f"  tracked : {want!r}\n  rendered: {got!r}\n{hint}",
+                pytrace=False)
 
 
 @pytest.fixture(scope="session")
@@ -46,11 +74,14 @@ def engine():
 
 
 @pytest.fixture(scope="session")
-def emit():
-    directory = json_baseline_dir()
+def emit(request):
+    regen = request.config.getoption("--regen-tables")
+    OUT_DIR.mkdir(exist_ok=True)
 
-    def _emit(name: str, text: str) -> None:
+    def _emit(name: str, text: str, tracked: bool = True) -> None:
         print(f"\n{text}\n")
-        (directory / f"{name}.txt").write_text(text + "\n")
+        (OUT_DIR / f"{name}.txt").write_text(text + "\n")
+        if tracked:
+            check_table(name, text, regen)
 
     return _emit

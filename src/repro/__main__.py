@@ -663,7 +663,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    import os
     from pathlib import Path
 
     from .errors import ConformanceError, ParameterError
@@ -701,14 +700,13 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print(f"conformance: {exc}", file=sys.stderr)
         return 2
 
-    smoke = args.smoke or bool(os.environ.get("REPRO_SMOKE"))
     backends = ([b.strip() for b in args.backends.split(",") if b.strip()]
                 if args.backends else None)
     exit_code = 0
     for params in (params_list or ["128f"]):
         try:
             oracle = DifferentialOracle(
-                params, backends=backends, seed=args.seed, smoke=smoke,
+                params, backends=backends, seed=args.seed, smoke=args.smoke,
                 include_service=not args.no_service, fault=fault,
                 fault_target=args.fault_target)
             report = oracle.run()
@@ -961,7 +959,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated backend names "
                              "(default: every registered backend)")
     p_conf.add_argument("--smoke", action="store_true",
-                        help="small corpus (also implied by REPRO_SMOKE=1)")
+                        help="small corpus")
     p_conf.add_argument("--seed", type=int, default=0,
                         help="corpus generation seed")
     p_conf.add_argument("--no-service", action="store_true",

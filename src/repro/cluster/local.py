@@ -1,12 +1,11 @@
 """An in-process cluster: N signing nodes behind one router.
 
 Test/demo scaffolding used by the differential oracle's cluster paths,
-the cluster-scaling benchmark, the ``repro serve-cluster`` CLI, and the
-CI smoke run.  Every node is a real :class:`SigningServer` on its own
-loopback port speaking the real wire protocol — only the processes are
-shared, so chaos experiments (:meth:`LocalCluster.kill_node` aborts a
-node's transports mid-flight) exercise exactly the failover code a
-multi-host deployment would.
+the ``repro serve-cluster`` CLI, and the CI smoke run.  Every node is a
+real :class:`SigningServer` on its own loopback port speaking the real
+wire protocol — only the processes are shared, so chaos experiments
+(:meth:`LocalCluster.kill_node` aborts a node's transports mid-flight)
+exercise exactly the failover code a multi-host deployment would.
 
 Each node's service comes from a caller-supplied factory, so nodes can
 be restarted after a kill: the factory builds a fresh service (same

@@ -63,11 +63,3 @@ def baseline_launch_structure(params: SphincsParams) -> LaunchStructure:
         wots_launches=1,
         host_synchronized=True,
     )
-
-
-def herosign_launch_structure() -> LaunchStructure:
-    """HERO-Sign: the three fused kernels, stream-ordered, no host syncs."""
-    return LaunchStructure(
-        fors_launches=1, tree_launches=1, wots_launches=1,
-        host_synchronized=False,
-    )

@@ -50,6 +50,3 @@ class Avx2Model:
             raise ValueError(f"thread count must be positive, got {threads}")
         rate = self.single_thread_hashes_per_s * threads ** self.thread_scaling_exponent
         return rate / self.hashes_per_signature(params) / 1e3
-
-    def signatures_per_second(self, params: SphincsParams, threads: int = 1) -> float:
-        return self.kops(params, threads) * 1e3

@@ -53,10 +53,6 @@ class DeviceSpec:
     def clock_hz(self) -> float:
         return self.base_clock_mhz * 1e6
 
-    @property
-    def cores_per_sm(self) -> int:
-        return self.cuda_cores // self.num_sms
-
     def query(self) -> dict[str, int]:
         """A ``cudaGetDeviceProperties``-style dict (Tree Tuning's probe)."""
         return {

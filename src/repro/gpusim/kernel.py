@@ -63,12 +63,6 @@ class KernelWorkload:
     kernel: str
     phases: list[WorkloadPhase] = field(default_factory=list)
 
-    def total_hashes(self) -> float:
-        return sum(phase.hash_total for phase in self.phases)
-
-    def total_syncs(self) -> int:
-        return sum(phase.syncs for phase in self.phases)
-
     def total_global_bytes(self) -> float:
         return sum(phase.global_bytes for phase in self.phases)
 

@@ -96,9 +96,6 @@ class HashContext:
     def counting(self, value: bool) -> None:
         self._count = bool(value)
 
-    def reset_counter(self) -> None:
-        self.hash_calls = 0
-
     def midstate(self, seed: bytes) -> "hashlib._Hash":
         """The cached SHA-256 object primed with ``seed || pad``.
 

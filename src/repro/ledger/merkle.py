@@ -200,10 +200,6 @@ class MerkleLog:
                 f"{len(self._entries)} entries)")
         return self._entries[index]
 
-    def entry_hash(self, index: int) -> bytes:
-        self.entry(index)  # bounds check with the shared message
-        return self._hashes[index]
-
     def root_hash(self, size: int | None = None) -> bytes:
         """The tree head over the first *size* entries (default: all)."""
         if size is None:

@@ -17,13 +17,12 @@ registering one new backend — not forking the signer.
 [True, True]
 """
 
-from .backend import BackendCapabilities, BatchSignResult, SigningBackend
+from .backend import BatchSignResult, SigningBackend
 from .pool import PooledBackend, WorkerPool
 from .registry import available_backends, get_backend, register_backend
 from .scheduler import BatchScheduler, BatchStats
 
 __all__ = [
-    "BackendCapabilities",
     "BatchSignResult",
     "SigningBackend",
     "available_backends",

@@ -20,24 +20,7 @@ from ..params import SphincsParams, get_params
 from ..sphincs.signer import KeyPair, Sphincs
 from .fastops import FastVerifier
 
-__all__ = ["BackendCapabilities", "BatchSignResult", "SigningBackend"]
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend is and how it likes to be fed.
-
-    ``preferred_batch`` is a scheduling hint: the batch size at which the
-    backend's amortizations (caches, templates, modeled graphs) pay off.
-    """
-
-    name: str
-    kind: str  # "cpu" or "modeled-gpu"
-    vectorized: bool
-    deterministic: bool
-    preferred_batch: int
-    device: str | None = None
-    notes: str = ""
+__all__ = ["BatchSignResult", "SigningBackend"]
 
 
 @dataclass
@@ -69,11 +52,10 @@ class BatchSignResult:
 class SigningBackend(abc.ABC):
     """Base class for batch signing engines.
 
-    Subclasses set :attr:`name` and implement :meth:`sign_batch` and
-    :meth:`capabilities`; keygen, scalar convenience signing, and batch
-    verification are shared here so every backend agrees on key formats
-    and the verification contract (verify never raises on bad input — it
-    returns ``False``).
+    Subclasses set :attr:`name` and implement :meth:`sign_batch`; keygen,
+    scalar convenience signing, and batch verification are shared here so
+    every backend agrees on key formats and the verification contract
+    (verify never raises on bad input — it returns ``False``).
     """
 
     name: str = "abstract"
@@ -86,10 +68,6 @@ class SigningBackend(abc.ABC):
         self._verifier = FastVerifier(self.params, self._scheme.ctx)
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        """Describe this backend for routing and reporting."""
-
     @abc.abstractmethod
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:

@@ -20,7 +20,7 @@ from ..errors import BackendError
 from ..gpusim.device import get_device
 from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
-from .backend import BackendCapabilities, BatchSignResult, SigningBackend
+from .backend import BatchSignResult, SigningBackend
 from .vectorized import VectorizedBackend
 
 __all__ = ["ModeledGpuBackend"]
@@ -58,17 +58,6 @@ class ModeledGpuBackend(SigningBackend):
         self.gpu_batches = gpu_batches
         self._functional = VectorizedBackend(
             self.params, deterministic=deterministic
-        )
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            kind="modeled-gpu",
-            vectorized=True,
-            deterministic=self.deterministic,
-            preferred_batch=1024,
-            device=self.device.name,
-            notes=f"functional signatures + {self.mode!r} timing model",
         )
 
     def keygen(self, seed: bytes | None = None) -> KeyPair:

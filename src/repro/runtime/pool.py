@@ -44,7 +44,7 @@ import pickle
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Sequence
 
@@ -53,7 +53,6 @@ from ..hashes.thash import HashContext
 from ..obs.log import get_logger
 from ..params import SphincsParams, get_params
 from ..sphincs.signer import KeyPair
-from .backend import BackendCapabilities
 from .fastops import FastOps
 from .plan import TaskRun, run_task
 from .vectorized import VectorizedBackend
@@ -686,12 +685,6 @@ class PooledBackend(VectorizedBackend):
         self._owns_pool = pool is None
         self.pool = pool if pool is not None else WorkerPool(
             workers=workers, max_retries=max_retries)
-
-    def capabilities(self) -> BackendCapabilities:
-        return replace(
-            super().capabilities(),
-            notes=(f"signing plan on a {self.pool.workers}-process worker "
-                   "pool, pull-dispatched, crash-recovering"))
 
     def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
         return self.pool.run(self.params.name, keys, tasks)

@@ -68,10 +68,6 @@ def _resolve(name: str) -> BackendFactory:
 
 def get_backend(name: str, params: SphincsParams | str = "128f",
                 deterministic: bool = False, **kwargs) -> SigningBackend:
-    """Construct the backend registered under *name*.
-
-    >>> get_backend("scalar", "128f").capabilities().kind
-    'cpu'
-    """
+    """Construct the backend registered under *name*."""
     factory = _resolve(name)
     return factory(params, deterministic=deterministic, **kwargs)

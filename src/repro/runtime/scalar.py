@@ -12,7 +12,7 @@ import time
 from typing import Sequence
 
 from ..sphincs.signer import KeyPair
-from .backend import BackendCapabilities, BatchSignResult, SigningBackend
+from .backend import BatchSignResult, SigningBackend
 
 __all__ = ["ScalarBackend"]
 
@@ -25,16 +25,6 @@ class ScalarBackend(SigningBackend):
     """
 
     name = "scalar"
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            kind="cpu",
-            vectorized=False,
-            deterministic=self.deterministic,
-            preferred_batch=1,
-            notes="reference functional layer; correctness baseline",
-        )
 
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:

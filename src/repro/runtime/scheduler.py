@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..errors import BackendError, UnknownTicketError
-from ..obs.trace import SpanClock, current_trace, start_trace
 from ..params import get_params
 from ..sphincs.signer import KeyPair
 from .backend import BatchSignResult, SigningBackend
@@ -72,13 +71,6 @@ class BatchScheduler:
         signs under keys it already holds (a keystore's, a benchmark's)
         instead of scheduler-generated ones.  Resolved once per
         parameter set, then cached like generated keys.
-    tracer:
-        Optional :class:`repro.obs.trace.Tracer`.  When set, every
-        dispatched batch records a ``sign`` span (joined to the ambient
-        trace context when one is current) with per-stage sub-spans from
-        the backend's ``stage_seconds``.  ``None`` keeps dispatch
-        hook-free — the observability overhead benchmark measures
-        exactly this toggle.
 
     >>> sched = BatchScheduler(target_batch_size=2, deterministic=True)
     >>> tickets = [sched.submit(b"a"), sched.submit(b"b")]  # dispatches
@@ -91,8 +83,7 @@ class BatchScheduler:
                  deterministic: bool = False,
                  verify: bool = False,
                  backend_options: dict[str, dict] | None = None,
-                 keys_provider: Callable[[str], KeyPair] | None = None,
-                 tracer=None):
+                 keys_provider: Callable[[str], KeyPair] | None = None):
         if target_batch_size < 1:
             raise BackendError(
                 f"target_batch_size must be >= 1, got {target_batch_size}"
@@ -103,7 +94,6 @@ class BatchScheduler:
         self.verify = verify
         self.backend_options = backend_options or {}
         self.keys_provider = keys_provider
-        self.tracer = tracer
         self.batches: list[BatchStats] = []
         self._backends: dict[tuple[str, str], SigningBackend] = {}
         self._keys: dict[str, KeyPair] = {}
@@ -173,18 +163,7 @@ class BatchScheduler:
         # backend (bad route, misconfiguration) must not strand tickets.
         backend = self.backend_for(params_name, backend_name)
         keys = self.keys_for(params_name)
-        clock = SpanClock()
         result = backend.sign_batch(queue.messages, keys)
-        if self.tracer is not None:
-            # Joined to the ambient trace context when one is current;
-            # otherwise the sign span roots a fresh trace.
-            ambient = current_trace()
-            self.tracer.record_sign(
-                ambient if ambient is not None else start_trace(),
-                ambient.span_id if ambient is not None else None,
-                clock.start, clock.end(), result.stage_seconds,
-                backend=result.backend, params=result.params,
-                batch_size=result.count)
         if len(result.signatures) != len(queue.messages):
             raise BackendError(
                 f"backend {backend_name!r} returned {len(result.signatures)} "

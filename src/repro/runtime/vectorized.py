@@ -24,7 +24,7 @@ from ..errors import BackendError
 from ..hashes.thash import HashContext
 from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
-from .backend import BackendCapabilities, BatchSignResult, SigningBackend
+from .backend import BatchSignResult, SigningBackend
 from .fastops import FastOps
 from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
 from .plan import RUN, SigningPlan, TaskRun, cut, run_task
@@ -63,16 +63,6 @@ class VectorizedBackend(SigningBackend):
         self._fastops: dict[tuple[bytes, bytes], FastOps] = {}
 
     # ------------------------------------------------------------------
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            kind="cpu",
-            vectorized=True,
-            deterministic=self.deterministic,
-            preferred_batch=64,
-            notes="address templates + shared midstates + per-key layer cache",
-        )
-
     def _ops(self, keys: KeyPair) -> FastOps:
         key = (keys.sk_seed, keys.pk_seed)
         ops = self._fastops.get(key)

@@ -7,6 +7,7 @@ real ``ClusterRouter`` (via ``LocalCluster``), driven through the typed
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.errors import (KeystoreError, NodeUnavailableError,
                           OverloadedError, ServiceError)
 from repro.params import get_params
 from repro.obs.trace import TraceContext, Tracer, use_trace
+from repro.runtime import get_backend
+from repro.runtime.pool import auto_workers
 from repro.service import (Keystore, SigningServer, SigningService,
                            derive_seed, protocol)
 from repro.sphincs.signer import Sphincs
@@ -24,10 +27,10 @@ from repro.sphincs.signer import Sphincs
 TENANTS = ("acme", "edge", "wallet")
 
 
-def make_keystore(**kwargs) -> Keystore:
+def make_keystore(tenants=TENANTS, **kwargs) -> Keystore:
     """Identically seeded on every call — the cluster key invariant."""
     keystore = Keystore(**kwargs)
-    for name in TENANTS:
+    for name in tenants:
         keystore.add_tenant(name, "128f")
         keystore.generate_key(
             name, "default",
@@ -169,6 +172,42 @@ class TestEndToEnd:
         asyncio.run(scenario())
 
 
+@pytest.mark.skipif(auto_workers() < 4,
+                    reason="two one-worker nodes beside the router and the "
+                           "client need about four allowed CPUs")
+def test_two_nodes_beat_one_on_fresh_messages():
+    """Scale-out, checked where the cores exist.  ``bench/`` prices the
+    router hop (``cluster.tax_kh``); a scaling rung is ROADMAP item 1(i)."""
+    # The ring shards by tenant name: one tenant per node of a two-node
+    # ring, so the load can split evenly (TENANTS all land on node 0).
+    tenants = ("tenant-0", "tenant-1")
+    assert {HashRing(2).preference(name)[0] for name in tenants} == {0, 1}
+
+    def node():
+        return SigningService(make_keystore(tenants), workers=1,
+                              target_batch_size=4, max_wait_s=0.02,
+                              deterministic=True)
+
+    async def timed(nodes):
+        cluster = await LocalCluster([node] * nodes).start()
+        client = await AsyncClusterClient.connect(port=cluster.port)
+        try:
+            await asyncio.gather(*(client.sign(tenant, b"warm-up")
+                                   for tenant in tenants))
+            started = time.perf_counter()
+            await asyncio.gather(*(
+                client.sign_many(tenant, [f"scale-out {i}".encode()
+                                          for i in range(8)])
+                for tenant in tenants))
+            return time.perf_counter() - started
+        finally:
+            await client.close()
+            await cluster.stop()
+
+    one, two = asyncio.run(timed(1)), asyncio.run(timed(2))
+    assert one / two >= 1.5, (one, two)
+
+
 class TestFailover:
     def test_node_kill_rehomes_and_keeps_bytes(self):
         async def scenario():
@@ -198,6 +237,42 @@ class TestFailover:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+    def test_requests_in_flight_at_a_node_kill_all_resolve(self):
+        """Each ends in the bytes any node would have signed or in a typed
+        service error — never a hang, never an untyped crash."""
+        work = [(tenant, f"in flight {i}".encode())
+                for tenant in TENANTS for i in range(2)]
+
+        async def scenario():
+            cluster = await make_cluster().start()
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            try:
+                tasks = [asyncio.create_task(client.sign(tenant, message))
+                         for tenant, message in work]
+                # Let the first forwards reach the victim, so the kill
+                # lands on requests that really are in flight.
+                await asyncio.sleep(0.05)
+                await cluster.kill_node(cluster.owner(TENANTS[0]))
+                return await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True),
+                    timeout=60)
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        outcomes = asyncio.run(scenario())
+        signer = get_backend("vectorized", "128f", deterministic=True)
+        keystore = make_keystore()
+        signed = 0
+        for (tenant, message), outcome in zip(work, outcomes):
+            if isinstance(outcome, ServiceError):
+                continue
+            assert not isinstance(outcome, BaseException), repr(outcome)
+            keys, _ = keystore.resolve(tenant)
+            assert outcome.signature == signer.sign(message, keys)
+            signed += 1
+        assert signed, outcomes
 
     def test_all_nodes_down_is_typed_unavailable(self):
         async def scenario():

@@ -8,7 +8,6 @@ from repro.core.baseline import (
     BASELINE_FLAGS,
     baseline_launch_structure,
     baseline_plans,
-    herosign_launch_structure,
 )
 from repro.core.pipeline import kernel_report
 from repro.gpusim.compiler import Branch
@@ -30,11 +29,6 @@ class TestLaunchStructure:
         assert s.tree_launches == 22
         assert s.total == 24
         assert s.host_synchronized
-
-    def test_herosign_launches_three_kernels(self):
-        s = herosign_launch_structure()
-        assert s.total == 3
-        assert not s.host_synchronized
 
 
 class TestTable3Profile:

@@ -43,12 +43,6 @@ class TestSixteenThreads:
 
 
 class TestInterface:
-    def test_signatures_per_second(self, model):
-        p = get_params("128f")
-        assert model.signatures_per_second(p) == pytest.approx(
-            model.kops(p) * 1e3
-        )
-
     def test_invalid_thread_count(self, model):
         with pytest.raises(ValueError):
             model.kops(get_params("128f"), threads=0)

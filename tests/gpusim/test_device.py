@@ -49,9 +49,6 @@ class TestDerivedProperties:
     def test_max_warps(self, rtx4090):
         assert rtx4090.max_warps_per_sm == 48  # Ada: 1536 threads / 32
 
-    def test_cores_per_sm(self, rtx4090):
-        assert rtx4090.cores_per_sm == 128
-
     def test_query_mirrors_cuda_properties(self, rtx4090):
         props = rtx4090.query()
         assert props["multiProcessorCount"] == 128

@@ -176,6 +176,6 @@ class TestHashCounting:
         ctx = HashContext(get_params("128f"), count_hashes=True)
         ctx.thash(b"P" * 16, _adrs(), b"m" * 16)
         assert ctx.hash_calls == 1  # 22B ADRS + 16B msg + padding -> 1 block
-        ctx.reset_counter()
+        ctx.hash_calls = 0
         ctx.thash(b"P" * 16, _adrs(), b"m" * 80)
         assert ctx.hash_calls == 2  # spills into a second block

@@ -65,7 +65,7 @@ class TestInclusionProofs:
             root = log.root_hash(size)
             for index in range(size):
                 path = log.inclusion_path(index, size)
-                leaf = log.entry_hash(index)
+                leaf = leaf_hash(log.entry(index))
                 assert root_from_inclusion_path(index, size, leaf,
                                                 path) == root
 
@@ -89,14 +89,14 @@ class TestInclusionProofs:
                     bad = list(path)
                     bad[hop] = bytes(32)
                     assert root_from_inclusion_path(
-                        index, size, log.entry_hash(index), bad) != root
+                        index, size, leaf_hash(log.entry(index)), bad) != root
 
     def test_truncated_and_padded_paths_raise(self):
         log = full_log(MAX_SIZE)
         for size in (2, 5, MAX_SIZE):
             for index in range(size):
                 path = log.inclusion_path(index, size)
-                leaf = log.entry_hash(index)
+                leaf = leaf_hash(log.entry(index))
                 if path:
                     with pytest.raises(LedgerError):
                         root_from_inclusion_path(index, size, leaf,

@@ -9,6 +9,8 @@ off, and the export renders through ``repro trace``.
 import asyncio
 import json
 import os
+import statistics
+import time
 import urllib.request
 
 import pytest
@@ -283,6 +285,44 @@ class TestLocalClientTracing:
                 client.close()
 
         assert run(None) == run(Tracer())
+
+    def test_tracing_costs_under_five_percent_on_fresh_messages(
+            self, monkeypatch):
+        """The observability budget, on the front callers use.  One
+        allowed CPU, so the plan runs in this process and its CPU clock
+        sees all of it; fresh messages, because a replay is a 0.02 ms
+        lookup against which any span is a large ratio; the two clients
+        take turns one message at a time and the verdict is the median
+        ratio, so drift and neighbours on a shared box hit both sides
+        alike (batches of two in eight rounds read ±5% here, single
+        messages in sixteen ±1%)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        tracer = Tracer()  # ring only: the hot path's honest worst case
+
+        def overhead(rounds):
+            ratios = []
+            for index in rounds:
+                cpu = []
+                for client in (plain, traced):
+                    started = time.process_time()
+                    client.sign("acme", f"budget {index}".encode())
+                    cpu.append(time.process_time() - started)
+                ratios.append(cpu[1] / cpu[0])
+            return statistics.median(ratios) - 1.0
+
+        with LocalClient(deterministic=True) as plain, \
+                LocalClient(deterministic=True, tracer=tracer) as traced:
+            plain.add_tenant("acme")
+            traced.add_tenant("acme")
+            overhead(range(-1, 0))  # warm-up: pinned layers, both paths
+            measured = overhead(range(16))
+            if measured > 0.05:
+                # A round's noise here is ten times a span's cost: a
+                # regression must reproduce at double the sample.
+                measured = overhead(range(16, 48))
+        assert tracer.recorded > 0
+        assert measured <= 0.05, f"tracing overhead {measured:.1%}"
 
 
 class TestCli:

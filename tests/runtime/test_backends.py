@@ -44,12 +44,9 @@ class TestRegistry:
         with pytest.raises(BackendError, match="unknown backend"):
             get_backend("quantum-annealer")
 
-    def test_register_custom_backend(self, scalar, keys):
+    def test_register_custom_backend(self, keys):
         class Echo(SigningBackend):
             name = "echo-test"
-
-            def capabilities(self):
-                return scalar.capabilities()
 
             def sign_batch(self, messages, keys):
                 import time
@@ -61,13 +58,6 @@ class TestRegistry:
         register_backend("echo-test", Echo)
         backend = get_backend("echo-test", "128f")
         assert backend.sign_batch(MESSAGES, keys).count == len(MESSAGES)
-
-    def test_capabilities_shape(self):
-        for name in ("scalar", "vectorized", "modeled-gpu"):
-            caps = get_backend(name, "128f").capabilities()
-            assert caps.name == name
-            assert caps.kind in ("cpu", "modeled-gpu")
-            assert caps.preferred_batch >= 1
 
 
 class TestEquivalence:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.runtime import get_backend, register_backend
-from repro.runtime.backend import BackendCapabilities, SigningBackend
+from repro.runtime.backend import SigningBackend
 from repro.runtime.registry import _REGISTRY
 from repro.service import (Keystore, SigningService, derive_seed,
                            render_snapshot)
@@ -113,11 +113,6 @@ class TestDispatchOrder:
 
         class Exclusive(SigningBackend):
             name = "test-exclusive"
-
-            def capabilities(self):
-                return BackendCapabilities(
-                    name=self.name, kind="cpu", vectorized=False,
-                    deterministic=True, preferred_batch=1)
 
             def sign_batch(self, messages, keys):
                 overlaps.append(not inside.acquire(blocking=False))
