@@ -50,7 +50,23 @@ report
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+
+
+def _backend_name(name: str) -> str:
+    """argparse type of a backend flag: a registered backend's name."""
+    from .errors import BackendError
+    from .runtime.registry import backend_factory
+
+    name = name.strip()
+    try:
+        backend_factory(name)
+    except BackendError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{exc} (a worker pool is a size, --workers N, not a backend)"
+        ) from None
+    return name
 
 
 def _parse_hostport(spec: str) -> tuple[str, int] | None:
@@ -187,7 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .runtime import BatchScheduler
+    from .runtime import BatchScheduler, WorkerPool
 
     if args.messages < 1:
         print("serve: --messages must be >= 1", file=sys.stderr)
@@ -198,57 +214,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 0:
         print("serve: --workers must be >= 0", file=sys.stderr)
         return 2
-    backends = [name.strip() for name in args.backends.split(",")]
-    backend_options: dict[str, dict] = {}
-    pool = None
+    # The one backend with a layer cache to budget and a plan to put on a
+    # pool; a pool under the rest would fake the comparison asked for.
+    options = {"cache_budget_mb": args.cache_budget_mb}
+    pool = contextlib.nullcontext()
     if args.workers > 0:
-        # Multi-core tier: the pool runs the signing plan of exactly one
-        # backend — dropping the rest silently would fake the comparison
-        # the user asked for.
-        if len(backends) != 1:
-            print("serve: --workers takes exactly one --backends entry "
-                  f"(the backend whose plan the pool runs), got "
-                  f"{args.backends!r}", file=sys.stderr)
+        if args.backends != ["vectorized"]:
+            print("serve: --workers takes exactly one --backends entry, "
+                  "vectorized (the backend whose plan the pool runs), "
+                  f"got {','.join(args.backends)!r}", file=sys.stderr)
             return 2
-        if backends[0] == "pooled":
-            print("serve: --workers already routes through the pooled "
-                  "backend; name the inner backend (vectorized), not "
-                  "'pooled'", file=sys.stderr)
-            return 2
-        from .errors import BackendError
-        from .runtime.pool import plan_executor
-
-        # One shared pool under every parameter set's pooled backend.
-        try:
-            engine, backend_options, pool = plan_executor(
-                backends[0], args.workers,
-                {"cache_budget_mb": args.cache_budget_mb})
-        except BackendError as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return 2
-        backends = [engine]
-    elif args.cache_budget_mb is not None and "vectorized" in backends:
-        # In-process tier: the one cache-aware backend takes the budget
-        # (the reference and the modeled backend hold no cache).
-        backend_options["vectorized"] = {
-            "cache_budget_mb": args.cache_budget_mb}
-    scheduler = BatchScheduler(
-        target_batch_size=args.batch_size or args.messages,
-        deterministic=args.deterministic,
-        verify=args.verify,
-        backend_options=backend_options,
-    )
-    try:
+        pool = options["pool"] = WorkerPool(args.workers)
+    with pool:
+        scheduler = BatchScheduler(
+            target_batch_size=args.batch_size or args.messages,
+            deterministic=args.deterministic,
+            verify=args.verify,
+            backend_options={"vectorized": options},
+        )
         for params in args.params.split(","):
-            for backend in backends:
+            for backend in args.backends:
                 scheduler.run(
                     (f"{params}/{backend}/msg{i}".encode()
                      for i in range(args.messages)),
                     params=params.strip(), backend=backend,
                 )
-    finally:
-        if pool is not None:
-            pool.close()
     print(scheduler.report(
         title=f"Batch signing runtime, {args.messages} messages per "
               f"(set, backend)"
@@ -368,7 +358,8 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated name:params tenant specs")
     parser.add_argument("--keystore", default=None,
                         help="keystore directory (default: in-memory)")
-    parser.add_argument("--backend", default="vectorized")
+    parser.add_argument("--backend", default="vectorized",
+                        type=_backend_name)
     parser.add_argument("--batch-size", type=int, default=16,
                         help="dispatch a queue at this fill level")
     parser.add_argument("--max-wait-ms", type=float, default=100.0,
@@ -856,6 +847,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--params", default="128f",
                          help="comma-separated parameter sets")
     p_serve.add_argument("--backends", default="vectorized",
+                         type=lambda spec: [_backend_name(name)
+                                            for name in spec.split(",")],
                          help="comma-separated backend names")
     p_serve.add_argument("--messages", type=int, default=4,
                          help="messages per (set, backend)")

@@ -1,8 +1,8 @@
 """``repro.api`` — the unified typed client API over every execution tier.
 
 Before this package there were four divergent ways to get a signature
-(direct ``SigningBackend`` calls, ``BatchScheduler`` tickets, the
-``pooled`` backend, raw JSON lines through ``ServiceClient``), each with
+(direct ``SigningBackend`` calls, ``BatchScheduler`` tickets, a
+worker pool, raw JSON lines through ``ServiceClient``), each with
 its own request shape and error surface — and verification was not
 served at all.  ``repro.api`` is the one contract:
 
@@ -61,10 +61,10 @@ def connect(transport: str = "local", **options) -> SigningClient:
 
     * ``"local"`` — in-process :class:`LocalClient`; options forward to
       its constructor (``keystore``, ``backend``, ``deterministic``,
-      ``backend_options``); by default the vectorized signing plan on
-      one worker process per allowed CPU (in-process on one CPU).
-    * ``"pooled"`` — the same plan on a pool of a stated size:
-      ``workers=N``.
+      ``workers``); by default the vectorized signing plan on one
+      worker process per allowed CPU (in-process on one CPU).
+    * ``"pooled"`` — the same client on a pool of a stated size:
+      ``workers=N`` (default 2).
     * ``"tcp"`` — :class:`TcpClient` against a ``repro serve-async``
       server; options forward to :meth:`TcpClient.connect` (``host``,
       ``port``, ``min_version``, ``timeout``).
@@ -76,13 +76,7 @@ def connect(transport: str = "local", **options) -> SigningClient:
     if transport == "local":
         return LocalClient(**options)
     if transport == "pooled":
-        backend_options = dict(options.pop("backend_options", None) or {})
-        pooled = dict(backend_options.get("pooled", {}))
-        if "workers" in options:
-            pooled["workers"] = options.pop("workers")
-        backend_options["pooled"] = pooled
-        return LocalClient(backend="pooled",
-                           backend_options=backend_options, **options)
+        return LocalClient(**{"workers": 2, **options})
     if transport == "tcp":
         return TcpClient.connect(**options)
     if transport == "cluster":

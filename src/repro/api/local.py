@@ -37,17 +37,15 @@ class LocalClient(SigningClient):
         Tenant/key registry; defaults to a fresh in-memory store
         (populate it with :meth:`add_tenant`).
     backend:
-        Any registered runtime backend — ``vectorized`` (default: one
-        pinned worker process per allowed CPU from two up, in-process
-        on one), ``scalar``, ``modeled-gpu``, or ``pooled`` for a
-        worker pool of a fixed size.  At most 8 keys' layer caches per
+        Any registered runtime backend: ``vectorized`` (default),
+        ``scalar`` or ``modeled-gpu``.  At most 8 keys' layer caches per
         parameter set stay resident (oldest out, re-derived on next use).
-    backend_options:
-        Per-backend constructor kwargs, e.g.
-        ``{"pooled": {"workers": 4}}``.
-    transport_label:
-        Result/telemetry label; defaults to ``"pooled"`` when the pooled
-        backend executes, ``"local"`` otherwise.
+    workers:
+        Size of the worker pool the ``vectorized`` plan runs on (0: in
+        this process).  Default: one pinned worker per allowed CPU from
+        two up, none on one — and none under the other backends, which
+        have no plan to run on one.  A stated size labels results
+        ``transport="pooled"``; otherwise ``"local"``.
     tracer:
         Optional :class:`repro.obs.trace.Tracer`.  Each facade call
         records a root ``client-request`` span with the batch's
@@ -57,23 +55,17 @@ class LocalClient(SigningClient):
     def __init__(self, keystore: Keystore | None = None,
                  backend: str = "vectorized",
                  deterministic: bool = False,
-                 backend_options: dict[str, dict] | None = None,
-                 transport_label: str | None = None,
+                 workers: int | None = None,
                  tracer=None):
         self.keystore = keystore if keystore is not None else Keystore()
         self.tracer = tracer
-        self.transport = transport_label or (
-            "pooled" if backend == "pooled" else "local")
-        # The engine's pool, started here and stopped by close(): a
-        # worker per allowed CPU for ``vectorized`` (none on one CPU),
-        # the size it was given for ``pooled``.
-        options = dict((backend_options or {}).get(backend, {}))
-        workers = (auto_workers() if backend == "vectorized"
-                   else options.pop("workers", 2) if backend == "pooled"
-                   else 0)
+        self.transport = "pooled" if workers else "local"
+        if workers is None:
+            workers = auto_workers() if backend == "vectorized" else 0
+        # The engine starts the pool here; close() stops it.
         self.engine = SigningEngine(
             self.keystore, backend, deterministic=deterministic,
-            backend_options={backend: options}, workers=workers)
+            workers=workers)
 
     # ------------------------------------------------------------------
     # Tenant management convenience (local transport only: remote tenants

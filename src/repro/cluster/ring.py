@@ -9,23 +9,26 @@ from ..errors import BackendError
 
 __all__ = ["HashRing"]
 
+#: Virtual points each slot contributes to the ring.
+_REPLICAS = 64
+
 
 class HashRing:
     """Consistent-hash ring over node slots.
 
-    Each slot contributes ``replicas`` virtual points; a shard key maps to
+    Each slot contributes ``_REPLICAS`` virtual points; a shard key maps to
     the first point clockwise from its own hash.  Slots are stable across
     restarts (a restarted node keeps its slot), so a key's placement
     survives crashes and the mapping never churns under load.
     """
 
-    def __init__(self, slots: int, replicas: int = 64):
+    def __init__(self, slots: int):
         if slots < 1:
             raise BackendError(f"ring needs >= 1 slot, got {slots}")
         self.slots = slots
         points = []
         for slot in range(slots):
-            for replica in range(replicas):
+            for replica in range(_REPLICAS):
                 points.append((self._hash(f"slot-{slot}#{replica}"), slot))
         points.sort()
         self._points = [point for point, _ in points]

@@ -18,7 +18,7 @@ registering one new backend — not forking the signer.
 """
 
 from .backend import BatchSignResult, SigningBackend
-from .pool import PooledBackend, WorkerPool
+from .pool import WorkerPool
 from .registry import available_backends, get_backend, register_backend
 from .scheduler import BatchScheduler, BatchStats
 
@@ -31,5 +31,4 @@ __all__ = [
     "BatchScheduler",
     "BatchStats",
     "WorkerPool",
-    "PooledBackend",
 ]

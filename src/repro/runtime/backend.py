@@ -36,7 +36,7 @@ class BatchSignResult:
     # For modeled backends: the analytical-model outcome for the same
     # batch (a ``repro.core.batch.BatchResult``); None on pure-CPU paths.
     modeled: Any = None
-    # For the pooled backend: what each worker process contributed
+    # On a worker pool: what each worker process contributed
     # (``plan.TaskRun.workers``); empty on in-process paths.
     workers: dict[int, dict] = field(default_factory=dict)
 

@@ -25,6 +25,10 @@ from .vectorized import VectorizedBackend
 
 __all__ = ["ModeledGpuBackend"]
 
+#: Concurrent GPU batches to model; clipped to divide the message count
+#: (``run_batch`` requires an even split).
+_GPU_BATCHES = 8
+
 
 class ModeledGpuBackend(SigningBackend):
     """Sign on the CPU, model the batch on a simulated GPU.
@@ -36,26 +40,20 @@ class ModeledGpuBackend(SigningBackend):
     mode:
         One of ``repro.core.batch.MODES`` (default ``"graph"`` —
         HERO-Sign's CUDA-graph strategy).
-    gpu_batches:
-        Concurrent GPU batches to model; clipped to divide the message
-        count (``run_batch`` requires an even split).
     """
 
     name = "modeled-gpu"
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False, device: str = "RTX 4090",
-                 mode: str = "graph", gpu_batches: int = 8):
+                 mode: str = "graph"):
         super().__init__(params, deterministic=deterministic)
         if mode not in MODES:
             raise BackendError(
                 f"unknown GPU execution mode {mode!r}; known: {MODES}"
             )
-        if gpu_batches < 1:
-            raise BackendError(f"gpu_batches must be >= 1, got {gpu_batches}")
         self.device = get_device(device)
         self.mode = mode
-        self.gpu_batches = gpu_batches
         self._functional = VectorizedBackend(
             self.params, deterministic=deterministic
         )
@@ -75,11 +73,11 @@ class ModeledGpuBackend(SigningBackend):
             return self._timed_result([], started)
         functional = self._functional.sign_batch(messages, keys)
         t_model = time.perf_counter()
-        # Largest divisor of the count not exceeding gpu_batches, so the
+        # Largest divisor of the count not exceeding _GPU_BATCHES, so the
         # modeled concurrency stays near the configured level instead of
         # collapsing for coprime counts (run_batch needs an even split).
         count = len(messages)
-        batches = max(b for b in range(1, min(count, self.gpu_batches) + 1)
+        batches = max(b for b in range(1, min(count, _GPU_BATCHES) + 1)
                       if count % b == 0)
         modeled = run_batch(
             self.params, self.device, self.mode,

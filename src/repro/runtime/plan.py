@@ -19,8 +19,8 @@ plus one ``SUBTREE`` fill per pinned subtree the per-key layer cache does
 not hold yet (a message its replay memo answered never reaches a plan);
 :meth:`SigningPlan.stitch` chains the results.  Who runs the tasks is
 the backend's business: :class:`~.vectorized.VectorizedBackend` calls
-:func:`run_task` in a loop, :class:`~.pool.PooledBackend` hands the same
-tuples to worker processes.  The cache lives with the plan, in the
+:func:`run_task` in a loop or, given a :class:`~.pool.WorkerPool`, hands
+the same tuples to its worker processes.  The cache lives with the plan, in the
 caller's process; a task is a plain tuple and its executor keeps nothing.
 """
 

@@ -27,9 +27,9 @@ Workers ask the kernel to kill them when their parent goes
 (``PR_SET_PDEATHSIG``; elsewhere they check ``getppid()`` whenever their
 inbox has been quiet), so a SIGKILLed server leaks nothing.
 
-:class:`PooledBackend` is the vectorized backend with its task loop moved
-onto a pool, registered as ``"pooled"``: the same plan and stitch, so the
-same bytes; the pool's size only decides where a run is cut.
+:class:`~.vectorized.VectorizedBackend` runs its plan's tasks here when
+it is given a pool: the same plan and stitch, so the same bytes; the
+pool's size only decides where a run is cut.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ from ..params import SphincsParams, get_params
 from ..sphincs.signer import KeyPair
 from .fastops import FastOps
 from .plan import TaskRun, run_task
-from .vectorized import VectorizedBackend
 
 _log = get_logger("pool")
 
-__all__ = ["PooledBackend", "WorkerPool", "WorkerStats", "auto_workers",
-           "plan_executor"]
+__all__ = ["WorkerPool", "WorkerStats", "auto_workers"]
 
 #: Tasks a worker may hold: one running, one already in its pipe so the
 #: next starts without a round trip through the coordinator.
@@ -76,9 +74,10 @@ _ORPHAN_CHECK_S = 0.25
 #: drill is distinguishable from a real fault in the logs.
 _CRASH_EXIT_CODE = 13
 
-#: Sentinel: "use the pool's configured timeout_s" (``None`` means wait
-#: forever, so it cannot double as the default).
-_POOL_DEFAULT = object()
+#: How long :meth:`WorkerPool.run` waits unless told otherwise.  Sized for
+#: the slowest legitimate batch, not for crash detection — crashes surface
+#: at once via the collector.
+_RUN_TIMEOUT_S = 600.0
 
 
 # ----------------------------------------------------------------------
@@ -210,21 +209,13 @@ class WorkerPool:
         How many times a task stranded by a dying worker goes back in
         line before its caller gets
         :class:`~repro.errors.WorkerCrashedError`.
-    timeout_s:
-        Default wait bound for :meth:`run` (per-call ``timeout``
-        overrides it; ``None`` waits forever).  Sized for the slowest
-        legitimate batch, not for crash detection — crashes surface at
-        once via the collector.
     """
 
-    def __init__(self, workers: int = 2, max_retries: int = 2,
-                 timeout_s: float | None = 600.0):
+    def __init__(self, workers: int = 2, max_retries: int = 2):
         if workers < 1:
             raise BackendError(f"workers must be >= 1, got {workers}")
         if max_retries < 0:
             raise BackendError(f"max_retries must be >= 0, got {max_retries}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise BackendError(f"timeout_s must be > 0, got {timeout_s}")
         import multiprocessing
 
         # fork over spawn/forkserver: workers inherit the warm parent
@@ -241,7 +232,6 @@ class WorkerPool:
             self._mp = multiprocessing.get_context("spawn")
         self.workers = workers
         self.max_retries = max_retries
-        self.timeout_s = timeout_s
         self.started_at = time.monotonic()
         # A lone worker has no sibling to be kept apart from, and N
         # one-worker pools on one box must not all sit on the first CPU.
@@ -363,9 +353,11 @@ class WorkerPool:
                            ("task", task.task_id, *task.payload))
 
     def run(self, params: SphincsParams | str, keys: KeyPair,
-            tasks: Sequence[tuple], timeout=_POOL_DEFAULT) -> TaskRun:
+            tasks: Sequence[tuple],
+            timeout: float | None = _RUN_TIMEOUT_S) -> TaskRun:
         """Run plan *tasks* under *keys* across the workers; blocks until
-        every result is in.  Safe to call from several threads.
+        every result is in (*timeout* seconds at most; ``None`` waits
+        forever).  Safe to call from several threads.
 
         Raises :class:`~repro.errors.WorkerCrashedError` when a task
         exhausted its crash-retry budget, :class:`BackendError` for a
@@ -373,8 +365,6 @@ class WorkerPool:
         withdrawn, its late results dropped).
         """
         started = time.perf_counter()
-        if timeout is _POOL_DEFAULT:
-            timeout = self.timeout_s
         params_name = params if isinstance(params, str) else params.name
         run = _Run([None] * len(tasks), len(tasks))
         with self._cond:
@@ -624,77 +614,3 @@ def auto_workers() -> int:
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     return cpus if cpus >= 2 else 0
-
-
-#: Backends that run the :class:`~.plan.SigningPlan`: a pool can host
-#: them, and a cache budget sizes their per-key layer cache.
-PLAN_BACKENDS = ("vectorized", "pooled")
-
-
-def plan_executor(backend: str, workers: int, options: dict | None = None
-                  ) -> tuple[str, dict[str, dict], WorkerPool | None]:
-    """Where *backend*'s batches sign: ``(engine, backend_options, pool)``.
-
-    With *workers* > 0 the engine is ``"pooled"`` and its options are
-    *options* plus a pool started here, the caller's to close; otherwise
-    *backend* itself, in this process.  The one place a signing engine
-    or the CLI starts a pool; :class:`BackendError` for a backend with no
-    plan to run on one.
-    """
-    options = dict(options or {})
-    if workers <= 0:
-        return backend, {backend: options}, None
-    if backend not in PLAN_BACKENDS:
-        raise BackendError(
-            f"a worker pool runs the vectorized signing plan; it cannot "
-            f"host backend {backend!r}")
-    pool = WorkerPool(workers=workers)
-    return "pooled", {"pooled": {**options, "pool": pool}}, pool
-
-
-# ----------------------------------------------------------------------
-# Backend adapter
-# ----------------------------------------------------------------------
-class PooledBackend(VectorizedBackend):
-    """The vectorized backend with its plan's tasks run on a worker pool.
-
-    Registered as ``"pooled"``: ``get_backend("pooled", "128f",
-    workers=4)`` gives the scheduler, oracle, and CLI a multi-core target
-    with no new wiring.  Planning, the per-key layer cache, the stitch
-    and serialization stay in this process, and a replayed message (a
-    memo hit) has no plan: it never touches IPC.
-
-    Parameters
-    ----------
-    workers / max_retries:
-        Pool construction (see :class:`WorkerPool`).
-    pool:
-        Share an existing pool instead of owning a new one (the async
-        service does this so every parameter set rides one pool).
-    """
-
-    name = "pooled"
-    _workers = property(lambda self: self.pool.workers)
-
-    def __init__(self, params: SphincsParams | str,
-                 deterministic: bool = False, workers: int = 2,
-                 max_retries: int = 2, pool: WorkerPool | None = None,
-                 cache_budget_mb: float | None = None):
-        super().__init__(params, deterministic=deterministic,
-                         cache_budget_mb=cache_budget_mb)
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else WorkerPool(
-            workers=workers, max_retries=max_retries)
-
-    def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
-        return self.pool.run(self.params.name, keys, tasks)
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self.pool.close()
-
-    def __del__(self) -> None:  # best-effort; close() is the real API
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001 — interpreter may be tearing down
-            pass

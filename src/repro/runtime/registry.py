@@ -16,7 +16,8 @@ from ..errors import BackendError
 from ..params import SphincsParams
 from .backend import SigningBackend
 
-__all__ = ["available_backends", "get_backend", "register_backend"]
+__all__ = ["available_backends", "backend_factory", "get_backend",
+           "register_backend"]
 
 BackendFactory = Callable[..., SigningBackend]
 
@@ -25,7 +26,6 @@ _REGISTRY: dict[str, str | BackendFactory] = {
     "scalar": "repro.runtime.scalar:ScalarBackend",
     "vectorized": "repro.runtime.vectorized:VectorizedBackend",
     "modeled-gpu": "repro.runtime.modeled_gpu:ModeledGpuBackend",
-    "pooled": "repro.runtime.pool:PooledBackend",
 }
 
 
@@ -51,7 +51,9 @@ def register_backend(name: str, factory: BackendFactory,
     _REGISTRY[name] = factory
 
 
-def _resolve(name: str) -> BackendFactory:
+def backend_factory(name: str) -> BackendFactory:
+    """The factory registered under *name*; an unknown name is a
+    :class:`BackendError` listing the registered ones."""
     try:
         entry = _REGISTRY[name]
     except KeyError:
@@ -69,5 +71,5 @@ def _resolve(name: str) -> BackendFactory:
 def get_backend(name: str, params: SphincsParams | str = "128f",
                 deterministic: bool = False, **kwargs) -> SigningBackend:
     """Construct the backend registered under *name*."""
-    factory = _resolve(name)
+    factory = backend_factory(name)
     return factory(params, deterministic=deterministic, **kwargs)

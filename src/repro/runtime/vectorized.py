@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import BackendError
 from ..hashes.thash import HashContext
@@ -29,15 +29,17 @@ from .fastops import FastOps
 from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
 from .plan import RUN, SigningPlan, TaskRun, cut, run_task
 
+if TYPE_CHECKING:
+    from .pool import WorkerPool
+
 __all__ = ["VectorizedBackend"]
 
 
 class VectorizedBackend(SigningBackend):
     """Batch signing with amortized hot paths.
 
-    A batch is one :class:`~.plan.SigningPlan`: its tasks run here, one
-    after another; :class:`~.pool.PooledBackend` overrides
-    :meth:`_run_tasks` to run the same tasks on worker processes.
+    A batch is one :class:`~.plan.SigningPlan`: the same plan and stitch
+    wherever its tasks run, so the same bytes.
 
     Parameters
     ----------
@@ -45,15 +47,27 @@ class VectorizedBackend(SigningBackend):
         Per-key layer-cache byte budget (pinned top layers + replay
         memo, sized by :mod:`repro.runtime.layercache`).  Default
         ``DEFAULT_BUDGET_MB``.
+    pool:
+        A :class:`~.pool.WorkerPool` to run the plan's tasks on — the
+        caller's to close, and one may serve every parameter set's
+        backend; without one they run here, one after another.  On a
+        pool, results are labelled ``pooled``; planning, the layer
+        cache, the stitch and serialization stay in this process, and a
+        replayed message (a memo hit) has no plan: it never touches IPC.
     """
 
     name = "vectorized"
-    _workers = 0  #: processes the plan's tasks run on (0: this one)
 
     def __init__(self, params: SphincsParams | str,
                  deterministic: bool = False,
-                 cache_budget_mb: float | None = None):
+                 cache_budget_mb: float | None = None,
+                 pool: WorkerPool | None = None):
         super().__init__(params, deterministic=deterministic)
+        self.pool = pool
+        if pool is not None:
+            self.name = "pooled"
+        #: Processes the plan's tasks run on (0: this one); sizes the cut.
+        self._workers = pool.workers if pool is not None else 0
         if cache_budget_mb is not None and cache_budget_mb <= 0:
             raise BackendError(
                 f"cache_budget_mb must be > 0, got {cache_budget_mb}")
@@ -178,7 +192,10 @@ class VectorizedBackend(SigningBackend):
             workers=run.workers)
 
     def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
-        """Run the plan's *tasks* under *keys*, here and in order."""
+        """Run the plan's *tasks* under *keys*: on the pool, else here and
+        in order."""
+        if self.pool is not None:
+            return self.pool.run(self.params.name, keys, tasks)
         ops = self._ops(keys)
         results = [run_task(ops, task) for task in tasks]
         fors_s = sum(result[-1] for task, result in zip(tasks, results)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from ..errors import ServiceError
+from ..errors import BackendError, ServiceError
 from ..obs.log import get_logger
 from ..runtime.backend import BatchSignResult, SigningBackend
 from ..runtime.fastops import FastVerifier
-from ..runtime.pool import PLAN_BACKENDS, plan_executor
-from ..runtime.registry import get_backend
+from ..runtime.pool import WorkerPool
+from ..runtime.registry import backend_factory
 from .keystore import Keystore
 
 __all__ = ["ON_LOOP_BYTES", "SigningEngine"]
@@ -36,34 +36,41 @@ class SigningEngine:
     ----------
     keystore:
         Where ``(tenant, key)`` resolves; listened to until :meth:`close`.
-    backend / backend_options:
-        A registered runtime backend and per-name constructor kwargs.
-        One instance per parameter set, built on first use; a
-        plan-running one keeps at most 8 keys' layer caches resident
-        (``VectorizedBackend._ops``), oldest out.
+    backend:
+        A registered runtime backend (an unknown name is the registry's
+        :class:`~repro.errors.BackendError`).  One instance per
+        parameter set, built on first use; ``vectorized`` keeps at most
+        8 keys' layer caches resident (``VectorizedBackend._ops``),
+        oldest out.
     workers:
-        ``> 0`` signs on a pool of that many processes, owned here.
+        ``> 0`` runs the ``vectorized`` signing plan on a pool of that
+        many processes — one pool under every parameter set, started
+        here and stopped by :meth:`close`; :class:`BackendError` under a
+        backend that has no plan to run on one.
     cache_budget_mb:
         An explicit per-key layer-cache budget is the operator opting
-        into warm caches: it sizes plan-running backends, and every key
-        is prewarmed when its backend is built and after a rotation.
-        Backends with no layer cache ignore it.
+        into warm caches: it sizes the ``vectorized`` backend's, and
+        every key is prewarmed when its backend is built and after a
+        rotation.  Backends with no layer cache ignore it.
     """
 
     def __init__(self, keystore: Keystore, backend: str = "vectorized",
-                 deterministic: bool = False,
-                 backend_options: dict[str, dict] | None = None,
-                 workers: int = 0,
+                 deterministic: bool = False, workers: int = 0,
                  cache_budget_mb: float | None = None):
         self.keystore = keystore
         self.backend_name = backend
         self.deterministic = deterministic
         self.cache_budget_mb = cache_budget_mb
-        self._executor, options, self.pool = plan_executor(
-            backend, workers, (backend_options or {}).get(backend))
-        self._options = options[self._executor]
-        if cache_budget_mb is not None and self._executor in PLAN_BACKENDS:
-            self._options.setdefault("cache_budget_mb", cache_budget_mb)
+        self._factory = backend_factory(backend)
+        if workers > 0 and backend != "vectorized":
+            raise BackendError(
+                f"a worker pool runs the vectorized signing plan; it cannot "
+                f"host backend {backend!r}")
+        self.pool = WorkerPool(workers) if workers > 0 else None
+        # The one backend with a layer cache to budget and a plan to pool.
+        self._options = ({"cache_budget_mb": cache_budget_mb,
+                          "pool": self.pool}
+                         if backend == "vectorized" else {})
         self._backends: dict[str, SigningBackend] = {}
         self._verifiers: dict[str, FastVerifier] = {}
         # Callers arrive on several threads (the service's executor, a
@@ -79,9 +86,9 @@ class SigningEngine:
         with self._lock:
             backend = self._backends.get(params_name)
             if backend is None:
-                backend = self._backends[params_name] = get_backend(
-                    self._executor, params_name,
-                    deterministic=self.deterministic, **self._options)
+                backend = self._backends[params_name] = self._factory(
+                    params_name, deterministic=self.deterministic,
+                    **self._options)
                 if self.cache_budget_mb is not None:
                     for tenant in self.keystore.tenants():
                         if self.keystore.params_for(tenant) != params_name:

@@ -138,10 +138,6 @@ class LoadReport:
     batch_sizes: list[int] = field(default_factory=list)
 
     @property
-    def offered_rate(self) -> float:
-        return self.offered / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
     def achieved_rate(self) -> float:
         done = self.signed + self.verified
         return done / self.elapsed_s if self.elapsed_s > 0 else 0.0

@@ -74,7 +74,6 @@ class SigningService:
                  max_wait_s: float = 0.1,
                  max_pending: int = 256,
                  deterministic: bool = False,
-                 backend_options: dict[str, dict] | None = None,
                  workers: int = 0,
                  cache_budget_mb: float | None = None,
                  tracer: Tracer | None = None):
@@ -103,11 +102,13 @@ class SigningService:
         try:
             self.engine = SigningEngine(
                 self.keystore, backend, deterministic=deterministic,
-                backend_options=backend_options, workers=workers,
-                cache_budget_mb=cache_budget_mb)
+                workers=workers, cache_budget_mb=cache_budget_mb)
         except BackendError as exc:
             raise ServiceError(str(exc)) from None
         self.pool = self.engine.pool
+        #: What outcomes and spans call the executor.
+        self.backend_label = (f"pooled[{self.pool.workers}]"
+                              if self.pool is not None else backend)
         self.telemetry.add_source("queue", lambda: {"depth": self._depth()})
         if self.pool is not None:
             self.telemetry.add_source("pool", self.pool.stats)
@@ -165,9 +166,7 @@ class SigningService:
             self.telemetry.record_signed(tenant, total_ms, 0.0)
             outcome = SignOutcome(
                 signature=hit[0], tenant=tenant, key_name=key_name,
-                params=hit[1], backend=(
-                    f"pooled[{self.pool.workers}]" if self.pool is not None
-                    else self.backend_name),  # as ``_dispatch`` labels it
+                params=hit[1], backend=self.backend_label,
                 batch_size=1, wait_ms=0.0, total_ms=round(total_ms, 3))
         else:
             # Sustained overload must shed instead of piling batches up
@@ -275,8 +274,6 @@ class SigningService:
                        batch=len(batch),
                        error=f"{type(exc).__name__}: {exc}")
             raise  # the batcher forwards this to every future in the batch
-        backend_name = (f"pooled[{self.pool.workers}]"
-                        if self.pool is not None else result.backend)
         done, done_wall = loop.time(), clock.end()
         # Every traced request in the batch gets the full breakdown: a
         # batch amortizes one backend call over its requests, so the stage
@@ -290,7 +287,7 @@ class SigningService:
             self.tracer.record_span(
                 "dispatch", trace=trace, span_id=dispatch_id,
                 parent_id=trace.span_id, start=clock.start, end=done_wall,
-                backend=backend_name, batch_size=len(batch))
+                backend=self.backend_label, batch_size=len(batch))
             self.tracer.record_sign(
                 trace, dispatch_id, clock.start, sign_end,
                 result.stage_seconds, stage_hashes, result.workers)
@@ -302,7 +299,7 @@ class SigningService:
             if not request.future.done():
                 request.future.set_result(SignOutcome(
                     signature=signature, tenant=tenant, key_name=key_name,
-                    params=params_name, backend=backend_name,
+                    params=params_name, backend=self.backend_label,
                     batch_size=len(batch), wait_ms=round(wait_ms, 3),
                     total_ms=round(total_ms, 3),
                 ))

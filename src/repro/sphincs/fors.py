@@ -66,9 +66,6 @@ class Fors:
         # then the spec's offset is tree*t >> height; handle by wrapping.
         return _offset_treehash(leaves, self.ctx, pk_seed, adrs, base)
 
-    # Backwards-compatible alias for the pre-runtime private name.
-    _tree_levels = tree_levels
-
     # ------------------------------------------------------------------
     def sign(self, fors_msg: bytes, sk_seed: bytes, pk_seed: bytes,
              adrs: Address) -> tuple[ForsSignature, bytes]:

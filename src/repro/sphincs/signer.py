@@ -253,7 +253,3 @@ class Sphincs:
             path = [take(n) for _ in range(params.tree_height)]
             ht_sig.append((chains, path))
         return randomizer, fors_sig, ht_sig
-
-    # Backwards-compatible aliases for the pre-runtime private names.
-    _serialize = serialize
-    _deserialize = deserialize

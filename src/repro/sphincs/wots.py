@@ -50,9 +50,6 @@ class Wots:
         digits += checksum_digits(digits, self.params)
         return digits
 
-    # Backwards-compatible alias for the pre-runtime private name.
-    _chain_starts = chain_starts
-
     def _secret(self, sk_seed: bytes, pk_seed: bytes, adrs: Address) -> bytes:
         sk_adrs = adrs.copy()
         sk_adrs.set_type(AddressType.WOTS_PRF)
@@ -92,7 +89,7 @@ class Wots:
                 f"WOTS+ signs exactly n={self.params.n} bytes, got {len(message)}"
             )
         signature = []
-        for i, digit in enumerate(self._chain_starts(message)):
+        for i, digit in enumerate(self.chain_starts(message)):
             adrs.set_chain(i)
             secret = self._secret(sk_seed, pk_seed, adrs)
             signature.append(self.chain(secret, 0, digit, pk_seed, adrs))
@@ -114,7 +111,7 @@ class Wots:
         w = self.params.w
         values = []
         for i, (digit, sig_value) in enumerate(
-                zip(self._chain_starts(message), signature)):
+                zip(self.chain_starts(message), signature)):
             adrs.set_chain(i)
             values.append(self.chain(sig_value, digit, w - 1 - digit, pk_seed, adrs))
         pk_adrs = adrs.copy()

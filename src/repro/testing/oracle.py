@@ -73,6 +73,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConformanceError, SignatureFormatError, TuningError
 from ..params import SphincsParams, get_params
+from ..runtime.pool import WorkerPool
 from ..runtime.registry import available_backends, get_backend
 from ..runtime.scheduler import BatchScheduler
 from ..sphincs.signer import KeyPair, Sphincs
@@ -233,14 +234,15 @@ class DifferentialOracle:
     backends:
         Backend names to include; defaults to every registered backend,
         so a backend added via ``register_backend`` joins the oracle with
-        no further wiring.
+        no further wiring, plus ``pooled``: the ``vectorized`` backend on
+        a ``service_workers``-process worker pool.
     corpus:
         ``(case, message)`` pairs; defaults to :func:`message_corpus`.
     include_scheduler / include_service:
         Also push the corpus through the ``BatchScheduler`` layer (per
-        backend) and the async ``SigningService`` (vectorized).  When the
-        ``pooled`` backend is in play, the service pass additionally runs
-        on a ``service_workers``-process worker pool, proving the whole
+        backend) and the async ``SigningService`` (vectorized).  When
+        ``pooled`` is in play, the service pass additionally runs on a
+        ``service_workers``-process worker pool, proving the whole
         multi-core tier byte-identical.
     include_clients:
         Also drive the corpus through the :mod:`repro.api` facade on
@@ -280,7 +282,7 @@ class DifferentialOracle:
                  fault_target: str = "scalar"):
         self.params = get_params(params) if isinstance(params, str) else params
         self.backends = (list(backends) if backends is not None
-                         else list(available_backends()))
+                         else sorted([*available_backends(), "pooled"]))
         self.corpus = (corpus if corpus is not None
                        else message_corpus(seed=seed, smoke=smoke))
         self.include_scheduler = include_scheduler
@@ -342,7 +344,7 @@ class DifferentialOracle:
             # Installed process-wide on the fast kernels: the verifier
             # (signing untouched; only paths that verify through it can
             # show it) or the signing plan's table lookup (vectorized,
-            # pooled).  Every pooled path below builds its backend, and so
+            # pooled).  Every pooled path below starts its pool, and so
             # forks its workers, inside the block: a fused run looks up in
             # the worker, which has the fault only by inheriting it.
             with self.fault.install():
@@ -402,7 +404,7 @@ class DifferentialOracle:
             if pooled:
                 # The multi-core execution tier must honor the same
                 # byte-identical contract end to end: async service ->
-                # pooled backend -> signing-plan tasks on the worker pool.
+                # engine -> signing-plan tasks on the worker pool.
                 results.append(asyncio.run(
                     self._run_service(workers=self.service_workers)))
         if self.include_clients:
@@ -415,8 +417,8 @@ class DifferentialOracle:
                                             self.service_backend))
             if pooled:
                 results.append(self._run_client(
-                    "client:pooled", "pooled",
-                    {"pooled": {"workers": self.service_workers}}))
+                    "client:pooled", "vectorized",
+                    workers=self.service_workers))
             for label, options in (
                     ("client:tcp", {"version": 2}),
                     ("client:tcp-v3", {"version": 3}),
@@ -535,14 +537,25 @@ class DifferentialOracle:
                 [blob for _, _, blob, _ in cases])
 
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _executor(self, name: str):
+        """``(registered backend, constructor options)`` behind path name
+        *name*: ``pooled`` is ``vectorized`` on a pool of
+        ``service_workers``, forked here and stopped on the way out."""
+        if name != "pooled":
+            yield name, {}
+            return
+        with WorkerPool(self.service_workers) as pool:
+            yield "vectorized", {"pool": pool}
+
     def _run_backend(self, name: str, fault: BitFlipFault | None = None,
-                     label: str | None = None, passes: int = 1,
-                     **options) -> PathResult:
+                     label: str | None = None, passes: int = 1) -> PathResult:
         """Sign the corpus on backend *name* (*passes* times; the last
         pass is the one compared) and answer the verify cases."""
-        with self._path(label or f"backend:{name}") as result:
-            backend = get_backend(name, self.params, deterministic=True,
-                                  **options)
+        with self._path(label or f"backend:{name}") as result, \
+                self._executor(name) as (registered, options):
+            backend = get_backend(registered, self.params,
+                                  deterministic=True, **options)
             tap = contextlib.nullcontext()
             if fault is not None:
                 get_context = getattr(backend, "hash_context", None)
@@ -613,13 +626,15 @@ class DifferentialOracle:
         return [warm, struck], detail
 
     def _run_scheduler(self, name: str) -> PathResult:
-        with self._path(f"scheduler:{name}") as result:
+        with self._path(f"scheduler:{name}") as result, \
+                self._executor(name) as (registered, options):
             scheduler = BatchScheduler(
                 target_batch_size=max(2, len(self.corpus) // 2),
-                backend=name, deterministic=True)
+                backend=registered, deterministic=True,
+                backend_options={registered: options})
             tickets = scheduler.run(
                 [message for _, message in self.corpus],
-                params=self.params.name, backend=name)
+                params=self.params.name, backend=registered)
             self._compare(result,
                           [scheduler.claim(ticket) for ticket in tickets])
         return result
@@ -657,7 +672,7 @@ class DifferentialOracle:
                             [verdict.valid for verdict in verdicts])
 
     def _run_client(self, label: str, backend: str,
-                    backend_options: dict | None = None,
+                    workers: int | None = None,
                     passes: int = 1) -> PathResult:
         """The corpus through a ``LocalClient`` (*passes* times; the last
         pass is the one compared), then the verify cases."""
@@ -666,7 +681,7 @@ class DifferentialOracle:
         with self._path(label) as result:
             with LocalClient(self._client_keystore(), backend=backend,
                              deterministic=True,
-                             backend_options=backend_options) as client:
+                             workers=workers) as client:
                 for _ in range(passes):
                     signed = client.sign_many(
                         "oracle", [message for _, message in self.corpus])

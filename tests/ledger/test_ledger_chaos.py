@@ -116,9 +116,7 @@ class TestPoolWorkerCrash:
         asyncio.run(asyncio.wait_for(scenario(), timeout=120))
 
     def test_bursty_appends_survive_worker_crash(self, tmp_path):
-        self.survive_worker_crash(
-            tmp_path, backend="pooled",
-            backend_options={"pooled": {"workers": 2}})
+        self.survive_worker_crash(tmp_path, workers=2)
 
     @pytest.mark.skipif(auto_workers() == 0,
                         reason="one CPU: the default client has no pool")

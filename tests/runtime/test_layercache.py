@@ -366,7 +366,7 @@ class TestPoolPrewarm:
         messages = [b"pool-cache-0", b"pool-cache-1"]
         expected = scalar.sign_batch(messages, keys).signatures
         with WorkerPool(workers=1) as pool:
-            backend = get_backend("pooled", "128f", deterministic=True,
+            backend = get_backend("vectorized", "128f", deterministic=True,
                                   pool=pool)
             backend.prewarm_key(keys)
             cache = backend.cache_stats()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster.ring import HashRing
 from repro.errors import BackendError, WorkerCrashedError
-from repro.runtime import WorkerPool, available_backends, get_backend
+from repro.runtime import WorkerPool, get_backend
 from repro.runtime.plan import RUN, SUBTREE, cut
 from repro.runtime.pool import auto_workers
 
@@ -43,7 +43,7 @@ def pool():
 
 def _pooled(pool, **options):
     """A fresh pooled backend (cold layer cache) over *pool*."""
-    return get_backend("pooled", "128f", deterministic=True, pool=pool,
+    return get_backend("vectorized", "128f", deterministic=True, pool=pool,
                        **options)
 
 
@@ -340,53 +340,32 @@ class TestCrashRecovery:
 
 
 class TestPooledBackend:
-    def test_registered_in_registry(self):
-        assert "pooled" in available_backends()
+    """``vectorized`` given a pool: there is no backend named ``pooled``
+    (``tests/service/test_signing_engine.py``)."""
 
-    def test_backend_byte_identical_and_reports_workers(self, keys,
+    def test_backend_byte_identical_and_reports_workers(self, pool, keys,
                                                         reference):
-        backend = get_backend("pooled", "128f", deterministic=True,
-                              workers=2)
-        try:
-            result = backend.sign_batch(MESSAGES, keys)
-            assert result.signatures == reference
-            assert result.backend == "pooled"
-            assert result.cache_stats["workers"] >= 1
-            assert result.cache_stats["requeues"] == 0
-        finally:
-            backend.close()
+        result = _pooled(pool).sign_batch(MESSAGES, keys)
+        assert result.signatures == reference
+        assert result.backend == "pooled"
+        assert result.cache_stats["workers"] >= 1
+        assert result.cache_stats["requeues"] == 0
 
-    def test_shared_pool_is_not_closed_by_backend(self, pool, keys):
-        backend = get_backend("pooled", "128f", deterministic=True,
-                              pool=pool)
-        assert backend.sign_batch([b"shared"], keys).count == 1
-        backend.close()  # must NOT close the shared pool
-        assert pool.alive_workers() == 2
-        assert _pooled(pool).sign_batch([b"still-up"], keys).signatures
+    def test_hash_context_declared_untappable(self, pool):
+        with pytest.raises(BackendError, match="scalar"):
+            _pooled(pool).hash_context()
 
-    def test_hash_context_declared_untappable(self):
-        backend = get_backend("pooled", "128f", deterministic=True,
-                              workers=1)
-        try:
-            with pytest.raises(BackendError, match="scalar"):
-                backend.hash_context()
-        finally:
-            backend.close()
-
-    def test_scheduler_routes_to_pooled(self, keys, reference):
+    def test_scheduler_routes_to_pooled(self, pool, keys, reference):
         from repro.runtime import BatchScheduler
 
         scheduler = BatchScheduler(target_batch_size=len(MESSAGES),
-                                   backend="pooled", deterministic=True,
-                                   backend_options={"pooled":
-                                                    {"workers": 2}})
+                                   backend="vectorized", deterministic=True,
+                                   backend_options={"vectorized":
+                                                    {"pool": pool}})
         tickets = scheduler.run(MESSAGES, params="128f")
         produced = [scheduler.claim(ticket) for ticket in tickets]
-        pooled = scheduler.backend_for("128f", "pooled")
-        try:
-            scheme_keys = scheduler.keys_for("128f")
-            scalar = get_backend("scalar", "128f", deterministic=True)
-            assert produced == scalar.sign_batch(MESSAGES,
-                                                 scheme_keys).signatures
-        finally:
-            pooled.close()
+        assert scheduler.batches[0].backend == "pooled"
+        scheme_keys = scheduler.keys_for("128f")
+        scalar = get_backend("scalar", "128f", deterministic=True)
+        assert produced == scalar.sign_batch(MESSAGES,
+                                             scheme_keys).signatures

@@ -8,7 +8,9 @@ is checked here through both fronts from one test body.
 
 import asyncio
 import gc
+import multiprocessing
 import os
+import time
 import weakref
 from collections import deque
 
@@ -16,6 +18,7 @@ import pytest
 
 from repro.api import LocalClient
 from repro.errors import BackendError, KeystoreError, ServiceError
+from repro.runtime import get_backend
 from repro.service import Keystore, SigningService, derive_seed
 from repro.service.engine import SigningEngine
 from repro.sphincs.signer import Sphincs
@@ -151,6 +154,59 @@ def test_a_pool_is_refused_for_them(backend):
     with pytest.raises(ServiceError, match=refusal):
         SigningService(keystore, backend=backend, workers=2)
     assert keystore._listeners == []  # a refused engine never subscribed
+
+
+def child_pids():
+    """Pids of this process's children, the ended ones reaped."""
+    multiprocessing.active_children()
+    with open(f"/proc/self/task/{os.getpid()}/children") as handle:
+        return set(handle.read().split())
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+@pytest.mark.parametrize("kind", FRONTS)
+def test_workers_is_a_number_and_close_stops_every_one(kind, workers):
+    """However many CPUs there are: ``workers`` processes after a sign,
+    every view of the front saying so, none a second after ``close()``."""
+    keystore = make_keystore("acme")
+    before = child_pids()
+
+    async def scenario(front):
+        await front.sign("acme", b"one message")
+        assert len(child_pids() - before) == workers
+        pool = front.engine.pool
+        assert (pool.workers if pool is not None else 0) == workers
+        if kind == "local":
+            assert front.owner.info().workers == workers
+            return
+        stats = front.owner.stats()
+        assert stats["config"]["workers"] == workers
+        assert ("pool" in stats) == bool(workers)
+        if workers:
+            assert stats["pool"]["alive"] == workers
+        outcome = await front.owner.sign(b"labelled", "acme")
+        assert outcome.backend == (f"pooled[{workers}]" if workers
+                                   else "vectorized")
+
+    run_on(kind, keystore, scenario, backend="vectorized", workers=workers)
+    time.sleep(1.0)
+    assert child_pids() - before == set()
+
+
+def test_pooled_is_not_a_backend_name():
+    """A pool is ``workers=N``: the name that used to start a hidden one
+    (which no ``close()`` stopped) is the registry's unknown backend."""
+    unknown = "unknown backend 'pooled'; registered: "
+    keystore, before = Keystore(), child_pids()
+    with pytest.raises(BackendError, match=unknown):
+        get_backend("pooled", "128f", workers=2)
+    with pytest.raises(BackendError, match=unknown):
+        SigningEngine(keystore, "pooled")
+    with pytest.raises(ServiceError, match=unknown):
+        SigningService(keystore, backend="pooled")
+    with pytest.raises(BackendError, match=unknown):
+        LocalClient(keystore, backend="pooled")
+    assert keystore._listeners == [] and child_pids() == before
 
 
 def test_unknown_tenant_or_key_raises_before_any_backend_exists():

@@ -20,12 +20,12 @@ def keys(scheme):
 class TestRoundTrip:
     def test_deserialize_serialize_identity(self, scheme, keys):
         blob = scheme.sign(b"roundtrip", keys)
-        randomizer, fors_sig, ht_sig = scheme._deserialize(blob)
-        assert scheme._serialize(randomizer, fors_sig, ht_sig) == blob
+        randomizer, fors_sig, ht_sig = scheme.deserialize(blob)
+        assert scheme.serialize(randomizer, fors_sig, ht_sig) == blob
 
     def test_component_counts(self, scheme, keys):
         blob = scheme.sign(b"counts", keys)
-        randomizer, fors_sig, ht_sig = scheme._deserialize(blob)
+        randomizer, fors_sig, ht_sig = scheme.deserialize(blob)
         p = scheme.params
         assert len(randomizer) == p.n
         assert len(fors_sig) == p.k
@@ -41,9 +41,9 @@ class TestRoundTrip:
         """Deserialization partitions the signature exactly: changing any
         byte changes exactly one recovered component."""
         blob = bytearray(scheme.sign(b"positions", keys))
-        before = scheme._deserialize(bytes(blob))
+        before = scheme.deserialize(bytes(blob))
         blob[position] ^= 0xFF
-        after = scheme._deserialize(bytes(blob))
+        after = scheme.deserialize(bytes(blob))
         diffs = 0
         if before[0] != after[0]:
             diffs += 1
@@ -56,4 +56,4 @@ class TestRoundTrip:
 
     def test_wrong_length_rejected(self, scheme):
         with pytest.raises(SignatureFormatError):
-            scheme._deserialize(b"\x00" * 100)
+            scheme.deserialize(b"\x00" * 100)

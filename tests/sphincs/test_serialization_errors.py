@@ -41,10 +41,6 @@ class TestDeserializeRejects:
         with pytest.raises(SignatureFormatError):
             scheme.deserialize(signature + b"\x00")
 
-    def test_public_and_private_names_agree(self, scheme, signature):
-        assert (scheme.deserialize(signature)
-                == scheme._deserialize(signature))
-
 
 class TestVerifyNeverCrashes:
     def test_truncated_is_false(self, scheme, keys, signature):

@@ -55,9 +55,24 @@ class TestCli:
         assert "exactly one" in capsys.readouterr().err
 
     def test_serve_workers_rejects_nested_pool(self, capsys):
-        assert main(["serve", "--backends", "pooled",
+        """``pooled`` is not a backend: the registry's error, and where a
+        pool's size goes."""
+        for argv in (
+                ["serve", "--backends", "pooled", "--workers", "2"],
+                ["serve", "--backends", "vectorized,pooled"],
+                ["serve-async", "--backend", "pooled", "--port", "0"],
+                ["serve-cluster", "--backend", "pooled", "--port", "0"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert "unknown backend 'pooled'; registered: " in err
+            assert "--workers N" in err
+
+    def test_serve_workers_rejects_backends_without_a_plan(self, capsys):
+        assert main(["serve", "--backends", "scalar",
                      "--workers", "2", "--messages", "2"]) == 2
-        assert "inner backend" in capsys.readouterr().err
+        assert "vectorized" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -219,20 +219,17 @@ class TestVerifyStage:
         inside ``install()``: eight messages on a warm key are eight
         tasks with no lookup left for the coordinator, every signature
         must fail verification, and the workers' count must come home."""
-        from repro.runtime import get_backend
+        from repro.runtime import WorkerPool, get_backend
 
         scheme = Sphincs("128f", deterministic=True)
         keys = scheme.keygen(seed=bytes(48))
         messages = [f"uncut {i}".encode() for i in range(8)]
         fault = parse_fault("plan:chain-table-off-by-one")
-        with fault.install():
-            backend = get_backend("pooled", "128f", deterministic=True,
-                                  workers=2)
-            try:
-                backend.prewarm_key(keys)
-                result = backend.sign_batch(messages, keys)
-            finally:
-                backend.close()
+        with fault.install(), WorkerPool(workers=2) as pool:
+            backend = get_backend("vectorized", "128f", deterministic=True,
+                                  pool=pool)
+            backend.prewarm_key(keys)
+            result = backend.sign_batch(messages, keys)
         assert result.cache_stats["tasks"] == 8
         assert not any(scheme.verify(message, signature, keys.public)
                        for message, signature
