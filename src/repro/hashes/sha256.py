@@ -1,27 +1,25 @@
 """SHA-256 with an instrumented compression function.
 
-Two implementations live here:
-
-* :func:`sha256` — thin wrapper over :mod:`hashlib` used on every hot path
-  of the functional SPHINCS+ layer.
-* :class:`Sha256` — a from-scratch pure-Python implementation.  It exists
-  for two reasons: (1) as an independently testable reference the test
-  suite checks against ``hashlib``, and (2) as the *source of truth for the
-  GPU compiler model*: :func:`count_compression_ops` replays one
-  compression-function invocation while tallying the primitive 32-bit
-  operations (rotates, shifts, xors, ands, adds, big-endian loads).  The
-  native-vs-PTX instruction mixes in :mod:`repro.gpusim.compiler` are
-  derived from these measured counts, mirroring how HERO-Sign's PTX branch
-  replaces multi-``shl`` byte swaps with single ``prmt`` permutations.
+:class:`Sha256` is a from-scratch pure-Python implementation.  Nothing
+signs with it — the reference SPHINCS+ layer hashes with ``hashlib`` and
+the runtime's hot loops with whichever stdlib SHA-256 wins each kernel
+(see :mod:`repro.hashes.thash`).  It exists for two reasons: (1) as an
+independently testable reference the test suite checks against
+``hashlib`` and the interpreter's builtin SHA-256, and (2) as the *source
+of truth for the GPU compiler model*: :func:`count_compression_ops`
+replays one compression-function invocation while tallying the primitive
+32-bit operations (rotates, shifts, xors, ands, adds, big-endian loads).
+The native-vs-PTX instruction mixes in :mod:`repro.gpusim.compiler` are
+derived from these measured counts, mirroring how HERO-Sign's PTX branch
+replaces multi-``shl`` byte swaps with single ``prmt`` permutations.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
-__all__ = ["sha256", "Sha256", "OpCounts", "count_compression_ops"]
+__all__ = ["Sha256", "OpCounts", "count_compression_ops"]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -44,11 +42,6 @@ _IV = (
     0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
     0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
 )
-
-
-def sha256(data: bytes) -> bytes:
-    """SHA-256 digest of *data* (hashlib-backed fast path)."""
-    return hashlib.sha256(data).digest()
 
 
 def _rotr(x: int, r: int) -> int:

@@ -17,24 +17,70 @@ builders can be validated against the functional layer's true hash counts.
 
 Outputs longer than ``n`` bytes are truncated; H_msg uses MGF1 to stretch
 the digest to the index-extraction length.
+
+Where the hashing happens: the methods of :class:`HashContext` and
+:func:`mgf1_sha256` are the *reference* and always run on
+``hashlib.sha256``.  The signer's and verifier's hot loops
+(``repro.runtime.fastops``) hash off :meth:`HashContext.kernel_midstates`
+instead, one midstate per hash *kernel*: ``one_block`` (WOTS chain step,
+PRF, FORS leaf, Merkle node — one compression past the seed block at
+n = 16) and ``multi_block`` (``T_len`` over the WOTS chain ends and the
+FORS roots).  CPython ships two SHA-256 implementations — ``hashlib``'s
+(OpenSSL's when built with it) and the interpreter's builtin module.  The
+builtin ``_sha256`` of 3.10 and 3.11 hashes one block faster than
+OpenSSL's EVP object and ``T_len``'s ten blocks at half its speed; the
+HACL* ``_sha2`` of 3.12+ wins neither.  :func:`sha256_choice` states that
+as a fixed rule: ``one_block`` on ``_sha256`` where it imports,
+``multi_block`` always on ``hashlib``.  Both compute SHA-256, so the
+choice moves time, never a byte.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import threading
+from typing import Callable
 
 from ..params import SphincsParams
 from .address import Address
 
-__all__ = ["HashContext", "mgf1_sha256"]
+__all__ = ["HashContext", "KERNELS", "mgf1_sha256", "sha256_candidates",
+           "sha256_choice"]
 
 _BLOCK = 64
 #: Seed midstates one context keeps.  A signer holds a handful of keys; a
 #: long-lived verifier is asked about any public seed a caller names, so
 #: the cache evicts oldest-first past this many rather than growing.
 _MAX_MIDSTATES = 1024
+
+#: The hash kernels of the hot loops, in :meth:`HashContext.kernel_midstates`
+#: order.
+KERNELS = ("one_block", "multi_block")
+
+
+@functools.cache
+def sha256_candidates() -> dict[str, Callable]:
+    """``{name: constructor}`` of the stdlib SHA-256s a kernel can run on:
+    ``hashlib``'s first (``openssl``, or ``builtin`` on a CPython built
+    without OpenSSL), then the builtin ``_sha256`` where it imports."""
+    found = {"openssl" if "openssl" in hashlib.sha256.__name__
+             else "builtin": hashlib.sha256}
+    try:
+        from _sha256 import sha256 as builtin
+    except ImportError:
+        return found
+    found.setdefault("builtin", builtin)
+    return found
+
+
+def sha256_choice() -> dict[str, str]:
+    """``{kernel: candidate name}`` on this interpreter: ``one_block`` on
+    the last candidate (``_sha256`` where it imports), ``multi_block`` on
+    ``hashlib``'s — a rule of the platform, the same in every process."""
+    names = list(sha256_candidates())
+    return {"one_block": names[-1], "multi_block": names[0]}
 
 
 def mgf1_sha256(seed: bytes, length: int) -> bytes:
@@ -60,9 +106,9 @@ class HashContext:
         seed midstate), letting tests cross-check the analytical workload
         model against ground truth.
     The midstate cache is shared *through* the context object:
-    :meth:`midstate` exposes the primed seed-block hash, which is how the
-    runtime's fast-path loops (``repro.runtime.fastops``) sign every
-    message of a batch off the same precomputation as the scalar code.
+    :meth:`midstate` exposes the reference's primed seed-block hash and
+    :meth:`kernel_midstates` the hot loops' (``repro.runtime.fastops``),
+    so every message of a batch signs off one precomputation per seed.
     """
 
     def __init__(self, params: SphincsParams, count_hashes: bool = False):
@@ -77,7 +123,8 @@ class HashContext:
         #: the first diverging hop of two signing runs.  ``None`` (the
         #: default) keeps every hot path hook-free.
         self.tracer = None
-        self._midstates: dict[bytes, "hashlib._Hash"] = {}
+        #: Per seed: the reference's midstate, then one per kernel.
+        self._midstates: dict[bytes, tuple] = {}
         self._midstates_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -96,23 +143,35 @@ class HashContext:
     def counting(self, value: bool) -> None:
         self._count = bool(value)
 
-    def midstate(self, seed: bytes) -> "hashlib._Hash":
-        """The cached SHA-256 object primed with ``seed || pad``.
-
-        Callers must ``.copy()`` before updating; the returned object is the
-        shared cache entry.  This is the hook the vectorized runtime backend
-        uses to run its template-based hot loops off the same midstate cache
-        as the scalar code.  Safe to call from several threads: an entry
+    def _prime(self, seed: bytes) -> tuple:
+        """Cache and return *seed*'s entry: ``seed || pad`` absorbed by
+        ``hashlib`` and by each kernel's chosen constructor (one object
+        where they coincide).  Safe to call from several threads: an entry
         evicted while a caller still holds it stays valid for that caller.
         """
-        state = self._midstates.get(seed)
-        if state is None:
-            state = hashlib.sha256(seed + b"\x00" * (_BLOCK - len(seed)))
-            with self._midstates_lock:
-                if len(self._midstates) >= _MAX_MIDSTATES:
-                    del self._midstates[next(iter(self._midstates))]
-                self._midstates[seed] = state
-        return state
+        block = seed + b"\x00" * (_BLOCK - len(seed))
+        candidates, choice = sha256_candidates(), sha256_choice()
+        news = (hashlib.sha256,
+                *(candidates[choice[kernel]] for kernel in KERNELS))
+        made = {new: new(block) for new in set(news)}
+        entry = tuple(made[new] for new in news)
+        with self._midstates_lock:
+            if len(self._midstates) >= _MAX_MIDSTATES:
+                del self._midstates[next(iter(self._midstates))]
+            self._midstates[seed] = entry
+        return entry
+
+    def midstate(self, seed: bytes) -> "hashlib._Hash":
+        """The cached ``hashlib`` SHA-256 object primed with ``seed || pad``
+        — the reference's.  Callers must ``.copy()`` before updating; the
+        returned object is the shared cache entry."""
+        return (self._midstates.get(seed) or self._prime(seed))[0]
+
+    def kernel_midstates(self, seed: bytes) -> tuple:
+        """``(one_block, multi_block)`` midstates primed with ``seed || pad``
+        on each kernel's :func:`sha256_choice` — what the runtime's hot
+        loops hash off.  Copy before updating, as with :meth:`midstate`."""
+        return (self._midstates.get(seed) or self._prime(seed))[1:]
 
     def _seeded(self, seed: bytes) -> "hashlib._Hash":
         """A SHA-256 object primed with ``seed || pad`` (cached midstate)."""

@@ -8,7 +8,10 @@ This module removes that overhead without changing a single hash input:
 * address byte strings are precomputed with :class:`AddressTemplate`
   (``hashes.address``) — inner loops append one cached 4-byte word;
 * every hash is ``midstate.copy() -> update -> digest`` against the
-  *shared* ``HashContext`` midstate cache;
+  *shared* ``HashContext`` midstate cache, on the SHA-256 implementation
+  its kernel runs on (``HashContext.kernel_midstates``), and the ADRS
+  words a loop does not vary — a chain's, a Merkle level's, a FORS
+  forest's — are absorbed once into a midstate the loop copies;
 * the top layers' Merkle subtrees and WOTS link signatures are held in a
   per-key :class:`~repro.runtime.layercache.HypertreeLayerCache` — every
   message signed under one key revisits the upper hypertree layers, and
@@ -83,17 +86,24 @@ def flat_auth_path(nodes: bytes, leaf: int, n: int,
             for level in range(height)]
 
 
-def _chain(mid, n: int, pre: bytes, pos_words: Sequence[bytes],
-           value: bytes) -> bytes:
+def _absorbed(mid, prefix: bytes):
+    """A copy of *mid* that has absorbed *prefix*: ADRS words that do not
+    change inside a loop are hashed once for every hash under them."""
+    h = mid.copy()
+    h.update(prefix)
+    return h
+
+
+def _chain(base, n: int, pos_words: Sequence[bytes], value: bytes) -> bytes:
     """Walk one WOTS chain: one hash per position word in *pos_words*.
 
-    *pre* freezes ADRS through the chain word.  The signer walks
+    *base* has absorbed ADRS through the chain word.  The signer walks
     ``pos_words[:digit]`` from the secret, the verifier ``[digit:w - 1]``
     from the signature value.
     """
     for p4 in pos_words:
-        h = mid.copy()
-        h.update(pre); h.update(p4); h.update(value)
+        h = base.copy()
+        h.update(p4); h.update(value)
         value = h.digest()[:n]
     return value
 
@@ -109,11 +119,10 @@ def _node_hash(mid, n: int, node_prefix: bytes, height: int, index: int,
 
 
 def _compress(mid, n: int, adrs: bytes, values: Sequence[bytes]) -> bytes:
-    """``T_l`` over *values* under the full 22-byte *adrs*."""
+    """``T_l`` over *values* under the full 22-byte *adrs*; *mid* is the
+    multi-block kernel's, and *values* go in as one join."""
     h = mid.copy()
-    h.update(adrs)
-    for value in values:
-        h.update(value)
+    h.update(adrs); h.update(b"".join(values))
     return h.digest()[:n]
 
 
@@ -130,16 +139,27 @@ class FastOps:
         self.params: SphincsParams = ctx.params
         self.n = ctx.n
         self.sk_seed = sk_seed
-        self._mid = ctx.midstate(pk_seed)
+        # Through the context, so a recording context sees every input.
+        self._mid, self._mid_tlen = ctx.kernel_midstates(pk_seed)
         #: ``None`` in a pool worker: it runs tasks, the coordinator caches.
         self.cache = cache
-        # Word caches for the loop-varying ADRS words.
+        # Word caches for the loop-varying ADRS words, and each chain's
+        # PRF input past the keypair word: chain word, hash word, sk_seed.
         self._chain_words = [packed_u32(i) for i in range(self.params.wots_len)]
         self._pos_words = [packed_u32(i) for i in range(self.params.w)]
+        self._prf_tails = [c4 + _Z4 + sk_seed for c4 in self._chain_words]
 
     # ------------------------------------------------------------------
     # WOTS+
     # ------------------------------------------------------------------
+    def _wots_bases(self, layer: int, tree: int, keypair: int):
+        """The leaf's PRF and chain-hash midstates, ADRS through the
+        keypair word absorbed."""
+        return (_absorbed(self._mid, AddressTemplate(
+                    layer, tree, AddressType.WOTS_PRF, keypair).prefix),
+                _absorbed(self._mid, AddressTemplate(
+                    layer, tree, AddressType.WOTS_HASH, keypair).prefix))
+
     def wots_leaf(self, layer: int, tree: int, keypair: int,
                   keep: list[bytes] | None = None) -> bytes:
         """``wots_gen_leaf`` — the hottest loop of the whole scheme.
@@ -148,47 +168,40 @@ class FastOps:
         ``w`` per chain, chain after chain — is appended to it: the
         leaf's chain table, from which a WOTS signature is a lookup.
         """
-        mid, n, sk_seed = self._mid, self.n, self.sk_seed
-        prf_pre = AddressTemplate(
-            layer, tree, AddressType.WOTS_PRF, keypair).prefix
-        hash_pre = AddressTemplate(
-            layer, tree, AddressType.WOTS_HASH, keypair).prefix
+        n = self.n
+        prf, hashed = self._wots_bases(layer, tree, keypair)
         pos_words = self._pos_words[:self.params.w - 1]
         values = []
-        for c4 in self._chain_words:
-            h = mid.copy()
-            h.update(prf_pre); h.update(c4); h.update(_Z4); h.update(sk_seed)
+        for c4, tail in zip(self._chain_words, self._prf_tails):
+            h = prf.copy()
+            h.update(tail)
             value = h.digest()[:n]
-            pre = hash_pre + c4
+            base = _absorbed(hashed, c4)
             if keep is None:
-                value = _chain(mid, n, pre, pos_words, value)
+                value = _chain(base, n, pos_words, value)
             else:
                 keep.append(value)
                 for p4 in pos_words:
-                    h = mid.copy()
-                    h.update(pre); h.update(p4); h.update(value)
+                    h = base.copy()
+                    h.update(p4); h.update(value)
                     value = h.digest()[:n]
                     keep.append(value)
             values.append(value)
-        return _compress(mid, n, AddressTemplate(
+        return _compress(self._mid_tlen, n, AddressTemplate(
             layer, tree, AddressType.WOTS_PK, keypair, 0, 0).prefix, values)
 
     def wots_sign(self, message: bytes, layer: int, tree: int,
                   keypair: int) -> list[bytes]:
         """WOTS-sign an n-byte *message*: walk each chain to its digit."""
-        mid, n, sk_seed = self._mid, self.n, self.sk_seed
-        prf_pre = AddressTemplate(
-            layer, tree, AddressType.WOTS_PRF, keypair).prefix
-        hash_pre = AddressTemplate(
-            layer, tree, AddressType.WOTS_HASH, keypair).prefix
-        pos_words = self._pos_words
+        n, pos_words = self.n, self._pos_words
+        prf, hashed = self._wots_bases(layer, tree, keypair)
         signature = []
-        for c4, digit in zip(self._chain_words,
-                             wots_digits(message, self.params)):
-            h = mid.copy()
-            h.update(prf_pre); h.update(c4); h.update(_Z4); h.update(sk_seed)
-            signature.append(_chain(mid, n, hash_pre + c4, pos_words[:digit],
-                                    h.digest()[:n]))
+        for c4, tail, digit in zip(self._chain_words, self._prf_tails,
+                                   wots_digits(message, self.params)):
+            h = prf.copy()
+            h.update(tail)
+            signature.append(_chain(_absorbed(hashed, c4), n,
+                                    pos_words[:digit], h.digest()[:n]))
         return signature
 
     # ------------------------------------------------------------------
@@ -201,17 +214,16 @@ class FastOps:
         ``base`` applies the FORS forest's global node offset
         (``base >> height`` per level); XMSS subtrees use 0.
         """
-        mid, n = self._mid, self.n
+        n = self.n
         levels: TreeLevels = [leaves]
         height = 1
         while len(levels[-1]) > 1:
             below = levels[-1]
-            h4 = packed_u32(height)
+            at_height = _absorbed(self._mid, node_prefix + packed_u32(height))
             offset = base >> height
             level = []
             for i in range(0, len(below), 2):
-                h = mid.copy()
-                h.update(node_prefix); h.update(h4)
+                h = at_height.copy()
                 h.update(packed_u32(offset + (i >> 1)))
                 h.update(below[i]); h.update(below[i + 1])
                 level.append(h.digest()[:n])
@@ -286,12 +298,12 @@ class FastOps:
                   idx_leaf: int) -> tuple[ForsSignature, bytes]:
         """FORS-sign the message chunk (see ``Fors.sign``)."""
         params = self.params
-        mid, n, sk_seed = self._mid, self.n, self.sk_seed
+        n, sk_seed = self.n, self.sk_seed
         indices = message_to_indices(fors_msg, params)
-        prf_pre = AddressTemplate(
-            0, idx_tree, AddressType.FORS_PRF, idx_leaf, 0).prefix
-        leaf_pre = AddressTemplate(
-            0, idx_tree, AddressType.FORS_TREE, idx_leaf, 0).prefix
+        prf = _absorbed(self._mid, AddressTemplate(
+            0, idx_tree, AddressType.FORS_PRF, idx_leaf, 0).prefix)
+        leaf_base = _absorbed(self._mid, AddressTemplate(
+            0, idx_tree, AddressType.FORS_TREE, idx_leaf, 0).prefix)
         node_prefix = AddressTemplate(
             0, idx_tree, AddressType.FORS_TREE, idx_leaf).prefix
         t = params.t
@@ -303,17 +315,17 @@ class FastOps:
             leaves = []
             for j in range(t):
                 i4 = packed_u32(base + j)
-                h = mid.copy()
-                h.update(prf_pre); h.update(i4); h.update(sk_seed)
+                h = prf.copy()
+                h.update(i4); h.update(sk_seed)
                 secret = h.digest()[:n]
                 secrets.append(secret)
-                h = mid.copy()
-                h.update(leaf_pre); h.update(i4); h.update(secret)
+                h = leaf_base.copy()
+                h.update(i4); h.update(secret)
                 leaves.append(h.digest()[:n])
             levels = self.merkle_levels(leaves, node_prefix, base=base)
             signature.append((secrets[leaf_idx], auth_path(levels, leaf_idx)))
             roots.append(levels[-1][0])
-        return signature, _compress(mid, n, AddressTemplate(
+        return signature, _compress(self._mid_tlen, n, AddressTemplate(
             0, idx_tree, AddressType.FORS_ROOTS, idx_leaf, 0, 0).prefix, roots)
 
 
@@ -372,14 +384,14 @@ class FastVerifier:
         params = self.params
         if len(public_key) != params.pk_bytes:
             return [False] * len(messages)
-        mid = self.ctx.midstate(public_key[:params.n])
+        mids = self.ctx.kernel_midstates(public_key[:params.n])
         return [
             len(signature) == params.sig_bytes
-            and self._verdict(mid, message, signature, public_key)
+            and self._verdict(mids, message, signature, public_key)
             for message, signature in zip(messages, signatures, strict=True)
         ]
 
-    def _verdict(self, mid, message: bytes, signature: bytes,
+    def _verdict(self, mids, message: bytes, signature: bytes,
                  public_key: bytes) -> bool:
         """Whether a well-sized *signature* verifies: recalled, or walked
         and — only when true — remembered."""
@@ -391,7 +403,7 @@ class FastVerifier:
                 return True
         n = self.params.n
         pk_seed, pk_root = public_key[:n], public_key[n:]
-        if self._root(mid, message, signature, pk_seed, pk_root) != pk_root:
+        if self._root(mids, message, signature, pk_seed, pk_root) != pk_root:
             return False
         with self._memo_lock:
             self._memo[key] = None
@@ -399,30 +411,31 @@ class FastVerifier:
                 self._memo.popitem(last=False)
         return True
 
-    def _root(self, mid, message: bytes, sig: bytes, pk_seed: bytes,
+    def _root(self, mids, message: bytes, sig: bytes, pk_seed: bytes,
               pk_root: bytes) -> bytes:
-        """The hypertree root a well-sized *sig* over *message* implies."""
+        """The hypertree root a well-sized *sig* over *message* implies,
+        hashed off the ``(one_block, multi_block)`` kernel *mids*."""
         params = self.params
         n = params.n
+        mid, mid_tlen = mids
         digest = self.ctx.h_msg(sig[:n], pk_seed, pk_root, message)
         fors_msg, tree, leaf = split_digest(digest, params)
 
         # FORS: each revealed secret -> leaf -> climb; compress the k roots.
-        leaf_pre = AddressTemplate(
-            0, tree, AddressType.FORS_TREE, leaf, 0).prefix
+        leaf_base = _absorbed(mid, AddressTemplate(
+            0, tree, AddressType.FORS_TREE, leaf, 0).prefix)
         node_pre = AddressTemplate(0, tree, AddressType.FORS_TREE, leaf).prefix
         log_t, off = params.log_t, n
         roots = []
         for fors_tree, index in enumerate(
                 message_to_indices(fors_msg, params)):
             base = fors_tree * params.t
-            h = mid.copy()
-            h.update(leaf_pre); h.update(packed_u32(base + index))
-            h.update(sig[off:off + n])
+            h = leaf_base.copy()
+            h.update(packed_u32(base + index)); h.update(sig[off:off + n])
             roots.append(self._climb(mid, node_pre, h.digest()[:n], index,
                                      sig, off + n, log_t, base))
             off += (1 + log_t) * n
-        node = _compress(mid, n, AddressTemplate(
+        node = _compress(mid_tlen, n, AddressTemplate(
             0, tree, AddressType.FORS_ROOTS, leaf, 0, 0).prefix, roots)
 
         # Hypertree: per layer, finish the WOTS chains, compress them to
@@ -431,14 +444,14 @@ class FastVerifier:
         chain_words, pos_words = self._chain_words, self._pos_words
         height = params.tree_height
         for layer in range(params.d):
-            hash_pre = AddressTemplate(
-                layer, tree, AddressType.WOTS_HASH, leaf).prefix
+            hashed = _absorbed(mid, AddressTemplate(
+                layer, tree, AddressType.WOTS_HASH, leaf).prefix)
             values = []
             for c4, digit in zip(chain_words, wots_digits(node, params)):
-                values.append(_chain(mid, n, hash_pre + c4, pos_words[digit:],
-                                     sig[off:off + n]))
+                values.append(_chain(_absorbed(hashed, c4), n,
+                                     pos_words[digit:], sig[off:off + n]))
                 off += n
-            wots_pk = _compress(mid, n, AddressTemplate(
+            wots_pk = _compress(mid_tlen, n, AddressTemplate(
                 layer, tree, AddressType.WOTS_PK, leaf, 0, 0).prefix, values)
             node = self._climb(
                 mid, AddressTemplate(layer, tree, AddressType.TREE, 0).prefix,

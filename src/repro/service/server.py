@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
                       OverloadedError, ProtocolError, ServiceError)
+from ..hashes.thash import sha256_choice
 from ..obs.log import get_logger
 from ..obs.trace import (SpanClock, TraceContext, Tracer, current_trace,
                          new_span_id, new_trace_id, tap_stages)
@@ -320,6 +321,8 @@ class SigningService:
             "cache_budget_mb": self.engine.cache_budget_mb,
             "tenants": {name: self.keystore.params_for(name)
                         for name in self.keystore.tenants()},
+            # Which SHA-256 each hash kernel runs on: the platform decides.
+            "sha256": sha256_choice(),
         }
         return snapshot
 
@@ -382,7 +385,7 @@ class SigningServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         _log.info("server-started", host=self.host, port=self.port,
-                  backend=self.service.backend_name)
+                  backend=self.service.backend_name, sha256=sha256_choice())
 
     async def serve_forever(self) -> None:
         if self._server is None:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.api import AsyncClient, LocalClient
+from repro.hashes.thash import sha256_choice
 from repro.obs import Tracer, parse_prometheus
 from repro.params import get_params
 from repro.service import (Keystore, SigningServer, SigningService,
@@ -352,6 +353,8 @@ class TestCli:
                        in logs.read_text().splitlines()]
         assert {"server-started", "server-stopping"} <= {
             r["event"] for r in log_records}
+        [started] = [r for r in log_records if r["event"] == "server-started"]
+        assert started["sha256"] == sha256_choice()
         assert main(["trace", "--input", str(spans)]) == 0
         rendered = capsys.readouterr().out
         assert "Critical path" in rendered

@@ -167,6 +167,10 @@ class RecordingContext(HashContext):
     def midstate(self, seed):
         return _Recorder(self.inputs, super().midstate(seed))
 
+    def kernel_midstates(self, seed):
+        return tuple(_Recorder(self.inputs, state)
+                     for state in super().kernel_midstates(seed))
+
 
 class TestSameWork:
     def test_same_hash_inputs_and_compressions_as_reference(self, signed_128f):

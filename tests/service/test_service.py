@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import (KeystoreError, OverloadedError, ProtocolError,
                           ServiceError)
+from repro.hashes.thash import sha256_choice
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
                            SigningService, derive_seed)
@@ -206,6 +207,10 @@ class TestInProcess:
             assert stats["latency_ms"]["total"]["p99"] > 0
             assert stats["queue"]["depth"] == 0
             assert stats["config"]["tenants"] == {"demo": "SPHINCS+-128f"}
+            # Which stdlib SHA-256 signed, per kernel: the platform's pick.
+            assert stats["config"]["sha256"] == sha256_choice()
+            assert set(stats["config"]["sha256"]) == {"one_block",
+                                                      "multi_block"}
             report = service.report()
             assert "p95" in report and "Batch-size histogram" in report
 
