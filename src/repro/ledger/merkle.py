@@ -8,6 +8,11 @@ tree head for any prefix size is a pure function of the entries and
 every proof algorithm below matches the Certificate Transparency ones
 bit for bit.
 
+The split always puts a complete subtree, aligned to its own size, on
+the left.  So the log keeps the root of every complete aligned subtree,
+level by level, extending the levels as leaves arrive; a tree head or a
+proof is then lookups plus O(log n) hashes along the right edge.
+
 Persistence follows the sharded keystore's storage conventions
 (:mod:`repro.service.keystore`): every write lands in a ``.tmp``
 sibling first and is atomically renamed over the live name, with an
@@ -64,15 +69,16 @@ def _split(n: int) -> int:
     return k >> 1 if k == n else k
 
 
-def _subtree_root(hashes: list[bytes], lo: int, hi: int) -> bytes:
-    n = hi - lo
-    if n == 0:
+def _fold(nodes: list[bytes]) -> bytes:
+    """The tree head over consecutive complete subtrees, given their
+    roots largest (leftmost) first: RFC 6962 hangs each on the left of
+    the tree over everything to its right."""
+    if not nodes:
         return EMPTY_ROOT
-    if n == 1:
-        return hashes[lo]
-    k = _split(n)
-    return node_hash(_subtree_root(hashes, lo, lo + k),
-                     _subtree_root(hashes, lo + k, hi))
+    root = nodes[-1]
+    for node in reversed(nodes[:-1]):
+        root = node_hash(node, root)
+    return root
 
 
 def root_from_inclusion_path(index: int, size: int, leaf: bytes,
@@ -181,7 +187,9 @@ class MerkleLog:
                  trusted_size: int | None = None):
         self.root = Path(root) if root is not None else None
         self._entries: list[bytes] = []
-        self._hashes: list[bytes] = []
+        #: ``_levels[h][i]``: the root of leaves ``[i << h, (i + 1) << h)``,
+        #: for every such complete subtree; ``_levels[0]`` is leaf hashes.
+        self._levels: list[list[bytes]] = [[]]
         if self.root is not None:
             (self.root / SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
             self._load(trusted_size)
@@ -208,7 +216,22 @@ class MerkleLog:
             raise LedgerError(
                 f"no tree head at size {size} (log holds "
                 f"{len(self._entries)} entries)")
-        return _subtree_root(self._hashes, 0, size)
+        return self._root(0, size)
+
+    def _pieces(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
+        """``(height, root)`` of the complete subtrees tiling leaves
+        ``[lo, hi)``, largest first.  *lo* is a multiple of the largest,
+        as every range the RFC 6962 split reaches is."""
+        pieces = []
+        while lo < hi:
+            height = (hi - lo).bit_length() - 1
+            pieces.append((height, self._levels[height][lo >> height]))
+            lo += 1 << height
+        return pieces
+
+    def _root(self, lo: int, hi: int) -> bytes:
+        """The tree head over leaves ``[lo, hi)``."""
+        return _fold([node for _, node in self._pieces(lo, hi)])
 
     # ------------------------------------------------------------------
     # Proofs
@@ -226,18 +249,16 @@ class MerkleLog:
         if not 0 <= index < size:
             raise LedgerError(
                 f"unknown entry index {index} in a tree of {size} entries")
-
-        def walk(target: int, lo: int, hi: int) -> list[bytes]:
-            if hi - lo <= 1:
-                return []
+        path, lo, hi = [], 0, size
+        while hi - lo > 1:
             k = _split(hi - lo)
-            if target < lo + k:
-                return walk(target, lo, lo + k) + [
-                    _subtree_root(self._hashes, lo + k, hi)]
-            return walk(target, lo + k, hi) + [
-                _subtree_root(self._hashes, lo, lo + k)]
-
-        return walk(index, 0, size)
+            if index < lo + k:
+                path.append(self._root(lo + k, hi))
+                hi = lo + k
+            else:
+                path.append(self._root(lo, lo + k))
+                lo += k
+        return path[::-1]
 
     def consistency_path(self, old_size: int,
                          new_size: int | None = None) -> list[bytes]:
@@ -251,20 +272,20 @@ class MerkleLog:
                 f"{len(self._entries)} entries)")
         if old_size == new_size or old_size == 0:
             return []
-
-        def walk(m: int, lo: int, hi: int, complete: bool) -> list[bytes]:
-            n = hi - lo
-            if m == n:
-                return [] if complete else [
-                    _subtree_root(self._hashes, lo, hi)]
-            k = _split(n)
+        # Down from the new tree towards the old one's last subtree; that
+        # subtree's own root leads the proof unless it is the old tree.
+        path, m, lo, hi, complete = [], old_size, 0, new_size, True
+        while m != hi - lo:
+            k = _split(hi - lo)
             if m <= k:
-                return walk(m, lo, lo + k, complete) + [
-                    _subtree_root(self._hashes, lo + k, hi)]
-            return walk(m - k, lo + k, hi, False) + [
-                _subtree_root(self._hashes, lo, lo + k)]
-
-        return walk(old_size, 0, new_size, True)
+                path.append(self._root(lo + k, hi))
+                hi = lo + k
+            else:
+                path.append(self._root(lo, lo + k))
+                m, lo, complete = m - k, lo + k, False
+        if not complete:
+            path.append(self._root(lo, hi))
+        return path[::-1]
 
     # ------------------------------------------------------------------
     # Writes
@@ -276,8 +297,15 @@ class MerkleLog:
         candidate tree head *first* and only commits entries once the
         signature exists, so a signing failure leaves the log untouched.
         """
-        hashes = self._hashes + [leaf_hash(entry) for entry in entries]
-        return len(hashes), _subtree_root(hashes, 0, len(hashes))
+        pieces = self._pieces(0, len(self._entries))
+        for entry in entries:
+            height, node = 0, leaf_hash(entry)
+            while pieces and pieces[-1][0] == height:
+                node = node_hash(pieces.pop()[1], node)
+                height += 1
+            pieces.append((height, node))
+        return (len(self._entries) + len(entries),
+                _fold([node for _, node in pieces]))
 
     def append(self, entries: list[bytes]) -> int:
         """Append *entries* as one sealed batch; returns the start index.
@@ -291,9 +319,22 @@ class MerkleLog:
         start = len(self._entries)
         if self.root is not None:
             self._write_segment(start, entries)
-        self._entries.extend(entries)
-        self._hashes.extend(leaf_hash(entry) for entry in entries)
+        self._extend(entries)
         return start
+
+    def _extend(self, entries: list[bytes]) -> None:
+        """Add *entries* and every complete subtree they close."""
+        levels = self._levels
+        self._entries.extend(entries)
+        for entry in entries:
+            levels[0].append(leaf_hash(entry))
+            height = 0
+            while len(levels[height]) % 2 == 0:  # closes a pair
+                if height + 1 == len(levels):
+                    levels.append([])
+                levels[height + 1].append(
+                    node_hash(levels[height][-2], levels[height][-1]))
+                height += 1
 
     # ------------------------------------------------------------------
     # Persistence
@@ -348,8 +389,7 @@ class MerkleLog:
             # Beyond the last checkpoint nothing was ever acknowledged:
             # drop the tail (the next seal rewrites that segment name).
             entries = entries[:trusted_size]
-        self._entries = entries
-        self._hashes = [leaf_hash(entry) for entry in entries]
+        self._extend(entries)
 
     def __repr__(self) -> str:
         where = str(self.root) if self.root is not None else "memory"

@@ -6,11 +6,12 @@ fields, walks through ``HashContext.thash``'s varargs loop, and tallies.
 This module removes that overhead without changing a single hash input:
 
 * address byte strings are precomputed with :class:`AddressTemplate`
-  (``hashes.address``) — inner loops append one cached 4-byte word;
+  (``hashes.address``) — inner loops append cached words, a WOTS chain
+  step its 8-byte ``chain word ‖ hash word``;
 * every hash is ``midstate.copy() -> update -> digest`` against the
   *shared* ``HashContext`` midstate cache, on the SHA-256 implementation
   its kernel runs on (``HashContext.kernel_midstates``), and the ADRS
-  words a loop does not vary — a chain's, a Merkle level's, a FORS
+  words a loop does not vary — a WOTS leaf's, a Merkle level's, a FORS
   forest's — are absorbed once into a midstate the loop copies;
 * the top layers' Merkle subtrees and WOTS link signatures are held in a
   per-key :class:`~repro.runtime.layercache.HypertreeLayerCache` — every
@@ -35,11 +36,13 @@ chains and auth-path climbs with the chain-step and node-hash loops the
 signer uses, so it feeds SHA-256 the reference ``Sphincs.verify`` byte
 stream and returns the reference verdict — and remembers the exact
 triples it accepted, so a signature that verified once (a ledger
-checkpoint every inclusion proof carries) is a lookup afterwards.
+checkpoint every inclusion proof carries) is a lookup afterwards, and
+the upper layers every signature under a key shares.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -48,8 +51,7 @@ from typing import Sequence
 from ..hashes.address import AddressTemplate, AddressType, packed_u32
 from ..hashes.thash import HashContext
 from ..params import SphincsParams, get_params
-from ..sphincs.encoding import (base_w, checksum_digits, message_to_indices,
-                                split_digest)
+from ..sphincs.encoding import base_w, message_to_indices, split_digest
 from ..sphincs.fors import ForsSignature
 from ..sphincs.merkle import TreeLevels, auth_path, batched_leaves
 from .layercache import HypertreeLayerCache
@@ -57,17 +59,44 @@ from .layercache import HypertreeLayerCache
 __all__ = ["FastOps", "FastVerifier", "flat_auth_path", "node_slice",
            "wots_digits"]
 
-_Z4 = b"\x00\x00\x00\x00"
-
 #: Accepted triples a :class:`FastVerifier` remembers, as 32-byte digests
 #: (~100 KB full): several thousand ledger rounds' distinct checkpoints.
 VERIFY_MEMO_CAPACITY = 1024
+#: Upper-layer nodes a :class:`FastVerifier` remembers, keyed by 32-byte
+#: digests: every memoized pair of seven 128f keys.
+LAYER_MEMO_CAPACITY = 4096
+#: The memoized layers: those with at most this many ``(tree, leaf)``
+#: pairs under one key, which a few hundred of its signatures revisit.
+LAYER_MEMO_PAIRS = 512
+
+
+@functools.cache
+def _digit_tables(params: SphincsParams) -> tuple[list, list]:
+    """Per byte value, its base-w digits (``log_w`` divides 8 for every
+    SPHINCS+ w); per sum of the message digits, the checksum digits."""
+    w, log_w, len2 = params.w, params.log_w, params.wots_len2
+    per_byte = [base_w(bytes([value]), w, 8 // log_w) for value in range(256)]
+    most = params.wots_len1 * (w - 1)
+    checksums = [[(most - total) >> (log_w * place) & (w - 1)
+                  for place in reversed(range(len2))]
+                 for total in range(most + 1)]
+    return per_byte, checksums
 
 
 def wots_digits(message: bytes, params: SphincsParams) -> list[int]:
     """Base-w digits of an n-byte *message* followed by its checksum."""
-    digits = base_w(message, params.w, params.wots_len1)
-    return digits + checksum_digits(digits, params)
+    per_byte, checksums = _digit_tables(params)
+    digits = [digit for value in message for digit in per_byte[value]]
+    return digits + checksums[sum(digits)]
+
+
+@functools.cache
+def _step_words(params: SphincsParams) -> list[list[bytes]]:
+    """Per WOTS chain, ``chain word ‖ hash word`` for each of its ``w - 1``
+    steps: the ADRS tail a chain step appends to its leaf's midstate."""
+    return [[packed_u32(chain) + packed_u32(step)
+             for step in range(params.w - 1)]
+            for chain in range(params.wots_len)]
 
 
 def node_slice(level: int, index: int, n: int, leaves: int) -> slice:
@@ -92,20 +121,6 @@ def _absorbed(mid, prefix: bytes):
     h = mid.copy()
     h.update(prefix)
     return h
-
-
-def _chain(base, n: int, pos_words: Sequence[bytes], value: bytes) -> bytes:
-    """Walk one WOTS chain: one hash per position word in *pos_words*.
-
-    *base* has absorbed ADRS through the chain word.  The signer walks
-    ``pos_words[:digit]`` from the secret, the verifier ``[digit:w - 1]``
-    from the signature value.
-    """
-    for p4 in pos_words:
-        h = base.copy()
-        h.update(p4); h.update(value)
-        value = h.digest()[:n]
-    return value
 
 
 def _node_hash(mid, n: int, node_prefix: bytes, height: int, index: int,
@@ -143,11 +158,10 @@ class FastOps:
         self._mid, self._mid_tlen = ctx.kernel_midstates(pk_seed)
         #: ``None`` in a pool worker: it runs tasks, the coordinator caches.
         self.cache = cache
-        # Word caches for the loop-varying ADRS words, and each chain's
-        # PRF input past the keypair word: chain word, hash word, sk_seed.
-        self._chain_words = [packed_u32(i) for i in range(self.params.wots_len)]
-        self._pos_words = [packed_u32(i) for i in range(self.params.w)]
-        self._prf_tails = [c4 + _Z4 + sk_seed for c4 in self._chain_words]
+        # Each chain step's ADRS tail, and each chain's PRF input past the
+        # keypair word: chain word, hash word 0, sk_seed.
+        self._steps = _step_words(self.params)
+        self._prf_tails = [steps[0] + sk_seed for steps in self._steps]
 
     # ------------------------------------------------------------------
     # WOTS+
@@ -170,21 +184,18 @@ class FastOps:
         """
         n = self.n
         prf, hashed = self._wots_bases(layer, tree, keypair)
-        pos_words = self._pos_words[:self.params.w - 1]
         values = []
-        for c4, tail in zip(self._chain_words, self._prf_tails):
+        for steps, tail in zip(self._steps, self._prf_tails):
             h = prf.copy()
             h.update(tail)
             value = h.digest()[:n]
-            base = _absorbed(hashed, c4)
-            if keep is None:
-                value = _chain(base, n, pos_words, value)
-            else:
+            if keep is not None:
                 keep.append(value)
-                for p4 in pos_words:
-                    h = base.copy()
-                    h.update(p4); h.update(value)
-                    value = h.digest()[:n]
+            for word in steps:
+                h = hashed.copy()
+                h.update(word); h.update(value)
+                value = h.digest()[:n]
+                if keep is not None:
                     keep.append(value)
             values.append(value)
         return _compress(self._mid_tlen, n, AddressTemplate(
@@ -193,15 +204,19 @@ class FastOps:
     def wots_sign(self, message: bytes, layer: int, tree: int,
                   keypair: int) -> list[bytes]:
         """WOTS-sign an n-byte *message*: walk each chain to its digit."""
-        n, pos_words = self.n, self._pos_words
+        n = self.n
         prf, hashed = self._wots_bases(layer, tree, keypair)
         signature = []
-        for c4, tail, digit in zip(self._chain_words, self._prf_tails,
-                                   wots_digits(message, self.params)):
+        for steps, tail, digit in zip(self._steps, self._prf_tails,
+                                      wots_digits(message, self.params)):
             h = prf.copy()
             h.update(tail)
-            signature.append(_chain(_absorbed(hashed, c4), n,
-                                    pos_words[:digit], h.digest()[:n]))
+            value = h.digest()[:n]
+            for word in steps[:digit]:
+                h = hashed.copy()
+                h.update(word); h.update(value)
+                value = h.digest()[:n]
+            signature.append(value)
         return signature
 
     # ------------------------------------------------------------------
@@ -333,10 +348,10 @@ class FastVerifier:
     """Template-driven verification for one parameter set.
 
     Holds no per-key state beyond the context's bounded midstate cache and
-    the verify memo, so one instance serves every public key of its
-    parameter set and :meth:`verify_batch` may run on several threads at
-    once.  *ctx* shares an existing context (a backend's, a test's
-    recording one) instead of a fresh one.
+    two memos, so one instance serves every public key of its parameter
+    set and :meth:`verify_batch` may run on several threads at once.
+    *ctx* shares an existing context (a backend's, a test's recording
+    one) instead of a fresh one.
 
     The **verify memo** is the read-side twin of the signing replay memo
     (:class:`~repro.runtime.layercache.HypertreeLayerCache`): a bounded,
@@ -344,6 +359,14 @@ class FastVerifier:
     A false verdict is never kept, and the digest covers all three of
     key, message and signature, so a rotated key or a signature that
     differs in one bit misses and is walked in full.
+
+    The **layer memo** is the read-side twin of the layer cache: on the
+    upper layers every signature under a key shares, it maps a digest of
+    a layer's whole input — seed, layer, tree, leaf, node in and the
+    layer's signature bytes — to the node out, a pure function of it.
+    It learns only from signatures that verified *true*, under its own
+    bound (``LAYER_MEMO_CAPACITY``) with the verify memo's LRU order and
+    lock.
     """
 
     def __init__(self, params: SphincsParams | str,
@@ -351,11 +374,15 @@ class FastVerifier:
         self.params = params = (get_params(params) if isinstance(params, str)
                                 else params)
         self.ctx = ctx if ctx is not None else HashContext(params)
-        self._chain_words = [packed_u32(i) for i in range(params.wots_len)]
-        self._pos_words = [packed_u32(i) for i in range(params.w - 1)]
+        self._steps = _step_words(params)
+        #: The lowest memoized layer: ``tree_leaves ** (d - layer)`` pairs
+        #: at most ``LAYER_MEMO_PAIRS``.
+        self._memo_floor = params.d - (
+            (LAYER_MEMO_PAIRS.bit_length() - 1) // params.tree_height)
         self._memo: OrderedDict[bytes, None] = OrderedDict()
+        self._layers: OrderedDict[bytes, bytes] = OrderedDict()
         self._memo_lock = threading.Lock()
-        self.memo_hits = 0
+        self.memo_hits = self.layer_hits = 0
 
     @staticmethod
     def _memo_key(public_key: bytes, message: bytes,
@@ -368,10 +395,21 @@ class FastVerifier:
             digest.update(part)
         return digest.digest()
 
+    @staticmethod
+    def _layer_key(pk_seed: bytes, prefix: bytes, node: bytes,
+                   layer_sig: bytes) -> bytes:
+        """SHA-256 over one layer's input: the seed, the ADRS *prefix*
+        naming layer, tree and leaf, the node in and the layer's signature
+        bytes — fixed widths under one parameter set, so no framing."""
+        return hashlib.sha256(pk_seed + prefix + node + layer_sig).digest()
+
     def cache_stats(self) -> dict[str, int]:
-        """Verify-memo counters, under the replay memo's field names."""
+        """Verify-memo counters, under the replay memo's field names, and
+        the layer memo's."""
         return {"memo_hits": self.memo_hits,
-                "memo_entries": len(self._memo)}
+                "memo_entries": len(self._memo),
+                "layer_hits": self.layer_hits,
+                "layer_entries": len(self._layers)}
 
     def verify_batch(self, messages: Sequence[bytes],
                      signatures: Sequence[bytes],
@@ -394,7 +432,7 @@ class FastVerifier:
     def _verdict(self, mids, message: bytes, signature: bytes,
                  public_key: bytes) -> bool:
         """Whether a well-sized *signature* verifies: recalled, or walked
-        and — only when true — remembered."""
+        and — only when true — remembered, with the layers it walked."""
         key = self._memo_key(public_key, message, signature)
         with self._memo_lock:
             if key in self._memo:
@@ -403,18 +441,22 @@ class FastVerifier:
                 return True
         n = self.params.n
         pk_seed, pk_root = public_key[:n], public_key[n:]
-        if self._root(mids, message, signature, pk_seed, pk_root) != pk_root:
+        learned: list[tuple[bytes, bytes]] = []
+        if self._root(mids, message, signature, pk_seed, pk_root,
+                      learned) != pk_root:
             return False
         with self._memo_lock:
-            self._memo[key] = None
-            if len(self._memo) > VERIFY_MEMO_CAPACITY:
-                self._memo.popitem(last=False)
+            _remember(self._memo, key, None, VERIFY_MEMO_CAPACITY)
+            for layer_key, node in learned:
+                _remember(self._layers, layer_key, node, LAYER_MEMO_CAPACITY)
         return True
 
     def _root(self, mids, message: bytes, sig: bytes, pk_seed: bytes,
-              pk_root: bytes) -> bytes:
+              pk_root: bytes, learned: list) -> bytes:
         """The hypertree root a well-sized *sig* over *message* implies,
-        hashed off the ``(one_block, multi_block)`` kernel *mids*."""
+        hashed off the ``(one_block, multi_block)`` kernel *mids*.  Each
+        memoized layer it walks is appended to *learned* as ``(key,
+        node out)``."""
         params = self.params
         n = params.n
         mid, mid_tlen = mids
@@ -438,28 +480,55 @@ class FastVerifier:
         node = _compress(mid_tlen, n, AddressTemplate(
             0, tree, AddressType.FORS_ROOTS, leaf, 0, 0).prefix, roots)
 
-        # Hypertree: per layer, finish the WOTS chains, compress them to
-        # the leaf, climb the auth path; the root is the next layer's
-        # message.
-        chain_words, pos_words = self._chain_words, self._pos_words
-        height = params.tree_height
+        # Hypertree: per layer, the node out of its memo or of its walk;
+        # the root is the next layer's message.
+        span, height = params.xmss_sig_bytes, params.tree_height
         for layer in range(params.d):
-            hashed = _absorbed(mid, AddressTemplate(
-                layer, tree, AddressType.WOTS_HASH, leaf).prefix)
-            values = []
-            for c4, digit in zip(chain_words, wots_digits(node, params)):
-                values.append(_chain(_absorbed(hashed, c4), n,
-                                     pos_words[digit:], sig[off:off + n]))
-                off += n
-            wots_pk = _compress(mid_tlen, n, AddressTemplate(
-                layer, tree, AddressType.WOTS_PK, leaf, 0, 0).prefix, values)
-            node = self._climb(
-                mid, AddressTemplate(layer, tree, AddressType.TREE, 0).prefix,
-                wots_pk, leaf, sig, off, height)
-            off += height * n
+            prefix = AddressTemplate(
+                layer, tree, AddressType.WOTS_HASH, leaf).prefix
+            layer_sig = sig[off:off + span]
+            off += span
+            key = out = None
+            if layer >= self._memo_floor:
+                key = self._layer_key(pk_seed, prefix, node, layer_sig)
+                with self._memo_lock:
+                    out = self._layers.get(key)
+                    if out is not None:
+                        self._layers.move_to_end(key)
+                        self.layer_hits += 1
+            if out is None:
+                out = self._layer(mids, layer, tree, leaf, prefix, node,
+                                  layer_sig)
+                if key is not None:
+                    learned.append((key, out))
+            node = out
             leaf = tree & (params.tree_leaves - 1)
             tree >>= height
         return node
+
+    def _layer(self, mids, layer: int, tree: int, leaf: int, prefix: bytes,
+               node: bytes, layer_sig: bytes) -> bytes:
+        """One hypertree layer's node out: finish the WOTS chains of
+        *layer_sig* from *node*'s digits, compress the chain ends into
+        the leaf, climb the auth path that follows them."""
+        params = self.params
+        n = params.n
+        mid, mid_tlen = mids
+        hashed = _absorbed(mid, prefix)
+        values, off = [], 0
+        for steps, digit in zip(self._steps, wots_digits(node, params)):
+            value = layer_sig[off:off + n]
+            off += n
+            for word in steps[digit:]:
+                h = hashed.copy()
+                h.update(word); h.update(value)
+                value = h.digest()[:n]
+            values.append(value)
+        wots_pk = _compress(mid_tlen, n, AddressTemplate(
+            layer, tree, AddressType.WOTS_PK, leaf, 0, 0).prefix, values)
+        return self._climb(
+            mid, AddressTemplate(layer, tree, AddressType.TREE, 0).prefix,
+            wots_pk, leaf, layer_sig, off, params.tree_height)
 
     def _climb(self, mid, node_prefix: bytes, node: bytes, index: int,
                sig: bytes, off: int, height: int, base: int = 0) -> bytes:
@@ -475,3 +544,10 @@ class FastVerifier:
             node = _node_hash(mid, n, node_prefix, level,
                               (base >> level) + index, left, right)
         return node
+
+
+def _remember(memo: OrderedDict, key: bytes, value, capacity: int) -> None:
+    """Insert into a least-recently-used *memo* of *capacity* entries."""
+    memo[key] = value
+    if len(memo) > capacity:
+        memo.popitem(last=False)

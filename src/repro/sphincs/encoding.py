@@ -89,15 +89,10 @@ def message_to_indices(fors_msg: bytes, params: SphincsParams) -> list[int]:
     """Extract the ``k`` FORS leaf indices (``log_t`` bits each).
 
     This is the ``message_to_indices`` of the paper's Figure 2: index ``i``
-    selects which leaf of FORS tree ``i`` is revealed.
+    selects which leaf of FORS tree ``i`` is revealed.  The first
+    ``k * log_t`` bits are read as one integer and cut ``log_t`` bits at a
+    time, MSB first.
     """
-    indices: list[int] = []
-    offset = 0
-    for _ in range(params.k):
-        idx = 0
-        for _ in range(params.log_t):
-            bit = (fors_msg[offset >> 3] >> (7 - (offset & 7))) & 1
-            idx = (idx << 1) | bit
-            offset += 1
-        indices.append(idx)
-    return indices
+    k, log_t = params.k, params.log_t
+    bits = _bits_to_int(fors_msg, k * log_t)
+    return [(bits >> (log_t * (k - 1 - i))) & (params.t - 1) for i in range(k)]

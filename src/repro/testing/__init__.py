@@ -27,7 +27,8 @@ from .chaos import FlakyProxy
 from .corpus import (corrupt_keystore_payloads, malformed_frames,
                      message_corpus, signature_mutations, signature_regions)
 from .faults import (BitFlipFault, CachedNodeFault, MemoFault, PlanFault,
-                     VerifyFault, VerifyMemoFault, flip_bit, parse_fault)
+                     VerifyFault, VerifyLayerMemoFault, VerifyMemoFault,
+                     flip_bit, parse_fault)
 from .kat import (KAT_SETS, check_kat, default_vectors_dir, generate_kat,
                   kat_corpus, load_kat)
 from .oracle import (ConformanceReport, DifferentialOracle, Divergence,
@@ -48,6 +49,7 @@ __all__ = [
     "TraceHop",
     "TraceRecorder",
     "VerifyFault",
+    "VerifyLayerMemoFault",
     "VerifyMemoFault",
     "capture_trace",
     "check_kat",

@@ -44,6 +44,9 @@ against reference verdict over corrupted signatures — can ring.
 instead: keyed without the signature, it answers for any blob presented
 with a ``(key, message)`` it has accepted once — so the verify stage
 checks each corrupted signature *after* its valid twin.
+:class:`VerifyLayerMemoFault` does the same to the verifier's memo of
+upper hypertree layers: keyed without a layer's signature bytes, it
+answers for a signature corrupted in a memoized layer.
 
 :class:`PlanFault` strikes the signing plan's chain-table lookup: a WOTS
 signature read one table position too far.  The plan's own ``root ==
@@ -63,6 +66,7 @@ Fault specs are parsed from strings so the CLI can take them directly::
     memo:flip:5              # ... bit 5
     verify:no-root-compare   # fast verifier drops its final root compare
     verify:memo-ignores-signature  # verify memo keyed on (key, message) only
+    verify:layer-memo-ignores-signature  # layer memo keyed without its bytes
     plan:chain-table-off-by-one  # lookups read each chain one step too far
 """
 
@@ -80,7 +84,8 @@ from ..runtime.fastops import FastVerifier, node_slice
 from ..runtime.layercache import HypertreeLayerCache
 
 __all__ = ["BitFlipFault", "CachedNodeFault", "MemoFault", "PlanFault",
-           "VerifyFault", "VerifyMemoFault", "flip_bit", "parse_fault"]
+           "VerifyFault", "VerifyLayerMemoFault", "VerifyMemoFault",
+           "flip_bit", "parse_fault"]
 
 _TARGETS = ("thash", "prf")
 
@@ -361,17 +366,32 @@ class VerifyMemoFault(VerifyFault):
     """
 
     spec = "verify:memo-ignores-signature"
+    #: The ``FastVerifier`` key function whose last argument is dropped.
+    key_function = "_memo_key"
 
     def install(self):
         """Swap the signature-blind key in for the ``with`` block."""
-        original = FastVerifier._memo_key
+        original = getattr(FastVerifier, self.key_function)
 
-        def memo_key(public_key, message, signature):
+        def blind_key(*parts):
             self._ran()
-            return original(public_key, message, b"")
+            return original(*parts[:-1], b"")
 
-        return self._swapped(FastVerifier, "_memo_key",
-                             staticmethod(memo_key))
+        return self._swapped(FastVerifier, self.key_function,
+                             staticmethod(blind_key))
+
+
+@dataclass
+class VerifyLayerMemoFault(VerifyMemoFault):
+    """The same blindness in the verifier's memo of upper hypertree
+    layers: keyed without a layer's signature bytes, a layer walked once
+    in a valid signature answers for any bytes presented there.  Only a
+    signature corrupted in a memoized layer (the top one on every set)
+    and checked after its valid twin can ring.
+    """
+
+    spec = "verify:layer-memo-ignores-signature"
+    key_function = "_layer_key"
 
 
 @dataclass
@@ -458,12 +478,13 @@ def parse_fault(spec: str) -> (BitFlipFault | CachedNodeFault | MemoFault
     """Parse a fault spec: ``target:bitflip[:call_index[:bit]]`` for the
     hash taps, ``cache:flip[:level[:bit]][:benign]`` for the layer cache,
     ``memo:flip[:bit]`` for its replay memo,
-    ``verify:no-root-compare`` / ``verify:memo-ignores-signature`` for
-    the fast verifier,
+    ``verify:no-root-compare`` / ``verify:memo-ignores-signature`` /
+    ``verify:layer-memo-ignores-signature`` for the fast verifier,
     ``plan:chain-table-off-by-one`` for the signing plan's table lookups.
     """
     parts = spec.strip().split(":")
-    for fault in (VerifyFault, VerifyMemoFault, PlanFault):
+    for fault in (VerifyFault, VerifyMemoFault, VerifyLayerMemoFault,
+                  PlanFault):
         if spec.strip() == fault.spec:
             return fault()
     if parts[:2] == ["cache", "flip"]:
@@ -477,8 +498,8 @@ def parse_fault(spec: str) -> (BitFlipFault | CachedNodeFault | MemoFault
             f"unsupported fault spec {spec!r}; expected "
             "'thash:bitflip[:call_index[:bit]]', 'prf:bitflip[...]', "
             "'cache:flip[:level[:bit]][:benign]', 'memo:flip[:bit]', "
-            f"{VerifyFault.spec!r}, {VerifyMemoFault.spec!r}, or "
-            f"{PlanFault.spec!r}"
+            f"{VerifyFault.spec!r}, {VerifyMemoFault.spec!r}, "
+            f"{VerifyLayerMemoFault.spec!r}, or {PlanFault.spec!r}"
         )
     return BitFlipFault(target=parts[0], **_int_fields(
         spec, parts[2:], "call_index", "bit"))

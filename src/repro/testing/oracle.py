@@ -43,9 +43,10 @@ pair, then the first pair's signature corrupted region by region
 wrong message — and any verdict that differs from the reference's is a
 ``verify`` divergence.  A :class:`~repro.testing.faults.VerifyFault`
 (a fast verifier that never compares the root, or one whose memo of
-accepted triples forgets the signature) must ring exactly there — which
-is why the corrupted signatures come *after* the valid one they were
-made from, in one verifier's sight.
+accepted triples, or of upper hypertree layers, forgets the signature
+bytes) must ring exactly there — which is why the corrupted signatures,
+the top layer's among them, come *after* the valid one they were made
+from, in one verifier's sight.
 
 A :class:`~repro.testing.faults.CachedNodeFault` runs a focused two-pass
 flow instead: warm the vectorized backend's hypertree layer cache over
@@ -323,7 +324,8 @@ class DifferentialOracle:
                     detail="reference signature failed verification",
                 ))
         # Each corruption after the signature it was made from: a verify
-        # memo keyed on less than the whole signature answers for it here.
+        # or layer memo keyed on less than the whole signature answers
+        # for it here.
         cases = [(case, message, expected[case])
                  for case, message in self.corpus]
         if self.corpus:

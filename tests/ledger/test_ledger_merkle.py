@@ -10,12 +10,56 @@ import base64
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LedgerError
 from repro.ledger import (EMPTY_ROOT, MerkleLog, leaf_hash, node_hash,
                           root_from_inclusion_path, verify_consistency_path)
 
 MAX_SIZE = 16
+
+
+# The recursive RFC 6962 definitions (MTH, PATH, PROOF/SUBPROOF), over a
+# list of leaf hashes: what the log's kept levels must reproduce.
+def split(n):
+    """The largest power of two strictly less than *n* (n >= 2)."""
+    k = 1 << (n.bit_length() - 1)
+    return k >> 1 if k == n else k
+
+
+def mth(hashes, lo, hi):
+    if hi - lo == 0:
+        return EMPTY_ROOT
+    if hi - lo == 1:
+        return hashes[lo]
+    k = split(hi - lo)
+    return node_hash(mth(hashes, lo, lo + k), mth(hashes, lo + k, hi))
+
+
+def audit_path(hashes, index, lo, hi):
+    if hi - lo <= 1:
+        return []
+    k = split(hi - lo)
+    if index < lo + k:
+        return audit_path(hashes, index, lo, lo + k) + [
+            mth(hashes, lo + k, hi)]
+    return audit_path(hashes, index, lo + k, hi) + [mth(hashes, lo, lo + k)]
+
+
+def subproof(hashes, m, lo, hi, complete):
+    if m == hi - lo:
+        return [] if complete else [mth(hashes, lo, hi)]
+    k = split(hi - lo)
+    if m <= k:
+        return subproof(hashes, m, lo, lo + k, complete) + [
+            mth(hashes, lo + k, hi)]
+    return subproof(hashes, m - k, lo + k, hi, False) + [
+        mth(hashes, lo, lo + k)]
+
+
+def consistency(hashes, old, new):
+    return [] if old in (0, new) else subproof(hashes, old, 0, new, True)
 
 
 def entries_up_to(n):
@@ -231,3 +275,120 @@ class TestPersistence:
             .read_text())
         assert record["start"] == 0
         assert base64.b64decode(record["entries"][0]) == b"\x00\x01binary"
+
+
+class TestAgainstTheRecursiveDefinition:
+    """The kept levels against RFC 6962's recursion, over random batch
+    sequences: every tree head, preview, inclusion path and consistency
+    path, before and after a reload from disk."""
+
+    @staticmethod
+    def check(log, entries):
+        hashes = [leaf_hash(entry) for entry in entries]
+        assert log.size == len(entries)
+        for size in range(len(entries) + 1):
+            assert log.root_hash(size) == mth(hashes, 0, size)
+            for index in range(size):
+                assert log.inclusion_path(index, size) == audit_path(
+                    hashes, index, 0, size)
+            for old in range(size + 1):
+                assert log.consistency_path(old, size) == consistency(
+                    hashes, old, size)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(batches=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           reload_after=st.integers(0, 5))
+    def test_random_batches_and_a_reload(self, tmp_path_factory, batches,
+                                         reload_after):
+        root = tmp_path_factory.mktemp("log")
+        log, entries = MerkleLog(root), []
+        for number, count in enumerate(batches):
+            batch = [b"batch %d entry %d" % (number, i) for i in range(count)]
+            hashes = [leaf_hash(entry) for entry in entries + batch]
+            assert log.preview(batch) == (len(hashes),
+                                          mth(hashes, 0, len(hashes)))
+            log.append(batch)
+            entries += batch
+            if number == reload_after:
+                log = MerkleLog(root)
+            self.check(log, entries)
+        self.check(MerkleLog(root), entries)
+        truncated = len(entries) - batches[-1]
+        self.check(MerkleLog(root, trusted_size=truncated),
+                   entries[:truncated])
+
+
+class RecursiveLog(MerkleLog):
+    """A log whose tree heads and consistency proofs come from the
+    recursion instead of the kept levels."""
+
+    def hashes(self):
+        return [leaf_hash(self.entry(i)) for i in range(self.size)]
+
+    def root_hash(self, size=None):
+        return mth(self.hashes(), 0, self.size if size is None else size)
+
+    def consistency_path(self, old_size, new_size=None):
+        return consistency(self.hashes(), old_size,
+                           self.size if new_size is None else new_size)
+
+
+class TestAuditReport:
+    def test_unchanged_on_a_200_entry_log(self, tmp_path, monkeypatch):
+        """``run_audit`` over a real 200-entry log, clean and then with
+        one entry corrupted: the same report from the kept levels as from
+        the recursion.  Each distinct verdict is computed once."""
+        import asyncio
+
+        from repro.api import LocalClient
+        from repro.ledger import LedgerService, audit, run_audit
+        from repro.params import get_params
+        from repro.service import Keystore, derive_seed
+        from repro.sphincs.signer import Sphincs
+
+        keystore = Keystore()
+        keystore.add_tenant("ledger", "128f")
+        keystore.generate_key("ledger", "default", seed=derive_seed(
+            "ledger/default", get_params("128f").n))
+
+        async def fill():
+            client = LocalClient(keystore, deterministic=True)
+            try:
+                ledger = LedgerService(client, tenant="ledger",
+                                       root=tmp_path / "log")
+                start = 0
+                for wave in (7, 24, 41, 64, 64):  # heads at 7 ... 200
+                    await ledger.append_many([b"audit event %d" % i for i in
+                                              range(start, start + wave)])
+                    start += wave
+                await ledger.close()
+            finally:
+                client.close()
+
+        asyncio.run(fill())
+        verdicts = {}
+        verify = Sphincs.verify
+        monkeypatch.setattr(Sphincs, "verify", lambda self, *args: (
+            verdicts[args] if args in verdicts
+            else verdicts.setdefault(args, verify(self, *args))))
+
+        def both():
+            kept = run_audit(tmp_path / "log", keystore)
+            with monkeypatch.context() as patch:
+                patch.setattr(audit, "MerkleLog", RecursiveLog)
+                assert run_audit(tmp_path / "log", keystore) == kept
+            return kept
+
+        clean = both()
+        assert clean["ok"] and clean["entries_verified"] == 200
+        assert clean["checkpoints"] == clean["checkpoints_verified"] >= 5
+        segment = sorted((tmp_path / "log" / "segments").glob("*.seg"))[2]
+        record = json.loads(segment.read_text())
+        blob = bytearray(base64.b64decode(record["entries"][0]))
+        blob[5] ^= 0xFF
+        record["entries"][0] = base64.b64encode(bytes(blob)).decode("ascii")
+        segment.write_text(json.dumps(record))
+        damaged = both()
+        assert not damaged["ok"] and damaged["first_bad_index"] == 31
+        assert any("recomputed root" in p for p in damaged["problems"])

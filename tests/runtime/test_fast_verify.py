@@ -9,6 +9,7 @@ the fast path must hash the *same inputs* as the reference (so the same
 
 import functools
 import hashlib
+import itertools
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,9 +36,10 @@ class Signed:
 
     def __init__(self, name: str):
         self.params = get_params(name)
-        backend = get_backend("vectorized", name, deterministic=True)
-        self.keys = backend.keygen(seed=bytes(range(3 * self.params.n)))
-        self.signatures = backend.sign_batch(MESSAGES, self.keys).signatures
+        self.backend = get_backend("vectorized", name, deterministic=True)
+        self.keys = self.backend.keygen(seed=bytes(range(3 * self.params.n)))
+        self.signatures = self.backend.sign_batch(
+            MESSAGES, self.keys).signatures
         self.reference = Sphincs(self.params)
         self.fast = FastVerifier(self.params)
 
@@ -186,7 +188,7 @@ class TestSameWork:
         reference.hypertree.ctx = reference.hypertree.wots.ctx = ref_ctx
         assert reference.verify(message, signature, public)
 
-        fast_ctx = RecordingContext(signed_128f.params)
+        fast_ctx = RecordingContext(signed_128f.params)  # memo-cold
         assert FastVerifier(signed_128f.params, fast_ctx).verify_batch(
             [message], [signature], public) == [True]
 
@@ -227,10 +229,13 @@ class TestVerifyMemo:
         verifier = FastVerifier(signed_128f.params, ctx)
         args = (MESSAGES, signed_128f.signatures, signed_128f.keys.public)
         assert verifier.verify_batch(*args) == [True, True]
-        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 2}
+        # Three memoized layers each; the two share the top one.
+        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 2,
+                                          "layer_hits": 1, "layer_entries": 5}
         walked = len(ctx.inputs)
         assert verifier.verify_batch(*args) == [True, True]
-        assert verifier.cache_stats() == {"memo_hits": 2, "memo_entries": 2}
+        assert verifier.cache_stats() == {"memo_hits": 2, "memo_entries": 2,
+                                          "layer_hits": 1, "layer_entries": 5}
         assert len(ctx.inputs) == walked
 
     def test_flipped_signature_bit_after_its_valid_twin(self, signed_128f):
@@ -246,7 +251,10 @@ class TestVerifyMemo:
         # A false verdict is never remembered: asked again, walked again.
         assert verifier.verify_batch([message], [flipped[0]],
                                      public) == [False]
-        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 1}
+        # The last bit is the top layer's: the memoized layers below it
+        # are recalled, the top one misses, is walked and rejects.
+        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 1,
+                                          "layer_hits": 2, "layer_entries": 3}
 
     def test_same_message_and_signature_under_a_rotated_key(
             self, signed_128f):
@@ -267,13 +275,15 @@ class TestVerifyMemo:
         monkeypatch.setattr(fastops, "VERIFY_MEMO_CAPACITY", 8)
         verifier = FastVerifier(signed_128f.params)
         monkeypatch.setattr(
-            verifier, "_root", lambda mid, msg, sig, seed, root: root)
+            verifier, "_root",
+            lambda mid, msg, sig, seed, root, learned: root)
         public, blob = signed_128f.keys.public, signed_128f.signatures[0]
         messages = [b"distinct %d" % index for index in range(80)]
         for message in messages:
             assert verifier.verify_batch([message], [blob], public) == [True]
             assert verifier.cache_stats()["memo_entries"] <= 8
-        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 8}
+        assert verifier.cache_stats() == {"memo_hits": 0, "memo_entries": 8,
+                                          "layer_hits": 0, "layer_entries": 0}
         # The newest eight are the ones kept.
         assert verifier.verify_batch(messages[-8:], [blob] * 8,
                                      public) == [True] * 8
@@ -298,7 +308,8 @@ class TestVerifyMemo:
             sys.setswitchinterval(interval)
         assert answers == [[[True, True]] * 50] * 8
         assert verifier.cache_stats() == {"memo_hits": 8 * 50 * 2,
-                                          "memo_entries": 2}
+                                          "memo_entries": 2,
+                                          "layer_hits": 1, "layer_entries": 5}
 
     def test_served_verify_shows_its_hits_in_stats(self, signed_128f):
         import asyncio
@@ -320,10 +331,104 @@ class TestVerifyMemo:
 
         try:
             stats = asyncio.run(twice())
+            scrape = service.telemetry.registry.render_prometheus()
         finally:
             service.close()
         assert stats["cache"]["scopes"]["verify SPHINCS+-128f"] == {
-            "memo_hits": 1, "memo_entries": 1}
+            "memo_hits": 1, "memo_entries": 1,
+            "layer_hits": 0, "layer_entries": 3}
+        for line in ('repro_cache_layer_hits{scope="verify SPHINCS+-128f"} 0',
+                     'repro_cache_layer_entries{scope="verify SPHINCS+-128f"}'
+                     ' 3'):
+            assert line in scrape.splitlines()
+
+
+class TestLayerMemo:
+    """The upper hypertree layers every signature under one key walks:
+    recalled exactly, and never more than their capacity."""
+
+    #: 128f's memoized layers: 8, 64 and 512 (tree, leaf) pairs.
+    MEMOIZED = range(19, 22)
+
+    def test_warm_key_skips_exactly_the_memoized_layers(self, signed_128f):
+        """A second, different signature whose path shares the memoized
+        layers with one already verified: its walk is the cold walk minus
+        exactly those layers' hash inputs (each input starts with its
+        compressed ADRS, layer byte first)."""
+        params, keys = signed_128f.params, signed_128f.keys
+        scheme = Sphincs(params, deterministic=True)
+        shift = params.tree_height * (self.MEMOIZED.start - 1)
+        path = scheme.prepare(MESSAGES[1], keys).idx_tree >> shift
+        other = next(message for message in (
+            b"warm key %d" % attempt for attempt in itertools.count())
+            if scheme.prepare(message, keys).idx_tree >> shift == path)
+        signature = signed_128f.backend.sign_batch(
+            [other], keys).signatures[0]
+
+        cold = RecordingContext(params)
+        assert FastVerifier(params, cold).verify_batch(
+            [other], [signature], keys.public) == [True]
+        warm = RecordingContext(params)
+        verifier = FastVerifier(params, warm)
+        assert verifier.verify_batch(MESSAGES[1:], signed_128f.signatures[1:],
+                                     keys.public) == [True]
+        warm.inputs.clear()
+        assert verifier.verify_batch([other], [signature],
+                                     keys.public) == [True]
+        assert verifier.layer_hits == len(self.MEMOIZED)
+        assert warm.inputs == [data for data in cold.inputs
+                               if data[0] < self.MEMOIZED.start]
+        assert {data[0] for data in cold.inputs} == set(range(params.d))
+
+    def test_bounded_under_ten_times_its_capacity(self, signed_128f,
+                                                  monkeypatch):
+        """Least recently used out, at a capacity of 64.  Each walked
+        layer's output is faked from its input and the top one accepts,
+        so every message teaches up to three new entries at the cost of
+        its FORS."""
+        monkeypatch.setattr(fastops, "LAYER_MEMO_CAPACITY", 64)
+        params, public = signed_128f.params, signed_128f.keys.public
+        verifier = FastVerifier(params)
+        top = params.d - 1
+
+        def layer(mids, layer, tree, leaf, prefix, node, layer_sig):
+            return public[params.n:] if layer == top else hashlib.sha256(
+                prefix + node).digest()[:params.n]
+
+        monkeypatch.setattr(verifier, "_layer", layer)
+        blob = signed_128f.signatures[0]
+        for index in range(320):
+            assert verifier.verify_batch([b"distinct %d" % index], [blob],
+                                         public) == [True]
+            assert verifier.cache_stats()["layer_entries"] <= 64
+        assert verifier.cache_stats()["layer_entries"] == 64
+
+    def test_hit_counter_is_exact_under_threads(self, signed_128f,
+                                                monkeypatch):
+        """More threads than cores on one verifier whose triple memo
+        keeps nothing: every call walks, and every walk recalls all three
+        memoized layers (a lost update would leave the counter short)."""
+        monkeypatch.setattr(fastops, "VERIFY_MEMO_CAPACITY", 0)
+        verifier = FastVerifier(signed_128f.params)
+        args = (MESSAGES, signed_128f.signatures, signed_128f.keys.public)
+        assert verifier.verify_batch(*args) == [True, True]
+        warm = verifier.layer_hits
+
+        def job(_):
+            return [verifier.verify_batch(*args) for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                answers = list(pool.map(job, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [[[True, True]] * 10] * 8
+        assert verifier.cache_stats() == {
+            "memo_hits": 0, "memo_entries": 0,
+            "layer_hits": warm + 8 * 10 * 2 * len(self.MEMOIZED),
+            "layer_entries": 5}
 
 
 class TestConcurrentVerify:

@@ -1,16 +1,19 @@
-"""base-w encoding, checksums and index extraction."""
+"""base-w encoding, checksums and index extraction — and the hot loops'
+fast forms of the digits and the indices, checked against them."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.params import get_params
+from repro.runtime.fastops import wots_digits
 from repro.sphincs.encoding import (
     base_w,
     checksum_digits,
     message_to_indices,
     split_digest,
 )
+from repro.testing.kat import KAT_SETS
 
 
 class TestBaseW:
@@ -122,3 +125,46 @@ class TestIndexExtraction:
         _, idx_tree, idx_leaf = split_digest(digest, p)
         assert 0 <= idx_tree < (1 << (p.h - p.tree_height))
         assert 0 <= idx_leaf < p.tree_leaves
+
+
+def bitwise_indices(fors_msg, p):
+    """The reference ``message_to_indices``: one bit at a time, MSB first."""
+    indices, offset = [], 0
+    for _ in range(p.k):
+        idx = 0
+        for _ in range(p.log_t):
+            bit = (fors_msg[offset >> 3] >> (7 - (offset & 7))) & 1
+            idx = (idx << 1) | bit
+            offset += 1
+        indices.append(idx)
+    return indices
+
+
+@pytest.mark.parametrize("alias", KAT_SETS)
+class TestFastEncodingsMatchTheReference:
+    """The table-driven WOTS digits and the one-integer FORS indices the
+    hot loops use, against ``base_w`` + ``checksum_digits`` and the
+    bitwise loop, on every parameter set with pinned vectors."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_wots_digits(self, alias, data):
+        p = get_params(alias)
+        message = data.draw(st.binary(min_size=p.n, max_size=p.n))
+        digits = base_w(message, p.w, p.wots_len1)
+        assert wots_digits(message, p) == digits + checksum_digits(digits, p)
+
+    @pytest.mark.parametrize("fill", [0x00, 0xFF])
+    def test_wots_digits_at_the_checksum_extremes(self, alias, fill):
+        p = get_params(alias)
+        message = bytes([fill]) * p.n
+        digits = base_w(message, p.w, p.wots_len1)
+        assert wots_digits(message, p) == digits + checksum_digits(digits, p)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_message_to_indices(self, alias, data):
+        p = get_params(alias)
+        fors_msg = data.draw(st.binary(min_size=p.fors_msg_bytes,
+                                       max_size=p.fors_msg_bytes))
+        assert message_to_indices(fors_msg, p) == bitwise_indices(fors_msg, p)

@@ -70,6 +70,23 @@ class TestParseFault:
         # Length framing: the same bytes split differently stay apart.
         assert genuine(b"ab", b"c", b"") != genuine(b"a", b"bc", b"")
 
+    def test_verify_layer_memo_fault_spec_and_install(self):
+        from repro.runtime.fastops import FastVerifier
+        from repro.testing import VerifyLayerMemoFault
+
+        fault = parse_fault("verify:layer-memo-ignores-signature")
+        assert isinstance(fault, VerifyLayerMemoFault)
+        assert fault.spec == "verify:layer-memo-ignores-signature"
+        genuine = FastVerifier._layer_key
+        args = (b"seed", b"prefix", b"node")
+        with fault.install():
+            assert (FastVerifier._layer_key(*args, b"one")
+                    == FastVerifier._layer_key(*args, b"other")
+                    == genuine(*args, b""))
+        assert FastVerifier._layer_key is genuine
+        assert fault.fired and fault.calls_seen == 2
+        assert genuine(*args, b"one") != genuine(*args, b"other")
+
     def test_plan_fault_spec_and_install(self):
         from repro.runtime import plan
         from repro.testing import PlanFault

@@ -187,6 +187,31 @@ class TestVerifyStage:
             assert all(d.stage == "verify" and not d.verify_failed
                        for d in result.divergences)
 
+    def test_signature_blind_layer_memo_rings(self, differential_oracle):
+        """The alarm for the upper-layer memo: keyed without a layer's
+        signature bytes, it answers for a corruption inside a memoized
+        layer — the top one's chains and auth path among the oracle's
+        cases — once the valid twin has taught it that layer."""
+        from repro.runtime.fastops import FastVerifier
+
+        genuine = FastVerifier._layer_key
+        fault = parse_fault("verify:layer-memo-ignores-signature")
+        oracle = differential_oracle(
+            "128f", backends=["scalar", "vectorized"],
+            corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
+        report = oracle.run()
+        assert FastVerifier._layer_key is genuine  # uninstalled again
+        assert not report.passed and report.fault_fired
+        by_path = {result.path: result for result in report.results}
+        assert by_path["backend:scalar"].ok  # the reference walk
+        for path in ("backend:vectorized", "client:local"):
+            result = by_path[path]
+            assert result.matched == result.count == 1  # signing untouched
+            assert {d.case.split("/")[-1] for d in result.divergences} == {
+                "bitflip-wots-chain-L21", "bitflip-xmss-auth-L21"}
+            assert all(d.stage == "verify" and not d.verify_failed
+                       for d in result.divergences)
+
     def test_chain_table_off_by_one_rings(self, differential_oracle):
         """The alarm for the signing plan's stitch: a WOTS signature read
         one table position too far passes the plan's own root check, and
