@@ -71,7 +71,6 @@ async def main() -> None:
 
     service = SigningService(
         build_keystore(),
-        backend="vectorized",
         target_batch_size=4,    # the throughput knob...
         max_wait_s=0.08,        # ...and the tail-latency knob
         max_pending=64,

@@ -11,8 +11,8 @@ Layers
     key generation, signing and verification for the 128f/192f/256f (and
     -s) parameter sets.
 ``repro.runtime``
-    The unified batch-signing runtime: a pluggable ``SigningBackend``
-    interface (scalar / vectorized / modeled-gpu) with first-class
+    The unified batch-signing runtime: one ``SigningBackend`` interface
+    over two signers (scalar reference, vectorized plan) with first-class
     ``sign_batch`` APIs, and the ``BatchScheduler`` service layer that
     queues, routes, and accounts a message stream.
 ``repro.gpusim``

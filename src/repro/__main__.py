@@ -54,19 +54,18 @@ import contextlib
 import sys
 
 
-def _backend_name(name: str) -> str:
-    """argparse type of a backend flag: a registered backend's name."""
-    from .errors import BackendError
-    from .runtime.registry import backend_factory
+def _backend_names(spec: str) -> list[str]:
+    """argparse type of ``serve --backends``: names from the runtime's
+    table, so an unknown one exits 2 before anything is signed."""
+    from .runtime.registry import BACKENDS
 
-    name = name.strip()
-    try:
-        backend_factory(name)
-    except BackendError as exc:
-        raise argparse.ArgumentTypeError(
-            f"{exc} (a worker pool is a size, --workers N, not a backend)"
-        ) from None
-    return name
+    names = [name.strip() for name in spec.split(",")]
+    for name in names:
+        if name not in BACKENDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown backend {name!r}; known: {', '.join(BACKENDS)} "
+                "(a worker pool is a size, --workers N, not a backend)")
+    return names
 
 
 def _parse_hostport(spec: str) -> tuple[str, int] | None:
@@ -243,6 +242,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         title=f"Batch signing runtime, {args.messages} messages per "
               f"(set, backend)"
     ))
+    if any(stats.verified is False for stats in scheduler.batches):
+        print("serve: a batch failed verification", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -291,7 +293,6 @@ def _build_service(args: argparse.Namespace, keystore=None):
         configure_logging(args.log_json)
     return SigningService(
         keystore,
-        backend=args.backend,
         target_batch_size=args.batch_size,
         max_wait_s=args.max_wait_ms / 1000.0,
         max_pending=args.max_pending,
@@ -358,8 +359,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated name:params tenant specs")
     parser.add_argument("--keystore", default=None,
                         help="keystore directory (default: in-memory)")
-    parser.add_argument("--backend", default="vectorized",
-                        type=_backend_name)
     parser.add_argument("--batch-size", type=int, default=16,
                         help="dispatch a queue at this fill level")
     parser.add_argument("--max-wait-ms", type=float, default=100.0,
@@ -847,9 +846,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--params", default="128f",
                          help="comma-separated parameter sets")
     p_serve.add_argument("--backends", default="vectorized",
-                         type=lambda spec: [_backend_name(name)
-                                            for name in spec.split(",")],
-                         help="comma-separated backend names")
+                         type=_backend_names,
+                         help="comma-separated backend names: scalar, "
+                              "vectorized")
     p_serve.add_argument("--messages", type=int, default=4,
                          help="messages per (set, backend)")
     p_serve.add_argument("--batch-size", type=int, default=0,
@@ -950,7 +949,7 @@ def main(argv: list[str] | None = None) -> int:
                              "four pinned sets)")
     p_conf.add_argument("--backends", default=None,
                         help="comma-separated backend names "
-                             "(default: every registered backend)")
+                             "(default: scalar, vectorized, pooled)")
     p_conf.add_argument("--smoke", action="store_true",
                         help="small corpus")
     p_conf.add_argument("--seed", type=int, default=0,

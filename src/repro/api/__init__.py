@@ -16,7 +16,8 @@ True
 
 The same lines work with ``api.connect("pooled", workers=4)``
 (a worker pool of a stated size) and ``api.connect("tcp", host=..., port=...)``
-(a remote ``repro serve-async`` service speaking protocol v2); asyncio
+(a remote ``repro serve-async`` service, offered protocol v3 and
+downgrading to v2 against an older server); asyncio
 callers use :class:`AsyncClient` directly.  Results are always
 :class:`SignResult` / :class:`VerifyResult`, capability discovery is
 always :meth:`~SigningClient.info`, and failures are always the typed

@@ -4,12 +4,11 @@
 :class:`~repro.service.engine.SigningEngine` — the same engine the served
 :class:`~repro.service.server.SigningService` signs through, minus
 admission, batching and the wire.  Tenant keys come from a
-:class:`~repro.service.keystore.Keystore`, any registered backend can
-execute, and one ``sign_many`` call is one backend batch, so the local
-transport exposes exactly the amortization the runtime was built for — on
-every CPU the process may use: the default ``vectorized`` plan runs on a
-worker pool the engine owns (:func:`~repro.runtime.pool.auto_workers`)
-until :meth:`LocalClient.close`.
+:class:`~repro.service.keystore.Keystore`, and one ``sign_many`` call is
+one batch of the vectorized signing plan, so the local transport exposes
+exactly the amortization the runtime was built for — on every CPU the
+process may use: the plan runs on a worker pool the engine owns
+(:func:`~repro.runtime.pool.auto_workers`) until :meth:`LocalClient.close`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Sequence
 from ..obs.trace import SpanClock, current_trace, start_trace
 from ..params import get_params
 from ..runtime.pool import auto_workers
-from ..service.engine import SigningEngine
+from ..service.engine import SigningEngine, require_vectorized
 from ..service.keystore import Keystore, derive_seed
 from .base import SigningClient
 from .model import (ServiceInfo, SignRequest, SignResult, VerifyRequest,
@@ -37,15 +36,15 @@ class LocalClient(SigningClient):
         Tenant/key registry; defaults to a fresh in-memory store
         (populate it with :meth:`add_tenant`).
     backend:
-        Any registered runtime backend: ``vectorized`` (default),
-        ``scalar`` or ``modeled-gpu``.  At most 8 keys' layer caches per
-        parameter set stay resident (oldest out, re-derived on next use).
+        ``vectorized``, the one signer (any other name is a
+        :class:`~repro.errors.BackendError`).  At most 8 keys' layer
+        caches per parameter set stay resident (oldest out, re-derived on
+        next use).
     workers:
-        Size of the worker pool the ``vectorized`` plan runs on (0: in
-        this process).  Default: one pinned worker per allowed CPU from
-        two up, none on one — and none under the other backends, which
-        have no plan to run on one.  A stated size labels results
-        ``transport="pooled"``; otherwise ``"local"``.
+        Size of the worker pool the plan runs on (0: in this process).
+        Default: one pinned worker per allowed CPU from two up, none on
+        one.  A stated size labels results ``transport="pooled"``;
+        otherwise ``"local"``.
     tracer:
         Optional :class:`repro.obs.trace.Tracer`.  Each facade call
         records a root ``client-request`` span with the batch's
@@ -57,15 +56,14 @@ class LocalClient(SigningClient):
                  deterministic: bool = False,
                  workers: int | None = None,
                  tracer=None):
+        require_vectorized(backend)
         self.keystore = keystore if keystore is not None else Keystore()
         self.tracer = tracer
         self.transport = "pooled" if workers else "local"
-        if workers is None:
-            workers = auto_workers() if backend == "vectorized" else 0
         # The engine starts the pool here; close() stops it.
         self.engine = SigningEngine(
-            self.keystore, backend, deterministic=deterministic,
-            workers=workers)
+            self.keystore, deterministic=deterministic,
+            workers=auto_workers() if workers is None else workers)
 
     # ------------------------------------------------------------------
     # Tenant management convenience (local transport only: remote tenants
@@ -139,7 +137,7 @@ class LocalClient(SigningClient):
             protocol_version=2,
             verbs=("info", "keys", "sign", "sign-many", "verify",
                    "verify-many"),
-            backend=self.engine.backend_name,
+            backend="vectorized",
             workers=pool.workers if pool is not None else 0,
             max_batch=None,  # no wire frame: one call, one batch, any size
             parameter_sets=tuple(sorted({

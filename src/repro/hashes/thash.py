@@ -128,21 +128,6 @@ class HashContext:
         self._midstates_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    @property
-    def counting(self) -> bool:
-        """Whether T-hash/PRF calls tally :attr:`hash_calls`.
-
-        Writable: the observability layer's stage tap
-        (``repro.obs.trace.StageAggregator``) flips it on for the span
-        of one batch to attribute compression calls per signer stage,
-        then restores the constructor's setting.
-        """
-        return self._count
-
-    @counting.setter
-    def counting(self, value: bool) -> None:
-        self._count = bool(value)
-
     def _prime(self, seed: bytes) -> tuple:
         """Cache and return *seed*'s entry: ``seed || pad`` absorbed by
         ``hashlib`` and by each kernel's chosen constructor (one object

@@ -27,13 +27,13 @@ check, so the hot paths stay hook-free until an operator opts in.
 from .log import JsonLogger, configure_logging, get_logger, logging_enabled
 from .metrics import (MetricsRegistry, MetricsServer, parse_prometheus,
                       render_prometheus)
-from .trace import (Span, StageAggregator, TraceContext, Tracer,
-                    current_trace, load_spans, new_span_id, new_trace_id,
-                    render_critical_path, start_trace, use_trace)
+from .trace import (Span, TraceContext, Tracer, current_trace, load_spans,
+                    new_span_id, new_trace_id, render_critical_path,
+                    start_trace, use_trace)
 
 __all__ = [
     "JsonLogger", "MetricsRegistry", "MetricsServer", "Span",
-    "StageAggregator", "TraceContext", "Tracer", "configure_logging",
+    "TraceContext", "Tracer", "configure_logging",
     "current_trace", "get_logger", "load_spans", "logging_enabled",
     "new_span_id", "new_trace_id", "parse_prometheus",
     "render_critical_path", "render_prometheus", "start_trace",

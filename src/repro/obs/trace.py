@@ -21,12 +21,6 @@ stdlib-only:
   is a lock, a dict build, and an append — cheap enough for per-request
   use — and every call site guards with ``if tracer is not None`` so a
   tracer-less service pays nothing.
-* :class:`StageAggregator` — an adapter for the pre-existing
-  ``HashContext.tracer`` hook (built for the conformance oracle): it
-  turns the per-hop ``record(stage, label, value)`` stream into
-  per-stage wall time *and hash counts*, which is how the scalar
-  backend's ``fors``/``wots``/``merkle``/``hypertree`` sub-spans get
-  their compression-call attribution.
 
 :func:`load_spans` / :func:`render_critical_path` are the analysis half:
 they read a trace ring or JSONL export back and render the queue-wait vs
@@ -45,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-__all__ = ["Span", "SpanClock", "StageAggregator", "TraceContext", "Tracer",
+__all__ = ["Span", "SpanClock", "TraceContext", "Tracer",
            "current_trace", "load_spans", "new_span_id", "new_trace_id",
            "render_critical_path", "start_trace", "use_trace"]
 
@@ -229,7 +223,6 @@ class Tracer:
 
     def record_sign(self, trace: TraceContext, parent_id: str | None,
                     start: float, end: float, stage_seconds: dict[str, float],
-                    stage_hashes: dict[str, int] | None = None,
                     workers: dict[int, dict] | None = None, **attrs) -> None:
         """One backend call as a ``sign`` span under *parent_id*, a
         ``worker`` span per pool process that ran its tasks, and a
@@ -247,10 +240,8 @@ class Tracer:
                 tasks=share["tasks"], busy_s=round(share["busy_s"], 6))
         offset = start
         for stage, seconds in stage_seconds.items():
-            counted = ({"hashes": stage_hashes[stage]}
-                       if stage_hashes and stage in stage_hashes else {})
             self.record_span(stage, trace=trace, parent_id=sign_id,
-                             start=offset, end=offset + seconds, **counted)
+                             start=offset, end=offset + seconds)
             offset += seconds
 
     # ------------------------------------------------------------------
@@ -272,67 +263,6 @@ class Tracer:
             if self._out is not None:
                 self._out.close()
                 self._out = None
-
-
-class StageAggregator:
-    """Adapt the ``HashContext.tracer`` hook into per-stage profiles.
-
-    The SPHINCS+ components report each structural hop through
-    ``tracer.record(stage, label, value)`` (stages: ``prepare``,
-    ``fors``, ``wots``, ``merkle``, ``hypertree``).  This sink
-    attributes the wall time and hash-compression calls *since the
-    previous hop* to the reported stage — turning the oracle's
-    divergence hook into a per-stage profiler with no new plumbing in
-    the signer.  Install on a backend's tappable hash context for the
-    duration of one batch (see ``SigningService._sign_batch``).
-    """
-
-    def __init__(self, ctx) -> None:
-        self.ctx = ctx
-        self.stage_seconds: dict[str, float] = {}
-        self.stage_hashes: dict[str, int] = {}
-        self._last_time = time.perf_counter()
-        self._last_calls = ctx.hash_calls
-
-    def record(self, stage: str, label: str, value: bytes) -> None:
-        now = time.perf_counter()
-        calls = self.ctx.hash_calls
-        self.stage_seconds[stage] = (self.stage_seconds.get(stage, 0.0)
-                                     + (now - self._last_time))
-        self.stage_hashes[stage] = (self.stage_hashes.get(stage, 0)
-                                    + (calls - self._last_calls))
-        self._last_time = now
-        self._last_calls = calls
-
-
-@contextlib.contextmanager
-def tap_stages(backend) -> Iterator[StageAggregator | None]:
-    """Install a :class:`StageAggregator` on *backend* for one batch.
-
-    Yields ``None`` when the backend has no tappable hash context (the
-    vectorized hot loops and the worker pool sign hook-free) or when a
-    tracer is already installed (the conformance oracle owns the hook
-    then) — callers fall back to coarse ``stage_seconds`` timings.
-    """
-    from ..errors import BackendError
-
-    try:
-        ctx = backend.hash_context()
-    except BackendError:
-        yield None
-        return
-    if ctx.tracer is not None:
-        yield None
-        return
-    aggregator = StageAggregator(ctx)
-    was_counting = ctx.counting
-    ctx.counting = True
-    ctx.tracer = aggregator
-    try:
-        yield aggregator
-    finally:
-        ctx.tracer = None
-        ctx.counting = was_counting
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """The unified batch-signing runtime.
 
-This package is the scaling seam of the reproduction: every execution
-engine — the scalar reference path, the vectorized CPU path, the modeled
-GPU — sits behind one :class:`SigningBackend` interface with first-class
-batch APIs, and :class:`BatchScheduler` provides the service layer that
-queues messages, routes them to backends, and accounts throughput.
-
-Adding a new device or strategy (sharded, async, a real GPU) means
-registering one new backend — not forking the signer.
+Two signers sit behind one :class:`SigningBackend` interface with
+first-class batch APIs: ``scalar``, the reference walk, and
+``vectorized``, the signing plan every serving front runs (in process or
+on a :class:`WorkerPool`).  :class:`BatchScheduler` queues messages,
+routes them to either, and accounts throughput.  The paper's GPU is
+modeled apart from signing, by :func:`repro.core.batch.run_batch`.
 
 >>> from repro import runtime
 >>> backend = runtime.get_backend("vectorized", "128f", deterministic=True)
@@ -19,15 +17,13 @@ registering one new backend — not forking the signer.
 
 from .backend import BatchSignResult, SigningBackend
 from .pool import WorkerPool
-from .registry import available_backends, get_backend, register_backend
+from .registry import get_backend
 from .scheduler import BatchScheduler, BatchStats
 
 __all__ = [
     "BatchSignResult",
     "SigningBackend",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "BatchScheduler",
     "BatchStats",
     "WorkerPool",

@@ -2,10 +2,10 @@
 
 A backend is a signing engine with a first-class *batch* API: callers hand
 it a list of messages and get back a :class:`BatchSignResult` carrying the
-signatures plus per-stage timing and cache statistics.  Every execution
-strategy — the scalar reference path, the vectorized CPU path, the modeled
-GPU — implements this one interface, so schedulers, benchmarks, and
-services route work without knowing how a backend executes it.
+signatures plus per-stage timing and cache statistics.  Both signers —
+the scalar reference path and the vectorized CPU path — implement this
+one interface, so schedulers and benchmarks route work without knowing
+how a backend executes it.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class BatchSignResult:
     elapsed_s: float
     stage_seconds: dict[str, float] = field(default_factory=dict)
     cache_stats: dict[str, int] = field(default_factory=dict)
-    # For modeled backends: the analytical-model outcome for the same
-    # batch (a ``repro.core.batch.BatchResult``); None on pure-CPU paths.
-    modeled: Any = None
     # On a worker pool: what each worker process contributed
     # (``plan.TaskRun.workers``); empty on in-process paths.
     workers: dict[int, dict] = field(default_factory=dict)
@@ -89,24 +86,6 @@ class SigningBackend(abc.ABC):
     def sign(self, message: bytes, keys: KeyPair) -> bytes:
         """Scalar convenience wrapper over :meth:`sign_batch`."""
         return self.sign_batch([message], keys).signatures[0]
-
-    # ------------------------------------------------------------------
-    # Layer-cache hooks — no-ops by default so callers (the service's
-    # prewarm/invalidate paths) can drive every backend uniformly.
-    # ------------------------------------------------------------------
-    def prewarm_key(self, keys: KeyPair) -> None:
-        """Precompute per-key warm state (layer caches), if any."""
-
-    def invalidate_key(self, keys: KeyPair) -> None:
-        """Drop per-key cached state (key rotation / tenant delete)."""
-
-    def cache_stats(self) -> dict[str, int]:
-        """Aggregate cache counters for telemetry; empty if uncached."""
-        return {}
-
-    def recall(self, message: bytes, keys: KeyPair) -> bytes | None:
-        """A remembered signature of *message*; none kept by default."""
-        return None
 
     def verify_batch(self, messages: Sequence[bytes],
                      signatures: Sequence[bytes],

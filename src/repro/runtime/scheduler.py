@@ -5,8 +5,8 @@ batch CLI, the conformance oracle's ``scheduler:*`` paths, the benchmark
 ladder.  They submit individual messages and get tickets back; the
 scheduler groups them into per-(parameter set, backend) queues, dispatches
 a backend's ``sign_batch`` whenever a queue reaches its target size, and
-keeps per-batch statistics (wall time, sig/s, cache hits, modeled KOPS)
-for reporting.  The request-serving tiers sign through a
+keeps per-batch statistics (wall time, sig/s, cache hits, verdict) for
+reporting.  The request-serving tiers sign through a
 :class:`~repro.service.engine.SigningEngine`, not through here.
 
 This is the architecture the paper argues for: restructure a message
@@ -39,7 +39,6 @@ class BatchStats:
     sigs_per_s: float
     verified: bool | None
     cache_hits: int
-    modeled_kops: float | None
 
 
 @dataclass
@@ -64,7 +63,7 @@ class BatchScheduler:
         self-check, not a crypto requirement.
     backend_options:
         Per-backend-name constructor kwargs, e.g.
-        ``{"modeled-gpu": {"device": "RTX 3080"}}``.
+        ``{"vectorized": {"cache_budget_mb": 2}}``.
     keys_provider:
         Optional ``(canonical params name) -> KeyPair`` hook consulted
         before the scheduler generates its own key pair — how a caller
@@ -191,8 +190,6 @@ class BatchScheduler:
             sigs_per_s=result.sigs_per_s,
             verified=verified,
             cache_hits=result.cache_stats.get("hits", 0),
-            modeled_kops=(round(result.modeled.kops, 3)
-                          if result.modeled is not None else None),
         )
 
     def flush(self) -> list[BatchStats]:
@@ -278,25 +275,27 @@ class BatchScheduler:
         return totals
 
     def report(self, title: str = "Batch signing runtime") -> str:
-        """A formatted per-(params, backend) throughput table."""
+        """A formatted per-(params, backend) throughput table; ``verified``
+        counts the batches that verified (``-`` when none was checked)."""
         from ..analysis.reporting import format_table
 
         rows = []
         for (params_name, backend_name), entry in sorted(
                 self.throughput().items()):
-            modeled = [s.modeled_kops for s in self.batches
-                       if s.params == params_name
-                       and s.backend == backend_name
-                       and s.modeled_kops is not None]
+            verdicts = [s.verified for s in self.batches
+                        if s.params == params_name
+                        and s.backend == backend_name
+                        and s.verified is not None]
             rows.append([
                 params_name,
                 backend_name,
                 int(entry["count"]),
                 round(entry["elapsed_s"], 3),
                 round(entry["sigs_per_s"], 3),
-                max(modeled) if modeled else "-",
+                (f"{sum(verdicts)}/{len(verdicts)}"
+                 + ("" if all(verdicts) else " FAILED")) if verdicts else "-",
             ])
         return format_table(
-            ["set", "backend", "signed", "wall s", "sig/s", "modeled KOPS"],
+            ["set", "backend", "signed", "wall s", "sig/s", "verified"],
             rows, title=title,
         )

@@ -15,18 +15,27 @@ from typing import Sequence
 
 from ..errors import BackendError, ServiceError
 from ..obs.log import get_logger
-from ..runtime.backend import BatchSignResult, SigningBackend
+from ..runtime.backend import BatchSignResult
 from ..runtime.fastops import FastVerifier
 from ..runtime.pool import WorkerPool
-from ..runtime.registry import backend_factory
+from ..runtime.vectorized import VectorizedBackend
 from .keystore import Keystore
 
-__all__ = ["ON_LOOP_BYTES", "SigningEngine"]
+__all__ = ["ON_LOOP_BYTES", "SigningEngine", "require_vectorized"]
 
 #: Most bytes ``recall`` hashes (a service's event loop waits ~0.13 ms).
 ON_LOOP_BYTES = 64 * 1024
 
 _log = get_logger("service")
+
+
+def require_vectorized(backend: str) -> None:
+    """A front's ``backend=`` names its one signer, ``vectorized``; any
+    other name is a :class:`BackendError`."""
+    if backend != "vectorized":
+        raise BackendError(
+            f"unknown backend {backend!r}: every front signs on "
+            "'vectorized' (the scalar reference is get_backend('scalar'))")
 
 
 class SigningEngine:
@@ -36,42 +45,27 @@ class SigningEngine:
     ----------
     keystore:
         Where ``(tenant, key)`` resolves; listened to until :meth:`close`.
-    backend:
-        A registered runtime backend (an unknown name is the registry's
-        :class:`~repro.errors.BackendError`).  One instance per
-        parameter set, built on first use; ``vectorized`` keeps at most
-        8 keys' layer caches resident (``VectorizedBackend._ops``),
-        oldest out.
     workers:
-        ``> 0`` runs the ``vectorized`` signing plan on a pool of that
-        many processes — one pool under every parameter set, started
-        here and stopped by :meth:`close`; :class:`BackendError` under a
-        backend that has no plan to run on one.
+        ``> 0`` runs the signing plan on a pool of that many processes —
+        one pool under every parameter set, started here and stopped by
+        :meth:`close`.
     cache_budget_mb:
         An explicit per-key layer-cache budget is the operator opting
-        into warm caches: it sizes the ``vectorized`` backend's, and
-        every key is prewarmed when its backend is built and after a
-        rotation.  Backends with no layer cache ignore it.
+        into warm caches: it sizes each backend's, and every key is
+        prewarmed when its backend is built and after a rotation.
+
+    One :class:`~repro.runtime.vectorized.VectorizedBackend` per parameter
+    set, built on first use; it keeps at most 8 keys' layer caches
+    resident (``VectorizedBackend._ops``), oldest out.
     """
 
-    def __init__(self, keystore: Keystore, backend: str = "vectorized",
-                 deterministic: bool = False, workers: int = 0,
-                 cache_budget_mb: float | None = None):
+    def __init__(self, keystore: Keystore, *, deterministic: bool = False,
+                 workers: int = 0, cache_budget_mb: float | None = None):
         self.keystore = keystore
-        self.backend_name = backend
         self.deterministic = deterministic
         self.cache_budget_mb = cache_budget_mb
-        self._factory = backend_factory(backend)
-        if workers > 0 and backend != "vectorized":
-            raise BackendError(
-                f"a worker pool runs the vectorized signing plan; it cannot "
-                f"host backend {backend!r}")
         self.pool = WorkerPool(workers) if workers > 0 else None
-        # The one backend with a layer cache to budget and a plan to pool.
-        self._options = ({"cache_budget_mb": cache_budget_mb,
-                          "pool": self.pool}
-                         if backend == "vectorized" else {})
-        self._backends: dict[str, SigningBackend] = {}
+        self._backends: dict[str, VectorizedBackend] = {}
         self._verifiers: dict[str, FastVerifier] = {}
         # Callers arrive on several threads (the service's executor, a
         # ledger's ``to_thread``): backends and verifiers are built under it.
@@ -80,15 +74,15 @@ class SigningEngine:
         keystore.add_listener(self._on_key_event)
 
     # ------------------------------------------------------------------
-    def backend_for(self, params_name: str) -> SigningBackend:
+    def backend_for(self, params_name: str) -> VectorizedBackend:
         """The backend for *params_name* (canonical), built — and with a
         cache budget, prewarmed — on first use."""
         with self._lock:
             backend = self._backends.get(params_name)
             if backend is None:
-                backend = self._backends[params_name] = self._factory(
+                backend = self._backends[params_name] = VectorizedBackend(
                     params_name, deterministic=self.deterministic,
-                    **self._options)
+                    cache_budget_mb=self.cache_budget_mb, pool=self.pool)
                 if self.cache_budget_mb is not None:
                     for tenant in self.keystore.tenants():
                         if self.keystore.params_for(tenant) != params_name:
@@ -136,7 +130,7 @@ class SigningEngine:
         result = self.backend_for(params_name).sign_batch(messages, keys)
         if len(result.signatures) != len(messages):
             raise ServiceError(
-                f"backend {self.backend_name!r} returned "
+                f"backend {result.backend!r} returned "
                 f"{len(result.signatures)} signatures for "
                 f"{len(messages)} messages")
         return result, params_name
@@ -163,9 +157,7 @@ class SigningEngine:
         verifier (verify memo), all in this process: pool workers hold none."""
         scopes: dict[str, dict] = {}
         for params_name, backend in sorted(self._backends.items()):
-            stats = backend.cache_stats()
-            if stats:
-                scopes[f"in-process {params_name}"] = stats
+            scopes[f"in-process {params_name}"] = backend.cache_stats()
         for params_name, verifier in sorted(self._verifiers.items()):
             scopes[f"verify {params_name}"] = verifier.cache_stats()
         if not scopes:

@@ -4,8 +4,8 @@
 resolves the request through the keystore, applies admission control,
 queues it on the deadline-aware batcher, and returns a
 :class:`SignOutcome` once the batch it rode in comes back from a runtime
-backend.  :class:`SigningServer` fronts a service with the
-newline-delimited JSON protocol over TCP (see :mod:`.protocol`).
+backend.  :class:`SigningServer` fronts a service over TCP: JSON lines
+until a ``hello``, binary v3 frames after a v3 one (see :mod:`.protocol`).
 
 Design notes
 ------------
@@ -39,10 +39,10 @@ from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
 from ..hashes.thash import sha256_choice
 from ..obs.log import get_logger
 from ..obs.trace import (SpanClock, TraceContext, Tracer, current_trace,
-                         new_span_id, new_trace_id, tap_stages)
+                         new_span_id, new_trace_id)
 from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
-from .engine import SigningEngine
+from .engine import SigningEngine, require_vectorized
 from .keystore import Keystore
 from .telemetry import Telemetry, render_snapshot
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
@@ -67,7 +67,10 @@ class SignOutcome:
 
 
 class SigningService:
-    """Deadline-batched, multi-tenant signing over the runtime backends."""
+    """Deadline-batched, multi-tenant signing on the vectorized plan."""
+
+    #: What ``stats`` and ``hello`` name as the signer.
+    backend_name = "vectorized"
 
     def __init__(self, keystore: Keystore | None = None,
                  backend: str = "vectorized",
@@ -84,8 +87,11 @@ class SigningService:
             )
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
+        try:
+            require_vectorized(backend)
+        except BackendError as exc:
+            raise ServiceError(str(exc)) from None
         self.keystore = keystore if keystore is not None else Keystore()
-        self.backend_name = backend
         self.max_pending = max_pending
         self.telemetry = Telemetry()
         #: The one store of every service-tier number — the ``stats``
@@ -100,16 +106,13 @@ class SigningService:
         self._sign_lock = asyncio.Lock()
         # Multi-core tier: with workers > 0 the engine signs every batch
         # on a pool — one pool under every parameter set.
-        try:
-            self.engine = SigningEngine(
-                self.keystore, backend, deterministic=deterministic,
-                workers=workers, cache_budget_mb=cache_budget_mb)
-        except BackendError as exc:
-            raise ServiceError(str(exc)) from None
+        self.engine = SigningEngine(
+            self.keystore, deterministic=deterministic, workers=workers,
+            cache_budget_mb=cache_budget_mb)
         self.pool = self.engine.pool
         #: What outcomes and spans call the executor.
         self.backend_label = (f"pooled[{self.pool.workers}]"
-                              if self.pool is not None else backend)
+                              if self.pool is not None else "vectorized")
         self.telemetry.add_source("queue", lambda: {"depth": self._depth()})
         if self.pool is not None:
             self.telemetry.add_source("pool", self.pool.stats)
@@ -232,25 +235,6 @@ class SigningService:
     # ------------------------------------------------------------------
     # Dispatch (called by the batcher)
     # ------------------------------------------------------------------
-    def _sign_batch(self, tenant: str, key_name: str,
-                    messages: list[bytes], traced: bool):
-        """One batch, on the executor thread: ``(result, params name,
-        stage hashes)``.  A traced batch signs with the backend's
-        hash-context hook tapped, which adds wots/merkle sub-stage times
-        and per-stage hash counts on backends that expose the hook (the
-        sign lock serializes access to the context)."""
-        if not traced:
-            return *self.engine.sign_batch(tenant, key_name, messages), None
-        backend = self.engine.backend_for(self.keystore.params_for(tenant))
-        with tap_stages(backend) as tap:
-            result, params_name = self.engine.sign_batch(
-                tenant, key_name, messages)
-        if tap is None:
-            return result, params_name, None
-        for stage, seconds in tap.stage_seconds.items():
-            result.stage_seconds.setdefault(stage, seconds)
-        return result, params_name, tap.stage_hashes
-
     async def _dispatch(self, queue_key: QueueKey,
                         batch: list[PendingSign]) -> None:
         tenant, key_name = queue_key
@@ -264,10 +248,8 @@ class SigningService:
             async with self._sign_lock:
                 dispatch_started = loop.time()
                 clock = SpanClock()
-                result, params_name, stage_hashes = (
-                    await loop.run_in_executor(
-                        None, self._sign_batch, tenant, key_name, messages,
-                        bool(traced)))
+                result, params_name = await loop.run_in_executor(
+                    None, self.engine.sign_batch, tenant, key_name, messages)
                 sign_end = clock.end()
         except Exception as exc:
             self.telemetry.record_failed(tenant, len(batch))
@@ -291,7 +273,7 @@ class SigningService:
                 backend=self.backend_label, batch_size=len(batch))
             self.tracer.record_sign(
                 trace, dispatch_id, clock.start, sign_end,
-                result.stage_seconds, stage_hashes, result.workers)
+                result.stage_seconds, result.workers)
         self.telemetry.record_batch(len(batch))
         for request, signature in zip(batch, result.signatures):
             wait_ms = (dispatch_started - request.enqueued_at) * 1000.0

@@ -1,7 +1,7 @@
 """The cross-backend differential oracle.
 
 Every execution strategy in this repository — the scalar reference
-backend, the vectorized CPU backend, the modeled-GPU backend, the
+backend, the vectorized CPU backend, the
 :class:`~repro.runtime.scheduler.BatchScheduler` service layer, the
 async :class:`~repro.service.server.SigningService`, and the unified
 :mod:`repro.api` client facade over each transport (``client:local``,
@@ -12,7 +12,7 @@ byte-identical SPHINCS+ signatures
 in deterministic mode.  The
 oracle *enforces* that promise.  It signs a shared adversarial corpus
 (:func:`repro.testing.corpus.message_corpus`) on a reference scheme, runs
-every registered path over the same corpus and keys, and reports:
+every path over the same corpus and keys, and reports:
 
 * **matched** — signature bytes identical to the reference, and
 * **verified** — the signature round-trips through ``verify``.
@@ -72,10 +72,10 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 
-from ..errors import ConformanceError, SignatureFormatError, TuningError
+from ..errors import ConformanceError, SignatureFormatError
 from ..params import SphincsParams, get_params
 from ..runtime.pool import WorkerPool
-from ..runtime.registry import available_backends, get_backend
+from ..runtime.registry import BACKENDS, get_backend
 from ..runtime.scheduler import BatchScheduler
 from ..sphincs.signer import KeyPair, Sphincs
 from .corpus import message_corpus, signature_mutations
@@ -125,13 +125,10 @@ class PathResult:
     verified: int = 0
     elapsed_s: float = 0.0
     divergences: list[Divergence] = field(default_factory=list)
-    error: str = ""    # a path that failed outright (exception) reports here
-    skipped: str = ""  # a path that cannot serve this parameter set
+    error: str = ""  # a path that failed outright (exception) reports here
 
     @property
     def ok(self) -> bool:
-        if self.skipped:
-            return True  # a declared capability limit is not a divergence
         return (not self.divergences and not self.error
                 and self.matched == self.count == self.verified)
 
@@ -164,8 +161,7 @@ class ConformanceReport:
 
         rows = []
         for result in self.results:
-            status = ("skipped" if result.skipped
-                      else "ok" if result.ok
+            status = ("ok" if result.ok
                       else "ERROR" if result.error else "DIVERGED")
             rows.append([result.path, result.count, result.matched,
                          result.verified, round(result.elapsed_s, 3), status])
@@ -176,8 +172,6 @@ class ConformanceReport:
         for result in self.results:
             if result.error:
                 lines.append(f"  {result.path}: {result.error}")
-            elif result.skipped:
-                lines.append(f"  {result.path}: skipped — {result.skipped}")
         for divergence in self.divergences:
             lines.append(f"  {divergence}")
         if self.fault_spec is not None:
@@ -233,10 +227,10 @@ class DifferentialOracle:
     params:
         Parameter set under test.
     backends:
-        Backend names to include; defaults to every registered backend,
-        so a backend added via ``register_backend`` joins the oracle with
-        no further wiring, plus ``pooled``: the ``vectorized`` backend on
-        a ``service_workers``-process worker pool.
+        Backend names to include; defaults to both of
+        :data:`~repro.runtime.registry.BACKENDS` plus ``pooled``: the
+        ``vectorized`` backend on a ``service_workers``-process worker
+        pool.
     corpus:
         ``(case, message)`` pairs; defaults to :func:`message_corpus`.
     include_scheduler / include_service:
@@ -276,21 +270,19 @@ class DifferentialOracle:
                  include_service: bool = True,
                  include_clients: bool = True,
                  include_ledger: bool = True,
-                 service_backend: str = "vectorized",
                  service_workers: int = 2,
                  fault: BitFlipFault | CachedNodeFault | MemoFault
                  | VerifyFault | PlanFault | None = None,
                  fault_target: str = "scalar"):
         self.params = get_params(params) if isinstance(params, str) else params
         self.backends = (list(backends) if backends is not None
-                         else sorted([*available_backends(), "pooled"]))
+                         else sorted([*BACKENDS, "pooled"]))
         self.corpus = (corpus if corpus is not None
                        else message_corpus(seed=seed, smoke=smoke))
         self.include_scheduler = include_scheduler
         self.include_service = include_service
         self.include_clients = include_clients
         self.include_ledger = include_ledger
-        self.service_backend = service_backend
         self.service_workers = service_workers
         self.fault = fault
         self.fault_target = fault_target
@@ -353,8 +345,7 @@ class DifferentialOracle:
                 results.extend(self._run_backend(name)
                                for name in self.backends)
                 if self.include_clients:
-                    results.append(self._run_client(
-                        "client:local", self.service_backend))
+                    results.append(self._run_client("client:local"))
             fault_fired = self.fault.fired
         elif isinstance(self.fault, MemoFault):
             # Installed process-wide on the replay memo.  First sight is
@@ -364,8 +355,8 @@ class DifferentialOracle:
                 if self.include_service:  # pass two is ``engine.recall``
                     results.append(asyncio.run(self._run_service(passes=2)))
                 if self.include_clients:
-                    results.append(self._run_client(
-                        "client:local", self.service_backend, passes=2))
+                    results.append(self._run_client("client:local",
+                                                    passes=2))
             fault_fired = self.fault.fired
         elif isinstance(self.fault, CachedNodeFault):
             # Focused two-pass flow: warm pass, cache strike, a fresh
@@ -415,12 +406,10 @@ class DifferentialOracle:
             # generations (v2 JSON lines pinned explicitly, v3 binary
             # framing with its streamed sign-many), and the cluster tier
             # — where placement and failover must never change a byte.
-            results.append(self._run_client("client:local",
-                                            self.service_backend))
+            results.append(self._run_client("client:local"))
             if pooled:
                 results.append(self._run_client(
-                    "client:pooled", "vectorized",
-                    workers=self.service_workers))
+                    "client:pooled", workers=self.service_workers))
             for label, options in (
                     ("client:tcp", {"version": 2}),
                     ("client:tcp-v3", {"version": 3}),
@@ -461,17 +450,14 @@ class DifferentialOracle:
     @contextlib.contextmanager
     def _path(self, label: str):
         """One row of the report: times the block and files whatever it
-        raises — a declared capability limit (``TuningError``, e.g.
-        modeled-gpu on 128s) as *skipped*, anything else as the path's
-        error.  Both are findings about the path, not crashes of the run."""
+        raises as the path's error — a finding about the path, not a
+        crash of the run."""
         result = PathResult(path=label)
         started = time.perf_counter()
         try:
             yield result
         except ConformanceError:
             raise  # harness misconfiguration, not a conformance finding
-        except TuningError as exc:
-            result.skipped = str(exc)
         except Exception as exc:  # noqa: BLE001 — a path failing is a finding
             result.error = f"{type(exc).__name__}: {exc}"
         finally:
@@ -541,7 +527,7 @@ class DifferentialOracle:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def _executor(self, name: str):
-        """``(registered backend, constructor options)`` behind path name
+        """``(backend name, constructor options)`` behind path name
         *name*: ``pooled`` is ``vectorized`` on a pool of
         ``service_workers``, forked here and stopped on the way out."""
         if name != "pooled":
@@ -560,15 +546,8 @@ class DifferentialOracle:
                                   deterministic=True, **options)
             tap = contextlib.nullcontext()
             if fault is not None:
-                get_context = getattr(backend, "hash_context", None)
-                if get_context is None:
-                    raise ConformanceError(
-                        f"backend {name!r} does not expose hash_context(); "
-                        "cannot install a fault on it (see "
-                        "SigningBackend.hash_context)"
-                    )
                 try:
-                    tap = fault.install(get_context())
+                    tap = fault.install(backend.hash_context())
                 except Exception as exc:  # declared untappable
                     raise ConformanceError(
                         f"cannot install fault on backend {name!r}: {exc}"
@@ -659,7 +638,7 @@ class DifferentialOracle:
         from ..service import SigningService
 
         return SigningService(
-            self._client_keystore(), backend=self.service_backend,
+            self._client_keystore(),
             target_batch_size=max(2, len(corpus) // 2), max_wait_s=0.05,
             max_pending=max(64, 2 * len(corpus)), deterministic=True,
             **options)
@@ -673,16 +652,14 @@ class DifferentialOracle:
         self._diff_verdicts(result, cases,
                             [verdict.valid for verdict in verdicts])
 
-    def _run_client(self, label: str, backend: str,
-                    workers: int | None = None,
+    def _run_client(self, label: str, workers: int | None = None,
                     passes: int = 1) -> PathResult:
         """The corpus through a ``LocalClient`` (*passes* times; the last
         pass is the one compared), then the verify cases."""
         from ..api import LocalClient
 
         with self._path(label) as result:
-            with LocalClient(self._client_keystore(), backend=backend,
-                             deterministic=True,
+            with LocalClient(self._client_keystore(), deterministic=True,
                              workers=workers) as client:
                 for _ in range(passes):
                     signed = client.sign_many(
@@ -751,9 +728,8 @@ class DifferentialOracle:
 
     async def _run_service(self, workers: int = 0,
                            passes: int = 1) -> PathResult:
-        label = (f"service:pooled[{workers}]" if workers
-                 else f"service:{self.service_backend}")
-        with self._path(label) as result:
+        with self._path(f"service:pooled[{workers}]" if workers
+                        else "service:vectorized") as result:
             service = self._service(self.corpus, workers=workers)
             try:
                 for _ in range(passes):  # the last pass is compared
@@ -787,7 +763,6 @@ class DifferentialOracle:
                 tempfile.TemporaryDirectory(
                     prefix="repro-oracle-ledger-") as tmp, \
                 LocalClient(self._client_keystore(),
-                            backend=self.service_backend,
                             deterministic=True) as client:
             root = Path(tmp) / "log"
             ledger = LedgerService(

@@ -5,10 +5,10 @@ import threading
 
 import pytest
 
-from repro.obs.trace import (RING_SIZE, Span, StageAggregator, TraceContext,
-                             Tracer, current_trace, load_spans, new_span_id,
-                             new_trace_id, start_trace, tap_stages,
-                             trace_breakdowns, use_trace)
+from repro.obs.trace import (RING_SIZE, Span, TraceContext, Tracer,
+                             current_trace, load_spans, new_span_id,
+                             new_trace_id, start_trace, trace_breakdowns,
+                             use_trace)
 
 
 class TestTraceContext:
@@ -175,35 +175,3 @@ class TestBreakdowns:
                            parent_id="gone")
         [entry] = trace_breakdowns(tracer.spans())
         assert entry["total_ms"] == pytest.approx(200.0)
-
-
-class TestStageAggregator:
-    def test_tap_stages_attributes_time_and_hashes(self):
-        from repro.runtime.registry import get_backend
-
-        backend = get_backend("scalar", deterministic=True)
-        ctx = backend.hash_context()
-        with tap_stages(backend) as tap:
-            assert isinstance(tap, StageAggregator)
-            assert ctx.tracer is tap
-            ctx.hash_calls += 7
-            tap.record("fors", "leaf", b"")
-            ctx.hash_calls += 3
-            tap.record("merkle", "node", b"")
-        assert ctx.tracer is None
-        assert tap.stage_hashes == {"fors": 7, "merkle": 3}
-        assert tap.stage_seconds["fors"] >= 0.0
-
-    def test_tap_stages_defers_to_installed_oracle(self):
-        from repro.runtime.registry import get_backend
-
-        backend = get_backend("scalar", deterministic=True)
-        sentinel = object()
-        ctx = backend.hash_context()
-        ctx.tracer = sentinel
-        try:
-            with tap_stages(backend) as tap:
-                assert tap is None
-            assert ctx.tracer is sentinel
-        finally:
-            ctx.tracer = None

@@ -1,4 +1,4 @@
-"""The runtime backends: registry, equivalence, and verification.
+"""The runtime backends: name table, equivalence, and verification.
 
 The load-bearing property: every backend produces signatures that verify,
 and in deterministic mode the scalar and vectorized paths are
@@ -9,12 +9,8 @@ cheaply hashes happen, never what is hashed.
 import pytest
 
 from repro.errors import BackendError
-from repro.runtime import (
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.runtime.backend import SigningBackend
+from repro.runtime import get_backend
+from repro.runtime.registry import BACKENDS
 
 MESSAGES = [b"alpha", b"bravo", b"charlie"]
 SEED = bytes(48)
@@ -37,27 +33,12 @@ def keys(scalar):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_backends()
-        assert {"scalar", "vectorized", "modeled-gpu"} <= set(names)
+        assert list(BACKENDS) == ["scalar", "vectorized"]
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(BackendError, match="unknown backend"):
-            get_backend("quantum-annealer")
-
-    def test_register_custom_backend(self, keys):
-        class Echo(SigningBackend):
-            name = "echo-test"
-
-            def sign_batch(self, messages, keys):
-                import time
-                return self._timed_result(
-                    [b"" for _ in messages], time.perf_counter())
-
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend("scalar", Echo)
-        register_backend("echo-test", Echo)
-        backend = get_backend("echo-test", "128f")
-        assert backend.sign_batch(MESSAGES, keys).count == len(MESSAGES)
+        with pytest.raises(BackendError, match="unknown backend "
+                           "'modeled-gpu'; known: scalar, vectorized"):
+            get_backend("modeled-gpu")
 
 
 class TestEquivalence:
@@ -77,7 +58,7 @@ class TestEquivalence:
 
 
 class TestAllBackendsVerify:
-    @pytest.mark.parametrize("name", ["scalar", "vectorized", "modeled-gpu"])
+    @pytest.mark.parametrize("name", ["scalar", "vectorized"])
     def test_signatures_verify(self, name, keys):
         backend = get_backend(name, "128f", deterministic=True)
         result = backend.sign_batch(MESSAGES[:2], keys)
@@ -87,7 +68,7 @@ class TestAllBackendsVerify:
         assert backend.verify_batch(
             MESSAGES[:2], result.signatures, keys.public) == [True, True]
 
-    @pytest.mark.parametrize("name", ["scalar", "vectorized", "modeled-gpu"])
+    @pytest.mark.parametrize("name", ["scalar", "vectorized"])
     def test_cross_backend_verification(self, name, scalar, keys):
         """Any backend's signatures verify through any other backend."""
         backend = get_backend(name, "128f", deterministic=True)
@@ -103,27 +84,6 @@ class TestAllBackendsVerify:
     def test_verify_batch_length_mismatch(self, vectorized, keys):
         with pytest.raises(BackendError, match="verify_batch"):
             vectorized.verify_batch([b"a", b"b"], [b"x"], keys.public)
-
-
-class TestModeledGpu:
-    def test_modeled_timings_attached(self, keys):
-        backend = get_backend("modeled-gpu", "128f", deterministic=True)
-        result = backend.sign_batch(MESSAGES[:2], keys)
-        assert result.modeled is not None
-        assert result.modeled.mode == "graph"
-        assert result.modeled.makespan_s > 0
-        assert result.modeled.kops > 0
-        assert "gpu_model" in result.stage_seconds
-
-    def test_empty_batch(self, keys):
-        backend = get_backend("modeled-gpu", "128f", deterministic=True)
-        result = backend.sign_batch([], keys)
-        assert result.count == 0
-        assert result.modeled is None
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(BackendError, match="unknown GPU execution mode"):
-            get_backend("modeled-gpu", "128f", mode="warp-speed")
 
 
 class TestVectorizedInternals:

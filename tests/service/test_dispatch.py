@@ -14,9 +14,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError
-from repro.runtime import get_backend, register_backend
-from repro.runtime.backend import SigningBackend
-from repro.runtime.registry import _REGISTRY
+from repro.runtime import get_backend
 from repro.service import (Keystore, SigningService, derive_seed,
                            render_snapshot)
 
@@ -75,7 +73,7 @@ class TestPooledService:
         assert "Hypertree layer caches" in report
 
     def test_pool_cannot_host_another_backend(self):
-        with pytest.raises(ServiceError, match="signing plan"):
+        with pytest.raises(ServiceError, match="signs on 'vectorized'"):
             SigningService(_keystore(), backend="scalar", workers=1)
 
     def test_worker_crash_is_transparent_to_clients(self):
@@ -105,26 +103,23 @@ class TestPooledService:
 
 class TestDispatchOrder:
     """One batch signs at a time — the layer caches are not thread-safe,
-    and a batch already uses every core — whatever the backend."""
+    and a batch already uses every core."""
 
-    def test_two_tenants_batches_never_overlap(self):
+    def test_two_tenants_batches_never_overlap(self, monkeypatch):
         inside = threading.Semaphore(1)
         overlaps = []
+        service = SigningService(_keystore(), target_batch_size=1,
+                                 max_wait_s=0.05, deterministic=True)
+        backend = service.engine.backend_for("SPHINCS+-128f")
 
-        class Exclusive(SigningBackend):
-            name = "test-exclusive"
+        def exclusive(messages, keys):
+            overlaps.append(not inside.acquire(blocking=False))
+            time.sleep(0.02)
+            inside.release()
+            return backend._timed_result(
+                [b"sig" for _ in messages], time.perf_counter())
 
-            def sign_batch(self, messages, keys):
-                overlaps.append(not inside.acquire(blocking=False))
-                time.sleep(0.02)
-                inside.release()
-                return self._timed_result(
-                    [b"sig" for _ in messages], time.perf_counter())
-
-        register_backend("test-exclusive", Exclusive)
-        service = SigningService(_keystore(), backend="test-exclusive",
-                                 target_batch_size=1, max_wait_s=0.05,
-                                 deterministic=True)
+        monkeypatch.setattr(backend, "sign_batch", exclusive)
 
         async def run():
             return await asyncio.gather(*[
@@ -138,4 +133,3 @@ class TestDispatchOrder:
             assert len(overlaps) == 6 and not any(overlaps)
         finally:
             service.close()
-            _REGISTRY.pop("test-exclusive", None)

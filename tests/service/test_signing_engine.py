@@ -125,42 +125,25 @@ def test_budget_prewarms_and_reports_the_same_through_the_service(one_cpu):
         assert "budget_mb" not in client.engine.cache_stats()
 
 
-@pytest.mark.parametrize("backend", ("scalar", "modeled-gpu"))
-@pytest.mark.parametrize("kind", FRONTS)
-def test_backends_without_a_plan_still_sign(kind, backend):
-    """No plan, so no pool whatever the CPU count, and a cache budget
-    is not theirs to take."""
-    keystore = make_keystore("acme")
-    options = {"cache_budget_mb": 2} if kind == "served" else {}
-
-    async def scenario(front):
-        assert front.engine.pool is None
-        signature = await front.sign("acme", b"no plan")
-        keys = keystore.resolve("acme")[0]
-        assert signature == Sphincs("128f", deterministic=True).sign(
-            b"no plan", keys)
-        assert await front.verify("acme", b"no plan", signature)
-        assert front.engine.backend_for(PARAMS).name == backend
-
-    run_on(kind, keystore, scenario, backend=backend, **options)
-
-
-@pytest.mark.parametrize("backend", ("scalar", "modeled-gpu"))
-def test_a_pool_is_refused_for_them(backend):
-    keystore = Keystore()
-    refusal = "a worker pool runs the vectorized signing plan"
-    with pytest.raises(BackendError, match=refusal):
-        SigningEngine(keystore, backend, workers=2)
-    with pytest.raises(ServiceError, match=refusal):
-        SigningService(keystore, backend=backend, workers=2)
-    assert keystore._listeners == []  # a refused engine never subscribed
-
-
 def child_pids():
     """Pids of this process's children, the ended ones reaped."""
     multiprocessing.active_children()
     with open(f"/proc/self/task/{os.getpid()}/children") as handle:
         return set(handle.read().split())
+
+
+@pytest.mark.parametrize("backend", ("scalar", "modeled-gpu"))
+def test_a_pool_is_refused_for_them(backend):
+    """A front's ``backend=`` takes one value, ``vectorized``; the scalar
+    reference is ``get_backend("scalar")``.  A refused front starts no
+    pool and subscribes to nothing."""
+    keystore, before = Keystore(), child_pids()
+    refusal = f"unknown backend '{backend}'.*get_backend"
+    with pytest.raises(ServiceError, match=refusal):
+        SigningService(keystore, backend=backend, workers=2)
+    with pytest.raises(BackendError, match=refusal):
+        LocalClient(keystore, backend=backend, workers=2)
+    assert keystore._listeners == [] and child_pids() == before
 
 
 @pytest.mark.parametrize("workers", (0, 2))
@@ -195,13 +178,11 @@ def test_workers_is_a_number_and_close_stops_every_one(kind, workers):
 
 def test_pooled_is_not_a_backend_name():
     """A pool is ``workers=N``: the name that used to start a hidden one
-    (which no ``close()`` stopped) is the registry's unknown backend."""
-    unknown = "unknown backend 'pooled'; registered: "
+    (which no ``close()`` stopped) is an unknown backend everywhere."""
+    unknown = "unknown backend 'pooled'"
     keystore, before = Keystore(), child_pids()
-    with pytest.raises(BackendError, match=unknown):
+    with pytest.raises(BackendError, match=unknown + "; known: "):
         get_backend("pooled", "128f", workers=2)
-    with pytest.raises(BackendError, match=unknown):
-        SigningEngine(keystore, "pooled")
     with pytest.raises(ServiceError, match=unknown):
         SigningService(keystore, backend="pooled")
     with pytest.raises(BackendError, match=unknown):

@@ -40,7 +40,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "vectorized" in out
         assert "SPHINCS+-128f" in out
-        assert "sig/s" in out
+        assert "sig/s" in out and "verified" in out and "1/1" in out
 
     def test_serve_on_worker_pool(self, capsys):
         assert main(["serve", "--params", "128f", "--backends", "vectorized",
@@ -55,19 +55,55 @@ class TestCli:
         assert "exactly one" in capsys.readouterr().err
 
     def test_serve_workers_rejects_nested_pool(self, capsys):
-        """``pooled`` is not a backend: the registry's error, and where a
-        pool's size goes."""
+        """``pooled`` is not a backend: the name table's error, and where
+        a pool's size goes."""
         for argv in (
                 ["serve", "--backends", "pooled", "--workers", "2"],
-                ["serve", "--backends", "vectorized,pooled"],
-                ["serve-async", "--backend", "pooled", "--port", "0"],
-                ["serve-cluster", "--backend", "pooled", "--port", "0"]):
+                ["serve", "--backends", "vectorized,pooled"]):
             with pytest.raises(SystemExit) as exit_:
                 main(argv)
             assert exit_.value.code == 2
             err = capsys.readouterr().err
-            assert "unknown backend 'pooled'; registered: " in err
+            assert "unknown backend 'pooled'; known: scalar, vectorized" in err
             assert "--workers N" in err
+
+    @pytest.mark.parametrize("command", ("serve-async", "serve-cluster",
+                                         "loadtest"))
+    def test_served_commands_take_no_backend(self, command, capsys):
+        """Every served front signs on the vectorized plan: there is no
+        ``--backend`` to pick another."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--backend", "scalar", "--port", "0"]
+                 if command != "loadtest" else
+                 [command, "--backend", "scalar"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --backend scalar" in \
+            capsys.readouterr().err
+
+    def test_serve_verify_fails_on_a_bad_signature(self, capsys,
+                                                   monkeypatch):
+        """``--verify`` is a gate: one flipped byte exits 1 and the table
+        names the (set, backend) whose batch failed."""
+        from repro.runtime.vectorized import VectorizedBackend
+
+        genuine = VectorizedBackend.sign_batch
+
+        def flip_one_byte(self, messages, keys):
+            result = genuine(self, messages, keys)
+            blob = bytearray(result.signatures[0])
+            blob[-1] ^= 0x01
+            result.signatures[0] = bytes(blob)
+            return result
+
+        monkeypatch.setattr(VectorizedBackend, "sign_batch", flip_one_byte)
+        assert main(["serve", "--backends", "scalar,vectorized",
+                     "--messages", "2", "--deterministic", "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert "a batch failed verification" in captured.err
+        rows = {line.split()[1]: line for line in captured.out.splitlines()
+                if line.startswith("SPHINCS+-128f")}
+        assert rows["scalar"].rstrip().endswith("1/1")
+        assert rows["vectorized"].rstrip().endswith("0/1 FAILED")
 
     def test_serve_workers_rejects_backends_without_a_plan(self, capsys):
         assert main(["serve", "--backends", "scalar",
