@@ -277,7 +277,9 @@ def _build_keystore(args: argparse.Namespace):
 
 
 def _build_service(args: argparse.Namespace, keystore=None):
-    """Construct the SigningService a serve-async/loadtest run fronts."""
+    """The SigningService a serve-async/loadtest run or a self-hosted
+    serve-cluster node fronts; no ``--workers`` is ``auto_workers()``."""
+    from .runtime.pool import auto_workers
     from .service import SigningService
 
     if keystore is None:
@@ -297,7 +299,7 @@ def _build_service(args: argparse.Namespace, keystore=None):
         max_wait_s=args.max_wait_ms / 1000.0,
         max_pending=args.max_pending,
         deterministic=args.deterministic,
-        workers=args.workers or 0,
+        workers=auto_workers() if args.workers is None else args.workers,
         cache_budget_mb=args.cache_budget_mb,
         tracer=tracer,
     )
@@ -368,9 +370,10 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="size of the multi-process worker pool "
                              "(0 = sign in-process; default: serve-async "
-                             "takes one worker per CPU it may run on "
-                             "when there are two or more, everything "
-                             "else signs in-process)")
+                             "and each self-hosted serve-cluster node "
+                             "take one worker per CPU it may run on "
+                             "when there are two or more; loadtest's "
+                             "self-hosted service signs in-process)")
     parser.add_argument("--deterministic", action="store_true",
                         help="deterministic backends and tenant key seeds")
     parser.add_argument("--cache-budget-mb", type=float, default=None,
@@ -391,11 +394,7 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_serve_async(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .runtime.pool import auto_workers
     from .service import SigningServer
-
-    if args.workers is None:
-        args.workers = auto_workers()
 
     async def run() -> int:
         # Workers are forked here, before the port is announced.
@@ -414,7 +413,7 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
               f"shed above {config['max_pending']} queued")
         if config.get("cache_budget_mb") is not None:
             print(f"  layer cache   : {config['cache_budget_mb']} MiB/key "
-                  "budget, tenant keys prewarmed")
+                  "budget, each key prewarmed at its first sign")
         if args.trace_out:
             print(f"  tracing       : spans -> {args.trace_out}")
         print("  protocol      : v3 binary frames with streamed "
@@ -450,7 +449,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         if spec.isdigit():
             # Self-hosted fleet: N in-process nodes sharing one keystore
             # (identical keys on every node — a re-homed tenant signs
-            # and verifies the same either way).
+            # and verifies the same either way), each with its own pool.
             count = int(spec)
             if count < 1:
                 print("serve-cluster: --nodes must be >= 1",
@@ -465,8 +464,11 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             await cluster.start()
             router = cluster.router
             print(f"cluster router listening on {args.host}:{cluster.port}")
+            pool = cluster.services[0].pool
             print(f"  nodes         : {count} in-process, ports "
-                  + ", ".join(str(s.port) for s in cluster.servers))
+                  + ", ".join(str(s.port) for s in cluster.servers)
+                  + (f"; a {pool.workers}-process worker pool each"
+                     if pool is not None else ""))
         else:
             # Front an existing fleet: --nodes host:port,host:port,...
             addresses = []
@@ -918,7 +920,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "verify operations (0.9 models "
                                  "verification-dominant traffic)")
     _add_service_args(p_loadtest)
-    p_loadtest.set_defaults(func=_cmd_loadtest)
+    p_loadtest.set_defaults(func=_cmd_loadtest, workers=0)
 
     p_audit = sub.add_parser(
         "audit",

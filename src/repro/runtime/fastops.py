@@ -145,8 +145,8 @@ class FastOps:
     """Low-overhead signing primitives for one (parameter set, key pair).
 
     Bound to the *sk_seed*/*pk_seed* of one key so address templates and
-    the per-key layer *cache* (subtrees, link signatures, prewarm) can be
-    reused across every message of every batch signed under that key.
+    the per-key layer *cache* (subtrees, link signatures) can be reused
+    across every message of every batch signed under that key.
     """
 
     def __init__(self, ctx: HashContext, sk_seed: bytes, pk_seed: bytes,
@@ -298,13 +298,6 @@ class FastOps:
     def root(self) -> bytes:
         """The SPHINCS+ public root (top-layer subtree root)."""
         return self.subtree_nodes(self.params.d - 1, 0)[-self.n:]
-
-    def prewarm(self) -> None:
-        """Precompute the cache's pinned layers (subtrees + links)."""
-        self.cache.prewarm(
-            lambda layer, tree: self.build_subtree(layer, tree)[0],
-            lambda child, layer, tree, leaf: b"".join(
-                self.wots_sign(child[-self.n:], layer, tree, leaf)))
 
     # ------------------------------------------------------------------
     # FORS

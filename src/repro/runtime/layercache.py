@@ -13,11 +13,11 @@ cached link is byte-identical to a recomputed one.
 :class:`HypertreeLayerCache` holds two things per key:
 
 * the **pinned** top ``pinned_layers`` layers — subtrees and link
-  signatures that every signing path traverses, populated by
-  :meth:`prewarm` (or on demand) and never evicted.  Nothing below them
-  is kept: two fresh messages share a lower subtree with probability
-  ``1 / tree_leaves`` per layer at best, so on fresh traffic it would
-  never be read again;
+  signatures that every signing path traverses, populated by a prewarm
+  plan (:meth:`missing` lists its fills) or on demand, never evicted.
+  Nothing below them is kept: two fresh messages share a lower subtree
+  with probability ``1 / tree_leaves`` per layer at best, so on fresh
+  traffic it would never be read again;
 * a **replay memo** of finished signatures, keyed on everything a
   signature depends on besides the key pair (what ``Sphincs.prepare``
   returns), least-recently-used out, in the bytes the pinned layers
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable
+from typing import Hashable
 
 from ..params import PARAMETER_SETS, SphincsParams, get_params
 
@@ -111,8 +111,8 @@ def pinned_link_count(params: SphincsParams, layers: int) -> int:
     """WOTS link signatures the pinned region can come to hold.
 
     Every leaf of a pinned tree at layer ``>= 1`` signs one child root,
-    whatever the message.  :meth:`HypertreeLayerCache.prewarm` computes
-    the links between pinned trees (one per pinned tree below the top);
+    whatever the message.  A prewarm reads the links between pinned trees
+    (one per pinned tree below the top) out of its fills' chain tables;
     those of the lowest pinned layer arrive as signatures pass through.
     """
     layers = max(0, min(layers, params.d))
@@ -129,10 +129,9 @@ def pinned_bytes(params: SphincsParams, layers: int) -> int:
 
 
 def prewarm_hashes(params: SphincsParams, layers: int) -> int:
-    """One-time hash cost to prewarm the pinned region for one key."""
-    trees = pinned_tree_count(params, layers)
-    return (trees * subtree_build_hashes(params)
-            + max(0, trees - 1) * wots_link_sign_hashes(params))
+    """One-time hash cost to prewarm the pinned region for one key: the
+    subtree builds, whose chain tables hold every link signature."""
+    return pinned_tree_count(params, layers) * subtree_build_hashes(params)
 
 
 def savings_fraction(params: SphincsParams, layers: int) -> float:
@@ -299,33 +298,22 @@ class HypertreeLayerCache:
                 self._memo.popitem(last=False)
 
     # ------------------------------------------------------------------
-    def prewarm(self, build_tree: Callable[[int, int], bytes],
-                sign_link: Callable[[bytes, int, int, int], bytes]
-                | None = None) -> None:
-        """Populate the pinned region bottom-up.
-
-        ``build_tree(layer, tree)`` computes a subtree;
-        ``sign_link(child, layer, tree, leaf)`` WOTS-signs the root of
-        subtree *child* with keypair *leaf* of subtree ``(layer, tree)``.
-        Building runs bottom-up so each layer's link signatures can sign
-        the child roots built just before.  Bypasses the hit/miss
-        counters — a prewarm is neither.
-        """
-        params = self.params
-        leaves = params.tree_leaves
+    def missing(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """What warming this key fills: each pinned ``(layer, tree)`` not
+        held, or above the floor lacking a link, mapped to the leaves
+        whose link (signing the pinned child's root) is missing.  Bypasses
+        the hit/miss counters — a prewarm is neither."""
+        params, leaves = self.params, self.params.tree_leaves
+        fills = {}
         for layer in range(self.pinned_floor, params.d):
             for tree in range(leaves ** (params.d - 1 - layer)):
-                if (layer, tree) not in self._trees:
-                    self._trees[(layer, tree)] = build_tree(layer, tree)
-                if sign_link is None or layer == self.pinned_floor \
-                        or layer < 1:
-                    continue
-                for leaf in range(leaves):
-                    if (layer, tree, leaf) in self._links:
-                        continue
-                    child = self._trees[(layer - 1, tree * leaves + leaf)]
-                    self._links[(layer, tree, leaf)] = \
-                        sign_link(child, layer, tree, leaf)
+                lacking = tuple(
+                    leaf for leaf in range(leaves)
+                    if layer > self.pinned_floor
+                    and (layer, tree, leaf) not in self._links)
+                if lacking or (layer, tree) not in self._trees:
+                    fills[layer, tree] = lacking
+        return fills
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

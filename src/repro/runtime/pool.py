@@ -225,7 +225,9 @@ class WorkerPool:
         # pair is exclusive to one worker and everything a worker
         # imports is imported above.  Python 3.12+ still warns about
         # fork-from-threads on respawn; that is the documented cost of
-        # crash recovery on the fork path.
+        # crash recovery on the fork path.  A second pool in one process
+        # forks beside the first one's collector thread in the same way
+        # (a self-hosted ``serve-cluster``: node 1's beside node 0's).
         try:
             self._mp = multiprocessing.get_context("fork")
         except ValueError:  # platforms without fork

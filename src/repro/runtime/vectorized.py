@@ -91,8 +91,12 @@ class VectorizedBackend(SigningBackend):
 
     # ------------------------------------------------------------------
     def prewarm_key(self, keys: KeyPair) -> None:
-        """Precompute the pinned cache layers for *keys*."""
-        self._ops(keys).prewarm()
+        """Fill the pinned layers *keys* lacks with a plan of no message,
+        run where signing plans run; a warm key's plan is empty."""
+        plan = SigningPlan(self._ops(keys), [])
+        if plan.tasks:
+            plan.stitch(self._run_tasks(plan.tasks, keys).results,
+                        keys.pk_root)
 
     def invalidate_key(self, keys: KeyPair) -> None:
         """Drop all cached state for *keys* (rotation / tenant delete)."""

@@ -51,8 +51,9 @@ class SigningEngine:
         :meth:`close`.
     cache_budget_mb:
         An explicit per-key layer-cache budget is the operator opting
-        into warm caches: it sizes each backend's, and every key is
-        prewarmed when its backend is built and after a rotation.
+        into warm caches: it sizes each backend's, and a key is prewarmed
+        at its first sign (a rotated key at the new one's, an evicted key
+        at its next), on the pool when there is one.
 
     One :class:`~repro.runtime.vectorized.VectorizedBackend` per parameter
     set, built on first use; it keeps at most 8 keys' layer caches
@@ -75,37 +76,23 @@ class SigningEngine:
 
     # ------------------------------------------------------------------
     def backend_for(self, params_name: str) -> VectorizedBackend:
-        """The backend for *params_name* (canonical), built — and with a
-        cache budget, prewarmed — on first use."""
+        """The backend for *params_name* (canonical), built on first use."""
         with self._lock:
             backend = self._backends.get(params_name)
             if backend is None:
                 backend = self._backends[params_name] = VectorizedBackend(
                     params_name, deterministic=self.deterministic,
                     cache_budget_mb=self.cache_budget_mb, pool=self.pool)
-                if self.cache_budget_mb is not None:
-                    for tenant in self.keystore.tenants():
-                        if self.keystore.params_for(tenant) != params_name:
-                            continue
-                        for key in self.keystore.key_names(tenant):
-                            backend.prewarm_key(
-                                self.keystore.resolve(tenant, key)[0])
             return backend
 
     def _on_key_event(self, event: str, tenant: str, key: str | None,
                       old_keys) -> None:
-        """Keystore listener: invalidate (and re-prewarm) on key change."""
+        """Keystore listener: invalidate on key change."""
         _log.info("key-event", change=event, tenant=tenant, key=key,
                   invalidated=old_keys is not None)
         if old_keys is not None:
             for backend in list(self._backends.values()):
                 backend.invalidate_key(old_keys)
-        if (event == "key-rotated" and key is not None
-                and self.cache_budget_mb is not None):
-            keys, params_name = self.keystore.resolve(tenant, key)
-            backend = self._backends.get(params_name)
-            if backend is not None:
-                backend.prewarm_key(keys)
 
     # ------------------------------------------------------------------
     def recall(self, tenant: str, key: str, message: bytes
@@ -127,7 +114,10 @@ class SigningEngine:
         batch: ``(result, canonical params name)``.  An unknown tenant
         or key raises :class:`~repro.errors.KeystoreError` first."""
         keys, params_name = self.keystore.resolve(tenant, key)
-        result = self.backend_for(params_name).sign_batch(messages, keys)
+        backend = self.backend_for(params_name)
+        if self.cache_budget_mb is not None:
+            backend.prewarm_key(keys)  # nothing to fill once it is warm
+        result = backend.sign_batch(messages, keys)
         if len(result.signatures) != len(messages):
             raise ServiceError(
                 f"backend {result.backend!r} returned "

@@ -20,8 +20,10 @@ import asyncio
 
 import pytest
 
+from repro.hashes.thash import HashContext
 from repro.params import get_params
 from repro.runtime import WorkerPool, get_backend
+from repro.runtime.fastops import FastOps
 from repro.runtime.layercache import (
     DEFAULT_BUDGET_MB,
     HypertreeLayerCache,
@@ -34,14 +36,38 @@ from repro.runtime.layercache import (
     pinned_tree_count,
     prewarm_hashes,
     savings_fraction,
+    subtree_build_hashes,
     tradeoff_table,
     tree_entry_bytes,
 )
+from repro.runtime.plan import SigningPlan
 from repro.testing.kat import KAT_SETS
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(workers=2) as shared:
+        yield shared
 
 
 def _seed(params_name: str) -> bytes:
     return bytes(3 * get_params(params_name).n)
+
+
+def _walked_region(params, keys, floor: int):
+    """The pinned region the way prewarm used to build it, kept as the
+    oracle: a subtree build per pinned tree, then a second WOTS walk per
+    link between pinned trees."""
+    ops = FastOps(HashContext(params), keys.sk_seed, keys.pk_seed)
+    leaves, trees, links = params.tree_leaves, {}, {}
+    for layer in range(floor, params.d):
+        for tree in range(leaves ** (params.d - 1 - layer)):
+            trees[layer, tree] = ops.build_subtree(layer, tree)[0]
+            for leaf in range(leaves) if layer > floor else ():
+                child = trees[layer - 1, tree * leaves + leaf][-params.n:]
+                links[layer, tree, leaf] = b"".join(
+                    ops.wots_sign(child, layer, tree, leaf))
+    return trees, links
 
 
 def _fake_nodes(params) -> bytes:
@@ -110,6 +136,22 @@ class TestModel:
         assert memo_capacity(params, full, 3) == 0
         assert memo_capacity(params, full + 5 * entry + 1, 3) == 5
         assert memo_capacity(params, 0, 3) == 0
+
+    def test_prewarm_costs_the_subtree_builds_and_keeps_each_sets_layers(
+            self):
+        """A prewarm reads every link out of its fills' chain tables, so
+        its price is the subtree builds alone — and dropping the link
+        walks from it moves no parameter set's pinned layer count."""
+        rows = {row["params"]: (row["pinned_layers"], row["prewarm_hashes"])
+                for row in tradeoff_table()}
+        assert rows == {
+            "SPHINCS+-128f": (3, 327_551), "SPHINCS+-128s": (1, 287_231),
+            "SPHINCS+-192f": (3, 477_055), "SPHINCS+-192s": (1, 418_303),
+            "SPHINCS+-256f": (2, 291_839), "SPHINCS+-256s": (1, 274_687)}
+        for name, (layers, hashes) in rows.items():
+            params = get_params(name)
+            assert hashes == (pinned_tree_count(params, layers)
+                              * subtree_build_hashes(params))
 
     def test_savings_fraction_grows_with_layers(self):
         params = get_params("128f")
@@ -244,6 +286,46 @@ class TestBackendIntegration:
         assert stats["pinned_layers"] == expected_layers
         assert stats["pinned_trees"] >= pinned_tree_count(
             params, expected_layers)
+
+    @pytest.mark.parametrize("params_name", KAT_SETS)
+    def test_prewarm_in_process_and_pooled_is_the_walked_region(
+            self, params_name, pool):
+        """Prewarm is a plan of subtree fills whose chain tables give the
+        links: in-process and on two workers it must hold exactly the
+        subtrees and links the old build-then-walk prewarm did."""
+        params = get_params(params_name)
+        keys = get_backend("scalar", params_name,
+                           deterministic=True).keygen(seed=_seed(params_name))
+        expected = None
+        for options in ({}, {"pool": pool}):
+            backend = get_backend("vectorized", params_name,
+                                  deterministic=True, **options)
+            backend.prewarm_key(keys)
+            cache = backend._ops(keys).cache
+            if expected is None:
+                expected = _walked_region(params, keys, cache.pinned_floor)
+            assert (cache._trees, cache._links) == expected
+            assert cache.stats["hits"] == cache.stats["misses"] == 0
+
+    def test_a_partly_warm_key_is_filled_to_the_same_region(self):
+        """keygen pins the top subtree and a signature its path (with a
+        link per layer): prewarm rebuilds, with tables, only the trees
+        still lacking a subtree or a link, and ends where a cold key's
+        prewarm does — after which a key's warming plan is empty."""
+        params = get_params("128f")
+        backend = get_backend("vectorized", "128f", deterministic=True)
+        keys = backend.keygen(seed=_seed("128f"))
+        backend.sign_batch([b"partly warm"], keys)
+        ops = backend._ops(keys)
+        floor = ops.cache.pinned_floor
+        # 73 pinned trees but the floor's one on the signed path.
+        assert len(SigningPlan(ops, []).tasks) == 72
+        backend.prewarm_key(keys)
+        trees, links = _walked_region(params, keys, floor)
+        assert ops.cache._trees == trees
+        assert {key: chains for key, chains in ops.cache._links.items()
+                if key[0] > floor} == links
+        assert SigningPlan(ops, []).tasks == []
 
     def test_prewarmed_signatures_match_scalar(self):
         scalar = get_backend("scalar", "128f", deterministic=True)

@@ -73,6 +73,41 @@ def test_no_session_member_survives_the_server(how, exit_code):
         server.wait()
 
 
+@pytest.mark.parametrize("flags, workers", [((), auto_workers()),
+                                             (("--workers", "0"), 0)])
+def test_each_self_hosted_cluster_node_signs_on_its_own_pool(flags, workers):
+    """``serve-cluster --nodes 2`` takes serve-async's default per node:
+    no ``--workers``, one worker per allowed CPU each (``--workers 0``
+    keeps them in-process), every one gone after SIGTERM."""
+    from repro.api import TcpClient
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve-cluster", "--nodes", "2",
+         "--port", "0", "--deterministic", *flags],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, start_new_session=True)
+    try:
+        assert "listening on" in server.stdout.readline()
+        nodes = server.stdout.readline().split("ports ")[1].split(";")[0]
+        for port in map(int, nodes.split(", ")):
+            with TcpClient.connect(port=port) as node:
+                assert node.stats()["config"]["workers"] == workers
+        assert len(_session_members(server.pid)) == 1 + 2 * workers
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=10) == 0
+        time.sleep(1.0)
+        assert _session_members(server.pid) == []
+    finally:
+        server.stdout.close()
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.wait()
+
+
 def test_pool_size_follows_the_cpus_the_server_may_use(monkeypatch):
     """No ``--workers`` (and ``LocalClient("vectorized")``): one worker
     per allowed CPU from two up, and on a single CPU no pool at all —

@@ -19,6 +19,8 @@ import pytest
 from repro.api import LocalClient
 from repro.errors import BackendError, KeystoreError, ServiceError
 from repro.runtime import get_backend
+from repro.runtime.plan import SUBTREE
+from repro.runtime.vectorized import VectorizedBackend
 from repro.service import Keystore, SigningService, derive_seed
 from repro.service.engine import SigningEngine
 from repro.sphincs.signer import Sphincs
@@ -103,26 +105,74 @@ def test_a_rotated_key_stops_signing(kind, one_cpu):
 
 def test_budget_prewarms_and_reports_the_same_through_the_service(one_cpu):
     """``cache_budget_mb`` is the engine's: built directly or by the
-    service (``serve-async --cache-budget-mb``), the first use of a
-    parameter set prewarms every key of it and ``stats`` says so."""
+    service (``serve-async --cache-budget-mb``), a key's first sign
+    prewarms all 73 of its pinned subtrees and ``stats`` says so."""
+    async def through_the_service():
+        service = SigningService(make_keystore("acme"), deterministic=True,
+                                 cache_budget_mb=2)
+        try:
+            assert service.engine.backend_for(PARAMS).cache_stats() == {
+                "keys": 0}  # nothing is warmed before a key signs
+            await service.sign(b"first sign", "acme")
+            return service.stats()["cache"]
+        finally:
+            await service.drain()
+            service.close()
+
     engine = SigningEngine(make_keystore("acme"), deterministic=True,
                            cache_budget_mb=2)
-    service = SigningService(make_keystore("acme"), deterministic=True,
-                             cache_budget_mb=2)
     try:
-        for each in (engine, service.engine):
-            each.backend_for(PARAMS)
+        engine.sign_batch("acme", "default", [b"first sign"])
         direct = engine.cache_stats()
-        assert direct["budget_mb"] == 2
-        assert direct["scopes"][f"in-process {PARAMS}"]["pinned_trees"] > 0
-        assert service.stats()["cache"] == direct
     finally:
         engine.close()
-        service.close()
+    assert direct["budget_mb"] == 2
+    assert direct["scopes"][f"in-process {PARAMS}"]["pinned_trees"] == 73
+    assert asyncio.run(through_the_service()) == direct
     # No budget, no prewarm: the local client never takes one.
     with LocalClient(make_keystore("acme"), deterministic=True) as client:
-        assert client.engine.backend_for(PARAMS).cache_stats() == {"keys": 0}
+        client.sign("acme", b"first sign")
+        scope = client.engine.backend_for(PARAMS).cache_stats()
+        assert scope["pinned_trees"] == 3  # the one path's
         assert "budget_mb" not in client.engine.cache_stats()
+
+
+def test_a_key_is_prewarmed_at_its_first_sign_and_once(monkeypatch):
+    """Ten keys on one set, a backend keeping eight: each key is warmed
+    when it first signs, on the pool, and signs warm — none when the
+    backend is built (whose early prewarms the ninth key would evict
+    unsigned), none for a key that never signs.  A warm key's prewarm is
+    an empty plan and hands the pool no task."""
+    tenants = [f"tenant-{index}" for index in range(10)]
+    keystore = make_keystore(*tenants)
+    prewarms = []
+    genuine = VectorizedBackend._run_tasks
+
+    def spy(backend, tasks, keys):
+        if all(task[0] == SUBTREE for task in tasks):  # no message: warming
+            prewarms.append(keys.pk_seed)
+        return genuine(backend, tasks, keys)
+
+    monkeypatch.setattr(VectorizedBackend, "_run_tasks", spy)
+    engine = SigningEngine(keystore, deterministic=True, workers=2,
+                           cache_budget_mb=2)
+    try:
+        signers = tenants[:9]
+        for tenant in signers:
+            result, _ = engine.sign_batch(tenant, "default", [b"first"])
+            assert result.cache_stats["pinned_trees"] == 73  # signed warm
+            assert result.cache_stats["misses"] == 19  # the floor's hits
+        assert prewarms == [keystore.resolve(tenant)[0].pk_seed
+                            for tenant in signers]
+        last = keystore.resolve(signers[-1])[0]
+        engine.sign_batch(signers[-1], "default", [b"second"])
+        dispatched = [slot.dispatched for slot in engine.pool.stats_by_worker]
+        engine.backend_for(PARAMS).prewarm_key(last)
+        assert [slot.dispatched
+                for slot in engine.pool.stats_by_worker] == dispatched
+        assert len(prewarms) == len(signers)
+    finally:
+        engine.close()
 
 
 def child_pids():

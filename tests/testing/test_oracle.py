@@ -259,9 +259,11 @@ class TestVerifyStage:
         assert not any(scheme.verify(message, signature, keys.public)
                        for message, signature
                        in zip(messages, result.signatures))
-        # 19 layers below the floor per message, all in the workers; the
-        # coordinator walked the floor's link without a table.
-        assert fault.fired and fault.calls_seen == 8 * 19
+        # 19 layers below the floor per message, all in the workers, and
+        # the prewarm's 72 links between pinned trees, read by the
+        # coordinator out of its fills' tables; the coordinator walked
+        # the floor's link without a table.
+        assert fault.fired and fault.calls_seen == 8 * 19 + 72
 
         fault = parse_fault("plan:chain-table-off-by-one")
         report = differential_oracle(
