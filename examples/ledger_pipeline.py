@@ -73,9 +73,8 @@ async def main() -> None:
         print(f"ledger server on 127.0.0.1:{server.port} — one port, "
               f"signing + log verbs, segments under {root}")
 
-        client = await ServiceClient.open(port=server.port)
-        granted = await client.call("hello", version=3)
-        print(f"negotiated protocol v{granted['version']} "
+        client = await ServiceClient.open(port=server.port, version=3)
+        print(f"negotiated protocol v{client.hello['version']} "
               f"({'binary frames' if client.binary else 'JSON lines'})\n")
 
         try:

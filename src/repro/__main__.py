@@ -16,8 +16,8 @@ serve
 serve-async
     Run the asyncio signing service: multi-tenant keystore,
     deadline-aware batching, admission control, a TCP wire protocol
-    (JSON lines for v1/v2 clients, zero-copy binary frames with
-    streamed sign-many after a v3 hello), and a ``stats`` verb.
+    (every connection opens with ``hello``: JSON lines at v2, zero-copy
+    binary frames with streamed sign-many at v3), and a ``stats`` verb.
 serve-cluster
     Run a cluster router over N signing nodes: consistent-hash tenant
     placement, health-check-driven failover and shard re-homing, and
@@ -417,9 +417,9 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
         if args.trace_out:
             print(f"  tracing       : spans -> {args.trace_out}")
         print("  protocol      : v3 binary frames with streamed "
-              "sign-many (hello negotiation; verbs: sign, sign-many, "
-              "verify, keys, stats, metrics, ping); v1/v2 JSON clients "
-              "served unchanged; Ctrl-C to stop")
+              "sign-many, or v2 JSON lines, after a mandatory hello "
+              "(verbs: sign, sign-many, verify, keys, stats, metrics, "
+              "ping); Ctrl-C to stop")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
@@ -497,8 +497,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         print(f"  placement     : consistent hashing on tenant name, "
               f"{args.max_retries} failover retries, health check every "
               f"{args.health_interval_ms:g} ms")
-        print("  protocol      : v1/v2/v3 northbound (same verbs as "
-              "serve-async, plus the 'unavailable' error code); "
+        print("  protocol      : v2/v3 northbound after hello (same verbs "
+              "as serve-async, plus the 'unavailable' error code); "
               "Ctrl-C to stop")
         try:
             await router.serve_forever()

@@ -68,7 +68,7 @@ def connect(transport: str = "local", **options) -> SigningClient:
       ``workers=N`` (default 2).
     * ``"tcp"`` — :class:`TcpClient` against a ``repro serve-async``
       server; options forward to :meth:`TcpClient.connect` (``host``,
-      ``port``, ``min_version``, ``timeout``).
+      ``port``, ``version``, ``timeout``).
     * ``"cluster"`` — :class:`ClusterClient` against a ``repro
       serve-cluster`` router; same options as ``"tcp"``.  Results carry
       ``transport="cluster"`` and a request no live node could take

@@ -2,13 +2,13 @@
 
 :class:`AsyncClient` is the asyncio-native typed client: it wraps the
 wire-level :class:`~repro.service.client.ServiceClient` (pipelined
-frames, id matching), performs the ``hello`` version/capability
-negotiation at connect time, chunks ``sign_many`` into ``max_batch``
-frames, and returns the same typed results as every other transport.
-By default it offers protocol v3 — zero-copy binary frames with
-streamed ``sign-many`` results — and transparently downgrades to the
-v2 JSON lines against an older server (``min_version`` guards how far
-down it will go); the typed surface is identical either way.
+frames, id matching, the ``hello`` handshake), keeps the negotiated
+capabilities, chunks ``sign_many`` into ``max_batch`` frames, and
+returns the same typed results as every other transport.  By default
+it offers protocol v3 — zero-copy binary frames with streamed
+``sign-many`` results — and transparently downgrades to the v2 JSON
+lines against an older server; the typed surface is identical either
+way.
 
 :class:`TcpClient` is the synchronous facade for non-async callers: it
 runs an :class:`AsyncClient` on a dedicated background event loop thread
@@ -23,7 +23,7 @@ import asyncio
 import threading
 from typing import Sequence
 
-from ..errors import ProtocolError, ServiceError, UnsupportedVersionError
+from ..errors import ProtocolError, ServiceError
 from ..obs.trace import (SpanClock, TraceContext, Tracer, current_trace,
                          start_trace)
 from ..service import protocol
@@ -62,8 +62,7 @@ class AsyncClient:
     """Typed asyncio client over protocol v3 (or the v2 downgrade).
 
     Construct with :meth:`connect`, which negotiates the protocol
-    version; the server's downgrade offer is rejected with
-    :class:`UnsupportedVersionError` when it falls below *min_version*.
+    version (a refused handshake raises :class:`UnsupportedVersionError`).
     On a v3 grant the wire client flips to binary frames automatically —
     sign/verify ride the zero-copy codec and ``sign_many`` streams per
     item.  The negotiated capabilities are available as :meth:`info`
@@ -85,31 +84,13 @@ class AsyncClient:
     @classmethod
     async def connect(cls, host: str = "127.0.0.1", port: int = 7744,
                       version: int = protocol.PROTOCOL_VERSION,
-                      min_version: int = 2,
                       tracer: Tracer | None = None) -> "AsyncClient":
-        wire = await ServiceClient.open(host, port)
-        try:
-            hello = await wire.call("hello", version=version)
-        except ServiceError as exc:
-            await wire.close()
-            if isinstance(exc, UnsupportedVersionError):
-                raise
-            raise UnsupportedVersionError(
-                f"server at {host}:{port} did not answer the hello "
-                f"handshake ({exc}); it may be a pre-v2 build — the "
-                "wire-level repro.service.ServiceClient still speaks v1"
-            ) from exc
-        negotiated = hello.get("version")
-        if not isinstance(negotiated, int) or negotiated < min_version:
-            await wire.close()
-            raise UnsupportedVersionError(
-                f"server offered protocol v{negotiated}, below the "
-                f"required minimum v{min_version}"
-            )
+        wire = await ServiceClient.open(host, port, version=version)
+        hello = wire.hello
         info = ServiceInfo(
             transport=cls.transport,
             server=hello.get("server", "unknown"),
-            protocol_version=negotiated,
+            protocol_version=hello["version"],
             verbs=tuple(hello.get("verbs", ())),
             backend=hello.get("backend", "unknown"),
             workers=hello.get("workers", 0),
@@ -330,7 +311,6 @@ class TcpClient(SigningClient):
     @classmethod
     def connect(cls, host: str = "127.0.0.1", port: int = 7744,
                 version: int = protocol.PROTOCOL_VERSION,
-                min_version: int = 2,
                 timeout: float | None = 600.0) -> "TcpClient":
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever,
@@ -338,8 +318,7 @@ class TcpClient(SigningClient):
         thread.start()
         try:
             client = asyncio.run_coroutine_threadsafe(
-                cls._async_cls.connect(host, port, version=version,
-                                       min_version=min_version),
+                cls._async_cls.connect(host, port, version=version),
                 loop).result(timeout)
         except BaseException:
             loop.call_soon_threadsafe(loop.stop)

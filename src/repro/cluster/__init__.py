@@ -3,7 +3,7 @@
 One signing node — even with a worker pool — tops out at a single
 machine.  This package scales the service *horizontally*: a
 :class:`~.router.ClusterRouter` process speaks the ordinary wire
-protocol (v1/v2/v3) northbound and places every request on one of N
+protocol (v2/v3) northbound and places every request on one of N
 backend :class:`~repro.service.server.SigningServer` nodes southbound,
 so clients, the CLI, and the load generator work against a cluster
 completely unchanged.

@@ -7,7 +7,7 @@ placed on one of N backend :class:`~..service.server.SigningServer` nodes
 over the wire protocol and forwarded, as typed values, through a pipelined
 :class:`~..service.client.ServiceClient`.  :class:`ClusterRouter` wraps it
 in a stock ``SigningServer``, which is the whole trick: the router speaks
-protocol v1/v2/v3 northbound *unchanged* because the verb table only ever
+protocol v2/v3 northbound *unchanged* because the verb table only ever
 touches the service surface.
 
 Placement and failover
@@ -335,15 +335,8 @@ class RouterService:
     # Node liveness
     # ------------------------------------------------------------------
     async def _connect(self, node: _Node) -> ServiceClient:
+        # The newest protocol the node speaks (v3: binary frames).
         wire = await ServiceClient.open(node.host, node.port)
-        try:
-            # One hello upgrades the southbound wire to the newest
-            # protocol the node speaks (v3 flips it to binary frames).
-            await wire.call("hello", version=protocol.PROTOCOL_VERSION)
-        except BaseException:  # incl. the health loop's wait_for cancel
-            with contextlib.suppress(Exception):
-                await wire.close()
-            raise
         node.wire = wire
         self._mark_up(node)
         return wire

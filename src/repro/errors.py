@@ -90,15 +90,13 @@ class FrameTooLargeError(ProtocolError):
 
 
 class UnknownVerbError(ProtocolError):
-    """A request named a verb the negotiated protocol version does not
-    serve — either a typo or a v2-only verb on a v1 connection."""
+    """A request named a verb the server's table does not hold (the wire
+    code ``unknown-verb``)."""
 
 
 class UnsupportedVersionError(ProtocolError):
-    """Version negotiation failed: the peer cannot speak a protocol
-    version this side requires (the server offers its best downgrade in
-    the ``hello`` response; a client raises this when that offer is below
-    its minimum)."""
+    """Version negotiation failed: the peer refused the ``hello``
+    handshake or offered a protocol version this side does not speak."""
 
 
 class ConnectionLostError(ServiceError, ConnectionError):

@@ -33,14 +33,13 @@ Module map
     requests per connection, matched by request id.
 :mod:`.protocol`
     The wire format, and the only module that knows which dialect a
-    connection speaks: one JSON object per line with base64 binary
-    fields (v1: ``sign`` / ``stats`` / ``ping``; v2 adds ``hello``
-    negotiation, ``verify``, ``sign-many``, ``keys``) or v3 binary
-    frames; stable error codes; version constants.
+    connection speaks after its mandatory ``hello``: one JSON object per
+    line with base64 binary fields (v2) or binary frames (v3); stable
+    error codes; version constants.
 :mod:`.verbs`
     The verb registry the server dispatches through: one table of
-    schema-validated, version-gated handlers (adding a verb is one
-    ``Verb(...)`` row, not another if/elif branch).
+    schema-validated handlers (adding a verb is one ``Verb(...)`` row,
+    not another if/elif branch).
 :mod:`.telemetry`
     Per-tenant counters, queue-depth peaks, batch-size histogram,
     p50/p95/p99 latency — as a JSON snapshot (the ``stats`` verb) and a

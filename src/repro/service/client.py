@@ -8,15 +8,16 @@ how the load generator drives the service.
 :meth:`ServiceClient.call` takes a verb and its typed fields (``bytes``
 are ``bytes``) and returns the typed response dict — the same arguments
 and the same result whether the connection speaks newline-delimited JSON
-(protocol v1/v2) or, once a ``hello`` response grants protocol v3,
-binary frames with ``sign-many`` results streamed per item.  Which of
-the two it is, :mod:`.protocol` alone knows.
+(protocol v2) or, once a ``hello`` response grants protocol v3, binary
+frames with ``sign-many`` results streamed per item.  Which of the two
+it is, :mod:`.protocol` alone knows.  :meth:`ServiceClient.open` is the
+one place a connection says ``hello``.
 
 This is the *wire-level* client.  Application code should prefer the
 typed facade in :mod:`repro.api` — ``AsyncClient`` for asyncio callers,
-``TcpClient`` for synchronous ones — which negotiates the protocol
-version and returns :class:`~repro.api.SignResult` /
-:class:`~repro.api.VerifyResult` objects.
+``TcpClient`` for synchronous ones — which returns
+:class:`~repro.api.SignResult` / :class:`~repro.api.VerifyResult`
+objects.
 """
 
 from __future__ import annotations
@@ -24,10 +25,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 
-from ..errors import ConnectionLostError, ServiceError
+from ..errors import (ConnectionLostError, ServiceError,
+                      UnsupportedVersionError)
 from . import protocol
 
 __all__ = ["ServiceClient"]
+
+#: How long :meth:`ServiceClient.open` waits for the ``hello`` answer: a
+#: peer that accepts TCP but never answers must not hang the caller.
+HELLO_TIMEOUT_S = 10.0
 
 
 class ServiceClient:
@@ -47,6 +53,8 @@ class ServiceClient:
         #: closing; later requests raise it instead of a generic
         #: "connection closed" so the cause survives.
         self._fatal: ConnectionLostError | None = None
+        #: The server's ``hello`` answer (set by :meth:`open`).
+        self.hello: dict = {}
         #: Raw wire accounting (both modes), for efficiency measurement.
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -75,12 +83,31 @@ class ServiceClient:
         return not self._read_task.done()
 
     @classmethod
-    async def open(cls, host: str = "127.0.0.1",
-                   port: int = 7744) -> "ServiceClient":
-        """Open a wire-level connection."""
+    async def open(cls, host: str = "127.0.0.1", port: int = 7744,
+                   version: int = protocol.PROTOCOL_VERSION
+                   ) -> "ServiceClient":
+        """Connect and send the ``hello`` for *version*; the answer (the
+        server may offer less) is kept as :attr:`hello`.  A refused
+        handshake raises :class:`UnsupportedVersionError`, silence past
+        :data:`HELLO_TIMEOUT_S` :class:`ConnectionLostError`."""
         reader, writer = await asyncio.open_connection(
             host, port, limit=protocol.LINE_LIMIT)
-        return cls(reader, writer)
+        client = cls(reader, writer)
+        try:
+            client.hello = await asyncio.wait_for(
+                client.call("hello", version=version), HELLO_TIMEOUT_S)
+        except BaseException as exc:  # incl. a caller's wait_for cancel
+            await client.close()
+            if isinstance(exc, asyncio.TimeoutError):
+                raise ConnectionLostError(
+                    f"{host}:{port} accepted the connection but did not "
+                    f"answer hello within {HELLO_TIMEOUT_S} s") from None
+            if isinstance(exc, ServiceError) \
+                    and not isinstance(exc, ConnectionLostError):
+                raise UnsupportedVersionError(
+                    f"{host}:{port} refused the hello: {exc}") from exc
+            raise
+        return client
 
     async def close(self) -> None:
         self._read_task.cancel()
@@ -132,15 +159,6 @@ class ServiceClient:
         """The server's telemetry snapshot (render with
         :func:`repro.service.telemetry.render_snapshot`)."""
         return (await self.call("stats"))["stats"]
-
-    async def sign(self, message: bytes, tenant: str,
-                   key_name: str = "default",
-                   deadline_ms: float | None = None) -> dict:
-        """Sign *message*; returns the response dict (``signature`` as
-        bytes, plus ``batch_size``, ``wait_ms``, ``total_ms``,
-        ``params``, ``backend``)."""
-        return await self.call("sign", tenant=tenant, key=key_name,
-                               message=message, deadline_ms=deadline_ms)
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:

@@ -118,8 +118,8 @@ def _check(n: int, rate: float) -> None:
 # ----------------------------------------------------------------------
 
 #: ``signer(message) -> response`` — the response only needs to be a dict
-#: with an optional ``batch_size`` (both :meth:`ServiceClient.sign` and a
-#: thin wrapper over ``SigningService.sign`` qualify).
+#: with an optional ``batch_size`` (a :meth:`ServiceClient.call` of
+#: ``sign`` and a thin wrapper over ``SigningService.sign`` both qualify).
 Signer = Callable[[bytes], Awaitable[object]]
 
 

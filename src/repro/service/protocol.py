@@ -1,6 +1,6 @@
-"""The wire protocol: JSON lines (v1/v2) and binary frames (v3).
+"""The wire protocol: JSON lines (v2) and binary frames (v3).
 
-At v1/v2 every message is one JSON object per line, UTF-8,
+At v2 every message is one JSON object per line, UTF-8,
 ``\\n``-terminated.  Requests carry an ``op`` (the *verb*) and an
 optional ``id`` the server echoes back, so a client may pipeline many
 requests on one connection and match responses out of order.  Binary
@@ -8,16 +8,13 @@ fields (message payloads, signatures) travel base64-encoded.
 
 Versions
 --------
-* **v1** (no handshake): verbs ``sign`` / ``stats`` / ``ping``.  Every
-  connection starts at v1, so a v1 client needs no shim — it simply
-  never sends ``hello`` and is served the v1 verb set unchanged.
-* **v2**: the client opens with a ``hello`` carrying the version it
-  wants; the server answers with the negotiated version and its
-  capabilities (served verbs, ``max_batch`` for ``sign-many`` frames,
-  the tenants' parameter sets).  v2 adds ``verify``, ``sign-many``
-  (multi-message frames that amortize base64/framing overhead),
-  ``keys`` (list a tenant's named keys), and ``metrics`` (the unified
-  metrics registry, as JSON or Prometheus exposition text).
+Every connection opens with a ``hello`` JSON line carrying the version
+the client wants; the server answers with the negotiated version and its
+capabilities (served verbs, ``max_batch`` for ``sign-many`` frames, the
+tenants' parameter sets).  Any other verb before a granted ``hello`` is
+a ``protocol`` error naming the handshake (the connection stays open).
+
+* **v2**: JSON lines, every verb of the table.
 * **v3**: same verb set, binary framing.  The ``hello`` handshake is
   still a JSON line (so negotiation itself never depends on the outcome
   being negotiated); once the server's ``hello`` response grants
@@ -83,10 +80,10 @@ Failure (``error`` is a stable machine-readable code)::
 
     {"ok": false, "id": 3, "error": "overloaded", "detail": "..."}
 
-A ``hello`` asking for a version the server does not speak is answered
-with a *downgrade offer* — ``ok: true`` and the highest version the
-server supports — never a hang or a bare close; the client decides
-whether to proceed or raise ``UnsupportedVersionError``.
+A ``hello`` asking for a version above the server's is answered with a
+*downgrade offer* — ``ok: true`` and the highest version the server
+supports — never a hang or a bare close; one below ``SUPPORTED_VERSIONS``
+is a ``protocol`` error.
 
 Which of the two layouts a connection speaks is decided once, at
 ``hello``, and known only here: :class:`LineDialect` and
@@ -124,7 +121,7 @@ __all__ = [
 
 #: Highest protocol version this build speaks, and every version it serves.
 PROTOCOL_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (2, 3)
 
 #: Largest base64-encoded signature any parameter set can produce,
 #: derived from repro.params so it can never contradict the catalog.
@@ -159,7 +156,7 @@ ERROR_OVERLOADED = "overloaded"
 ERROR_UNKNOWN_KEY = "unknown-key"
 ERROR_PROTOCOL = "protocol"
 ERROR_INTERNAL = "internal"
-ERROR_UNKNOWN_VERB = "unknown-verb"            # v2: op not in the verb table
+ERROR_UNKNOWN_VERB = "unknown-verb"            # op not in the verb table
 ERROR_UNSUPPORTED_VERSION = "unsupported-version"
 ERROR_CONNECTION_LOST = "connection-lost"      # client-side synthetic code
 ERROR_UNAVAILABLE = "unavailable"              # cluster: no live node owns it
@@ -743,7 +740,7 @@ def _error_response(code: str, detail: str) -> dict:
 
 
 class LineDialect:
-    """JSON lines (v1/v2, and every connection until a v3 ``hello``)."""
+    """JSON lines (v2, and every connection until a v3 ``hello``)."""
 
     binary = False
     #: Raw message bytes one request can carry (base64 inflates 3 -> 4).
@@ -947,7 +944,7 @@ class FrameDialect:
         if not isinstance(op, str):
             raise UnknownVerbError(
                 f"unknown frame verb 0x{op:02x} "
-                f"(serving: {', '.join(registry.names(version))})")
+                f"(serving: {', '.join(registry.names())})")
         if op in _HOT:
             return (registry.lookup(op, version),
                     _HOT[op].unpack_request(payload))

@@ -316,14 +316,12 @@ class SigningServer:
     """Serve a :class:`SigningService` over TCP — JSON lines or frames.
 
     Requests dispatch through a :class:`~.verbs.VerbRegistry` — a handler
-    table with per-verb schema validation and version gating.  Every
-    connection starts at protocol v1 (``sign`` / ``stats`` / ``ping``
-    served unchanged, no handshake required) and upgrades by sending
-    ``hello``: v2 unlocks ``verify``, ``sign-many``, and ``keys`` over
-    the same JSON lines, while a v3 hello flips the connection to binary
-    frames (see :mod:`.protocol`) — the hello response is still a JSON
-    line, and everything after it on the socket is framed in both
-    directions, with ``sign-many`` results streamed per item.
+    table with per-verb schema validation.  Every connection opens with
+    ``hello``: v2 serves the verb table over JSON lines, while a v3
+    hello flips the connection to binary frames (see :mod:`.protocol`) —
+    the hello response is still a JSON line, and everything after it on
+    the socket is framed in both directions, with ``sign-many`` results
+    streamed per item.
     """
 
     def __init__(self, service: SigningService,
@@ -345,7 +343,7 @@ class SigningServer:
         return {
             "version": version,
             "server": f"repro/{__version__}",
-            "verbs": list(self.registry.names(version)),
+            "verbs": list(self.registry.names()),
             # v3 streams sign-many results per item, so only the request
             # frame bounds the count — the cap rises with the version.
             "max_batch": (protocol.MAX_SIGN_MANY_V3 if version >= 3
@@ -488,5 +486,5 @@ class SigningServer:
             await dialect.reply(send, verb.name, request_id, args,
                                 await verb.handler(self, conn, args))
         except Exception as exc:  # noqa: BLE001 — report, don't kill the conn
-            code, detail = error_body(exc, conn.version)
+            code, detail = error_body(exc)
             await send(dialect.encode_error(request_id, code, detail))

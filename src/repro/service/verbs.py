@@ -1,17 +1,15 @@
 """The verb registry: one handler table drives the wire protocol.
 
-Each protocol verb is a :class:`Verb` — a name, the minimum protocol
-version that serves it, a field schema validated *before* the handler
-runs, and the handler itself.  The server resolves every incoming frame
-through one :class:`VerbRegistry` instead of an if/elif chain, so adding
-a verb is one ``Verb(...)`` entry: the schema check, the version gate,
-the ``hello`` capability advertisement, and the unknown-verb error all
-follow from the table.
+Each protocol verb is a :class:`Verb` — a name, a field schema
+validated *before* the handler runs, and the handler itself.  The server
+resolves every incoming frame through one :class:`VerbRegistry` instead
+of an if/elif chain, so adding a verb is one ``Verb(...)`` entry: the
+schema check, the ``hello`` capability advertisement, and the
+unknown-verb error all follow from the table.
 
-Connections start at protocol v1 (no handshake — that *is* the v1 compat
-shim) and upgrade by sending ``hello``; the negotiated version lives in
-the per-connection :class:`ConnectionState` and gates which rows of the
-table the connection can reach.
+Every connection opens with ``hello``: until one is granted the
+per-connection :class:`ConnectionState` holds version 0, and every other
+verb is answered with a ``protocol`` error naming the handshake.
 """
 
 from __future__ import annotations
@@ -31,9 +29,9 @@ __all__ = ["ConnectionState", "FieldSpec", "Verb", "VerbRegistry",
 
 @dataclass
 class ConnectionState:
-    """Per-connection negotiation state (mutated by the ``hello`` verb)."""
+    """Per-connection negotiation state: version 0 until a ``hello``."""
 
-    version: int = 1
+    version: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -75,11 +73,11 @@ def _deadline(value: object, name: str) -> float:
 
 
 def _version(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < protocol.SUPPORTED_VERSIONS[0]:
         raise ProtocolError(
-            f"{name!r} must be an integer >= 1 "
-            f"(this server speaks {protocol.SUPPORTED_VERSIONS})"
-        )
+            f"{name!r} must be an integer >= 2 "
+            f"(this server speaks {protocol.SUPPORTED_VERSIONS})")
     return value
 
 
@@ -140,44 +138,41 @@ Handler = Callable[[Any, ConnectionState, dict], Awaitable[Any]]
 
 @dataclass(frozen=True)
 class Verb:
-    """One protocol verb: schema-validated handler plus its version gate."""
+    """One protocol verb: its schema-validated handler."""
 
     name: str
     handler: Handler
-    min_version: int = 1
     fields: tuple[FieldSpec, ...] = ()
     summary: str = ""
 
 
 class VerbRegistry:
-    """Name -> :class:`Verb` table with version-aware resolution."""
+    """Name -> :class:`Verb` table."""
 
     def __init__(self, verbs: tuple[Verb, ...] = ()):
         self._verbs: dict[str, Verb] = {}
         for verb in verbs:
             self.register(verb)
 
-    def register(self, verb: Verb, replace: bool = False) -> None:
-        if verb.name in self._verbs and not replace:
-            raise ProtocolError(
-                f"verb {verb.name!r} is already registered; pass "
-                "replace=True to override"
-            )
+    def register(self, verb: Verb) -> None:
+        if verb.name in self._verbs:
+            raise ProtocolError(f"verb {verb.name!r} is already registered")
         self._verbs[verb.name] = verb
 
-    def names(self, version: int = protocol.PROTOCOL_VERSION
-              ) -> tuple[str, ...]:
-        """Verbs served at *version*, sorted (the hello advertisement)."""
-        return tuple(sorted(name for name, verb in self._verbs.items()
-                            if verb.min_version <= version))
+    def names(self) -> tuple[str, ...]:
+        """Every verb served, sorted (the hello advertisement)."""
+        return tuple(sorted(self._verbs))
 
     def lookup(self, op: object, version: int) -> Verb:
-        """The verb *op* names at *version*.
-
-        Raises :class:`UnknownVerbError` for an op outside the table (or
-        gated behind a higher protocol version than the connection
-        negotiated).
-        """
+        """The verb *op* names; :class:`ProtocolError` for any op but
+        ``hello`` at *version* 0 (no ``hello`` granted yet),
+        :class:`UnknownVerbError` for an op outside the table."""
+        if not version and op != "hello":
+            raise ProtocolError(
+                f"no protocol negotiated for {op!r} — open the connection "
+                'with {"op": "hello", "version": 2} (this server speaks '
+                f"{protocol.SUPPORTED_VERSIONS})"
+            )
         if not isinstance(op, str):
             raise ProtocolError(
                 f"'op' must be a string naming a verb, got {op!r}"
@@ -185,15 +180,7 @@ class VerbRegistry:
         verb = self._verbs.get(op)
         if verb is None:
             raise UnknownVerbError(
-                f"unknown verb {op!r} "
-                f"(serving: {', '.join(self.names(version))})"
-            )
-        if verb.min_version > version:
-            raise UnknownVerbError(
-                f"verb {op!r} requires protocol >= {verb.min_version} but "
-                f"this connection negotiated v{version} — send "
-                '{"op": "hello", "version": 2} first (serving: '
-                + ", ".join(self.names(version)) + ")"
+                f"unknown verb {op!r} (serving: {', '.join(self.names())})"
             )
         return verb
 
@@ -252,10 +239,10 @@ def _signed(outcome) -> dict:
             "total_ms": outcome.total_ms}
 
 
-def _failed(exc: BaseException, version: int) -> dict:
+def _failed(exc: BaseException) -> dict:
     """A per-item failure: the shared mapping keeps its code identical
     to the whole-frame one ("overloaded", "unavailable", ...)."""
-    code, detail = error_body(exc, version)
+    code, detail = error_body(exc)
     return {"ok": False, "error": code, "detail": detail}
 
 
@@ -295,10 +282,10 @@ async def _verb_sign_many(server, conn: ConnectionState, args: dict):
                 deadline_ms=args["deadline_ms"])): index
             for index, message in enumerate(args["messages"])
         }
-    return _as_signed(by_task, conn.version)
+    return _as_signed(by_task)
 
 
-async def _as_signed(by_task: dict, version: int):
+async def _as_signed(by_task: dict):
     pending = set(by_task)
     while pending:
         done, pending = await asyncio.wait(
@@ -306,7 +293,7 @@ async def _as_signed(by_task: dict, version: int):
         for task in done:
             exc = task.exception()
             yield by_task[task], (_signed(task.result()) if exc is None
-                                  else _failed(exc, version))
+                                  else _failed(exc))
 
 
 async def _verb_verify_many(server, conn: ConnectionState,
@@ -327,7 +314,7 @@ async def _verb_verify_many(server, conn: ConnectionState,
         verdicts, params = await server.service.verify_many(
             messages, signatures, tenant, key_name=key)
     except Exception as exc:  # noqa: BLE001 — typed per item, like sign-many
-        results = [_failed(exc, conn.version) for _ in messages]
+        results = [_failed(exc) for _ in messages]
     else:
         results = [{"ok": True, "valid": valid, "params": params}
                    for valid in verdicts]
@@ -403,18 +390,14 @@ async def _verb_keys(server, conn: ConnectionState, args: dict) -> dict:
             "params": keystore.params_for(tenant), "keys": list(names)}
 
 
-def error_body(exc: BaseException, version: int) -> tuple[str, str]:
+def error_body(exc: BaseException) -> tuple[str, str]:
     """Map one handler exception to its wire ``(code, detail)`` pair.
 
     Shared by the line server and the frame server so both modes report
     identical codes for identical failures.
     """
     if isinstance(exc, UnknownVerbError):
-        # v1 predates the distinct code; those connections keep the
-        # historical "protocol" code so v1 clients' error mapping holds.
-        code = (protocol.ERROR_UNKNOWN_VERB if version >= 2
-                else protocol.ERROR_PROTOCOL)
-        return code, str(exc)
+        return protocol.ERROR_UNKNOWN_VERB, str(exc)
     if isinstance(exc, ProtocolError):
         return protocol.ERROR_PROTOCOL, str(exc)
     if isinstance(exc, OverloadedError):
@@ -429,44 +412,43 @@ def error_body(exc: BaseException, version: int) -> tuple[str, str]:
 
 
 def default_registry() -> VerbRegistry:
-    """The stock protocol: v1 verbs plus the v2 additions."""
+    """The stock protocol."""
     return VerbRegistry((
-        Verb("hello", _verb_hello, min_version=1,
+        Verb("hello", _verb_hello,
              fields=(_spec("version", _version),),
              summary="negotiate protocol version and capabilities"),
-        Verb("ping", _verb_ping, min_version=1, summary="liveness probe"),
-        Verb("stats", _verb_stats, min_version=1,
-             summary="telemetry snapshot"),
-        Verb("sign", _verb_sign, min_version=1,
+        Verb("ping", _verb_ping, summary="liveness probe"),
+        Verb("stats", _verb_stats, summary="telemetry snapshot"),
+        Verb("sign", _verb_sign,
              fields=(_spec("tenant", _string),
                      _spec("key", _string, required=False, default="default"),
                      _spec("message", _b64),
                      _spec("deadline_ms", _deadline, required=False),
                      _spec("trace", _trace_id, required=False)),
              summary="sign one message under a tenant key"),
-        Verb("verify", _verb_verify, min_version=2,
+        Verb("verify", _verb_verify,
              fields=(_spec("tenant", _string),
                      _spec("key", _string, required=False, default="default"),
                      _spec("message", _b64),
                      _spec("signature", _b64)),
              summary="verify a signature under a tenant key"),
-        Verb("sign-many", _verb_sign_many, min_version=2,
+        Verb("sign-many", _verb_sign_many,
              fields=(_spec("tenant", _string),
                      _spec("key", _string, required=False, default="default"),
                      _spec("messages", _b64_list),
                      _spec("deadline_ms", _deadline, required=False),
                      _spec("trace", _trace_id, required=False)),
              summary="sign up to max_batch messages in one frame"),
-        Verb("verify-many", _verb_verify_many, min_version=2,
+        Verb("verify-many", _verb_verify_many,
              fields=(_spec("tenant", _string),
                      _spec("key", _string, required=False, default="default"),
                      _spec("messages", _b64_list),
                      _spec("signatures", _b64_list)),
              summary="verify up to max_batch (message, signature) pairs"),
-        Verb("keys", _verb_keys, min_version=2,
+        Verb("keys", _verb_keys,
              fields=(_spec("tenant", _string),),
              summary="list a tenant's named keys"),
-        Verb("metrics", _verb_metrics, min_version=2,
+        Verb("metrics", _verb_metrics,
              fields=(_spec("format", _format, required=False,
                            default="json"),),
              summary="unified metrics registry (json or prometheus)"),
@@ -483,17 +465,17 @@ def ledger_registry() -> VerbRegistry:
     """
     registry = default_registry()
     registry.register(Verb(
-        "log-append", _verb_log_append, min_version=2,
+        "log-append", _verb_log_append,
         fields=(_spec("entries", _entry_list),
                 _spec("trace", _trace_id, required=False)),
         summary="append entries; acks with a covering signed checkpoint"))
     registry.register(Verb(
-        "log-proof", _verb_log_proof, min_version=2,
+        "log-proof", _verb_log_proof,
         fields=(_spec("index", _index),
                 _spec("size", _index, required=False)),
         summary="inclusion proof for one entry against a sealed head"))
     registry.register(Verb(
-        "log-checkpoint", _verb_log_checkpoint, min_version=2,
+        "log-checkpoint", _verb_log_checkpoint,
         fields=(_spec("since", _index, required=False),),
         summary="latest signed tree head (+ consistency from 'since')"))
     return registry

@@ -205,16 +205,6 @@ class TestAsyncClient:
         asyncio.run_coroutine_threadsafe(
             scenario(), live_server.loop).result(120)
 
-    def test_min_version_above_server_offer_raises(self, live_server):
-        async def scenario():
-            with pytest.raises(api.UnsupportedVersionError,
-                               match="offered protocol v3"):
-                await api.AsyncClient.connect(port=live_server.port,
-                                              version=4, min_version=4)
-
-        asyncio.run_coroutine_threadsafe(
-            scenario(), live_server.loop).result(60)
-
 
 class TestConnectFactory:
     def test_unknown_transport_is_typed(self):

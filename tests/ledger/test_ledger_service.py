@@ -249,9 +249,9 @@ class TestServedVerbs:
             server, ledger, signer = await self.make_server(tmp_path)
             client = None
             try:
-                client = await ServiceClient.open(port=server.port)
-                hello = await client.call("hello", version=version)
-                assert hello["version"] == version
+                client = await ServiceClient.open(port=server.port,
+                                                  version=version)
+                assert client.hello["version"] == version
                 assert client.binary is (version >= 3)
                 appended = await client.call(
                     "log-append",
@@ -287,8 +287,8 @@ class TestServedVerbs:
             server, ledger, signer = await self.make_server(tmp_path)
             client = None
             try:
-                client = await ServiceClient.open(port=server.port)
-                await client.call("hello", version=2)
+                client = await ServiceClient.open(port=server.port,
+                                                  version=2)
                 first = await client.call("log-append",
                                           entries=[b"a", b"b"])
                 await client.call("log-append", entries=[b"c"])
@@ -323,8 +323,8 @@ class TestServedVerbs:
             await server.start()
             client = None
             try:
-                client = await ServiceClient.open(port=server.port)
-                await client.call("hello", version=2)
+                client = await ServiceClient.open(port=server.port,
+                                                  version=2)
                 with pytest.raises(LedgerError, match="does not host"):
                     await client.call("log-checkpoint")
             finally:

@@ -11,11 +11,15 @@ import json
 
 import pytest
 
+from repro.api import AsyncClient
+from repro.cluster import RouterService
 from repro.errors import (ConnectionLostError, KeystoreError,
-                          OverloadedError, ServiceError)
+                          NodeUnavailableError, OverloadedError,
+                          ServiceError)
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
                            SigningService, derive_seed, protocol)
+from repro.service import client as client_module
 from repro.sphincs.signer import Sphincs
 
 
@@ -31,6 +35,11 @@ def make_service(**kwargs):
     return SigningService(keystore, **kwargs)
 
 
+def sign(client, message):
+    return client.call("sign", tenant="demo", key="default",
+                       message=message)
+
+
 class TestOverload:
     def test_max_pending_sheds_with_structured_response(self):
         async def scenario():
@@ -40,8 +49,8 @@ class TestOverload:
             await server.start()
             client = await ServiceClient.open(port=server.port)
             try:
-                queued = [asyncio.ensure_future(client.sign(b"q0", "demo")),
-                          asyncio.ensure_future(client.sign(b"q1", "demo"))]
+                queued = [asyncio.ensure_future(sign(client, b"q0")),
+                          asyncio.ensure_future(sign(client, b"q1"))]
                 # The first ships at once (the signer is idle), the
                 # second queues behind it: two requests outstanding.
                 for _ in range(200):
@@ -52,7 +61,7 @@ class TestOverload:
                 # The watermark is reached: the next request sheds with
                 # the stable machine-readable code, not a hang.
                 with pytest.raises(OverloadedError, match="shed"):
-                    await asyncio.wait_for(client.sign(b"q2", "demo"),
+                    await asyncio.wait_for(sign(client, b"q2"),
                                            timeout=10)
                 assert service.telemetry.snapshot()[
                     "tenants"]["demo"]["shed"] == 1
@@ -76,6 +85,9 @@ class TestUnknownPrincipals:
             reader, writer = await asyncio.open_connection(
                 port=server.port, limit=protocol.LINE_LIMIT)
             try:
+                writer.write(protocol.encode(
+                    {"op": "hello", "id": 0, "version": 2}))
+                assert json.loads(await reader.readline())["ok"] is True
                 for request, expect_detail in (
                         ({"op": "sign", "id": 1, "tenant": "ghost",
                           "message": "aGk="}, "unknown tenant"),
@@ -143,6 +155,9 @@ class TestHostileFrames:
             reader, writer = await asyncio.open_connection(
                 port=server.port, limit=protocol.LINE_LIMIT)
             try:
+                writer.write(protocol.encode(
+                    {"op": "hello", "id": 0, "version": 2}))
+                assert json.loads(await reader.readline())["ok"] is True
                 writer.write(b"\xde\xad\xbe\xef garbage\n")
                 writer.write(protocol.encode(
                     {"op": "sign", "id": 7, "tenant": "demo",
@@ -185,7 +200,7 @@ class TestConnectionLost:
             client = ServiceClient(*await asyncio.open_connection(
                 port=port, limit=protocol.LINE_LIMIT))
             pipelined = [asyncio.ensure_future(
-                client.sign(f"m{i}".encode(), "demo")) for i in range(3)]
+                sign(client, f"m{i}".encode())) for i in range(3)]
             outcomes = await asyncio.wait_for(
                 asyncio.gather(*pipelined, return_exceptions=True),
                 timeout=30)
@@ -210,7 +225,7 @@ class TestConnectionLost:
             fresh = await ServiceClient.open(port=server.port)
             try:
                 response = await asyncio.wait_for(
-                    fresh.sign(b"m0", "demo"), timeout=60)
+                    sign(fresh, b"m0"), timeout=60)
                 keys, params = server.service.keystore.resolve("demo")
                 assert Sphincs(params).verify(b"m0", response["signature"],
                                               keys.public)
@@ -242,7 +257,7 @@ class TestConnectionLost:
             client = ServiceClient(*await asyncio.open_connection(
                 port=port, limit=protocol.LINE_LIMIT))
             with pytest.raises(ConnectionLostError) as excinfo:
-                await asyncio.wait_for(client.sign(b"m", "demo"),
+                await asyncio.wait_for(sign(client, b"m"),
                                        timeout=30)
             assert excinfo.value.in_flight == (1,)
             await client.close()
@@ -260,7 +275,7 @@ class TestRestart:
             await server.start()
             port = server.port
             client = await ServiceClient.open(port=port)
-            first = await asyncio.wait_for(client.sign(b"gen-1", "demo"),
+            first = await asyncio.wait_for(sign(client, b"gen-1"),
                                            timeout=60)
             await server.stop()
             # The old connection fails fast with a typed error...
@@ -277,10 +292,72 @@ class TestRestart:
             client = await ServiceClient.open(port=port)
             try:
                 second = await asyncio.wait_for(
-                    client.sign(b"gen-1", "demo"), timeout=60)
+                    sign(client, b"gen-1"), timeout=60)
                 assert second["signature"] == first["signature"]
             finally:
                 await client.close()
                 await restarted.stop()
+
+        asyncio.run(scenario())
+
+
+class TestSilentPeer:
+    """A peer that accepts TCP but never answers ``hello`` must cost a
+    bounded wait and a typed error, never a hang — and the socket must
+    be closed, not leaked."""
+
+    @staticmethod
+    async def silent_server():
+        closed = asyncio.Event()
+
+        async def read_only(reader, writer):
+            await reader.read()  # never writes; returns at the peer's EOF
+            closed.set()
+            writer.close()
+
+        server = await asyncio.start_server(read_only, "127.0.0.1", 0)
+        return server, server.sockets[0].getsockname()[1], closed
+
+    def test_async_client_connect_times_out_typed(self, monkeypatch):
+        monkeypatch.setattr(client_module, "HELLO_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            server, port, closed = await self.silent_server()
+            try:
+                started = asyncio.get_running_loop().time()
+                with pytest.raises(ConnectionLostError,
+                                   match=f"127.0.0.1:{port}.*hello"):
+                    await asyncio.wait_for(
+                        AsyncClient.connect(port=port), timeout=2)
+                assert asyncio.get_running_loop().time() - started < 2
+                await asyncio.wait_for(closed.wait(), timeout=2)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_router_node_times_out_typed(self, monkeypatch):
+        monkeypatch.setattr(client_module, "HELLO_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            server, port, closed = await self.silent_server()
+            router = RouterService([("127.0.0.1", port)],
+                                   make_service().keystore,
+                                   max_retries=0, health_interval_s=60)
+            try:
+                # Not started: the node is optimistically up, so the
+                # forward itself dials it (_forward -> _wire -> _connect).
+                started = asyncio.get_running_loop().time()
+                with pytest.raises(NodeUnavailableError,
+                                   match=f"127.0.0.1:{port}.*hello"):
+                    await asyncio.wait_for(router.sign(b"m", "demo"),
+                                           timeout=2)
+                assert asyncio.get_running_loop().time() - started < 2
+                await asyncio.wait_for(closed.wait(), timeout=2)
+            finally:
+                await router.aclose()
+                server.close()
+                await server.wait_closed()
 
         asyncio.run(scenario())

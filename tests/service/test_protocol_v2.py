@@ -1,11 +1,10 @@
-"""Protocol v2: negotiation edges, v1 compat, new verbs, frame bounds.
+"""Protocol v2: the mandatory handshake, negotiation edges, verbs, bounds.
 
-Satellite coverage for the api_redesign PR: malformed/absent ``hello``,
-unknown requested versions (typed downgrade, never a hang), unknown
-verbs on both protocol versions, a v1 client round-tripping ``sign``
-against the v2 server unchanged, ``verify`` round-trips over TCP for
-all four pinned parameter sets, and the LINE_LIMIT headroom contract
-derived from the parameter catalog.
+Malformed/absent/too-old ``hello`` (typed errors, the connection stays
+usable), unknown requested versions (typed downgrade, never a hang),
+unknown verbs, ``verify`` round-trips over TCP for all four pinned
+parameter sets, and the LINE_LIMIT headroom contract derived from the
+parameter catalog.
 """
 
 import asyncio
@@ -18,7 +17,6 @@ from repro.errors import KeystoreError
 from repro.params import PARAMETER_SETS, get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
                            SigningService, derive_seed, protocol)
-from repro.sphincs.signer import Sphincs
 from repro.testing.kat import KAT_SETS
 
 
@@ -108,19 +106,62 @@ class TestNegotiation:
 
         asyncio.run(scenario())
 
-    def test_v2_verb_without_hello_fails_with_v1_protocol_code(self):
+    @pytest.mark.parametrize("early", [
+        {"op": "sign", "id": 1, "tenant": "demo", "message": "aGk="},
+        {"op": "ping", "id": 1},
+        {"op": "frobnicate", "id": 1},
+    ])
+    def test_any_verb_before_hello_is_a_protocol_error(self, early):
+        async def scenario():
+            server = make_server()
+            await server.start()
+            try:
+                refused, hello, signed = await raw_roundtrip(server.port, [
+                    early,
+                    {"op": "hello", "id": 2, "version": 2},
+                    {"op": "sign", "id": 3, "tenant": "demo",
+                     "message": "aGk="}])
+                # Refused, not dropped: the same connection then
+                # completes the handshake and signs.
+                assert refused["ok"] is False and refused["id"] == 1
+                assert refused["error"] == protocol.ERROR_PROTOCOL
+                assert "hello" in refused["detail"]
+                assert hello["ok"] is True and hello["version"] == 2
+                assert signed["ok"] is True and signed["id"] == 3
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_hello_below_v2_is_a_protocol_error_naming_the_offer(self):
         async def scenario():
             server = make_server()
             await server.start()
             try:
                 [response] = await raw_roundtrip(server.port, [
-                    {"op": "verify", "id": 1, "tenant": "demo",
-                     "message": "aGk=", "signature": "aGk="}])
-                # No handshake: the connection is v1, where the distinct
-                # unknown-verb code does not exist yet.
+                    {"op": "hello", "id": 1, "version": 1}])
                 assert response["ok"] is False
                 assert response["error"] == protocol.ERROR_PROTOCOL
-                assert "hello" in response["detail"]
+                assert "(2, 3)" in response["detail"]
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_open_negotiates_the_requested_dialect(self):
+        async def scenario():
+            server = make_server()
+            await server.start()
+            try:
+                v2 = await ServiceClient.open(port=server.port, version=2)
+                v3 = await ServiceClient.open(port=server.port)
+                try:
+                    assert v2.binary is False and v2.hello["version"] == 2
+                    assert v3.binary is True and v3.hello["version"] == 3
+                    assert await v2.ping() and await v3.ping()
+                finally:
+                    await v2.close()
+                    await v3.close()
             finally:
                 await server.stop()
 
@@ -138,48 +179,6 @@ class TestNegotiation:
                 assert response["error"] == protocol.ERROR_UNKNOWN_VERB
                 assert "sign-many" in response["detail"]
             finally:
-                await server.stop()
-
-        asyncio.run(scenario())
-
-    def test_unknown_verb_on_v1_keeps_the_historical_code(self):
-        async def scenario():
-            server = make_server()
-            await server.start()
-            try:
-                [response] = await raw_roundtrip(server.port, [
-                    {"op": "frobnicate", "id": 1}])
-                assert response["error"] == protocol.ERROR_PROTOCOL
-            finally:
-                await server.stop()
-
-        asyncio.run(scenario())
-
-
-class TestV1Compat:
-    def test_v1_client_roundtrips_sign_unchanged_against_v2_server(self):
-        """A pre-v2 client (wire-level ServiceClient, no hello) must be
-        served byte-identically: same verbs, same response shape, same
-        signature bytes as the reference scheme."""
-        async def scenario():
-            server = make_server()
-            await server.start()
-            client = await ServiceClient.open(port=server.port)
-            try:
-                assert await client.ping()
-                response = await client.sign(b"legacy payload", "demo")
-                seed = derive_seed("demo/default", get_params("128f").n)
-                scheme = Sphincs("128f", deterministic=True)
-                keys = scheme.keygen(seed=seed)
-                assert response["signature"] == scheme.sign(
-                    b"legacy payload", keys)
-                assert response["params"] == "SPHINCS+-128f"
-                assert {"backend", "batch_size", "wait_ms",
-                        "total_ms"} <= response.keys()
-                stats = await client.stats()
-                assert stats["tenants"]["demo"]["signed"] == 1
-            finally:
-                await client.close()
                 await server.stop()
 
         asyncio.run(scenario())
@@ -310,7 +309,7 @@ class TestLineLimitHeadroom:
 
     def test_line_limit_has_headroom_for_every_frame_shape(self):
         envelope = 4096  # generous JSON-envelope allowance
-        # v1 single-signature response: >10x headroom.
+        # Single-signature response: >10x headroom.
         assert protocol.MAX_SIGNATURE_B64 + envelope \
             < protocol.LINE_LIMIT / 10
         # Worst-case v2 sign-many response: full frame of largest-set

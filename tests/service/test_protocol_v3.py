@@ -474,13 +474,12 @@ class TestOverlongInput:
             server = make_server(max_wait_s=0.2, target_batch_size=64)
             await server.start()
             try:
-                wire = await ServiceClient.open(port=server.port)
-                hello = await wire.call("hello", version=2)
-                assert hello["version"] == 2 and wire.binary is False
+                wire = await ServiceClient.open(port=server.port, version=2)
+                assert wire.hello["version"] == 2 and wire.binary is False
                 # Pipeline a sign that will still be batching when the
                 # poison line lands.
                 pending = asyncio.ensure_future(
-                    wire.sign(b"in flight", tenant="demo"))
+                    wire.call("sign", tenant="demo", message=b"in flight"))
                 await asyncio.sleep(0.02)
                 wire._write(b"x" * (protocol.LINE_LIMIT + 1) + b"\n")
                 await wire._writer.drain()
@@ -505,8 +504,9 @@ class TestOverlongInput:
                 client = await AsyncClient.connect(port=server.port)
                 wire = client._wire
                 assert wire.binary is True
-                pending = asyncio.ensure_future(
-                    wire.sign(b"in flight", tenant="demo"))
+                pending = asyncio.ensure_future(wire.call(
+                    "sign", tenant="demo", key="default",
+                    message=b"in flight"))
                 await asyncio.sleep(0.02)
                 # A frame whose declared length exceeds FRAME_LIMIT:
                 # the server answers with an id-0 error frame, closes.

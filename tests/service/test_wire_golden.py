@@ -13,8 +13,8 @@ request over a raw socket, must answer the pinned response; and the
 real client, asked for the same call, must write the pinned request
 and decode the pinned response into the same typed result (or typed
 error) in every dialect.  A last test drops the pins and the stub:
-three live connections (hello-less, v2, v3) to one real signing
-server must get equal typed results from ``call`` for every verb.
+two live connections (v2, v3) to one real signing server must get
+equal typed results from ``call`` for every verb.
 """
 
 import asyncio
@@ -65,7 +65,6 @@ CALLS = {
               "params": "SPHINCS+-128f", "keys": ["default"]}),
     "ping": ("ping", {}, {"ok": True, "op": "ping"}),
     "unknown-verb": ("frobnicate", {}, UnknownVerbError),
-    "gated-verb": ("keys", dict(tenant="demo"), ProtocolError),
     "unknown-tenant": ("sign", dict(tenant="nobody", key="default",
                                     message=b"x"), KeystoreError),
 }
@@ -73,24 +72,6 @@ CALLS = {
 #: dialect -> [(name, request bytes, response bytes)], in the order one
 #: connection sent them (ids count up; a hello took id 1).
 GOLDEN = {
-    "v1": [
-        ("sign",
-         b'{"op":"sign","tenant":"demo","key":"default","message":"cGF5bWVudCAjMQ==","deadline_ms":250.0,"id":1}\n',
-         b'{"ok":true,"op":"sign","signature":"U0lHOnBheW1lbnQgIzE=","params":"SPHINCS+-128f","backend":"stub","batch_size":2,"wait_ms":1.5,"total_ms":2.25,"id":1}\n'),
-        ("ping",
-         b'{"op":"ping","id":2}\n',
-         b'{"ok":true,"op":"ping","id":2}\n'),
-        # Hello-less connections keep the historical "protocol" code.
-        ("unknown-verb",
-         b'{"op":"frobnicate","id":3}\n',
-         b'{"ok":false,"error":"protocol","detail":"unknown verb \'frobnicate\' (serving: hello, ping, sign, stats)","id":3}\n'),
-        ("gated-verb",
-         b'{"op":"keys","tenant":"demo","id":4}\n',
-         b'{"ok":false,"error":"protocol","detail":"verb \'keys\' requires protocol >= 2 but this connection negotiated v1 \\u2014 send {\\"op\\": \\"hello\\", \\"version\\": 2} first (serving: hello, ping, sign, stats)","id":4}\n'),
-        ("unknown-tenant",
-         b'{"op":"sign","tenant":"nobody","key":"default","message":"eA==","id":5}\n',
-         b'{"ok":false,"error":"unknown-key","detail":"unknown tenant \'nobody\' (tenants: demo)","id":5}\n'),
-    ],
     "v2": [
         ("sign",
          b'{"op":"sign","tenant":"demo","key":"default","message":"cGF5bWVudCAjMQ==","deadline_ms":250.0,"id":2}\n',
@@ -160,7 +141,7 @@ GOLDEN = {
          b'\x00\x00\x00=\x10\x01\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x00\x01\x00\x00\x00\x02?\xf8\x00\x00\x00\x00\x00\x00@\x02\x00\x00\x00\x00\x00\x00\rSPHINCS+-128f\x04stub\x00\x00\x00\x05SIG:t\x00\x00\x00\x0c\x11\x01\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x01'),
     ],
 }
-HELLO = {"v1": None, "v2": 2, "v3": 3}
+HELLO = {"v2": 2, "v3": 3}
 
 
 class StubService:
@@ -217,10 +198,9 @@ def test_server_answers_the_pinned_bytes(dialect):
         reader, writer = await asyncio.open_connection(
             port=server.port, limit=protocol.LINE_LIMIT)
         try:
-            if HELLO[dialect] is not None:
-                writer.write(protocol.encode(
-                    {"op": "hello", "id": 1, "version": HELLO[dialect]}))
-                assert json.loads(await reader.readline())["ok"] is True
+            writer.write(protocol.encode(
+                {"op": "hello", "id": 1, "version": HELLO[dialect]}))
+            assert json.loads(await reader.readline())["ok"] is True
             for name, request, response in GOLDEN[dialect]:
                 writer.write(request)
                 answered = await asyncio.wait_for(
@@ -243,11 +223,10 @@ def test_client_writes_and_reads_the_pinned_bytes(dialect):
     written: list[tuple[bytes, bytes]] = []
 
     async def replay(reader, writer):
-        if HELLO[dialect] is not None:
-            await reader.readline()
-            writer.write(protocol.encode(
-                {"ok": True, "op": "hello", "version": HELLO[dialect],
-                 "id": 1}))
+        await reader.readline()
+        writer.write(protocol.encode(
+            {"ok": True, "op": "hello", "version": HELLO[dialect],
+             "id": 1}))
         for name, request, response in GOLDEN[dialect]:
             if name in local:
                 continue
@@ -260,19 +239,17 @@ def test_client_writes_and_reads_the_pinned_bytes(dialect):
     async def scenario():
         server = await asyncio.start_server(replay, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
-        client = await ServiceClient.open(port=port)
+        client = await ServiceClient.open(port=port,
+                                          version=HELLO[dialect])
         try:
-            if HELLO[dialect] is not None:
-                await client.call("hello", version=HELLO[dialect])
             assert client.binary is (dialect == "v3")
             for name, _, _ in GOLDEN[dialect]:
                 op, fields, expected = CALLS[name]
                 if isinstance(expected, dict):
                     assert await client.call(op, **fields) == expected, name
                 else:
-                    if expected is UnknownVerbError and (
-                            dialect == "v1" or name in local):
-                        expected = ProtocolError  # v1: the historical code
+                    if name in local:
+                        expected = ProtocolError  # refused before writing
                     with pytest.raises(expected) as excinfo:
                         await client.call(op, **fields)
                     assert excinfo.type is expected, name
@@ -301,23 +278,13 @@ def test_call_returns_equal_typed_results_in_every_dialect():
     who = dict(tenant="demo", key="default")
     batch = [b"first", b"shed", b"last"]
 
-    async def every_verb(client: ServiceClient, version: int | None):
-        """-> {label: typed result, timings dropped} for each verb the
-        connection's version serves."""
+    async def every_verb(client: ServiceClient):
+        """-> {label: typed result, timings dropped} for each verb."""
         results = {}
-        if version is not None:
-            hello = await client.call("hello", version=version)
-            assert hello["version"] == version
         signed = await client.call("sign", **who, message=b"one")
         results["sign"] = signed
         results["ping"] = await client.call("ping")
         results["stats"] = sorted(await client.call("stats"))
-        if version is None:
-            # The v1 gate: the v2 verbs answer the historical code.
-            with pytest.raises(ProtocolError, match="requires protocol"):
-                await client.call("verify", **who, message=b"one",
-                                  signature=signed["signature"])
-            return results
         results["verify"] = await client.call(
             "verify", **who, message=b"one", signature=signed["signature"])
         many = await client.call("sign-many", **who, messages=batch)
@@ -348,18 +315,18 @@ def test_call_returns_equal_typed_results_in_every_dialect():
         await server.start()
         seen = {}
         try:
-            for version in (None, 2, 3):
-                client = await ServiceClient.open(port=server.port)
+            for version in (2, 3):
+                client = await ServiceClient.open(port=server.port,
+                                                  version=version)
                 try:
-                    seen[version] = untimed(
-                        await every_verb(client, version))
+                    assert client.hello["version"] == version
+                    seen[version] = untimed(await every_verb(client))
                     assert client.binary is (version == 3)
                 finally:
                     await client.close()
         finally:
             await server.stop()
         assert seen[2] == seen[3]
-        assert seen[None] == {name: seen[3][name] for name in seen[None]}
         many = seen[3]["sign-many"]["results"]
         assert [item["ok"] for item in many] == [True, False, True]
         assert many[1] == SHED

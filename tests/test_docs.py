@@ -87,9 +87,9 @@ def test_protocol_page_doctests_pass():
 
 def test_protocol_page_has_example_per_version():
     """The consolidated spec keeps a runnable example for each of the
-    three protocol versions (the docs satellite's acceptance shape)."""
+    two protocol versions."""
     markdown = (DOCS_DIR / "protocol.md").read_text()
-    for marker in ("## Protocol v1", "## Protocol v2", "## Protocol v3"):
+    for marker in ("## Protocol v2", "## Protocol v3"):
         start = markdown.index(marker)
         end = markdown.find("\n## ", start + 1)
         section = markdown[start:end if end != -1 else None]

@@ -66,6 +66,9 @@ class TestServerFuzz:
             reader, writer = await asyncio.open_connection(
                 port=server.port, limit=protocol.LINE_LIMIT)
             try:
+                writer.write(protocol.encode(
+                    {"op": "hello", "id": 0, "version": 2}))
+                assert json.loads(await reader.readline())["ok"] is True
                 for case, frame in FRAMES:
                     writer.write(frame)
                     await writer.drain()
@@ -75,6 +78,7 @@ class TestServerFuzz:
                     assert response["ok"] is False, case
                     assert response["error"] in (
                         protocol.ERROR_PROTOCOL, protocol.ERROR_UNKNOWN_KEY,
+                        protocol.ERROR_UNKNOWN_VERB,
                     ), case
                 # The connection survived all of it.
                 writer.write(protocol.encode({"op": "ping", "id": 1}))
