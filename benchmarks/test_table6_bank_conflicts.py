@@ -10,7 +10,7 @@ layouts are conflict-free.
 
 from repro.analysis import PAPER, format_table
 from repro.core.padding import padding_rule
-from repro.gpusim.memory import count_multi_tree_conflicts, count_reduction_conflicts
+from repro.gpusim.memory import count_reduction_conflicts
 from repro.params import get_params
 
 
@@ -27,10 +27,10 @@ def _conflicts(alias):
     }
     # The d hypertree subtrees reduce side by side in shared warps.
     out["TREE_Sign"] = {
-        "baseline": count_multi_tree_conflicts(
-            params.d, params.tree_leaves, params.n, 0),
-        "padded": count_multi_tree_conflicts(
-            params.d, params.tree_leaves, params.n, period),
+        "baseline": count_reduction_conflicts(
+            params.tree_leaves, params.n, 0, trees=params.d),
+        "padded": count_reduction_conflicts(
+            params.tree_leaves, params.n, period, trees=params.d),
     }
     return out
 

@@ -13,8 +13,8 @@ Layers
 ``repro.runtime``
     The unified batch-signing runtime: one ``SigningBackend`` interface
     over two signers (scalar reference, vectorized plan) with first-class
-    ``sign_batch`` APIs, and the ``BatchScheduler`` service layer that
-    queues, routes, and accounts a message stream.
+    ``sign_batch`` APIs, and the ``BatchScheduler`` that cuts a message
+    list into batches, routes them, and accounts them.
 ``repro.gpusim``
     An analytical GPU performance model — device catalog, occupancy, a
     compiler model with native/PTX SHA-256 branches, exact shared-memory

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from ..errors import GpuModelError
 from ..gpusim.compiler import Branch, CompiledKernel, CompilerModel
@@ -22,10 +23,10 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim.instructions import MISC as MISC_CLASS, InstructionMix
 from ..gpusim.kernel import KernelWorkload, LaunchConfig, WorkloadPhase
 from ..gpusim.memory import (
-    AccessPattern,
     Layout,
     SharedMemoryBankModel,
-    count_multi_tree_conflicts,
+    count_reduction_conflicts,
+    reduction_trace,
 )
 from ..params import SphincsParams
 from .fusion import ForsPlan, plan_fors
@@ -107,32 +108,15 @@ def level_wavefronts(
 ) -> tuple[float, float]:
     """(load, store) wavefronts for one reduction level of one tree.
 
-    Replays the exact access pattern (thread ``t`` loads children ``2t``
-    and ``2t+1``, stores parent ``t``) against the 32-bank model.
+    Replays the bottom level of :func:`reduction_trace` (thread ``t``
+    loads children ``2t`` and ``2t+1``, stores parent ``t``) against the
+    32-bank model.
     """
-    model = SharedMemoryBankModel()
-    child = Layout(node_bytes, pad_period)
-    parent = Layout(node_bytes, pad_period)
-    loads = 0.0
-    stores = 0.0
-    for warp_base in range(0, parents, warp_size):
-        lanes = range(warp_base, min(warp_base + warp_size, parents))
-        left = AccessPattern(
-            {t - warp_base: (child.address(2 * t), node_bytes) for t in lanes}
-        )
-        right = AccessPattern(
-            {t - warp_base: (child.address(2 * t + 1), node_bytes) for t in lanes}
-        )
-        store = AccessPattern(
-            {t - warp_base: (parent.address(t), node_bytes) for t in lanes},
-            kind="store",
-        )
-        for pattern in (left, right):
-            actual, _ = model.warp_wavefronts(pattern)
-            loads += actual
-        actual, _ = model.warp_wavefronts(store)
-        stores += actual
-    return loads, stores
+    trace = reduction_trace(2 * parents, Layout(node_bytes, pad_period),
+                            warp_size=warp_size)
+    level = islice(trace, 3 * math.ceil(parents / warp_size))
+    report = SharedMemoryBankModel().replay(level)
+    return float(report.load_wavefronts), float(report.store_wavefronts)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +303,7 @@ def build_tree_plan(
     # The d small subtrees reduce side by side in shared warps, so the
     # bank behaviour is the multi-tree pattern; spread its wavefronts over
     # the per-level phases proportionally to active parents.
-    tree_report = count_multi_tree_conflicts(d, leaves, n, pad_period)
+    tree_report = count_reduction_conflicts(leaves, n, pad_period, trees=d)
     total_parents = d * (leaves - 1)
     for level in range(1, params.tree_height + 1):
         parents = leaves >> level

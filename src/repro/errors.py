@@ -30,12 +30,7 @@ class BackendError(ReproError):
 
 
 class UnknownTicketError(BackendError, KeyError):
-    """A scheduler ticket that was never issued or was already claimed.
-
-    ``BatchScheduler.signature``/``claim`` return ``None`` only for tickets
-    that are still queued; every other miss raises this so callers cannot
-    confuse "not signed yet" with "gone forever".
-    """
+    """A scheduler ticket that was never issued or was already claimed."""
 
     def __str__(self) -> str:  # KeyError quotes its arg; keep the message flat
         return Exception.__str__(self)

@@ -17,15 +17,15 @@ This module replays real access traces against that rule:
   ``pad_period`` data bytes — the paper's Equations 2/3 choose that
   period).
 * :func:`reduction_trace` generates the exact load/store pattern of the
-  bottom-up Merkle reduction of paper Figure 7, which
-  :func:`count_reduction_conflicts` replays level by level.
+  bottom-up Merkle reduction of paper Figure 7 (one tree, or several side
+  by side), which :func:`count_reduction_conflicts` replays level by
+  level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from ..errors import SharedMemoryError
 
@@ -36,8 +36,6 @@ __all__ = [
     "Layout",
     "reduction_trace",
     "count_reduction_conflicts",
-    "multi_tree_reduction_trace",
-    "count_multi_tree_conflicts",
 ]
 
 
@@ -177,80 +175,28 @@ class Layout:
 def reduction_trace(
     leaf_count: int,
     layout: Layout,
-    parent_layouts: Sequence[Layout] | None = None,
+    trees: int = 1,
     warp_size: int = 32,
-) -> list[AccessPattern]:
-    """Warp access trace of one bottom-up Merkle reduction.
+) -> Iterator[AccessPattern]:
+    """Warp access trace of *trees* bottom-up Merkle reductions side by side.
 
     Mirrors the kernels' reduction loop (paper Figure 7): at each level,
-    thread ``t`` loads children ``2t`` and ``2t+1`` and stores parent ``t``.
-    Each level's nodes live in their own region (``parent_layouts`` defaults
-    to fresh regions with the same padding rule); only intra-warp conflicts
-    exist, so threads are chunked into warps.
+    thread ``t`` owns parent ``t``, loads its two children and stores the
+    parent; threads are chunked into warps (only intra-warp conflicts
+    exist).  Each level is stored tree-major in its own region under
+    *layout*, so with ``trees > 1`` — ``TREE_Sign``'s d hypertree
+    subtrees sharing warps — thread ``t``'s children sit at
+    ``tree * width + 2 * local`` and conflicts arise *across* trees.
+    Yields level by level: the first ``3 * ceil(trees * leaf_count / 2 /
+    warp_size)`` patterns are the bottom level.
     """
     if leaf_count <= 0 or leaf_count & (leaf_count - 1):
         raise SharedMemoryError(
             f"reduction needs a power-of-two leaf count, got {leaf_count}"
         )
-    levels = int(math.log2(leaf_count))
-    n = layout.node_bytes
-    if parent_layouts is None:
-        parent_layouts = [
-            Layout(n, layout.pad_period, base=0) for _ in range(levels)
-        ]
-    elif len(parent_layouts) != levels:
-        raise SharedMemoryError(
-            f"need {levels} parent layouts, got {len(parent_layouts)}"
-        )
-
-    trace: list[AccessPattern] = []
-    child_layout = layout
-    width = leaf_count
-    for level in range(levels):
-        parents = width // 2
-        parent_layout = parent_layouts[level]
-        for warp_base in range(0, parents, warp_size):
-            lanes = range(warp_base, min(warp_base + warp_size, parents))
-            left = {
-                t - warp_base: (child_layout.address(2 * t), n) for t in lanes
-            }
-            right = {
-                t - warp_base: (child_layout.address(2 * t + 1), n) for t in lanes
-            }
-            store = {
-                t - warp_base: (parent_layout.address(t), n) for t in lanes
-            }
-            trace.append(AccessPattern(left, "load"))
-            trace.append(AccessPattern(right, "load"))
-            trace.append(AccessPattern(store, "store"))
-        child_layout = parent_layout
-        width = parents
-    return trace
-
-
-def multi_tree_reduction_trace(
-    trees: int,
-    leaf_count: int,
-    layout: Layout,
-    warp_size: int = 32,
-) -> list[AccessPattern]:
-    """Reduction trace when *trees* small Merkle trees reduce side by side.
-
-    This is ``TREE_Sign``'s pattern: the d hypertree subtrees (8-16 leaves
-    each) share warps, with each level stored tree-major in one contiguous
-    region.  Thread ``t`` owns global parent ``t``; its children live at
-    global indices ``tree * (2 * parents) + 2 * local`` in the level below.
-    Intra-warp conflicts arise *across* trees — invisible to the
-    single-tree trace.
-    """
-    if leaf_count <= 1 or leaf_count & (leaf_count - 1):
-        raise SharedMemoryError(
-            f"reduction needs a power-of-two leaf count > 1, got {leaf_count}"
-        )
     if trees < 1:
         raise SharedMemoryError(f"need at least one tree, got {trees}")
     n = layout.node_bytes
-    trace: list[AccessPattern] = []
     width = leaf_count
     while width > 1:
         parents = width // 2
@@ -262,39 +208,15 @@ def multi_tree_reduction_trace(
                 tree, local = divmod(t, parents)
                 return layout.address(tree * width + 2 * local + side)
 
-            left = AccessPattern(
-                {t - warp_base: (child_addr(t, 0), n) for t in lanes}
-            )
-            right = AccessPattern(
-                {t - warp_base: (child_addr(t, 1), n) for t in lanes}
-            )
-            store = AccessPattern(
+            yield AccessPattern(
+                {t - warp_base: (child_addr(t, 0), n) for t in lanes})
+            yield AccessPattern(
+                {t - warp_base: (child_addr(t, 1), n) for t in lanes})
+            yield AccessPattern(
                 {t - warp_base: (layout.address(t), n) for t in lanes},
                 kind="store",
             )
-            trace.extend((left, right, store))
         width = parents
-    return trace
-
-
-def count_multi_tree_conflicts(
-    trees: int,
-    leaf_count: int,
-    node_bytes: int,
-    pad_period: int = 0,
-    repeats: int = 1,
-    model: SharedMemoryBankModel | None = None,
-) -> ConflictReport:
-    """Conflicts of the side-by-side multi-tree reduction."""
-    model = model or SharedMemoryBankModel()
-    layout = Layout(node_bytes, pad_period)
-    single = model.replay(multi_tree_reduction_trace(trees, leaf_count, layout))
-    return ConflictReport(
-        single.load_wavefronts * repeats,
-        single.load_ideal * repeats,
-        single.store_wavefronts * repeats,
-        single.store_ideal * repeats,
-    )
 
 
 def count_reduction_conflicts(
@@ -302,12 +224,14 @@ def count_reduction_conflicts(
     node_bytes: int,
     pad_period: int = 0,
     repeats: int = 1,
+    trees: int = 1,
     model: SharedMemoryBankModel | None = None,
 ) -> ConflictReport:
-    """Conflicts of *repeats* Merkle reductions under one padding rule."""
+    """Conflicts of *repeats* reductions of *trees* side-by-side Merkle
+    trees under one padding rule."""
     model = model or SharedMemoryBankModel()
     layout = Layout(node_bytes, pad_period)
-    single = model.replay(reduction_trace(leaf_count, layout))
+    single = model.replay(reduction_trace(leaf_count, layout, trees))
     return ConflictReport(
         single.load_wavefronts * repeats,
         single.load_ideal * repeats,

@@ -24,28 +24,15 @@ boundary) that broke, which is what the CLI exit path reports.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..errors import LedgerError
 from ..service.keystore import Keystore
 from ..sphincs.signer import Sphincs
 from .merkle import EMPTY_ROOT, MerkleLog, verify_consistency_path
-from .service import CHECKPOINT_DIR, Checkpoint, decode_entry
+from .service import decode_entry, load_checkpoints
 
 __all__ = ["run_audit"]
-
-
-def _load_checkpoints(root: Path) -> list[Checkpoint]:
-    checkpoints = []
-    for path in sorted((root / CHECKPOINT_DIR).glob("*.json")):
-        try:
-            checkpoints.append(
-                Checkpoint.from_dict(json.loads(path.read_text())))
-        except Exception as exc:  # noqa: BLE001 — report, keep auditing
-            raise LedgerError(
-                f"corrupt checkpoint {path.name}: {exc}") from exc
-    return sorted(checkpoints, key=lambda c: c.size)
 
 
 def run_audit(root: str | Path, keystore: Keystore, *,
@@ -66,7 +53,7 @@ def run_audit(root: str | Path, keystore: Keystore, *,
         raise LedgerError(f"no ledger directory at {root}")
     keys, params_name = keystore.resolve(tenant, key)
     scheme = Sphincs(params_name, deterministic=deterministic)
-    checkpoints = _load_checkpoints(root)
+    checkpoints = load_checkpoints(root)
     log = MerkleLog(root)  # untruncated: audit sees the raw segment tail
     problems: list[str] = []
     first_bad: int | None = None

@@ -33,9 +33,9 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 from pathlib import Path
 
+from ..durable import write_durably
 from ..errors import LedgerError
 
 __all__ = [
@@ -344,23 +344,11 @@ class MerkleLog:
         return self.root / SEGMENT_DIR / f"{start:0{_INDEX_WIDTH}d}.seg"
 
     def _write_segment(self, start: int, entries: list[bytes]) -> None:
-        path = self._segment_path(start)
-        tmp = path.with_name(path.name + ".tmp")
-        payload = json.dumps({
+        write_durably(self._segment_path(start), json.dumps({
             "start": start,
             "entries": [base64.b64encode(entry).decode("ascii")
                         for entry in entries],
-        }, separators=(",", ":")) + "\n"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        os.replace(tmp, path)
+        }, separators=(",", ":")) + "\n", 0o644)
 
     def _load(self, trusted_size: int | None) -> None:
         assert self.root is not None

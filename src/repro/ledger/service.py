@@ -37,11 +37,11 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..durable import write_durably
 from ..errors import LedgerError, ProtocolError
 from ..obs.trace import (SpanClock, Tracer, current_trace, start_trace,
                          use_trace)
@@ -140,6 +140,20 @@ class Checkpoint:
             raise ProtocolError(f"malformed checkpoint: {exc}") from exc
 
 
+def load_checkpoints(root: Path) -> list[Checkpoint]:
+    """Every checkpoint sealed under the log at *root*, smallest first; a
+    file that does not parse raises :class:`LedgerError` naming it."""
+    checkpoints = []
+    for path in sorted((root / CHECKPOINT_DIR).glob("*.json")):
+        try:
+            checkpoints.append(
+                Checkpoint.from_dict(json.loads(path.read_text())))
+        except (ValueError, ProtocolError) as exc:
+            raise LedgerError(
+                f"corrupt checkpoint {path.name}: {exc}") from exc
+    return sorted(checkpoints, key=lambda c: c.size)
+
+
 @dataclass(frozen=True)
 class AppendReceipt:
     """What an acknowledged append proves: where the entry landed and
@@ -226,7 +240,9 @@ class LedgerService:
         self._head: Checkpoint | None = None
         if self.root is not None:
             (self.root / CHECKPOINT_DIR).mkdir(parents=True, exist_ok=True)
-            self._load_checkpoints()
+            for checkpoint in load_checkpoints(self.root):
+                self._checkpoints[checkpoint.size] = checkpoint
+                self._head = checkpoint
         self.log = MerkleLog(
             self.root,
             trusted_size=self._head.size if self._head is not None else 0)
@@ -455,32 +471,9 @@ class LedgerService:
     def _persist_checkpoint(self, checkpoint: Checkpoint) -> None:
         if self.root is None:
             return
-        path = self._checkpoint_path(checkpoint.size)
-        tmp = path.with_name(path.name + ".tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(checkpoint.as_dict(), indent=2)
-                             + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        os.replace(tmp, path)
-
-    def _load_checkpoints(self) -> None:
-        assert self.root is not None
-        for path in sorted((self.root / CHECKPOINT_DIR).glob("*.json")):
-            try:
-                checkpoint = Checkpoint.from_dict(
-                    json.loads(path.read_text()))
-            except (ValueError, ProtocolError) as exc:
-                raise LedgerError(
-                    f"corrupt checkpoint {path.name}: {exc}") from exc
-            self._checkpoints[checkpoint.size] = checkpoint
-        if self._checkpoints:
-            self._head = self._checkpoints[max(self._checkpoints)]
+        write_durably(self._checkpoint_path(checkpoint.size),
+                      json.dumps(checkpoint.as_dict(), indent=2) + "\n",
+                      0o644)
 
 
 class LedgerServer(SigningServer):

@@ -3,9 +3,10 @@
 Two signers sit behind one :class:`SigningBackend` interface with
 first-class batch APIs: ``scalar``, the reference walk, and
 ``vectorized``, the signing plan every serving front runs (in process or
-on a :class:`WorkerPool`).  :class:`BatchScheduler` queues messages,
-routes them to either, and accounts throughput.  The paper's GPU is
-modeled apart from signing, by :func:`repro.core.batch.run_batch`.
+on a :class:`WorkerPool`).  :class:`BatchScheduler` signs the message
+lists it is handed, in batches, on either, and accounts throughput.  The
+paper's GPU is modeled apart from signing, by
+:func:`repro.core.batch.run_batch`.
 
 >>> from repro import runtime
 >>> backend = runtime.get_backend("vectorized", "128f", deterministic=True)

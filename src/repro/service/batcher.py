@@ -20,9 +20,9 @@ batch)``; the batcher owns queues, per-queue deadline timers, and the
 per-request futures callers await.
 
 ``BatchScheduler`` (``repro.runtime.scheduler``) serves *synchronous*
-callers, who hand it a whole batch and flush explicitly: there is no
-arrival process for a shipping policy to act on, so this policy lives
-here alone.
+callers, who hand it a whole message list and get it back signed: there
+is no arrival process for a shipping policy to act on, so this policy
+lives here alone.
 """
 
 from __future__ import annotations

@@ -31,8 +31,9 @@ from . import protocol
 
 __all__ = ["ServiceClient"]
 
-#: How long :meth:`ServiceClient.open` waits for the ``hello`` answer: a
-#: peer that accepts TCP but never answers must not hang the caller.
+#: How long :meth:`ServiceClient.open` waits for the connect and the
+#: ``hello`` answer together: a peer that drops the SYN, or accepts TCP
+#: but never answers, must not hang the caller.
 HELLO_TIMEOUT_S = 10.0
 
 
@@ -88,26 +89,36 @@ class ServiceClient:
                    ) -> "ServiceClient":
         """Connect and send the ``hello`` for *version*; the answer (the
         server may offer less) is kept as :attr:`hello`.  A refused
-        handshake raises :class:`UnsupportedVersionError`, silence past
-        :data:`HELLO_TIMEOUT_S` :class:`ConnectionLostError`."""
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=protocol.LINE_LIMIT)
-        client = cls(reader, writer)
+        handshake raises :class:`UnsupportedVersionError`; a connect and
+        hello that take longer than :data:`HELLO_TIMEOUT_S` together,
+        :class:`ConnectionLostError`."""
+        client = None
+
+        async def handshake() -> "ServiceClient":
+            nonlocal client
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=protocol.LINE_LIMIT)
+            client = cls(reader, writer)
+            client.hello = await client.call("hello", version=version)
+            return client
+
         try:
-            client.hello = await asyncio.wait_for(
-                client.call("hello", version=version), HELLO_TIMEOUT_S)
+            return await asyncio.wait_for(handshake(), HELLO_TIMEOUT_S)
         except BaseException as exc:  # incl. a caller's wait_for cancel
-            await client.close()
+            if client is not None:
+                await client.close()
             if isinstance(exc, asyncio.TimeoutError):
                 raise ConnectionLostError(
-                    f"{host}:{port} accepted the connection but did not "
-                    f"answer hello within {HELLO_TIMEOUT_S} s") from None
+                    f"{host}:{port} " + (
+                        "accepted the connection but did not answer hello"
+                        if client is not None
+                        else "did not accept the connection")
+                    + f" within {HELLO_TIMEOUT_S} s") from None
             if isinstance(exc, ServiceError) \
                     and not isinstance(exc, ConnectionLostError):
                 raise UnsupportedVersionError(
                     f"{host}:{port} refused the hello: {exc}") from exc
             raise
-        return client
 
     async def close(self) -> None:
         self._read_task.cancel()

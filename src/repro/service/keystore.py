@@ -24,8 +24,8 @@ uses for placement, so co-owned tenants cluster on disk the way they
 cluster on the ring.  The per-tenant JSON payload is unchanged from the
 original flat layout; only the location moved.
 
-Every save writes the whole tenant file to ``<name>.json.tmp`` and then
-``os.replace``\\ s it over the live file, so a crash mid-write can never
+Every save writes the whole tenant file to ``<name>.json.tmp``, fsyncs it
+and then ``os.replace``\\ s it over the live file, so a crash mid-write can never
 leave a torn keystore — readers see the old file or the new one, nothing
 in between.  A :class:`Keystore` constructed without a root keeps
 everything in memory (tests, demos, ephemeral services).
@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..durable import write_durably
 from ..errors import KeystoreError
 from ..params import get_params
 from ..sphincs.signer import KeyPair, Sphincs
@@ -477,12 +478,8 @@ class Keystore:
         }
         path = self.shard_path(record.name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
         # 0600: the file holds secret key material (sk_seed, sk_prf).
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
+        write_durably(path, json.dumps(payload, indent=2) + "\n", 0o600)
         self._index[record.name] = path
 
     def _quarantine(self, path: Path) -> Path:

@@ -134,15 +134,31 @@ class TestReductionConflicts:
         assert ten.store_conflicts == 10 * one.store_conflicts
 
     def test_trace_shape(self):
-        trace = reduction_trace(8, Layout(16))
+        trace = list(reduction_trace(8, Layout(16)))
         # 3 levels; each level has one warp group of (2 loads + 1 store).
         assert len(trace) == 9
         kinds = [p.kind for p in trace]
         assert kinds == ["load", "load", "store"] * 3
 
+    def test_two_tree_trace_shape(self):
+        """Two 8-leaf trees side by side: thread t owns global parent t,
+        its children sit tree-major in the level below."""
+        trace = list(reduction_trace(8, Layout(16), trees=2))
+        assert [p.kind for p in trace] == ["load", "load", "store"] * 3
+        left, right, store = trace[:3]  # bottom level: 2 x 4 parents
+        assert left.accesses == {t: (32 * t, 16) for t in range(8)}
+        assert right.accesses == {t: (32 * t + 16, 16) for t in range(8)}
+        assert store.accesses == {t: (16 * t, 16) for t in range(8)}
+        # Level 2: 2 x 2 parents; tree 1's children start at node 4.
+        assert trace[3].accesses == {0: (0, 16), 1: (32, 16),
+                                     2: (64, 16), 3: (96, 16)}
+        assert trace[-1].accesses == {0: (0, 16), 1: (16, 16)}
+
     def test_trace_rejects_non_power_of_two(self):
         with pytest.raises(SharedMemoryError):
-            reduction_trace(12, Layout(16))
+            list(reduction_trace(12, Layout(16)))
+        with pytest.raises(SharedMemoryError):
+            list(reduction_trace(8, Layout(16), trees=0))
 
     @given(
         leaf_log=st.integers(2, 7),

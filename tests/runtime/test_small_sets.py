@@ -25,8 +25,7 @@ def test_scheduler_sign_verify_small_set(params):
     assert stats.params == get_params(params).name
     assert stats.verified is True
 
-    signature = scheduler.signature(ticket)
-    assert signature is not None
+    signature = scheduler.claim(ticket)
     assert len(signature) == get_params(params).sig_bytes
 
     backend = scheduler.backend_for(params, "vectorized")

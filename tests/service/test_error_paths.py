@@ -301,6 +301,50 @@ class TestRestart:
         asyncio.run(scenario())
 
 
+class TestUnreachablePeer:
+    """A peer that drops the SYN: the connect itself is inside the
+    ``HELLO_TIMEOUT_S`` bound, so the kernel's minutes-long connect
+    timeout never reaches the caller."""
+
+    @staticmethod
+    def hang_connects(monkeypatch):
+        async def never_connects(*args, **kwargs):
+            await asyncio.Event().wait()
+        monkeypatch.setattr(client_module, "HELLO_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(asyncio, "open_connection", never_connects)
+
+    def test_async_client_connect_times_out_typed(self, monkeypatch):
+        self.hang_connects(monkeypatch)
+
+        async def scenario():
+            started = asyncio.get_running_loop().time()
+            with pytest.raises(ConnectionLostError,
+                               match="127.0.0.1:7744 did not accept"):
+                await asyncio.wait_for(AsyncClient.connect(), timeout=2)
+            assert asyncio.get_running_loop().time() - started < 2
+
+        asyncio.run(scenario())
+
+    def test_router_forward_times_out_typed(self, monkeypatch):
+        self.hang_connects(monkeypatch)
+
+        async def scenario():
+            router = RouterService([("127.0.0.1", 9)],
+                                   make_service().keystore,
+                                   max_retries=0, health_interval_s=60)
+            try:
+                started = asyncio.get_running_loop().time()
+                with pytest.raises(NodeUnavailableError,
+                                   match="127.0.0.1:9 did not accept"):
+                    await asyncio.wait_for(router.sign(b"m", "demo"),
+                                           timeout=2)
+                assert asyncio.get_running_loop().time() - started < 2
+            finally:
+                await router.aclose()
+
+        asyncio.run(scenario())
+
+
 class TestSilentPeer:
     """A peer that accepts TCP but never answers ``hello`` must cost a
     bounded wait and a typed error, never a hang — and the socket must

@@ -1,6 +1,7 @@
 """Multi-tenant keystore: naming, resolution, atomic persistence."""
 
 import json
+import os
 
 import pytest
 
@@ -95,6 +96,41 @@ class TestPersistence:
         shard = keystore.shard_path("acme")
         assert shard.read_text()  # the live file, no .tmp siblings
         assert sorted(p.name for p in shard.parent.iterdir()) == ["acme.json"]
+
+    def test_save_fsyncs_before_replace(self, tmp_path, monkeypatch):
+        """The tenant file's bytes reach the disk before the rename makes
+        them live: the fsynced inode is the one that lands at the path."""
+        keystore = Keystore(tmp_path)
+        keystore.add_tenant("acme")
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            calls.append(("fsync", os.fstat(fd).st_ino)), real_fsync(fd)))
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            calls.append(("replace", str(src), str(dst))),
+            real_replace(src, dst)))
+        keystore.generate_key("acme", seed=bytes(48))
+        path = keystore.shard_path("acme")
+        assert calls == [("fsync", path.stat().st_ino),
+                         ("replace", f"{path}.tmp", str(path))]
+
+    def test_failed_save_leaves_old_file_and_no_temp(self, tmp_path,
+                                                     monkeypatch):
+        keystore = Keystore(tmp_path)
+        keystore.add_tenant("acme")
+        keystore.generate_key("acme", seed=bytes(48))
+        path = keystore.shard_path("acme")
+        before = path.read_bytes()
+
+        def broken_fsync(fd):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="No space"):
+            keystore.generate_key("acme", "second", seed=bytes(48))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["acme.json"]
+        monkeypatch.undo()
+        assert Keystore(tmp_path).key_names("acme") == ("default",)
 
     def test_tenant_files_are_owner_only(self, tmp_path):
         """The files hold secret key material — never world-readable."""

@@ -1,16 +1,19 @@
-"""The docs tree stays true: links resolve, protocol examples run.
+"""The docs tree stays true: links resolve, examples run.
 
-Two gates for the ``docs/`` pages (and the README that links into
-them), run as ordinary tier-1 tests and by CI's docs job:
+Three gates for the ``docs/`` pages (and the README that links into
+them) and the package's docstrings, run as ordinary tier-1 tests and by
+CI's docs job:
 
 * every relative markdown link — including ``#anchor`` fragments —
   must resolve to a real file and, for fragments, a real heading;
 * every example in ``docs/protocol.md`` is a doctest and must pass
   against the live implementation, so the wire-spec page can never
-  drift from the code.
+  drift from the code;
+* every ``>>>`` example in a ``src/repro`` docstring must pass too.
 """
 
 import doctest
+import importlib
 import pathlib
 import re
 
@@ -19,6 +22,19 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS_DIR = REPO_ROOT / "docs"
 PAGES = sorted(DOCS_DIR.glob("*.md")) + [REPO_ROOT / "README.md"]
+SRC_DIR = REPO_ROOT / "src"
+
+
+def _doctested_modules() -> list[str]:
+    """Dotted names of every ``src/repro`` module with a ``>>> `` line."""
+    names = []
+    for path in sorted((SRC_DIR / "repro").rglob("*.py")):
+        if ">>> " in path.read_text():
+            parts = path.relative_to(SRC_DIR).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            names.append(".".join(parts))
+    return names
 
 #: ``[text](target)`` — good enough for these hand-written pages.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -94,3 +110,11 @@ def test_protocol_page_has_example_per_version():
         end = markdown.find("\n## ", start + 1)
         section = markdown[start:end if end != -1 else None]
         assert ">>> " in section, f"section {marker!r} has no doctest"
+
+
+@pytest.mark.parametrize("name", _doctested_modules())
+def test_docstring_examples_pass(name):
+    results = doctest.testmod(importlib.import_module(name),
+                              optionflags=doctest.ELLIPSIS)
+    assert results.attempted > 0
+    assert results.failed == 0

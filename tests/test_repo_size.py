@@ -14,7 +14,7 @@ from pathlib import Path
 #: moves *down* — a PR that lands smaller lowers it to its own result —
 #: unless the PR's CHANGES.md entry argues why the growth pays for
 #: itself.
-SRC_LINES_CEILING = 19006
+SRC_LINES_CEILING = 18831
 
 
 def test_src_lines_stay_under_the_ceiling():
