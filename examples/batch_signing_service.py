@@ -5,14 +5,13 @@ PR 1's runtime signs batches fast; this example fronts it with the
 ``repro.service`` tier the way a real deployment would: two tenants with
 their own named keys and parameter sets share one asyncio signing
 service, traffic arrives as an on/off *bursty* stream (the worst case
-for naive batching), and the work-conserving batcher ships a request at
-once while the signer is idle and lets a burst pile up — and ride
-together — behind the batch in flight.
+for naive batching), and the batcher signs one batch at a time,
+earliest deadline first: a burst that lands in one loop turn rides one
+batch, and what arrives while it signs piles up behind it.
 
 What to watch in the output:
 
-* The batch-size histogram — the head of each burst goes alone, the
-  rest of the burst fills whole batches behind it.
+* The batch-size histogram — a burst fills whole batches.
 * p50 vs p99 total latency — the batching delay the paper trades
   against throughput, measured per request.
 * The wallet tenant's lone low-latency request — a batch of one,
@@ -71,8 +70,8 @@ async def main() -> None:
 
     service = SigningService(
         build_keystore(),
-        target_batch_size=4,    # the throughput knob...
-        max_wait_s=0.08,        # ...and the tail-latency knob
+        target_batch_size=4,    # the most one batch signs
+        max_wait_s=0.08,        # default budget: orders queues, FIFO here
         max_pending=64,
         deterministic=True,
         workers=workers,        # >0: sign on a multi-process worker pool

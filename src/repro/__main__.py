@@ -362,9 +362,9 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--keystore", default=None,
                         help="keystore directory (default: in-memory)")
     parser.add_argument("--batch-size", type=int, default=16,
-                        help="dispatch a queue at this fill level")
+                        help="most requests one batch signs")
     parser.add_argument("--max-wait-ms", type=float, default=100.0,
-                        help="latency budget before a partial batch ships")
+                        help="default latency budget (orders queues)")
     parser.add_argument("--max-pending", type=int, default=256,
                         help="shed requests beyond this queue depth")
     parser.add_argument("--workers", type=int, default=None,
@@ -408,8 +408,9 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
         print(f"  backend       : {config['backend']}"
               + (f" on a {config['workers']}-process worker pool"
                  if config["workers"] else ""))
-        print(f"  batch size    : {config['target_batch_size']}, "
-              f"max wait {config['max_wait_ms']} ms, "
+        print(f"  batching      : <= {config['target_batch_size']} per batch, "
+              "one at a time, earliest deadline first (deadline_ms, "
+              f"else enqueue + {config['max_wait_ms']} ms), "
               f"shed above {config['max_pending']} queued")
         if config.get("cache_budget_mb") is not None:
             print(f"  layer cache   : {config['cache_budget_mb']} MiB/key "
@@ -906,7 +907,7 @@ def main(argv: list[str] | None = None) -> int:
     p_loadtest.add_argument("--rate", type=float, default=20.0,
                             help="mean arrival rate, requests/second")
     p_loadtest.add_argument("--deadline-ms", type=float, default=None,
-                            help="per-request queue-wait budget")
+                            help="per-request latency budget")
     p_loadtest.add_argument("--seed", type=int, default=0)
     p_loadtest.add_argument("--time-scale", type=float, default=1.0,
                             help="multiply trace offsets (0.5 = 2x faster)")

@@ -40,9 +40,9 @@ def _require_str(value: object, name: str) -> None:
 class SignRequest:
     """One message to sign under a tenant's named key.
 
-    ``deadline_ms`` is the request's queue-wait budget (how long it may
-    wait for its batch to fill), not a bound on signing time — the same
-    meaning it has on the wire and in the async service.
+    ``deadline_ms`` is the request's latency budget: its deadline (enqueue
+    time plus budget) orders the service's queues, earliest first — the
+    same meaning it has on the wire and in the async service.
     """
 
     tenant: str

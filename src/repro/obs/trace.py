@@ -8,8 +8,8 @@ stdlib-only:
 * :class:`TraceContext` — the (trace id, span id) pair that rides with a
   request.  Propagated via a ``contextvars`` variable where the call
   chain is synchronous (:func:`use_trace` / :func:`current_trace`), and
-  carried *explicitly* where it is not: the batcher's timer-fired
-  dispatch tasks, the worker pool's request messages, and the wire
+  carried *explicitly* where it is not: the batcher's drain task, the
+  worker pool's request messages, and the wire
   protocol's optional ``trace`` field all break the context chain, so
   each hands the ids along as plain data.
 * :class:`Span` — a finished segment with wall-clock start/end.  Spans

@@ -2,11 +2,10 @@
 
 PR 1 made SPHINCS+ batch signing fast as a *library*; this package makes
 it a *service*: individual requests arrive concurrently (over TCP or the
-in-process API), are grouped by the deadline-aware batcher into the
-batches the runtime backends want, and come back with per-request
-latency accounting.  The batch-size-vs-tail-latency trade-off the paper
-analyzes is the service's central knob (``target_batch_size`` ×
-``max_wait_s``).
+in-process API), queue per key, and sign one batch at a time,
+earliest deadline first, and come back with per-request latency
+accounting.  Batch size follows load: whatever queued behind the batch
+in flight, up to ``target_batch_size``, signs as the next one.
 
 Module map
 ----------
@@ -16,10 +15,9 @@ Module map
     256 hash-bucket shard directories), an LRU bound on resident
     tenants, and per-tenant admission rate limiting.
 :mod:`.batcher`
-    :class:`DeadlineBatcher` — per-(tenant, key) queues, work-conserving:
-    a request ships at once while the signer is idle, arrivals behind a
-    batch in flight ship together when it completes (or earlier, at the
-    target batch size or the oldest request's latency budget).
+    :class:`DeadlineBatcher` — per-(tenant, key) queues and one drain
+    task: one batch signs at a time, the queue with the earliest
+    deadline next, and arrivals in one loop turn ride one batch.
 :mod:`.engine`
     :class:`~.engine.SigningEngine` — keys, executor, backends, verifiers,
     cache invalidation: what the service and ``repro.api``'s local client use.

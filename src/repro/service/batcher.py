@@ -1,33 +1,27 @@
-"""Work-conserving batching: batches form exactly when there is queueing.
+"""One queue, one flight: batches sign one at a time, earliest deadline first.
 
-The paper's batching analysis says SPHINCS+ engines only pay off when fed
-whole batches; a live service cannot hold a request back for a batch that
-may never form.  :class:`DeadlineBatcher` resolves that per queue: while
-nothing is in flight a request ships the moment it arrives — the signer
-is idle, waiting would buy nothing — and while a batch *is* in flight,
-requests for the same ``(tenant, key)`` accumulate.  When the signer
-frees, the queue holding the oldest request ships whole.  So batch size
-follows load: a lone caller sees no wait, a burst rides together.
+The paper gets its throughput by handing each batch whole to one
+pipeline; a live service cannot hold a request back for a batch that may
+never form.  :class:`DeadlineBatcher` keeps one queue per ``(tenant,
+key)`` (a batch shares a key pair) and one drain task, the only place a
+batch starts.  The drain starts on the loop turn after a request reaches
+an idle batcher, so a burst that arrives in one turn (a ``sign-many``
+frame, a ``gather``) is one batch.  It then signs the queue holding the
+earliest deadline — enqueue time plus ``max_wait_s`` or the request's
+own ``deadline_ms`` — up to ``target_batch_size`` of it in arrival
+order, yields a turn so the replies go out, and repeats until no queue
+is left.  Arrivals wait behind the batch in flight, so batch size
+follows load; an old request cannot starve, as younger default-budget
+ones have later deadlines.
 
-Two caps bound a queue while the signer is busy: it ships at once when it
-reaches the target batch size, and when its oldest request's latency
-budget (``max_wait_s``, or the request's own ``deadline_ms``) expires —
-beside the batch already in flight, so no request waits longer than its
-budget to be *dispatched*.
-
-The batcher owns no crypto.  The service supplies ``dispatch(queue_key,
-batch)``; the batcher owns queues, per-queue deadline timers, and the
-per-request futures callers await.
-
-``BatchScheduler`` (``repro.runtime.scheduler``) serves *synchronous*
-callers, who hand it a whole message list and get it back signed: there
-is no arrival process for a shipping policy to act on, so this policy
-lives here alone.
+The batcher owns no crypto: the service supplies ``dispatch(queue_key,
+batch)``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable
@@ -50,32 +44,31 @@ class PendingSign:
     enqueued_at: float  # loop.time()
     deadline_at: float  # enqueued_at + latency budget
     future: asyncio.Future
-    # Trace context must ride here as data, not via contextvars: the
-    # deadline timer fires dispatch from a loop.call_later callback,
-    # which runs in a *fresh* context — the submitter's contextvar never
-    # reaches it.  ``enqueued_wall`` is the wall-clock twin of
-    # ``enqueued_at`` so queue-wait spans share the clock worker
-    # processes stamp their spans with.
+    # Trace context rides here as data: the drain task runs in an empty
+    # context.  ``enqueued_wall`` is the wall-clock twin of
+    # ``enqueued_at``, on the clock worker processes stamp spans with.
     trace: object | None = None  # repro.obs.trace.TraceContext
     enqueued_wall: float = 0.0
 
 
 class DeadlineBatcher:
-    """Group requests per key; ship when the signer is free, or at a cap.
+    """Group requests per key; sign one batch at a time, earliest
+    deadline first.
 
     Parameters
     ----------
     dispatch:
         ``async dispatch(queue_key, batch)`` — sign the batch and resolve
         each request's future.  If it raises, the batcher fails every
-        still-unresolved future in the batch with the exception.
+        still-unresolved future in the batch with the exception; if it
+        returns with one unresolved, with a :class:`ServiceError`.
     target_batch_size:
-        Dispatch a queue once it holds this many requests, even beside a
-        batch in flight.
+        The most requests one batch takes; a longer queue ships in
+        batches of this size, one after another.
     max_wait_s:
-        Default latency budget: the longest a request may sit queued
-        behind a batch in flight before its queue is dispatched anyway.
-        Per-request budgets (``budget_s`` on :meth:`submit`) override it.
+        Default latency budget, which sets a request's deadline and so
+        its queue's place in line.  Per-request budgets (``budget_s`` on
+        :meth:`submit`) override it; without them the order is FIFO.
     """
 
     def __init__(self, dispatch: Callable[[QueueKey, list[PendingSign]],
@@ -92,12 +85,10 @@ class DeadlineBatcher:
         self.target_batch_size = target_batch_size
         self.max_wait_s = max_wait_s
         self._queues: dict[QueueKey, list[PendingSign]] = {}
-        # queue key -> (armed deadline, timer); one timer per queue, armed
-        # for the earliest deadline among its requests.
-        self._timers: dict[QueueKey, tuple[float, asyncio.TimerHandle]] = {}
-        self._inflight: set[asyncio.Task] = set()
-        self._inflight_requests = 0
-        self._closed = False
+        self._drain: asyncio.Task | None = None
+        self._flight: list[PendingSign] = []  # the batch being signed
+        #: Set by :meth:`close`; a closed batcher refuses :meth:`submit`.
+        self.closed = False
 
     # ------------------------------------------------------------------
     @property
@@ -107,20 +98,16 @@ class DeadlineBatcher:
 
     @property
     def in_flight(self) -> int:
-        """Requests in fired batches whose dispatch has not finished.
-
-        Counted synchronously in the fire path — there is no instant at
-        which a request has left :attr:`pending` but is not yet here, so
-        ``pending + in_flight`` is always the true outstanding depth
-        (which is what admission control must watermark against).
-        """
-        return self._inflight_requests
+        """Requests in the batch being signed.  A batch moves here from
+        :attr:`pending` in one synchronous step, so ``pending + in_flight``
+        is the exact depth admission control watermarks against."""
+        return len(self._flight)
 
     def submit(self, tenant: str, key_name: str, message: bytes,
                budget_s: float | None = None,
                trace=None) -> asyncio.Future:
         """Queue a request; the returned future resolves at dispatch."""
-        if self._closed:
+        if self.closed:
             raise ServiceError("batcher is closed")
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -132,30 +119,25 @@ class DeadlineBatcher:
             trace=trace,
             enqueued_wall=time.time() if trace is not None else 0.0,
         )
-        queue_key = (tenant, key_name)
-        queue = self._queues.setdefault(queue_key, [])
-        queue.append(request)
-        if (not self._inflight_requests
-                or len(queue) >= self.target_batch_size):
-            self._fire(queue_key)
-        else:
-            self._arm(queue_key, request.deadline_at, loop)
+        self._queues.setdefault((tenant, key_name), []).append(request)
+        if self._drain is None or self._drain.done():
+            # Its first step runs next turn, so this turn's arrivals join;
+            # an empty context, as it signs every caller's batches.
+            self._drain = loop.create_task(self._drain_queues(),
+                                           context=contextvars.Context())
         return request.future
 
     async def flush(self) -> None:
-        """Dispatch every queue now and wait for in-flight batches."""
-        for queue_key in list(self._queues):
-            self._fire(queue_key)
-        if self._inflight:
-            await asyncio.gather(*list(self._inflight),
-                                 return_exceptions=True)
+        """Wait for every request queued or in flight now, not later."""
+        futures = [request.future for queue in self._queues.values()
+                   for request in queue]
+        futures += [request.future for request in self._flight]
+        if futures:  # ``wait`` neither raises nor cancels
+            await asyncio.wait(futures)
 
     def close(self) -> None:
-        """Cancel timers and fail anything still queued."""
-        self._closed = True
-        for _, handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
+        """Fail anything still queued; the batch in flight finishes."""
+        self.closed = True
         for queue in self._queues.values():
             for request in queue:
                 if not request.future.done():
@@ -165,43 +147,30 @@ class DeadlineBatcher:
         self._queues.clear()
 
     # ------------------------------------------------------------------
-    def _arm(self, queue_key: QueueKey, deadline_at: float,
-             loop: asyncio.AbstractEventLoop) -> None:
-        armed = self._timers.get(queue_key)
-        if armed is not None:
-            armed_deadline, handle = armed
-            if armed_deadline <= deadline_at:
-                return  # an earlier deadline is already armed
-            handle.cancel()
-        delay = max(0.0, deadline_at - loop.time())
-        handle = loop.call_later(delay, self._fire, queue_key)
-        self._timers[queue_key] = (deadline_at, handle)
-
-    def _fire(self, queue_key: QueueKey) -> None:
-        armed = self._timers.pop(queue_key, None)
-        if armed is not None:
-            armed[1].cancel()
-        batch = self._queues.pop(queue_key, None)
-        if not batch:
-            return
-        self._inflight_requests += len(batch)
-        task = asyncio.get_running_loop().create_task(
-            self._run_dispatch(queue_key, batch)
-        )
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _run_dispatch(self, queue_key: QueueKey,
-                            batch: list[PendingSign]) -> None:
+    async def _drain_queues(self) -> None:
         try:
-            await self._dispatch(queue_key, batch)
-        except Exception as exc:  # noqa: BLE001 — forwarded to callers
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            while self._queues:
+                queue_key = min(self._queues, key=lambda key: min(
+                    request.deadline_at for request in self._queues[key]))
+                queue = self._queues[queue_key]
+                batch = queue[:self.target_batch_size]
+                del queue[:self.target_batch_size]
+                if not queue:
+                    del self._queues[queue_key]
+                self._flight = batch
+                try:
+                    await self._dispatch(queue_key, batch)
+                except Exception as exc:  # noqa: BLE001 — to callers
+                    error = exc
+                else:
+                    error = ServiceError("dispatch left a request unresolved")
+                finally:
+                    self._flight = []
+                for request in batch:
+                    if not request.future.done():
+                        request.future.set_exception(error)
+                # Let the finished batch's replies go out before the next
+                # batch's executor call competes with them for the GIL.
+                await asyncio.sleep(0)
         finally:
-            self._inflight_requests -= len(batch)
-            if not self._inflight_requests and self._queues:
-                # The signer is free: whoever has waited longest goes.
-                self._fire(min(self._queues, key=lambda key:
-                               self._queues[key][0].enqueued_at))
+            self._drain = None

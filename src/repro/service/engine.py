@@ -4,8 +4,8 @@
 and one verifier per parameter set → invalidate on key events → cache
 stats*.  It has two fronts and knows neither: the in-process
 :class:`~repro.api.local.LocalClient` calls it synchronously,
-:class:`~.server.SigningService` from executor threads under its sign lock
-(and, for ``recall`` only, from its event loop).
+:class:`~.server.SigningService` from executor threads, one batch at a
+time (and, for ``recall`` only, from its event loop).
 """
 
 from __future__ import annotations

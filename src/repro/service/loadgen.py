@@ -20,8 +20,8 @@ from test start):
 Traces are deterministic under a seed via a private ``random.Random``.
 :class:`LoadGenerator` replays a trace against any async ``signer``
 callable (the TCP client, or the in-process service API) and aggregates
-client-observed latencies, shed/failure counts, and server-reported batch
-sizes into a :class:`LoadReport`.
+client-observed latencies (timed from when each request was due),
+shed/failure counts and server-reported batch sizes into a LoadReport.
 """
 
 from __future__ import annotations
@@ -204,11 +204,12 @@ class LoadGenerator:
         start = loop.time()
 
         async def one(index: int, offset: float) -> None:
-            delay = start + offset * self._time_scale - loop.time()
+            # Timed from when it was due: a stall shows in those behind it.
+            due = start + offset * self._time_scale
+            delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             verifying = index in verify_at
-            issued = loop.time()
             try:
                 if verifying:
                     response = await self._verifier(
@@ -226,7 +227,7 @@ class LoadGenerator:
                 report.verified += 1
             else:
                 report.signed += 1
-            report.latencies_ms.append((loop.time() - issued) * 1000.0)
+            report.latencies_ms.append((loop.time() - due) * 1000.0)
             if isinstance(response, dict) and "batch_size" in response:
                 report.batch_sizes.append(response["batch_size"])
             else:

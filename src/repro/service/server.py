@@ -15,9 +15,10 @@ Design notes
   pool and cache invalidation (``repro.api``'s local client fronts one too).
 * **Signing runs off the event loop, one batch at a time.**
   ``sign_batch`` is CPU-bound Python, so dispatch hands it to the
-  default executor; a single dispatch lock serializes batches because
-  the per-key layer caches are not thread-safe — and one batch already
-  uses every core there is to use.  A replay is answered on the loop.
+  default executor.  The batcher's one drain task is the only place a
+  batch starts, earliest deadline first, so batches never overlap — the
+  per-key layer caches are not thread-safe, and one batch already uses
+  every core there is to use.  A replay is answered on the loop.
 * **A worker pool scales across cores.**  With ``workers=N`` the engine
   spreads every batch's signing plan over a persistent
   :class:`~repro.runtime.pool.WorkerPool` (even a batch of one uses all
@@ -103,7 +104,6 @@ class SigningService:
             self._dispatch, target_batch_size=target_batch_size,
             max_wait_s=max_wait_s,
         )
-        self._sign_lock = asyncio.Lock()
         # Multi-core tier: with workers > 0 the engine signs every batch
         # on a pool — one pool under every parameter set.
         self.engine = SigningEngine(
@@ -131,10 +131,10 @@ class SigningService:
                    deadline_ms: float | None = None) -> SignOutcome:
         """Sign *message* under the tenant's named key.
 
-        ``deadline_ms`` is the request's *queue-wait* budget: the longest
-        it may wait for its batch to fill before dispatch is forced.  It
-        does not bound signing time itself.  Raises
-        :class:`KeystoreError` for unknown tenants/keys and
+        ``deadline_ms`` is the request's latency budget; enqueue time
+        plus the budget is the deadline that orders the queues, earliest
+        first.  It neither holds a request back nor bounds signing time.
+        Raises :class:`KeystoreError` for unknown tenants/keys and
         :class:`OverloadedError` when the service sheds the request.
         """
         self.keystore.resolve(tenant, key_name)  # fail fast, before queueing
@@ -151,7 +151,7 @@ class SigningService:
             # the caller's ambient context (the TCP verb layer installs
             # the client-sent id there); without one, a fresh trace
             # starts here.  The context rides the PendingSign as data —
-            # the batcher's timer-fired dispatch runs in a fresh context.
+            # the batcher's drain task runs in an empty context.
             incoming = current_trace()
             trace = TraceContext(
                 incoming.trace_id if incoming is not None
@@ -159,9 +159,9 @@ class SigningService:
                 new_span_id())
             clock = SpanClock()
         # A replay is answered here, on the loop: no queue slot (so no
-        # ``max_pending``), sign lock or executor; closed, ``submit`` refuses.
+        # ``max_pending``) or executor; closed, ``submit`` refuses.
         started = time.perf_counter()
-        hit = (None if self.batcher._closed
+        hit = (None if self.batcher.closed
                else self.engine.recall(tenant, key_name, message))
         if hit is not None:
             total_ms = (time.perf_counter() - started) * 1000.0
@@ -173,8 +173,8 @@ class SigningService:
                 params=hit[1], backend=self.backend_label,
                 batch_size=1, wait_ms=0.0, total_ms=round(total_ms, 3))
         else:
-            # Sustained overload must shed instead of piling batches up
-            # behind the sign lock.
+            # Sustained overload must shed instead of piling requests up
+            # behind the batch in flight.
             depth = self._depth()
             if depth >= self.max_pending:
                 self.telemetry.record_shed(tenant, "queue-full")
@@ -244,13 +244,12 @@ class SigningService:
                    if request.trace is not None]
                   if self.tracer is not None else [])
         messages = [request.message for request in batch]
+        dispatch_started = loop.time()
+        clock = SpanClock()
         try:
-            async with self._sign_lock:
-                dispatch_started = loop.time()
-                clock = SpanClock()
-                result, params_name = await loop.run_in_executor(
-                    None, self.engine.sign_batch, tenant, key_name, messages)
-                sign_end = clock.end()
+            result, params_name = await loop.run_in_executor(
+                None, self.engine.sign_batch, tenant, key_name, messages)
+            sign_end = clock.end()
         except Exception as exc:
             self.telemetry.record_failed(tenant, len(batch))
             _log.error("batch-failed", tenant=tenant, key=key_name,

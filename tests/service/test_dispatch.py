@@ -129,7 +129,7 @@ class TestDispatchOrder:
         try:
             outcomes = asyncio.run(run())
             assert [o.signature for o in outcomes] == [b"sig"] * 6
-            # target_batch_size=1: each request shipped alone, at once.
+            # target_batch_size=1: six batches of one, one at a time.
             assert len(overlaps) == 6 and not any(overlaps)
         finally:
             service.close()

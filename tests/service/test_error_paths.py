@@ -51,8 +51,8 @@ class TestOverload:
             try:
                 queued = [asyncio.ensure_future(sign(client, b"q0")),
                           asyncio.ensure_future(sign(client, b"q1"))]
-                # The first ships at once (the signer is idle), the
-                # second queues behind it: two requests outstanding.
+                # Both are taken (queued or signing): two requests
+                # outstanding.
                 for _ in range(200):
                     if (service.batcher.pending
                             + service.batcher.in_flight) >= 2:
@@ -68,7 +68,10 @@ class TestOverload:
                 await service.drain()
                 outcomes = await asyncio.wait_for(
                     asyncio.gather(*queued), timeout=60)
-                assert all(o["batch_size"] == 1 for o in outcomes)
+                # Together when both frames landed in one loop turn,
+                # else one after the other.
+                assert [o["batch_size"] for o in outcomes] in (
+                    [2, 2], [1, 1])
             finally:
                 await client.close()
                 await server.stop()

@@ -1,6 +1,7 @@
 """Arrival traces and the async load driver."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -85,6 +86,26 @@ class TestLoadGenerator:
             assert len(issued) == 2
             # The second request waited for its offset.
             assert max(issued) - start >= 0.07
+
+        asyncio.run(scenario())
+
+    def test_latency_is_timed_from_when_the_request_was_due(self):
+        """A stall shows in every request behind it: the second request
+        was due 50 ms in, went out only when the loop came back at 300 ms,
+        and so waited ~250 ms, not 0."""
+        async def scenario():
+            calls = []
+
+            async def signer(message):
+                calls.append(message)
+                if len(calls) == 1:
+                    time.sleep(0.3)  # blocks the loop, like a stall
+                return {}
+
+            report = await LoadGenerator(signer).run([0.0, 0.05])
+            first, second = report.latencies_ms
+            assert first >= 290.0
+            assert 200.0 <= second <= first
 
         asyncio.run(scenario())
 

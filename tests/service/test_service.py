@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.api import AsyncClient
 from repro.errors import (KeystoreError, OverloadedError, ProtocolError,
                           ServiceError)
 from repro.hashes.thash import sha256_choice
@@ -37,9 +38,9 @@ class TestInProcess:
             messages = [b"tx-0", b"tx-1", b"tx-2", b"tx-3"]
             outcomes = await asyncio.wait_for(asyncio.gather(
                 *(service.sign(m, "demo") for m in messages)), timeout=60)
-            # The first finds the signer idle and goes alone, at once;
-            # the rest arrive while it signs and ride together.
-            assert [o.batch_size for o in outcomes] == [1, 3, 3, 3]
+            # All four arrive in one loop turn: a target-sized batch
+            # first, then the rest.
+            assert [o.batch_size for o in outcomes] == [3, 3, 3, 1]
             assert outcomes[0].wait_ms < 5.0
             assert all(o.params == "SPHINCS+-128f" for o in outcomes)
             assert all(o.total_ms >= o.wait_ms >= 0 for o in outcomes)
@@ -82,16 +83,16 @@ class TestInProcess:
             accepted = [asyncio.ensure_future(service.sign(m, "demo"))
                         for m in (b"a", b"b", b"c")]
             await asyncio.sleep(0)  # let all three enqueue
-            # One in flight (it found the signer idle), two behind it.
+            # Queued in one turn; the drain starts on the next.
             assert (service.batcher.pending,
-                    service.batcher.in_flight) == (2, 1)
+                    service.batcher.in_flight) == (3, 0)
             with pytest.raises(OverloadedError, match="shed"):
                 await service.sign(b"d", "demo")
             stats = service.stats()
             assert stats["tenants"]["demo"]["shed"] == 1
             await service.drain()  # accepted requests still complete
             outcomes = await asyncio.gather(*accepted)
-            assert [o.batch_size for o in outcomes] == [1, 2, 2]
+            assert [o.batch_size for o in outcomes] == [3, 3, 3]
 
         asyncio.run(scenario())
 
@@ -151,13 +152,13 @@ class TestInProcess:
 
     def test_admission_counts_inflight_batches(self):
         """Dispatched-but-unsigned requests still occupy the watermark:
-        sustained overload must shed, not pile batches behind the sign
-        lock."""
+        sustained overload must shed, not pile requests behind the batch
+        in flight."""
         async def scenario():
             service = make_service(target_batch_size=1, max_wait_s=10.0,
                                    max_pending=1)
             first = asyncio.ensure_future(service.sign(b"slow", "demo"))
-            # target_batch_size=1 dispatches immediately; wait until the
+            # The drain takes it on the next turn; wait until the
             # request has left the queue and is in flight.
             for _ in range(100):
                 if service.batcher.in_flight:
@@ -186,8 +187,8 @@ class TestInProcess:
             backend.sign_batch = truncated
             futures = [asyncio.ensure_future(service.sign(m, "demo"))
                        for m in (b"a", b"b", b"c")]
-            # A batch of one, then the batch of two that queued behind it.
-            for future, returned in zip(futures, (0, 1, 1)):
+            # One turn, three requests: a batch of two, then one.
+            for future, returned in zip(futures, (1, 1, 0)):
                 with pytest.raises(ServiceError,
                                    match=f"returned {returned}"):
                     await asyncio.wait_for(future, timeout=60)
@@ -220,7 +221,7 @@ class TestInProcess:
 class TestReplay:
     """A remembered signature never leaves the event loop:
     ``SigningEngine.recall`` answers it before the watermark, the
-    batcher, the sign lock and the executor thread."""
+    batcher and the executor thread."""
 
     @staticmethod
     def _no_executor(monkeypatch):
@@ -407,14 +408,36 @@ class TestTcp:
                 for i, response in enumerate(responses):
                     assert scheme.verify(f"wire-{i}".encode(),
                                          response["signature"], keys.public)
-                # Pipelined on one connection: the first ships alone,
-                # the two behind it as a batch.
+                # Pipelined on one connection, batches of at most two:
+                # one of two and one of one, in whichever order.
                 assert sorted(r["batch_size"] for r in responses) == [1, 2, 2]
                 stats = await client.stats()
                 assert stats["tenants"]["demo"]["signed"] == 3
                 assert stats["batches"]["histogram"] == {"1": 1, "2": 1}
             finally:
                 await client.close()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_sign_many_on_an_idle_server_is_one_batch(self):
+        """A v3 ``sign-many`` frame's messages arrive in one loop turn,
+        so on an idle server they sign as one batch — not a lone head
+        that found the signer idle and a tail behind it."""
+        async def scenario():
+            service = make_service(target_batch_size=16, max_wait_s=10.0)
+            server = SigningServer(service, port=0)
+            await server.start()
+            try:
+                async with await AsyncClient.connect(
+                        port=server.port) as client:
+                    assert client.info().protocol_version == 3
+                    results = await asyncio.wait_for(client.sign_many(
+                        "demo", [b"burst %d" % i for i in range(8)]),
+                        timeout=60)
+                assert [r.batch_size for r in results] == [8] * 8
+                assert service.stats()["batches"]["histogram"] == {"8": 1}
+            finally:
                 await server.stop()
 
         asyncio.run(scenario())
@@ -433,7 +456,7 @@ class TestTcp:
                 accepted = asyncio.ensure_future(
                     client.call("sign", tenant="demo", message=b"a"))
                 # Wait until the server has actually taken the first sign
-                # (it ships at once, so it is in flight, not queued).
+                # (the server is idle, so it is in flight, not queued).
                 for _ in range(1000):
                     if service.batcher.in_flight:
                         break
