@@ -414,7 +414,7 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
               f"shed above {config['max_pending']} queued")
         if config.get("cache_budget_mb") is not None:
             print(f"  layer cache   : {config['cache_budget_mb']} MiB/key "
-                  "budget, each key prewarmed at its first sign")
+                  "budget, pinned subtrees filled as paths need them")
         if args.trace_out:
             print(f"  tracing       : spans -> {args.trace_out}")
         print("  protocol      : v3 binary frames with streamed "

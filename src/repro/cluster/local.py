@@ -38,7 +38,8 @@ class LocalCluster:
     router_keystore:
         The router's own registry for fail-fast resolution (default: the
         first node's keystore, which is correct whenever the factories
-        seed identically).
+        seed identically).  The router admits on it only when no node
+        does, so a request is admitted once per keystore it touches.
     host / port:
         Northbound bind for the router (``port=0`` picks a free port,
         published as :attr:`port` after :meth:`start`).
@@ -69,10 +70,12 @@ class LocalCluster:
             await server.start()
             self.services.append(service)
             self.servers.append(server)
+        keystore = (self._router_keystore if self._router_keystore is not None
+                    else self.services[0].keystore)
         self.router_service = RouterService(
             [(server.host, server.port) for server in self.servers],
-            self._router_keystore if self._router_keystore is not None
-            else self.services[0].keystore,
+            keystore, admit=all(service.keystore is not keystore
+                                for service in self.services),
             max_retries=self.max_retries,
             health_interval_s=self.health_interval_s)
         self.router = ClusterRouter(self.router_service,

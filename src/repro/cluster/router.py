@@ -94,6 +94,11 @@ class RouterService:
         keys fast (before any forwarding) and to answer the ``keys``
         verb.  Point it at the same root the nodes share; with
         ``max_cached`` set, resident memory tracks only hot tenants.
+    admit:
+        Whether the router takes each sign's admission token from
+        *keystore* itself.  ``False`` where the nodes admit on this very
+        keystore (a self-hosted :class:`~.local.LocalCluster`), so a
+        request takes one token, not two.
     max_retries:
         Extra placement attempts after the primary (each on the next
         live ring candidate) before a request fails as unavailable.
@@ -104,7 +109,8 @@ class RouterService:
     """
 
     def __init__(self, nodes: list[tuple[str, int]], keystore: Keystore,
-                 *, max_retries: int = 2, health_interval_s: float = 0.5,
+                 *, admit: bool = True, max_retries: int = 2,
+                 health_interval_s: float = 0.5,
                  tracer: Tracer | None = None):
         if not nodes:
             raise ServiceError("a cluster needs at least one node")
@@ -112,6 +118,7 @@ class RouterService:
             raise ServiceError(
                 f"max_retries must be >= 0, got {max_retries}")
         self.keystore = keystore
+        self.admit = admit
         self.backend_name = "cluster"
         self.pool = None  # capabilities(): a router has no local workers
         self.tracer = tracer
@@ -199,7 +206,7 @@ class RouterService:
         candidate are unreachable.
         """
         self.keystore.resolve(tenant, key_name)  # fail fast, never forward
-        if not self.keystore.admit(tenant):
+        if self.admit and not self.keystore.admit(tenant):
             self.telemetry.record_shed(tenant, "rate-limit")
             raise OverloadedError(
                 f"tenant {tenant!r} exhausted its admission rate-limit "

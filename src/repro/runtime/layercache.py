@@ -13,8 +13,8 @@ cached link is byte-identical to a recomputed one.
 :class:`HypertreeLayerCache` holds two things per key:
 
 * the **pinned** top ``pinned_layers`` layers — subtrees and link
-  signatures that every signing path traverses, populated by a prewarm
-  plan (:meth:`missing` lists its fills) or on demand, never evicted.
+  signatures that every signing path traverses, each filled by the first
+  signing plan whose path needs it and never evicted.
   Nothing below them is kept: two fresh messages share a lower subtree
   with probability ``1 / tree_leaves`` per layer at best, so on fresh
   traffic it would never be read again;
@@ -26,11 +26,11 @@ cached link is byte-identical to a recomputed one.
 
 The model functions size both: every tier converts the single
 ``--cache-budget-mb`` knob to bytes and asks :func:`choose_pinned_layers`
-for the default ``c`` per parameter set, trading prewarm cost and memory
-against per-signature hash savings (the caching/fault-analysis trade-off
-follows Genet's SPHINCS+ layer-caching work — see
-``docs/architecture.md`` ("The hypertree layer cache") for the per-set
-table and the fault-attack caveat).
+for the default ``c`` per parameter set, trading the cost of filling the
+whole region and its memory against per-signature hash savings (the
+caching/fault-analysis trade-off follows Genet's SPHINCS+ layer-caching
+work — see ``docs/architecture.md`` ("The hypertree layer cache") for
+the per-set table and the fault-attack caveat).
 """
 
 from __future__ import annotations
@@ -111,9 +111,8 @@ def pinned_link_count(params: SphincsParams, layers: int) -> int:
     """WOTS link signatures the pinned region can come to hold.
 
     Every leaf of a pinned tree at layer ``>= 1`` signs one child root,
-    whatever the message.  A prewarm reads the links between pinned trees
-    (one per pinned tree below the top) out of its fills' chain tables;
-    those of the lowest pinned layer arrive as signatures pass through.
+    whatever the message; a link is kept the first time a signature's
+    path passes through it.
     """
     layers = max(0, min(layers, params.d))
     trees = pinned_tree_count(params, layers)
@@ -129,8 +128,9 @@ def pinned_bytes(params: SphincsParams, layers: int) -> int:
 
 
 def prewarm_hashes(params: SphincsParams, layers: int) -> int:
-    """One-time hash cost to prewarm the pinned region for one key: the
-    subtree builds, whose chain tables hold every link signature."""
+    """Hash cost of filling the whole pinned region for one key: the
+    subtree builds, whose chain tables hold every link signature.  Fills
+    on demand pay it at most once, and only for the paths traffic walks."""
     return pinned_tree_count(params, layers) * subtree_build_hashes(params)
 
 
@@ -154,9 +154,8 @@ def choose_pinned_layers(params: SphincsParams, budget_bytes: int,
 
     Picks the largest ``c`` whose fully populated pinned region fits in
     half the budget (the other half is the replay memo's) and whose
-    one-time prewarm stays under *max_prewarm_hashes* — keys must become
-    warm in well under a second of hashing, or prewarm itself would blow
-    the latency it exists to fix.
+    whole fill stays under *max_prewarm_hashes* — well under a second of
+    hashing per key, whatever path its traffic takes.
     """
     best = 0
     for layers in range(1, params.d + 1):
@@ -181,8 +180,8 @@ def tradeoff_table(budget_bytes: int | None = None,
     """Per-parameter-set cache trade-off rows (docs + tests).
 
     Each row reports the chosen default ``c``, resident pinned bytes,
-    one-time prewarm hashes, per-signature savings fraction, and how many
-    replayable signatures the rest of the budget remembers.
+    hashes to fill the whole region, per-signature savings fraction, and
+    how many replayable signatures the rest of the budget remembers.
     """
     if budget_bytes is None:
         budget_bytes = int(DEFAULT_BUDGET_MB * 1024 * 1024)
@@ -296,24 +295,6 @@ class HypertreeLayerCache:
             self._memo.move_to_end(key)
             while len(self._memo) > self.memo_capacity:
                 self._memo.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    def missing(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """What warming this key fills: each pinned ``(layer, tree)`` not
-        held, or above the floor lacking a link, mapped to the leaves
-        whose link (signing the pinned child's root) is missing.  Bypasses
-        the hit/miss counters — a prewarm is neither."""
-        params, leaves = self.params, self.params.tree_leaves
-        fills = {}
-        for layer in range(self.pinned_floor, params.d):
-            for tree in range(leaves ** (params.d - 1 - layer)):
-                lacking = tuple(
-                    leaf for leaf in range(leaves)
-                    if layer > self.pinned_floor
-                    and (layer, tree, leaf) not in self._links)
-                if lacking or (layer, tree) not in self._trees:
-                    fills[layer, tree] = lacking
-        return fills
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

@@ -15,12 +15,12 @@ each layer signing the root below out of the table it has just walked.
 only a piece above a cut, not knowing the root below it, hands a table back.
 
 :class:`SigningPlan` lists those pieces for a batch of prepared messages,
-plus one ``SUBTREE`` fill per pinned subtree the per-key layer cache does
-not hold yet (a message its replay memo answered never reaches a plan);
-:meth:`SigningPlan.stitch` chains the results.  A plan of no message
-warms the key: side-by-side fills whose tables give the pinned links.
-Who runs the tasks is the backend's business:
-:class:`~.vectorized.VectorizedBackend` calls
+plus one ``SUBTREE`` fill per pinned subtree on their paths that the
+per-key layer cache does not hold yet (a message its replay memo answered
+never reaches a plan); :meth:`SigningPlan.stitch` chains the results and
+keeps every fill, so a key's pinned region grows only along the paths its
+traffic walks, each subtree built once.  Who runs the tasks is the
+backend's business: :class:`~.vectorized.VectorizedBackend` calls
 :func:`run_task` in a loop or, given a :class:`~.pool.WorkerPool`, hands
 the same tuples to its worker processes.  The cache lives with the plan, in the
 caller's process; a task is a plain tuple and its executor keeps nothing.
@@ -111,8 +111,7 @@ class SigningPlan:
     ``tasks`` lists every message's run (``len(cuts)`` pieces each, bottom
     up, messages in order; *cuts* is :func:`cut`'s answer, by default one
     piece) and then one subtree fill per distinct uncached ``(layer, tree)``
-    at or above the pinned floor on any message's path (with no message,
-    each of :meth:`~.layercache.HypertreeLayerCache.missing`).  ``paths[i]``
+    at or above the pinned floor on any message's path.  ``paths[i]``
     is message *i*'s walk through those pinned layers as ``(layer, tree,
     leaf, nodes)``, ``nodes`` being the cached subtree (flat, see
     :func:`~.fastops.node_slice`) or ``None`` where a fill builds it.
@@ -143,8 +142,6 @@ class SigningPlan:
                         wanted.setdefault((layer, tree), set()).add(leaf)
                     path.append((layer, tree, leaf, nodes))
             self.paths.append(path)
-        if not sign_tasks:
-            wanted = cache.missing()
         self._built_by = {}  # (layer, tree) -> index into tasks
         for key, leaves in wanted.items():
             self._built_by[key] = len(self.tasks)
@@ -158,17 +155,8 @@ class SigningPlan:
         """
         ops, params, cache = self.ops, self.ops.params, self.ops.cache
         n, height, pieces = params.n, params.tree_height, len(self.cuts)
-        built = {key: results[index] for key, index in self._built_by.items()}
-        for key, (nodes, _) in built.items():
-            cache.store_tree(*key, nodes)
-        warming = {} if self.paths else built  # no message: link the trees
-        for (layer, tree), (_, tables) in warming.items():
-            for leaf, table in tables.items():  # signs its pinned child
-                child = (layer - 1, tree * params.tree_leaves + leaf)
-                nodes = (built[child][0] if child in built
-                         else cache.lookup_tree(*child))
-                cache.store_link(layer, tree, leaf, chain_values(
-                    table, wots_digits(nodes[-n:], params), n, params.w))
+        for key, index in self._built_by.items():
+            cache.store_tree(*key, results[index][0])
         signatures = []
         for index, path in enumerate(self.paths):
             run = results[index * pieces:(index + 1) * pieces]

@@ -90,14 +90,6 @@ class VectorizedBackend(SigningBackend):
         return ops
 
     # ------------------------------------------------------------------
-    def prewarm_key(self, keys: KeyPair) -> None:
-        """Fill the pinned layers *keys* lacks with a plan of no message,
-        run where signing plans run; a warm key's plan is empty."""
-        plan = SigningPlan(self._ops(keys), [])
-        if plan.tasks:
-            plan.stitch(self._run_tasks(plan.tasks, keys).results,
-                        keys.pk_root)
-
     def invalidate_key(self, keys: KeyPair) -> None:
         """Drop all cached state for *keys* (rotation / tenant delete)."""
         self._fastops.pop((keys.sk_seed, keys.pk_seed), None)
@@ -128,7 +120,7 @@ class VectorizedBackend(SigningBackend):
 
     # ------------------------------------------------------------------
     def keygen(self, seed: bytes | None = None) -> KeyPair:
-        """Fast-path keygen; also pre-warms the top subtree in the memo."""
+        """Fast-path keygen; the root build pins the top subtree in the cache."""
         n = self.params.n
         if seed is None:
             seed = os.urandom(3 * n)

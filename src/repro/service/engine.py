@@ -50,10 +50,11 @@ class SigningEngine:
         one pool under every parameter set, started here and stopped by
         :meth:`close`.
     cache_budget_mb:
-        An explicit per-key layer-cache budget is the operator opting
-        into warm caches: it sizes each backend's, and a key is prewarmed
-        at its first sign (a rotated key at the new one's, an evicted key
-        at its next), on the pool when there is one.
+        The per-key layer-cache budget of each backend: it sets the
+        pinned layer count and the replay memo's capacity (default
+        :data:`~repro.runtime.layercache.DEFAULT_BUDGET_MB`).  A pinned
+        subtree is filled by the first plan whose path needs it, beside
+        that message's run.
 
     One :class:`~repro.runtime.vectorized.VectorizedBackend` per parameter
     set, built on first use; it keeps at most 8 keys' layer caches
@@ -114,10 +115,7 @@ class SigningEngine:
         batch: ``(result, canonical params name)``.  An unknown tenant
         or key raises :class:`~repro.errors.KeystoreError` first."""
         keys, params_name = self.keystore.resolve(tenant, key)
-        backend = self.backend_for(params_name)
-        if self.cache_budget_mb is not None:
-            backend.prewarm_key(keys)  # nothing to fill once it is warm
-        result = backend.sign_batch(messages, keys)
+        result = self.backend_for(params_name).sign_batch(messages, keys)
         if len(result.signatures) != len(messages):
             raise ServiceError(
                 f"backend {result.backend!r} returned "

@@ -460,3 +460,33 @@ class TestAdmission:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+    def test_a_self_hosted_cluster_admits_each_request_once(self):
+        """One node sharing its keystore with the router (what
+        ``serve-cluster --nodes N`` builds): a burst of two admits two
+        signs, the third is shed, and the shed is counted once."""
+        async def scenario():
+            limited = make_keystore(rate_limit=0.001, rate_burst=2.0)
+            cluster = await LocalCluster(
+                [lambda: SigningService(limited, deterministic=True)],
+                health_interval_s=0.05).start()
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            try:
+                for message in (b"first", b"second"):
+                    assert (await client.sign("acme", message)).signature
+                with pytest.raises(OverloadedError, match="rate-limit"):
+                    await client.sign("acme", b"third")
+                sheds = [series for registry in (
+                    cluster.router_service.metrics_registry,
+                    cluster.services[0].metrics_registry)
+                    for series in registry.collect().get(
+                        "repro_shed_total", {"series": []})["series"]]
+                assert sheds == [{"labels": {"tenant": "acme",
+                                             "reason": "rate-limit"},
+                                  "value": 1.0}]
+                assert limited.cache_stats()["rate_denials"] == 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())

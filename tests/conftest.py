@@ -41,3 +41,51 @@ def fast_params(request):
 def any_device(request):
     """Each device in the catalog."""
     return DEVICES[request.param]
+
+
+@pytest.fixture(scope="session")
+def walked_region():
+    """``walked_region(params, keys, floor) -> (trees, links)``: the
+    pinned region above *floor* built the slow, obvious way — a subtree
+    build per pinned tree, then a second WOTS walk per link between
+    pinned trees.  The oracle for what a key's layer cache may hold;
+    each region is built once per session."""
+    from repro.hashes.thash import HashContext
+    from repro.runtime.fastops import FastOps
+
+    regions = {}
+
+    def region(params, keys, floor: int):
+        key = (params.name, keys.sk_seed, keys.pk_seed, floor)
+        if key not in regions:
+            ops = FastOps(HashContext(params), keys.sk_seed, keys.pk_seed)
+            leaves, trees, links = params.tree_leaves, {}, {}
+            for layer in range(floor, params.d):
+                for tree in range(leaves ** (params.d - 1 - layer)):
+                    trees[layer, tree] = ops.build_subtree(layer, tree)[0]
+                    for leaf in range(leaves) if layer > floor else ():
+                        child = trees[layer - 1, tree * leaves + leaf]
+                        links[layer, tree, leaf] = b"".join(ops.wots_sign(
+                            child[-params.n:], layer, tree, leaf))
+            regions[key] = trees, links
+        return regions[key]
+
+    return region
+
+
+@pytest.fixture(scope="session")
+def warm_key(walked_region):
+    """``warm_key(backend, keys)``: seed the vectorized *backend*'s layer
+    cache for *keys* with the whole walked region — what a fully warm key
+    holds — and return that cache."""
+    def seed(backend, keys):
+        cache = backend._ops(keys).cache
+        trees, links = walked_region(backend.params, keys,
+                                     cache.pinned_floor)
+        for (layer, tree), nodes in trees.items():
+            cache.store_tree(layer, tree, nodes)
+        for (layer, tree, leaf), chains in links.items():
+            cache.store_link(layer, tree, leaf, chains)
+        return cache
+
+    return seed

@@ -3,15 +3,17 @@
 Three properties carry the whole feature:
 
 * the **model** (``repro.runtime.layercache``) sizes pinned regions
-  sanely — budgets map to layer counts monotonically and the prewarm cap
-  is honored;
+  sanely — budgets map to layer counts monotonically and the cap on
+  filling a whole region is honored;
 * the **cache** itself is a correct two-part store — pinned entries
   survive any pressure, nothing below the pinned layers is kept, memoised
   signatures go oldest-first within the byte budget, and invalidation
   really forgets;
 * a **warm cache changes no bytes** — cached-vs-cold signatures are
-  identical on every pinned KAT parameter set, and key rotation / tenant
-  deletion drop the stale state before it can sign again.
+  identical on every pinned KAT parameter set, what signing fills is the
+  reference region's (``walked_region`` in ``tests/conftest.py``), and
+  key rotation / tenant deletion drop the stale state before it can
+  sign again.
 
 (The replay memo's end-to-end behaviour is in ``test_memo.py``.)
 """
@@ -20,10 +22,8 @@ import asyncio
 
 import pytest
 
-from repro.hashes.thash import HashContext
 from repro.params import get_params
 from repro.runtime import WorkerPool, get_backend
-from repro.runtime.fastops import FastOps
 from repro.runtime.layercache import (
     DEFAULT_BUDGET_MB,
     HypertreeLayerCache,
@@ -40,7 +40,6 @@ from repro.runtime.layercache import (
     tradeoff_table,
     tree_entry_bytes,
 )
-from repro.runtime.plan import SigningPlan
 from repro.testing.kat import KAT_SETS
 
 
@@ -52,22 +51,6 @@ def pool():
 
 def _seed(params_name: str) -> bytes:
     return bytes(3 * get_params(params_name).n)
-
-
-def _walked_region(params, keys, floor: int):
-    """The pinned region the way prewarm used to build it, kept as the
-    oracle: a subtree build per pinned tree, then a second WOTS walk per
-    link between pinned trees."""
-    ops = FastOps(HashContext(params), keys.sk_seed, keys.pk_seed)
-    leaves, trees, links = params.tree_leaves, {}, {}
-    for layer in range(floor, params.d):
-        for tree in range(leaves ** (params.d - 1 - layer)):
-            trees[layer, tree] = ops.build_subtree(layer, tree)[0]
-            for leaf in range(leaves) if layer > floor else ():
-                child = trees[layer - 1, tree * leaves + leaf][-params.n:]
-                links[layer, tree, leaf] = b"".join(
-                    ops.wots_sign(child, layer, tree, leaf))
-    return trees, links
 
 
 def _fake_nodes(params) -> bytes:
@@ -139,9 +122,10 @@ class TestModel:
 
     def test_prewarm_costs_the_subtree_builds_and_keeps_each_sets_layers(
             self):
-        """A prewarm reads every link out of its fills' chain tables, so
-        its price is the subtree builds alone — and dropping the link
-        walks from it moves no parameter set's pinned layer count."""
+        """A fill reads its links out of its own chain tables, so the
+        whole region's price is the subtree builds alone — and dropping
+        the link walks from it moves no parameter set's pinned layer
+        count."""
         rows = {row["params"]: (row["pinned_layers"], row["prewarm_hashes"])
                 for row in tradeoff_table()}
         assert rows == {
@@ -275,78 +259,67 @@ class TestCacheLifecycle:
 
 
 class TestBackendIntegration:
-    def test_prewarm_populates_pinned_region(self):
+    def test_a_first_sign_fills_only_its_path(self):
+        """keygen pins the top subtree; a first sign fills the rest of
+        its one path through the pinned layers, nothing beside it."""
         params = get_params("128f")
         backend = get_backend("vectorized", "128f", deterministic=True)
         keys = backend.keygen(seed=_seed("128f"))
-        backend.prewarm_key(keys)
+        backend.sign_batch([b"first"], keys)
         stats = backend.cache_stats()
         expected_layers = choose_pinned_layers(
             params, int(DEFAULT_BUDGET_MB * 1024 * 1024))
-        assert stats["pinned_layers"] == expected_layers
-        assert stats["pinned_trees"] >= pinned_tree_count(
-            params, expected_layers)
+        assert stats["pinned_layers"] == expected_layers == 3
+        assert stats["pinned_trees"] == expected_layers
 
     @pytest.mark.parametrize("params_name", KAT_SETS)
-    def test_prewarm_in_process_and_pooled_is_the_walked_region(
-            self, params_name, pool):
-        """Prewarm is a plan of subtree fills whose chain tables give the
-        links: in-process and on two workers it must hold exactly the
-        subtrees and links the old build-then-walk prewarm did."""
+    def test_signing_fills_the_walked_region_in_process_and_pooled(
+            self, params_name, pool, walked_region):
+        """Fills on demand, in-process and on two workers, hold exactly
+        the walked region's bytes: every subtree and every link between
+        pinned trees the cache holds is that region's entry.  (A link at
+        the floor signs a root below the region; the signatures' bytes
+        check it, ``test_cached_vs_cold_byte_identity``.)"""
         params = get_params(params_name)
         keys = get_backend("scalar", params_name,
                            deterministic=True).keygen(seed=_seed(params_name))
-        expected = None
+        messages = [f"walked {params_name} {i}".encode() for i in range(3)]
         for options in ({}, {"pool": pool}):
             backend = get_backend("vectorized", params_name,
                                   deterministic=True, **options)
-            backend.prewarm_key(keys)
+            backend.sign_batch(messages[:1], keys)
+            backend.sign_batch(messages[1:], keys)
             cache = backend._ops(keys).cache
-            if expected is None:
-                expected = _walked_region(params, keys, cache.pinned_floor)
-            assert (cache._trees, cache._links) == expected
-            assert cache.stats["hits"] == cache.stats["misses"] == 0
+            trees, links = walked_region(params, keys, cache.pinned_floor)
+            assert cache._trees and all(
+                trees[key] == nodes for key, nodes in cache._trees.items())
+            above = {key: chains for key, chains in cache._links.items()
+                     if key[0] > cache.pinned_floor}
+            assert all(links[key] == chains
+                       for key, chains in above.items())
+            if cache.pinned_layers > 1:
+                assert above
 
-    def test_a_partly_warm_key_is_filled_to_the_same_region(self):
-        """keygen pins the top subtree and a signature its path (with a
-        link per layer): prewarm rebuilds, with tables, only the trees
-        still lacking a subtree or a link, and ends where a cold key's
-        prewarm does — after which a key's warming plan is empty."""
-        params = get_params("128f")
-        backend = get_backend("vectorized", "128f", deterministic=True)
-        keys = backend.keygen(seed=_seed("128f"))
-        backend.sign_batch([b"partly warm"], keys)
-        ops = backend._ops(keys)
-        floor = ops.cache.pinned_floor
-        # 73 pinned trees but the floor's one on the signed path.
-        assert len(SigningPlan(ops, []).tasks) == 72
-        backend.prewarm_key(keys)
-        trees, links = _walked_region(params, keys, floor)
-        assert ops.cache._trees == trees
-        assert {key: chains for key, chains in ops.cache._links.items()
-                if key[0] > floor} == links
-        assert SigningPlan(ops, []).tasks == []
-
-    def test_prewarmed_signatures_match_scalar(self):
+    def test_warm_signatures_match_scalar(self, warm_key):
         scalar = get_backend("scalar", "128f", deterministic=True)
         vectorized = get_backend("vectorized", "128f", deterministic=True)
         keys = scalar.keygen(seed=_seed("128f"))
-        vectorized.prewarm_key(keys)
-        messages = [b"prewarm-a", b"prewarm-b"]
+        warm_key(vectorized, keys)
+        messages = [b"warm-a", b"warm-b"]
         assert (vectorized.sign_batch(messages, keys).signatures
                 == scalar.sign_batch(messages, keys).signatures)
 
-    def test_invalidate_key_drops_cached_state(self):
+    def test_invalidate_key_drops_cached_state(self, warm_key):
         backend = get_backend("vectorized", "128f", deterministic=True)
         keys = backend.keygen(seed=_seed("128f"))
-        backend.prewarm_key(keys)
+        warm_key(backend, keys)
         assert backend.cache_stats().get("pinned_trees", 0) > 0
         backend.invalidate_key(keys)
         assert backend.cache_stats() == {"keys": 0}
 
     @pytest.mark.parametrize("params_name", KAT_SETS)
-    def test_cached_vs_cold_byte_identity(self, params_name):
-        """A signature over prewarmed pinned layers (subtrees and link
+    def test_cached_vs_cold_byte_identity(self, params_name, warm_key):
+        """A signature over warm pinned layers (subtrees and link
         signatures out of the cache, no chain table there) must equal
         the one a cold backend builds from scratch."""
         cold = get_backend("vectorized", params_name, deterministic=True)
@@ -354,7 +327,7 @@ class TestBackendIntegration:
         message = f"layer-cache {params_name}".encode()
         expected = cold.sign_batch([message], keys).signatures
         warm = get_backend("vectorized", params_name, deterministic=True)
-        warm.prewarm_key(keys)
+        warm_key(warm, keys)
         warm_result = warm.sign_batch([message], keys)
         assert warm_result.signatures == expected
         assert warm.verify_batch([message], warm_result.signatures,
@@ -438,8 +411,8 @@ class TestServiceInvalidation:
                 and ("tenant-deleted", "acme", "default", True) in events)
 
 
-class TestPoolPrewarm:
-    def test_warm_on_spawn_reports_cache_snapshot(self):
+class TestPoolCache:
+    def test_warm_on_spawn_reports_cache_snapshot(self, warm_key):
         """The pooled tier's one layer cache is the coordinator's: warm
         it, sign through one worker, kill the worker — the respawned one
         needs no re-warming, because workers never held anything."""
@@ -450,7 +423,7 @@ class TestPoolPrewarm:
         with WorkerPool(workers=1) as pool:
             backend = get_backend("vectorized", "128f", deterministic=True,
                                   pool=pool)
-            backend.prewarm_key(keys)
+            warm_key(backend, keys)
             cache = backend.cache_stats()
             assert cache["pinned_trees"] > 0
             assert cache["pinned_layers"] >= 1

@@ -132,12 +132,12 @@ class TestPoolSigning:
             assert worker["utilization"] >= 0.0
             assert worker["in_flight"] == 0
 
-    def test_warm_preloads_key_caches(self, pool, keys):
-        """Prewarm fills the coordinator's cache — the only one there is —
-        and a replayed message is answered from its memo: there is no
-        plan, so nothing reaches a worker."""
+    def test_warm_preloads_key_caches(self, pool, keys, warm_key):
+        """A warm key's region lives in the coordinator's cache — the
+        only one there is — and a replayed message is answered from its
+        memo: there is no plan, so nothing reaches a worker."""
         backend = _pooled(pool)
-        backend.prewarm_key(keys)
+        warm_key(backend, keys)
         assert backend.cache_stats()["pinned_trees"] > 0
         first = backend.sign_batch([b"replayed"], keys).signatures
         done = [w["tasks"] for w in pool.stats()["per_worker"].values()]
@@ -188,9 +188,9 @@ class TestIpcPerSignature:
     TABLE = 35 * 16 * 16  # one leaf's chain table
 
     @pytest.fixture(scope="class")
-    def warm(self, pool, keys):
+    def warm(self, pool, keys, warm_key):
         backend = _pooled(pool)
-        backend.prewarm_key(keys)
+        warm_key(backend, keys)
         return backend
 
     def test_a_batch_is_one_task_and_no_table_per_signature(self, warm,
@@ -214,16 +214,16 @@ class TestIpcPerSignature:
         tables, envelopes = divmod(extra, self.TABLE - 35 * 16)
         assert tables == pieces - 1 and envelopes < 100 * pieces
 
-    def test_in_process_counts_tasks_and_no_bytes(self, keys):
+    def test_in_process_counts_tasks_and_no_bytes(self, keys, warm_key):
         inline = get_backend("vectorized", "128f", deterministic=True)
-        inline.prewarm_key(keys)
+        warm_key(inline, keys)
         stats = inline.sign_batch([b"ipc inline"], keys).cache_stats
         assert (stats["tasks"], stats["ipc_bytes"]) == (1, 0)
 
 
 @pytest.mark.skipif(auto_workers() < 4,
                     reason="needs four allowed CPUs, one per worker")
-def test_four_workers_beat_one_on_fresh_messages(keys):
+def test_four_workers_beat_one_on_fresh_messages(keys, warm_key):
     """The worker tier's whole argument, checked where the cores exist.
     ``bench/`` measures the two-worker form (``runtime.pool.scaling_2w``);
     the four-worker rung is ROADMAP item 1(i)."""
@@ -233,7 +233,7 @@ def test_four_workers_beat_one_on_fresh_messages(keys):
     for workers in (1, 4):
         with WorkerPool(workers=workers) as pool:
             backend = _pooled(pool)  # its own memo: every message is fresh
-            backend.prewarm_key(keys)
+            warm_key(backend, keys)
             pool.ping(timeout=10.0)
             started = time.perf_counter()
             for messages in batches:

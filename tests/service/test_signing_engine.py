@@ -19,8 +19,7 @@ import pytest
 from repro.api import LocalClient
 from repro.errors import BackendError, KeystoreError, ServiceError
 from repro.runtime import get_backend
-from repro.runtime.plan import SUBTREE
-from repro.runtime.vectorized import VectorizedBackend
+from repro.runtime.plan import RUN, SUBTREE, cut
 from repro.service import Keystore, SigningService, derive_seed
 from repro.service.engine import SigningEngine
 from repro.sphincs.signer import Sphincs
@@ -103,16 +102,16 @@ def test_a_rotated_key_stops_signing(kind, one_cpu):
     run_on(kind, keystore, scenario)
 
 
-def test_budget_prewarms_and_reports_the_same_through_the_service(one_cpu):
+def test_budget_reports_the_same_through_the_service(one_cpu):
     """``cache_budget_mb`` is the engine's: built directly or by the
-    service (``serve-async --cache-budget-mb``), a key's first sign
-    prewarms all 73 of its pinned subtrees and ``stats`` says so."""
+    service (``serve-async --cache-budget-mb``), a key's first sign fills
+    its one path through the 3 pinned layers and ``stats`` says so."""
     async def through_the_service():
         service = SigningService(make_keystore("acme"), deterministic=True,
                                  cache_budget_mb=2)
         try:
             assert service.engine.backend_for(PARAMS).cache_stats() == {
-                "keys": 0}  # nothing is warmed before a key signs
+                "keys": 0}  # nothing is filled before a key signs
             await service.sign(b"first sign", "acme")
             return service.stats()["cache"]
         finally:
@@ -127,9 +126,10 @@ def test_budget_prewarms_and_reports_the_same_through_the_service(one_cpu):
     finally:
         engine.close()
     assert direct["budget_mb"] == 2
-    assert direct["scopes"][f"in-process {PARAMS}"]["pinned_trees"] == 73
+    scope = direct["scopes"][f"in-process {PARAMS}"]
+    assert (scope["pinned_layers"], scope["pinned_trees"]) == (3, 3)
     assert asyncio.run(through_the_service()) == direct
-    # No budget, no prewarm: the local client never takes one.
+    # No budget, the same fills: the budget only sizes the cache.
     with LocalClient(make_keystore("acme"), deterministic=True) as client:
         client.sign("acme", b"first sign")
         scope = client.engine.backend_for(PARAMS).cache_stats()
@@ -137,42 +137,69 @@ def test_budget_prewarms_and_reports_the_same_through_the_service(one_cpu):
         assert "budget_mb" not in client.engine.cache_stats()
 
 
-def test_a_key_is_prewarmed_at_its_first_sign_and_once(monkeypatch):
-    """Ten keys on one set, a backend keeping eight: each key is warmed
-    when it first signs, on the pool, and signs warm — none when the
-    backend is built (whose early prewarms the ninth key would evict
-    unsigned), none for a key that never signs.  A warm key's prewarm is
-    an empty plan and hands the pool no task."""
+def spy_on_the_pool(monkeypatch, engine):
+    """Every task list *engine*'s pool is handed, as a list of kinds
+    (``SUBTREE`` fills keep their ``(layer, tree)``)."""
+    plans, genuine = [], engine.pool.run
+
+    def run(params, keys, tasks, **options):
+        plans.append([task[:3] if task[0] == SUBTREE else task[0]
+                      for task in tasks])
+        return genuine(params, keys, tasks, **options)
+
+    monkeypatch.setattr(engine.pool, "run", run)
+    return plans
+
+
+def fills(plan):
+    return [task for task in plan if task != RUN]
+
+
+def test_a_first_sign_fills_its_path_beside_its_runs(monkeypatch):
+    """Ten keys on one set, a backend keeping eight, on a pool: a key's
+    first sign hands the pool one plan — its message's run pieces and,
+    beside them, the 3 pinned subtrees on its path, never more — and a
+    key that never signs fills nothing.  A replay reaches no pool."""
     tenants = [f"tenant-{index}" for index in range(10)]
-    keystore = make_keystore(*tenants)
-    prewarms = []
-    genuine = VectorizedBackend._run_tasks
-
-    def spy(backend, tasks, keys):
-        if all(task[0] == SUBTREE for task in tasks):  # no message: warming
-            prewarms.append(keys.pk_seed)
-        return genuine(backend, tasks, keys)
-
-    monkeypatch.setattr(VectorizedBackend, "_run_tasks", spy)
-    engine = SigningEngine(keystore, deterministic=True, workers=2,
-                           cache_budget_mb=2)
+    engine = SigningEngine(make_keystore(*tenants), deterministic=True,
+                           workers=2, cache_budget_mb=2)
+    plans = spy_on_the_pool(monkeypatch, engine)
     try:
-        signers = tenants[:9]
-        for tenant in signers:
+        for tenant in tenants[:9]:
+            del plans[:]
             result, _ = engine.sign_batch(tenant, "default", [b"first"])
-            assert result.cache_stats["pinned_trees"] == 73  # signed warm
-            assert result.cache_stats["misses"] == 19  # the floor's hits
-        assert prewarms == [keystore.resolve(tenant)[0].pk_seed
-                            for tenant in signers]
-        last = keystore.resolve(signers[-1])[0]
-        engine.sign_batch(signers[-1], "default", [b"second"])
-        dispatched = [slot.dispatched for slot in engine.pool.stats_by_worker]
-        engine.backend_for(PARAMS).prewarm_key(last)
-        assert [slot.dispatched
-                for slot in engine.pool.stats_by_worker] == dispatched
-        assert len(prewarms) == len(signers)
+            [plan] = plans
+            assert plan.count(RUN) == len(cut(19, 2, 1))
+            assert sorted(layer for _, layer, _ in fills(plan)) \
+                == [19, 20, 21]
+            assert result.cache_stats["pinned_trees"] == 3
+            assert result.cache_stats["misses"] == 22  # every layer
+        assert engine.backend_for(PARAMS).cache_stats()["keys"] == 8
+        del plans[:]
+        engine.sign_batch(tenants[8], "default", [b"first"])
+        assert plans == []  # a memo hit: no plan
     finally:
         engine.close()
+
+
+def test_no_subtree_is_filled_twice_nor_alone(monkeypatch):
+    """64 fresh messages under one key, eight plans of eight on a pool:
+    every plan runs messages (no plan of fills alone reaches the pool),
+    no ``(layer, tree)`` is filled twice, and the cache holds each fill."""
+    engine = SigningEngine(make_keystore("acme"), deterministic=True,
+                           workers=2, cache_budget_mb=2)
+    plans = spy_on_the_pool(monkeypatch, engine)
+    try:
+        for batch in range(8):
+            engine.sign_batch("acme", "default", [
+                f"fresh {batch}/{index}".encode() for index in range(8)])
+        scope = engine.cache_stats()["scopes"][f"in-process {PARAMS}"]
+    finally:
+        engine.close()
+    assert len(plans) == 8 and all(RUN in plan for plan in plans)
+    filled = [fill for plan in plans for fill in fills(plan)]
+    assert len(filled) == len(set(filled)) == scope["pinned_trees"]
+    assert len(filled) < 73  # not the whole region
 
 
 def child_pids():

@@ -238,7 +238,8 @@ class TestVerifyStage:
         assert report.first_divergence().stage == "wots (layer 0)"
 
     def test_off_by_one_rings_from_inside_the_workers(self,
-                                                      differential_oracle):
+                                                      differential_oracle,
+                                                      warm_key):
         """An uncut run looks every layer below the floor up in its
         worker, which has the fault only because its pool was forked
         inside ``install()``: eight messages on a warm key are eight
@@ -253,17 +254,16 @@ class TestVerifyStage:
         with fault.install(), WorkerPool(workers=2) as pool:
             backend = get_backend("vectorized", "128f", deterministic=True,
                                   pool=pool)
-            backend.prewarm_key(keys)
+            warm_key(backend, keys)
             result = backend.sign_batch(messages, keys)
         assert result.cache_stats["tasks"] == 8
         assert not any(scheme.verify(message, signature, keys.public)
                        for message, signature
                        in zip(messages, result.signatures))
-        # 19 layers below the floor per message, all in the workers, and
-        # the prewarm's 72 links between pinned trees, read by the
-        # coordinator out of its fills' tables; the coordinator walked
-        # the floor's link without a table.
-        assert fault.fired and fault.calls_seen == 8 * 19 + 72
+        # 19 layers below the floor per message, all in the workers; the
+        # links between pinned trees came out of the warm cache, and the
+        # coordinator walked the floor's link without a table.
+        assert fault.fired and fault.calls_seen == 8 * 19
 
         fault = parse_fault("plan:chain-table-off-by-one")
         report = differential_oracle(
