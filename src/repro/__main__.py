@@ -43,8 +43,6 @@ tune
     Run the Tree Tuning search for a parameter set and device.
 model
     Model baseline vs HERO-Sign throughput for a device.
-report
-    Regenerate the paper-vs-model tables (see examples/reproduce_paper.py).
 """
 
 from __future__ import annotations
@@ -730,15 +728,20 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .core.fusion import plan_fors
+    from .errors import ReproError
     from .gpusim.device import get_device
     from .params import get_params
 
-    device = get_device(args.device)
-    params = get_params(args.params)
-    plan = plan_fors(
-        params, device.shared_mem_per_block_static,
-        hard_limit=device.shared_mem_per_block_optin,
-    )
+    try:
+        device = get_device(args.device)
+        params = get_params(args.params)
+        plan = plan_fors(
+            params, device.shared_mem_per_block_static,
+            hard_limit=device.shared_mem_per_block_optin,
+        )
+    except ReproError as exc:
+        print(f"tune: {exc}", file=sys.stderr)
+        return 2
     print(f"{params.name} on {device.name} ({device.architecture})")
     print(f"  threads/block : {plan.threads_per_block}")
     print(f"  trees per set : {plan.n_tree}")
@@ -757,25 +760,27 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     from .core.batch import MODES, run_batch
+    from .errors import ReproError
     from .gpusim.device import get_device
     from .params import get_params
 
-    device = get_device(args.device)
-    params = get_params(args.params)
+    # Exit codes: 0 modelled, 2 unusable input (unknown device or set, a
+    # workload the model cannot launch) — one line on stderr, no table.
+    try:
+        device = get_device(args.device)
+        params = get_params(args.params)
+        results = {mode: run_batch(params, device, mode,
+                                   messages=args.messages,
+                                   batches=args.batches)
+                   for mode in MODES}
+    except ReproError as exc:
+        print(f"model: {exc}", file=sys.stderr)
+        return 2
     print(f"{params.name} on modeled {device.name}, "
           f"{args.messages} messages:")
-    for mode in MODES:
-        result = run_batch(params, device, mode, messages=args.messages,
-                           batches=args.batches)
+    for mode, result in results.items():
         print(f"  {mode:15s} {result.kops:8.2f} KOPS   "
               f"launch {result.launch_latency_us:7.1f} us")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis import experiments
-
-    print(experiments.run_all(args.device))
     return 0
 
 
@@ -993,10 +998,6 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.add_argument("--top", type=int, default=10,
                          help="show the N slowest requests (default 10)")
     p_trace.set_defaults(func=_cmd_trace)
-
-    p_report = sub.add_parser("report", help="paper-vs-model report")
-    p_report.add_argument("--device", default="RTX 4090")
-    p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "shape_check", "ratio"]
+__all__ = ["format_table", "shape_check"]
 
 
 def format_table(
@@ -44,11 +44,6 @@ def _fmt(value: object) -> str:
             return f"{value:.1f}"
         return f"{value:.3f}"
     return str(value)
-
-
-def ratio(a: float, b: float) -> float:
-    """a / b, guarding division by zero."""
-    return a / b if b else float("inf")
 
 
 def shape_check(

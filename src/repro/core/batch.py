@@ -120,6 +120,8 @@ def run_batch(
     """Simulate a multi-batch signing workload under one strategy."""
     if mode not in MODES:
         raise GpuModelError(f"unknown batch mode {mode!r}; known: {MODES}")
+    if batches < 1:
+        raise GpuModelError(f"batches must be >= 1, got {batches}")
     if messages % batches:
         raise GpuModelError(
             f"{messages} messages do not divide into {batches} batches"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import format_table, ratio, shape_check
+from repro.analysis.reporting import format_table, shape_check
 
 
 class TestFormatTable:
@@ -41,11 +41,3 @@ class TestShapeCheck:
         shape_check(50.0, 100.0, 1.0)   # 100/2 is in [100/2, 200]
         with pytest.raises(AssertionError):
             shape_check(49.0, 100.0, 1.0)
-
-
-class TestRatio:
-    def test_ratio(self):
-        assert ratio(10.0, 4.0) == 2.5
-
-    def test_zero_denominator(self):
-        assert ratio(1.0, 0.0) == float("inf")

@@ -4,11 +4,8 @@ import pytest
 
 from repro.analysis import PAPER
 from repro.analysis.reporting import shape_check
-from repro.core.baseline import (
-    BASELINE_FLAGS,
-    baseline_launch_structure,
-    baseline_plans,
-)
+from repro.core.baseline import BASELINE_FLAGS, baseline_plans
+from repro.core.batch import run_batch
 from repro.core.pipeline import kernel_report
 from repro.gpusim.compiler import Branch
 from repro.params import get_params
@@ -23,12 +20,17 @@ class TestFlags:
         assert not BASELINE_FLAGS.free_bank
 
 
-class TestLaunchStructure:
-    def test_baseline_launches_per_layer(self):
-        s = baseline_launch_structure(get_params("128f"))
-        assert s.tree_launches == 22
-        assert s.total == 24
-        assert s.host_synchronized
+class TestBaselineLaunches:
+    def test_baseline_launches_per_layer(self, rtx4090):
+        """The 24 launches ``run_batch``'s ``baseline`` mode puts on the
+        timeline: one FORS, one TREE per hypertree layer (the
+        ``merkle_sign`` loop), one WOTS, each behind a host sync."""
+        records = run_batch(get_params("128f"), rtx4090,
+                            "baseline").timeline.records
+        assert [r.name for r in records] == (
+            ["FORS_Sign"] + [f"TREE_Sign.L{layer}" for layer in range(22)]
+            + ["WOTS_Sign"])
+        assert all(r.start_after_s > 0 for r in records)
 
 
 class TestTable3Profile:

@@ -79,6 +79,14 @@ class TestMechanics:
             run_batch(get_params("128f"), rtx4090_module, "graph",
                       messages=1000, batches=7)
 
+    @pytest.mark.parametrize("batches", [0, -1])
+    def test_batches_below_one_rejected(self, rtx4090_module, batches):
+        """A typed model error, never a ZeroDivisionError from
+        ``messages % batches``."""
+        with pytest.raises(GpuModelError, match="batches must be >= 1"):
+            run_batch(get_params("128f"), rtx4090_module, "graph",
+                      batches=batches)
+
     def test_more_batches_do_not_break_graph_mode(self, rtx4090_module):
         few = run_batch(get_params("128f"), rtx4090_module, "graph",
                         messages=1024, batches=4)

@@ -115,6 +115,27 @@ class TestCli:
             main(["frobnicate"])
 
 
+class TestPaperModelCli:
+    """`repro tune` / `repro model` on bad input: exit 2, one stderr
+    line naming the command, no table and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--device", "bogus"],
+        ["tune", "--device", "bogus"],
+        ["tune", "--params", "999x"],
+        ["model", "--messages", "1001"],   # not a multiple of --batches
+        ["model", "--messages", "0"],      # a grid of zero blocks
+        ["model", "--batches", "0"],
+    ], ids=" ".join)
+    def test_bad_input_exits_two_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestTraceCli:
     """`repro trace` exit codes: 0 rendered, 2 unusable input."""
 

@@ -1,6 +1,6 @@
 """The docs tree stays true: links resolve, examples run.
 
-Three gates for the ``docs/`` pages (and the README that links into
+Four gates for the ``docs/`` pages (and the README that links into
 them) and the package's docstrings, run as ordinary tier-1 tests and by
 CI's docs job:
 
@@ -9,7 +9,8 @@ CI's docs job:
 * every example in ``docs/protocol.md`` is a doctest and must pass
   against the live implementation, so the wire-spec page can never
   drift from the code;
-* every ``>>>`` example in a ``src/repro`` docstring must pass too.
+* every ``>>>`` example in a ``src/repro`` docstring must pass too;
+* every ``python -m repro <command>`` the pages show must be a command.
 """
 
 import doctest
@@ -39,6 +40,7 @@ def _doctested_modules() -> list[str]:
 #: ``[text](target)`` — good enough for these hand-written pages.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+_COMMAND = re.compile(r"python -m repro ([a-z][a-z-]*)")
 
 
 def _anchors(markdown: str) -> set[str]:
@@ -110,6 +112,22 @@ def test_protocol_page_has_example_per_version():
         end = markdown.find("\n## ", start + 1)
         section = markdown[start:end if end != -1 else None]
         assert ">>> " in section, f"section {marker!r} has no doctest"
+
+
+def _documented_commands() -> list[str]:
+    """Every ``python -m repro <word>`` subcommand the pages show."""
+    return sorted({word for page in PAGES
+                   for word in _COMMAND.findall(page.read_text())})
+
+
+@pytest.mark.parametrize("command", _documented_commands())
+def test_documented_commands_exist(command):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0, (
+        f"the docs show `python -m repro {command}`, which is no command")
 
 
 @pytest.mark.parametrize("name", _doctested_modules())
