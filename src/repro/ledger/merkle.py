@@ -37,6 +37,7 @@ from pathlib import Path
 
 from ..durable import write_durably
 from ..errors import LedgerError
+from ..service.protocol import pack_json
 
 __all__ = [
     "EMPTY_ROOT", "MerkleLog", "leaf_hash", "node_hash",
@@ -344,11 +345,8 @@ class MerkleLog:
         return self.root / SEGMENT_DIR / f"{start:0{_INDEX_WIDTH}d}.seg"
 
     def _write_segment(self, start: int, entries: list[bytes]) -> None:
-        write_durably(self._segment_path(start), json.dumps({
-            "start": start,
-            "entries": [base64.b64encode(entry).decode("ascii")
-                        for entry in entries],
-        }, separators=(",", ":")) + "\n", 0o644)
+        write_durably(self._segment_path(start), pack_json(
+            {"start": start, "entries": entries}) + b"\n", 0o644)
 
     def _load(self, trusted_size: int | None) -> None:
         assert self.root is not None

@@ -18,11 +18,13 @@ cached link is byte-identical to a recomputed one.
   Nothing below them is kept: two fresh messages share a lower subtree
   with probability ``1 / tree_leaves`` per layer at best, so on fresh
   traffic it would never be read again;
-* a **replay memo** of finished signatures, keyed on everything a
-  signature depends on besides the key pair (what ``Sphincs.prepare``
-  returns), least-recently-used out, in the bytes the pinned layers
-  leave of the budget.  The backend reads and fills it in deterministic
-  mode only — with a random ``opt_rand`` the randomizer never repeats.
+* a **replay memo** of finished signatures, keyed by the backend on
+  SHA-256(``sk_prf`` || message) — with ``R = PRF_msg(sk_prf, pk_seed,
+  M)``, everything a signature depends on besides the cache's own
+  ``sk_seed`` and ``pk_seed`` — least-recently-used out, in the bytes
+  the pinned layers leave of the budget.  The backend reads and fills
+  it in deterministic mode only — with a random ``opt_rand`` the
+  randomizer never repeats.
 
 The model functions size both: every tier converts the single
 ``--cache-budget-mb`` knob to bytes and asks :func:`choose_pinned_layers`

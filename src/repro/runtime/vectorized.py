@@ -16,6 +16,7 @@ this backend only reorganizes *when* and *how cheaply* they are computed.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from typing import TYPE_CHECKING, Sequence
@@ -134,37 +135,40 @@ class VectorizedBackend(SigningBackend):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _memo_key(task) -> tuple:
-        """With R fixed by the key and the message, a signature is a pure
-        function of the key and what ``prepare`` returned."""
-        return (task.randomizer, task.fors_msg, task.idx_tree, task.idx_leaf)
+    def _memo_key(message: bytes, keys: KeyPair) -> bytes:
+        """With ``opt_rand = pk_seed``, R = PRF_msg(sk_prf, pk_seed, M): in
+        one ``(sk_seed, pk_seed)`` cache a signature is a pure function of
+        ``sk_prf`` and the message, so one hash of the two names it."""
+        return hashlib.sha256(keys.sk_prf + message).digest()
 
     def recall(self, message: bytes, keys: KeyPair) -> bytes | None:
-        """The remembered signature of *message* or ``None``: two hashes and a
+        """The remembered signature of *message* or ``None``: one hash and a
         lookup, safe beside a running :meth:`sign_batch`, and nothing built."""
         ops = self._fastops.get((keys.sk_seed, keys.pk_seed))
         return None if ops is None else ops.cache.recall(
-            self._memo_key(self._scheme.prepare(message, keys)))
+            self._memo_key(message, keys))
 
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
         ops, scheme = self._ops(keys), self._scheme
-        sign_tasks = [scheme.prepare(message, keys) for message in messages]
-        # Randomized, R never repeats and the memo stays empty.
-        memo_keys = [self._memo_key(task) for task in sign_tasks]
-        signatures = [ops.cache.recall(key) if self.deterministic else None
-                      for key in memo_keys]
+        if self.deterministic:
+            memo_keys = [self._memo_key(message, keys) for message in messages]
+            signatures = [ops.cache.recall(key) for key in memo_keys]
+        else:  # R never repeats: the memo stays empty, every message misses
+            memo_keys, signatures = range(len(messages)), [None] * len(messages)
         # A memo key missed twice in one batch is planned once, the first time.
-        first: dict[tuple, int] = {}
+        first: dict[bytes | int, int] = {}
         missed = [index for index, signature in enumerate(signatures)
                   if signature is None
                   and first.setdefault(memo_keys[index], index) == index]
+        sign_tasks = {index: scheme.prepare(messages[index], keys)
+                      for index in missed}
         prepared = stitched = time.perf_counter()
         run = TaskRun([], {"fors": 0.0})
         if missed:
             plan = SigningPlan(
-                ops, [sign_tasks[index] for index in missed],
+                ops, list(sign_tasks.values()),
                 cut(ops.cache.pinned_floor, self._workers, len(missed)))
             run = self._run_tasks(plan.tasks, keys)
             pieces = plan.stitch(run.results, keys.pk_root)

@@ -23,7 +23,8 @@ from .keystore import Keystore
 
 __all__ = ["ON_LOOP_BYTES", "SigningEngine", "require_vectorized"]
 
-#: Most bytes ``recall`` hashes (a service's event loop waits ~0.13 ms).
+#: Most bytes ``recall`` hashes, in one SHA-256 pass (at the bound a
+#: service's event loop waits ~0.05 ms).
 ON_LOOP_BYTES = 64 * 1024
 
 _log = get_logger("service")
@@ -100,8 +101,8 @@ class SigningEngine:
                ) -> tuple[bytes, str] | None:
         """``(signature, canonical params name)`` if the replay memo
         remembers *message* under the tenant's key (deterministic mode
-        only).  Non-blocking: at most ``ON_LOOP_BYTES`` hashed, nothing
-        built; its one effect is the memo's recency and hit count."""
+        only).  Non-blocking: one hash pass over at most ``ON_LOOP_BYTES``,
+        nothing built; its one effect is the memo's recency and hit count."""
         if not self.deterministic or len(message) > ON_LOOP_BYTES:
             return None
         keys, params_name = self.keystore.resolve(tenant, key)

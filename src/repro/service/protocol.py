@@ -182,12 +182,6 @@ def error_type(code: object) -> type[ServiceError]:
     return ERROR_TYPES.get(code, ServiceError)  # type: ignore[arg-type]
 
 
-def _bytes_as_base64(value: object) -> str:
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return pack_bytes(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def encode(message: dict) -> bytes:
     """Serialize one protocol message to a wire line (``bytes`` values
     travel base64-encoded)."""
@@ -689,9 +683,36 @@ def unpack_error(payload: bytes | memoryview) -> dict:
     return response
 
 
+#: What a binary value renders as in :func:`pack_json`'s first pass, and
+#: the escaped text that marks where its base64 goes.
+_SPLICE = "\x00b64"
+_SPLICE_MARK = json.dumps(_SPLICE)[1:-1].encode()
+
+
 def pack_json(body: dict) -> bytes:
-    return json.dumps(body, separators=(",", ":"),
-                      default=_bytes_as_base64).encode()
+    """*body* as compact JSON, ``bytes`` values as base64 text: rendered
+    with a placeholder per value, the base64 joined in at each mark (it
+    needs no escaping, so these are ``json.dumps(..., default=pack_bytes)``'s
+    bytes without the scan).  A body whose own text renders a mark takes
+    that path instead."""
+    values: list[bytes | bytearray | memoryview] = []
+
+    def hold(value: object) -> str:
+        if not isinstance(value, (bytes, bytearray, memoryview)):
+            raise TypeError(
+                f"{type(value).__name__} is not JSON serializable")
+        values.append(value)
+        return _SPLICE
+
+    parts = json.dumps(body, separators=(",", ":"),
+                       default=hold).encode().split(_SPLICE_MARK)
+    if len(parts) != len(values) + 1:
+        return json.dumps(body, separators=(",", ":"),
+                          default=pack_bytes).encode()
+    spliced = [parts[0]]
+    for value, part in zip(values, parts[1:]):
+        spliced += (base64.b64encode(value), part)
+    return b"".join(spliced)
 
 
 def unpack_json(payload: bytes | memoryview) -> dict:

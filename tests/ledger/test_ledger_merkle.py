@@ -7,7 +7,10 @@ tautology — and every mutation of a valid proof must fail closed.
 """
 
 import base64
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +21,13 @@ from repro.ledger import (EMPTY_ROOT, MerkleLog, leaf_hash, node_hash,
                           root_from_inclusion_path, verify_consistency_path)
 
 MAX_SIZE = 16
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _blob(size):
+    """*size* deterministic bytes: SHA-256 of a counter, concatenated."""
+    return b"".join(hashlib.sha256(b"entry" + i.to_bytes(4, "big")).digest()
+                    for i in range(size // 32 + 1))[:size]
 
 
 # The recursive RFC 6962 definitions (MTH, PATH, PROOF/SUBPROOF), over a
@@ -275,6 +285,26 @@ class TestPersistence:
             .read_text())
         assert record["start"] == 0
         assert base64.b64decode(record["entries"][0]) == b"\x00\x01binary"
+
+    def test_segments_match_the_golden_bytes(self, tmp_path):
+        # golden/ holds the segments this exact history wrote before
+        # entries were spliced into the segment JSON as raw bytes.
+        log = MerkleLog(tmp_path / "log")
+        log.append([b"first", b"", bytes(range(256))])
+        log.append([_blob(1000), "café ☃".encode()])
+        written = tmp_path / "log" / "segments"
+        assert sorted(p.name for p in written.iterdir()) == sorted(
+            p.name for p in GOLDEN.iterdir())
+        for golden in GOLDEN.iterdir():
+            assert (written / golden.name).read_bytes() == \
+                golden.read_bytes(), golden.name
+        # ... and those segments still load as the same log.
+        shutil.copytree(GOLDEN, tmp_path / "old" / "segments")
+        reloaded = MerkleLog(tmp_path / "old")
+        assert reloaded.size == 5
+        assert reloaded.root_hash() == log.root_hash() == bytes.fromhex(
+            "5de0c060c56dbc65e3988f6372dc8a83"
+            "51c6e2b4db8e61d1ed6469dbf4353aea")
 
 
 class TestAgainstTheRecursiveDefinition:

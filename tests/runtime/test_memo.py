@@ -1,12 +1,14 @@
 """The replay memo: a signature seen before is a lookup, byte for byte.
 
-In deterministic mode a signature is a pure function of the key pair and
-what ``Sphincs.prepare`` returns, so ``VectorizedBackend.sign_batch`` keeps
-finished signatures under exactly that key and answers a replay without a
-plan: no FORS, no subtree, no stitch, no pool trip — only the two message
-hashes that compute the key.  Randomized, the randomizer never repeats
-and the memo is neither read nor filled.  (First, second and tenth sight
-against the reference on every KAT parameter set, inline and pooled:
+In deterministic mode ``R = PRF_msg(sk_prf, pk_seed, M)``, so inside one
+``(sk_seed, pk_seed)`` cache a signature is a pure function of ``sk_prf``
+and the message; ``VectorizedBackend`` keeps finished signatures under
+SHA-256(``sk_prf`` || message) and answers a replay without a plan and
+without ``prepare``: no PRF_msg, no H_msg, no FORS, no subtree, no
+stitch, no pool trip — one hash of the message and a lookup.
+Randomized, the randomizer never repeats and the memo is neither read
+nor filled.  (First, second and tenth sight against the reference on
+every KAT parameter set, inline and pooled:
 ``test_plan.py::test_inline_and_pooled_plans_match_the_reference``; a
 replay through the pool handing it no task:
 ``test_pool.py::TestPoolSigning::test_warm_preloads_key_caches``.)
@@ -22,12 +24,24 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 from test_fast_verify import RecordingContext
 
-from repro.hashes.thash import HashContext
 from repro.params import get_params
 from repro.runtime import get_backend
 from repro.runtime.layercache import (HypertreeLayerCache, memo_entry_bytes,
                                       pinned_bytes)
 from repro.sphincs.signer import Sphincs
+
+
+def _spy_on_prepare(backend):
+    """Count the messages *backend* prepares (PRF_msg + H_msg each)."""
+    prepared = []
+    genuine = backend._scheme.prepare
+
+    def prepare(message, keys):
+        prepared.append(message)
+        return genuine(message, keys)
+
+    backend._scheme.prepare = prepare
+    return prepared
 
 
 def test_replay_hashes_the_message_and_nothing_else():
@@ -37,17 +51,66 @@ def test_replay_hashes_the_message_and_nothing_else():
     keys = Sphincs(params).keygen(seed=bytes(3 * params.n))
     message = bytes(4096)
 
-    backend.sign_batch([message], keys)
+    first = backend.sign_batch([message], keys)
     assert len(ctx.inputs) > 100_000
     inputs, calls = len(ctx.inputs), ctx.hash_calls
-    backend.sign_batch([message], keys)
+    replay = backend.sign_batch([message], keys)
     # No tweakable hash ran (thash, prf and the midstate kernels all
-    # record or tally) — the compressions are PRF_msg's and H_msg's.
-    assert len(ctx.inputs) == inputs
-    counting = HashContext(params, count_hashes=True)
-    randomizer = counting.prf_msg(keys.sk_prf, keys.pk_seed, message)
-    counting.h_msg(randomizer, keys.pk_seed, keys.pk_root, message)
-    assert ctx.hash_calls - calls == counting.hash_calls
+    # record or tally), and neither did PRF_msg nor H_msg: the memo key
+    # is one SHA-256 of sk_prf and the message, off the context.
+    assert len(ctx.inputs) == inputs and ctx.hash_calls == calls
+    assert replay.signatures == first.signatures
+    assert replay.stage_seconds["fors"] == 0.0
+
+
+def test_recall_answers_without_preparing_the_message():
+    backend = get_backend("vectorized", "128f", deterministic=True)
+    keys = backend.keygen(seed=bytes(48))
+    message = b"attestation " * 300
+    prepared = _spy_on_prepare(backend)
+    assert backend.recall(message, keys) is None
+    [signature] = backend.sign_batch([message], keys).signatures
+    assert prepared == [message]  # the first sight, planned
+    assert backend.recall(message, keys) == signature
+    assert backend.sign_batch([message], keys).signatures == [signature]
+    assert prepared == [message]  # neither replay prepared it again
+    assert backend.cache_stats()["memo_hits"] == 2
+
+
+def test_key_pairs_differing_only_in_sk_prf_never_share_a_signature():
+    """Same ``sk_seed`` and ``pk_seed`` (so one layer cache, one memo),
+    another ``sk_prf``: another randomizer, another signature."""
+    n = get_params("128f").n
+    backend = get_backend("vectorized", "128f", deterministic=True)
+    reference = Sphincs("128f", deterministic=True)
+    sk_seed, pk_seed = bytes(n), bytes(range(n))
+    one, other = (backend.keygen(seed=sk_seed + bytes([prf]) * n + pk_seed)
+                  for prf in (1, 2))
+    assert (one.sk_seed, one.pk_seed, one.pk_root) \
+        == (other.sk_seed, other.pk_seed, other.pk_root)
+    assert backend.cache_stats()["keys"] == 1
+    message = b"same message, two keys"
+    [mine] = backend.sign_batch([message], one).signatures
+    assert backend.recall(message, other) is None
+    [theirs] = backend.sign_batch([message], other).signatures
+    assert mine == reference.sign(message, one)
+    assert theirs == reference.sign(message, other) != mine
+    assert backend.cache_stats()["memo_hits"] == 0
+    assert backend.recall(message, one) == mine
+    assert backend.recall(message, other) == theirs
+
+
+def test_a_message_repeated_in_one_batch_is_planned_once():
+    backend = get_backend("vectorized", "128f", deterministic=True)
+    keys = backend.keygen(seed=bytes(48))
+    reference = Sphincs("128f", deterministic=True)
+    prepared = _spy_on_prepare(backend)
+    result = backend.sign_batch([b"twice", b"once", b"twice"], keys)
+    assert prepared == [b"twice", b"once"]
+    first, once, second = result.signatures
+    assert first == second == reference.sign(b"twice", keys)
+    assert once == reference.sign(b"once", keys)
+    assert backend.cache_stats()["memo_entries"] == 2
 
 
 def test_randomized_mode_never_reads_or_fills_the_memo():
