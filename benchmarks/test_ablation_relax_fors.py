@@ -8,7 +8,7 @@ from repro.analysis import format_table
 from repro.core.fusion import plan_fors
 from repro.core.kernels import OptimizationFlags, build_fors_plan
 from repro.core.pipeline import kernel_report
-from repro.gpusim.compiler import Branch, CompilerModel
+from repro.gpusim.compiler import Branch
 from repro.params import get_params
 
 SMEM = 48 * 1024
@@ -21,7 +21,7 @@ def _fors_kops(rtx4090, engine, relax):
         hard_limit=rtx4090.shared_mem_per_block_optin,
     )
     plan = build_fors_plan(
-        params, rtx4090, CompilerModel(), OptimizationFlags.full(),
+        params, rtx4090, OptimizationFlags.full(),
         Branch.PTX, fors_plan=fors_plan,
     )
     return kernel_report(plan, engine), fors_plan

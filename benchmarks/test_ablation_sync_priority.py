@@ -11,7 +11,7 @@ from repro.core.fusion import ForsPlan
 from repro.core.padding import padding_rule
 from repro.core.pipeline import kernel_report
 from repro.core.tree_tuning import tree_tuning_search
-from repro.gpusim.compiler import Branch, CompilerModel
+from repro.gpusim.compiler import Branch
 from repro.params import get_params
 
 SMEM = 48 * 1024
@@ -29,7 +29,7 @@ def _kops_for_candidate(params, cand, rtx4090, engine, relax):
         sync_points=cand.sync_points,
     )
     plan = build_fors_plan(
-        params, rtx4090, CompilerModel(), OptimizationFlags.full(),
+        params, rtx4090, OptimizationFlags.full(),
         Branch.PTX, fors_plan=fors_plan,
     )
     return kernel_report(plan, engine).kops

@@ -36,7 +36,7 @@ True
 """
 
 from .params import PARAMETER_SETS, FAST_SETS, SMALL_SETS, SphincsParams, get_params
-from .sphincs import Sphincs, KeyPair, SigningArtifacts
+from .sphincs import Sphincs, KeyPair
 from .errors import (
     ReproError,
     ParameterError,
@@ -70,7 +70,6 @@ __all__ = [
     "get_params",
     "Sphincs",
     "KeyPair",
-    "SigningArtifacts",
     "ReproError",
     "ParameterError",
     "AddressError",

@@ -59,7 +59,7 @@ def _public_methods(symbol: type,
     return methods
 
 
-def _describe(name: str, symbol: object) -> dict:
+def _describe(symbol: object) -> dict:
     if dataclasses.is_dataclass(symbol) and isinstance(symbol, type):
         return _describe_dataclass(symbol)
     if isinstance(symbol, type) and issubclass(symbol, BaseException):
@@ -83,6 +83,6 @@ def api_surface() -> dict:
 
     return {
         "format": SURFACE_FORMAT,
-        "symbols": {name: _describe(name, getattr(api_module, name))
+        "symbols": {name: _describe(getattr(api_module, name))
                     for name in sorted(public_names)},
     }

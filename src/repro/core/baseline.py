@@ -13,7 +13,7 @@ idle time of paper Table II / Figure 12.
 
 from __future__ import annotations
 
-from ..gpusim.compiler import Branch, CompilerModel
+from ..gpusim.compiler import Branch
 from ..gpusim.device import DeviceSpec
 from ..params import SphincsParams
 from .kernels import KernelPlan, OptimizationFlags, build_plans
@@ -27,13 +27,11 @@ def baseline_plans(
     params: SphincsParams,
     device: DeviceSpec,
     messages: int = 1024,
-    compiler: CompilerModel | None = None,
 ) -> dict[str, KernelPlan]:
     """The three kernel plans under the TCAS-SPHINCSp feature set."""
     return build_plans(
         params, device, BASELINE_FLAGS,
         branches={k: Branch.NATIVE for k in ("FORS_Sign", "TREE_Sign", "WOTS_Sign")},
         messages=messages,
-        compiler=compiler,
     )
 

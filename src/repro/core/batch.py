@@ -67,7 +67,6 @@ class _BatchKernel:
 def _batch_kernels(
     plans: dict[str, KernelPlan],
     engine: TimingEngine,
-    device: DeviceSpec,
     messages: int,
     batches: int,
 ) -> dict[str, _BatchKernel]:
@@ -139,7 +138,7 @@ def run_batch(
             plans = baseline_plans(params, device, messages=messages)
         else:
             plans = hero_plans(params, device, engine, messages=messages)
-    kernels = _batch_kernels(plans, engine, device, messages, effective_batches)
+    kernels = _batch_kernels(plans, engine, messages, effective_batches)
 
     timeline = Timeline(device, calibration)
     gap = calibration.host_sync_gap_us * 1e-6

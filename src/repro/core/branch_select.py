@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gpusim.compiler import Branch, CompilerModel
+from ..gpusim.compiler import Branch
 from ..gpusim.engine import TimingEngine
 from .kernels import KernelPlan
 
@@ -44,7 +44,6 @@ class BranchChoice:
 def select_branches(
     plans: dict[str, KernelPlan],
     engine: TimingEngine,
-    compiler: CompilerModel | None = None,
 ) -> dict[str, BranchChoice]:
     """Profile both branches of every plan and pick per-kernel winners."""
     choices: dict[str, BranchChoice] = {}

@@ -125,7 +125,6 @@ def level_wavefronts(
 def build_fors_plan(
     params: SphincsParams,
     device: DeviceSpec,
-    compiler: CompilerModel,
     flags: OptimizationFlags,
     branch: Branch,
     messages: int = 1024,
@@ -258,7 +257,6 @@ def build_fors_plan(
 def build_tree_plan(
     params: SphincsParams,
     device: DeviceSpec,
-    compiler: CompilerModel,
     flags: OptimizationFlags,
     branch: Branch,
     messages: int = 1024,
@@ -343,7 +341,6 @@ def build_tree_plan(
 def build_wots_plan(
     params: SphincsParams,
     device: DeviceSpec,
-    compiler: CompilerModel,
     flags: OptimizationFlags,
     branch: Branch,
     messages: int = 1024,
@@ -386,7 +383,6 @@ def build_plans(
     flags: OptimizationFlags,
     branches: dict[str, Branch] | None = None,
     messages: int = 1024,
-    compiler: CompilerModel | None = None,
 ) -> dict[str, KernelPlan]:
     """Build all three kernel plans under one flag set.
 
@@ -394,20 +390,19 @@ def build_plans(
     :mod:`repro.core.branch_select`); when absent, ``flags.branch`` (or
     native) applies uniformly.
     """
-    compiler = compiler or CompilerModel()
     default = flags.branch or Branch.NATIVE
     branches = branches or {}
     return {
         "FORS_Sign": build_fors_plan(
-            params, device, compiler, flags,
+            params, device, flags,
             branches.get("FORS_Sign", default), messages,
         ),
         "TREE_Sign": build_tree_plan(
-            params, device, compiler, flags,
+            params, device, flags,
             branches.get("TREE_Sign", default), messages,
         ),
         "WOTS_Sign": build_wots_plan(
-            params, device, compiler, flags,
+            params, device, flags,
             branches.get("WOTS_Sign", default), messages,
         ),
     }

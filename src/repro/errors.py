@@ -38,7 +38,7 @@ class UnknownTicketError(BackendError, KeyError):
 
 class WorkerCrashedError(BackendError):
     """A worker-pool batch could not complete: the worker process died and
-    every requeue attempt (bounded by the pool's ``max_retries``) landed on
+    every requeue attempt (bounded by the pool's ``MAX_RETRIES``) landed on
     a worker that also died before signing the batch."""
 
 

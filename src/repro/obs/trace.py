@@ -43,7 +43,7 @@ __all__ = ["Span", "SpanClock", "TraceContext", "Tracer",
            "current_trace", "load_spans", "new_span_id", "new_trace_id",
            "render_critical_path", "start_trace", "use_trace"]
 
-#: Default bound on the in-memory span ring.
+#: Bound on the in-memory span ring.
 RING_SIZE = 4096
 
 #: Stages the critical-path table always reports, in pipeline order.
@@ -159,10 +159,9 @@ class Tracer:
     so a crashed process leaves a readable file).
     """
 
-    def __init__(self, ring_size: int = RING_SIZE,
-                 out_path: str | None = None):
+    def __init__(self, out_path: str | None = None):
         self._lock = threading.Lock()
-        self._ring: deque[Span] = deque(maxlen=max(1, ring_size))
+        self._ring: deque[Span] = deque(maxlen=RING_SIZE)
         self.out_path = out_path
         self._out = open(out_path, "a", buffering=1) if out_path else None
         self.recorded = 0
@@ -189,18 +188,6 @@ class Tracer:
             if self._out is not None:
                 self._out.write(json.dumps(span.as_dict(),
                                            separators=(",", ":")) + "\n")
-
-    def ingest(self, records: Iterable[dict]) -> int:
-        """Record span dicts produced elsewhere (worker processes)."""
-        count = 0
-        for record in records:
-            try:
-                span = Span.from_dict(record)
-            except (KeyError, TypeError, ValueError):
-                continue  # a malformed remote span must not kill dispatch
-            self.record(span)
-            count += 1
-        return count
 
     @contextlib.contextmanager
     def span(self, name: str, trace: TraceContext | None = None,

@@ -18,7 +18,6 @@ from typing import Any, Sequence
 from ..errors import BackendError
 from ..params import SphincsParams, get_params
 from ..sphincs.signer import KeyPair, Sphincs
-from .fastops import FastVerifier
 
 __all__ = ["BatchSignResult", "SigningBackend"]
 
@@ -62,7 +61,6 @@ class SigningBackend(abc.ABC):
         self.params = get_params(params) if isinstance(params, str) else params
         self.deterministic = deterministic
         self._scheme = Sphincs(self.params, deterministic=deterministic)
-        self._verifier = FastVerifier(self.params, self._scheme.ctx)
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -102,8 +100,10 @@ class SigningBackend(abc.ABC):
                       signatures: Sequence[bytes],
                       public_key: bytes) -> list[bool]:
         """Verdicts for equally many messages and signatures: the
-        template-driven kernel (:class:`~.fastops.FastVerifier`)."""
-        return self._verifier.verify_batch(messages, signatures, public_key)
+        reference ``Sphincs.verify`` walk, the second, independent
+        implementation the oracle diffs the fast verifier against."""
+        return [self._scheme.verify(message, signature, public_key)
+                for message, signature in zip(messages, signatures)]
 
     # ------------------------------------------------------------------
     def _timed_result(self, signatures: list[bytes], started: float,

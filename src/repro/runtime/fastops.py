@@ -343,8 +343,9 @@ class FastVerifier:
     Holds no per-key state beyond the context's bounded midstate cache and
     two memos, so one instance serves every public key of its parameter
     set and :meth:`verify_batch` may run on several threads at once.
-    *ctx* shares an existing context (a backend's, a test's recording
-    one) instead of a fresh one.
+    *ctx* shares an existing context (a test's recording one) instead of
+    a fresh one; a backend's verifier takes a fresh one, so a verify
+    never shares a context with signing.
 
     The **verify memo** is the read-side twin of the signing replay memo
     (:class:`~repro.runtime.layercache.HypertreeLayerCache`): a bounded,

@@ -19,7 +19,7 @@ second core buys nothing (see ``docs/architecture.md``).
 The pool is crash-tolerant: the collector thread waits on every worker's
 result pipe *and* process sentinel, so a death is seen at once; the dead
 worker's outstanding tasks go back to the head of the line (bounded by
-``max_retries`` each), and its slot is respawned.  Only when a task
+:data:`MAX_RETRIES` each), and its slot is respawned.  Only when a task
 exhausts its retries does the caller see a typed
 :class:`~repro.errors.WorkerCrashedError`.  Every pipe belongs to one
 worker, so a worker dying mid-write can wedge only its own channel.
@@ -59,6 +59,10 @@ from .plan import TaskRun, run_task
 _log = get_logger("pool")
 
 __all__ = ["WorkerPool", "WorkerStats", "auto_workers"]
+
+#: How many times a task stranded by a dying worker goes back in line
+#: before its caller gets :class:`~repro.errors.WorkerCrashedError`.
+MAX_RETRIES = 2
 
 #: Tasks a worker may hold: one running, one already in its pipe so the
 #: next starts without a round trip through the coordinator.
@@ -205,17 +209,11 @@ class WorkerPool:
     workers:
         Pool size; from two up, worker *i* runs on the *i*-th allowed
         CPU (modulo the CPU count).
-    max_retries:
-        How many times a task stranded by a dying worker goes back in
-        line before its caller gets
-        :class:`~repro.errors.WorkerCrashedError`.
     """
 
-    def __init__(self, workers: int = 2, max_retries: int = 2):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise BackendError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise BackendError(f"max_retries must be >= 0, got {max_retries}")
         import multiprocessing
 
         # fork over spawn/forkserver: workers inherit the warm parent
@@ -233,7 +231,6 @@ class WorkerPool:
         except ValueError:  # platforms without fork
             self._mp = multiprocessing.get_context("spawn")
         self.workers = workers
-        self.max_retries = max_retries
         self.started_at = time.monotonic()
         # A lone worker has no sibling to be kept apart from, and N
         # one-worker pools on one box must not all sit on the first CPU.
@@ -584,14 +581,14 @@ class WorkerPool:
                 stats.requeues += 1
                 task.run.requeues += 1
                 task.retries += 1
-                if task.retries > self.max_retries:
+                if task.retries > MAX_RETRIES:
                     _log.error("worker-crash-exhausted", slot=slot,
                                exitcode=exitcode, task=task.task_id,
                                retries=task.retries)
                     task.run.error = WorkerCrashedError(
                         f"worker {slot} died (exit {exitcode}) and task "
                         f"{task.task_id} exhausted its "
-                        f"{self.max_retries} requeue(s)")
+                        f"{MAX_RETRIES} requeue(s)")
                 else:
                     self._pending.appendleft(task)
             try:

@@ -47,11 +47,3 @@ class ScalarBackend(SigningBackend):
                                            t4 - t3)):
                 stage[name] += spent
         return self._timed_result(signatures, started, stage_seconds=stage)
-
-    def _verify_pairs(self, messages: Sequence[bytes],
-                      signatures: Sequence[bytes],
-                      public_key: bytes) -> list[bool]:
-        """The reference ``Sphincs.verify`` walk: the second, independent
-        implementation the oracle diffs the fast verifier against."""
-        return [self._scheme.verify(message, signature, public_key)
-                for message, signature in zip(messages, signatures)]

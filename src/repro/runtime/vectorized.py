@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from typing import TYPE_CHECKING, Sequence
 
@@ -26,7 +27,7 @@ from ..hashes.thash import HashContext
 from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
 from .backend import BatchSignResult, SigningBackend
-from .fastops import FastOps
+from .fastops import FastOps, FastVerifier
 from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
 from .plan import RUN, SigningPlan, TaskRun, cut, run_task
 
@@ -55,6 +56,10 @@ class VectorizedBackend(SigningBackend):
         pool, results are labelled ``pooled``; planning, the layer
         cache, the stitch and serialization stay in this process, and a
         replayed message (a memo hit) has no plan: it never touches IPC.
+
+    Verification runs on :attr:`verifier`, this parameter set's one
+    :class:`~.fastops.FastVerifier`, built by the first verify on a hash
+    context of its own, so a verify may run beside a sign.
     """
 
     name = "vectorized"
@@ -76,6 +81,8 @@ class VectorizedBackend(SigningBackend):
             (cache_budget_mb or DEFAULT_BUDGET_MB) * 1024 * 1024)
         self.ctx: HashContext = self._scheme.ctx  # shared midstate cache
         self._fastops: dict[tuple[bytes, bytes], FastOps] = {}
+        self.verifier: FastVerifier | None = None
+        self._verifier_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _ops(self, keys: KeyPair) -> FastOps:
@@ -190,6 +197,14 @@ class VectorizedBackend(SigningBackend):
             signatures, started, stage_seconds=stage_seconds,
             cache_stats={**ops.cache.stats, **run.stats},
             workers=run.workers)
+
+    def _verify_pairs(self, messages: Sequence[bytes],
+                      signatures: Sequence[bytes],
+                      public_key: bytes) -> list[bool]:
+        with self._verifier_lock:
+            if self.verifier is None:
+                self.verifier = FastVerifier(self.params)
+        return self.verifier.verify_batch(messages, signatures, public_key)
 
     def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
         """Run the plan's *tasks* under *keys*: on the pool, else here and

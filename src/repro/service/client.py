@@ -56,9 +56,6 @@ class ServiceClient:
         self._fatal: ConnectionLostError | None = None
         #: The server's ``hello`` answer (set by :meth:`open`).
         self.hello: dict = {}
-        #: Raw wire accounting (both modes), for efficiency measurement.
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self._read_task = asyncio.get_running_loop().create_task(
             self._read_loop())
 
@@ -150,7 +147,7 @@ class ServiceClient:
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
-            self._write(self._dialect.encode_request(
+            self._writer.write(self._dialect.encode_request(
                 op, request_id, {name: value for name, value
                                  in fields.items() if value is not None}))
             await self._writer.drain()
@@ -182,10 +179,6 @@ class ServiceClient:
             raise ConnectionLostError(
                 "connection closed; reconnect to continue")
 
-    def _write(self, data: bytes) -> None:
-        self._writer.write(data)
-        self.bytes_sent += len(data)
-
     # ------------------------------------------------------------------
     async def _read_loop(self) -> None:
         # The transport dropping mid-pipeline (server restart, reset,
@@ -199,8 +192,7 @@ class ServiceClient:
                 reply = await self._dialect.read_reply(self._reader)
                 if reply is None:
                     break
-                request_id, response, size = reply
-                self.bytes_received += size
+                request_id, response = reply
                 if response is None:
                     continue  # part of a streamed reply; more follows
                 if request_id is None:

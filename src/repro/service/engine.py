@@ -1,8 +1,8 @@
 """The signing engine: what every front signs and verifies through.
 
 :class:`SigningEngine` owns the chain *keystore → executor → one backend
-and one verifier per parameter set → invalidate on key events → cache
-stats*.  It has two fronts and knows neither: the in-process
+per parameter set, which signs and verifies → invalidate on key events →
+cache stats*.  It has two fronts and knows neither: the in-process
 :class:`~repro.api.local.LocalClient` calls it synchronously,
 :class:`~.server.SigningService` from executor threads, one batch at a
 time (and, for ``recall`` only, from its event loop).
@@ -16,7 +16,6 @@ from typing import Sequence
 from ..errors import BackendError, ServiceError
 from ..obs.log import get_logger
 from ..runtime.backend import BatchSignResult
-from ..runtime.fastops import FastVerifier
 from ..runtime.pool import WorkerPool
 from ..runtime.vectorized import VectorizedBackend
 from .keystore import Keystore
@@ -69,9 +68,8 @@ class SigningEngine:
         self.cache_budget_mb = cache_budget_mb
         self.pool = WorkerPool(workers) if workers > 0 else None
         self._backends: dict[str, VectorizedBackend] = {}
-        self._verifiers: dict[str, FastVerifier] = {}
         # Callers arrive on several threads (the service's executor, a
-        # ledger's ``to_thread``): backends and verifiers are built under it.
+        # ledger's ``to_thread``): backends are built under it.
         self._lock = threading.Lock()
         # A retired key's cached subtrees must never sign again.
         keystore.add_listener(self._on_key_event)
@@ -128,27 +126,26 @@ class SigningEngine:
                      signatures: Sequence[bytes]) -> tuple[list[bool], str]:
         """``(per-pair verdicts, canonical params name)`` under the
         tenant's named key, resolved once; a bad signature is ``False``,
-        never an error.  The verifier keeps its own hash context, so a
-        verify may run while a sign is in flight."""
+        never an error.  The backend's verifier keeps its own hash
+        context, so a verify may run while a sign is in flight."""
         keys, params_name = self.keystore.resolve(tenant, key)
-        with self._lock:
-            verifier = self._verifiers.get(params_name)
-            if verifier is None:
-                verifier = self._verifiers[params_name] = FastVerifier(
-                    params_name)
-        return (verifier.verify_batch(messages, signatures, keys.public),
-                params_name)
+        return (self.backend_for(params_name).verify_batch(
+            messages, signatures, keys.public), params_name)
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
         """The ``cache`` section of a stats snapshot: one scope per
         parameter set's backend (layer cache + replay memo) and one per
-        verifier (verify memo), all in this process: pool workers hold none."""
+        backend that has verified (verify memo), all in this process: pool
+        workers hold none."""
+        backends = sorted(self._backends.items())
         scopes: dict[str, dict] = {}
-        for params_name, backend in sorted(self._backends.items()):
+        for params_name, backend in backends:
             scopes[f"in-process {params_name}"] = backend.cache_stats()
-        for params_name, verifier in sorted(self._verifiers.items()):
-            scopes[f"verify {params_name}"] = verifier.cache_stats()
+        for params_name, backend in backends:
+            if backend.verifier is not None:
+                scopes[f"verify {params_name}"] = \
+                    backend.verifier.cache_stats()
         if not scopes:
             return {}
         snapshot: dict = {"scopes": scopes}

@@ -397,7 +397,14 @@ def _str8(value: str, name: str) -> bytes:
 
 
 def _str16(value: str) -> bytes:
-    raw = value.encode("utf-8")[:0xFFFF]
+    """*value* as UTF-8 behind a 2-byte length, cut to 65,535 bytes at a
+    character boundary (the reader decodes strictly)."""
+    raw = value.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        end = 0xFFFF
+        while raw[end] & 0xC0 == 0x80:  # a continuation byte
+            end -= 1
+        raw = raw[:end]
     return len(raw).to_bytes(2, "big") + raw
 
 
@@ -780,8 +787,8 @@ class LineDialect:
         return encode({"op": op, **fields, "id": request_id})
 
     async def read_reply(self, reader: asyncio.StreamReader
-                         ) -> tuple[object, dict | None, int] | None:
-        """-> ``(request id, response, wire bytes)``; ``None`` on EOF.
+                         ) -> tuple[object, dict | None] | None:
+        """-> ``(request id, response)``; ``None`` on EOF.
 
         The id is ``None`` for a fatal error the server could not
         attribute to a request.  A hot verb's response comes back as
@@ -803,7 +810,7 @@ class LineDialect:
                 if item.get("ok"):
                     item["signature"] = unpack_bytes(item["signature"],
                                                      name="signature")
-        return request_id, response, len(line)
+        return request_id, response
 
     # -- server side ----------------------------------------------------
     async def read_request(self, reader: asyncio.StreamReader
@@ -896,8 +903,8 @@ class FrameDialect:
         return encode_frame(code, payload, id=request_id)
 
     async def read_reply(self, reader: asyncio.StreamReader
-                         ) -> tuple[object, dict | None, int] | None:
-        """-> ``(request id, response, wire bytes)``; ``None`` on EOF.
+                         ) -> tuple[object, dict | None] | None:
+        """-> ``(request id, response)``; ``None`` on EOF.
 
         The id is ``None`` on the reserved id 0 (a fatal error frame);
         the response is ``None`` for a streamed ``sign-many`` item —
@@ -907,8 +914,7 @@ class FrameDialect:
         frame = await read_frame(reader)
         if frame is None:
             return None
-        return (frame.id or None, self._decode_reply(frame),
-                _FULL_HEADER.size + len(frame.payload))
+        return frame.id or None, self._decode_reply(frame)
 
     def _decode_reply(self, frame: Frame) -> dict | None:
         if frame.verb == FRAME_SIGN_MANY_ITEM:

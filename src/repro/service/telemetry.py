@@ -95,7 +95,7 @@ class Telemetry:
     per series it touches.
     """
 
-    def __init__(self, latency_window: int = LATENCY_WINDOW):
+    def __init__(self):
         self.registry = registry = MetricsRegistry()
         self._started_wall = time.time()
         self._started_mono = time.monotonic()
@@ -103,10 +103,10 @@ class Telemetry:
         self._counters: dict[tuple[str, ...], Counter] = {}
         self._total_ms = registry.histogram(
             "repro_request_latency_ms", "Enqueue-to-signature latency",
-            window=latency_window)
+            window=LATENCY_WINDOW)
         self._wait_ms = registry.histogram(
             "repro_queue_wait_ms", "Enqueue-to-dispatch queue wait",
-            window=latency_window)
+            window=LATENCY_WINDOW)
         self._batch_size = registry.histogram(
             "repro_batch_size", "Dispatched batch sizes",
             buckets=BATCH_BUCKETS)

@@ -10,7 +10,7 @@ component schemes (WOTS+, FORS, the hypertree) are importable for direct
 experimentation and are exercised independently by the test suite.
 """
 
-from .signer import Sphincs, SigningArtifacts, SignTask, KeyPair
+from .signer import Sphincs, SignTask, KeyPair
 from .wots import Wots
 from .fors import Fors
 from .merkle import treehash, auth_path, batched_leaves, root_from_auth
@@ -19,7 +19,6 @@ from .encoding import base_w, checksum_digits, message_to_indices, split_digest
 
 __all__ = [
     "Sphincs",
-    "SigningArtifacts",
     "SignTask",
     "KeyPair",
     "batched_leaves",

@@ -17,7 +17,7 @@ from ..hashes.address import Address, AddressType
 from ..hashes.thash import HashContext
 from ..params import SphincsParams
 from .encoding import message_to_indices
-from .merkle import auth_path
+from .merkle import auth_path, root_from_auth, treehash
 
 __all__ = ["Fors", "ForsSignature"]
 
@@ -60,11 +60,7 @@ class Fors:
         leaves = [
             self._leaf(sk_seed, pk_seed, adrs, base + j) for j in range(t)
         ]
-        # treehash indexes nodes within the forest: level h starts at
-        # (tree * t) >> h. We emulate by passing a shifted adrs per level via
-        # a local subclassed context — simpler: compute with local indices,
-        # then the spec's offset is tree*t >> height; handle by wrapping.
-        return _offset_treehash(leaves, self.ctx, pk_seed, adrs, base)
+        return treehash(leaves, self.ctx, pk_seed, adrs, base)
 
     # ------------------------------------------------------------------
     def sign(self, fors_msg: bytes, sk_seed: bytes, pk_seed: bytes,
@@ -104,11 +100,8 @@ class Fors:
             adrs.set_tree_height(0)
             adrs.set_tree_index(base + leaf_idx)
             leaf = self.ctx.thash(pk_seed, adrs, secret)
-            roots.append(
-                _offset_root_from_auth(
-                    leaf, leaf_idx, path, self.ctx, pk_seed, adrs, base
-                )
-            )
+            roots.append(root_from_auth(leaf, leaf_idx, path, self.ctx,
+                                        pk_seed, adrs, base))
         return self._compress_roots(roots, pk_seed, adrs)
 
     def _compress_roots(self, roots: list[bytes], pk_seed: bytes,
@@ -117,39 +110,3 @@ class Fors:
         pk_adrs.set_type(AddressType.FORS_ROOTS)
         pk_adrs.set_keypair(adrs.keypair)
         return self.ctx.thash(pk_seed, pk_adrs, *roots)
-
-
-def _offset_treehash(leaves, ctx, pk_seed, adrs, base):
-    """Treehash with the spec's global FORS node indexing.
-
-    At height ``h`` the node index within the forest is
-    ``(base >> h) + local_index``; plain :func:`treehash` assumes base 0.
-    """
-    levels = [list(leaves)]
-    height = 1
-    while len(levels[-1]) > 1:
-        below = levels[-1]
-        adrs.set_tree_height(height)
-        level = []
-        offset = base >> height
-        for i in range(0, len(below), 2):
-            adrs.set_tree_index(offset + i // 2)
-            level.append(ctx.thash(pk_seed, adrs, below[i], below[i + 1]))
-        levels.append(level)
-        height += 1
-    return levels
-
-
-def _offset_root_from_auth(leaf, leaf_index, path, ctx, pk_seed, adrs, base):
-    """Root recovery matching :func:`_offset_treehash` indexing."""
-    node = leaf
-    idx = leaf_index
-    for height, sibling in enumerate(path, start=1):
-        adrs.set_tree_height(height)
-        adrs.set_tree_index((base >> height) + (idx >> 1))
-        if idx & 1:
-            node = ctx.thash(pk_seed, adrs, sibling, node)
-        else:
-            node = ctx.thash(pk_seed, adrs, node, sibling)
-        idx >>= 1
-    return node

@@ -43,12 +43,15 @@ def treehash(
     ctx: HashContext,
     pk_seed: bytes,
     adrs: Address,
+    base: int = 0,
 ) -> TreeLevels:
     """Hash *leaves* (a power-of-two count) up to the root.
 
     ``adrs`` is mutated per node: ``tree_height`` is the level of the node
-    being *produced* and ``tree_index`` its index within the level, as the
-    specification requires.
+    being *produced* and ``tree_index`` its index, as the specification
+    requires.  *base* is the first leaf's index in a wider forest (FORS
+    tree ``i`` starts at ``i * t``; a hypertree subtree at 0), so node
+    ``j`` of level ``h`` is ``(base >> h) + j``.
 
     Returns every level, leaves first.
     """
@@ -61,8 +64,9 @@ def treehash(
         below = levels[-1]
         adrs.set_tree_height(height)
         level = []
+        offset = base >> height
         for i in range(0, len(below), 2):
-            adrs.set_tree_index(i // 2)
+            adrs.set_tree_index(offset + i // 2)
             level.append(ctx.thash(pk_seed, adrs, below[i], below[i + 1]))
         levels.append(level)
         height += 1
@@ -86,13 +90,15 @@ def root_from_auth(
     ctx: HashContext,
     pk_seed: bytes,
     adrs: Address,
+    base: int = 0,
 ) -> bytes:
-    """Recompute the root from a leaf and its authentication path."""
+    """Recompute the root from a leaf and its authentication path, under
+    :func:`treehash`'s node indexing from *base*."""
     node = leaf
     idx = leaf_index
     for height, sibling in enumerate(path, start=1):
         adrs.set_tree_height(height)
-        adrs.set_tree_index(idx >> 1)
+        adrs.set_tree_index((base >> height) + (idx >> 1))
         if idx & 1:
             node = ctx.thash(pk_seed, adrs, sibling, node)
         else:

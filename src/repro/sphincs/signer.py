@@ -7,25 +7,26 @@ serialize to the specified byte layout (``R || FORS || d * XMSS``) and the
 sizes match the specification (17,088 bytes for 128f, as quoted in the
 paper's introduction).
 
-Signing can also emit :class:`SigningArtifacts` — the intermediate values
-(indices, per-component hash tallies) that the GPU workload builders and
-the test suite cross-check against the analytical model.
+Signing is four stages — :meth:`Sphincs.prepare`, ``fors_stage``,
+``hypertree_stage`` and ``assemble`` — that the batch runtime drives one
+by one; under ``count_hashes=True`` the context's ``hash_calls`` tallies
+what each costs, which the test suite checks against the analytical model.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SignatureFormatError
 from ..hashes.address import Address, AddressType
 from ..hashes.thash import HashContext
 from ..params import SphincsParams, get_params
-from .encoding import message_to_indices, split_digest
+from .encoding import split_digest
 from .fors import Fors, ForsSignature
 from .hypertree import Hypertree, HypertreeSignature
 
-__all__ = ["KeyPair", "SigningArtifacts", "SignTask", "Sphincs"]
+__all__ = ["KeyPair", "SignTask", "Sphincs"]
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,6 @@ class SignTask:
     fors_msg: bytes
     idx_tree: int
     idx_leaf: int
-
-
-@dataclass
-class SigningArtifacts:
-    """Intermediate values captured during one signing operation."""
-
-    randomizer: bytes = b""
-    fors_indices: list[int] = field(default_factory=list)
-    idx_tree: int = 0
-    idx_leaf: int = 0
-    fors_hash_calls: int = 0
-    tree_hash_calls: int = 0
-    wots_hash_calls: int = 0
 
 
 class Sphincs:
@@ -155,25 +143,11 @@ class Sphincs:
         """Stage 4: serialize the components into the wire format."""
         return self.serialize(task.randomizer, fors_sig, ht_sig)
 
-    def sign(self, message: bytes, keys: KeyPair,
-             artifacts: SigningArtifacts | None = None) -> bytes:
+    def sign(self, message: bytes, keys: KeyPair) -> bytes:
         """Sign *message*, returning the serialized signature."""
         task = self.prepare(message, keys)
-
-        counting = self.ctx.hash_calls if artifacts is not None else 0
         fors_sig, fors_pk = self.fors_stage(task, keys)
-        if artifacts is not None:
-            artifacts.fors_hash_calls = self.ctx.hash_calls - counting
-            counting = self.ctx.hash_calls
-
         ht_sig = self.hypertree_stage(task, keys, fors_pk)
-        if artifacts is not None:
-            artifacts.randomizer = task.randomizer
-            artifacts.fors_indices = message_to_indices(task.fors_msg, self.params)
-            artifacts.idx_tree = task.idx_tree
-            artifacts.idx_leaf = task.idx_leaf
-            artifacts.tree_hash_calls = self.ctx.hash_calls - counting
-
         return self.assemble(task, fors_sig, ht_sig)
 
     # ------------------------------------------------------------------

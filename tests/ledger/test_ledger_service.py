@@ -6,7 +6,6 @@ protocol generations against a live :class:`LedgerServer`.
 """
 
 import asyncio
-import json
 
 import pytest
 

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs import trace as trace_module
 from repro.obs.trace import (RING_SIZE, Span, TraceContext, Tracer,
                              current_trace, load_spans, new_span_id,
                              new_trace_id, start_trace, trace_breakdowns,
@@ -69,8 +70,10 @@ class TestTracer:
         assert [s.name for s in tracer.spans()] == ["sign", "request"]
         assert tracer.recorded == 2
 
-    def test_ring_is_bounded_but_counter_is_not(self):
-        tracer = Tracer(ring_size=4)
+    def test_ring_is_bounded_but_counter_is_not(self, monkeypatch):
+        assert Tracer()._ring.maxlen == RING_SIZE
+        monkeypatch.setattr(trace_module, "RING_SIZE", 4)
+        tracer = Tracer()
         ctx = start_trace()
         for i in range(10):
             tracer.record_span(f"s{i}", trace=ctx, start=float(i),
@@ -78,7 +81,6 @@ class TestTracer:
         assert len(tracer.spans()) == 4
         assert tracer.recorded == 10
         assert tracer.spans()[-1].name == "s9"
-        assert Tracer()._ring.maxlen == RING_SIZE
 
     def test_span_contextmanager_nests_and_propagates(self):
         tracer = Tracer()
@@ -92,14 +94,9 @@ class TestTracer:
         assert recorded_outer.parent_id is None
         assert inner.trace_id == recorded_outer.trace_id
 
-    def test_ingest_skips_malformed_records(self):
+    def test_concurrent_recording_loses_nothing(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "RING_SIZE", 10_000)
         tracer = Tracer()
-        good = Span("t" * 32, "a" * 16, "sign", 1.0, 2.0).as_dict()
-        assert tracer.ingest([good, {"nope": 1}, "junk"]) == 1
-        assert len(tracer.spans()) == 1
-
-    def test_concurrent_recording_loses_nothing(self):
-        tracer = Tracer(ring_size=10_000)
         ctx = start_trace()
 
         def hammer():

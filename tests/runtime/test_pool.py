@@ -17,6 +17,7 @@ import pytest
 from repro.cluster.ring import HashRing
 from repro.errors import BackendError, WorkerCrashedError
 from repro.runtime import WorkerPool, get_backend
+from repro.runtime import pool as pool_module
 from repro.runtime.plan import RUN, SUBTREE, cut
 from repro.runtime.pool import auto_workers
 
@@ -246,8 +247,6 @@ class TestValidation:
     def test_bad_sizes_rejected(self):
         with pytest.raises(BackendError, match="workers"):
             WorkerPool(workers=0)
-        with pytest.raises(BackendError, match="max_retries"):
-            WorkerPool(workers=1, max_retries=-1)
 
     def test_out_of_range_slot_rejected(self, pool):
         with pytest.raises(BackendError, match="out of range"):
@@ -267,8 +266,10 @@ class TestValidation:
 class TestCrashRecovery:
     """Kill workers mid-plan; the acceptance story of the pool."""
 
-    def test_mid_batch_crash_requeues_to_sibling(self, keys, reference):
-        with WorkerPool(workers=2, max_retries=2) as pool:
+    def test_mid_batch_crash_requeues_to_sibling(self, keys, reference,
+                                                 monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_RETRIES", 2)
+        with WorkerPool(workers=2) as pool:
             pool.inject_crash(0, when="next-job")
             result = _pooled(pool).sign_batch(MESSAGES, keys)
             # Byte-identical result despite the crash, and the requeue
@@ -284,19 +285,22 @@ class TestCrashRecovery:
             again = _pooled(pool).sign_batch(MESSAGES[:1], keys)
             assert set(again.workers) == {0, 1}
 
-    def test_retry_exhaustion_raises_typed_error(self, keys):
-        with WorkerPool(workers=2, max_retries=0) as pool:
+    def test_retry_exhaustion_raises_typed_error(self, keys, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_RETRIES", 0)
+        with WorkerPool(workers=2) as pool:
             pool.inject_crash(0, when="next-job")
             pool.inject_crash(1, when="next-job")
             with pytest.raises(WorkerCrashedError, match="exhausted"):
                 _pooled(pool).sign_batch(MESSAGES[:2], keys)
 
-    def test_failed_respawns_do_not_burn_the_retry_budget(self, keys):
-        """max_retries bounds how often a task is stranded by a dying
+    def test_failed_respawns_do_not_burn_the_retry_budget(self, keys,
+                                                          monkeypatch):
+        """MAX_RETRIES bounds how often a task is stranded by a dying
         worker, not recovery ticks: with every respawn transiently
         failing and no live sibling, the tasks wait in line instead of
         exhausting their budget at one tick per 50 ms."""
-        with WorkerPool(workers=1, max_retries=1) as pool:
+        monkeypatch.setattr(pool_module, "MAX_RETRIES", 1)
+        with WorkerPool(workers=1) as pool:
             real_spawn = pool._spawn
             failures = {"left": 4}
 

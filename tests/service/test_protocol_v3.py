@@ -163,6 +163,50 @@ class TestFrameCodec:
         run(scenario())
 
 
+class TestLongErrorDetail:
+    """A v3 error detail is cut to 65,535 bytes at a character boundary,
+    so the caller gets the server's error, never a decode failure."""
+
+    #: Each cut where the 65,535-byte limit lands: after a whole
+    #: character, and inside a two-, three- and four-byte one.
+    DETAILS = [("a" * 70_000, "a" * 0xFFFF),
+               ("a" * 65534 + "é", "a" * 65534),
+               ("a" * 65533 + "€" * 2, "a" * 65533),
+               ("a" * 65534 + "\U0001F600", "a" * 65534),
+               ("é" * 40_000, "é" * 32767)]
+
+    @staticmethod
+    def _error_frame(detail):
+        return protocol.unpack_error(
+            protocol.pack_error("internal", detail))["detail"]
+
+    @staticmethod
+    def _sign_many_item(detail):
+        index, item = protocol.unpack_sign_many_item(
+            protocol.pack_sign_many_item(3, error=("internal", detail)))
+        assert index == 3 and item["error"] == "internal"
+        return item["detail"]
+
+    @staticmethod
+    def _verify_many_item(detail):
+        [item] = protocol.unpack_verify_many_result(
+            protocol.pack_verify_many_result([
+                {"ok": False, "error": "internal", "detail": detail}]))[
+                    "results"]
+        return item["detail"]
+
+    @pytest.mark.parametrize("detail, received", DETAILS,
+                             ids=["ascii", "cuts-2-byte", "cuts-3-byte",
+                                  "cuts-4-byte", "all-2-byte"])
+    @pytest.mark.parametrize("codec", ["_error_frame", "_sign_many_item",
+                                       "_verify_many_item"])
+    def test_cut_at_a_character_boundary(self, codec, detail, received):
+        assert getattr(self, codec)(detail) == received
+
+    def test_a_short_detail_is_whole(self):
+        assert self._error_frame("naïve € \U0001F600") == "naïve € \U0001F600"
+
+
 # ----------------------------------------------------------------------
 # Negotiation: the hello flip, pins, and the downgrade matrix
 # ----------------------------------------------------------------------
@@ -449,11 +493,17 @@ class TestStreamingSignMany:
                 for version in (2, 3):
                     client = await AsyncClient.connect(port=server.port,
                                                        version=version)
+                    writes = []
+                    writer = client._wire._writer
+                    write = writer.write
+                    writer.write = lambda data: (writes.append(data),
+                                                 write(data))
                     try:
-                        sent = client._wire.bytes_sent
                         assert await client.sign_many("demo",
                                                       []) == []
-                        assert client._wire.bytes_sent == sent
+                        assert writes == []
+                        assert await client._wire.ping() is True
+                        assert len(writes) == 1  # the spy sees a real call
                     finally:
                         await client.close()
             finally:
@@ -481,7 +531,7 @@ class TestOverlongInput:
                 pending = asyncio.ensure_future(
                     wire.call("sign", tenant="demo", message=b"in flight"))
                 await asyncio.sleep(0.02)
-                wire._write(b"x" * (protocol.LINE_LIMIT + 1) + b"\n")
+                wire._writer.write(b"x" * (protocol.LINE_LIMIT + 1) + b"\n")
                 await wire._writer.drain()
                 with pytest.raises(ProtocolError, match="line too long"):
                     await pending
@@ -510,7 +560,7 @@ class TestOverlongInput:
                 await asyncio.sleep(0.02)
                 # A frame whose declared length exceeds FRAME_LIMIT:
                 # the server answers with an id-0 error frame, closes.
-                wire._write(
+                wire._writer.write(
                     (protocol.FRAME_LIMIT + 1).to_bytes(4, "big")
                     + b"\x00" * 10)
                 await wire._writer.drain()
@@ -536,7 +586,7 @@ class TestOverlongInput:
                     wire.call("sign-many", tenant="demo", key="default",
                               messages=[b"a", b"b", b"c"]))
                 await asyncio.sleep(0.02)
-                wire._write(
+                wire._writer.write(
                     (protocol.FRAME_LIMIT + 1).to_bytes(4, "big")
                     + b"\x00" * 10)
                 await wire._writer.drain()

@@ -361,8 +361,9 @@ class TestReplay:
         service = make_service()
         engine = service.engine
         assert engine.recall("demo", "default", b"never signed") is None
-        assert engine._backends == {} and engine._verifiers == {}
+        assert engine._backends == {}
         backend = engine.backend_for("SPHINCS+-128f")
+        assert backend.verifier is None
         service.keystore.generate_key("demo", "spare", seed=bytes(48))
         assert engine.recall("demo", "spare", b"never signed") is None
         assert backend._fastops == {}  # no key's cache became resident

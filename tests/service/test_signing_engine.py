@@ -1,7 +1,7 @@
 """One signing engine, two fronts.
 
-``SigningEngine`` owns keys → executor → one backend and one verifier per
-parameter set → invalidation on key events → cache stats; ``LocalClient``
+``SigningEngine`` owns keys → executor → one backend per parameter set,
+which signs and verifies → invalidation on key events → cache stats; ``LocalClient``
 and ``SigningService`` are fronts over it.  Whatever the engine promises
 is checked here through both fronts from one test body.
 """
@@ -19,6 +19,7 @@ import pytest
 from repro.api import LocalClient
 from repro.errors import BackendError, KeystoreError, ServiceError
 from repro.runtime import get_backend
+from repro.runtime.fastops import FastVerifier
 from repro.runtime.plan import RUN, SUBTREE, cut
 from repro.service import Keystore, SigningService, derive_seed
 from repro.service.engine import SigningEngine
@@ -98,6 +99,38 @@ def test_a_rotated_key_stops_signing(kind, one_cpu):
         assert scheme.verify(b"after rotation", fresh, new_public)
         assert not scheme.verify(b"after rotation", fresh, old_public)
         assert await front.verify("t", b"after rotation", fresh)
+
+    run_on(kind, keystore, scenario)
+
+
+@pytest.mark.parametrize("kind", FRONTS)
+def test_a_set_verifies_on_its_backends_one_verifier(kind, one_cpu,
+                                                     monkeypatch):
+    """Every verify of a set runs on one ``FastVerifier``, its backend's,
+    on a hash context signing does not use; a set so far only verified
+    gets it too (the verify builds the backend)."""
+    used, genuine = [], FastVerifier.verify_batch
+
+    def spy(self, *args):
+        used.append(self)
+        return genuine(self, *args)
+
+    monkeypatch.setattr(FastVerifier, "verify_batch", spy)
+    keystore = make_keystore("t")
+    elsewhere = get_backend("vectorized", PARAMS, deterministic=True).sign(
+        b"signed elsewhere", keystore.resolve("t")[0])
+
+    async def scenario(front):
+        assert await front.verify("t", b"signed elsewhere", elsewhere)
+        assert not await front.verify("t", b"tampered", elsewhere)
+        signed = await front.sign("t", b"signed here")
+        assert await front.verify("t", b"signed here", signed)
+        backend = front.engine.backend_for(PARAMS)
+        assert len(used) == 3
+        assert all(verifier is backend.verifier for verifier in used)
+        assert backend.verifier.ctx is not backend.ctx
+        scopes = front.engine.cache_stats()["scopes"]
+        assert scopes[f"verify {PARAMS}"]["memo_entries"] == 2
 
     run_on(kind, keystore, scenario)
 

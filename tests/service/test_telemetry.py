@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 from repro.obs import metrics
 from repro.service import Telemetry, percentile, render_snapshot
+from repro.service import telemetry as telemetry_module
 from repro.service.telemetry import SNAPSHOT_SCHEMA
 
 
@@ -56,8 +57,9 @@ class TestTelemetry:
         round_tripped = json.loads(json.dumps(telemetry.snapshot()))
         assert round_tripped["batches"]["histogram"] == {"2": 1}
 
-    def test_latency_window_rolls(self):
-        telemetry = Telemetry(latency_window=10)
+    def test_latency_window_rolls(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "LATENCY_WINDOW", 10)
+        telemetry = Telemetry()
         for i in range(100):
             telemetry.record_signed("t", total_ms=float(i), wait_ms=0.0)
         summary = telemetry.snapshot()["latency_ms"]["total"]
@@ -138,10 +140,11 @@ class TestSnapshotShape:
 
 
 class TestConcurrentRecording:
-    def test_thread_and_event_loop_lose_no_increments(self):
-        """Satellite: a worker-pool collector thread and the service's
-        asyncio loop record into one Telemetry concurrently."""
-        telemetry = Telemetry(latency_window=100_000)
+    def test_thread_and_event_loop_lose_no_increments(self, monkeypatch):
+        """A worker-pool collector thread and the service's asyncio loop
+        record into one Telemetry concurrently."""
+        monkeypatch.setattr(telemetry_module, "LATENCY_WINDOW", 100_000)
+        telemetry = Telemetry()
 
         def thread_half():
             for _ in range(2000):

@@ -106,3 +106,48 @@ class TestAuthPath:
         assert root_from_auth(
             leaves[leaf_index], leaf_index, path, ctx, PK_SEED, _tree_adrs()
         ) == levels[-1][0]
+
+
+class _IndexRecorder(HashContext):
+    """A context that notes the ``(tree_height, tree_index)`` of every
+    node it hashes."""
+
+    def __init__(self):
+        super().__init__(get_params("128f"))
+        self.nodes = []
+
+    def thash(self, pk_seed, adrs, *blocks):
+        self.nodes.append((adrs.tree_height, adrs.tree_index))
+        return super().thash(pk_seed, adrs, *blocks)
+
+
+class TestForestOffset:
+    """``base`` places a tree inside a forest (FORS tree ``i`` starts at
+    leaf ``i * t``): node ``j`` of level ``h`` is ``(base >> h) + j``."""
+
+    @pytest.mark.parametrize("base", [0, 8, 24, 5 * 64])
+    def test_treehash_indexes_nodes_from_base(self, base):
+        ctx = _IndexRecorder()
+        treehash(_leaves(8), ctx, PK_SEED, _tree_adrs(), base)
+        assert ctx.nodes == [(height, (base >> height) + j)
+                             for height in (1, 2, 3)
+                             for j in range(8 >> height)]
+
+    @pytest.mark.parametrize("base", [0, 8, 24, 5 * 64])
+    def test_root_from_auth_walks_the_same_nodes(self, base):
+        leaves = _leaves(8)
+        levels = treehash(leaves, _ctx(), PK_SEED, _tree_adrs(), base)
+        for leaf_index in (0, 5):
+            ctx = _IndexRecorder()
+            root = root_from_auth(leaves[leaf_index], leaf_index,
+                                  auth_path(levels, leaf_index), ctx,
+                                  PK_SEED, _tree_adrs(), base)
+            assert root == levels[-1][0]
+            assert ctx.nodes == [(height, (base >> height)
+                                  + (leaf_index >> height))
+                                 for height in (1, 2, 3)]
+
+    def test_base_changes_the_root(self):
+        roots = {treehash(_leaves(8), _ctx(), PK_SEED, _tree_adrs(),
+                          base)[-1][0] for base in (0, 8, 16)}
+        assert len(roots) == 3

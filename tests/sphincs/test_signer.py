@@ -1,11 +1,13 @@
 """Full-scheme tests: keygen / sign / verify round-trips, serialization,
-tamper rejection, artifacts, and the deterministic-vector regression."""
+tamper rejection, the prepared sign task, and the deterministic-vector
+regression."""
 
 import pytest
 
 from repro.errors import SignatureFormatError
 from repro.params import get_params
-from repro.sphincs.signer import SigningArtifacts, Sphincs
+from repro.sphincs.encoding import message_to_indices
+from repro.sphincs.signer import Sphincs
 
 SEED_128 = bytes(range(48))
 
@@ -94,16 +96,16 @@ class TestSignVerify128f:
         assert scheme128.verify(msg, sig, keys128.public)
 
 
-class TestArtifacts:
-    def test_artifacts_populated(self, scheme128, keys128):
-        artifacts = SigningArtifacts()
-        scheme128.sign(b"artifact run", keys128, artifacts=artifacts)
+class TestPrepare:
+    def test_prepare_fills_the_sign_task(self, scheme128, keys128):
+        task = scheme128.prepare(b"artifact run", keys128)
         params = get_params("128f")
-        assert len(artifacts.randomizer) == params.n
-        assert len(artifacts.fors_indices) == params.k
-        assert all(0 <= i < params.t for i in artifacts.fors_indices)
-        assert 0 <= artifacts.idx_tree < 1 << (params.h - params.tree_height)
-        assert 0 <= artifacts.idx_leaf < params.tree_leaves
+        indices = message_to_indices(task.fors_msg, params)
+        assert len(task.randomizer) == params.n
+        assert len(indices) == params.k
+        assert all(0 <= i < params.t for i in indices)
+        assert 0 <= task.idx_tree < 1 << (params.h - params.tree_height)
+        assert 0 <= task.idx_leaf < params.tree_leaves
 
 
 class TestOtherParameterSets:

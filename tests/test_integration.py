@@ -10,7 +10,21 @@ be fiction — these tests prevent that.
 import pytest
 
 from repro.params import get_params
-from repro.sphincs.signer import Sphincs, SigningArtifacts
+from repro.sphincs.signer import Sphincs
+
+
+def _stage_hash_calls(message: bytes) -> tuple[int, int]:
+    """``(FORS, hypertree)`` counted SHA-256 calls of one 128f signature:
+    ``hash_calls`` deltas around the signer's stages."""
+    scheme = Sphincs("128f", deterministic=True, count_hashes=True)
+    keys = scheme.keygen(seed=bytes(48))
+    ctx = scheme.ctx
+    task = scheme.prepare(message, keys)
+    before = ctx.hash_calls
+    _, fors_pk = scheme.fors_stage(task, keys)
+    fors_calls, before = ctx.hash_calls - before, ctx.hash_calls
+    scheme.hypertree_stage(task, keys, fors_pk)
+    return fors_calls, ctx.hash_calls - before
 
 
 class TestFunctionalVsAnalytical:
@@ -18,27 +32,19 @@ class TestFunctionalVsAnalytical:
         """Counted SHA-256 compressions during real FORS signing vs the
         analytical ``fors_sign_hashes`` (at n=16 every FORS hash is one
         compression past the cached seed midstate)."""
-        scheme = Sphincs("128f", deterministic=True, count_hashes=True)
-        keys = scheme.keygen(seed=bytes(48))
-        artifacts = SigningArtifacts()
-        scheme.sign(b"integration", keys, artifacts=artifacts)
-        params = get_params("128f")
-        expected = params.fors_sign_hashes()
+        fors_calls, _ = _stage_hash_calls(b"integration")
+        expected = get_params("128f").fors_sign_hashes()
         # Allow the root-compression tail and auth-path bookkeeping.
-        assert expected <= artifacts.fors_hash_calls <= expected * 1.05
+        assert expected <= fors_calls <= expected * 1.05
 
     def test_tree_hash_count_matches_formula_128f(self):
         """The hypertree phase covers TREE building plus WOTS signing."""
-        scheme = Sphincs("128f", deterministic=True, count_hashes=True)
-        keys = scheme.keygen(seed=bytes(48))
-        artifacts = SigningArtifacts()
-        scheme.sign(b"integration", keys, artifacts=artifacts)
+        _, measured = _stage_hash_calls(b"integration")
         params = get_params("128f")
         low = params.tree_sign_hashes()
         # WOTS chain walks are data-dependent (w/2 is an average), so give
         # the combined bound +-6%.
         high = params.tree_sign_hashes() + params.wots_sign_hashes()
-        measured = artifacts.tree_hash_calls
         assert low * 0.98 <= measured <= high * 1.06
 
     @pytest.mark.parametrize("alias", ["128f", "192f"])
@@ -54,14 +60,10 @@ class TestWorkloadBuildersVsFunctional:
         """GPU FORS_Sign workload hash total == functional execution."""
         from repro.core.baseline import baseline_plans
 
-        scheme = Sphincs("128f", deterministic=True, count_hashes=True)
-        keys = scheme.keygen(seed=bytes(48))
-        artifacts = SigningArtifacts()
-        scheme.sign(b"workload check", keys, artifacts=artifacts)
-
+        fors_calls, _ = _stage_hash_calls(b"workload check")
         plan = baseline_plans(get_params("128f"), rtx4090)["FORS_Sign"]
         modeled = sum(ph.hash_total for ph in plan.workload.phases)
-        assert modeled == pytest.approx(artifacts.fors_hash_calls, rel=0.05)
+        assert modeled == pytest.approx(fors_calls, rel=0.05)
 
 
 class TestEndToEndConsistency:

@@ -10,11 +10,11 @@ under a ceiling.
 
 from pathlib import Path
 
-#: The last PR's result rounded up to the next 50.  This constant only
+#: The last measured line count.  This constant only
 #: moves *down* — a PR that lands smaller lowers it to its own result —
 #: unless the PR's CHANGES.md entry argues why the growth pays for
 #: itself.
-SRC_LINES_CEILING = 18562
+SRC_LINES_CEILING = 18475
 
 
 def test_src_lines_stay_under_the_ceiling():
