@@ -375,8 +375,8 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deterministic", action="store_true",
                         help="deterministic backends and tenant key seeds")
     parser.add_argument("--cache-budget-mb", type=float, default=None,
-                        help="per-key hypertree layer-cache memory budget "
-                             "in MiB (default: model default, 32)")
+                        help="layer-cache budget in MiB per parameter "
+                             "set, all its keys together (default: 32)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="export request spans as JSONL to PATH "
                              "(enables end-to-end tracing)")
@@ -411,7 +411,7 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
               f"else enqueue + {config['max_wait_ms']} ms), "
               f"shed above {config['max_pending']} queued")
         if config.get("cache_budget_mb") is not None:
-            print(f"  layer cache   : {config['cache_budget_mb']} MiB/key "
+            print(f"  layer cache   : {config['cache_budget_mb']} MiB/set "
                   "budget, pinned subtrees filled as paths need them")
         if args.trace_out:
             print(f"  tracing       : spans -> {args.trace_out}")
@@ -866,8 +866,8 @@ def main(argv: list[str] | None = None) -> int:
                               "of this size (0 = in-process)")
     p_serve.add_argument("--deterministic", action="store_true")
     p_serve.add_argument("--cache-budget-mb", type=float, default=None,
-                         help="per-key hypertree layer-cache memory budget "
-                              "in MiB (default: model default, 32)")
+                         help="layer-cache budget in MiB per parameter "
+                              "set, all its keys together (default: 32)")
     p_serve.add_argument("--verify", action="store_true",
                          help="verify every batch after signing")
     p_serve.set_defaults(func=_cmd_serve)

@@ -37,9 +37,9 @@ class LocalClient(SigningClient):
         (populate it with :meth:`add_tenant`).
     backend:
         ``vectorized``, the one signer (any other name is a
-        :class:`~repro.errors.BackendError`).  At most 8 keys' layer
-        caches per parameter set stay resident (oldest out, re-derived on
-        next use).
+        :class:`~repro.errors.BackendError`).  Each parameter set keeps
+        one layer cache for all its keys, least recently used out
+        (re-derived on next use).
     workers:
         Size of the worker pool the plan runs on (0: in this process).
         Default: one pinned worker per allowed CPU from two up, none on

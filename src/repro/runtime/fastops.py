@@ -13,8 +13,8 @@ This module removes that overhead without changing a single hash input:
   its kernel runs on (``HashContext.kernel_midstates``), and the ADRS
   words a loop does not vary — a WOTS leaf's, a Merkle level's, a FORS
   forest's — are absorbed once into a midstate the loop copies;
-* the top layers' Merkle subtrees and WOTS link signatures are held in a
-  per-key :class:`~repro.runtime.layercache.HypertreeLayerCache` — every
+* the top layers' Merkle subtrees and WOTS link signatures are held in
+  the set's :class:`~repro.runtime.layercache.HypertreeLayerCache` — every
   message signed under one key revisits the upper hypertree layers, and
   at layers >= 1 the signed node (the child subtree root) is
   message-independent, so the whole link signature is reusable;
@@ -144,9 +144,10 @@ def _compress(mid, n: int, adrs: bytes, values: Sequence[bytes]) -> bytes:
 class FastOps:
     """Low-overhead signing primitives for one (parameter set, key pair).
 
-    Bound to the *sk_seed*/*pk_seed* of one key so address templates and
-    the per-key layer *cache* (subtrees, link signatures) can be reused
-    across every message of every batch signed under that key.
+    Bound to the *sk_seed*/*pk_seed* of one key, and cheap to build per
+    call: the midstates come out of the context's cache, and the layer
+    *cache* (subtrees, link signatures) is the parameter set's, which
+    files this key's entries under :attr:`seed`.
     """
 
     def __init__(self, ctx: HashContext, sk_seed: bytes, pk_seed: bytes,
@@ -154,6 +155,7 @@ class FastOps:
         self.params: SphincsParams = ctx.params
         self.n = ctx.n
         self.sk_seed = sk_seed
+        self.seed = (sk_seed, pk_seed)  # files its entries in the cache
         # Through the context, so a recording context sees every input.
         self._mid, self._mid_tlen = ctx.kernel_midstates(pk_seed)
         #: ``None`` in a pool worker: it runs tasks, the coordinator caches.
@@ -252,10 +254,10 @@ class FastOps:
     def subtree_nodes(self, layer: int, tree: int) -> bytes:
         """XMSS subtree at (layer, tree), flat (:func:`node_slice`): out
         of the cache, or built (and offered to it)."""
-        nodes = self.cache.lookup_tree(layer, tree)
+        nodes = self.cache.lookup_tree(self.seed, layer, tree)
         if nodes is None:
             nodes = self.build_subtree(layer, tree)[0]
-            self.cache.store_tree(layer, tree, nodes)
+            self.cache.store_tree(self.seed, layer, tree, nodes)
         return nodes
 
     def build_subtree(self, layer: int, tree: int,

@@ -1,5 +1,5 @@
-"""Per-key hypertree layer cache — pinned top layers plus a replay memo —
-and its shared cost/memory model.
+"""The hypertree layer cache — pinned top layers plus a replay memo, one
+per parameter set under one byte budget — and its cost/memory model.
 
 The top ``c`` XMSS layers of a SPHINCS+ hypertree are message-independent
 per key: at layer ``l >= 1`` the node being WOTS-signed is the root of
@@ -10,36 +10,35 @@ the upper layers can be computed once per key and reused for every
 signature, and in deterministic mode WOTS signing is reproducible, so a
 cached link is byte-identical to a recomputed one.
 
-:class:`HypertreeLayerCache` holds two things per key:
+:class:`HypertreeLayerCache` holds, for every key of its parameter set:
 
 * the **pinned** top ``pinned_layers`` layers — subtrees and link
   signatures that every signing path traverses, each filled by the first
-  signing plan whose path needs it and never evicted.
-  Nothing below them is kept: two fresh messages share a lower subtree
-  with probability ``1 / tree_leaves`` per layer at best, so on fresh
-  traffic it would never be read again;
+  signing plan whose path needs it.  Nothing below them is kept: two
+  fresh messages share a lower subtree with probability
+  ``1 / tree_leaves`` per layer at best, so on fresh traffic it would
+  never be read again;
 * a **replay memo** of finished signatures, keyed by the backend on
-  SHA-256(``sk_prf`` || message) — with ``R = PRF_msg(sk_prf, pk_seed,
-  M)``, everything a signature depends on besides the cache's own
-  ``sk_seed`` and ``pk_seed`` — least-recently-used out, in the bytes
-  the pinned layers leave of the budget.  The backend reads and fills
-  it in deterministic mode only — with a random ``opt_rand`` the
-  randomizer never repeats.
+  SHA-256(``sk_prf`` || message) beside the key's ``sk_seed`` and
+  ``pk_seed`` — with ``R = PRF_msg(sk_prf, pk_seed, M)``, everything a
+  signature depends on — and read and filled in deterministic mode only.
 
-The model functions size both: every tier converts the single
-``--cache-budget-mb`` knob to bytes and asks :func:`choose_pinned_layers`
-for the default ``c`` per parameter set, trading the cost of filling the
-whole region and its memory against per-signature hash savings (the
-caching/fault-analysis trade-off follows Genet's SPHINCS+ layer-caching
-work — see ``docs/architecture.md`` ("The hypertree layer cache") for
-the per-set table and the fault-attack caveat).
+All of it shares one ``--cache-budget-mb`` and one recency order, least
+recently used bytes out, so a key that keeps signing keeps its pinned
+path and an idle key's entries go first.  The model functions size the
+pinned region: every tier converts the budget to bytes and asks
+:func:`choose_pinned_layers` for the default ``c`` per parameter set,
+trading the cost of filling the whole region and its memory against
+per-signature hash savings (the caching/fault-analysis trade-off follows
+Genet's SPHINCS+ layer-caching work — see ``docs/architecture.md`` ("The
+hypertree layer cache") for the per-set table and the fault-attack
+caveat).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable
 
 from ..params import PARAMETER_SETS, SphincsParams, get_params
 
@@ -48,8 +47,6 @@ __all__ = [
     "HypertreeLayerCache",
     "choose_pinned_layers",
     "link_entry_bytes",
-    "memo_capacity",
-    "memo_entry_bytes",
     "pinned_bytes",
     "pinned_link_count",
     "pinned_tree_count",
@@ -80,11 +77,6 @@ def tree_entry_bytes(params: SphincsParams) -> int:
 def link_entry_bytes(params: SphincsParams) -> int:
     """Bytes to hold one cached WOTS link signature (the chain values)."""
     return params.wots_len * params.n + _ENTRY_OVERHEAD
-
-
-def memo_entry_bytes(params: SphincsParams) -> int:
-    """Bytes to hold one memoised signature."""
-    return params.sig_bytes + _ENTRY_OVERHEAD
 
 
 def subtree_build_hashes(params: SphincsParams) -> int:
@@ -155,7 +147,7 @@ def choose_pinned_layers(params: SphincsParams, budget_bytes: int,
     """Default pinned layer count for *params* under *budget_bytes*.
 
     Picks the largest ``c`` whose fully populated pinned region fits in
-    half the budget (the other half is the replay memo's) and whose
+    half the budget (one key never holds the whole of it) and whose
     whole fill stays under *max_prewarm_hashes* — well under a second of
     hashing per key, whatever path its traffic takes.
     """
@@ -169,21 +161,13 @@ def choose_pinned_layers(params: SphincsParams, budget_bytes: int,
     return best
 
 
-def memo_capacity(params: SphincsParams, budget_bytes: int,
-                  layers: int) -> int:
-    """Signatures the replay memo holds: the bytes a fully populated
-    pinned region of *layers* layers leaves of *budget_bytes*."""
-    return (max(0, budget_bytes - pinned_bytes(params, layers))
-            // memo_entry_bytes(params))
-
-
 def tradeoff_table(budget_bytes: int | None = None,
                    max_prewarm_hashes: int = 600_000) -> list[dict]:
     """Per-parameter-set cache trade-off rows (docs + tests).
 
-    Each row reports the chosen default ``c``, resident pinned bytes,
-    hashes to fill the whole region, per-signature savings fraction, and
-    how many replayable signatures the rest of the budget remembers.
+    Each row reports the chosen default ``c``, one key's resident pinned
+    bytes, hashes to fill its whole region, per-signature savings
+    fraction, and how many fully warm keys the budget holds.
     """
     if budget_bytes is None:
         budget_bytes = int(DEFAULT_BUDGET_MB * 1024 * 1024)
@@ -199,7 +183,8 @@ def tradeoff_table(budget_bytes: int | None = None,
             "pinned_kib": round(pinned_bytes(params, layers) / 1024, 1),
             "prewarm_hashes": prewarm_hashes(params, layers),
             "saved_fraction": round(savings_fraction(params, layers), 4),
-            "memo_entries": memo_capacity(params, budget_bytes, layers),
+            "warm_keys": budget_bytes // max(1, pinned_bytes(params,
+                                                             layers)),
         })
     return rows
 
@@ -207,16 +192,28 @@ def tradeoff_table(budget_bytes: int | None = None,
 # ----------------------------------------------------------------------
 # The cache
 # ----------------------------------------------------------------------
-class HypertreeLayerCache:
-    """Pinned top layers + a replay memo of finished signatures, one key.
+#: A key pair's ``(sk_seed, pk_seed)``: every entry's key starts with it,
+#: then a memo digest, ``(layer, tree)`` or ``(layer, tree, leaf)``, so the
+#: entry key's length names its kind.
+Seed = tuple[bytes, bytes]
+_MEMO, _TREE, _LINK = 2, 3, 4
 
-    Subtrees are keyed ``(layer, tree)`` and held flat (see
+
+class HypertreeLayerCache:
+    """Pinned top layers + a replay memo of finished signatures, every key
+    of one parameter set, least recently used out by bytes.
+
+    Subtrees are keyed ``(seed, layer, tree)`` and held flat (see
     :func:`~repro.runtime.fastops.node_slice`); WOTS link signatures are
-    keyed ``(layer, tree, leaf)``, one buffer of chain values, and only
-    ever cached for ``layer >= 1`` (layer 0 signs the message-dependent
-    FORS pk).  Only entries at or above the pinned floor
-    (``d - pinned_layers``) are kept, and those are never evicted; a
-    store below it is dropped.
+    keyed ``(seed, layer, tree, leaf)``, one buffer of chain values, and
+    only ever cached for ``layer >= 1`` (layer 0 signs the
+    message-dependent FORS pk); signatures are keyed ``(seed, digest)``.
+    Only subtrees and links at or above the pinned floor
+    (``d - pinned_layers``) are kept; a store below it is dropped.  An
+    entry weighs its bytes plus a fixed overhead, a hit makes it the most
+    recent, and a store past ``budget_bytes`` evicts the least recent
+    entries, whatever their key or kind.  One lock guards it all: a
+    service's event loop recalls beside the thread that signs.
     """
 
     def __init__(self, params: SphincsParams | str,
@@ -232,97 +229,112 @@ class HypertreeLayerCache:
         self.pinned_layers = max(0, min(pinned_layers, self.params.d))
         #: Lowest pinned layer; nothing below it is kept.
         self.pinned_floor = self.params.d - self.pinned_layers
-        self.memo_capacity = memo_capacity(self.params, self.budget_bytes,
-                                           self.pinned_layers)
 
-        self._tree_bytes = tree_entry_bytes(self.params)
-        self._link_bytes = link_entry_bytes(self.params)
-        self._memo_bytes = memo_entry_bytes(self.params)
-        self._trees: dict[tuple[int, int], bytes] = {}
-        self._links: dict[tuple[int, int, int], bytes] = {}
-        self._memo: OrderedDict[Hashable, bytes] = OrderedDict()
-        # The memo alone has a second reader: a service's event loop.
-        self._memo_lock = threading.Lock()
-
+        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
+        self._kinds = dict.fromkeys((_MEMO, _TREE, _LINK), 0)
+        self._seeds: dict[Seed, int] = {}  # entries per key
+        self._lock = threading.Lock()
+        self.bytes_used = 0
         self.hits = 0
         self.misses = 0
         self.memo_hits = 0
 
+    def _get(self, entry: tuple) -> bytes | None:
+        """The value under *entry*, now the most recent; lock held."""
+        value = self._entries.get(entry)
+        if value is not None:
+            self._entries.move_to_end(entry)
+        return value
+
+    def _put(self, entry: tuple, value: bytes) -> None:
+        """Keep *value* under *entry*, the least recent out past the
+        budget."""
+        with self._lock:
+            if entry in self._entries:
+                self._forget(entry)
+            self._entries[entry] = value
+            self.bytes_used += len(value) + _ENTRY_OVERHEAD
+            self._kinds[len(entry)] += 1
+            self._seeds[entry[0]] = self._seeds.get(entry[0], 0) + 1
+            while self.bytes_used > self.budget_bytes:
+                self._forget(next(iter(self._entries)))
+
+    def _forget(self, entry: tuple) -> None:
+        """Drop *entry*; lock held."""
+        self.bytes_used -= len(self._entries.pop(entry)) + _ENTRY_OVERHEAD
+        self._kinds[len(entry)] -= 1
+        self._seeds[entry[0]] -= 1
+        if not self._seeds[entry[0]]:
+            del self._seeds[entry[0]]
+
     # ------------------------------------------------------------------
     # Subtrees
     # ------------------------------------------------------------------
-    def lookup_tree(self, layer: int, tree: int) -> bytes | None:
-        nodes = self._trees.get((layer, tree))
-        if nodes is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+    def lookup_tree(self, seed: Seed, layer: int, tree: int) -> bytes | None:
+        with self._lock:
+            nodes = self._get((seed, layer, tree))
+            if nodes is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return nodes
 
-    def store_tree(self, layer: int, tree: int, nodes: bytes) -> None:
+    def store_tree(self, seed: Seed, layer: int, tree: int,
+                   nodes: bytes) -> None:
         if layer >= self.pinned_floor:
-            self._trees[(layer, tree)] = nodes
+            self._put((seed, layer, tree), nodes)
 
     # ------------------------------------------------------------------
     # WOTS link signatures (layer >= 1 only)
     # ------------------------------------------------------------------
-    def lookup_link(self, layer: int, tree: int, leaf: int) -> bytes | None:
-        return self._links.get((layer, tree, leaf))
+    def lookup_link(self, seed: Seed, layer: int, tree: int,
+                    leaf: int) -> bytes | None:
+        with self._lock:
+            return self._get((seed, layer, tree, leaf))
 
-    def store_link(self, layer: int, tree: int, leaf: int,
+    def store_link(self, seed: Seed, layer: int, tree: int, leaf: int,
                    chains: bytes) -> None:
         if layer >= max(1, self.pinned_floor):
-            self._links[(layer, tree, leaf)] = chains
+            self._put((seed, layer, tree, leaf), chains)
 
     # ------------------------------------------------------------------
     # Replay memo
     # ------------------------------------------------------------------
-    def recall(self, key: Hashable) -> bytes | None:
-        """The signature remembered under *key*, now the most recent.
-
+    def recall(self, seed: Seed, digest: bytes) -> bytes | None:
+        """The signature remembered under *digest*, now the most recent.
         A hit counts as a cache hit: it stands for every lookup the
-        replayed signature would have made.
-        """
-        with self._memo_lock:
-            signature = self._memo.get(key)
+        replayed signature would have made."""
+        with self._lock:
+            signature = self._get((seed, digest))
             if signature is not None:
-                self._memo.move_to_end(key)
                 self.memo_hits += 1
         return signature
 
-    def remember(self, key: Hashable, signature: bytes) -> None:
-        """Keep *signature* under *key*, the least recently used out."""
-        with self._memo_lock:
-            self._memo[key] = signature
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.memo_capacity:
-                self._memo.popitem(last=False)
+    def remember(self, seed: Seed, digest: bytes, signature: bytes) -> None:
+        """Keep *signature* under *digest*."""
+        self._put((seed, digest), signature)
 
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop every entry (key rotation / tenant delete)."""
-        self._trees.clear()
-        self._links.clear()
-        with self._memo_lock:
-            self._memo.clear()
-
-    @property
-    def bytes_used(self) -> int:
-        return (len(self._trees) * self._tree_bytes
-                + len(self._links) * self._link_bytes
-                + len(self._memo) * self._memo_bytes)
+    def drop(self, seed: Seed) -> None:
+        """Forget every entry of one key (rotation / tenant delete)."""
+        with self._lock:
+            if seed in self._seeds:
+                for entry in [entry for entry in self._entries
+                              if entry[0] == seed]:
+                    self._forget(entry)
 
     @property
     def stats(self) -> dict[str, int]:
         """Counters: ``hits`` / ``misses`` count subtree lookups, and a
-        memo hit is one more hit."""
+        memo hit is one more hit; ``keys`` counts the keys holding an
+        entry."""
         return {
+            "keys": len(self._seeds),
             "hits": self.hits + self.memo_hits,
             "misses": self.misses,
             "memo_hits": self.memo_hits,
-            "memo_entries": len(self._memo),
+            "memo_entries": self._kinds[_MEMO],
             "bytes": self.bytes_used,
-            "pinned_trees": len(self._trees),
+            "pinned_trees": self._kinds[_TREE],
             "pinned_layers": self.pinned_layers,
             "budget_bytes": self.budget_bytes,
         }

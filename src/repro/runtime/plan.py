@@ -16,7 +16,7 @@ only a piece above a cut, not knowing the root below it, hands a table back.
 
 :class:`SigningPlan` lists those pieces for a batch of prepared messages,
 plus one ``SUBTREE`` fill per pinned subtree on their paths that the
-per-key layer cache does not hold yet (a message its replay memo answered
+layer cache does not hold for the key yet (a message its replay memo answered
 never reaches a plan); :meth:`SigningPlan.stitch` chains the results and
 keeps every fill, so a key's pinned region grows only along the paths its
 traffic walks, each subtree built once.  Who runs the tasks is the
@@ -136,7 +136,8 @@ class SigningPlan:
                  len(piece)) for index, piece in enumerate(self.cuts)]
             path = []
             for layer, tree, leaf in hops:
-                nodes = cache.lookup_tree(layer, tree)  # a miss below it
+                # Below the floor, always a miss.
+                nodes = cache.lookup_tree(ops.seed, layer, tree)
                 if layer >= floor:
                     if nodes is None:
                         wanted.setdefault((layer, tree), set()).add(leaf)
@@ -156,7 +157,7 @@ class SigningPlan:
         ops, params, cache = self.ops, self.ops.params, self.ops.cache
         n, height, pieces = params.n, params.tree_height, len(self.cuts)
         for key, index in self._built_by.items():
-            cache.store_tree(*key, results[index][0])
+            cache.store_tree(ops.seed, *key, results[index][0])
         signatures = []
         for index, path in enumerate(self.paths):
             run = results[index * pieces:(index + 1) * pieces]
@@ -172,7 +173,7 @@ class SigningPlan:
                 if nodes is None:
                     nodes, tables = results[self._built_by[layer, tree]]
                     table = tables[leaf]
-                chains = cache.lookup_link(layer, tree, leaf)
+                chains = cache.lookup_link(ops.seed, layer, tree, leaf)
                 if chains is None:
                     if table is not None:
                         chains = chain_values(
@@ -181,7 +182,7 @@ class SigningPlan:
                         chains = b"".join(
                             ops.wots_sign(node, layer, tree, leaf))
                     # Kept where the layer is pinned, dropped below.
-                    cache.store_link(layer, tree, leaf, chains)
+                    cache.store_link(ops.seed, layer, tree, leaf, chains)
                 ht_sig.append(([chains],
                                flat_auth_path(nodes, leaf, n, height)))
                 node = nodes[-n:]

@@ -3,8 +3,8 @@
 :class:`WorkerPool` keeps N long-lived worker processes that execute
 :mod:`~repro.runtime.plan` tasks — a fused run of one message's layers,
 one pinned XMSS subtree — and keep nothing between them: every task
-names its parameter set and key seeds, and the per-key layer cache stays
-with whoever planned the batch.  A lone request's run comes cut into about
+names its parameter set and key seeds, and the layer cache stays with
+whoever planned the batch.  A lone request's run comes cut into about
 four tasks per worker, a batch's whole: ~17 KB back per 128f signature.
 
 Tasks are handed out pull-style: a worker holds at most

@@ -3,11 +3,12 @@
 Same hashes, far less interpreter overhead.  One shared
 :class:`HashContext` midstate cache feeds every stage; addresses come from
 precomputed templates (:mod:`repro.runtime.fastops`); the top hypertree
-layers' subtrees and WOTS link signatures persist in a per-key
-:class:`~repro.runtime.layercache.HypertreeLayerCache` — they are shared
-by construction, so a warm key recomputes only the message-dependent
-bottom of each path — and in deterministic mode the same object
-remembers finished signatures, so a replayed message is a lookup.
+layers' subtrees and WOTS link signatures persist in the parameter set's
+one :class:`~repro.runtime.layercache.HypertreeLayerCache`, filed under
+each key's seeds — they are shared by construction, so a warm key
+recomputes only the message-dependent bottom of each path — and in
+deterministic mode the same cache remembers finished signatures, so a
+replayed message is a lookup.
 
 Signatures are byte-identical to the scalar backend in deterministic mode
 (pinned by ``tests/runtime``) because every SHA-256 input is unchanged —
@@ -46,9 +47,9 @@ class VectorizedBackend(SigningBackend):
     Parameters
     ----------
     cache_budget_mb:
-        Per-key layer-cache byte budget (pinned top layers + replay
-        memo, sized by :mod:`repro.runtime.layercache`).  Default
-        ``DEFAULT_BUDGET_MB``.
+        The layer cache's byte budget: every key's pinned top layers and
+        replayable signatures together, least recently used out
+        (:mod:`repro.runtime.layercache`).  Default ``DEFAULT_BUDGET_MB``.
     pool:
         A :class:`~.pool.WorkerPool` to run the plan's tasks on — the
         caller's to close, and one may serve every parameter set's
@@ -77,41 +78,25 @@ class VectorizedBackend(SigningBackend):
         if cache_budget_mb is not None and cache_budget_mb <= 0:
             raise BackendError(
                 f"cache_budget_mb must be > 0, got {cache_budget_mb}")
-        self._budget_bytes = int(
-            (cache_budget_mb or DEFAULT_BUDGET_MB) * 1024 * 1024)
         self.ctx: HashContext = self._scheme.ctx  # shared midstate cache
-        self._fastops: dict[tuple[bytes, bytes], FastOps] = {}
+        self.cache = HypertreeLayerCache(self.params, int(
+            (cache_budget_mb or DEFAULT_BUDGET_MB) * 1024 * 1024))
         self.verifier: FastVerifier | None = None
         self._verifier_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _ops(self, keys: KeyPair) -> FastOps:
-        key = (keys.sk_seed, keys.pk_seed)
-        ops = self._fastops.get(key)
-        if ops is None:
-            if len(self._fastops) >= 8:  # a service signs under few keys
-                self._fastops.pop(next(iter(self._fastops)))
-            ops = FastOps(self.ctx, keys.sk_seed, keys.pk_seed,
-                          HypertreeLayerCache(self.params,
-                                              self._budget_bytes))
-            self._fastops[key] = ops
-        return ops
+        """This call's signing primitives for *keys*, on the shared cache."""
+        return FastOps(self.ctx, keys.sk_seed, keys.pk_seed, self.cache)
 
     # ------------------------------------------------------------------
     def invalidate_key(self, keys: KeyPair) -> None:
         """Drop all cached state for *keys* (rotation / tenant delete)."""
-        self._fastops.pop((keys.sk_seed, keys.pk_seed), None)
+        self.cache.drop((keys.sk_seed, keys.pk_seed))
 
     def cache_stats(self) -> dict[str, int]:
-        """Aggregate layer-cache counters across every resident key."""
-        totals: dict[str, int] = {"keys": len(self._fastops)}
-        for ops in self._fastops.values():
-            for field, value in ops.cache.stats.items():
-                if field in ("pinned_layers", "budget_bytes"):
-                    totals[field] = max(totals.get(field, 0), value)
-                else:
-                    totals[field] = totals.get(field, 0) + value
-        return totals
+        """The layer cache's counters, every key's entries together."""
+        return self.cache.stats
 
     # ------------------------------------------------------------------
     def hash_context(self) -> HashContext:
@@ -137,31 +122,29 @@ class VectorizedBackend(SigningBackend):
             return self._scheme.keygen(seed=seed)
         sk_seed, sk_prf, pk_seed = seed[:n], seed[n:2 * n], seed[2 * n:]
         keys = KeyPair(sk_seed, sk_prf, pk_seed, b"")
-        ops = self._ops(keys)  # bounded insert; shares the eviction policy
-        return KeyPair(sk_seed, sk_prf, pk_seed, ops.root())
+        return KeyPair(sk_seed, sk_prf, pk_seed, self._ops(keys).root())
 
     # ------------------------------------------------------------------
     @staticmethod
     def _memo_key(message: bytes, keys: KeyPair) -> bytes:
-        """With ``opt_rand = pk_seed``, R = PRF_msg(sk_prf, pk_seed, M): in
-        one ``(sk_seed, pk_seed)`` cache a signature is a pure function of
+        """With ``opt_rand = pk_seed``, R = PRF_msg(sk_prf, pk_seed, M):
+        under one ``(sk_seed, pk_seed)`` a signature is a pure function of
         ``sk_prf`` and the message, so one hash of the two names it."""
         return hashlib.sha256(keys.sk_prf + message).digest()
 
     def recall(self, message: bytes, keys: KeyPair) -> bytes | None:
         """The remembered signature of *message* or ``None``: one hash and a
         lookup, safe beside a running :meth:`sign_batch`, and nothing built."""
-        ops = self._fastops.get((keys.sk_seed, keys.pk_seed))
-        return None if ops is None else ops.cache.recall(
-            self._memo_key(message, keys))
+        return self.cache.recall((keys.sk_seed, keys.pk_seed),
+                                 self._memo_key(message, keys))
 
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:
         started = time.perf_counter()
-        ops, scheme = self._ops(keys), self._scheme
+        scheme, seed = self._scheme, (keys.sk_seed, keys.pk_seed)
         if self.deterministic:
             memo_keys = [self._memo_key(message, keys) for message in messages]
-            signatures = [ops.cache.recall(key) for key in memo_keys]
+            signatures = [self.cache.recall(seed, key) for key in memo_keys]
         else:  # R never repeats: the memo stays empty, every message misses
             memo_keys, signatures = range(len(messages)), [None] * len(messages)
         # A memo key missed twice in one batch is planned once, the first time.
@@ -175,16 +158,16 @@ class VectorizedBackend(SigningBackend):
         run = TaskRun([], {"fors": 0.0})
         if missed:
             plan = SigningPlan(
-                ops, list(sign_tasks.values()),
-                cut(ops.cache.pinned_floor, self._workers, len(missed)))
-            run = self._run_tasks(plan.tasks, keys)
+                self._ops(keys), list(sign_tasks.values()),
+                cut(self.cache.pinned_floor, self._workers, len(missed)))
+            run = self._run_tasks(plan, keys)
             pieces = plan.stitch(run.results, keys.pk_root)
             stitched = time.perf_counter()
             for index, (fors_sig, ht_sig) in zip(missed, pieces):
                 signature = signatures[index] = scheme.assemble(
                     sign_tasks[index], fors_sig, ht_sig)
                 if self.deterministic:
-                    ops.cache.remember(memo_keys[index], signature)
+                    self.cache.remember(seed, memo_keys[index], signature)
             signatures = [signature or signatures[first[key]]
                           for key, signature in zip(memo_keys, signatures)]
         # "hypertree" is what this process spent between prepare and
@@ -195,7 +178,7 @@ class VectorizedBackend(SigningBackend):
         stage_seconds["serialize"] = time.perf_counter() - stitched
         return self._timed_result(
             signatures, started, stage_seconds=stage_seconds,
-            cache_stats={**ops.cache.stats, **run.stats},
+            cache_stats={**self.cache.stats, **run.stats},
             workers=run.workers)
 
     def _verify_pairs(self, messages: Sequence[bytes],
@@ -206,13 +189,13 @@ class VectorizedBackend(SigningBackend):
                 self.verifier = FastVerifier(self.params)
         return self.verifier.verify_batch(messages, signatures, public_key)
 
-    def _run_tasks(self, tasks: Sequence[tuple], keys: KeyPair) -> TaskRun:
-        """Run the plan's *tasks* under *keys*: on the pool, else here and
-        in order."""
+    def _run_tasks(self, plan: SigningPlan, keys: KeyPair) -> TaskRun:
+        """Run *plan*'s tasks under *keys*: on the pool, else here and in
+        order."""
+        tasks = plan.tasks
         if self.pool is not None:
             return self.pool.run(self.params.name, keys, tasks)
-        ops = self._ops(keys)
-        results = [run_task(ops, task) for task in tasks]
+        results = [run_task(plan.ops, task) for task in tasks]
         fors_s = sum(result[-1] for task, result in zip(tasks, results)
                      if task[0] == RUN)
         return TaskRun(results, {"fors": fors_s},

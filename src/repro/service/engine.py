@@ -50,15 +50,15 @@ class SigningEngine:
         one pool under every parameter set, started here and stopped by
         :meth:`close`.
     cache_budget_mb:
-        The per-key layer-cache budget of each backend: it sets the
-        pinned layer count and the replay memo's capacity (default
-        :data:`~repro.runtime.layercache.DEFAULT_BUDGET_MB`).  A pinned
-        subtree is filled by the first plan whose path needs it, beside
-        that message's run.
+        Each backend's layer-cache budget, all keys of its parameter set
+        together: it sets the pinned layer count and bounds every pinned
+        subtree and replayable signature, least recently used out
+        (default :data:`~repro.runtime.layercache.DEFAULT_BUDGET_MB`).  A
+        pinned subtree is filled by the first plan whose path needs it,
+        beside that message's run.
 
     One :class:`~repro.runtime.vectorized.VectorizedBackend` per parameter
-    set, built on first use; it keeps at most 8 keys' layer caches
-    resident (``VectorizedBackend._ops``), oldest out.
+    set, built on first use, each with one layer cache for all its keys.
     """
 
     def __init__(self, keystore: Keystore, *, deterministic: bool = False,

@@ -316,8 +316,8 @@ class Keystore:
         """Remove a tenant, its keys, and its on-disk shard file.
 
         Listeners get one ``("tenant-deleted", name, key_name,
-        old_keys)`` event per key the tenant held, so per-key caches can
-        be invalidated individually.
+        old_keys)`` event per key the tenant held, so each key's cached
+        state can be invalidated individually.
         """
         record = self._record(name)
         self._tenants.pop(name, None)

@@ -16,9 +16,8 @@ Design notes
 * **Signing runs off the event loop, one batch at a time.**
   ``sign_batch`` is CPU-bound Python, so dispatch hands it to the
   default executor.  The batcher's one drain task is the only place a
-  batch starts, earliest deadline first, so batches never overlap — the
-  per-key layer caches are not thread-safe, and one batch already uses
-  every core there is to use.  A replay is answered on the loop.
+  batch starts, earliest deadline first, so batches never overlap — one
+  batch already uses every core there is to use.  A replay is answered on the loop.
 * **A worker pool scales across cores.**  With ``workers=N`` the engine
   spreads every batch's signing plan over a persistent
   :class:`~repro.runtime.pool.WorkerPool` (even a batch of one uses all

@@ -307,7 +307,7 @@ def render_snapshot(snapshot: dict, title: str = "Signing service telemetry") ->
               c.get("pinned_layers", 0)]
              for scope, c in sorted(scopes.items())],
             title="Hypertree layer caches"
-            + (f" (budget {budget} MB/key)" if budget else ""),
+            + (f" (budget {budget} MB/set)" if budget else ""),
         ))
 
     queue = snapshot.get("queue", {})

@@ -273,8 +273,8 @@ class CachedNodeFault(_Fault):
     def apply(self, ops, idx_tree: int) -> str:
         """Corrupt the cached subtree that signing *idx_tree* traverses.
 
-        *ops* is the backend's per-key :class:`~.runtime.fastops.FastOps`
-        instance; its layer cache must pin the target subtree's layer.
+        *ops* is the backend's :class:`~.runtime.fastops.FastOps` for the
+        key; its layer cache must pin the target subtree's layer.
         Returns a human-readable detail string for the report.
         """
         params = ops.params
@@ -315,9 +315,9 @@ class CachedNodeFault(_Fault):
             # replace it with one over the corrupted root (a fresh link
             # that verifies), as a signer without the stale one would.
             parent = (layer + 1, tree >> th, tree & (params.tree_leaves - 1))
-            ops.cache.store_link(*parent, b"".join(
+            ops.cache.store_link(ops.seed, *parent, b"".join(
                 ops.wots_sign(bytes(nodes[-n:]), *parent)))
-        ops.cache.store_tree(layer, tree, bytes(nodes))
+        ops.cache.store_tree(ops.seed, layer, tree, bytes(nodes))
         self._ran()
         mode = ("ancestors recomputed, still verifies"
                 if self.consistent else "auth path left stale")
@@ -456,9 +456,9 @@ class MemoFault(_Fault):
         """Swap the corrupting ``remember`` in for the ``with`` block."""
         original = HypertreeLayerCache.remember
 
-        def remember(cache, key, signature):
+        def remember(cache, seed, digest, signature):
             self._ran()
-            original(cache, key, flip_bit(signature, self.bit))
+            original(cache, seed, digest, flip_bit(signature, self.bit))
 
         return self._swapped(HypertreeLayerCache, "remember", remember)
 

@@ -79,13 +79,13 @@ def warm_key(walked_region):
     cache for *keys* with the whole walked region — what a fully warm key
     holds — and return that cache."""
     def seed(backend, keys):
-        cache = backend._ops(keys).cache
+        cache, seed = backend.cache, (keys.sk_seed, keys.pk_seed)
         trees, links = walked_region(backend.params, keys,
                                      cache.pinned_floor)
         for (layer, tree), nodes in trees.items():
-            cache.store_tree(layer, tree, nodes)
+            cache.store_tree(seed, layer, tree, nodes)
         for (layer, tree, leaf), chains in links.items():
-            cache.store_link(layer, tree, leaf, chains)
+            cache.store_link(seed, layer, tree, leaf, chains)
         return cache
 
     return seed

@@ -1,14 +1,14 @@
-"""The per-key hypertree layer cache: model, lifecycle, and byte-identity.
+"""The hypertree layer cache: model, lifecycle, and byte-identity.
 
 Three properties carry the whole feature:
 
 * the **model** (``repro.runtime.layercache``) sizes pinned regions
   sanely — budgets map to layer counts monotonically and the cap on
   filling a whole region is honored;
-* the **cache** itself is a correct two-part store — pinned entries
-  survive any pressure, nothing below the pinned layers is kept, memoised
-  signatures go oldest-first within the byte budget, and invalidation
-  really forgets;
+* the **cache** itself is one store per parameter set — every key's
+  subtrees, links and memoised signatures share one byte budget, least
+  recently used out, nothing below the pinned layers is kept, and
+  invalidating one key forgets that key only;
 * a **warm cache changes no bytes** — cached-vs-cold signatures are
   identical on every pinned KAT parameter set, what signing fills is the
   reference region's (``walked_region`` in ``tests/conftest.py``), and
@@ -29,8 +29,6 @@ from repro.runtime.layercache import (
     HypertreeLayerCache,
     choose_pinned_layers,
     link_entry_bytes,
-    memo_capacity,
-    memo_entry_bytes,
     pinned_bytes,
     pinned_link_count,
     pinned_tree_count,
@@ -60,6 +58,22 @@ def _fake_nodes(params) -> bytes:
 
 def _fake_signature(params, tag: int) -> bytes:
     return tag.to_bytes(4, "big") * (params.sig_bytes // 4)
+
+
+def _fake_chains(params) -> bytes:
+    """A link signature's worth: one chain value per WOTS chain."""
+    return bytes(params.wots_len * params.n)
+
+
+#: Two keys' seeds, ``(sk_seed, pk_seed)``.
+SEED, OTHER = (bytes(16), bytes(16)), (bytes(16), b"\x01" * 16)
+
+
+def _memo_entry_bytes(params) -> int:
+    """What one remembered signature weighs in the cache."""
+    cache = HypertreeLayerCache(params, pinned_layers=0)
+    cache.remember(SEED, b"digest", _fake_signature(params, 0))
+    return cache.stats["bytes"]
 
 
 class TestModel:
@@ -107,18 +121,10 @@ class TestModel:
             assert row["pinned_layers"] >= 1, row
             assert 0.0 < row["saved_fraction"] < 1.0, row
             assert row["prewarm_hashes"] <= 600_000, row
-            # The memo gets what the pinned layers leave: at least half.
+            # One key's whole region fits half the set's budget.
             params = get_params(row["params"])
-            assert (budget // 2 <= row["memo_entries"]
-                    * memo_entry_bytes(params) <= budget), row
-
-    def test_memo_capacity_is_the_budget_the_pinned_layers_leave(self):
-        params = get_params("128f")
-        full = pinned_bytes(params, 3)
-        entry = memo_entry_bytes(params)
-        assert memo_capacity(params, full, 3) == 0
-        assert memo_capacity(params, full + 5 * entry + 1, 3) == 5
-        assert memo_capacity(params, 0, 3) == 0
+            assert row["warm_keys"] == budget // pinned_bytes(
+                params, row["pinned_layers"]) >= 2, row
 
     def test_prewarm_costs_the_subtree_builds_and_keeps_each_sets_layers(
             self):
@@ -150,17 +156,19 @@ class TestCacheLifecycle:
         params = get_params("128f")
         top = params.d - 1
         cache = HypertreeLayerCache(params, pinned_layers=1)
-        assert cache.lookup_tree(top, 0) is None
-        cache.store_tree(top, 0, _fake_nodes(params))
-        assert cache.lookup_tree(top, 0) is not None
-        assert cache.stats["misses"] == 1
+        assert cache.lookup_tree(SEED, top, 0) is None
+        cache.store_tree(SEED, top, 0, _fake_nodes(params))
+        assert cache.lookup_tree(SEED, top, 0) is not None
+        assert cache.lookup_tree(OTHER, top, 0) is None  # another key's
+        assert cache.stats["misses"] == 2
         assert cache.stats["hits"] == 1
         # A memo hit is one more hit; a memo miss is not a miss (the
         # subtree lookups that follow it are).
-        assert cache.recall("key") is None
-        cache.remember("key", b"signature")
-        assert cache.recall("key") == b"signature"
-        assert cache.stats["misses"] == 1
+        assert cache.recall(SEED, b"digest") is None
+        cache.remember(SEED, b"digest", b"signature")
+        assert cache.recall(SEED, b"digest") == b"signature"
+        assert cache.recall(OTHER, b"digest") is None
+        assert cache.stats["misses"] == 2
         assert cache.stats["hits"] == 2
         assert cache.stats["memo_hits"] == 1
 
@@ -169,93 +177,97 @@ class TestCacheLifecycle:
         cache = HypertreeLayerCache(params, pinned_layers=2)
         floor = cache.pinned_floor
         assert floor == params.d - 2
-        cache.store_tree(floor - 1, 0, _fake_nodes(params))
-        cache.store_link(floor - 1, 0, 0, b"chain")
-        assert cache.lookup_tree(floor - 1, 0) is None
-        assert cache.lookup_link(floor - 1, 0, 0) is None
-        assert cache.bytes_used == 0
+        cache.store_tree(SEED, floor - 1, 0, _fake_nodes(params))
+        cache.store_link(SEED, floor - 1, 0, 0, _fake_chains(params))
+        assert cache.lookup_tree(SEED, floor - 1, 0) is None
+        assert cache.lookup_link(SEED, floor - 1, 0, 0) is None
+        assert cache.stats["bytes"] == cache.stats["keys"] == 0
 
     def test_lru_evicts_oldest_under_byte_pressure(self):
         params = get_params("128f")
-        budget = 2 * memo_entry_bytes(params)
+        budget = 2 * _memo_entry_bytes(params)
         cache = HypertreeLayerCache(params, budget_bytes=budget,
                                     pinned_layers=0)
-        assert cache.memo_capacity == 2
         for tag in range(4):
-            cache.remember(tag, _fake_signature(params, tag))
+            cache.remember((SEED, OTHER)[tag % 2], bytes([tag]),
+                           _fake_signature(params, tag))
         assert cache.stats["memo_entries"] == 2
-        assert cache.bytes_used <= budget
-        assert cache.recall(0) is None  # oldest, gone
-        assert cache.recall(3) == _fake_signature(params, 3)
+        assert cache.stats["bytes"] <= budget
+        assert cache.recall(SEED, bytes([0])) is None  # oldest, gone
+        assert cache.recall(OTHER, bytes([3])) == _fake_signature(params, 3)
 
     def test_lookup_refreshes_recency(self):
         params = get_params("128f")
-        cache = HypertreeLayerCache(
-            params, budget_bytes=2 * memo_entry_bytes(params),
-            pinned_layers=0)
-        cache.remember(0, _fake_signature(params, 0))
-        cache.remember(1, _fake_signature(params, 1))
-        cache.recall(0)  # 0 becomes most-recent
-        cache.remember(2, _fake_signature(params, 2))  # evicts 1, not 0
-        assert cache.recall(1) is None
-        assert cache.recall(0) is not None
-
-    def test_pinned_entries_survive_pressure(self):
-        params = get_params("128f")
         top = params.d - 1
         cache = HypertreeLayerCache(
-            params, budget_bytes=pinned_bytes(params, 1)
-            + 2 * memo_entry_bytes(params), pinned_layers=1)
-        cache.store_tree(top, 0, _fake_nodes(params))  # pinned region
-        cache.store_link(top, 0, 3, b"chain")
-        for tag in range(6):
-            cache.remember(tag, _fake_signature(params, tag))
-        assert cache.lookup_tree(top, 0) is not None
-        assert cache.lookup_link(top, 0, 3) == b"chain"
-        assert cache.stats["pinned_trees"] == 1
-        assert cache.stats["memo_entries"] == 2
-        assert cache.bytes_used <= cache.budget_bytes
+            params, pinned_layers=1,
+            budget_bytes=tree_entry_bytes(params)
+            + 2 * _memo_entry_bytes(params))
+        cache.store_tree(SEED, top, 0, _fake_nodes(params))
+        cache.remember(SEED, b"0", _fake_signature(params, 0))
+        cache.remember(OTHER, b"1", _fake_signature(params, 1))
+        cache.recall(SEED, b"0")  # 0 becomes most-recent
+        cache.lookup_tree(SEED, top, 0)  # ... then the tree
+        cache.remember(OTHER, b"2", _fake_signature(params, 2))  # evicts 1
+        assert cache.recall(OTHER, b"1") is None
+        assert cache.recall(SEED, b"0") is not None
+        assert cache.lookup_tree(SEED, top, 0) is not None
 
     def test_layer0_links_never_cached(self):
         params = get_params("128f")
         cache = HypertreeLayerCache(params, pinned_layers=params.d)
-        cache.store_link(0, 0, 0, b"chain")
-        assert cache.lookup_link(0, 0, 0) is None
-        cache.store_link(1, 0, 0, b"chain")
-        assert cache.lookup_link(1, 0, 0) == b"chain"
+        cache.store_link(SEED, 0, 0, 0, b"chain")
+        assert cache.lookup_link(SEED, 0, 0, 0) is None
+        cache.store_link(SEED, 1, 0, 0, b"chain")
+        assert cache.lookup_link(SEED, 1, 0, 0) == b"chain"
 
-    def test_link_budget_accounting(self):
-        """A fully populated pinned region plus a full memo is the
-        budget: every link a pinned tree can hold is in the model."""
+    def test_entries_weigh_what_the_model_says(self):
+        """A fully populated pinned region weighs ``pinned_bytes``, every
+        link a pinned tree can hold included; signatures past the budget
+        then evict the oldest entries, pinned or not."""
         params = get_params("128f")
         leaves, top = params.tree_leaves, params.d - 1
-        budget = pinned_bytes(params, 2) + 3 * memo_entry_bytes(params)
+        budget = pinned_bytes(params, 2) + 3 * _memo_entry_bytes(params)
         cache = HypertreeLayerCache(params, budget_bytes=budget,
                                     pinned_layers=2)
         for layer, trees in ((top, 1), (top - 1, leaves)):
             for tree in range(trees):
-                cache.store_tree(layer, tree, _fake_nodes(params))
+                cache.store_tree(SEED, layer, tree, _fake_nodes(params))
                 for leaf in range(leaves):
-                    cache.store_link(layer, tree, leaf, b"chain")
-        assert cache.bytes_used == pinned_bytes(params, 2)
-        assert (cache.bytes_used - (1 + leaves) * tree_entry_bytes(params)
+                    cache.store_link(SEED, layer, tree, leaf,
+                                     _fake_chains(params))
+        assert cache.stats["bytes"] == pinned_bytes(params, 2)
+        assert (cache.stats["bytes"]
+                - (1 + leaves) * tree_entry_bytes(params)
                 == (1 + leaves) * leaves * link_entry_bytes(params))
-        for tag in range(5):
-            cache.remember(tag, _fake_signature(params, tag))
-        assert cache.bytes_used == budget
+        for tag in range(3):
+            cache.remember(SEED, bytes([tag]), _fake_signature(params, tag))
+        assert cache.stats["bytes"] == budget
+        cache.remember(SEED, b"past", _fake_signature(params, 3))
+        assert cache.stats["bytes"] <= budget
+        assert cache.lookup_tree(SEED, top, 0) is None  # the oldest went
+        assert cache.stats["memo_entries"] == 4
 
-    def test_clear_forgets_everything(self):
+    def test_drop_forgets_one_key_only(self):
         params = get_params("128f")
+        top = params.d - 1
         cache = HypertreeLayerCache(params, pinned_layers=2)
-        cache.store_tree(params.d - 1, 0, _fake_nodes(params))
-        cache.store_link(params.d - 1, 0, 0, b"chain")
-        cache.remember("key", _fake_signature(params, 1))
-        assert cache.bytes_used > 0
-        cache.clear()
-        assert cache.bytes_used == 0
-        assert cache.lookup_tree(params.d - 1, 0) is None
-        assert cache.lookup_link(params.d - 1, 0, 0) is None
-        assert cache.recall("key") is None
+        for seed in (SEED, OTHER):
+            cache.store_tree(seed, top, 0, _fake_nodes(params))
+            cache.store_link(seed, top, 0, 0, _fake_chains(params))
+            cache.remember(seed, b"digest", _fake_signature(params, 1))
+        assert cache.stats["keys"] == 2
+        cache.drop(SEED)
+        cache.drop(SEED)  # a second drop finds nothing
+        assert cache.stats["keys"] == 1
+        assert cache.stats["bytes"] == tree_entry_bytes(params) \
+            + link_entry_bytes(params) + _memo_entry_bytes(params)
+        assert cache.lookup_tree(SEED, top, 0) is None
+        assert cache.lookup_link(SEED, top, 0, 0) is None
+        assert cache.recall(SEED, b"digest") is None
+        assert cache.recall(OTHER, b"digest") is not None
+        cache.drop(OTHER)
+        assert cache.stats["bytes"] == cache.stats["keys"] == 0
 
 
 class TestBackendIntegration:
@@ -289,16 +301,39 @@ class TestBackendIntegration:
                                   deterministic=True, **options)
             backend.sign_batch(messages[:1], keys)
             backend.sign_batch(messages[1:], keys)
-            cache = backend._ops(keys).cache
+            cache = backend.cache
             trees, links = walked_region(params, keys, cache.pinned_floor)
-            assert cache._trees and all(
-                trees[key] == nodes for key, nodes in cache._trees.items())
-            above = {key: chains for key, chains in cache._links.items()
-                     if key[0] > cache.pinned_floor}
+            cached = {entry[1:]: value
+                      for entry, value in cache._entries.items()
+                      if entry[0] == (keys.sk_seed, keys.pk_seed)}
+            assert [key for key in cached if len(key) == 2] and all(
+                trees[key] == nodes for key, nodes in cached.items()
+                if len(key) == 2)
+            above = {key: chains for key, chains in cached.items()
+                     if len(key) == 3 and key[0] > cache.pinned_floor}
             assert all(links[key] == chains
                        for key, chains in above.items())
             if cache.pinned_layers > 1:
                 assert above
+
+    def test_many_keys_past_a_small_budget_stay_inside_it(self):
+        """Fresh signatures under nine keys push a 0.1 MiB budget (about
+        five signatures' worth) past it again and again: the bytes never
+        pass it, idle keys' entries go, and the key that signs every
+        round keeps its top-layer subtree."""
+        params = get_params("128f")
+        backend = get_backend("vectorized", "128f", deterministic=True,
+                              cache_budget_mb=0.1)
+        busy, *others = [backend.keygen(seed=bytes([index]) * 48)
+                         for index in range(9)]
+        top = (busy.sk_seed, busy.pk_seed), params.d - 1, 0
+        for turn, keys in enumerate(others):
+            for signer in (keys, busy):
+                backend.sign_batch([b"fresh %d" % turn], signer)
+                stats = backend.cache_stats()
+                assert stats["bytes"] <= stats["budget_bytes"]
+            assert backend.cache.lookup_tree(*top) is not None
+        assert stats["pinned_layers"] == 2 and stats["keys"] < 9
 
     def test_warm_signatures_match_scalar(self, warm_key):
         scalar = get_backend("scalar", "128f", deterministic=True)
@@ -313,9 +348,10 @@ class TestBackendIntegration:
         backend = get_backend("vectorized", "128f", deterministic=True)
         keys = backend.keygen(seed=_seed("128f"))
         warm_key(backend, keys)
-        assert backend.cache_stats().get("pinned_trees", 0) > 0
+        assert backend.cache_stats()["pinned_trees"] > 0
         backend.invalidate_key(keys)
-        assert backend.cache_stats() == {"keys": 0}
+        stats = backend.cache_stats()
+        assert stats["keys"] == stats["bytes"] == stats["pinned_trees"] == 0
 
     @pytest.mark.parametrize("params_name", KAT_SETS)
     def test_cached_vs_cold_byte_identity(self, params_name, warm_key):
@@ -438,5 +474,5 @@ class TestPoolCache:
                 == cache["pinned_trees"]
             # Invalidation is local too, and signing recovers from it.
             backend.invalidate_key(keys)
-            assert backend.cache_stats() == {"keys": 0}
+            assert backend.cache_stats()["bytes"] == 0
             assert backend.sign_batch(messages, keys).signatures == expected

@@ -1,9 +1,10 @@
 """The replay memo: a signature seen before is a lookup, byte for byte.
 
-In deterministic mode ``R = PRF_msg(sk_prf, pk_seed, M)``, so inside one
-``(sk_seed, pk_seed)`` cache a signature is a pure function of ``sk_prf``
-and the message; ``VectorizedBackend`` keeps finished signatures under
-SHA-256(``sk_prf`` || message) and answers a replay without a plan and
+In deterministic mode ``R = PRF_msg(sk_prf, pk_seed, M)``, so under one
+``(sk_seed, pk_seed)`` a signature is a pure function of ``sk_prf`` and
+the message; ``VectorizedBackend`` keeps finished signatures under the
+key's seeds and SHA-256(``sk_prf`` || message), in its parameter set's
+one layer cache, and answers a replay without a plan and
 without ``prepare``: no PRF_msg, no H_msg, no FORS, no subtree, no
 stitch, no pool trip — one hash of the message and a lookup.
 Randomized, the randomizer never repeats and the memo is neither read
@@ -17,6 +18,9 @@ replay through the pool handing it no task:
 import asyncio
 import sys
 import threading
+from collections import OrderedDict
+
+import pytest
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -26,8 +30,9 @@ from test_fast_verify import RecordingContext
 
 from repro.params import get_params
 from repro.runtime import get_backend
-from repro.runtime.layercache import (HypertreeLayerCache, memo_entry_bytes,
-                                      pinned_bytes)
+from repro.runtime.layercache import HypertreeLayerCache
+from repro.service import Keystore, derive_seed
+from repro.service.engine import SigningEngine
 from repro.sphincs.signer import Sphincs
 
 
@@ -78,7 +83,7 @@ def test_recall_answers_without_preparing_the_message():
 
 
 def test_key_pairs_differing_only_in_sk_prf_never_share_a_signature():
-    """Same ``sk_seed`` and ``pk_seed`` (so one layer cache, one memo),
+    """Same ``sk_seed`` and ``pk_seed`` (so one key in the layer cache),
     another ``sk_prf``: another randomizer, another signature."""
     n = get_params("128f").n
     backend = get_backend("vectorized", "128f", deterministic=True)
@@ -135,9 +140,53 @@ def test_invalidated_key_forgets_its_signatures():
     signature = backend.sign(b"rotate me", keys)
     assert backend.cache_stats()["memo_entries"] == 1
     backend.invalidate_key(keys)
-    assert backend.cache_stats() == {"keys": 0}
+    stats = backend.cache_stats()
+    assert stats["keys"] == stats["memo_entries"] == stats["bytes"] == 0
     assert backend.sign(b"rotate me", keys) == signature
     assert backend.cache_stats()["memo_hits"] == 0
+
+
+@pytest.mark.parametrize("count", [9, 64])
+def test_replays_under_many_keys_are_memo_hits(count):
+    """One message per key under *count* keys of one set, signed once and
+    replayed twice round-robin: every replay is a memo hit and prepares
+    nothing, however many keys there are.  Rotating one key re-signs its
+    message under the new key while every other key still hits."""
+    tenants = [f"tenant-{index:02d}" for index in range(count)]
+    keystore = Keystore()
+    for tenant in tenants:
+        keystore.add_tenant(tenant, "128f")
+        keystore.generate_key(tenant, "default",
+                              seed=derive_seed(f"{tenant}/default", 16))
+    engine = SigningEngine(keystore, deterministic=True)
+
+    def sign(tenant):
+        result, _ = engine.sign_batch(tenant, "default", [messages[tenant]])
+        return result.signatures[0]
+
+    try:
+        backend = engine.backend_for("SPHINCS+-128f")
+        messages = {tenant: f"attestation of {tenant}".encode()
+                    for tenant in tenants}
+        signed = {tenant: sign(tenant) for tenant in tenants}
+        prepared = _spy_on_prepare(backend)
+        for _ in range(2):
+            for tenant in tenants:
+                assert sign(tenant) == signed[tenant]
+        assert prepared == []
+        assert backend.cache_stats()["memo_hits"] == 2 * count
+        rotated, *others = tenants
+        new_keys = keystore.rotate_key(rotated, "default")
+        assert sign(rotated) == Sphincs("128f", deterministic=True).sign(
+            messages[rotated], new_keys) != signed[rotated]
+        assert prepared == [messages[rotated]]
+        for tenant in others:
+            assert sign(tenant) == signed[tenant]
+        assert prepared == [messages[rotated]]
+        assert backend.cache_stats()["memo_hits"] == 3 * count - 1
+        assert backend.cache_stats()["keys"] == count
+    finally:
+        engine.close()
 
 
 def test_rotation_serves_the_new_keys_signature():
@@ -203,22 +252,30 @@ def test_cache_table_and_stats_verb_report_the_memo():
     assert "evictions" not in table and "link" not in table
 
 
+_PARAMS = get_params("128f")
+
+
+def _weight(value: bytes) -> int:
+    """What *value* weighs as one cache entry."""
+    cache = HypertreeLayerCache(_PARAMS, pinned_layers=0)
+    cache.remember(b"seed", b"digest", value)
+    return cache.stats["bytes"]
+
+
 def test_memo_survives_a_recalling_thread_beside_a_remembering_one():
     """A service's event loop recalls while its executor thread
-    remembers past capacity: unlocked, ``get`` then ``move_to_end`` meets
-    the other thread's ``popitem`` (``KeyError``) and ``memo_hits += 1``
-    loses updates."""
-    params, capacity = get_params("128f"), 4
-    cache = HypertreeLayerCache(
-        params, pinned_layers=0,
-        budget_bytes=capacity * memo_entry_bytes(params))
-    assert cache.memo_capacity == capacity
+    remembers past the budget: unlocked, ``get`` then ``move_to_end``
+    meets the other thread's eviction (``KeyError``) and
+    ``memo_hits += 1`` loses updates."""
+    capacity = 4
+    cache = HypertreeLayerCache(_PARAMS, pinned_layers=0,
+                                budget_bytes=capacity * _weight(b"signature"))
     errors, done = [], threading.Event()
 
     def remember():
         try:
             for key in range(100_000):
-                cache.remember(key % 8, b"signature")
+                cache.remember(b"seed", key % 8, b"signature")
         except Exception as exc:  # noqa: BLE001 — the finding itself
             errors.append(exc)
         finally:
@@ -231,7 +288,7 @@ def test_memo_survives_a_recalling_thread_beside_a_remembering_one():
         writer.start()
         observed = key = 0
         while not done.is_set():
-            observed += cache.recall(key % 8) is not None
+            observed += cache.recall(b"seed", key % 8) is not None
             key += 1
         writer.join(timeout=30)
     finally:
@@ -243,89 +300,125 @@ def test_memo_survives_a_recalling_thread_beside_a_remembering_one():
 
 
 # ----------------------------------------------------------------------
-# Model-based: the cache against a dict and a recency list
+# Model-based: the cache against an LRU-by-bytes reference
 # ----------------------------------------------------------------------
-_PARAMS = get_params("128f")
 _PINNED = 2
-_CAPACITY = 3
+_SEEDS = [(bytes([index]) * 16, bytes(16)) for index in range(3)]
+#: About six small entries: stores evict all the time.
+_BUDGET = 6 * _weight(bytes(24))
 
 
 class CacheMachine(RuleBasedStateMachine):
-    """Pinned stores are kept for good or dropped by layer; the memo is a
-    bounded LRU; the byte count never passes the budget."""
+    """Several keys' subtrees, links and signatures under one byte
+    budget: the cache is an ordered dict whose least recent entries go
+    first, by bytes, and nothing below the pinned floor ever enters."""
 
     def __init__(self):
         super().__init__()
-        self.cache = HypertreeLayerCache(
-            _PARAMS, pinned_layers=_PINNED,
-            budget_bytes=pinned_bytes(_PARAMS, _PINNED)
-            + _CAPACITY * memo_entry_bytes(_PARAMS) + 17)
-        self.memo: dict[int, bytes] = {}
-        self.recency: list[int] = []  # least recent first
-        self.trees: set = set()
-        self.links: set = set()
+        self.cache = HypertreeLayerCache(_PARAMS, pinned_layers=_PINNED,
+                                         budget_bytes=_BUDGET)
+        self.model: OrderedDict[tuple, bytes] = OrderedDict()
+        self.dropped: set = set()  # seeds dropped and not stored since
 
-    def _touch(self, key: int) -> None:
-        if key in self.recency:
-            self.recency.remove(key)
-        self.recency.append(key)
+    def _bytes(self) -> int:
+        return sum(_weight(value) for value in self.model.values())
 
-    @rule(key=st.integers(0, 7), value=st.binary(min_size=1, max_size=8))
-    def remember(self, key, value):
-        self.cache.remember(key, value)
-        self.memo[key] = value
-        self._touch(key)
-        while len(self.recency) > _CAPACITY:
-            del self.memo[self.recency.pop(0)]
+    def _store(self, entry, value) -> None:
+        self.dropped.discard(entry[0])
+        self.model.pop(entry, None)
+        self.model[entry] = value
+        while self._bytes() > _BUDGET:
+            self.model.popitem(last=False)
 
-    @rule(key=st.integers(0, 7))
-    def recall(self, key):
+    def _lookup(self, entry, found) -> None:
+        assert found == self.model.get(entry)
+        if found is not None:
+            self.model.move_to_end(entry)
+
+    @staticmethod
+    def _at(back, tree):
+        """A layer ``back`` below the top and a tree that exists there."""
+        return _PARAMS.d - 1 - back, tree % _PARAMS.tree_leaves ** back
+
+    @rule(seed=st.sampled_from(_SEEDS), digest=st.integers(0, 5),
+          value=st.binary(min_size=1, max_size=48))
+    def remember(self, seed, digest, value):
+        self.cache.remember(seed, digest, value)
+        self._store((seed, digest), value)
+
+    @rule(seed=st.sampled_from(_SEEDS), digest=st.integers(0, 5))
+    def recall(self, seed, digest):
         hits = self.cache.stats["hits"]
-        assert self.cache.recall(key) == self.memo.get(key)
-        if key in self.memo:
-            self._touch(key)
-        assert self.cache.stats["hits"] == hits + (key in self.memo)
+        self._lookup((seed, digest), self.cache.recall(seed, digest))
+        assert self.cache.stats["hits"] == hits + ((seed, digest)
+                                                   in self.model)
 
-    @rule(back=st.integers(0, 3), tree=st.integers(0, 511))
-    def store_tree(self, back, tree):
-        layer = _PARAMS.d - 1 - back
-        tree %= _PARAMS.tree_leaves ** back  # a tree that exists
-        self.cache.store_tree(layer, tree, b"nodes")
+    @rule(seed=st.sampled_from(_SEEDS), back=st.integers(0, 3),
+          tree=st.integers(0, 511), value=st.binary(min_size=1, max_size=48))
+    def store_tree(self, seed, back, tree, value):
+        layer, tree = self._at(back, tree)
+        self.cache.store_tree(seed, layer, tree, value)
         if back < _PINNED:
-            self.trees.add((layer, tree))
+            self._store((seed, layer, tree), value)
 
-    @rule(back=st.integers(0, 3), tree=st.integers(0, 511),
-          leaf=st.integers(0, 7))
-    def store_link(self, back, tree, leaf):
-        layer = _PARAMS.d - 1 - back
-        tree %= _PARAMS.tree_leaves ** back
-        self.cache.store_link(layer, tree, leaf, b"chains")
+    @rule(seed=st.sampled_from(_SEEDS), back=st.integers(0, 3),
+          tree=st.integers(0, 511))
+    def lookup_tree(self, seed, back, tree):
+        layer, tree = self._at(back, tree)
+        misses = self.cache.stats["misses"]
+        self._lookup((seed, layer, tree),
+                     self.cache.lookup_tree(seed, layer, tree))
+        assert self.cache.stats["misses"] == misses + (
+            (seed, layer, tree) not in self.model)
+
+    @rule(seed=st.sampled_from(_SEEDS), back=st.integers(0, 3),
+          tree=st.integers(0, 511), leaf=st.integers(0, 7),
+          value=st.binary(min_size=1, max_size=48))
+    def store_link(self, seed, back, tree, leaf, value):
+        layer, tree = self._at(back, tree)
+        self.cache.store_link(seed, layer, tree, leaf, value)
         if back < _PINNED:
-            self.links.add((layer, tree, leaf))
+            self._store((seed, layer, tree, leaf), value)
 
-    @precondition(lambda self: self.memo or self.trees or self.links)
-    @rule()
-    def clear(self):
-        self.cache.clear()
-        self.memo.clear()
-        self.recency.clear()
-        self.trees.clear()
-        self.links.clear()
+    @rule(seed=st.sampled_from(_SEEDS), back=st.integers(0, 3),
+          tree=st.integers(0, 511), leaf=st.integers(0, 7))
+    def lookup_link(self, seed, back, tree, leaf):
+        layer, tree = self._at(back, tree)
+        self._lookup((seed, layer, tree, leaf),
+                     self.cache.lookup_link(seed, layer, tree, leaf))
+
+    @precondition(lambda self: self.model)
+    @rule(seed=st.sampled_from(_SEEDS))
+    def drop(self, seed):
+        self.cache.drop(seed)
+        for entry in [entry for entry in self.model if entry[0] == seed]:
+            del self.model[entry]
+        self.dropped.add(seed)
 
     @invariant()
     def bytes_stay_inside_the_budget(self):
         assert self.cache.stats["bytes"] <= self.cache.budget_bytes
 
     @invariant()
-    def memo_is_the_model(self):
-        assert self.cache.stats["memo_entries"] == len(self.memo)
-        assert list(self.cache._memo) == self.recency
-        assert dict(self.cache._memo) == self.memo
+    def cache_is_the_model(self):
+        assert list(self.cache._entries.items()) == list(self.model.items())
+        stats = self.cache.stats
+        assert stats["bytes"] == self._bytes()
+        assert stats["keys"] == len({entry[0] for entry in self.model})
+        assert stats["memo_entries"] == sum(
+            len(entry) == 2 for entry in self.model)
+        assert stats["pinned_trees"] == sum(
+            len(entry) == 3 for entry in self.model)
 
     @invariant()
-    def pinned_entries_are_never_evicted(self):
-        assert set(self.cache._trees) == self.trees
-        assert set(self.cache._links) == self.links
+    def a_dropped_seed_keeps_no_entry(self):
+        assert not any(entry[0] in self.dropped
+                       for entry in self.cache._entries)
+
+    @invariant()
+    def nothing_below_the_pinned_floor_is_kept(self):
+        assert all(entry[1] >= self.cache.pinned_floor
+                   for entry in self.cache._entries if len(entry) > 2)
 
 
 CacheMachine.TestCase.settings = settings(max_examples=60, deadline=None,

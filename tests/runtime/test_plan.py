@@ -207,7 +207,7 @@ def test_tasks_and_cache_hits_cover_each_layer_once(idx_tree, idx_leaf,
     tree = idx_tree
     for layer in range(params.d):
         if layer in cached:  # kept only at or above the floor
-            cache.store_tree(layer, tree, b"cached")
+            cache.store_tree(ops.seed, layer, tree, b"cached")
         tree >>= params.tree_height
     messages = [SignTask(b"", b"", b"fors-a", idx_tree, idx_leaf),
                 SignTask(b"", b"", b"fors-b", second_tree, 7 - idx_leaf)]

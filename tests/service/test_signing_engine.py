@@ -143,8 +143,8 @@ def test_budget_reports_the_same_through_the_service(one_cpu):
         service = SigningService(make_keystore("acme"), deterministic=True,
                                  cache_budget_mb=2)
         try:
-            assert service.engine.backend_for(PARAMS).cache_stats() == {
-                "keys": 0}  # nothing is filled before a key signs
+            stats = service.engine.backend_for(PARAMS).cache_stats()
+            assert stats["keys"] == stats["bytes"] == 0  # nothing filled
             await service.sign(b"first sign", "acme")
             return service.stats()["cache"]
         finally:
@@ -189,27 +189,28 @@ def fills(plan):
 
 
 def test_a_first_sign_fills_its_path_beside_its_runs(monkeypatch):
-    """Ten keys on one set, a backend keeping eight, on a pool: a key's
-    first sign hands the pool one plan — its message's run pieces and,
-    beside them, the 3 pinned subtrees on its path, never more — and a
-    key that never signs fills nothing.  A replay reaches no pool."""
+    """Ten keys on one set, on a pool: a key's first sign hands the pool
+    one plan — its message's run pieces and, beside them, the 3 pinned
+    subtrees on its path, never more — and a key that never signs fills
+    nothing.  A replay, the first key's too, reaches no pool."""
     tenants = [f"tenant-{index}" for index in range(10)]
     engine = SigningEngine(make_keystore(*tenants), deterministic=True,
                            workers=2, cache_budget_mb=2)
     plans = spy_on_the_pool(monkeypatch, engine)
     try:
-        for tenant in tenants[:9]:
+        for signed, tenant in enumerate(tenants[:9], 1):
             del plans[:]
             result, _ = engine.sign_batch(tenant, "default", [b"first"])
             [plan] = plans
             assert plan.count(RUN) == len(cut(19, 2, 1))
             assert sorted(layer for _, layer, _ in fills(plan)) \
                 == [19, 20, 21]
-            assert result.cache_stats["pinned_trees"] == 3
-            assert result.cache_stats["misses"] == 22  # every layer
-        assert engine.backend_for(PARAMS).cache_stats()["keys"] == 8
+            # The set's cache: 3 subtrees and 22 missed layers per key.
+            assert result.cache_stats["pinned_trees"] == 3 * signed
+            assert result.cache_stats["misses"] == 22 * signed
+        assert engine.backend_for(PARAMS).cache_stats()["keys"] == 9
         del plans[:]
-        engine.sign_batch(tenants[8], "default", [b"first"])
+        engine.sign_batch(tenants[0], "default", [b"first"])
         assert plans == []  # a memo hit: no plan
     finally:
         engine.close()
@@ -316,7 +317,7 @@ def test_unknown_tenant_or_key_raises_before_any_backend_exists():
 # ----------------------------------------------------------------------
 # Bounded: one backend per parameter set, nothing kept per call
 # ----------------------------------------------------------------------
-def test_twelve_tenants_share_one_backend_of_eight_resident_keys(one_cpu):
+def test_twelve_tenants_share_one_backend_and_one_cache(one_cpu):
     tenants = [f"tenant-{index:02d}" for index in range(12)]
     keystore = make_keystore(*tenants)
     reference = Sphincs("128f", deterministic=True)
@@ -325,12 +326,12 @@ def test_twelve_tenants_share_one_backend_of_eight_resident_keys(one_cpu):
                   for tenant in tenants}
         assert list(client.engine._backends) == [PARAMS]
         backend = client.engine.backend_for(PARAMS)
-        assert backend.cache_stats()["keys"] == 8
-        # The first four were evicted on the way; signing under one
-        # again re-derives its pinned top and gives the same bytes.
+        assert backend.cache_stats()["keys"] == 12
+        # Every key stays resident under the set's budget: the first
+        # one's replay is a memo hit with the same bytes.
         assert (client.sign(tenants[0], b"shared message").signature
                 == signed[tenants[0]])
-        assert backend.cache_stats()["keys"] == 8
+        assert backend.cache_stats()["memo_hits"] == 1
     for tenant in tenants[8:]:
         assert signed[tenant] == reference.sign(
             b"shared message", keystore.resolve(tenant)[0])

@@ -132,7 +132,7 @@ worker  alive  cpu  tasks  busy s  util   in-flight  requeues  respawns
 0       yes    0    9      1.500   50.0%  1          2         0       
 1       NO     1    4      0.250   12.5%  0          1         1       
 
-Hypertree layer caches (budget 2.0 MB/key)
+Hypertree layer caches (budget 2.0 MB/set)
 cache scope      hits  misses  memo hits  memo entries  KiB    pinned layers
 ---------------  ----  ------  ---------  ------------  -----  -------------
 in-process 128f  11    4       7          3             2.000  3            

@@ -1,5 +1,6 @@
 """The path census: no function in ``src/repro`` takes a parameter its body
-never reads.
+never reads, and no command of ``python -m repro`` takes a flag it never
+reads.
 
 A parameter nobody reads is a path that only looks live: every caller
 builds and threads a value the callee drops.  This walks every function
@@ -8,6 +9,10 @@ with the stdlib ``ast`` module and names each such parameter as
 :data:`ALLOWED` keeps the few signatures that are fixed from outside,
 each with its reason; an entry that no longer matches anything fails too,
 so the list cannot go stale.
+
+The flag census is the same rule one level up: an ``add_argument`` whose
+value the command's handler never reads (:func:`unread_flags`) is a knob
+that only looks live.
 """
 
 import ast
@@ -130,3 +135,115 @@ def test_the_census_sees_an_unread_parameter(tmp_path):
         "        return [used for _ in range(2)]\n")
     assert [where for _, where in unread_parameters(tmp_path)] == [
         "module.py:1 build(compiler)", "module.py:6 run(dropped)"]
+
+
+# ----------------------------------------------------------------------
+# The flag census: no command-line flag its command never reads
+# ----------------------------------------------------------------------
+MAIN = SRC / "__main__.py"
+
+
+def _dest(call: ast.Call) -> str:
+    """The namespace attribute an ``add_argument`` call fills."""
+    for keyword in call.keywords:
+        if keyword.arg == "dest":
+            return keyword.value.value
+    names = [arg.value for arg in call.args if isinstance(arg, ast.Constant)]
+    flags = [name for name in names if name.startswith("--")]
+    return (flags or names)[0].lstrip("-").replace("-", "_")
+
+
+def unread_flags(path: Path = MAIN) -> list[str]:
+    """``"file:line command(--flag)"`` per ``add_argument`` whose dest
+    the handler of its command — or a function of the module that the
+    handler calls, however deep — never reads as ``args.<dest>`` or
+    ``getattr(args, "<dest>", ...)``."""
+    tree = ast.parse(path.read_text())
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def adds(scope: ast.AST, parser: str) -> list[ast.Call]:
+        """``add_argument`` calls on *parser* in *scope*, and in every
+        function of the module *parser* is handed to."""
+        found = []
+        for call in (node for node in ast.walk(scope)
+                     if isinstance(node, ast.Call)):
+            func = call.func
+            if isinstance(func, ast.Attribute) \
+                    and func.attr == "add_argument" \
+                    and getattr(func.value, "id", None) == parser:
+                found.append(call)
+            elif isinstance(func, ast.Name) and func.id in functions \
+                    and any(getattr(arg, "id", None) == parser
+                            for arg in call.args):
+                helper = functions[func.id]
+                index = [getattr(arg, "id", None)
+                         for arg in call.args].index(parser)
+                found += adds(helper, helper.args.args[index].arg)
+        return found
+
+    def reads(function, seen: set) -> set[str]:
+        if function.name in seen:
+            return set()
+        seen.add(function.name)
+        found = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute) \
+                    and getattr(node.value, "id", None) == "args":
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "getattr" \
+                    and getattr(node.args[0], "id", None) == "args":
+                found.add(node.args[1].value)
+            elif isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) in functions:
+                found |= reads(functions[node.func.id], seen)
+        return found
+
+    commands = {}  # parser variable -> command name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and getattr(node.value.func, "attr", None) == "add_parser":
+            commands[node.targets[0].id] = node.value.args[0].value
+    unread = []
+    for call in calls:
+        if getattr(call.func, "attr", None) != "set_defaults":
+            continue
+        parser = call.func.value.id
+        [handler] = [keyword.value.id for keyword in call.keywords
+                     if keyword.arg == "func"]
+        read = reads(functions[handler], set())
+        for add in adds(tree, parser):
+            if _dest(add) not in read:
+                unread.append(f"{path.name}:{add.lineno} "
+                              f"{commands[parser]}({add.args[0].value})")
+    return sorted(unread)
+
+
+def test_every_flag_is_read():
+    unread = unread_flags()
+    assert not unread, (
+        "flags whose command never reads them (delete them with their "
+        "plumbing):\n  " + "\n  ".join(unread))
+
+
+def test_the_census_sees_an_unread_flag(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def _common(p):\n"
+        "    p.add_argument('--used')\n"
+        "    p.add_argument('--dropped-too')\n"
+        "def _helper(args):\n"
+        "    return args.used, getattr(args, 'optional', None)\n"
+        "def _cmd_run(args):\n"
+        "    return _helper(args), args.kept\n"
+        "def main(argv):\n"
+        "    p_run = sub.add_parser('run')\n"
+        "    _common(p_run)\n"
+        "    p_run.add_argument('-k', '--kept')\n"
+        "    p_run.add_argument('--optional')\n"
+        "    p_run.add_argument('--dropped', dest='gone')\n"
+        "    p_run.set_defaults(func=_cmd_run)\n")
+    assert unread_flags(tmp_path / "cli.py") == [
+        "cli.py:13 run(--dropped)", "cli.py:3 run(--dropped-too)"]

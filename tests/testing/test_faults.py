@@ -130,9 +130,9 @@ class TestParseFault:
         genuine = HypertreeLayerCache.remember
         cache = HypertreeLayerCache("128f")
         with fault.install():
-            cache.remember("key", bytes(4))
+            cache.remember(b"seed", b"digest", bytes(4))
         assert HypertreeLayerCache.remember is genuine
-        assert cache.recall("key") == flip_bit(bytes(4), 9)
+        assert cache.recall(b"seed", b"digest") == flip_bit(bytes(4), 9)
         assert fault.fired and fault.calls_seen == 1
 
 
