@@ -665,8 +665,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
                    if args.params else [])
 
     # Exit-code contract: 0 clean, 1 conformance failure (divergence /
-    # KAT drift), 2 misconfiguration (unknown set, bad fault spec,
-    # backend without a fault hook, fault armed but never fired).
+    # KAT drift), 2 misconfiguration (unknown set, bad fault spec, fault
+    # armed but never fired).
     try:
         if args.regen_kats:
             for params in (params_list or list(KAT_SETS)):
@@ -698,8 +698,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         try:
             oracle = DifferentialOracle(
                 params, backends=backends, seed=args.seed, smoke=args.smoke,
-                include_service=not args.no_service, fault=fault,
-                fault_target=args.fault_target)
+                include_service=not args.no_service, fault=fault)
             report = oracle.run()
         except (ConformanceError, ParameterError) as exc:
             print(f"conformance: {exc}", file=sys.stderr)
@@ -965,11 +964,11 @@ def main(argv: list[str] | None = None) -> int:
     p_conf.add_argument("--no-service", action="store_true",
                         help="skip the async SigningService pass")
     p_conf.add_argument("--inject-fault", default=None, metavar="SPEC",
-                        help="install a deterministic fault, e.g. "
-                             "'thash:bitflip' or 'thash:bitflip:120:5'; "
-                             "the run must then fail naming the stage")
-    p_conf.add_argument("--fault-target", default="scalar",
-                        help="backend the fault is installed on")
+                        help="install a deterministic fault and require "
+                             "the run to fail naming the stage: "
+                             "'thash:bitflip[:call:bit]' or 'prf:...' on "
+                             "the scalar backend's hashes, 'cache:flip', "
+                             "'memo:flip', 'verify:...' or 'plan:...'")
     p_conf.add_argument("--check-kats", action="store_true",
                         help="verify the pinned KAT vectors, report drift")
     p_conf.add_argument("--regen-kats", action="store_true",

@@ -109,6 +109,9 @@ class HashContext:
     :meth:`midstate` exposes the reference's primed seed-block hash and
     :meth:`kernel_midstates` the hot loops' (``repro.runtime.fastops``),
     so every message of a batch signs off one precomputation per seed.
+    Only the reference walk calls :meth:`thash` and :meth:`prf`, so the
+    conformance oracle taps them (a bit flip shadowing one method) on the
+    ``scalar`` backend's context alone.
     """
 
     def __init__(self, params: SphincsParams, count_hashes: bool = False):
@@ -116,13 +119,6 @@ class HashContext:
         self.n = params.n
         self._count = count_hashes
         self.hash_calls = 0
-        #: Optional trace sink with a ``record(stage, label, value)`` method.
-        #: When set, the SPHINCS+ components report their per-stage outputs
-        #: (WOTS chain values, FORS roots, Merkle subtree roots, the
-        #: hypertree walk) through it, so the conformance oracle can name
-        #: the first diverging hop of two signing runs.  ``None`` (the
-        #: default) keeps every hot path hook-free.
-        self.tracer = None
         #: Per seed: the reference's midstate, then one per kernel.
         self._midstates: dict[bytes, tuple] = {}
         self._midstates_lock = threading.Lock()

@@ -73,14 +73,6 @@ class SigningBackend(abc.ABC):
         """Generate a key pair (see :meth:`Sphincs.keygen`)."""
         return self._scheme.keygen(seed=seed)
 
-    def hash_context(self):
-        """The :class:`~repro.hashes.thash.HashContext` this backend's
-        signing runs through — the attachment point the conformance
-        subsystem uses for tracing and fault injection.  Backends that do
-        not route hashing through the inherited scheme should override
-        this to return their real context."""
-        return self._scheme.ctx
-
     def sign(self, message: bytes, keys: KeyPair) -> bytes:
         """Scalar convenience wrapper over :meth:`sign_batch`."""
         return self.sign_batch([message], keys).signatures[0]

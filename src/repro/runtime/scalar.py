@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from ..hashes.thash import HashContext
 from ..sphincs.signer import KeyPair
 from .backend import BatchSignResult, SigningBackend
 
@@ -25,6 +26,12 @@ class ScalarBackend(SigningBackend):
     """
 
     name = "scalar"
+
+    @property
+    def ctx(self) -> HashContext:
+        """The context every signing hash goes through: where the
+        conformance oracle installs a ``thash``/``prf`` bit flip."""
+        return self._scheme.ctx
 
     def sign_batch(self, messages: Sequence[bytes],
                    keys: KeyPair) -> BatchSignResult:

@@ -99,19 +99,6 @@ class VectorizedBackend(SigningBackend):
         return self.cache.stats
 
     # ------------------------------------------------------------------
-    def hash_context(self) -> HashContext:
-        """Not tappable: the hot path hashes straight off midstate
-        templates (:mod:`repro.runtime.fastops`) and never calls
-        ``HashContext.thash``/``prf``, so a fault installed there would
-        silently never fire.  Fault injection targets the scalar
-        backend."""
-        raise BackendError(
-            f"backend {self.name!r} hashes via midstate templates, not "
-            "through HashContext.thash/prf; install faults on the "
-            "'scalar' backend instead"
-        )
-
-    # ------------------------------------------------------------------
     def keygen(self, seed: bytes | None = None) -> KeyPair:
         """Fast-path keygen; the root build pins the top subtree in the cache."""
         n = self.params.n

@@ -75,11 +75,7 @@ class Fors:
             levels = self.tree_levels(tree, sk_seed, pk_seed, adrs)
             signature.append((secret, auth_path(levels, leaf_idx)))
             roots.append(levels[-1][0])
-        fors_pk = self._compress_roots(roots, pk_seed, adrs)
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.record("fors", "roots", b"".join(roots))
-            self.ctx.tracer.record("fors", "pk", fors_pk)
-        return signature, fors_pk
+        return signature, self._compress_roots(roots, pk_seed, adrs)
 
     def pk_from_sig(self, signature: ForsSignature, fors_msg: bytes,
                     pk_seed: bytes, adrs: Address) -> bytes:

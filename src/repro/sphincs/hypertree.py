@@ -44,11 +44,7 @@ class Hypertree:
         leaves = batched_leaves(leaf, self.params.tree_leaves)
         tree_adrs = Address().set_layer(layer).set_tree(tree)
         tree_adrs.set_type(AddressType.TREE)
-        levels = treehash(leaves, self.ctx, pk_seed, tree_adrs)
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.record("merkle", f"layer={layer}/tree={tree}",
-                                   levels[-1][0])
-        return levels
+        return treehash(leaves, self.ctx, pk_seed, tree_adrs)
 
     def root(self, sk_seed: bytes, pk_seed: bytes) -> bytes:
         """The public root (top-layer subtree root)."""
@@ -92,8 +88,6 @@ class Hypertree:
             # leaf, the rest the next tree (paper Figure 2's index update).
             leaf = tree & (params.tree_leaves - 1)
             tree >>= params.tree_height
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.record("hypertree", "root", node)
         return signature, node
 
     def pk_from_sig(self, signature: HypertreeSignature, message: bytes,

@@ -112,8 +112,6 @@ class Sphincs:
         randomizer = self.ctx.prf_msg(keys.sk_prf, opt_rand, message)
         digest = self.ctx.h_msg(randomizer, keys.pk_seed, keys.pk_root, message)
         fors_msg, idx_tree, idx_leaf = split_digest(digest, params)
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.record("prepare", "digest", randomizer + digest)
         return SignTask(message, randomizer, fors_msg, idx_tree, idx_leaf)
 
     def fors_stage(self, task: SignTask,

@@ -93,9 +93,6 @@ class Wots:
             adrs.set_chain(i)
             secret = self._secret(sk_seed, pk_seed, adrs)
             signature.append(self.chain(secret, 0, digit, pk_seed, adrs))
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.record("wots", f"layer={adrs.layer}",
-                                   b"".join(signature))
         return signature
 
     def pk_from_sig(self, signature: list[bytes], message: bytes,

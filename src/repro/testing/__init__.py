@@ -3,9 +3,10 @@
 Correctness in this repository is enforced by machinery, not eyeballs:
 
 * :mod:`.oracle` — the cross-backend **differential oracle**: every
-  signing path (backends, scheduler, async service) over one adversarial
-  corpus, byte-compared against the reference scheme, divergences
-  localized to the first diverging hop.
+  signing path (backends, scheduler, async service, the :mod:`repro.api`
+  clients over each transport, the transparency-log ledger) over one
+  adversarial corpus, byte-compared against the reference scheme,
+  divergences named by the first diverging signature component.
 * :mod:`.kat` — **pinned KAT vectors** for 128s/128f/192s/256s under
   ``tests/vectors/``, with regeneration and drift checking.
 * :mod:`.corpus` — seeded, stdlib-only **fuzz generation**: message edge
@@ -13,11 +14,8 @@ Correctness in this repository is enforced by machinery, not eyeballs:
   signatures.
 * :mod:`.faults` — deterministic **bit-flip injection** into the
   tweakable-hash layer (the Genet-style SPHINCS+ fault model).
-* :mod:`.tracing` — structured signing **traces** over the ``sphincs/``
-  instrumentation hooks, for naming the hop where two runs diverge.
 * :mod:`.chaos` — a seeded **flaky-TCP proxy** for service-tier chaos
   tests.
-* :mod:`.fixtures` — the same machinery as a **pytest fixture library**.
 
 CLI entry point: ``python -m repro conformance`` (see the README's
 "Correctness: machine-checked" section).
@@ -33,7 +31,6 @@ from .kat import (KAT_SETS, check_kat, default_vectors_dir, generate_kat,
                   kat_corpus, load_kat)
 from .oracle import (ConformanceReport, DifferentialOracle, Divergence,
                      PathResult, localize_divergence)
-from .tracing import TraceHop, TraceRecorder, capture_trace, first_divergence
 
 __all__ = [
     "BitFlipFault",
@@ -46,16 +43,12 @@ __all__ = [
     "MemoFault",
     "PathResult",
     "PlanFault",
-    "TraceHop",
-    "TraceRecorder",
     "VerifyFault",
     "VerifyLayerMemoFault",
     "VerifyMemoFault",
-    "capture_trace",
     "check_kat",
     "corrupt_keystore_payloads",
     "default_vectors_dir",
-    "first_divergence",
     "flip_bit",
     "generate_kat",
     "kat_corpus",

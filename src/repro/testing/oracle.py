@@ -26,12 +26,12 @@ wrong signature — the one outcome a conformance suite exists to make
 impossible — and is flagged as undetected, which fails the run louder
 than an ordinary mismatch.
 
-Fault injection plugs in here: install a
-:class:`~repro.testing.faults.BitFlipFault` on one backend and the oracle
-must (a) catch the divergence, (b) name the stage, and (c) confirm the
-faulty signature fails verification.  The reference path additionally
-localizes the fault with the ``sphincs/`` tracing hooks
-(:func:`repro.testing.tracing.capture_trace`).
+Fault injection plugs in here: a
+:class:`~repro.testing.faults.BitFlipFault` is installed on the ``scalar``
+backend's hash context — the one path whose signing calls
+``HashContext.thash``/``prf`` (the fast kernels hash off midstate
+templates) — and the oracle must (a) catch the divergence, (b) name the
+stage, and (c) say whether verification alone would have caught it.
 
 Verification gets the same differential treatment.  The serving tiers
 verify through the template-driven kernel
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -81,7 +80,6 @@ from ..sphincs.signer import KeyPair, Sphincs
 from .corpus import message_corpus, signature_mutations
 from .faults import (BitFlipFault, CachedNodeFault, MemoFault, PlanFault,
                      VerifyFault)
-from .tracing import capture_trace, first_divergence
 
 __all__ = ["Divergence", "PathResult", "ConformanceReport",
            "DifferentialOracle", "localize_divergence"]
@@ -142,7 +140,7 @@ class ConformanceReport:
     results: list[PathResult]
     fault_spec: str | None = None
     fault_fired: bool = False
-    fault_hop: str | None = None  # trace-level localization, reference path
+    fault_hop: str | None = None  # a cache:flip run's strike detail
 
     @property
     def passed(self) -> bool:
@@ -178,11 +176,7 @@ class ConformanceReport:
             fired = "fired" if self.fault_fired else "NEVER FIRED"
             lines.append(f"  injected fault {self.fault_spec}: {fired}")
             if self.fault_hop is not None:
-                if (self.fault_spec or "").startswith("cache:"):
-                    lines.append(f"  cache strike: {self.fault_hop}")
-                else:
-                    lines.append(
-                        f"  reference trace diverges at {self.fault_hop}")
+                lines.append(f"  cache strike: {self.fault_hop}")
         return "\n".join(lines)
 
 
@@ -257,9 +251,10 @@ class DifferentialOracle:
         and replay the log with :func:`repro.ledger.run_audit` in
         deterministic mode — each checkpoint signature must byte-match
         a reference re-sign of the same tree head.
-    fault / fault_target:
-        Optional :class:`BitFlipFault` installed on *fault_target*'s
-        direct-backend pass — the oracle then demonstrates detection.
+    fault:
+        Optional fault from :mod:`repro.testing.faults`; the oracle then
+        demonstrates detection.  A :class:`BitFlipFault` is installed on
+        the ``scalar`` backend's direct pass.
     """
 
     def __init__(self, params: SphincsParams | str = "128f",
@@ -272,8 +267,7 @@ class DifferentialOracle:
                  include_ledger: bool = True,
                  service_workers: int = 2,
                  fault: BitFlipFault | CachedNodeFault | MemoFault
-                 | VerifyFault | PlanFault | None = None,
-                 fault_target: str = "scalar"):
+                 | VerifyFault | PlanFault | None = None):
         self.params = get_params(params) if isinstance(params, str) else params
         self.backends = (list(backends) if backends is not None
                          else sorted([*BACKENDS, "pooled"]))
@@ -285,7 +279,6 @@ class DifferentialOracle:
         self.include_ledger = include_ledger
         self.service_workers = service_workers
         self.fault = fault
-        self.fault_target = fault_target
         # Set by each run(): the reference scheme and key, its signature
         # per corpus case, and the verify cases as ``(label, message,
         # signature, reference verdict)``.
@@ -370,8 +363,6 @@ class DifferentialOracle:
             results.extend(self._run_all_paths())
             if self.fault is not None:
                 fault_fired = self.fault.fired
-                if self.corpus:
-                    fault_hop = self._localize_fault()
         return ConformanceReport(
             params=self.params.name,
             cases=[case for case, _ in self.corpus],
@@ -384,7 +375,7 @@ class DifferentialOracle:
     def _run_all_paths(self) -> list[PathResult]:
         results = [
             self._run_backend(
-                name, self.fault if name == self.fault_target else None)
+                name, self.fault if name == "scalar" else None)
             for name in self.backends]
         if self.fault is None:
             results.extend(self._run_warm_backends())
@@ -430,21 +421,6 @@ class DifferentialOracle:
                                   passes=2)
                 for name in ("vectorized", "pooled")
                 if name in self.backends]
-
-    def _localize_fault(self) -> str | None:
-        """Name the first diverging hop on the reference path via the
-        sphincs/ trace hooks: same fault parameters, fresh counters,
-        first corpus message."""
-        replica = dataclasses.replace(self.fault)
-        message = self.corpus[0][1]
-        clean = capture_trace(self.params, message, self._keys)
-        faulted = capture_trace(self.params, message, self._keys,
-                                fault=replica)
-        hit = first_divergence(clean, faulted)
-        if hit is None:
-            return None
-        index, _, hop = hit
-        return f"hop {index}: {hop.stage}[{hop.label}]"
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -544,14 +520,8 @@ class DifferentialOracle:
                 self._executor(name) as (registered, options):
             backend = get_backend(registered, self.params,
                                   deterministic=True, **options)
-            tap = contextlib.nullcontext()
-            if fault is not None:
-                try:
-                    tap = fault.install(backend.hash_context())
-                except Exception as exc:  # declared untappable
-                    raise ConformanceError(
-                        f"cannot install fault on backend {name!r}: {exc}"
-                    ) from exc
+            tap = (fault.install(backend.ctx) if fault is not None
+                   else contextlib.nullcontext())
             messages = [message for _, message in self.corpus]
             with tap:
                 for _ in range(passes):

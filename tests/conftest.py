@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-# The conformance subsystem ships its own fixture library
-# (differential_oracle, conformance_corpus, fault_factory,
-# flaky_proxy_factory); star-importing registers them suite-wide.
-from repro.testing.fixtures import *  # noqa: F401,F403
 from repro.gpusim.device import DEVICES, get_device
 from repro.gpusim.engine import TimingEngine
 from repro.params import get_params

@@ -355,10 +355,6 @@ class TestPooledBackend:
         assert result.cache_stats["workers"] >= 1
         assert result.cache_stats["requeues"] == 0
 
-    def test_hash_context_declared_untappable(self, pool):
-        with pytest.raises(BackendError, match="scalar"):
-            _pooled(pool).hash_context()
-
     def test_scheduler_routes_to_pooled(self, pool, keys, reference):
         from repro.runtime import BatchScheduler
 

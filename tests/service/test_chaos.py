@@ -14,8 +14,29 @@ from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
                            SigningService, derive_seed)
 from repro.sphincs.signer import Sphincs
+from repro.testing import FlakyProxy
 
 ATTEMPTS = 12
+
+
+@pytest.fixture
+def flaky_proxy_factory():
+    """Factory: ``make(target_port, **proxy_kwargs)`` -> unstarted proxy.
+
+    Every proxy the test started is stopped when it ends (the test runs
+    its own event loop, so teardown runs the coroutines).
+    """
+    proxies: list[FlakyProxy] = []
+
+    def make(target_port: int, **kwargs) -> FlakyProxy:
+        proxy = FlakyProxy(target_port, **kwargs)
+        proxies.append(proxy)
+        return proxy
+
+    yield make
+    for proxy in proxies:
+        if proxy._server is not None:
+            asyncio.run(proxy.stop())
 
 
 def make_service():

@@ -232,7 +232,18 @@ class TestConformanceCli:
         captured = capsys.readouterr()
         assert "DIVERGED" in captured.out
         assert "injected fault thash:bitflip:7:0: fired" in captured.out
-        assert "first divergence at" in captured.err
+        assert "first divergence at fors (tree 0 auth path)" in captured.err
+
+    def test_fault_target_flag_is_gone(self, capsys):
+        """A bit flip always goes on the scalar backend's context; the
+        old one-valued seat for choosing another is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["conformance", "--params", "128f", "--smoke",
+                  "--inject-fault", "thash:bitflip",
+                  "--fault-target", "scalar"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fault-target" in (
+            capsys.readouterr().err)
 
     def test_unfired_fault_exits_two(self, capsys):
         code = main(["conformance", "--params", "128f", "--smoke",

@@ -6,7 +6,7 @@ from repro.errors import ConformanceError
 from repro.runtime import get_backend
 from repro.sphincs.signer import Sphincs
 from repro.testing import (BitFlipFault, CachedNodeFault, flip_bit,
-                           parse_fault)
+                           localize_divergence, parse_fault)
 
 
 class TestFlipBit:
@@ -194,6 +194,46 @@ class TestDetection:
         # A corrupted revealed FORS secret cannot reproduce the leaf.
         assert not scheme.verify(b"prf victim", faulty, keys.public)
 
+
+
+class TestScalarBackendTap:
+    """A hash bit flip goes on the scalar backend's own context
+    (``ScalarBackend.ctx``): it reaches that backend's signatures, the
+    component localizer names the hop it lands in, and nothing of the
+    tap outlives the ``with`` block."""
+
+    @pytest.mark.parametrize("spec, stage, verifies", [
+        ("thash:bitflip:0:0", "fors (tree 0 auth path)", True),
+        ("thash:bitflip:7:0", "fors (tree 0 auth path)", True),
+        ("thash:bitflip:300:0", "fors (tree 2 auth path)", True),
+        ("prf:bitflip:0:0", "fors (tree 0 revealed secret)", False),
+    ])
+    def test_flip_on_the_backend_context_is_localized(self, spec, stage,
+                                                       verifies):
+        scheme = Sphincs("128f", deterministic=True)
+        keys = scheme.keygen(seed=bytes(48))
+        clean = scheme.sign(b"victim", keys)
+        backend = get_backend("scalar", "128f", deterministic=True)
+        fault = parse_fault(spec)
+        with fault.install(backend.ctx):
+            faulty = backend.sign_batch([b"victim"], keys).signatures[0]
+        assert fault.fired
+        assert localize_divergence(scheme, clean, faulty) == stage
+        # A flip inside a FORS tree's hashing grafts a consistent tree
+        # that still verifies; a flipped revealed secret does not.
+        assert scheme.verify(b"victim", faulty, keys.public) is verifies
+
+    def test_tap_detaches_and_the_backend_signs_clean_again(self):
+        scheme = Sphincs("128f", deterministic=True)
+        keys = scheme.keygen(seed=bytes(48))
+        backend = get_backend("scalar", "128f", deterministic=True)
+        fault = BitFlipFault()
+        with fault.install(backend.ctx):
+            faulty = backend.sign_batch([b"msg"], keys).signatures[0]
+        assert fault.fired
+        assert "thash" not in backend.ctx.__dict__
+        clean = backend.sign_batch([b"msg"], keys).signatures[0]
+        assert clean == scheme.sign(b"msg", keys) != faulty
 
 class TestCachedNodeFault:
     """A flip inside the warm layer cache splits into two classes: the

@@ -1,8 +1,5 @@
 """The differential oracle: clean passes, fault catches, extensibility."""
 
-import pytest
-
-from repro.errors import ConformanceError
 from repro.runtime import registry
 from repro.runtime.scalar import ScalarBackend
 from repro.testing import (DifferentialOracle, localize_divergence,
@@ -12,9 +9,17 @@ from repro.sphincs.signer import Sphincs
 SMALL_CORPUS = message_corpus(smoke=True)[:3]
 
 
+def smoke_oracle(params: str = "128f", **kwargs) -> DifferentialOracle:
+    """An oracle over the smoke corpus with no service or client pass,
+    unless the test asks for one."""
+    kwargs = {"smoke": True, "include_service": False,
+              "include_clients": False, **kwargs}
+    return DifferentialOracle(params, **kwargs)
+
+
 class TestCleanTree:
-    def test_all_paths_byte_identical(self, differential_oracle):
-        oracle = differential_oracle(
+    def test_all_paths_byte_identical(self):
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized"], corpus=SMALL_CORPUS)
         report = oracle.run()
         assert report.passed
@@ -28,12 +33,12 @@ class TestCleanTree:
             assert result.count == result.matched == result.verified == 3
         assert "ok" in report.render()
 
-    def test_ledger_path_appends_proves_and_audits(self, differential_oracle):
+    def test_ledger_path_appends_proves_and_audits(self):
         """The ledger:audit path appends the corpus through a real
         LedgerService, byte-compares the entry payload signatures,
         requires every receipt's inclusion proof to verify, and replays
         the on-disk log through the differential audit."""
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar"], corpus=SMALL_CORPUS,
             include_scheduler=False)
         report = oracle.run()
@@ -43,14 +48,14 @@ class TestCleanTree:
         assert ledger.count == ledger.matched == ledger.verified == 3
         assert not ledger.error
 
-        without = differential_oracle(
+        without = smoke_oracle(
             "128f", backends=["scalar"], corpus=SMALL_CORPUS,
             include_scheduler=False, include_ledger=False).run()
         assert not any(result.path == "ledger:audit"
                        for result in without.results)
 
-    def test_service_path_included(self, differential_oracle):
-        oracle = differential_oracle(
+    def test_service_path_included(self):
+        oracle = smoke_oracle(
             "128f", backends=["vectorized"], corpus=SMALL_CORPUS,
             include_scheduler=False, include_service=True)
         report = oracle.run()
@@ -58,13 +63,13 @@ class TestCleanTree:
         assert any(result.path == "service:vectorized"
                    for result in report.results)
 
-    def test_client_facade_paths_byte_identical(self, differential_oracle):
+    def test_client_facade_paths_byte_identical(self):
         """Acceptance: the repro.api facade joins the oracle —
         client:local, client:pooled, client:tcp (pinned to the v2 line
         protocol), client:tcp-v3 (binary frames), and the cluster router
         (including the kill-a-node chaos variant) all byte-identical to
         the reference scheme."""
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["vectorized", "pooled"], corpus=SMALL_CORPUS,
             include_scheduler=False, include_clients=True)
         report = oracle.run()
@@ -80,32 +85,29 @@ class TestCleanTree:
 
 
 class TestFaultInjection:
-    def test_fault_caught_named_and_localized(self, differential_oracle):
+    def test_fault_caught_named_and_localized(self):
         fault = parse_fault("thash:bitflip:7:0")
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized"], corpus=SMALL_CORPUS,
-            include_scheduler=False, fault=fault, fault_target="scalar")
+            include_scheduler=False, fault=fault)
         report = oracle.run()
         assert not report.passed
         assert report.fault_fired
         divergence = report.first_divergence()
         assert divergence is not None
         assert divergence.path == "backend:scalar"
-        # The flip lands in the first FORS tree: whichever component it
-        # surfaces in, the stage must name a real signing hop.
-        assert divergence.stage.split(" ")[0] in {"fors", "wots", "merkle",
-                                                  "randomizer"}
-        # The trace hooks localize the same fault on the reference path.
-        assert report.fault_hop is not None
-        assert "fors" in report.fault_hop
+        # The flip lands in the first FORS tree, and the grafted tree
+        # still verifies: only the byte compare catches it.
+        assert divergence.stage == "fors (tree 0 auth path)"
+        assert divergence.verify_failed is False
         # The untouched backend stays clean.
         vectorized = [r for r in report.results
                       if r.path == "backend:vectorized"]
         assert vectorized[0].ok
 
-    def test_unfired_fault_reports_not_fired(self, differential_oracle):
+    def test_unfired_fault_reports_not_fired(self):
         fault = parse_fault("thash:bitflip:999999999")
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar"], corpus=SMALL_CORPUS[:1],
             include_scheduler=False, fault=fault)
         report = oracle.run()
@@ -115,12 +117,11 @@ class TestFaultInjection:
 
 
 class TestVerifyStage:
-    def test_verify_cases_cover_every_region_and_agree(self,
-                                                       differential_oracle):
+    def test_verify_cases_cover_every_region_and_agree(self):
         """A clean tree: every path's verdicts over the verify cases
         (valid pairs, one flip per signature region, resized blobs, wrong
         message) equal the reference's."""
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized"],
             corpus=SMALL_CORPUS[:1], include_scheduler=False,
             include_ledger=False)
@@ -134,7 +135,7 @@ class TestVerifyStage:
         assert [wanted for _, _, _, wanted in oracle._verify_cases] == (
             [True] + [False] * (len(labels) - 1))
 
-    def test_verifier_without_root_compare_rings(self, differential_oracle):
+    def test_verifier_without_root_compare_rings(self):
         """The alarm: a fast verifier that never compares the root leaves
         every signature byte-identical and is still reported — by the
         fast paths only, as the accept-what-the-reference-rejects class."""
@@ -142,7 +143,7 @@ class TestVerifyStage:
 
         genuine = FastVerifier.verify_batch
         fault = parse_fault("verify:no-root-compare")
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized"],
             corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
         report = oracle.run()
@@ -162,7 +163,7 @@ class TestVerifyStage:
         assert report.first_divergence().stage == "verify"
 
 
-    def test_signature_blind_verify_memo_rings(self, differential_oracle):
+    def test_signature_blind_verify_memo_rings(self):
         """The alarm for the verify memo: keyed without the signature, it
         answers for every well-sized corruption of a signature it has
         accepted — and only because the verify stage checks those after
@@ -171,7 +172,7 @@ class TestVerifyStage:
 
         genuine = FastVerifier._memo_key
         fault = parse_fault("verify:memo-ignores-signature")
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized"],
             corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
         report = oracle.run()
@@ -187,7 +188,7 @@ class TestVerifyStage:
             assert all(d.stage == "verify" and not d.verify_failed
                        for d in result.divergences)
 
-    def test_signature_blind_layer_memo_rings(self, differential_oracle):
+    def test_signature_blind_layer_memo_rings(self):
         """The alarm for the upper-layer memo: keyed without a layer's
         signature bytes, it answers for a corruption inside a memoized
         layer — the top one's chains and auth path among the oracle's
@@ -196,7 +197,7 @@ class TestVerifyStage:
 
         genuine = FastVerifier._layer_key
         fault = parse_fault("verify:layer-memo-ignores-signature")
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized"],
             corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
         report = oracle.run()
@@ -212,7 +213,7 @@ class TestVerifyStage:
             assert all(d.stage == "verify" and not d.verify_failed
                        for d in result.divergences)
 
-    def test_chain_table_off_by_one_rings(self, differential_oracle):
+    def test_chain_table_off_by_one_rings(self):
         """The alarm for the signing plan's stitch: a WOTS signature read
         one table position too far passes the plan's own root check, and
         must be reported — as a wots divergence that fails verification —
@@ -221,7 +222,7 @@ class TestVerifyStage:
 
         genuine = plan.chain_values
         fault = parse_fault("plan:chain-table-off-by-one")
-        oracle = differential_oracle(
+        oracle = smoke_oracle(
             "128f", backends=["scalar", "vectorized", "pooled"],
             corpus=SMALL_CORPUS[:1], include_clients=True, fault=fault)
         report = oracle.run()
@@ -237,9 +238,7 @@ class TestVerifyStage:
             assert divergence.verify_failed  # caught by verify, not served
         assert report.first_divergence().stage == "wots (layer 0)"
 
-    def test_off_by_one_rings_from_inside_the_workers(self,
-                                                      differential_oracle,
-                                                      warm_key):
+    def test_off_by_one_rings_from_inside_the_workers(self, warm_key):
         """An uncut run looks every layer below the floor up in its
         worker, which has the fault only because its pool was forked
         inside ``install()``: eight messages on a warm key are eight
@@ -266,7 +265,7 @@ class TestVerifyStage:
         assert fault.fired and fault.calls_seen == 8 * 19
 
         fault = parse_fault("plan:chain-table-off-by-one")
-        report = differential_oracle(
+        report = smoke_oracle(
             "128f", backends=["pooled"], fault=fault, corpus=[
                 (f"uncut-{i}", message)
                 for i, message in enumerate(messages)]).run()
@@ -302,21 +301,6 @@ class TestExtensibility:
         assert divergence.path == "backend:test-corrupted"
         assert divergence.stage.startswith("merkle (layer")
         assert divergence.verify_failed  # tampering breaks the root walk
-
-    def test_fault_on_hookless_backend_is_misconfig_not_divergence(self):
-        """Installing a fault needs a tappable hash context; the
-        vectorized backend hashes off midstate templates, so a fault
-        aimed at it must fail loud and typed, not be recorded as a
-        signature divergence."""
-        oracle = DifferentialOracle(
-            "128f", backends=["vectorized"], corpus=SMALL_CORPUS[:1],
-            include_scheduler=False, include_service=False,
-            include_clients=False, fault=parse_fault("thash:bitflip"),
-            fault_target="vectorized")
-        with pytest.raises(ConformanceError,
-                           match="cannot install fault on backend "
-                                 "'vectorized'"):
-            oracle.run()
 
     def test_unknown_backend_is_an_error_not_a_crash(self):
         oracle = DifferentialOracle(
@@ -356,3 +340,57 @@ class TestLocalizeDivergence:
 
         assert localize_divergence(scheme, clean, clean[:-1]).startswith(
             "length")
+
+    def test_identical_blobs_name_no_hop(self):
+        scheme = Sphincs("128f", deterministic=True)
+        keys = scheme.keygen(seed=bytes(48))
+        clean = scheme.sign(b"same", keys)
+        assert localize_divergence(scheme, clean, bytes(clean)) == (
+            "none (byte-identical)")
+
+    def test_length_mismatch_names_both_sizes(self):
+        scheme = Sphincs("128f", deterministic=True)
+        size = scheme.params.sig_bytes
+        blob = bytes(size)
+        assert localize_divergence(scheme, blob, blob[:-1]) == (
+            f"length ({size - 1} bytes, expected {size})")
+        assert localize_divergence(scheme, blob, blob + b"\x00") == (
+            f"length ({size + 1} bytes, expected {size})")
+
+    def test_auth_paths_name_their_tree_and_layer(self):
+        scheme = Sphincs("128f", deterministic=True)
+        params = scheme.params
+        clean = bytes(params.sig_bytes)
+        n, fors_tree = params.n, (1 + params.log_t) * params.n
+        fors_bytes = n + params.k * fors_tree
+        wots_bytes = params.wots_len * n
+
+        def flipped(offset: int) -> bytes:
+            blob = bytearray(clean)
+            blob[offset] ^= 1
+            return bytes(blob)
+
+        cases = {
+            n + n: "fors (tree 0 auth path)",
+            n + (params.k - 1) * fors_tree + n:
+                f"fors (tree {params.k - 1} auth path)",
+            fors_bytes + wots_bytes: "merkle (layer 0 auth path)",
+            params.sig_bytes - 1:
+                f"merkle (layer {params.d - 1} auth path)",
+        }
+        for offset, stage in cases.items():
+            assert localize_divergence(scheme, clean, flipped(offset)) == (
+                stage), offset
+
+    def test_the_first_hop_in_signing_order_wins(self):
+        scheme = Sphincs("128f", deterministic=True)
+        params = scheme.params
+        clean = bytes(params.sig_bytes)
+        fors_bytes = params.n + params.k * (1 + params.log_t) * params.n
+        for offsets, stage in (((0, params.sig_bytes - 1), "randomizer"),
+                               ((fors_bytes, params.n), "fors (tree 0 "
+                                                        "revealed secret)")):
+            blob = bytearray(clean)
+            for offset in offsets:
+                blob[offset] ^= 1
+            assert localize_divergence(scheme, clean, bytes(blob)) == stage
