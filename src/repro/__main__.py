@@ -266,11 +266,9 @@ def _build_keystore(args: argparse.Namespace):
     keystore = Keystore(root=args.keystore or None)
     for name, params in _parse_tenants(args.tenants):
         keystore.add_tenant(name, params, exist_ok=True)
-        if "default" not in keystore.key_names(name):
-            seed = (derive_seed(f"{name}/default",
-                                get_params(params).n)
-                    if args.deterministic else None)
-            keystore.generate_key(name, "default", seed=seed)
+        seed = (derive_seed(f"{name}/default", get_params(params).n)
+                if args.deterministic else None)
+        keystore.generate_key(name, "default", seed=seed, exist_ok=True)
     return keystore
 
 
@@ -581,8 +579,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         try:
             offsets = make_trace(args.trace, args.messages, args.rate,
                                  seed=args.seed)
-            generator = LoadGenerator(signer, time_scale=args.time_scale,
-                                      verifier=verifier,
+            generator = LoadGenerator(signer, verifier=verifier,
                                       verify_fraction=args.verify_fraction,
                                       seed=args.seed)
             print(f"replaying {args.messages} requests, trace "
@@ -698,7 +695,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         try:
             oracle = DifferentialOracle(
                 params, backends=backends, seed=args.seed, smoke=args.smoke,
-                include_service=not args.no_service, fault=fault)
+                fault=fault)
             report = oracle.run()
         except (ConformanceError, ParameterError) as exc:
             print(f"conformance: {exc}", file=sys.stderr)
@@ -758,7 +755,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    from .core.batch import MODES, run_batch
+    from .core.batch import end_to_end_kops
     from .errors import ReproError
     from .gpusim.device import get_device
     from .params import get_params
@@ -768,10 +765,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     try:
         device = get_device(args.device)
         params = get_params(args.params)
-        results = {mode: run_batch(params, device, mode,
-                                   messages=args.messages,
-                                   batches=args.batches)
-                   for mode in MODES}
+        results = end_to_end_kops(params, device, args.messages,
+                                  args.batches)
     except ReproError as exc:
         print(f"model: {exc}", file=sys.stderr)
         return 2
@@ -913,8 +908,6 @@ def main(argv: list[str] | None = None) -> int:
     p_loadtest.add_argument("--deadline-ms", type=float, default=None,
                             help="per-request latency budget")
     p_loadtest.add_argument("--seed", type=int, default=0)
-    p_loadtest.add_argument("--time-scale", type=float, default=1.0,
-                            help="multiply trace offsets (0.5 = 2x faster)")
     p_loadtest.add_argument("--protocol", type=int, default=None,
                             choices=(2, 3),
                             help="wire protocol to offer (default: v3 "
@@ -961,8 +954,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="small corpus")
     p_conf.add_argument("--seed", type=int, default=0,
                         help="corpus generation seed")
-    p_conf.add_argument("--no-service", action="store_true",
-                        help="skip the async SigningService pass")
     p_conf.add_argument("--inject-fault", default=None, metavar="SPEC",
                         help="install a deterministic fault and require "
                              "the run to fail naming the stage: "

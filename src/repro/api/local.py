@@ -79,11 +79,10 @@ class LocalClient(SigningClient):
         uses, so local and served deterministic tenants agree.
         """
         record = self.keystore.add_tenant(tenant, params, exist_ok=True)
-        if key not in self.keystore.key_names(tenant):
-            if seed is None and self.engine.deterministic:
-                seed = derive_seed(f"{tenant}/{key}",
-                                   get_params(record.params).n)
-            self.keystore.generate_key(tenant, key, seed=seed)
+        if seed is None and self.engine.deterministic:
+            seed = derive_seed(f"{tenant}/{key}",
+                               get_params(record.params).n)
+        self.keystore.generate_key(tenant, key, seed=seed, exist_ok=True)
 
     # ------------------------------------------------------------------
     # Transport primitives

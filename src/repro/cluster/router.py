@@ -41,7 +41,7 @@ import contextlib
 from ..errors import (ConnectionLostError, NodeUnavailableError,
                       OverloadedError, ServiceError)
 from ..obs.log import get_logger
-from ..obs.trace import Tracer, current_trace
+from ..obs.trace import current_trace
 from .ring import HashRing
 from ..service import protocol
 from ..service.client import ServiceClient
@@ -110,8 +110,7 @@ class RouterService:
 
     def __init__(self, nodes: list[tuple[str, int]], keystore: Keystore,
                  *, admit: bool = True, max_retries: int = 2,
-                 health_interval_s: float = 0.5,
-                 tracer: Tracer | None = None):
+                 health_interval_s: float = 0.5):
         if not nodes:
             raise ServiceError("a cluster needs at least one node")
         if max_retries < 0:
@@ -121,7 +120,7 @@ class RouterService:
         self.admit = admit
         self.backend_name = "cluster"
         self.pool = None  # capabilities(): a router has no local workers
-        self.tracer = tracer
+        self.tracer = None  # the server's span hooks: a router records none
         self.telemetry = Telemetry()
         self.metrics_registry = self.telemetry.registry
         self.telemetry.add_source("queue",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import GpuModelError
-from ..gpusim.calibration import Calibration, DEFAULT_CALIBRATION
+from ..gpusim.calibration import DEFAULT_CALIBRATION
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine import TimingEngine
 from ..gpusim.graph import TaskGraph
@@ -113,8 +113,6 @@ def run_batch(
     messages: int = 1024,
     batches: int = 8,
     engine: TimingEngine | None = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    plans: dict[str, KernelPlan] | None = None,
 ) -> BatchResult:
     """Simulate a multi-batch signing workload under one strategy."""
     if mode not in MODES:
@@ -125,6 +123,7 @@ def run_batch(
         raise GpuModelError(
             f"{messages} messages do not divide into {batches} batches"
         )
+    calibration = DEFAULT_CALIBRATION
     engine = engine or TimingEngine(calibration)
 
     # TCAS-SPHINCSp signs the whole workload per synchronized kernel
@@ -133,11 +132,10 @@ def run_batch(
     # over concurrent non-blocking streams/graphs (paper Figure 10).
     effective_batches = 1 if mode.startswith("baseline") else batches
 
-    if plans is None:
-        if mode.startswith("baseline"):
-            plans = baseline_plans(params, device, messages=messages)
-        else:
-            plans = hero_plans(params, device, engine, messages=messages)
+    if mode.startswith("baseline"):
+        plans = baseline_plans(params, device, messages=messages)
+    else:
+        plans = hero_plans(params, device, engine, messages=messages)
     kernels = _batch_kernels(plans, engine, messages, effective_batches)
 
     timeline = Timeline(device, calibration)

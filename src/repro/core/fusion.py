@@ -76,8 +76,6 @@ def plan_fors(
     params: SphincsParams,
     smem_budget: int,
     padded: bool = True,
-    t_max: int = 1024,
-    alpha: float = 0.6,
     force_relax: bool | None = None,
     hard_limit: int | None = None,
 ) -> ForsPlan:
@@ -93,9 +91,7 @@ def plan_fors(
     pad = padding_rule(params.n) if padded else None
     budget = smem_budget
     while True:
-        tuning = tree_tuning_search(
-            params, budget, t_max=t_max, alpha=alpha, relax=relax
-        )
+        tuning = tree_tuning_search(params, budget, relax=relax)
         best = tuning.best
         plan = ForsPlan(
             params=params,

@@ -23,6 +23,7 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim.instructions import MISC as MISC_CLASS, InstructionMix
 from ..gpusim.kernel import KernelWorkload, LaunchConfig, WorkloadPhase
 from ..gpusim.memory import (
+    WARP_SIZE,
     Layout,
     SharedMemoryBankModel,
     count_reduction_conflicts,
@@ -104,7 +105,6 @@ def level_wavefronts(
     parents: int,
     node_bytes: int,
     pad_period: int,
-    warp_size: int = 32,
 ) -> tuple[float, float]:
     """(load, store) wavefronts for one reduction level of one tree.
 
@@ -112,9 +112,8 @@ def level_wavefronts(
     loads children ``2t`` and ``2t+1``, stores parent ``t``) against the
     32-bank model.
     """
-    trace = reduction_trace(2 * parents, Layout(node_bytes, pad_period),
-                            warp_size=warp_size)
-    level = islice(trace, 3 * math.ceil(parents / warp_size))
+    trace = reduction_trace(2 * parents, Layout(node_bytes, pad_period))
+    level = islice(trace, 3 * math.ceil(parents / WARP_SIZE))
     report = SharedMemoryBankModel().replay(level)
     return float(report.load_wavefronts), float(report.store_wavefronts)
 

@@ -31,6 +31,7 @@ __all__ = ["PaddingRule", "padding_rule"]
 
 _TRANSACTION_BYTES = 128
 _BANK_BYTES = 4
+_MAX_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -47,16 +48,16 @@ class PaddingRule:
         """Data bytes between inserted padding banks (= 128 * R)."""
         return _TRANSACTION_BYTES * self.rows
 
-    def layout(self, base: int = 0) -> Layout:
+    def layout(self) -> Layout:
         """A node layout applying this rule."""
-        return Layout(self.access_bytes, self.pad_period, base=base)
+        return Layout(self.access_bytes, self.pad_period)
 
     def overhead_bytes(self, data_bytes: int) -> int:
         """Extra shared memory consumed by padding for *data_bytes* data."""
         return _BANK_BYTES * (data_bytes // self.pad_period)
 
 
-def padding_rule(access_bytes: int, max_rows: int = 8) -> PaddingRule:
+def padding_rule(access_bytes: int) -> PaddingRule:
     """Solve Equation 2 (or 3) for an access width.
 
     >>> padding_rule(16).thread_interval, padding_rule(16).rows
@@ -71,7 +72,7 @@ def padding_rule(access_bytes: int, max_rows: int = 8) -> PaddingRule:
             f"access width {access_bytes} must be a positive multiple of 4"
         )
     banks_per_thread = access_bytes // _BANK_BYTES
-    for rows in range(1, max_rows + 1):
+    for rows in range(1, _MAX_ROWS + 1):
         total = _TRANSACTION_BYTES * rows
         if total % access_bytes == 0:
             return PaddingRule(
@@ -81,5 +82,5 @@ def padding_rule(access_bytes: int, max_rows: int = 8) -> PaddingRule:
                 rows=rows,
             )
     raise SharedMemoryError(
-        f"no padding rule with R <= {max_rows} for {access_bytes}-byte accesses"
+        f"no padding rule with R <= {_MAX_ROWS} for {access_bytes}-byte accesses"
     )

@@ -6,7 +6,7 @@
   (the whole of Table VIII).
 * :func:`optimization_ladder` — the cumulative step sequence of paper
   Figure 11: Baseline -> MMTP -> +FS -> +PTX -> +HybridME -> +FreeBank,
-  evaluated on ``FORS_Sign`` (and optionally any kernel).
+  evaluated on ``FORS_Sign``.
 
 Throughput is reported in KOPS (kilo signature-component operations per
 second): ``messages / kernel_time / 1e3``, matching the paper's metric.
@@ -56,13 +56,10 @@ class StepResult:
     cumulative_speedup: float
 
 
-def kernel_report(
-    plan: KernelPlan, engine: TimingEngine, messages: int | None = None
-) -> KernelReport:
+def kernel_report(plan: KernelPlan, engine: TimingEngine) -> KernelReport:
     """Time one kernel plan and package the Table VIII row."""
     profile = profile_launch(engine, plan.compiled, plan.workload, plan.launch)
-    messages = messages or plan.launch.grid_blocks
-    kops = messages / profile.timing.time_s / 1e3
+    kops = plan.launch.grid_blocks / profile.timing.time_s / 1e3
     return KernelReport(
         kernel=plan.kernel, kops=kops, time_ms=profile.time_ms, profile=profile
     )
@@ -95,12 +92,11 @@ def kernel_comparison(
     params: SphincsParams,
     device: DeviceSpec,
     engine: TimingEngine | None = None,
-    messages: int = 1024,
 ) -> dict[str, tuple[KernelReport, KernelReport]]:
     """Per-kernel (baseline, HERO-Sign) reports — paper Table VIII."""
     engine = engine or TimingEngine()
-    base = baseline_plans(params, device, messages=messages)
-    hero = hero_plans(params, device, engine, messages=messages)
+    base = baseline_plans(params, device)
+    hero = hero_plans(params, device, engine)
     return {
         name: (
             kernel_report(base[name], engine),
@@ -134,18 +130,17 @@ LADDER_STEPS: tuple[tuple[str, OptimizationFlags], ...] = (
 def optimization_ladder(
     params: SphincsParams,
     device: DeviceSpec,
-    kernel: str = "FORS_Sign",
     engine: TimingEngine | None = None,
-    messages: int = 1024,
 ) -> list[StepResult]:
-    """Evaluate the cumulative optimization steps (paper Figure 11)."""
+    """Evaluate the cumulative optimization steps (paper Figure 11) on
+    ``FORS_Sign``."""
     engine = engine or TimingEngine()
     results: list[StepResult] = []
     previous_kops = None
     baseline_kops = None
     for name, flags in LADDER_STEPS:
-        plans = hero_plans(params, device, engine, messages=messages, flags=flags)
-        report = kernel_report(plans[kernel], engine)
+        plans = hero_plans(params, device, engine, flags=flags)
+        report = kernel_report(plans["FORS_Sign"], engine)
         if baseline_kops is None:
             baseline_kops = report.kops
             previous_kops = report.kops

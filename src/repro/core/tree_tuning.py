@@ -35,6 +35,11 @@ from ..params import SphincsParams
 
 __all__ = ["TuningCandidate", "TuningResult", "tree_tuning_search"]
 
+#: Thread budget per block (1024 on every supported device).
+T_MAX = 1024
+#: Thread-utilization floor ``alpha`` of line 18.
+ALPHA = 0.6
+
 
 @dataclass(frozen=True)
 class TuningCandidate:
@@ -75,8 +80,6 @@ class TuningResult:
 def tree_tuning_search(
     params: SphincsParams,
     smem_per_block: int,
-    t_max: int = 1024,
-    alpha: float = 0.6,
     relax: bool = False,
 ) -> TuningResult:
     """Run Algorithm 1 and return the optimal configuration.
@@ -87,12 +90,6 @@ def tree_tuning_search(
         Supplies ``(k, log2 t, n)``.
     smem_per_block:
         ``SEME_PER_BLOCK()`` — static (48 KB) or opt-in dynamic limit.
-    t_max:
-        Thread budget per block (1024 on every supported device).
-    alpha:
-        Thread-utilization floor of line 18.  0.6 reproduces the paper's
-        RTX 4090 results; the paper notes it "may vary across GPU
-        architectures".
     relax:
         Apply the Relax-FORS halving of threads and shared memory.
     """
@@ -102,14 +99,14 @@ def tree_tuning_search(
     s_tree = (t * n) // 2 if relax else t * n            # per-tree footprint
     s_max = smem_per_block                               # line 2
 
-    if t_min > t_max:
+    if t_min > T_MAX:
         raise TuningError(
             f"{params.name}: one FORS tree needs {t_min} threads, more than "
-            f"the {t_max}-thread budget even in relax mode"
+            f"the {T_MAX}-thread budget even in relax mode"
         )
 
     candidates: list[TuningCandidate] = []               # line 3
-    for t_set in range(t_min, t_max + 1, t_min):         # line 4
+    for t_set in range(t_min, T_MAX + 1, t_min):         # line 4
         n_tree = t_set // t_min                          # line 5
         if n_tree > k:
             break
@@ -120,11 +117,11 @@ def tree_tuning_search(
         for f in range(1, f_max + 1):                    # line 11
             t_used = t_set                               # line 12
             s_used = f * s_set                           # line 13
-            if t_used > t_max or s_used > s_max:         # line 14
+            if t_used > T_MAX or s_used > s_max:         # line 14
                 continue
-            u_t = t_used / t_max                         # line 17
+            u_t = t_used / T_MAX                         # line 17
             u_s = s_used / s_max
-            if (u_t == 1.0 and u_s == 1.0) or u_t < alpha:   # line 18
+            if (u_t == 1.0 and u_s == 1.0) or u_t < ALPHA:   # line 18
                 continue
             sync = log_t * math.ceil(k / n_tree) / f     # line 21
             candidates.append(TuningCandidate(           # line 22
@@ -135,7 +132,7 @@ def tree_tuning_search(
     if not candidates:
         raise TuningError(
             f"{params.name}: no feasible fusion configuration under "
-            f"{smem_per_block} B shared memory and alpha={alpha}"
+            f"{smem_per_block} B shared memory and alpha={ALPHA}"
             + ("" if relax else " (consider relax mode)")
         )
     best = min(candidates, key=TuningCandidate.sort_key)  # line 25

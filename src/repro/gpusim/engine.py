@@ -87,10 +87,9 @@ class TimingEngine:
         compiled: CompiledKernel,
         workload: KernelWorkload,
         launch: LaunchConfig,
-        device: DeviceSpec | None = None,
     ) -> KernelTiming:
         """Execution time (excluding launch overhead) of one launch."""
-        device = device or compiled.device
+        device = compiled.device
         launch.validate(device)
         occ = occupancy(
             device, launch.threads_per_block,

@@ -108,19 +108,18 @@ class InstructionMix:
         self,
         timings: InstructionTimings,
         ilp: float,
-        exclude: frozenset[InstructionClass] = frozenset({"MISC"}),
     ) -> float:
         """Cycles for one thread to *execute* the mix as a dependent chain
         softened by instruction-level parallelism *ilp* (latency view).
 
-        ``exclude`` drops instruction classes that are off the critical
-        dependence path (by default the MISC address-math/bookkeeping
-        overhead, which interleaves with the hash rounds).
+        The MISC address-math/bookkeeping overhead is off the critical
+        dependence path (it interleaves with the hash rounds) and is left
+        out.
         """
         weighted = sum(
             count * timings.latency[cls_]
             for cls_, count in self.counts.items()
-            if cls_ not in exclude
+            if cls_ != MISC
         )
         return weighted / max(ilp, 1.0)
 

@@ -38,6 +38,11 @@ __all__ = [
     "count_reduction_conflicts",
 ]
 
+#: Shared-memory banks, bytes per bank, and threads per warp.
+BANKS = 32
+BANK_WIDTH = 4
+WARP_SIZE = 32
+
 
 @dataclass(frozen=True)
 class AccessPattern:
@@ -87,15 +92,6 @@ class ConflictReport:
 class SharedMemoryBankModel:
     """The 32-bank wavefront-replay rule."""
 
-    def __init__(self, banks: int = 32, bank_width: int = 4):
-        if banks <= 0 or bank_width != 4:
-            raise SharedMemoryError(
-                f"unsupported bank geometry ({banks} banks x {bank_width} B)"
-            )
-        self.banks = banks
-        self.bank_width = bank_width
-
-    # ------------------------------------------------------------------
     def warp_wavefronts(self, pattern: AccessPattern) -> tuple[int, int]:
         """(actual, ideal) wavefronts for one warp access.
 
@@ -111,8 +107,8 @@ class SharedMemoryBankModel:
             for addr, width in pattern.accesses.values():
                 if phase * 4 >= width:
                     continue
-                word = (addr + phase * 4) // self.bank_width
-                bank = word % self.banks
+                word = (addr + phase * 4) // BANK_WIDTH
+                bank = word % BANKS
                 words_per_bank.setdefault(bank, set()).add(word)
             if words_per_bank:
                 actual += max(len(words) for words in words_per_bank.values())
@@ -143,7 +139,6 @@ class Layout:
 
     node_bytes: int
     pad_period: int = 0
-    base: int = 0
 
     def __post_init__(self) -> None:
         if self.node_bytes % 4 or self.node_bytes <= 0:
@@ -154,29 +149,25 @@ class Layout:
             raise SharedMemoryError(
                 f"pad period {self.pad_period} must be a non-negative multiple of 4"
             )
-        if self.base % 4:
-            raise SharedMemoryError(f"base {self.base} is not word-aligned")
 
     def address(self, node_index: int) -> int:
         """Byte address of node *node_index* under this layout."""
         raw = node_index * self.node_bytes
         if self.pad_period:
             raw += 4 * (raw // self.pad_period)
-        return self.base + raw
+        return raw
 
     def footprint(self, node_count: int) -> int:
         """Bytes of shared memory consumed by *node_count* nodes."""
         if node_count == 0:
             return 0
-        last = self.address(node_count - 1) - self.base
-        return last + self.node_bytes
+        return self.address(node_count - 1) + self.node_bytes
 
 
 def reduction_trace(
     leaf_count: int,
     layout: Layout,
     trees: int = 1,
-    warp_size: int = 32,
 ) -> Iterator[AccessPattern]:
     """Warp access trace of *trees* bottom-up Merkle reductions side by side.
 
@@ -188,7 +179,7 @@ def reduction_trace(
     subtrees sharing warps — thread ``t``'s children sit at
     ``tree * width + 2 * local`` and conflicts arise *across* trees.
     Yields level by level: the first ``3 * ceil(trees * leaf_count / 2 /
-    warp_size)`` patterns are the bottom level.
+    WARP_SIZE)`` patterns are the bottom level.
     """
     if leaf_count <= 0 or leaf_count & (leaf_count - 1):
         raise SharedMemoryError(
@@ -201,8 +192,8 @@ def reduction_trace(
     while width > 1:
         parents = width // 2
         total = trees * parents
-        for warp_base in range(0, total, warp_size):
-            lanes = range(warp_base, min(warp_base + warp_size, total))
+        for warp_base in range(0, total, WARP_SIZE):
+            lanes = range(warp_base, min(warp_base + WARP_SIZE, total))
 
             def child_addr(t: int, side: int) -> int:
                 tree, local = divmod(t, parents)
@@ -225,13 +216,12 @@ def count_reduction_conflicts(
     pad_period: int = 0,
     repeats: int = 1,
     trees: int = 1,
-    model: SharedMemoryBankModel | None = None,
 ) -> ConflictReport:
     """Conflicts of *repeats* reductions of *trees* side-by-side Merkle
     trees under one padding rule."""
-    model = model or SharedMemoryBankModel()
     layout = Layout(node_bytes, pad_period)
-    single = model.replay(reduction_trace(leaf_count, layout, trees))
+    single = SharedMemoryBankModel().replay(
+        reduction_trace(leaf_count, layout, trees))
     return ConflictReport(
         single.load_wavefronts * repeats,
         single.load_ideal * repeats,

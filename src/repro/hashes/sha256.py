@@ -86,13 +86,11 @@ class Sha256:
     block_size = 64
     digest_size = 32
 
-    def __init__(self, data: bytes = b"", counts: OpCounts | None = None):
+    def __init__(self, counts: OpCounts | None = None):
         self._h = list(_IV)
         self._buffer = b""
         self._length = 0
         self._counts = counts
-        if data:
-            self.update(data)
 
     def update(self, data: bytes) -> "Sha256":
         self._length += len(data)

@@ -36,27 +36,20 @@ from .trace import current_trace
 __all__ = ["JsonLogger", "configure_logging", "get_logger",
            "logging_enabled"]
 
-LEVELS = {"debug": 10, "info": 20, "warn": 30, "error": 40}
-
 _lock = threading.Lock()
 _stream: IO[str] | None = None
 _owns_stream = False
-_threshold = LEVELS["info"]
 _loggers: dict[str, "JsonLogger"] = {}
 
 
-def configure_logging(dest: str | IO[str] | None,
-                      level: str = "info") -> None:
+def configure_logging(dest: str | IO[str] | None) -> None:
     """Route JSON log lines to *dest*; ``None`` disables logging.
 
     *dest* may be a path (opened append, line-buffered), ``"-"`` for
     stderr, or an open text stream.  Reconfiguring closes a previously
     opened file.
     """
-    global _stream, _owns_stream, _threshold
-    if level not in LEVELS:
-        raise ValueError(
-            f"log level must be one of {sorted(LEVELS)}, got {level!r}")
+    global _stream, _owns_stream
     with _lock:
         if _owns_stream and _stream is not None:
             _stream.close()
@@ -69,7 +62,6 @@ def configure_logging(dest: str | IO[str] | None,
             _owns_stream = True
         else:
             _stream, _owns_stream = dest, False
-        _threshold = LEVELS[level]
 
 
 def logging_enabled() -> bool:
@@ -84,7 +76,7 @@ class JsonLogger:
 
     def log(self, level: str, event: str, **fields) -> None:
         stream = _stream
-        if stream is None or LEVELS.get(level, 0) < _threshold:
+        if stream is None:
             return
         record = {"ts": round(time.time(), 6), "level": level,
                   "component": self.component, "event": event}
@@ -98,9 +90,6 @@ class JsonLogger:
                 stream.write(line + "\n")
             except (OSError, ValueError):
                 pass  # a full disk or closed stream must not kill signing
-
-    def debug(self, event: str, **fields) -> None:
-        self.log("debug", event, **fields)
 
     def info(self, event: str, **fields) -> None:
         self.log("info", event, **fields)

@@ -190,15 +190,14 @@ class Tracer:
                                            separators=(",", ":")) + "\n")
 
     @contextlib.contextmanager
-    def span(self, name: str, trace: TraceContext | None = None,
-             **attrs) -> Iterator[TraceContext]:
+    def span(self, name: str, **attrs) -> Iterator[TraceContext]:
         """Time the enclosed block as a child span and propagate context.
 
-        Without an explicit *trace* (and no ambient one), a fresh root
-        trace is started; the block runs with a child context installed,
-        so nested :meth:`span` calls parent correctly.
+        Without an ambient trace, a fresh root trace is started; the
+        block runs with a child context installed, so nested :meth:`span`
+        calls parent correctly.
         """
-        parent = trace if trace is not None else current_trace()
+        parent = current_trace()
         ctx = parent.child() if parent is not None else start_trace()
         clock = SpanClock()
         with use_trace(ctx):

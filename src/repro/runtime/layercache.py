@@ -45,12 +45,13 @@ from ..params import PARAMETER_SETS, SphincsParams, get_params
 __all__ = [
     "DEFAULT_BUDGET_MB",
     "HypertreeLayerCache",
+    "MAX_FILL_HASHES",
     "choose_pinned_layers",
+    "fill_hashes",
     "link_entry_bytes",
     "pinned_bytes",
     "pinned_link_count",
     "pinned_tree_count",
-    "prewarm_hashes",
     "savings_fraction",
     "subtree_build_hashes",
     "tradeoff_table",
@@ -59,6 +60,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET_MB = 32.0
+
+#: Most hashes filling one key's whole pinned region may cost — well
+#: under a second of hashing per key, whatever path its traffic takes.
+MAX_FILL_HASHES = 600_000
 
 # Per-entry bookkeeping (dict slot, key tuple, bytes header) on top of the
 # raw bytes.  Deliberately coarse: the model only has to rank layer
@@ -121,7 +126,7 @@ def pinned_bytes(params: SphincsParams, layers: int) -> int:
             + pinned_link_count(params, layers) * link_entry_bytes(params))
 
 
-def prewarm_hashes(params: SphincsParams, layers: int) -> int:
+def fill_hashes(params: SphincsParams, layers: int) -> int:
     """Hash cost of filling the whole pinned region for one key: the
     subtree builds, whose chain tables hold every link signature.  Fills
     on demand pay it at most once, and only for the paths traffic walks."""
@@ -142,46 +147,42 @@ def savings_fraction(params: SphincsParams, layers: int) -> float:
     return saved / params.total_sign_hashes()
 
 
-def choose_pinned_layers(params: SphincsParams, budget_bytes: int,
-                         max_prewarm_hashes: int = 600_000) -> int:
+def choose_pinned_layers(params: SphincsParams, budget_bytes: int) -> int:
     """Default pinned layer count for *params* under *budget_bytes*.
 
     Picks the largest ``c`` whose fully populated pinned region fits in
     half the budget (one key never holds the whole of it) and whose
-    whole fill stays under *max_prewarm_hashes* — well under a second of
-    hashing per key, whatever path its traffic takes.
+    whole fill stays under :data:`MAX_FILL_HASHES`.
     """
     best = 0
     for layers in range(1, params.d + 1):
         if pinned_bytes(params, layers) > budget_bytes // 2:
             break
-        if prewarm_hashes(params, layers) > max_prewarm_hashes:
+        if fill_hashes(params, layers) > MAX_FILL_HASHES:
             break
         best = layers
     return best
 
 
-def tradeoff_table(budget_bytes: int | None = None,
-                   max_prewarm_hashes: int = 600_000) -> list[dict]:
-    """Per-parameter-set cache trade-off rows (docs + tests).
+def tradeoff_table() -> list[dict]:
+    """Per-parameter-set cache trade-off rows at the default budget (docs
+    + tests).
 
     Each row reports the chosen default ``c``, one key's resident pinned
     bytes, hashes to fill its whole region, per-signature savings
     fraction, and how many fully warm keys the budget holds.
     """
-    if budget_bytes is None:
-        budget_bytes = int(DEFAULT_BUDGET_MB * 1024 * 1024)
+    budget_bytes = int(DEFAULT_BUDGET_MB * 1024 * 1024)
     rows = []
     for name in sorted(PARAMETER_SETS):
         params = get_params(name)
-        layers = choose_pinned_layers(params, budget_bytes,
-                                      max_prewarm_hashes)
+        layers = choose_pinned_layers(params, budget_bytes)
         rows.append({
             "params": name,
             "pinned_layers": layers,
             "pinned_trees": pinned_tree_count(params, layers),
             "pinned_kib": round(pinned_bytes(params, layers) / 1024, 1),
-            "prewarm_hashes": prewarm_hashes(params, layers),
+            "fill_hashes": fill_hashes(params, layers),
             "saved_fraction": round(savings_fraction(params, layers), 4),
             "warm_keys": budget_bytes // max(1, pinned_bytes(params,
                                                              layers)),

@@ -289,8 +289,7 @@ class Keystore:
         self._save(record)
         return keys
 
-    def rotate_key(self, tenant: str, key_name: str = "default",
-                   seed: bytes | None = None) -> KeyPair:
+    def rotate_key(self, tenant: str, key_name: str) -> KeyPair:
         """Replace an existing named key with a freshly generated pair.
 
         The old pair is retired immediately: the new key is persisted
@@ -306,7 +305,7 @@ class Keystore:
                 f"cannot rotate: tenant {tenant!r} has no key "
                 f"{key_name!r} (keys: {known})"
             )
-        new_keys = Sphincs(record.params).keygen(seed=seed)
+        new_keys = Sphincs(record.params).keygen()
         record.keys[key_name] = new_keys
         self._save(record)
         self._notify("key-rotated", tenant, key_name, old_keys)

@@ -117,9 +117,9 @@ def _check(n: int, rate: float) -> None:
 # Replay
 # ----------------------------------------------------------------------
 
-#: ``signer(message) -> response`` — the response only needs to be a dict
-#: with an optional ``batch_size`` (a :meth:`ServiceClient.call` of
-#: ``sign`` and a thin wrapper over ``SigningService.sign`` both qualify).
+#: ``signer(message) -> response`` — the response is awaited, not read (a
+#: :meth:`ServiceClient.call` of ``sign`` and a thin wrapper over
+#: ``SigningService.sign`` both qualify).
 Signer = Callable[[bytes], Awaitable[object]]
 
 
@@ -135,7 +135,6 @@ class LoadReport:
     failed: int = 0
     elapsed_s: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
-    batch_sizes: list[int] = field(default_factory=list)
 
     @property
     def achieved_rate(self) -> float:
@@ -171,11 +170,8 @@ class LoadGenerator:
 
     def __init__(self, signer: Signer,
                  message_factory: Callable[[int], bytes] | None = None,
-                 time_scale: float = 1.0,
                  verifier: Signer | None = None,
                  verify_fraction: float = 0.0, seed: int = 0):
-        if time_scale <= 0:
-            raise ServiceError(f"time_scale must be > 0, got {time_scale}")
         if not 0.0 <= verify_fraction <= 1.0:
             raise ServiceError(
                 f"verify_fraction must be in [0, 1], got {verify_fraction}")
@@ -188,11 +184,10 @@ class LoadGenerator:
         self._seed = seed
         self._message_factory = (message_factory or
                                  (lambda i: f"loadgen message #{i}".encode()))
-        self._time_scale = time_scale
 
     async def run(self, offsets: list[float],
                   trace: str = "custom") -> LoadReport:
-        """Issue one request per offset (scaled); returns the report."""
+        """Issue one request per offset; returns the report."""
         report = LoadReport(trace=trace, offered=len(offsets))
         loop = asyncio.get_running_loop()
         # Which indexes verify is decided up front in index order, so the
@@ -205,18 +200,16 @@ class LoadGenerator:
 
         async def one(index: int, offset: float) -> None:
             # Timed from when it was due: a stall shows in those behind it.
-            due = start + offset * self._time_scale
+            due = start + offset
             delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             verifying = index in verify_at
             try:
                 if verifying:
-                    response = await self._verifier(
-                        self._message_factory(index))
+                    await self._verifier(self._message_factory(index))
                 else:
-                    response = await self._signer(
-                        self._message_factory(index))
+                    await self._signer(self._message_factory(index))
             except OverloadedError:
                 report.shed += 1
                 return
@@ -228,12 +221,6 @@ class LoadGenerator:
             else:
                 report.signed += 1
             report.latencies_ms.append((loop.time() - due) * 1000.0)
-            if isinstance(response, dict) and "batch_size" in response:
-                report.batch_sizes.append(response["batch_size"])
-            else:
-                batch_size = getattr(response, "batch_size", None)
-                if batch_size is not None:
-                    report.batch_sizes.append(batch_size)
 
         await asyncio.gather(*(one(i, offset)
                                for i, offset in enumerate(offsets)))

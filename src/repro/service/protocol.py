@@ -419,9 +419,9 @@ def _pack_deadline(deadline_ms: float | None) -> bytes:
     return micros.to_bytes(4, "big")
 
 
-def _check_trace(trace: str, name: str = "trace") -> str:
+def _check_trace(trace: str) -> str:
     if len(trace) > 64:
-        raise ProtocolError(f"{name!r} must be at most 64 chars")
+        raise ProtocolError("'trace' must be at most 64 chars")
     return trace
 
 

@@ -12,8 +12,12 @@ Correctness in this repository is enforced by machinery, not eyeballs:
 * :mod:`.corpus` — seeded, stdlib-only **fuzz generation**: message edge
   cases, malformed protocol frames, corrupt keystore files, corrupted
   signatures.
-* :mod:`.faults` — deterministic **bit-flip injection** into the
-  tweakable-hash layer (the Genet-style SPHINCS+ fault model).
+* :mod:`.faults` — deterministic **fault injection**, one family per
+  layer the oracle must catch a fault in: ``thash`` / ``prf`` bit flips
+  in the tweakable-hash layer (the Genet-style SPHINCS+ fault model),
+  ``cache:flip`` in a pinned layer-cache subtree, ``memo:flip`` in the
+  replay memo, ``verify:*`` in the fast verifier and ``plan:*`` in the
+  signing plan.
 * :mod:`.chaos` — a seeded **flaky-TCP proxy** for service-tier chaos
   tests.
 

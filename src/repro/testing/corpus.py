@@ -115,9 +115,9 @@ def _strip_newlines(blob: bytes) -> bytes:
     return blob.replace(b"\n", b"?").replace(b"\r", b"?")
 
 
-def malformed_frames(seed: int = 0,
-                     extra_random: int = 8) -> list[tuple[str, bytes]]:
-    """Named hostile protocol lines (each already ``\\n``-terminated)."""
+def malformed_frames(seed: int = 0) -> list[tuple[str, bytes]]:
+    """Named hostile protocol lines (each already ``\\n``-terminated),
+    eight of them random bytes."""
     rng = random.Random(seed)
     frames: list[tuple[str, bytes]] = [
         ("not-json", b"this is not json\n"),
@@ -143,7 +143,7 @@ def malformed_frames(seed: int = 0,
          b'"deadline_ms": "soon"}\n'),
         ("invalid-utf8", b'{"op": "ping"\xff\xfe}\n'),
     ]
-    for i in range(extra_random):
+    for i in range(8):
         blob = _strip_newlines(rng.randbytes(rng.randrange(1, 200)))
         frames.append((f"random-bytes-{i}", blob + b"\n"))
     return frames

@@ -1,4 +1,7 @@
-"""Deterministic fault injection into the tweakable-hash layer.
+"""Deterministic fault injection: the tweakable-hash layer (``thash`` /
+``prf``), the layer cache (``cache:flip``), the replay memo
+(``memo:flip``), the fast verifier (``verify:*``) and the signing plan
+(``plan:*``).
 
 The SPHINCS+ fault-attack literature (Genet et al., "Practical Fault
 Injection Attacks on SPHINCS") shows that a *single* corrupted hash inside

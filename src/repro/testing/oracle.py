@@ -140,7 +140,7 @@ class ConformanceReport:
     results: list[PathResult]
     fault_spec: str | None = None
     fault_fired: bool = False
-    fault_hop: str | None = None  # a cache:flip run's strike detail
+    cache_strike: str | None = None  # a cache:flip run's strike detail
 
     @property
     def passed(self) -> bool:
@@ -154,7 +154,7 @@ class ConformanceReport:
         found = self.divergences
         return found[0] if found else None
 
-    def render(self, title: str = "Conformance oracle") -> str:
+    def render(self) -> str:
         from ..analysis.reporting import format_table
 
         rows = []
@@ -165,7 +165,8 @@ class ConformanceReport:
                          result.verified, round(result.elapsed_s, 3), status])
         lines = [format_table(
             ["path", "cases", "matched", "verified", "wall s", "status"],
-            rows, title=f"{title} — {self.params}, {len(self.cases)} cases",
+            rows, title=f"Conformance oracle — {self.params}, "
+                        f"{len(self.cases)} cases",
         )]
         for result in self.results:
             if result.error:
@@ -175,8 +176,8 @@ class ConformanceReport:
         if self.fault_spec is not None:
             fired = "fired" if self.fault_fired else "NEVER FIRED"
             lines.append(f"  injected fault {self.fault_spec}: {fired}")
-            if self.fault_hop is not None:
-                lines.append(f"  cache strike: {self.fault_hop}")
+            if self.cache_strike is not None:
+                lines.append(f"  cache strike: {self.cache_strike}")
         return "\n".join(lines)
 
 
@@ -326,7 +327,7 @@ class DifferentialOracle:
         reference.elapsed_s = time.perf_counter() - started
 
         results = [reference]
-        fault_fired, fault_hop = False, None
+        fault_fired, cache_strike = False, None
         if isinstance(self.fault, (VerifyFault, PlanFault)):
             # Installed process-wide on the fast kernels: the verifier
             # (signing untouched; only paths that verify through it can
@@ -356,7 +357,7 @@ class DifferentialOracle:
             # message across the strike.  The service/scheduler/client
             # tiers share the same backend code, so the cached-state
             # property is established once, where the cache lives.
-            cached_results, fault_hop = self._run_cached_fault()
+            cached_results, cache_strike = self._run_cached_fault()
             results.extend(cached_results)
             fault_fired = self.fault.fired
         else:
@@ -369,7 +370,7 @@ class DifferentialOracle:
             results=results,
             fault_spec=self.fault.spec if self.fault is not None else None,
             fault_fired=fault_fired,
-            fault_hop=fault_hop,
+            cache_strike=cache_strike,
         )
 
     def _run_all_paths(self) -> list[PathResult]:

@@ -55,9 +55,9 @@ class TestEffectiveness:
         assert rule.overhead_bytes(48 * 1024) <= 48 * 1024 * 0.04
 
     def test_layout_helper(self):
-        layout = padding_rule(16).layout(base=512)
+        layout = padding_rule(16).layout()
         assert layout.pad_period == 128
-        assert layout.address(0) == 512
+        assert layout.address(8) == 132
 
 
 class TestValidation:
@@ -68,9 +68,9 @@ class TestValidation:
             padding_rule(0)
 
     def test_unsolvable_width_raises(self):
-        # 28 bytes: 128R % 28 == 0 needs R = 7 > max_rows.
+        # 36 bytes: 128R % 36 == 0 needs R = 9, past the 8 rows searched.
         with pytest.raises(SharedMemoryError, match="no padding rule"):
-            padding_rule(28, max_rows=4)
+            padding_rule(36)
 
 
 class TestProperty:

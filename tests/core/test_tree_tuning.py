@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TuningError
-from repro.core.tree_tuning import tree_tuning_search
+from repro.core.tree_tuning import ALPHA, tree_tuning_search
 from repro.params import SphincsParams, get_params
 
 SMEM_48K = 48 * 1024
@@ -46,7 +46,7 @@ class TestAlgorithmConstraints:
     @pytest.mark.parametrize("alias", ["128f", "192f", "256f"])
     def test_all_candidates_feasible(self, alias):
         params = get_params(alias)
-        result = tree_tuning_search(params, SMEM_48K, alpha=0.6)
+        result = tree_tuning_search(params, SMEM_48K)
         for cand in result.candidates:
             assert cand.t_set % params.t == 0          # whole trees (line 1)
             assert cand.t_set <= 1024                   # line 14
@@ -84,8 +84,8 @@ class TestAdaptivity:
         assert large.sync_points <= small.sync_points
 
     def test_alpha_floors_thread_utilization(self):
-        result = tree_tuning_search(get_params("192f"), SMEM_48K, alpha=0.7)
-        assert all(c.u_t >= 0.7 for c in result.candidates)
+        result = tree_tuning_search(get_params("192f"), SMEM_48K)
+        assert all(c.u_t >= ALPHA for c in result.candidates)
 
     def test_infeasible_budget_raises(self):
         with pytest.raises(TuningError, match="no feasible"):
@@ -96,12 +96,12 @@ class TestAdaptivity:
         with pytest.raises(TuningError, match="threads"):
             tree_tuning_search(giant, SMEM_48K)
 
-    @given(smem_kb=st.integers(24, 200), alpha=st.sampled_from([0.5, 0.6, 0.7]))
+    @given(smem_kb=st.integers(24, 200))
     @settings(max_examples=30, deadline=None)
-    def test_search_is_robust_across_budgets(self, smem_kb, alpha):
+    def test_search_is_robust_across_budgets(self, smem_kb):
         params = get_params("128f")
         try:
-            result = tree_tuning_search(params, smem_kb * 1024, alpha=alpha)
+            result = tree_tuning_search(params, smem_kb * 1024)
         except TuningError:
             return
         best = result.best

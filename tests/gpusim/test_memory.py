@@ -102,10 +102,6 @@ class TestLayout:
         assert packed.footprint(16) == 256
         assert padded.footprint(16) == 256 + 4
 
-    def test_base_offset(self):
-        layout = Layout(16, base=256)
-        assert layout.address(0) == 256
-
 
 class TestReductionConflicts:
     """The paper's Table VI shape: packed layouts conflict heavily during

@@ -35,7 +35,7 @@ def test_every_candidate_is_sha256_off_a_copied_midstate(name, seed, chunks):
         h.update(chunk)
     whole = block + b"".join(chunks)
     assert h.digest() == hashlib.sha256(whole).digest()
-    assert h.digest() == Sha256(whole).digest()
+    assert h.digest() == Sha256().update(whole).digest()
     assert mid.digest() == hashlib.sha256(block).digest()  # copied, untouched
 
 

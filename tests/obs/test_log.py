@@ -49,17 +49,6 @@ class TestJsonLogger:
         assert correlated["trace"] == ctx.trace_id
         assert "trace" not in bare
 
-    def test_level_threshold_filters(self, sink):
-        configure_logging(sink, level="error")
-        logger = get_logger("service")
-        logger.debug("noise")
-        logger.info("noise")
-        logger.warn("noise")
-        logger.error("batch-failed", error="boom")
-        assert [r["event"] for r in lines(sink)] == ["batch-failed"]
-        with pytest.raises(ValueError, match="log level"):
-            configure_logging(sink, level="loud")
-
     def test_non_json_fields_are_stringified(self, sink):
         get_logger("service").info("key-event", key=b"\x00\x01")
         [record] = lines(sink)  # bytes hit the default=str fallback

@@ -27,12 +27,13 @@ from repro.runtime import WorkerPool, get_backend
 from repro.runtime.layercache import (
     DEFAULT_BUDGET_MB,
     HypertreeLayerCache,
+    MAX_FILL_HASHES,
     choose_pinned_layers,
+    fill_hashes,
     link_entry_bytes,
     pinned_bytes,
     pinned_link_count,
     pinned_tree_count,
-    prewarm_hashes,
     savings_fraction,
     subtree_build_hashes,
     tradeoff_table,
@@ -104,13 +105,11 @@ class TestModel:
     def test_choose_pinned_layers_honors_prewarm_cap(self):
         params = get_params("128f")
         budget = int(DEFAULT_BUDGET_MB * 1024 * 1024)
-        assert choose_pinned_layers(params, budget,
-                                    max_prewarm_hashes=0) == 0
-        capped = choose_pinned_layers(params, budget,
-                                      max_prewarm_hashes=10_000)
-        uncapped = choose_pinned_layers(params, budget)
-        assert capped <= uncapped
-        assert prewarm_hashes(params, uncapped) <= 600_000
+        chosen = choose_pinned_layers(params, budget)
+        assert fill_hashes(params, chosen) <= MAX_FILL_HASHES
+        # One layer more would fit the budget, but not the fill cap.
+        assert pinned_bytes(params, chosen + 1) <= budget // 2
+        assert fill_hashes(params, chosen + 1) > MAX_FILL_HASHES
 
     def test_tradeoff_table_covers_every_set(self):
         rows = tradeoff_table()
@@ -120,7 +119,7 @@ class TestModel:
         for row in rows:
             assert row["pinned_layers"] >= 1, row
             assert 0.0 < row["saved_fraction"] < 1.0, row
-            assert row["prewarm_hashes"] <= 600_000, row
+            assert row["fill_hashes"] <= MAX_FILL_HASHES, row
             # One key's whole region fits half the set's budget.
             params = get_params(row["params"])
             assert row["warm_keys"] == budget // pinned_bytes(
@@ -132,7 +131,7 @@ class TestModel:
         whole region's price is the subtree builds alone — and dropping
         the link walks from it moves no parameter set's pinned layer
         count."""
-        rows = {row["params"]: (row["pinned_layers"], row["prewarm_hashes"])
+        rows = {row["params"]: (row["pinned_layers"], row["fill_hashes"])
                 for row in tradeoff_table()}
         assert rows == {
             "SPHINCS+-128f": (3, 327_551), "SPHINCS+-128s": (1, 287_231),

@@ -65,7 +65,6 @@ class TestLoadGenerator:
             assert (report.offered, report.signed, report.shed,
                     report.failed) == (4, 2, 1, 1)
             assert len(report.latencies_ms) == 2
-            assert report.batch_sizes == [2, 2]
             assert report.elapsed_s > 0
             table = report.table()
             assert "unit" in table and "p99 ms" in table
@@ -109,23 +108,6 @@ class TestLoadGenerator:
 
         asyncio.run(scenario())
 
-    def test_time_scale_compresses(self):
-        async def scenario():
-            async def signer(message):
-                return {}
-
-            generator = LoadGenerator(signer, time_scale=0.1)
-            report = await generator.run([0.0, 1.0])  # 1 s -> 0.1 s
-            assert report.elapsed_s < 0.8
-
-        asyncio.run(scenario())
-
-    def test_invalid_time_scale(self):
-        async def noop(message):
-            return {}
-
-        with pytest.raises(ServiceError, match="time_scale"):
-            LoadGenerator(noop, time_scale=0)
 
 
 class TestVerifyFraction:

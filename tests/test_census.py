@@ -13,13 +13,21 @@ so the list cannot go stale.
 The flag census is the same rule one level up: an ``add_argument`` whose
 value the command's handler never reads (:func:`unread_flags`) is a knob
 that only looks live.
+
+The settable-value census is the other half.  A default that no call
+outside ``tests/`` overrides (:func:`unset_options`) is a value only a
+test ever changes: it is a constant with extra plumbing.  A flag that no
+page of ``docs/``, the README or CI names (:func:`unnamed_flags`) is a
+knob no reader can find.
 """
 
 import ast
 import fnmatch
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
 #: ``file::qualname(param)`` patterns (``fnmatch``) -> why the parameter
 #: stays unread.
@@ -118,9 +126,13 @@ def test_every_parameter_is_read():
 
 
 def test_every_allowance_is_still_needed():
-    keys = [key for key, _ in unread_parameters()]
-    stale = [pattern for pattern in ALLOWED
-             if not any(fnmatch.fnmatchcase(key, pattern) for key in keys)]
+    stale = [pattern
+             for table, found in ((ALLOWED, unread_parameters()),
+                                  (OPTIONS_ALLOWED, unset_options()),
+                                  (FLAGS_ALLOWED, unnamed_flags()))
+             for pattern in table
+             if not any(fnmatch.fnmatchcase(key, pattern)
+                        for key, _ in found)]
     assert not stale, f"ALLOWED entries that match nothing: {stale}"
 
 
@@ -247,3 +259,313 @@ def test_the_census_sees_an_unread_flag(tmp_path):
         "    p_run.set_defaults(func=_cmd_run)\n")
     assert unread_flags(tmp_path / "cli.py") == [
         "cli.py:13 run(--dropped)", "cli.py:3 run(--dropped-too)"]
+
+
+# ----------------------------------------------------------------------
+# The option census: no default that only a test overrides
+# ----------------------------------------------------------------------
+#: Where a setting counts as set: the program, the repo's benchmark, the
+#: paper tables and the examples — everything but ``tests/``.
+CALLERS = tuple(REPO / name
+                for name in ("src", "bench", "benchmarks", "examples"))
+
+#: ``file::qualname(param)`` patterns (``fnmatch``) -> why the default
+#: stays settable although nothing outside ``tests/`` sets it.
+OPTIONS_ALLOWED = {
+    "__main__.py::main(argv)":
+        "the console script reads sys.argv; tests hand in their own",
+    "api/*.py::*":
+        "the repro.api surface, pinned signature by signature in "
+        "tests/api_surface.json",
+    "ledger/service.py::LedgerService.__init__(key)":
+        "deployment setting: which of the log tenant's keys signs",
+    "ledger/service.py::LedgerService.__init__(log_id)":
+        "deployment setting: the log's name in every checkpoint",
+    "ledger/service.py::LedgerService.__init__(tracer)":
+        "the ledger's append/seal/prove span sink; no command serves a "
+        "ledger, so only a library deployment wires one",
+    "*::*.__init__(host)":
+        "deployment setting: the interface a server binds",
+    "runtime/pool.py::WorkerPool.ping(timeout)":
+        "deployment setting: how long a liveness probe waits",
+    "service/keystore.py::Keystore.__init__(max_cached)":
+        "docs/operations.md documents the resident-tenant bound",
+    "service/keystore.py::Keystore.__init__(rate_*)":
+        "docs/operations.md documents per-tenant admission",
+    "service/keystore.py::Keystore.set_rate_limit(rate_burst)":
+        "docs/operations.md documents the per-tenant burst override",
+    "service/keystore.py::Keystore.__init__(clock)":
+        "seam: a test freezes the token buckets' clock",
+    "runtime/pool.py::WorkerPool.inject_crash(when)":
+        "seam: a test picks the moment a worker dies",
+    "cluster/local.py::LocalCluster.__init__(router_keystore)":
+        "seam: a test fronts an in-process fleet with a rate-limited "
+        "registry, the router-side admission serve-cluster runs before "
+        "a HOST:PORT fleet",
+    "testing/chaos.py::FlakyProxy.__init__(*)":
+        "repro.testing's kit: each chaos test dials its own faults",
+    "testing/corpus.py::*(seed)":
+        "repro.testing's kit: a fuzz test picks the seed it replays",
+    "testing/oracle.py::DifferentialOracle.__init__(*)":
+        "repro.testing's kit: tests run the passes they check on the "
+        "corpus they need",
+}
+
+
+def _name(node: ast.AST) -> str | None:
+    """The last name of a ``Name`` or ``Attribute``."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _definitions(root: Path):
+    """``(file, qualname, enclosing class or None, function)``."""
+    def walk(tree, prefix, cls, relative):
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node, f"{prefix}{node.name}.", node,
+                                relative)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield relative, f"{prefix}{node.name}", cls, node
+                yield from walk(node, f"{prefix}{node.name}.", None,
+                                relative)
+            else:
+                yield from walk(node, prefix, cls, relative)
+
+    for path in sorted(root.rglob("*.py")):
+        yield from walk(ast.parse(path.read_text()), "", None,
+                        path.relative_to(root).as_posix())
+
+
+def _not_values(tree: ast.AST) -> set[int]:
+    """Nodes that name a function or class without handing it on:
+    annotations, base classes, ``isinstance`` / ``except`` types."""
+    skipped = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            skipped += [node.returns] + [
+                argument.annotation for argument in (
+                    *arguments.posonlyargs, *arguments.args,
+                    *arguments.kwonlyargs, arguments.vararg, arguments.kwarg)
+                if argument is not None]
+        elif isinstance(node, ast.AnnAssign):
+            skipped.append(node.annotation)
+        elif isinstance(node, ast.ClassDef):
+            skipped += node.bases
+        elif isinstance(node, ast.ExceptHandler):
+            skipped.append(node.type)
+        elif isinstance(node, ast.Call) \
+                and _name(node.func) in ("isinstance", "issubclass"):
+            skipped += node.args[1:]
+    return {id(inner) for node in skipped if node is not None
+            for inner in ast.walk(node)}
+
+
+def unset_options(root: Path = SRC,
+                  callers: tuple[Path, ...] = CALLERS
+                  ) -> list[tuple[str, str]]:
+    """``(census key, "file:line function(param)")`` per defaulted
+    parameter of a function under *root* that no call under *callers*
+    sets, by keyword or by position.
+
+    Calls resolve by name: ``f(...)`` and ``x.f(...)`` to every ``f``,
+    ``Cls(...)`` and ``cls(...)`` to the ``__init__`` that class runs,
+    ``super().__init__(...)`` to the bases', and ``partial(f, ...)`` to
+    ``f``.  A function or class that is ever handed on as a value (a verb
+    table, a callback, a factory), and a call that forwards ``*args`` or
+    ``**kwargs``, count as setting every parameter.
+    """
+    bases, has_init = {}, set()
+    for _, qualname, cls, _ in _definitions(root):
+        if cls is not None:
+            bases[cls.name] = [_name(base) for base in cls.bases]
+            if qualname.endswith(".__init__"):
+                has_init.add(cls.name)
+
+    def runs(name: str, seen: frozenset = frozenset()) -> str | None:
+        """The class whose ``__init__`` a call to class *name* runs."""
+        if name not in bases or name in seen:
+            return None
+        if name in has_init:
+            return name
+        return next(filter(None, (runs(base, seen | {name})
+                                  for base in bases[name])), None)
+
+    calls = []  # (target, positional count, keywords, forwards)
+    names, attributes = set(), set()
+    for path in sorted({path for folder in callers
+                        for path in folder.rglob("*.py")}):
+        tree = ast.parse(path.read_text())
+        called = _not_values(tree)
+
+        def visit(node, cls):
+            if isinstance(node, ast.ClassDef):
+                cls = node
+            if isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if _name(func) == "partial" and args:
+                    called.add(id(func))
+                    func, args = args[0], args[1:]
+                called.add(id(func))
+                name = _name(func)
+                if name == "__init__" and isinstance(func.value, ast.Call) \
+                        and _name(func.value.func) == "super" and cls:
+                    targets = [("init", runs(_name(base)))
+                               for base in cls.bases]
+                elif name == "cls" and cls:
+                    targets = [("init", runs(cls.name))]
+                elif name in bases:
+                    targets = [("init", runs(name))]
+                else:
+                    targets = [("call", name)]
+                forwards = any(isinstance(arg, ast.Starred) for arg in args) \
+                    or any(keyword.arg is None for keyword in node.keywords)
+                keywords = {keyword.arg for keyword in node.keywords}
+                calls.extend((target, len(args), keywords, forwards)
+                             for target in targets)
+            elif isinstance(node, ast.Name) and id(node) not in called:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(id(node.value))  # ``Cls.attr`` hands on no Cls
+                if id(node) not in called:
+                    attributes.add(node.attr)
+            for child in ast.iter_child_nodes(node):
+                visit(child, cls)
+
+        visit(tree, None)
+
+    found = []
+    for relative, qualname, cls, function in _definitions(root):
+        arguments = function.args
+        positional = [*arguments.posonlyargs, *arguments.args]
+        if cls is not None and not any(
+                _name(decorator) == "staticmethod"
+                for decorator in function.decorator_list):
+            positional = positional[1:]  # self / cls
+        first_default = len(positional) - len(arguments.defaults)
+        defaulted = [(index, parameter.arg)
+                     for index, parameter in enumerate(positional)
+                     if index >= first_default]
+        defaulted += [(None, parameter.arg) for parameter, default
+                      in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                      if default is not None]
+        if function.name == "__init__" and cls is not None:
+            target, handed_on = ("init", cls.name), \
+                cls.name in names | attributes
+        else:
+            target = ("call", function.name)
+            handed_on = function.name in attributes \
+                or (cls is None and function.name in names)
+        if handed_on:
+            continue
+        mine = [call for call in calls if call[0] == target]
+        for index, name in defaulted:
+            if not any(forwards or name in keywords
+                       or (index is not None and index < count)
+                       for _, count, keywords, forwards in mine):
+                found.append((f"{relative}::{qualname}({name})",
+                              f"{relative}:{function.lineno} "
+                              f"{qualname}({name})"))
+    return found
+
+
+def test_every_option_is_set_outside_tests():
+    unset = [where for key, where in unset_options()
+             if not any(fnmatch.fnmatchcase(key, pattern)
+                        for pattern in OPTIONS_ALLOWED)]
+    assert not unset, (
+        "defaults nothing outside tests/ overrides (make each a constant, "
+        "or add an OPTIONS_ALLOWED entry with its reason):\n  "
+        + "\n  ".join(unset))
+
+
+def test_the_census_sees_an_option_only_tests_set(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "module.py").write_text(
+        "import functools\n"
+        "def plain(a, b=1, c=2):\n"
+        "    return a, b, c\n"
+        "def forwarded(x=1):\n"
+        "    return x\n"
+        "def handler(y=1):\n"
+        "    return y\n"
+        "def bound(p=0, q=0):\n"
+        "    return p, q\n"
+        "class Base:\n"
+        "    def __init__(self, size=1, mode='a'):\n"
+        "        self.size, self.mode = size, mode\n"
+        "class Child(Base):\n"
+        "    def __init__(self, extra=0, spare=0):\n"
+        "        super().__init__(mode='b')\n"
+        "        self.extra, self.spare = extra, spare\n"
+        "    @classmethod\n"
+        "    def make(cls) -> 'Child':\n"
+        "        return cls(extra=1)\n"
+        "def main(**options):\n"
+        "    plain(0, 5)\n"
+        "    forwarded(**options)\n"
+        "    functools.partial(bound, q=3)()\n"
+        "    return {'verb': handler}, Child.make()\n")
+    (tests / "test_module.py").write_text(
+        "from pkg.module import Base, Child, bound, plain\n"
+        "plain(0, c=3), bound(p=1), Base(size=2), Child(spare=1)\n")
+    assert [where for _, where in unset_options(package, (package,))] == [
+        "module.py:2 plain(c)", "module.py:8 bound(p)",
+        "module.py:11 Base.__init__(size)",
+        "module.py:14 Child.__init__(spare)"]
+    assert unset_options(package, (package, tests)) == []
+
+
+# ----------------------------------------------------------------------
+# The flag census, second half: no flag that no page names
+# ----------------------------------------------------------------------
+#: The pages a flag must be named on: every doc, the README and CI.
+PAGES = (*sorted((REPO / "docs").glob("*.md")), REPO / "README.md",
+         REPO / ".github" / "workflows" / "ci.yml")
+
+#: Flag patterns (``fnmatch``) -> why no page names the flag.
+FLAGS_ALLOWED = {
+    "--protocol": "goes with the v2 dialect (ROADMAP item 5(a)); "
+                  "documenting it now would document a deletion",
+}
+
+
+def unnamed_flags(path: Path = MAIN, pages: tuple[Path, ...] = PAGES
+                  ) -> list[tuple[str, str]]:
+    """``(flag, "file:line flag")`` per ``add_argument`` flag that no
+    page in *pages* names as a whole word (``--key`` is not named by
+    ``--keystore``)."""
+    text = "\n".join(page.read_text() for page in pages)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "attr", None) == "add_argument":
+            for flag in (arg.value for arg in node.args
+                         if isinstance(arg, ast.Constant)):
+                if flag.startswith("--") and not re.search(
+                        rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text):
+                    found.append((node.lineno, flag))
+    return [(flag, f"{path.name}:{line} {flag}")
+            for line, flag in sorted(found)]
+
+
+def test_every_flag_is_named_by_a_page():
+    unnamed = [where for flag, where in unnamed_flags()
+               if not any(fnmatch.fnmatchcase(flag, pattern)
+                          for pattern in FLAGS_ALLOWED)]
+    assert not unnamed, (
+        "flags no doc, README line or CI step names (document them, or "
+        "delete them with their plumbing):\n  " + "\n  ".join(unnamed))
+
+
+def test_the_census_sees_a_flag_only_help_names(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "p.add_argument('--named', help='documented')\n"
+        "p.add_argument('-k', '--key', help='only --help names it')\n"
+        "p.add_argument('--hidden', help='only --help names it')\n")
+    (tmp_path / "page.md").write_text(
+        "Run with `--named`; `--keystore` and `--hidden-too` are others.\n")
+    assert unnamed_flags(tmp_path / "cli.py", (tmp_path / "page.md",)) == [
+        ("--key", "cli.py:2 --key"), ("--hidden", "cli.py:3 --hidden")]

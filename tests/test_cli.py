@@ -218,15 +218,14 @@ class TestConformanceCli:
 
     def test_smoke_clean_tree_exits_zero(self, capsys):
         assert main(["conformance", "--params", "128f", "--smoke",
-                     "--backends", "scalar,vectorized",
-                     "--no-service"]) == 0
+                     "--backends", "scalar,vectorized"]) == 0
         out = capsys.readouterr().out
         assert "backend:scalar" in out and "scheduler:vectorized" in out
         assert "all paths byte-identical and verified" in out
 
     def test_injected_fault_exits_nonzero_naming_stage(self, capsys):
         code = main(["conformance", "--params", "128f", "--smoke",
-                     "--backends", "scalar,vectorized", "--no-service",
+                     "--backends", "scalar,vectorized",
                      "--inject-fault", "thash:bitflip"])
         assert code == 1
         captured = capsys.readouterr()
@@ -247,7 +246,7 @@ class TestConformanceCli:
 
     def test_unfired_fault_exits_two(self, capsys):
         code = main(["conformance", "--params", "128f", "--smoke",
-                     "--backends", "scalar", "--no-service",
+                     "--backends", "scalar",
                      "--inject-fault", "thash:bitflip:999999999"])
         assert code == 2
         assert "never fired" in capsys.readouterr().err
@@ -258,8 +257,7 @@ class TestConformanceCli:
 
     def test_unknown_params_exits_two_not_one(self, capsys):
         """Misconfiguration must never masquerade as a divergence."""
-        assert main(["conformance", "--params", "640k", "--smoke",
-                     "--no-service"]) == 2
+        assert main(["conformance", "--params", "640k", "--smoke"]) == 2
         assert "640k" in capsys.readouterr().err
         assert main(["conformance", "--check-kats",
                      "--params", "640k"]) == 2
