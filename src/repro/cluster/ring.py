@@ -25,12 +25,9 @@ class HashRing:
     def __init__(self, slots: int):
         if slots < 1:
             raise BackendError(f"ring needs >= 1 slot, got {slots}")
-        self.slots = slots
-        points = []
-        for slot in range(slots):
-            for replica in range(_REPLICAS):
-                points.append((self._hash(f"slot-{slot}#{replica}"), slot))
-        points.sort()
+        points = sorted((self._hash(f"slot-{slot}#{replica}"), slot)
+                        for slot in range(slots)
+                        for replica in range(_REPLICAS))
         self._points = [point for point, _ in points]
         self._owners = [slot for _, slot in points]
 
@@ -39,17 +36,10 @@ class HashRing:
         return int.from_bytes(
             hashlib.sha256(key.encode()).digest()[:8], "big")
 
-    def slot_for(self, shard_key: str) -> int:
-        """The slot owning *shard_key*."""
-        index = bisect.bisect_right(self._points, self._hash(shard_key))
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
-
     def preference(self, shard_key: str) -> tuple[int, ...]:
         """Every slot in clockwise ring order from *shard_key*'s point.
 
-        The first entry is :meth:`slot_for`; the rest are the failover
+        The first entry owns the key; the rest are the failover
         candidates in the order consistent hashing would visit them if
         earlier owners were removed from the ring.  A caller holding a
         liveness set (the cluster router) takes the first *live* entry,
@@ -57,13 +47,5 @@ class HashRing:
         returns to its primary the moment the owner comes back.
         """
         start = bisect.bisect_right(self._points, self._hash(shard_key))
-        order: list[int] = []
-        seen: set[int] = set()
-        for offset in range(len(self._owners)):
-            slot = self._owners[(start + offset) % len(self._owners)]
-            if slot not in seen:
-                seen.add(slot)
-                order.append(slot)
-                if len(order) == self.slots:
-                    break
-        return tuple(order)
+        owners = self._owners  # each slot where it first occurs, clockwise
+        return tuple(dict.fromkeys(owners[start:] + owners[:start]))

@@ -131,6 +131,9 @@ class RouterService:
         self.ring = HashRing(len(nodes))
         self._nodes = [_Node(i, host, port)
                        for i, (host, port) in enumerate(nodes)]
+        #: Ring preference per tenant (the ring is fixed); all nodes up?
+        self._preferences: dict[str, tuple[_Node, ...]] = {}
+        self._all_up = True
         #: Last node each tenant was served by; a change is a re-home.
         self._homes: dict[str, int] = {}
         self._in_flight = 0
@@ -226,7 +229,7 @@ class RouterService:
             raise
         self._note_home(tenant, node)
         total_ms = (loop.time() - started) * 1000.0
-        self.telemetry.record_batch(response.get("batch_size", 1))
+        # The node's batcher formed the batch and its stats count it.
         self.telemetry.record_signed(tenant, total_ms,
                                      response.get("wait_ms", 0.0))
         return SignOutcome(
@@ -300,18 +303,22 @@ class RouterService:
         """The node index currently owning *tenant* (first live slot)."""
         return self._candidates(tenant)[0].index
 
-    def _candidates(self, tenant: str) -> list[_Node]:
+    def _candidates(self, tenant: str) -> tuple[_Node, ...]:
         """Nodes to try for *tenant*: live ones in ring-preference order,
         then down ones (a "down" mark may be stale — when everything
         else failed, a request is the cheapest probe)."""
-        preference = [self._nodes[slot]
-                      for slot in self.ring.preference(tenant)]
+        preference = self._preferences.get(tenant)
+        if preference is None:
+            preference = self._preferences[tenant] = tuple(
+                self._nodes[slot] for slot in self.ring.preference(tenant))
+        if self._all_up:
+            return preference
         live = [node for node in preference if node.up]
         if not live:
             raise NodeUnavailableError(
                 f"no live node for tenant {tenant!r}: all "
                 f"{len(self._nodes)} nodes are down")
-        return live + [node for node in preference if not node.up]
+        return (*live, *(node for node in preference if not node.up))
 
     async def _forward(self, op: str, tenant: str,
                        **fields) -> tuple[dict, _Node]:
@@ -356,7 +363,7 @@ class RouterService:
         if node.up:
             _log.warn("node-down", node=node.index, address=node.address,
                       reason=reason)
-        node.up = False
+        node.up = self._all_up = False
         wire, node.wire = node.wire, None
         if wire is not None:
             # Fire-and-forget: the wire is already dead, closing only
@@ -369,6 +376,7 @@ class RouterService:
         if not node.up:
             _log.info("node-up", node=node.index, address=node.address)
         node.up = True
+        self._all_up = all(other.up for other in self._nodes)
         self._node_gauge(node)
 
     def _node_gauge(self, node: _Node) -> None:
@@ -396,7 +404,8 @@ class RouterService:
 
     def _track(self, delta: int) -> None:
         self._in_flight += delta
-        self.telemetry.observe_depth(self._in_flight)
+        if delta > 0:  # only a rise can set a new peak
+            self.telemetry.observe_depth(self._in_flight)
         if self._in_flight == 0:
             self._idle.set()
         else:

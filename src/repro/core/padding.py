@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SharedMemoryError
-from ..gpusim.memory import Layout
 
 __all__ = ["PaddingRule", "padding_rule"]
 
@@ -47,10 +46,6 @@ class PaddingRule:
     def pad_period(self) -> int:
         """Data bytes between inserted padding banks (= 128 * R)."""
         return _TRANSACTION_BYTES * self.rows
-
-    def layout(self) -> Layout:
-        """A node layout applying this rule."""
-        return Layout(self.access_bytes, self.pad_period)
 
     def overhead_bytes(self, data_bytes: int) -> int:
         """Extra shared memory consumed by padding for *data_bytes* data."""

@@ -45,6 +45,7 @@ class ServiceClient:
                  writer: asyncio.StreamWriter):
         self._reader = reader
         self._writer = writer
+        self._send = protocol.sender(writer)
         self._ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         #: How this connection's bytes are laid out; a granted v3
@@ -147,10 +148,9 @@ class ServiceClient:
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
-            self._writer.write(self._dialect.encode_request(
+            await self._send(self._dialect.encode_request(
                 op, request_id, {name: value for name, value
                                  in fields.items() if value is not None}))
-            await self._writer.drain()
             response = await future
         finally:
             self._pending.pop(request_id, None)

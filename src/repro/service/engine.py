@@ -18,6 +18,7 @@ from ..obs.log import get_logger
 from ..runtime.backend import BatchSignResult
 from ..runtime.pool import WorkerPool
 from ..runtime.vectorized import VectorizedBackend
+from ..sphincs.signer import KeyPair
 from .keystore import Keystore
 
 __all__ = ["ON_LOOP_BYTES", "SigningEngine", "require_vectorized"]
@@ -95,18 +96,17 @@ class SigningEngine:
                 backend.invalidate_key(old_keys)
 
     # ------------------------------------------------------------------
-    def recall(self, tenant: str, key: str, message: bytes
-               ) -> tuple[bytes, str] | None:
-        """``(signature, canonical params name)`` if the replay memo
-        remembers *message* under the tenant's key (deterministic mode
-        only).  Non-blocking: one hash pass over at most ``ON_LOOP_BYTES``,
-        nothing built; its one effect is the memo's recency and hit count."""
+    def recall(self, keys: KeyPair, params_name: str, message: bytes
+               ) -> bytes | None:
+        """The signature the replay memo remembers for *message* under
+        *keys*, a key pair of *params_name* the caller has resolved
+        (deterministic mode only).  Non-blocking: one hash pass over at
+        most ``ON_LOOP_BYTES``, nothing built; its one effect is the
+        memo's recency and hit count."""
         if not self.deterministic or len(message) > ON_LOOP_BYTES:
             return None
-        keys, params_name = self.keystore.resolve(tenant, key)
         backend = self._backends.get(params_name)
-        signature = backend.recall(message, keys) if backend else None
-        return None if signature is None else (signature, params_name)
+        return backend.recall(message, keys) if backend else None
 
     def sign_batch(self, tenant: str, key: str, messages: Sequence[bytes]
                    ) -> tuple[BatchSignResult, str]:

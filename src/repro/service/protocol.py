@@ -99,8 +99,7 @@ import base64
 import binascii
 import json
 import struct
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Awaitable, Callable, NamedTuple
 
 from ..errors import (ConnectionLostError, FrameTooLargeError, KeystoreError,
                       LedgerError, NodeUnavailableError, OverloadedError,
@@ -115,7 +114,7 @@ __all__ = [
     "MAX_SIGN_MANY", "MAX_SIGN_MANY_V3", "MAX_SIGNATURE_B64",
     "MAX_MESSAGE_BYTES", "MAX_MESSAGE_BYTES_V3", "PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS", "decode", "decode_frame", "encode",
-    "encode_frame", "error_type", "pack_bytes", "read_frame",
+    "encode_frame", "error_type", "pack_bytes", "read_frame", "sender",
     "unpack_bytes",
 ]
 
@@ -264,9 +263,10 @@ _NO_DEADLINE = 0xFFFFFFFF
 #: batch_size, wait_ms, total_ms — the fixed head of a sign result.
 _SIGN_RESULT = struct.Struct("!Idd")
 
+_U16, _U32 = struct.Struct("!H"), struct.Struct("!I")
 
-@dataclass(frozen=True)
-class Frame:
+
+class Frame(NamedTuple):
     """One decoded v3 frame; ``payload`` is a zero-copy memoryview."""
 
     verb: int
@@ -294,8 +294,7 @@ def decode_frame(body: bytes | memoryview) -> Frame:
             f"frame body of {len(view)} bytes is shorter than the "
             f"{_HEADER.size}-byte header")
     verb, flags, request_id = _HEADER.unpack_from(view)
-    return Frame(verb=verb, flags=flags, id=request_id,
-                 payload=view[_HEADER.size:])
+    return Frame(verb, flags, request_id, view[_HEADER.size:])
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
@@ -332,12 +331,30 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
     return decode_frame(body)
 
 
-class _Cursor:
-    """Sequential zero-copy reads over a frame payload.
+def sender(writer: asyncio.StreamWriter
+           ) -> Callable[[bytes], Awaitable[None]]:
+    """``await send(data)`` for one connection's tasks: a write waits on
+    ``drain()`` only past the high-water mark, one waiter at a time (3.9
+    asserted on a second).  A lost peer is its reader's to report."""
+    transport = writer.transport
+    high_water = transport.get_write_buffer_limits()[1]
+    turn = asyncio.Lock()
 
-    Every helper raises :class:`ProtocolError` on truncation, so payload
-    unpackers never index past the view or leak ``struct.error``.
-    """
+    async def send(data: bytes) -> None:
+        writer.write(data)
+        if transport.get_write_buffer_size() > high_water:
+            try:
+                async with turn:
+                    await writer.drain()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+    return send
+
+
+class _Cursor:
+    """Sequential zero-copy reads over a frame payload, one bounds check
+    (``_skip``) per field: truncation is a :class:`ProtocolError`, never
+    an index past the view or a ``struct.error``."""
 
     __slots__ = ("view", "pos")
 
@@ -345,31 +362,30 @@ class _Cursor:
         self.view = memoryview(payload)
         self.pos = 0
 
-    def take(self, count: int, name: str) -> memoryview:
-        end = self.pos + count
+    def _skip(self, count: int, name: str) -> int:
+        """Consume *count* bytes; -> where they start."""
+        start = self.pos
+        end = start + count
         if end > len(self.view):
             raise ProtocolError(
                 f"truncated frame: {name!r} wants {count} bytes, "
-                f"{len(self.view) - self.pos} left")
-        chunk = self.view[self.pos:end]
+                f"{len(self.view) - start} left")
         self.pos = end
-        return chunk
-
-    def unpack(self, fmt: struct.Struct, name: str) -> tuple:
-        return fmt.unpack(self.take(fmt.size, name))
+        return start
 
     def u8(self, name: str) -> int:
-        return self.take(1, name)[0]
+        return self.view[self._skip(1, name)]
 
     def u16(self, name: str) -> int:
-        return int.from_bytes(self.take(2, name), "big")
+        return _U16.unpack_from(self.view, self._skip(2, name))[0]
 
     def u32(self, name: str) -> int:
-        return int.from_bytes(self.take(4, name), "big")
+        return _U32.unpack_from(self.view, self._skip(4, name))[0]
 
     def _text(self, count: int, name: str) -> str:
+        start = self._skip(count, name)
         try:
-            return str(self.take(count, name), "utf-8")
+            return str(self.view[start:self.pos], "utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"{name!r} is not valid UTF-8") from exc
 
@@ -380,7 +396,8 @@ class _Cursor:
         return self._text(self.u16(name), name)
 
     def bytes32(self, name: str) -> bytes:
-        return bytes(self.take(self.u32(name), name))
+        start = self._skip(self.u32(name), name)
+        return self.view[start:self.pos].tobytes()
 
     def done(self, name: str) -> None:
         if self.pos != len(self.view):
@@ -480,7 +497,8 @@ def _pack_sign_result_dict(result: dict) -> bytes:
 
 
 def _unpack_sign_result(cursor: _Cursor) -> dict:
-    batch_size, wait_ms, total_ms = cursor.unpack(_SIGN_RESULT, "result")
+    batch_size, wait_ms, total_ms = _SIGN_RESULT.unpack_from(
+        cursor.view, cursor._skip(_SIGN_RESULT.size, "result"))
     return {
         "ok": True, "batch_size": batch_size,
         "wait_ms": round(wait_ms, 3), "total_ms": round(total_ms, 3),

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
                       OverloadedError, ProtocolError, ServiceError)
@@ -52,8 +52,7 @@ __all__ = ["SignOutcome", "SigningService", "SigningServer"]
 
 _log = get_logger("service")
 
-@dataclass(frozen=True)
-class SignOutcome:
+class SignOutcome(NamedTuple):
     """What an in-process caller gets back for one signed request."""
 
     signature: bytes
@@ -136,7 +135,8 @@ class SigningService:
         Raises :class:`KeystoreError` for unknown tenants/keys and
         :class:`OverloadedError` when the service sheds the request.
         """
-        self.keystore.resolve(tenant, key_name)  # fail fast, before queueing
+        # Fail fast, before queueing; a replay reuses the key pair.
+        keys, params_name = self.keystore.resolve(tenant, key_name)
         if not self.keystore.admit(tenant):
             self.telemetry.record_shed(tenant, "rate-limit")
             _log.warn("request-rate-limited", tenant=tenant)
@@ -158,18 +158,18 @@ class SigningService:
                 new_span_id())
             clock = SpanClock()
         # A replay is answered here, on the loop: no queue slot (so no
-        # ``max_pending``) or executor; closed, ``submit`` refuses.
+        # ``max_pending``), executor or batch (``batches`` counts what
+        # the batcher formed); closed, ``submit`` refuses.
         started = time.perf_counter()
         hit = (None if self.batcher.closed
-               else self.engine.recall(tenant, key_name, message))
+               else self.engine.recall(keys, params_name, message))
         if hit is not None:
             total_ms = (time.perf_counter() - started) * 1000.0
             self.telemetry.record_submitted(tenant)
-            self.telemetry.record_batch(1)
             self.telemetry.record_signed(tenant, total_ms, 0.0)
             outcome = SignOutcome(
-                signature=hit[0], tenant=tenant, key_name=key_name,
-                params=hit[1], backend=self.backend_label,
+                signature=hit, tenant=tenant, key_name=key_name,
+                params=params_name, backend=self.backend_label,
                 batch_size=1, wait_ms=0.0, total_ms=round(total_ms, 3))
         else:
             # Sustained overload must shed instead of piling requests up
@@ -414,7 +414,6 @@ class SigningServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
         conn = ConnectionState()
@@ -422,14 +421,7 @@ class SigningServer:
         connection = asyncio.current_task()
         if connection is not None:
             self._connections[connection] = writer
-
-        async def send(data: bytes) -> None:
-            try:
-                async with write_lock:
-                    writer.write(data)
-                    await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # client went away; nothing to report to
+        send = protocol.sender(writer)
 
         try:
             while True:

@@ -91,8 +91,8 @@ class Telemetry:
     series updates under the registry's lock): the service's event
     loop, the worker pool's collector thread and benchmark harnesses
     may record concurrently without losing increments.  Series handles
-    are resolved once and kept, so an event costs one lock acquisition
-    per series it touches.
+    are resolved once and kept, by (tenant, outcome) and by batch size,
+    so an event costs one lock acquisition per series it touches.
     """
 
     def __init__(self):
@@ -100,7 +100,8 @@ class Telemetry:
         self._started_wall = time.time()
         self._started_mono = time.monotonic()
         self._sources: dict[str, Callable[[], dict]] = {}
-        self._counters: dict[tuple[str, ...], Counter] = {}
+        self._requests: dict[tuple[str, str], Counter] = {}
+        self._batches: dict[int, Counter] = {}
         self._total_ms = registry.histogram(
             "repro_request_latency_ms", "Enqueue-to-signature latency",
             window=LATENCY_WINDOW)
@@ -116,19 +117,14 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _counter(self, name: str, help_: str, **labels: str) -> Counter:
-        key = (name, *labels.values())
-        series = self._counters.get(key)
-        if series is None:
-            series = self._counters[key] = self.registry.counter(
-                name, help_, **labels)
-        return series
-
     def _count_request(self, tenant: str, outcome: str,
                        amount: int = 1) -> None:
-        self._counter("repro_requests_total",
-                      "Requests by tenant and outcome",
-                      tenant=tenant, outcome=outcome).inc(amount)
+        series = self._requests.get((tenant, outcome))
+        if series is None:
+            series = self._requests[tenant, outcome] = self.registry.counter(
+                "repro_requests_total", "Requests by tenant and outcome",
+                tenant=tenant, outcome=outcome)
+        series.inc(amount)
 
     def record_submitted(self, tenant: str) -> None:
         self._count_request(tenant, "submitted")
@@ -139,16 +135,19 @@ class Telemetry:
         ``max_pending`` watermark)."""
         self._count_request(tenant, "submitted")
         self._count_request(tenant, "shed")
-        self._counter("repro_shed_total",
-                      "Requests shed, by tenant and reason",
-                      tenant=tenant, reason=reason).inc()
+        self.registry.counter("repro_shed_total",
+                              "Requests shed, by tenant and reason",
+                              tenant=tenant, reason=reason).inc()
 
     def record_failed(self, tenant: str, count: int = 1) -> None:
         self._count_request(tenant, "failed", count)
 
     def record_batch(self, size: int) -> None:
-        self._counter("repro_batches_total", "Batches dispatched",
-                      size=str(size)).inc()
+        series = self._batches.get(size)
+        if series is None:
+            series = self._batches[size] = self.registry.counter(
+                "repro_batches_total", "Batches dispatched", size=str(size))
+        series.inc()
         self._batch_size.observe(size)
 
     def record_signed(self, tenant: str, total_ms: float,

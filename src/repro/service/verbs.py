@@ -15,6 +15,7 @@ verb is answered with a ``protocol`` error naming the handshake.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
@@ -225,11 +226,15 @@ async def _verb_stats(server, conn: ConnectionState, args: dict) -> dict:
     return {"ok": True, "op": "stats", "stats": server.service.stats()}
 
 
+_UNTRACED = contextlib.nullcontext()
+
+
 def _traced(args: dict):
-    """A client-sent trace id as the ambient context for the service
-    call, so the request's root span joins the client's trace."""
-    return use_trace(TraceContext(args["trace"], new_span_id())
-                     if args.get("trace") else None)
+    """A client-sent trace id as the ambient context of the service call
+    (its root span joins the client's trace); without one, nothing."""
+    trace = args.get("trace")
+    return (use_trace(TraceContext(trace, new_span_id())) if trace
+            else _UNTRACED)
 
 
 def _signed(outcome) -> dict:

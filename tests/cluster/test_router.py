@@ -144,6 +144,39 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_the_router_dispatches_no_batches(self):
+        """A batch is formed by a node's batcher, so only the node counts
+        it; the router forwards requests and counts those."""
+        async def scenario():
+            cluster = await make_cluster().start()
+            node = cluster.services[cluster.owner("acme")]
+            formed = []
+            dispatch = node.batcher._dispatch
+
+            async def spy(queue_key, batch):
+                formed.append(len(batch))
+                await dispatch(queue_key, batch)
+
+            node.batcher._dispatch = spy
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            try:
+                await client.sign_many(
+                    "acme", [b"invoice %d" % i for i in range(5)])
+                router = cluster.router_service.stats()
+                assert router["batches"] == {"dispatched": 0,
+                                             "histogram": {}}
+                assert router["tenants"]["acme"]["signed"] == 5
+                assert sum(formed) == 5
+                assert node.stats()["batches"] == {
+                    "dispatched": len(formed),
+                    "histogram": {str(size): formed.count(size)
+                                  for size in sorted(set(formed))}}
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
     def test_unknown_tenant_fails_fast_and_typed(self):
         async def scenario():
             cluster = await make_cluster().start()

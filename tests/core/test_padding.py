@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SharedMemoryError
 from repro.core.padding import padding_rule
-from repro.gpusim.memory import count_reduction_conflicts
+from repro.gpusim.memory import Layout, count_reduction_conflicts
 
 
 class TestPaperSolutions:
@@ -55,7 +55,8 @@ class TestEffectiveness:
         assert rule.overhead_bytes(48 * 1024) <= 48 * 1024 * 0.04
 
     def test_layout_helper(self):
-        layout = padding_rule(16).layout()
+        rule = padding_rule(16)
+        layout = Layout(rule.access_bytes, rule.pad_period)
         assert layout.pad_period == 128
         assert layout.address(8) == 132
 

@@ -63,8 +63,9 @@ class TestHashRing:
 
     def test_routing_is_deterministic_and_in_range(self):
         ring = HashRing(4)
-        slots = [ring.slot_for(f"tenant-{i}/default") for i in range(64)]
-        assert slots == [ring.slot_for(f"tenant-{i}/default")
+        slots = [ring.preference(f"tenant-{i}/default")[0]
+                 for i in range(64)]
+        assert slots == [ring.preference(f"tenant-{i}/default")[0]
                          for i in range(64)]
         assert all(0 <= slot < 4 for slot in slots)
         # 64 tenants over 4 slots: consistent hashing must actually spread.

@@ -1,6 +1,7 @@
 """SigningService end-to-end: in-process API, admission control, TCP."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.errors import (KeystoreError, OverloadedError, ProtocolError,
 from repro.hashes.thash import sha256_choice
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
-                           SigningService, derive_seed)
+                           SigningService, derive_seed, protocol)
 from repro.sphincs.signer import Sphincs
 
 
@@ -243,18 +244,29 @@ class TestReplay:
             assert all((o.batch_size, o.wait_ms, o.backend, o.params)
                        == (1, 0.0, first.backend, first.params)
                        and 0.0 <= o.total_ms < 5.0 for o in replays)
-            # Telemetry parity: each hit is the submitted, signed batch
-            # of one it would have been, and held no capacity.
+            # Telemetry parity: each hit is a submitted, signed request
+            # that held no capacity; only the first sign was a batch.
             stats = service.stats()
             assert stats["tenants"]["demo"] == {
                 "submitted": 6, "signed": 6, "shed": 0, "failed": 0}
-            assert stats["batches"] == {"dispatched": 6,
-                                        "histogram": {"1": 6}}
+            assert stats["batches"] == {"dispatched": 1,
+                                        "histogram": {"1": 1}}
             assert stats["queue"] == {"peak_depth": 1, "depth": 0}
             assert stats["latency_ms"]["total"]["count"] == 6
             assert stats["latency_ms"]["wait"]["count"] == 6
             [scope] = stats["cache"]["scopes"].values()
             assert scope["memo_hits"] == 5 and scope["memo_entries"] == 1
+
+        asyncio.run(scenario())
+
+    def test_a_replay_resolves_its_key_once(self):
+        async def scenario():
+            service = make_service()
+            first = await service.sign(b"attestation", "demo")
+            before = service.keystore.cache_stats()["hits"]
+            replay = await service.sign(b"attestation", "demo")
+            assert replay.signature == first.signature
+            assert service.keystore.cache_stats()["hits"] == before + 1
 
         asyncio.run(scenario())
 
@@ -305,7 +317,8 @@ class TestReplay:
             first, second = [await service.sign(b"same", "demo")
                              for _ in range(2)]
             assert first.signature != second.signature
-            assert service.engine.recall("demo", "default", b"same") is None
+            assert service.engine.recall(
+                *service.keystore.resolve("demo"), b"same") is None
             [scope] = service.stats()["cache"]["scopes"].values()
             assert scope["memo_hits"] == scope["memo_entries"] == 0
             assert service.stats()["batches"]["dispatched"] == 2
@@ -332,7 +345,8 @@ class TestReplay:
                 replay = await service.sign(message, "demo")
                 assert replay.signature == first[message].signature
             assert dispatched == [over]
-            assert service.engine.recall("demo", "default", over) is None
+            assert service.engine.recall(
+                *service.keystore.resolve("demo"), over) is None
 
         asyncio.run(scenario())
 
@@ -342,7 +356,8 @@ class TestReplay:
             service = make_service()
             before = await service.sign(b"same", "demo")
             service.keystore.rotate_key("demo", "default")
-            assert service.engine.recall("demo", "default", b"same") is None
+            assert service.engine.recall(
+                *service.keystore.resolve("demo"), b"same") is None
             after = await service.sign(b"same", "demo")
             assert after.signature != before.signature
             keys, params = service.keystore.resolve("demo")
@@ -360,17 +375,18 @@ class TestReplay:
         no cache entry and no verifier behind."""
         service = make_service()
         engine = service.engine
-        assert engine.recall("demo", "default", b"never signed") is None
+        keystore = service.keystore
+        assert engine.recall(*keystore.resolve("demo"), b"never signed") \
+            is None
         assert engine._backends == {}
         backend = engine.backend_for("SPHINCS+-128f")
         assert backend.verifier is None
-        service.keystore.generate_key("demo", "spare", seed=bytes(48))
-        assert engine.recall("demo", "spare", b"never signed") is None
+        keystore.generate_key("demo", "spare", seed=bytes(48))
+        assert engine.recall(*keystore.resolve("demo", "spare"),
+                             b"never signed") is None
         assert list(engine._backends) == ["SPHINCS+-128f"]
         stats = backend.cache_stats()  # no key's cache became resident
         assert stats["keys"] == stats["bytes"] == 0
-        with pytest.raises(KeystoreError):
-            engine.recall("ghost", "default", b"x")
         service.close()
 
     def test_a_closed_service_recalls_nothing(self):
@@ -442,6 +458,69 @@ class TestTcp:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("version", [3, 2])
+    def test_pipelined_replays_past_the_write_high_water_mark(
+            self, version, monkeypatch):
+        """A client that sends every request before it reads a reply
+        pushes the server's writes past the transport's high-water mark:
+        each reply still arrives once, under its own id."""
+        pauses = []
+        pause = asyncio.streams.FlowControlMixin.pause_writing
+
+        def counted(protocol_self):
+            pauses.append(protocol_self)
+            pause(protocol_self)
+
+        monkeypatch.setattr(asyncio.streams.FlowControlMixin,
+                            "pause_writing", counted)
+        count, message = 24, b"replayed attestation"
+
+        async def scenario():
+            service = make_service()
+            server = SigningServer(service, port=0)
+            await server.start()
+            first = (await service.sign(message, "demo")).signature
+            # Small kernel buffers on both ends (an accepted socket takes
+            # the listener's) keep the replies in the server's transport.
+            [listener] = server._server.sockets
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", server.port))
+            reader, writer = await asyncio.open_connection(
+                sock=sock, limit=protocol.LINE_LIMIT)
+            try:
+                dialect = protocol.LineDialect()
+                writer.write(dialect.encode_request(
+                    "hello", 1, {"version": version}))
+                _, hello = await dialect.read_reply(reader)
+                dialect = dialect.upgraded(hello["version"])
+                assert dialect.binary == (version == 3)
+                ids = range(2, 2 + count)
+                writer.write(b"".join(dialect.encode_request(
+                    "sign", request_id, {"tenant": "demo", "key": "default",
+                                         "message": message})
+                    for request_id in ids))
+                await writer.drain()
+                for _ in range(3000):  # the replies fill the buffers
+                    if pauses:
+                        break
+                    await asyncio.sleep(0.01)
+                replies = [await asyncio.wait_for(
+                    dialect.read_reply(reader), timeout=60)
+                    for _ in ids]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+            assert sorted(request_id for request_id, _ in replies) \
+                == list(ids)
+            assert all(reply["ok"] and reply["signature"] == first
+                       for _, reply in replies)
+
+        asyncio.run(scenario())
+        assert pauses
 
     def test_typed_errors_over_tcp(self):
         async def scenario():
