@@ -10,9 +10,10 @@ sign / verify
     protocol v3 (or the ``--protocol 2`` JSON downgrade) — same flags,
     same output, any tier.
 serve
-    Drive the batch-signing runtime end-to-end: queue messages through
-    the BatchScheduler, sign them on the selected backends, and report
-    per-backend throughput.
+    Drive the batch-signing runtime end-to-end: hand messages to the
+    BatchScheduler, which signs them in batches of ``--batch-size`` on
+    the selected backends as it is handed them, and report per-backend
+    throughput.
 serve-async
     Run the asyncio signing service: multi-tenant keystore,
     deadline-aware batching, admission control, a TCP wire protocol
@@ -50,6 +51,25 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+
+from .errors import ReproError
+
+
+class _Refused(Exception):
+    """A command's arguments were refused: :func:`main` prints the one
+    line and exits 2."""
+
+
+@contextlib.contextmanager
+def _usage(command: str):
+    """Where a command builds its objects from its arguments, before
+    anything starts or signs: a :class:`~repro.errors.ReproError` the
+    library raises there (a bad tenant spec, parameter set, size, rate or
+    budget) is a usage error, one stderr line and exit 2."""
+    try:
+        yield
+    except ReproError as exc:
+        raise _Refused(f"{command}: {exc}") from None
 
 
 def _backend_names(spec: str) -> list[str]:
@@ -112,24 +132,24 @@ def _make_api_client(args: argparse.Namespace, command: str):
     from .service import Keystore
 
     client = None
-    try:
-        keystore = Keystore(root=args.keystore) if args.keystore else None
-        options = {"keystore": keystore,
-                   "deterministic": args.deterministic}
-        if args.transport == "pooled":
-            options["workers"] = args.workers
-        client = api.connect(args.transport, **options)
-        # Local tiers own their keys: ensure the tenant exists
-        # (deterministic runs derive the key from "<tenant>/<key>",
-        # matching the service CLI).
-        client.add_tenant(args.tenant, args.params, key=args.key)
-    except api.ServiceError as exc:
-        # e.g. a --keystore tenant pinned to a different --params, or a
-        # quarantined corrupt tenant file.
-        if client is not None:
-            client.close()  # it owns worker processes
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None, 2
+    # e.g. an unknown --params, a --keystore tenant pinned to a different
+    # --params, or a quarantined corrupt tenant file.
+    with _usage(command):
+        try:
+            keystore = Keystore(root=args.keystore) if args.keystore else None
+            options = {"keystore": keystore,
+                       "deterministic": args.deterministic}
+            if args.transport == "pooled":
+                options["workers"] = args.workers
+            client = api.connect(args.transport, **options)
+            # Local tiers own their keys: ensure the tenant exists
+            # (deterministic runs derive the key from "<tenant>/<key>",
+            # matching the service CLI).
+            client.add_tenant(args.tenant, args.params, key=args.key)
+        except BaseException:
+            if client is not None:
+                client.close()  # it owns worker processes
+            raise
     return client, None
 
 
@@ -229,13 +249,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             verify=args.verify,
             backend_options={"vectorized": options},
         )
-        for params in args.params.split(","):
-            for backend in args.backends:
-                scheduler.run(
-                    (f"{params}/{backend}/msg{i}".encode()
-                     for i in range(args.messages)),
-                    params=params.strip(), backend=backend,
-                )
+        runs = [(params, backend) for params in args.params.split(",")
+                for backend in args.backends]
+        with _usage("serve"):  # every backend is built before one signs
+            for params, backend in runs:
+                scheduler.backend_for(params.strip(), backend)
+        for params, backend in runs:
+            scheduler.run(
+                (f"{params}/{backend}/msg{i}".encode()
+                 for i in range(args.messages)),
+                params=params.strip(), backend=backend,
+            )
     print(scheduler.report(
         title=f"Batch signing runtime, {args.messages} messages per "
               f"(set, backend)"
@@ -394,7 +418,8 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
 
     async def run() -> int:
         # Workers are forked here, before the port is announced.
-        service = _build_service(args)
+        with _usage("serve-async"):
+            service = _build_service(args)
         server = SigningServer(service, host=args.host, port=args.port)
         await server.start()
         metrics = _start_metrics(args, service)
@@ -452,13 +477,14 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                 print("serve-cluster: --nodes must be >= 1",
                       file=sys.stderr)
                 return 2
-            keystore = _build_keystore(args)
-            cluster = LocalCluster(
-                [lambda: _build_service(args, keystore=keystore)] * count,
-                host=args.host, port=args.port,
-                max_retries=args.max_retries,
-                health_interval_s=args.health_interval_ms / 1000.0)
-            await cluster.start()
+            with _usage("serve-cluster"):  # every node's service too
+                keystore = _build_keystore(args)
+                cluster = LocalCluster(
+                    [lambda: _build_service(args, keystore=keystore)]
+                    * count, host=args.host, port=args.port,
+                    max_retries=args.max_retries,
+                    health_interval_s=args.health_interval_ms / 1000.0)
+                await cluster.start()
             router = cluster.router
             print(f"cluster router listening on {args.host}:{cluster.port}")
             pool = cluster.services[0].pool
@@ -477,8 +503,10 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                           file=sys.stderr)
                     return 2
                 addresses.append(target)
+            with _usage("serve-cluster"):
+                keystore = _build_keystore(args)
             service = RouterService(
-                addresses, _build_keystore(args),
+                addresses, keystore,
                 max_retries=args.max_retries,
                 health_interval_s=args.health_interval_ms / 1000.0)
             router = ClusterRouter(service, host=args.host, port=args.port)
@@ -541,15 +569,37 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     tenant = tenants[0][0]
+    client = seeded = None  # bound by run(), before the first request
+    seed_message = b"loadgen verify seed"
+
+    async def signer(message: bytes):
+        return await client.sign(tenant, message,
+                                 deadline_ms=args.deadline_ms)
+
+    async def verifier(message: bytes):
+        # One seeded (message, signature) pair backs every verify op:
+        # SPHINCS+ verification cost does not depend on which valid pair
+        # is checked, so the load profile is what matters.
+        return await client.verify(tenant, seed_message, seeded.signature)
+
+    with _usage("loadtest"):
+        offsets = make_trace(args.trace, args.messages, args.rate,
+                             seed=args.seed)
+        generator = LoadGenerator(signer, verifier=verifier,
+                                  verify_fraction=args.verify_fraction,
+                                  seed=args.seed)
 
     async def run() -> int:
+        nonlocal client, seeded
         server = None
         metrics = None
         version = args.protocol or 3
         if args.connect:
             client = await AsyncClient.connect(host, port, version=version)
         else:
-            server = SigningServer(_build_service(args), port=0)
+            with _usage("loadtest"):
+                service = _build_service(args)
+            server = SigningServer(service, port=0)
             await server.start()
             metrics = _start_metrics(args, server.service)
             print(f"self-hosted signing service on 127.0.0.1:{server.port}")
@@ -560,28 +610,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                  if client.info().protocol_version >= 3
                  else " (JSON lines)"))
 
-        async def signer(message: bytes):
-            return await client.sign(tenant, message,
-                                     deadline_ms=args.deadline_ms)
-
-        verifier = None
-        if args.verify_fraction > 0.0:
-            # One seeded (message, signature) pair backs every verify op:
-            # SPHINCS+ verification cost does not depend on which valid
-            # pair is checked, so the load profile is what matters.
-            seed_message = b"loadgen verify seed"
-            seeded = await client.sign(tenant, seed_message)
-
-            async def verifier(message: bytes):
-                return await client.verify(tenant, seed_message,
-                                           seeded.signature)
-
         try:
-            offsets = make_trace(args.trace, args.messages, args.rate,
-                                 seed=args.seed)
-            generator = LoadGenerator(signer, verifier=verifier,
-                                      verify_fraction=args.verify_fraction,
-                                      seed=args.seed)
+            if args.verify_fraction > 0.0:
+                seeded = await client.sign(tenant, seed_message)
             print(f"replaying {args.messages} requests, trace "
                   f"{args.trace!r} at ~{args.rate}/s "
                   f"(tenant {tenant!r}"
@@ -724,20 +755,16 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from .core.fusion import plan_fors
-    from .errors import ReproError
     from .gpusim.device import get_device
     from .params import get_params
 
-    try:
+    with _usage("tune"):
         device = get_device(args.device)
         params = get_params(args.params)
         plan = plan_fors(
             params, device.shared_mem_per_block_static,
             hard_limit=device.shared_mem_per_block_optin,
         )
-    except ReproError as exc:
-        print(f"tune: {exc}", file=sys.stderr)
-        return 2
     print(f"{params.name} on {device.name} ({device.architecture})")
     print(f"  threads/block : {plan.threads_per_block}")
     print(f"  trees per set : {plan.n_tree}")
@@ -756,20 +783,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     from .core.batch import end_to_end_kops
-    from .errors import ReproError
     from .gpusim.device import get_device
     from .params import get_params
 
     # Exit codes: 0 modelled, 2 unusable input (unknown device or set, a
     # workload the model cannot launch) — one line on stderr, no table.
-    try:
+    with _usage("model"):
         device = get_device(args.device)
         params = get_params(args.params)
         results = end_to_end_kops(params, device, args.messages,
                                   args.batches)
-    except ReproError as exc:
-        print(f"model: {exc}", file=sys.stderr)
-        return 2
     print(f"{params.name} on modeled {device.name}, "
           f"{args.messages} messages:")
     for mode, result in results.items():
@@ -990,7 +1013,11 @@ def main(argv: list[str] | None = None) -> int:
     p_trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -60,10 +60,6 @@ class TaskGraph:
         self._nodes.append(node)
         return node
 
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
     def instantiate(self) -> "GraphExec":
         """Freeze into an executable graph (validates topology)."""
         order = self._topo_order()

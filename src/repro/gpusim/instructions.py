@@ -123,11 +123,6 @@ class InstructionMix:
         )
         return weighted / max(ilp, 1.0)
 
-    def scaled(self, factor: float) -> "InstructionMix":
-        return InstructionMix(
-            {cls_: count * factor for cls_, count in self.counts.items()}
-        )
-
     def merged(self, other: "InstructionMix") -> "InstructionMix":
         out = InstructionMix(dict(self.counts))
         for cls_, count in other.counts.items():

@@ -157,12 +157,6 @@ class Layout:
             raw += 4 * (raw // self.pad_period)
         return raw
 
-    def footprint(self, node_count: int) -> int:
-        """Bytes of shared memory consumed by *node_count* nodes."""
-        if node_count == 0:
-            return 0
-        return self.address(node_count - 1) + self.node_bytes
-
 
 def reduction_trace(
     leaf_count: int,

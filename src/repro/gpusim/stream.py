@@ -63,10 +63,6 @@ class LaunchRecord:
         """Nsight-style launch latency: API call to kernel start."""
         return max(0.0, self.start_time - self.submit_time) + self.overhead_s
 
-    @property
-    def duration(self) -> float:
-        return self.end_time - self.start_time
-
 
 @dataclass
 class TimelineResult:

@@ -152,10 +152,6 @@ class Address:
         self.word3 = index
         return self
 
-    @property
-    def tree_index(self) -> int:
-        return self.word3
-
     # -- serialization -------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Full 32-byte ADRS (layer 4B, tree 12B, type 4B, 3 words)."""

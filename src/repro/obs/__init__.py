@@ -18,13 +18,13 @@ Three small, dependency-free subsystems, each usable on its own:
     exposition and an optional stdlib HTTP scrape endpoint.
 :mod:`.log`
     JSON-lines structured logging with trace-id correlation, adopted at
-    the service's accept/shed/crash/respawn/invalidation points.
+    the service's accept/shed/crash/respawn points.
 
 Everything is off by default and every hook sits behind an ``is None``
 check, so the hot paths stay hook-free until an operator opts in.
 """
 
-from .log import JsonLogger, configure_logging, get_logger, logging_enabled
+from .log import JsonLogger, configure_logging, get_logger
 from .metrics import (MetricsRegistry, MetricsServer, parse_prometheus,
                       render_prometheus)
 from .trace import (Span, TraceContext, Tracer, current_trace, load_spans,
@@ -34,7 +34,7 @@ from .trace import (Span, TraceContext, Tracer, current_trace, load_spans,
 __all__ = [
     "JsonLogger", "MetricsRegistry", "MetricsServer", "Span",
     "TraceContext", "Tracer", "configure_logging",
-    "current_trace", "get_logger", "load_spans", "logging_enabled",
+    "current_trace", "get_logger", "load_spans",
     "new_span_id", "new_trace_id", "parse_prometheus",
     "render_critical_path", "render_prometheus", "start_trace",
     "use_trace",

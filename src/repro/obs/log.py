@@ -33,8 +33,7 @@ from typing import IO
 
 from .trace import current_trace
 
-__all__ = ["JsonLogger", "configure_logging", "get_logger",
-           "logging_enabled"]
+__all__ = ["JsonLogger", "configure_logging", "get_logger"]
 
 _lock = threading.Lock()
 _stream: IO[str] | None = None
@@ -62,10 +61,6 @@ def configure_logging(dest: str | IO[str] | None) -> None:
             _owns_stream = True
         else:
             _stream, _owns_stream = dest, False
-
-
-def logging_enabled() -> bool:
-    return _stream is not None
 
 
 class JsonLogger:

@@ -69,10 +69,6 @@ class TraceContext:
     trace_id: str
     span_id: str
 
-    def child(self) -> "TraceContext":
-        """A fresh span id under the same trace."""
-        return TraceContext(self.trace_id, new_span_id())
-
 
 _CURRENT: contextvars.ContextVar[TraceContext | None] = \
     contextvars.ContextVar("repro_trace", default=None)
@@ -188,24 +184,6 @@ class Tracer:
             if self._out is not None:
                 self._out.write(json.dumps(span.as_dict(),
                                            separators=(",", ":")) + "\n")
-
-    @contextlib.contextmanager
-    def span(self, name: str, **attrs) -> Iterator[TraceContext]:
-        """Time the enclosed block as a child span and propagate context.
-
-        Without an ambient trace, a fresh root trace is started; the
-        block runs with a child context installed, so nested :meth:`span`
-        calls parent correctly.
-        """
-        parent = current_trace()
-        ctx = parent.child() if parent is not None else start_trace()
-        clock = SpanClock()
-        with use_trace(ctx):
-            yield ctx
-        self.record_span(
-            name, trace=ctx, start=clock.start, end=clock.end(),
-            parent_id=parent.span_id if parent is not None else None,
-            span_id=ctx.span_id, **attrs)
 
     def record_sign(self, trace: TraceContext, parent_id: str | None,
                     start: float, end: float, stage_seconds: dict[str, float],

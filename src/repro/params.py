@@ -85,16 +85,6 @@ class SphincsParams:
         """Leaves per FORS tree."""
         return 1 << self.log_t
 
-    @property
-    def fors_leaves_total(self) -> int:
-        """Total FORS leaves across all ``k`` trees."""
-        return self.k * self.t
-
-    @property
-    def hypertree_leaves_total(self) -> int:
-        """Total WOTS+ leaves across all ``d`` layers of one signature path."""
-        return self.d * self.tree_leaves
-
     # ------------------------------------------------------------------
     # WOTS+ geometry
     # ------------------------------------------------------------------
@@ -166,10 +156,6 @@ class SphincsParams:
     @property
     def pk_bytes(self) -> int:
         return 2 * self.n
-
-    @property
-    def sk_bytes(self) -> int:
-        return 4 * self.n
 
     # ------------------------------------------------------------------
     # Hash-operation counts (used by the GPU workload builders)

@@ -40,10 +40,6 @@ class BatchSignResult:
     def count(self) -> int:
         return len(self.signatures)
 
-    @property
-    def sigs_per_s(self) -> float:
-        return self.count / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
 
 class SigningBackend(abc.ABC):
     """Base class for batch signing engines.

@@ -40,12 +40,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+from ..errors import BackendError
 from ..params import PARAMETER_SETS, SphincsParams, get_params
 
 __all__ = [
     "DEFAULT_BUDGET_MB",
     "HypertreeLayerCache",
     "MAX_FILL_HASHES",
+    "budget_to_bytes",
     "choose_pinned_layers",
     "fill_hashes",
     "link_entry_bytes",
@@ -60,6 +62,15 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET_MB = 32.0
+
+
+def budget_to_bytes(budget_mb: float | None) -> int:
+    """A ``cache_budget_mb`` in bytes (``None``: :data:`DEFAULT_BUDGET_MB`);
+    one not above zero is a :class:`~repro.errors.BackendError`."""
+    if budget_mb is not None and budget_mb <= 0:
+        raise BackendError(f"cache_budget_mb must be > 0, got {budget_mb}")
+    return int((budget_mb or DEFAULT_BUDGET_MB) * 1024 * 1024)
+
 
 #: Most hashes filling one key's whole pinned region may cost — well
 #: under a second of hashing per key, whatever path its traffic takes.
@@ -314,14 +325,6 @@ class HypertreeLayerCache:
     def remember(self, seed: Seed, digest: bytes, signature: bytes) -> None:
         """Keep *signature* under *digest*."""
         self._put((seed, digest), signature)
-
-    def drop(self, seed: Seed) -> None:
-        """Forget every entry of one key (rotation / tenant delete)."""
-        with self._lock:
-            if seed in self._seeds:
-                for entry in [entry for entry in self._entries
-                              if entry[0] == seed]:
-                    self._forget(entry)
 
     @property
     def stats(self) -> dict[str, int]:

@@ -23,13 +23,12 @@ import threading
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from ..errors import BackendError
 from ..hashes.thash import HashContext
 from ..params import SphincsParams
 from ..sphincs.signer import KeyPair
 from .backend import BatchSignResult, SigningBackend
 from .fastops import FastOps, FastVerifier
-from .layercache import DEFAULT_BUDGET_MB, HypertreeLayerCache
+from .layercache import HypertreeLayerCache, budget_to_bytes
 from .plan import RUN, SigningPlan, TaskRun, cut, run_task
 
 if TYPE_CHECKING:
@@ -75,12 +74,9 @@ class VectorizedBackend(SigningBackend):
             self.name = "pooled"
         #: Processes the plan's tasks run on (0: this one); sizes the cut.
         self._workers = pool.workers if pool is not None else 0
-        if cache_budget_mb is not None and cache_budget_mb <= 0:
-            raise BackendError(
-                f"cache_budget_mb must be > 0, got {cache_budget_mb}")
         self.ctx: HashContext = self._scheme.ctx  # shared midstate cache
-        self.cache = HypertreeLayerCache(self.params, int(
-            (cache_budget_mb or DEFAULT_BUDGET_MB) * 1024 * 1024))
+        self.cache = HypertreeLayerCache(self.params,
+                                         budget_to_bytes(cache_budget_mb))
         self.verifier: FastVerifier | None = None
         self._verifier_lock = threading.Lock()
 
@@ -90,10 +86,6 @@ class VectorizedBackend(SigningBackend):
         return FastOps(self.ctx, keys.sk_seed, keys.pk_seed, self.cache)
 
     # ------------------------------------------------------------------
-    def invalidate_key(self, keys: KeyPair) -> None:
-        """Drop all cached state for *keys* (rotation / tenant delete)."""
-        self.cache.drop((keys.sk_seed, keys.pk_seed))
-
     def cache_stats(self) -> dict[str, int]:
         """The layer cache's counters, every key's entries together."""
         return self.cache.stats

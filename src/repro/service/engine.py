@@ -1,8 +1,10 @@
 """The signing engine: what every front signs and verifies through.
 
 :class:`SigningEngine` owns the chain *keystore → executor → one backend
-per parameter set, which signs and verifies → invalidate on key events →
-cache stats*.  It has two fronts and knows neither: the in-process
+per parameter set, which signs and verifies → cache stats*.  A rotated or
+deleted key needs no hook here: every cache entry is keyed by its key
+pair's seeds, so a retired pair's entries answer for no other key and age
+out by recency.  It has two fronts and knows neither: the in-process
 :class:`~repro.api.local.LocalClient` calls it synchronously,
 :class:`~.server.SigningService` from executor threads, one batch at a
 time (and, for ``recall`` only, from its event loop).
@@ -14,8 +16,8 @@ import threading
 from typing import Sequence
 
 from ..errors import BackendError, ServiceError
-from ..obs.log import get_logger
 from ..runtime.backend import BatchSignResult
+from ..runtime.layercache import budget_to_bytes
 from ..runtime.pool import WorkerPool
 from ..runtime.vectorized import VectorizedBackend
 from ..sphincs.signer import KeyPair
@@ -26,8 +28,6 @@ __all__ = ["ON_LOOP_BYTES", "SigningEngine", "require_vectorized"]
 #: Most bytes ``recall`` hashes, in one SHA-256 pass (at the bound a
 #: service's event loop waits ~0.05 ms).
 ON_LOOP_BYTES = 64 * 1024
-
-_log = get_logger("service")
 
 
 def require_vectorized(backend: str) -> None:
@@ -45,7 +45,7 @@ class SigningEngine:
     Parameters
     ----------
     keystore:
-        Where ``(tenant, key)`` resolves; listened to until :meth:`close`.
+        Where ``(tenant, key)`` resolves, on every call.
     workers:
         ``> 0`` runs the signing plan on a pool of that many processes —
         one pool under every parameter set, started here and stopped by
@@ -54,9 +54,10 @@ class SigningEngine:
         Each backend's layer-cache budget, all keys of its parameter set
         together: it sets the pinned layer count and bounds every pinned
         subtree and replayable signature, least recently used out
-        (default :data:`~repro.runtime.layercache.DEFAULT_BUDGET_MB`).  A
-        pinned subtree is filled by the first plan whose path needs it,
-        beside that message's run.
+        (default :data:`~repro.runtime.layercache.DEFAULT_BUDGET_MB`); not
+        above zero is a :class:`BackendError` here, at start.  A pinned
+        subtree is filled by the first plan whose path needs it, beside
+        that message's run.
 
     One :class:`~repro.runtime.vectorized.VectorizedBackend` per parameter
     set, built on first use, each with one layer cache for all its keys.
@@ -64,6 +65,7 @@ class SigningEngine:
 
     def __init__(self, keystore: Keystore, *, deterministic: bool = False,
                  workers: int = 0, cache_budget_mb: float | None = None):
+        budget_to_bytes(cache_budget_mb)  # a bad budget fails before any sign
         self.keystore = keystore
         self.deterministic = deterministic
         self.cache_budget_mb = cache_budget_mb
@@ -72,8 +74,6 @@ class SigningEngine:
         # Callers arrive on several threads (the service's executor, a
         # ledger's ``to_thread``): backends are built under it.
         self._lock = threading.Lock()
-        # A retired key's cached subtrees must never sign again.
-        keystore.add_listener(self._on_key_event)
 
     # ------------------------------------------------------------------
     def backend_for(self, params_name: str) -> VectorizedBackend:
@@ -85,15 +85,6 @@ class SigningEngine:
                     params_name, deterministic=self.deterministic,
                     cache_budget_mb=self.cache_budget_mb, pool=self.pool)
             return backend
-
-    def _on_key_event(self, event: str, tenant: str, key: str | None,
-                      old_keys) -> None:
-        """Keystore listener: invalidate on key change."""
-        _log.info("key-event", change=event, tenant=tenant, key=key,
-                  invalidated=old_keys is not None)
-        if old_keys is not None:
-            for backend in list(self._backends.values()):
-                backend.invalidate_key(old_keys)
 
     # ------------------------------------------------------------------
     def recall(self, keys: KeyPair, params_name: str, message: bytes
@@ -154,7 +145,6 @@ class SigningEngine:
         return snapshot
 
     def close(self) -> None:
-        """Unsubscribe from the keystore and stop the pool; idempotent."""
-        self.keystore.remove_listener(self._on_key_event)
+        """Stop the pool; idempotent."""
         if self.pool is not None:
             self.pool.close()

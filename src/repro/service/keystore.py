@@ -190,14 +190,6 @@ class Keystore:
         # Lookups come from the event loop and from the threads a signing
         # engine resolves on: no eviction between the LRU's get and move.
         self._lock = threading.RLock()
-        # Key-lifecycle listeners: fn(event, tenant, key_name, old_keys).
-        # Events: "key-rotated" (old_keys = the retired pair) and
-        # "tenant-deleted" (fired once per key the tenant held).  The
-        # signing engine subscribes to invalidate its layer caches —
-        # stale cached subtrees of a retired key must never produce
-        # another signature.
-        self._listeners: list[Callable[[str, str, str | None,
-                                        KeyPair | None], None]] = []
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._open_root()
@@ -292,14 +284,13 @@ class Keystore:
     def rotate_key(self, tenant: str, key_name: str) -> KeyPair:
         """Replace an existing named key with a freshly generated pair.
 
-        The old pair is retired immediately: the new key is persisted
-        first, then every listener is told ``("key-rotated", tenant,
-        key_name, old_keys)`` so caches built for the old key are
-        dropped before any further signing.
+        The old pair is retired immediately: the next ``resolve`` returns
+        the new one.  Nothing cached for the old pair can answer for the
+        new one, because every layer-cache and memo key starts with the
+        pair's seeds; the old entries age out of the cache by recency.
         """
         record = self._record(tenant)
-        old_keys = record.keys.get(key_name)
-        if old_keys is None:
+        if key_name not in record.keys:
             known = ", ".join(sorted(record.keys)) or "<none>"
             raise KeystoreError(
                 f"cannot rotate: tenant {tenant!r} has no key "
@@ -308,17 +299,12 @@ class Keystore:
         new_keys = Sphincs(record.params).keygen()
         record.keys[key_name] = new_keys
         self._save(record)
-        self._notify("key-rotated", tenant, key_name, old_keys)
         return new_keys
 
     def delete_tenant(self, name: str) -> None:
-        """Remove a tenant, its keys, and its on-disk shard file.
-
-        Listeners get one ``("tenant-deleted", name, key_name,
-        old_keys)`` event per key the tenant held, so each key's cached
-        state can be invalidated individually.
-        """
-        record = self._record(name)
+        """Remove a tenant, its keys, and its on-disk shard file (its
+        keys' cache entries age out like those of a rotated key)."""
+        self._record(name)  # an unknown tenant is a KeystoreError
         self._tenants.pop(name, None)
         path = self._index.pop(name, None)
         if path is not None:
@@ -328,23 +314,6 @@ class Keystore:
                 pass
         self._buckets.pop(name, None)
         self._overrides.pop(name, None)
-        for key_name, old_keys in sorted(record.keys.items()):
-            self._notify("tenant-deleted", name, key_name, old_keys)
-
-    def add_listener(self, listener: Callable[
-            [str, str, str | None, KeyPair | None], None]) -> None:
-        """Subscribe to key-lifecycle events (rotation, tenant delete)."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        """Unsubscribe *listener* (a no-op when absent: ``close()`` twice)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def _notify(self, event: str, tenant: str, key_name: str | None,
-                old_keys: KeyPair | None) -> None:
-        for listener in self._listeners:
-            listener(event, tenant, key_name, old_keys)
 
     def resolve(self, tenant: str, key_name: str = "default"
                 ) -> tuple[KeyPair, str]:

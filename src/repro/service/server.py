@@ -44,7 +44,7 @@ from . import protocol
 from .batcher import DeadlineBatcher, PendingSign, QueueKey
 from .engine import SigningEngine, require_vectorized
 from .keystore import Keystore
-from .telemetry import Telemetry, render_snapshot
+from .telemetry import Telemetry
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
                     error_body)
 
@@ -305,9 +305,6 @@ class SigningService:
             "sha256": sha256_choice(),
         }
         return snapshot
-
-    def report(self, title: str = "Signing service telemetry") -> str:
-        return render_snapshot(self.stats(), title=title)
 
 
 class SigningServer:

@@ -20,7 +20,7 @@ def _fork_join_graph():
 
 class TestConstruction:
     def test_node_count(self):
-        assert _fork_join_graph().node_count == 3
+        assert len(_fork_join_graph().instantiate().nodes) == 3
 
     def test_instantiate_topo_order(self):
         exe = _fork_join_graph().instantiate()

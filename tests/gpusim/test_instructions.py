@@ -57,10 +57,10 @@ class TestMixAlgebra:
         # MISC is off the dependent path; 8 SHL x 4 cycles / ilp 2.
         assert mix.dependent_cycles(t, 2.0) == pytest.approx(16.0)
 
-    def test_scaled_and_merged(self):
+    def test_merged(self):
         a = InstructionMix().add(SHL, 4)
         b = InstructionMix().add(SHL, 1).add(LOP3, 2)
-        merged = a.scaled(2.0).merged(b)
+        merged = a.merged(a).merged(b)
         assert merged.counts[SHL] == 9
         assert merged.counts[LOP3] == 2
         # Originals untouched.
@@ -78,6 +78,8 @@ class TestMixAlgebra:
     def test_issue_cycles_scale_linearly(self, counts, factor):
         t = InstructionTimings.for_device(89)
         mix = InstructionMix(dict(counts))
-        assert mix.scaled(factor).issue_cycles(t) == pytest.approx(
+        scaled = InstructionMix(
+            {cls_: count * factor for cls_, count in counts.items()})
+        assert scaled.issue_cycles(t) == pytest.approx(
             factor * mix.issue_cycles(t)
         )

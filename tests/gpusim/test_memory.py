@@ -96,12 +96,6 @@ class TestLayout:
         assert layout.address(7) == 112
         assert layout.address(8) == 132  # one 4-byte pad inserted
 
-    def test_footprint_includes_padding(self):
-        packed = Layout(16)
-        padded = Layout(16, pad_period=128)
-        assert packed.footprint(16) == 256
-        assert padded.footprint(16) == 256 + 4
-
 
 class TestReductionConflicts:
     """The paper's Table VI shape: packed layouts conflict heavily during

@@ -85,7 +85,7 @@ class TestConcurrency:
         tl = _timeline(rtx4090)
         rec = tl.launch(tl.stream("a"), "a", 2e-3, demand=0.25)
         tl.run()
-        assert rec.duration == pytest.approx(2e-3, rel=0.01)
+        assert rec.end_time - rec.start_time == pytest.approx(2e-3, rel=0.01)
 
 
 class TestAccounting:

@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.log import (JsonLogger, configure_logging, get_logger,
-                           logging_enabled)
+from repro.obs.log import JsonLogger, configure_logging, get_logger
 from repro.obs.trace import start_trace, use_trace
 
 
@@ -26,11 +25,9 @@ def lines(stream):
 class TestJsonLogger:
     def test_unconfigured_logging_is_a_noop(self):
         configure_logging(None)
-        assert not logging_enabled()
         JsonLogger("pool").error("worker-crash", slot=1)  # must not raise
 
     def test_line_shape_and_field_passthrough(self, sink):
-        assert logging_enabled()
         get_logger("pool").warn("worker-respawn", slot=2, exitcode=-9)
         [record] = lines(sink)
         assert record["level"] == "warn"

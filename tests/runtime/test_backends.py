@@ -64,7 +64,6 @@ class TestAllBackendsVerify:
         result = backend.sign_batch(MESSAGES[:2], keys)
         assert result.count == 2
         assert result.elapsed_s > 0
-        assert result.sigs_per_s > 0
         assert backend.verify_batch(
             MESSAGES[:2], result.signatures, keys.public) == [True, True]
 

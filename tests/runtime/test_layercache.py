@@ -247,27 +247,6 @@ class TestCacheLifecycle:
         assert cache.lookup_tree(SEED, top, 0) is None  # the oldest went
         assert cache.stats["memo_entries"] == 4
 
-    def test_drop_forgets_one_key_only(self):
-        params = get_params("128f")
-        top = params.d - 1
-        cache = HypertreeLayerCache(params, pinned_layers=2)
-        for seed in (SEED, OTHER):
-            cache.store_tree(seed, top, 0, _fake_nodes(params))
-            cache.store_link(seed, top, 0, 0, _fake_chains(params))
-            cache.remember(seed, b"digest", _fake_signature(params, 1))
-        assert cache.stats["keys"] == 2
-        cache.drop(SEED)
-        cache.drop(SEED)  # a second drop finds nothing
-        assert cache.stats["keys"] == 1
-        assert cache.stats["bytes"] == tree_entry_bytes(params) \
-            + link_entry_bytes(params) + _memo_entry_bytes(params)
-        assert cache.lookup_tree(SEED, top, 0) is None
-        assert cache.lookup_link(SEED, top, 0, 0) is None
-        assert cache.recall(SEED, b"digest") is None
-        assert cache.recall(OTHER, b"digest") is not None
-        cache.drop(OTHER)
-        assert cache.stats["bytes"] == cache.stats["keys"] == 0
-
 
 class TestBackendIntegration:
     def test_a_first_sign_fills_only_its_path(self):
@@ -343,15 +322,6 @@ class TestBackendIntegration:
         assert (vectorized.sign_batch(messages, keys).signatures
                 == scalar.sign_batch(messages, keys).signatures)
 
-    def test_invalidate_key_drops_cached_state(self, warm_key):
-        backend = get_backend("vectorized", "128f", deterministic=True)
-        keys = backend.keygen(seed=_seed("128f"))
-        warm_key(backend, keys)
-        assert backend.cache_stats()["pinned_trees"] > 0
-        backend.invalidate_key(keys)
-        stats = backend.cache_stats()
-        assert stats["keys"] == stats["bytes"] == stats["pinned_trees"] == 0
-
     @pytest.mark.parametrize("params_name", KAT_SETS)
     def test_cached_vs_cold_byte_identity(self, params_name, warm_key):
         """A signature over warm pinned layers (subtrees and link
@@ -411,40 +381,6 @@ class TestServiceInvalidation:
 
         asyncio.run(run())
 
-    def test_tenant_delete_invalidates_cache(self, tmp_path):
-        async def run():
-            keystore, service = self._service(tmp_path)
-            try:
-                await service.sign(b"hello", "acme")
-                backend = service.engine.backend_for("SPHINCS+-128f")
-                assert backend.cache_stats().get("keys", 0) > 0
-                keystore.delete_tenant("acme")
-                assert backend.cache_stats().get("keys", 0) == 0
-            finally:
-                await service.drain()
-                service.close()
-
-        asyncio.run(run())
-
-    def test_keystore_listener_event_order(self):
-        from repro.service import Keystore, derive_seed
-
-        keystore = Keystore()
-        keystore.add_tenant("acme", "128f")
-        keystore.generate_key("acme", "default",
-                              seed=derive_seed("acme/default", 16))
-        keystore.generate_key("acme", "backup",
-                              seed=derive_seed("acme/backup", 16))
-        events = []
-        keystore.add_listener(
-            lambda event, tenant, key, old: events.append(
-                (event, tenant, key, old is not None)))
-        keystore.rotate_key("acme", "default")
-        keystore.delete_tenant("acme")
-        assert events[0] == ("key-rotated", "acme", "default", True)
-        assert (("tenant-deleted", "acme", "backup", True) in events
-                and ("tenant-deleted", "acme", "default", True) in events)
-
 
 class TestPoolCache:
     def test_warm_on_spawn_reports_cache_snapshot(self, warm_key):
@@ -471,7 +407,3 @@ class TestPoolCache:
                 == scalar.sign_batch(fresh, keys).signatures
             assert backend.cache_stats()["pinned_trees"] \
                 == cache["pinned_trees"]
-            # Invalidation is local too, and signing recovers from it.
-            backend.invalidate_key(keys)
-            assert backend.cache_stats()["bytes"] == 0
-            assert backend.sign_batch(messages, keys).signatures == expected

@@ -11,7 +11,8 @@ from repro.errors import (KeystoreError, OverloadedError, ProtocolError,
 from repro.hashes.thash import sha256_choice
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
-                           SigningService, derive_seed, protocol)
+                           SigningService, derive_seed, protocol,
+                           render_snapshot)
 from repro.sphincs.signer import Sphincs
 
 
@@ -213,7 +214,7 @@ class TestInProcess:
             assert stats["config"]["sha256"] == sha256_choice()
             assert set(stats["config"]["sha256"]) == {"one_block",
                                                       "multi_block"}
-            report = service.report()
+            report = render_snapshot(stats)
             assert "p95" in report and "Batch-size histogram" in report
 
         asyncio.run(scenario())

@@ -117,7 +117,7 @@ class _IndexRecorder(HashContext):
         self.nodes = []
 
     def thash(self, pk_seed, adrs, *blocks):
-        self.nodes.append((adrs.tree_height, adrs.tree_index))
+        self.nodes.append((adrs.tree_height, adrs.word3))  # tree_index
         return super().thash(pk_seed, adrs, *blocks)
 
 

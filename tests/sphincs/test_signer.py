@@ -35,7 +35,7 @@ class TestKeygen:
     def test_key_components(self, keys128):
         params = get_params("128f")
         assert len(keys128.public) == params.pk_bytes
-        assert len(keys128.secret) == params.sk_bytes
+        assert len(keys128.secret) == 4 * params.n
         assert keys128.public == keys128.pk_seed + keys128.pk_root
 
     def test_random_keygen_differs(self, scheme128, keys128):

@@ -19,6 +19,10 @@ outside ``tests/`` overrides (:func:`unset_options`) is a value only a
 test ever changes: it is a constant with extra plumbing.  A flag that no
 page of ``docs/``, the README or CI names (:func:`unnamed_flags`) is a
 knob no reader can find.
+
+The reach census goes one step further: a function, method or class
+that no code outside ``tests/`` names (:func:`unreached_definitions`) is
+code only a test runs.
 """
 
 import ast
@@ -127,9 +131,11 @@ def test_every_parameter_is_read():
 
 def test_every_allowance_is_still_needed():
     stale = [pattern
-             for table, found in ((ALLOWED, unread_parameters()),
-                                  (OPTIONS_ALLOWED, unset_options()),
-                                  (FLAGS_ALLOWED, unnamed_flags()))
+             for table, found in (
+                 (ALLOWED, unread_parameters()),
+                 (OPTIONS_ALLOWED, unset_options()),
+                 (FLAGS_ALLOWED, unnamed_flags()),
+                 (DEFINITIONS_ALLOWED, unreached_definitions()))
              for pattern in table
              if not any(fnmatch.fnmatchcase(key, pattern)
                         for key, _ in found)]
@@ -569,3 +575,153 @@ def test_the_census_sees_a_flag_only_help_names(tmp_path):
         "Run with `--named`; `--keystore` and `--hidden-too` are others.\n")
     assert unnamed_flags(tmp_path / "cli.py", (tmp_path / "page.md",)) == [
         ("--key", "cli.py:2 --key"), ("--hidden", "cli.py:3 --hidden")]
+
+
+# ----------------------------------------------------------------------
+# The reach census: no definition that only tests reach
+# ----------------------------------------------------------------------
+#: ``file::qualname`` patterns (``fnmatch``) -> why the definition stays
+#: although nothing outside ``tests/`` names it.
+DEFINITIONS_ALLOWED = {
+    "api/*.py::*":
+        "the repro.api surface, pinned signature by signature in "
+        "tests/api_surface.json",
+    "obs/metrics.py::*.Handler.do_GET":
+        "http.server calls the handler hook by its name",
+    "obs/metrics.py::*.Handler.log_message":
+        "http.server calls the handler hook by its name",
+    "obs/metrics.py::parse_prometheus":
+        "repro.testing's kit: tests read /metrics back through it",
+    "testing/chaos.py::FlakyProxy":
+        "repro.testing's kit: the chaos tests' fault-injecting proxy",
+    "testing/corpus.py::*":
+        "repro.testing's kit: the fuzz corpora tests replay",
+    "runtime/pool.py::WorkerPool.inject_crash":
+        "seam: a test kills a worker at a chosen moment",
+    "cluster/local.py::LocalCluster.restart_node":
+        "seam: a test brings a killed node back",
+    "gpusim/occupancy.py::paper_occupancy_eq1":
+        "the paper's Eq. 1, which tests hold the occupancy model to",
+    "runtime/layercache.py::tradeoff_table":
+        "docs/architecture.md prints the layer-cache trade-off table",
+    "runtime/layercache.py::savings_fraction":
+        "a column of the trade-off table docs/architecture.md prints",
+    "runtime/layercache.py::wots_link_sign_hashes":
+        "a term of the trade-off table docs/architecture.md prints",
+    "service/keystore.py::Keystore.set_rate_limit":
+        "docs/operations.md documents per-tenant admission overrides",
+    "service/keystore.py::Keystore.rotate_key":
+        "docs/operations.md documents key rotation for library "
+        "deployments",
+    "service/keystore.py::Keystore.delete_tenant":
+        "docs/operations.md documents tenant removal for library "
+        "deployments",
+}
+
+
+def unreached_definitions(root: Path = SRC,
+                          callers: tuple[Path, ...] = CALLERS
+                          ) -> list[tuple[str, str]]:
+    """``(census key, "file:line qualname")`` per function, method or
+    class under *root* that no code under *callers* names.
+
+    A definition is reached when a reached scope names it — as a
+    ``Name``, an ``Attribute`` or an import — and a scope is reached when
+    it is module-level code, code outside *root*, or the body of a
+    reached definition, so a name used only inside unreached definitions
+    (its own body included) reaches nothing.  Names resolve by their last
+    part: ``x.sign`` reaches every ``sign``.  A package's ``__init__.py``
+    re-exports reach nothing, strings (``__all__``, docstrings) are not
+    names, and dunder methods are never reported; their bodies belong to
+    their class.
+    """
+    definitions = {}  # census key -> (node, name, relative path)
+    names = {}  # census key of the owning definition, None at top -> names
+    inside = {path.resolve() for path in root.rglob("*.py")}
+
+    def walk(tree, owner, prefix, relative, reexports):
+        for node in ast.iter_child_nodes(tree):
+            if relative is not None and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+                qualname = prefix + node.name
+                scope = owner
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    scope = f"{relative}::{qualname}"
+                    definitions[scope] = (node, node.name, relative)
+                walk(node, scope, qualname + ".", relative, reexports)
+                continue
+            found = names.setdefault(owner, set())
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and not reexports:
+                found.update(alias.name.rpartition(".")[2]
+                             for alias in node.names)
+            walk(node, owner, prefix, relative, reexports)
+
+    for path in sorted({path for folder in (root, *callers)
+                        for path in folder.rglob("*.py")}):
+        mine = path.resolve() in inside
+        walk(ast.parse(path.read_text()), None, "",
+             path.relative_to(root).as_posix() if mine else None,
+             mine and path.name == "__init__.py")
+
+    live, reached = set(names.get(None, ())), set()
+    while fresh := {key for key, (_, name, _) in definitions.items()
+                    if key not in reached and name in live}:
+        reached |= fresh
+        for key in fresh:
+            live |= names.get(key, set())
+    return [(key, f"{relative}:{node.lineno} {key.partition('::')[2]}")
+            for key, (node, _, relative) in definitions.items()
+            if key not in reached]
+
+
+def test_every_definition_is_reached_outside_tests():
+    unreached = [where for key, where in unreached_definitions()
+                 if not any(fnmatch.fnmatchcase(key, pattern)
+                            for pattern in DEFINITIONS_ALLOWED)]
+    assert not unreached, (
+        "definitions nothing outside tests/ names (delete them with the "
+        "tests that only they served, or add a DEFINITIONS_ALLOWED entry "
+        "with its reason):\n  " + "\n  ".join(unreached))
+
+
+def test_the_census_sees_a_definition_only_tests_call(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "__init__.py").write_text(
+        "from .module import Model, reexported, used\n"
+        "__all__ = ['Model', 'reexported', 'used']\n")
+    (package / "module.py").write_text(
+        "def used():\n"
+        "    return _helper()\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def reexported():\n"
+        "    'Only a docstring names used().'\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else _only_for_tested()\n"
+        "def _only_for_tested():\n"
+        "    return 0\n"
+        "class Model:\n"
+        "    def __init__(self):\n"
+        "        self.size = _sized()\n"
+        "    def method(self):\n"
+        "        return self.size\n"
+        "def _sized():\n"
+        "    return 2\n"
+        "print(used(), Model().method())\n")
+    (tests / "test_module.py").write_text(
+        "from pkg.module import recursive, reexported\n"
+        "recursive(2), reexported()\n")
+    assert [where for _, where in unreached_definitions(
+        package, (package,))] == [
+        "module.py:5 reexported", "module.py:7 recursive",
+        "module.py:9 _only_for_tested"]
+    assert unreached_definitions(package, (package, tests)) == []

