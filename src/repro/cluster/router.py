@@ -4,11 +4,15 @@
 surface (``sign`` / ``verify`` / ``stats`` / ``keystore`` /
 ``metrics_registry``) but owns no batcher or backend — every request is
 placed on one of N backend :class:`~..service.server.SigningServer` nodes
-over the wire protocol and forwarded, as typed values, through a pipelined
-:class:`~..service.client.ServiceClient`.  :class:`ClusterRouter` wraps it
-in a stock ``SigningServer``, which is the whole trick: the router speaks
-protocol v2/v3 northbound *unchanged* because the verb table only ever
-touches the service surface.
+and forwarded as a v3 frame over a pipelined
+:class:`~..service.client.ServiceClient` link.  :class:`ClusterRouter`
+serves it northbound as a ``SigningServer``, so the router speaks
+protocol v2/v3 *unchanged*.  A v3 client's ``sign``, ``verify`` and
+``verify-many`` frames skip the verb table: :meth:`RouterService.relay`
+reads their tenant and key, forwards their bytes, and rewrites only the
+request id (and, on a signature, ``total_ms`` and the ``node{i}:``
+prefix on ``backend``) of the node's reply.  Typed calls (v2,
+``sign-many`` items) pack a v3 frame and take the same relay.
 
 Placement and failover
 ----------------------
@@ -24,9 +28,10 @@ single rule gives the whole failover story:
 * The node returns — the preference order has not changed, so each
   tenant snaps back to its primary on the next request.
 
-Liveness is driven two ways: a forward attempt that hits a dead socket
-marks the node down and retries the next candidate immediately (bounded
-by ``max_retries``), and a background health loop pings live nodes and
+Liveness is driven two ways: a link that drops marks the node down, and
+each request in flight on it resends its kept bytes to the next
+candidate immediately (bounded by ``max_retries``), and a background
+health loop pings live nodes and
 re-dials dead ones every ``health_interval_s``.  When no candidate
 accepts, the request fails with a typed
 :class:`~repro.errors.NodeUnavailableError` ("unavailable" on the wire)
@@ -37,9 +42,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
+import time
+from typing import Callable
 
 from ..errors import (ConnectionLostError, NodeUnavailableError,
-                      OverloadedError, ServiceError)
+                      OverloadedError, ProtocolError, ServiceError)
 from ..obs.log import get_logger
 from ..obs.trace import current_trace
 from .ring import HashRing
@@ -48,6 +56,7 @@ from ..service.client import ServiceClient
 from ..service.keystore import Keystore
 from ..service.server import SigningServer, SignOutcome
 from ..service.telemetry import Telemetry
+from ..service.verbs import error_body
 
 __all__ = ["ClusterRouter", "RouterService"]
 
@@ -58,22 +67,124 @@ _log = get_logger("cluster")
 _NODE_ERRORS = (ConnectionLostError, ConnectionError, OSError,
                 asyncio.TimeoutError)
 
+#: The verbs a router forwards as frames, not as typed values.
+_RELAYED = {op: protocol.FRAME_CODES[op]
+            for op in ("sign", "verify", "verify-many")}
+_SIGN = protocol.FRAME_CODES["sign"]
+
+
+def _error_frame(request_id: int, exc: BaseException) -> bytes:
+    return protocol.encode_frame(
+        protocol.FRAME_ERROR, protocol.pack_error(*error_body(exc)),
+        id=request_id)
+
 
 class _Node:
     """One backend signing node and its southbound connection state."""
 
-    __slots__ = ("index", "host", "port", "wire", "up")
+    __slots__ = ("index", "host", "port", "prefix", "wire", "up")
 
     def __init__(self, index: int, host: str, port: int):
         self.index = index
         self.host = host
         self.port = port
+        #: What the router puts before the ``backend`` of a signature.
+        self.prefix = f"node{index}:".encode()
         self.wire: ServiceClient | None = None
         self.up = True  # optimistic: the first forward attempt decides
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
+
+
+class _Relay:
+    """One forwarded request's payload, kept until a node's reply lands
+    so that a dropped link can resend it down the ring.  The link's read
+    loop calls it with the reply frame, or the error that ended it."""
+
+    __slots__ = ("router", "code", "payload", "tenant", "write",
+                 "request_id", "started", "candidates", "attempt", "node",
+                 "last")
+
+    def __init__(self, router: "RouterService", code: int,
+                 payload: bytes | memoryview, tenant: str,
+                 write: Callable[[bytes], object], request_id: int):
+        self.router, self.code, self.payload = router, code, payload
+        self.tenant, self.write, self.request_id = tenant, write, request_id
+        self.started = time.monotonic()
+        self.candidates: tuple[_Node, ...] = ()
+        self.attempt, self.node, self.last = 0, None, None
+
+    def send(self) -> None:
+        """Write the payload to the next ring candidate (one without a
+        live link is dialed off the read loop first); after
+        ``max_retries`` more, answer typed ``unavailable``."""
+        router = self.router
+        if self.attempt >= len(self.candidates) \
+                or self.attempt > router.max_retries:
+            self(NodeUnavailableError(
+                f"no node accepted {protocol.FRAME_VERBS[self.code]!r} for "
+                f"tenant {self.tenant!r} after {router.max_retries + 1} "
+                f"attempts (last: {self.last})"))
+            return
+        node = self.candidates[self.attempt]
+        self.attempt += 1
+        if node.wire is not None:
+            try:
+                node.wire.relay(self.code, self.payload, self)
+            except ConnectionLostError:
+                pass  # the link died idle: dial the node again
+            else:
+                self.node = node
+                return
+        router._spawn(self._dial(node))
+
+    async def _dial(self, node: _Node) -> None:
+        try:
+            wire = await self.router._connect(node)
+            wire.relay(self.code, self.payload, self)
+        except _NODE_ERRORS as exc:
+            self.last = exc
+            self.router._mark_down(node, reason=str(exc))
+            self.send()
+        except Exception as exc:  # noqa: BLE001 — a refused hello, typed
+            self(exc)
+        else:
+            self.node = node
+
+    def __call__(self, reply: protocol.Frame | Exception) -> None:
+        router = self.router
+        if isinstance(reply, _NODE_ERRORS):
+            self.last = reply
+            router._mark_down(self.node, reason=str(reply))
+            self.send()
+            return
+        router._track(-1)
+        if isinstance(reply, Exception):
+            data = _error_frame(self.request_id, reply)
+        elif self.code != _SIGN or reply.verb != _SIGN:
+            data = protocol.encode_frame(reply.verb, reply.payload,
+                                         id=self.request_id,
+                                         flags=reply.flags)
+        else:
+            total_ms = (time.monotonic() - self.started) * 1000.0
+            try:
+                data, wait_ms = protocol.relay_sign_result(
+                    reply, self.request_id, round(total_ms, 3),
+                    self.node.prefix)
+            except ProtocolError as exc:
+                data = _error_frame(self.request_id, exc)
+            else:
+                # The node's batcher formed the batch; its stats count it.
+                router._note_home(self.tenant, self.node)
+                router.telemetry.record_signed(self.tenant, total_ms,
+                                               wait_ms)
+                self.write(data)
+                return
+        if self.code == _SIGN:
+            router.telemetry.record_failed(self.tenant)
+        self.write(data)
 
 
 class RouterService:
@@ -140,6 +251,8 @@ class RouterService:
         self._idle = asyncio.Event()
         self._idle.set()
         self._health_task: asyncio.Task | None = None
+        #: Dials that relays started, for nodes without a live link.
+        self._dials: set[asyncio.Task] = set()
         self._closed = False
         for node in self._nodes:
             self._node_gauge(node)
@@ -197,6 +310,50 @@ class RouterService:
     # ------------------------------------------------------------------
     # Service surface (consumed by the verb table)
     # ------------------------------------------------------------------
+    def relay(self, write: Callable[[bytes], object], op: object,
+              request_id: int, payload: memoryview) -> bool:
+        """Forward one v3 ``sign``, ``verify`` or ``verify-many`` frame
+        as bytes, reading only its tenant and key (``False`` for any
+        other verb).  *write* gets the node's reply under *request_id*
+        (a signature's with the router's ``total_ms`` and a ``node{i}:``
+        prefix on ``backend``), or the typed error that ended it."""
+        code = _RELAYED.get(op)  # type: ignore[arg-type]
+        if code is None:
+            return False
+        try:
+            tenant, key = protocol.peek_route(payload)
+        except ProtocolError as exc:
+            write(_error_frame(request_id, exc))
+        else:
+            self._forward(code, payload, tenant, key, write, request_id)
+        return True
+
+    def _forward(self, code: int, payload: bytes | memoryview, tenant: str,
+                 key: str, write: Callable[[bytes], object],
+                 request_id: int) -> None:
+        """Fail fast on the keystore (and admit, for a sign), then send
+        *payload* to the tenant's node, counted in flight until answered."""
+        try:
+            self.keystore.resolve(tenant, key)  # fail fast, never forward
+            if code == _SIGN:
+                if self.admit and not self.keystore.admit(tenant):
+                    self.telemetry.record_shed(tenant, "rate-limit")
+                    raise OverloadedError(
+                        f"tenant {tenant!r} exhausted its admission "
+                        "rate-limit budget; request shed")
+                self.telemetry.record_submitted(tenant)
+        except Exception as exc:  # noqa: BLE001 — answered, typed
+            write(_error_frame(request_id, exc))
+            return
+        relay = _Relay(self, code, payload, tenant, write, request_id)
+        self._track(+1)
+        try:
+            relay.candidates = self._candidates(tenant)
+        except NodeUnavailableError as exc:
+            relay(exc)
+            return
+        relay.send()
+
     async def sign(self, message: bytes, tenant: str,
                    key_name: str = "default",
                    deadline_ms: float | None = None) -> SignOutcome:
@@ -207,47 +364,25 @@ class RouterService:
         :class:`NodeUnavailableError` when the owner and every failover
         candidate are unreachable.
         """
-        self.keystore.resolve(tenant, key_name)  # fail fast, never forward
-        if self.admit and not self.keystore.admit(tenant):
-            self.telemetry.record_shed(tenant, "rate-limit")
-            raise OverloadedError(
-                f"tenant {tenant!r} exhausted its admission rate-limit "
-                "budget; request shed")
-        self.telemetry.record_submitted(tenant)
-        loop = asyncio.get_running_loop()
-        started = loop.time()
         # The northbound verb installed the client's trace id as the
         # ambient context; forwarding it joins the node's spans to it.
         trace = current_trace()
-        try:
-            response, node = await self._forward(
-                "sign", tenant, key=key_name, message=message,
-                deadline_ms=deadline_ms,
-                trace=trace.trace_id if trace is not None else None)
-        except Exception:
-            self.telemetry.record_failed(tenant)
-            raise
-        self._note_home(tenant, node)
-        total_ms = (loop.time() - started) * 1000.0
-        # The node's batcher formed the batch and its stats count it.
-        self.telemetry.record_signed(tenant, total_ms,
-                                     response.get("wait_ms", 0.0))
+        result = protocol.unpack_sign_result((await self._call(
+            "sign", tenant, key_name, protocol.pack_sign_request(
+                tenant, key_name, message, deadline_ms,
+                trace.trace_id if trace is not None else None))).payload)
         return SignOutcome(
-            signature=response["signature"], tenant=tenant,
-            key_name=key_name, params=response["params"],
-            backend=f"node{node.index}:{response['backend']}",
-            batch_size=response.get("batch_size", 1),
-            wait_ms=response.get("wait_ms", 0.0),
-            total_ms=round(total_ms, 3))
+            signature=result["signature"], tenant=tenant,
+            key_name=key_name, params=result["params"],
+            backend=result["backend"], batch_size=result["batch_size"],
+            wait_ms=result["wait_ms"], total_ms=result["total_ms"])
 
     async def verify(self, message: bytes, signature: bytes, tenant: str,
                      key_name: str = "default") -> tuple[bool, str]:
         """Forward a verify to the tenant's node; ``(valid, params)``."""
-        self.keystore.resolve(tenant, key_name)
-        response, _ = await self._forward(
-            "verify", tenant, key=key_name, message=message,
-            signature=signature)
-        return bool(response["valid"]), response["params"]
+        [valid], params = await self.verify_many(
+            [message], [signature], tenant, key_name)
+        return valid, params
 
     async def verify_many(self, messages: list[bytes],
                           signatures: list[bytes], tenant: str,
@@ -257,11 +392,11 @@ class RouterService:
         ``(verdicts, params)``.  The node answers a frame with one
         verify job, so a failure there is the same typed error on every
         item — re-raised here once."""
-        self.keystore.resolve(tenant, key_name)
-        response, _ = await self._forward(
-            "verify-many", tenant, key=key_name, messages=messages,
-            signatures=signatures)
-        results = response["results"]
+        results = protocol.unpack_verify_many_result((await self._call(
+            "verify-many", tenant, key_name,
+            protocol.pack_verify_many_request(
+                tenant, key_name, messages, signatures))).payload
+        )["results"]
         for item in results:
             if not item["ok"]:
                 raise protocol.error_type(item["error"])(item["detail"])
@@ -320,29 +455,18 @@ class RouterService:
                 f"{len(self._nodes)} nodes are down")
         return (*live, *(node for node in preference if not node.up))
 
-    async def _forward(self, op: str, tenant: str,
-                       **fields) -> tuple[dict, _Node]:
-        """Call *op* on the tenant's node, failing over down the ring:
-        ``(typed response, the node that answered)``.  Counted in
-        flight until it returns, so shutdown can wait it out."""
-        last: Exception | None = None
-        self._track(+1)
-        try:
-            for attempt, node in enumerate(self._candidates(tenant)):
-                if attempt > self.max_retries:
-                    break
-                try:
-                    wire = await self._wire(node)
-                    return await wire.call(op, tenant=tenant,
-                                           **fields), node
-                except _NODE_ERRORS as exc:
-                    last = exc
-                    self._mark_down(node, reason=str(exc))
-        finally:
-            self._track(-1)
-        raise NodeUnavailableError(
-            f"no node accepted {op!r} for tenant {tenant!r} after "
-            f"{self.max_retries + 1} attempts (last: {last})")
+    async def _call(self, op: str, tenant: str, key: str,
+                    payload: bytes) -> protocol.Frame:
+        """:meth:`_forward`, awaited (the v2 and ``sign-many`` paths): the
+        reply frame a v3 client would get, an error frame raised typed."""
+        reply = asyncio.get_running_loop().create_future()
+        self._forward(protocol.FRAME_CODES[op], payload, tenant, key,
+                      lambda data: reply.done() or reply.set_result(data), 0)
+        frame = protocol.decode_frame(memoryview(await reply)[4:])
+        if frame.verb == protocol.FRAME_ERROR:
+            error = protocol.unpack_error(frame.payload)
+            raise protocol.error_type(error["error"])(error["detail"])
+        return frame
 
     # ------------------------------------------------------------------
     # Node liveness
@@ -358,6 +482,11 @@ class RouterService:
         if node.wire is not None and node.wire.alive:
             return node.wire
         return await self._connect(node)
+
+    def _spawn(self, dial) -> None:
+        task = asyncio.get_running_loop().create_task(dial)
+        self._dials.add(task)
+        task.add_done_callback(self._dials.discard)
 
     def _mark_down(self, node: _Node, reason: str = "") -> None:
         if node.up:
@@ -429,17 +558,22 @@ class RouterService:
 
 
 class ClusterRouter(SigningServer):
-    """A stock :class:`SigningServer` fronting a :class:`RouterService`.
+    """A :class:`SigningServer` fronting a :class:`RouterService`.
 
     Northbound it is indistinguishable from a single node — same verbs,
     same protocol versions, same error codes (plus ``unavailable``) —
     so every existing client (``repro.api``, the CLI, the load
-    generator) works against a cluster unchanged.
+    generator) works against a cluster unchanged.  Its one difference
+    from a node's server: hot v3 frames are relayed on the read loop.
     """
 
     def __init__(self, service: RouterService,
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(service, host=host, port=port)
+
+    def _inline(self, writer: asyncio.StreamWriter):
+        # Hot v3 frames are relayed as bytes on the read loop itself.
+        return functools.partial(self.service.relay, writer.write)
 
     async def start(self) -> None:
         await self.service.start()  # southbound dials + health loop

@@ -11,7 +11,9 @@ and the same result whether the connection speaks newline-delimited JSON
 (protocol v2) or, once a ``hello`` response grants protocol v3, binary
 frames with ``sign-many`` results streamed per item.  Which of the two
 it is, :mod:`.protocol` alone knows.  :meth:`ServiceClient.open` is the
-one place a connection says ``hello``.
+one place a connection says ``hello``.  :meth:`ServiceClient.relay`
+writes a v3 frame payload as it is and hands its reply frame, undecoded,
+to a callback on the read loop: how a cluster router forwards.
 
 This is the *wire-level* client.  Application code should prefer the
 typed facade in :mod:`repro.api` — ``AsyncClient`` for asyncio callers,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from typing import Callable
 
 from ..errors import (ConnectionLostError, ServiceError,
                       UnsupportedVersionError)
@@ -160,6 +163,18 @@ class ServiceClient:
                                           "service reported an error"))
         return response
 
+    def relay(self, verb: int, payload: bytes | memoryview,
+              on_reply: Callable[[protocol.Frame | Exception], None]
+              ) -> None:
+        """Write one v3 request frame under a fresh id, and return: the
+        read loop hands *on_reply* its reply frame undecoded, or the
+        error that ended this connection first."""
+        self._check_open()
+        request_id = next(self._ids)
+        self._dialect.relays[request_id] = on_reply
+        self._writer.write(protocol.encode_frame(verb, payload,
+                                                 id=request_id))
+
     async def ping(self) -> bool:
         return (await self.call("ping"))["ok"] is True
 
@@ -250,3 +265,7 @@ class ServiceClient:
             if not future.done():
                 future.set_exception(error)
         self._pending.clear()
+        if self._dialect.binary:
+            relays, self._dialect.relays = self._dialect.relays, {}
+            for on_reply in relays.values():
+                on_reply(error)

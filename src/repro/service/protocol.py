@@ -263,7 +263,7 @@ _NO_DEADLINE = 0xFFFFFFFF
 #: batch_size, wait_ms, total_ms — the fixed head of a sign result.
 _SIGN_RESULT = struct.Struct("!Idd")
 
-_U16, _U32 = struct.Struct("!H"), struct.Struct("!I")
+_U16, _U32, _F64 = struct.Struct("!H"), struct.Struct("!I"), struct.Struct("!d")
 
 
 class Frame(NamedTuple):
@@ -513,6 +513,44 @@ def unpack_sign_result(payload: bytes | memoryview) -> dict:
     result = _unpack_sign_result(cursor)
     cursor.done("sign result")
     return result
+
+
+# --- relaying (a cluster router forwards frames as bytes) ---------------
+def peek_route(payload: memoryview) -> tuple[str, str]:
+    """The tenant and key that open a ``sign``, ``verify`` or
+    ``verify-many`` payload, read with two slices; whoever serves the
+    frame decodes and checks the rest."""
+    try:
+        split = 1 + payload[0]
+        end = split + 1 + payload[split]
+        if end > len(payload):
+            raise IndexError
+        return (str(payload[1:split], "utf-8"),
+                str(payload[split + 1:end], "utf-8") or "default")
+    except (IndexError, UnicodeDecodeError):
+        raise ProtocolError("truncated frame: 'tenant' and 'key' do not "
+                            "open its payload") from None
+
+
+def relay_sign_result(frame: Frame, request_id: int, total_ms: float,
+                      prefix: bytes) -> tuple[bytes, float]:
+    """A node's sign result as a router answers it, and its ``wait_ms``:
+    under *request_id*, with the router's *total_ms* and *prefix* before
+    ``backend``; every other byte, the signature's too, as the node sent
+    it."""
+    payload = frame.payload
+    try:
+        at = 21 + payload[20]  # the length byte of ``backend``
+        size = payload[at] + len(prefix)
+    except IndexError:
+        raise ProtocolError("truncated sign result") from None
+    if size > 255:
+        raise ProtocolError("'backend' exceeds 255 bytes on the wire")
+    return b"".join((
+        _FULL_HEADER.pack(_HEADER.size + len(payload) + len(prefix),
+                          frame.verb, frame.flags, request_id),
+        payload[:12], _F64.pack(total_ms), payload[20:at], bytes((size,)),
+        prefix, payload[at + 1:])), _F64.unpack_from(payload, 4)[0]
 
 
 # --- verify -------------------------------------------------------------
@@ -898,6 +936,9 @@ class FrameDialect:
         #: Client side: open ``sign-many`` streams, request id -> the
         #: items received so far (by request index).
         self._streams: dict[int, list[dict | None]] = {}
+        #: Client side: relayed request id -> what takes its reply frame
+        #: as it arrived (see ``ServiceClient.relay``).
+        self.relays: dict[int, Callable[[Frame | Exception], None]] = {}
 
     def upgraded(self, version: object) -> "FrameDialect":
         return self
@@ -927,11 +968,15 @@ class FrameDialect:
         The id is ``None`` on the reserved id 0 (a fatal error frame);
         the response is ``None`` for a streamed ``sign-many`` item —
         the stream's single response follows its end frame, items in
-        request order.
+        request order — and for a relayed request's reply, which goes
+        undecoded to its entry in :attr:`relays`.
         """
         frame = await read_frame(reader)
         if frame is None:
             return None
+        if self.relays and frame.id in self.relays:
+            self.relays.pop(frame.id)(frame)
+            return frame.id, None
         return frame.id or None, self._decode_reply(frame)
 
     def _decode_reply(self, frame: Frame) -> dict | None:

@@ -419,6 +419,7 @@ class SigningServer:
         if connection is not None:
             self._connections[connection] = writer
         send = protocol.sender(writer)
+        relay = None  # what answers hot frames inline, from a v3 hello
 
         try:
             while True:
@@ -442,6 +443,17 @@ class SigningServer:
                     # sends its first frame right after the hello line.
                     await self._serve(dialect, request, send, conn)
                     dialect = dialect.upgraded(conn.version)
+                    if dialect.binary:
+                        relay = self._inline(writer)
+                        transport = writer.transport
+                        high_water = transport.get_write_buffer_limits()[1]
+                    continue
+                if relay is not None and relay(*request):
+                    # Its reply is written by a callback, which cannot
+                    # wait: past the high-water mark, read no more
+                    # frames until the buffer drains.
+                    if transport.get_write_buffer_size() > high_water:
+                        await send(b"")
                     continue
                 # Each request runs as its own task so a client can
                 # pipeline: a slow sign never blocks a ping or stats.
@@ -461,6 +473,10 @@ class SigningServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    def _inline(self, writer: asyncio.StreamWriter):
+        """``relay(op, request id, payload) -> handled``, run on a v3
+        connection's read loop, or ``None`` (every request a task)."""
 
     async def _serve(self, dialect, request: tuple, send,
                      conn: ConnectionState) -> None:

@@ -7,12 +7,13 @@ real ``ClusterRouter`` (via ``LocalCluster``), driven through the typed
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
 
 from repro.api import AsyncClusterClient
-from repro.cluster import LocalCluster, RouterService
+from repro.cluster import ClusterRouter, LocalCluster, RouterService
 from repro.cluster.ring import HashRing
 from repro.errors import (KeystoreError, NodeUnavailableError,
                           OverloadedError, ServiceError)
@@ -523,3 +524,204 @@ class TestAdmission:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+
+async def _open_v3(port: int, sock=None):
+    """A raw v3 connection to *port*: ``(reader, writer)`` after hello."""
+    if sock is None:
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", port, limit=protocol.LINE_LIMIT)
+    else:
+        # A small stream limit: the reader stops taking bytes off the
+        # socket past twice this, so replies stay on the server's side.
+        reader, writer = await asyncio.open_connection(sock=sock,
+                                                       limit=1 << 16)
+    dialect = protocol.LineDialect()
+    writer.write(dialect.encode_request("hello", 1, {"version": 3}))
+    _, hello = await dialect.read_reply(reader)
+    assert hello["version"] == 3
+    return reader, writer
+
+
+def _sign_frame(request_id: int, tenant: str, message: bytes) -> bytes:
+    return protocol.encode_frame(
+        protocol.FRAME_CODES["sign"],
+        protocol.pack_sign_request(tenant, "default", message),
+        id=request_id)
+
+
+class TestRelay:
+    """A v3 ``sign``/``verify`` crosses the router as frame bytes: what
+    the client gets back, and what happens when the node behind fails."""
+
+    def test_relayed_and_typed_replies_agree_field_for_field(self):
+        async def scenario():
+            cluster = await make_cluster().start()
+            v3 = await AsyncClusterClient.connect(port=cluster.port)
+            v2 = await AsyncClusterClient.connect(port=cluster.port,
+                                                  version=2)
+            try:
+                results = [await client.sign("acme", b"both ways")
+                           for client in (v3, v3, v2)]
+                owner = cluster.owner("acme")
+            finally:
+                await v3.close()
+                await v2.close()
+                await cluster.stop()
+            return results, owner
+
+        (relayed, replayed, typed), owner = asyncio.run(scenario())
+        assert relayed.signature == replayed.signature == typed.signature
+        for result in (relayed, replayed, typed):
+            assert result.params == "SPHINCS+-128f"
+            assert result.batch_size == 1
+            assert result.backend == f"node{owner}:vectorized"
+
+    def test_hung_node_fails_over_a_relayed_sign(self):
+        """The northbound twin of ``test_hung_node_fails_over``: a v3
+        client's frame was written to a node that answered ``hello`` and
+        then went silent; the health loop's ping timeout drops the link,
+        and the kept bytes go to the other node."""
+        answered = []
+
+        async def silent_after_one_hello(reader, writer):
+            line = await reader.readline()
+            if not answered:
+                answered.append(True)
+                writer.write(protocol.encode(
+                    {"ok": True, "op": "hello", "version": 3,
+                     "id": json.loads(line)["id"]}))
+            await reader.read()  # swallow every request, answer none
+            writer.close()
+
+        async def scenario():
+            live = SigningServer(make_service(), port=0)
+            await live.start()
+            hung = await asyncio.start_server(silent_after_one_hello,
+                                              "127.0.0.1", 0)
+            slot = HashRing(2).preference("acme")[0]
+            addresses = [(live.host, live.port)] * 2
+            addresses[slot] = ("127.0.0.1",
+                               hung.sockets[0].getsockname()[1])
+            service = RouterService(addresses, make_keystore(),
+                                    health_interval_s=0.2)
+            router = ClusterRouter(service)
+            await router.start()
+            client = await AsyncClusterClient.connect(port=router.port)
+            try:
+                assert service.owner("acme") == slot
+                result = await asyncio.wait_for(
+                    client.sign("acme", b"stuck?"), timeout=30)
+                assert result.backend.startswith(f"node{1 - slot}:")
+                assert service.stats()["tenants"]["acme"]["signed"] == 1
+                return result.signature
+            finally:
+                await client.close()
+                await router.stop()
+                hung.close()
+                await live.stop()
+
+        signature = asyncio.run(scenario())
+        assert signature == reference_signature("acme", b"stuck?")
+
+    def test_a_node_error_frame_keeps_the_client_id_and_type(self):
+        """A node whose own keystore sheds answers ``overloaded``: the
+        router relays that frame under the id the client sent, and the
+        typed client raises :class:`OverloadedError`."""
+        def shedding_node() -> SigningService:
+            return SigningService(
+                make_keystore(rate_limit=0.001, rate_burst=1.0),
+                deterministic=True)
+
+        async def scenario():
+            cluster = await LocalCluster(
+                [shedding_node] * 2, router_keystore=make_keystore(),
+                health_interval_s=0.05).start()
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            reader, writer = await _open_v3(cluster.port)
+            try:
+                await client.sign("acme", b"spends the one token")
+                with pytest.raises(OverloadedError, match="rate-limit"):
+                    await client.sign("acme", b"shed by the node")
+                writer.write(_sign_frame(0xC0FFEE, "acme", b"raw"))
+                frame = await asyncio.wait_for(
+                    protocol.read_frame(reader), timeout=30)
+                snapshot = cluster.router_service.stats()
+            finally:
+                writer.close()
+                await client.close()
+                await cluster.stop()
+            return frame, snapshot
+
+        frame, snapshot = asyncio.run(scenario())
+        assert frame.id == 0xC0FFEE
+        assert frame.verb == protocol.FRAME_ERROR
+        assert protocol.unpack_error(frame.payload)["error"] == "overloaded"
+        tenant = snapshot["tenants"]["acme"]
+        assert (tenant["submitted"], tenant["signed"], tenant["failed"]) \
+            == (3, 1, 2)
+
+    def test_a_relayed_verify_of_a_corrupted_signature_is_invalid(self):
+        async def scenario():
+            cluster = await make_cluster().start()
+            client = await AsyncClusterClient.connect(port=cluster.port)
+            try:
+                signature = (await client.sign("edge", b"ledger")).signature
+                corrupted = bytearray(signature)
+                corrupted[len(corrupted) // 2] ^= 0x01
+                return [await client.verify("edge", b"ledger", candidate)
+                        for candidate in (signature, bytes(corrupted))]
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        genuine, corrupted = asyncio.run(scenario())
+        assert genuine.valid and not corrupted.valid
+        assert corrupted.params == "SPHINCS+-128f"
+
+    def test_a_client_that_never_reads_stops_the_router_reading(self):
+        """Relayed replies are written by a callback, which cannot wait
+        on ``drain()``; so past the high-water mark the router reads no
+        more frames from that client.  Waves of pipelined signs from a
+        client that never reads leave the router's write buffer holding
+        about one wave of replies, not every wave's."""
+        waves, wave = 8, 16
+        message = b"a replay nobody collects"
+
+        async def scenario():
+            cluster = await make_cluster().start()
+            first = (await cluster.router_service.sign(
+                message, "acme")).signature
+            [listener] = cluster.router._server.sockets
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", cluster.port))
+            reader, writer = await _open_v3(cluster.port, sock=sock)
+            try:
+                ids = range(2, 2 + waves * wave)
+                for start in range(0, len(ids), wave):
+                    writer.write(b"".join(
+                        _sign_frame(request_id, "acme", message)
+                        for request_id in ids[start:start + wave]))
+                    await writer.drain()
+                    await asyncio.sleep(0.1)
+                [northbound] = cluster.router._connections.values()
+                buffered = northbound.transport.get_write_buffer_size()
+                forwarded = cluster.router_service.stats()[
+                    "tenants"]["acme"]["submitted"] - 1
+                frames = [await asyncio.wait_for(
+                    protocol.read_frame(reader), timeout=60) for _ in ids]
+            finally:
+                writer.close()
+                await cluster.stop()
+            return first, ids, buffered, forwarded, frames
+
+        first, ids, buffered, forwarded, frames = asyncio.run(scenario())
+        reply = len(protocol.encode_frame(0, bytes(len(first) + 64)))
+        assert forwarded <= 2 * wave, (forwarded, buffered)
+        assert buffered <= 2 * wave * reply, buffered
+        # Reading again, the client gets every reply once, under its id.
+        assert sorted(frame.id for frame in frames) == list(ids)
+        assert all(protocol.unpack_sign_result(frame.payload)["signature"]
+                   == first for frame in frames)
