@@ -325,32 +325,12 @@ def _build_service(args: argparse.Namespace, keystore=None):
     )
 
 
-def _pin_heap_thresholds() -> None:
-    """Pin the two glibc thresholds a served process otherwise inherits from
-    its heap's history.  asyncio reads every request into a fresh 256 KiB
-    buffer; unless start-up happened to free a larger block first (which
-    raises both thresholds for good), each is mmapped and unmapped, or cut
-    off the heap top and trimmed away again: 3-10 minor faults and ~20% of
-    a replayed request's CPU."""
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return  # not glibc: nothing to pin
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-    mallopt(-3, 1 << 20)   # M_MMAP_THRESHOLD: such buffers come off the heap
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: and its top is not handed back
-
-
 def _run_service(main) -> int:
     """``asyncio.run(main())`` with SIGTERM handled like Ctrl-C: the main
     task is cancelled, so its ``finally`` blocks stop the servers and
     close the worker pool instead of leaving its processes behind."""
     import asyncio
     import signal
-
-    _pin_heap_thresholds()  # before the workers fork: they inherit them
 
     async def guarded():
         asyncio.get_running_loop().add_signal_handler(

@@ -56,7 +56,7 @@ from ..service.client import ServiceClient
 from ..service.keystore import Keystore
 from ..service.server import SigningServer, SignOutcome
 from ..service.telemetry import Telemetry
-from ..service.verbs import error_body
+from ..service.verbs import error_frame
 
 __all__ = ["ClusterRouter", "RouterService"]
 
@@ -71,12 +71,6 @@ _NODE_ERRORS = (ConnectionLostError, ConnectionError, OSError,
 _RELAYED = {op: protocol.FRAME_CODES[op]
             for op in ("sign", "verify", "verify-many")}
 _SIGN = protocol.FRAME_CODES["sign"]
-
-
-def _error_frame(request_id: int, exc: BaseException) -> bytes:
-    return protocol.encode_frame(
-        protocol.FRAME_ERROR, protocol.pack_error(*error_body(exc)),
-        id=request_id)
 
 
 class _Node:
@@ -100,8 +94,9 @@ class _Node:
 
 class _Relay:
     """One forwarded request's payload, kept until a node's reply lands
-    so that a dropped link can resend it down the ring.  The link's read
-    loop calls it with the reply frame, or the error that ended it."""
+    so that a dropped link can resend it down the ring.  The link calls
+    it with the reply frame in the turn it is read, or with the error
+    that ended it."""
 
     __slots__ = ("router", "code", "payload", "tenant", "write",
                  "request_id", "started", "candidates", "attempt", "node",
@@ -118,7 +113,7 @@ class _Relay:
 
     def send(self) -> None:
         """Write the payload to the next ring candidate (one without a
-        live link is dialed off the read loop first); after
+        live link is dialed in a task first); after
         ``max_retries`` more, answer typed ``unavailable``."""
         router = self.router
         if self.attempt >= len(self.candidates) \
@@ -162,7 +157,7 @@ class _Relay:
             return
         router._track(-1)
         if isinstance(reply, Exception):
-            data = _error_frame(self.request_id, reply)
+            data = error_frame(self.request_id, reply)
         elif self.code != _SIGN or reply.verb != _SIGN:
             data = protocol.encode_frame(reply.verb, reply.payload,
                                          id=self.request_id,
@@ -174,7 +169,7 @@ class _Relay:
                     reply, self.request_id, round(total_ms, 3),
                     self.node.prefix)
             except ProtocolError as exc:
-                data = _error_frame(self.request_id, exc)
+                data = error_frame(self.request_id, exc)
             else:
                 # The node's batcher formed the batch; its stats count it.
                 router._note_home(self.tenant, self.node)
@@ -323,7 +318,7 @@ class RouterService:
         try:
             tenant, key = protocol.peek_route(payload)
         except ProtocolError as exc:
-            write(_error_frame(request_id, exc))
+            write(error_frame(request_id, exc))
         else:
             self._forward(code, payload, tenant, key, write, request_id)
         return True
@@ -343,9 +338,11 @@ class RouterService:
                         "rate-limit budget; request shed")
                 self.telemetry.record_submitted(tenant)
         except Exception as exc:  # noqa: BLE001 — answered, typed
-            write(_error_frame(request_id, exc))
+            write(error_frame(request_id, exc))
             return
-        relay = _Relay(self, code, payload, tenant, write, request_id)
+        # Kept for a resend: a copy, not a view of the read buffer.
+        relay = _Relay(self, code, bytes(payload), tenant, write,
+                       request_id)
         self._track(+1)
         try:
             relay.candidates = self._candidates(tenant)
@@ -564,16 +561,16 @@ class ClusterRouter(SigningServer):
     same protocol versions, same error codes (plus ``unavailable``) —
     so every existing client (``repro.api``, the CLI, the load
     generator) works against a cluster unchanged.  Its one difference
-    from a node's server: hot v3 frames are relayed on the read loop.
+    from a node's server: hot v3 frames are relayed in their read turn.
     """
 
     def __init__(self, service: RouterService,
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(service, host=host, port=port)
 
-    def _inline(self, writer: asyncio.StreamWriter):
-        # Hot v3 frames are relayed as bytes on the read loop itself.
-        return functools.partial(self.service.relay, writer.write)
+    def _inline(self, write):
+        # Hot v3 frames are relayed as bytes in their read turn.
+        return functools.partial(self.service.relay, write)
 
     async def start(self) -> None:
         await self.service.start()  # southbound dials + health loop

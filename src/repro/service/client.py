@@ -1,9 +1,9 @@
 """The wire transport: one pipelined connection, one call per request.
 
 One connection, many in-flight requests: every request carries an ``id``
-and a background reader task matches responses back to their futures, so
-callers can pipeline calls concurrently over a single socket — exactly
-how the load generator drives the service.
+and the connection matches each response back to its future in the loop
+turn it is read, so callers can pipeline calls concurrently over a
+single socket — exactly how the load generator drives the service.
 
 :meth:`ServiceClient.call` takes a verb and its typed fields (``bytes``
 are ``bytes``) and returns the typed response dict — the same arguments
@@ -13,7 +13,7 @@ frames with ``sign-many`` results streamed per item.  Which of the two
 it is, :mod:`.protocol` alone knows.  :meth:`ServiceClient.open` is the
 one place a connection says ``hello``.  :meth:`ServiceClient.relay`
 writes a v3 frame payload as it is and hands its reply frame, undecoded,
-to a callback on the read loop: how a cluster router forwards.
+to a callback in the turn it is read: how a cluster router forwards.
 
 This is the *wire-level* client.  Application code should prefer the
 typed facade in :mod:`repro.api` — ``AsyncClient`` for asyncio callers,
@@ -40,28 +40,36 @@ __all__ = ["ServiceClient"]
 HELLO_TIMEOUT_S = 10.0
 
 
-class ServiceClient:
+class ServiceClient(protocol.Connection):
     """Pipelined wire transport: typed calls over JSON lines, or binary
-    frames after a v3 ``hello`` (see :mod:`.protocol`)."""
+    frames after a v3 ``hello`` (see :mod:`.protocol`).
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-        self._send = protocol.sender(writer)
+    It is the connection's protocol: every reply is split out of its read
+    buffer in the loop turn the bytes arrived, and resolves its caller's
+    future (or runs its relay callback) there and then.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._loop = asyncio.get_running_loop()
         self._ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         #: How this connection's bytes are laid out; a granted v3
-        #: hello replaces it (see :meth:`_read_loop`).
+        #: hello replaces it (see :meth:`buffer_updated`).
         self._dialect = protocol.LineDialect()
+        #: Whether replies can still arrive; once not, calls fail fast.
+        self._open = True
         #: Set when the server reports a fatal (id-less) error before
         #: closing; later requests raise it instead of a generic
         #: "connection closed" so the cause survives.
         self._fatal: ConnectionLostError | None = None
+        #: Resolved when the transport is gone.
+        self._lost = self._loop.create_future()
+        #: While the write buffer is past its high-water mark: resolved
+        #: once it drains (see ``call``).
+        self._drained: asyncio.Future | None = None
         #: The server's ``hello`` answer (set by :meth:`open`).
         self.hello: dict = {}
-        self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
 
     @property
     def binary(self) -> bool:
@@ -77,12 +85,19 @@ class ServiceClient:
     def alive(self) -> bool:
         """Whether the connection can still carry requests.
 
-        ``False`` once the read loop has exited (server hung up, fatal
-        error, or :meth:`close`); callers holding pooled connections —
-        the cluster router — check this before reuse instead of paying
-        a doomed round trip.
+        ``False`` once replies can no longer arrive (server hung up,
+        fatal error, or :meth:`close`); callers holding pooled
+        connections — the cluster router — check this before reuse
+        instead of paying a doomed round trip.
         """
-        return not self._read_task.done()
+        return self._open
+
+    @classmethod
+    async def _connect(cls, host: str, port: int) -> "ServiceClient":
+        """A connection to *host*:*port* that has said nothing yet."""
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port)
+        return client
 
     @classmethod
     async def open(cls, host: str = "127.0.0.1", port: int = 7744,
@@ -97,9 +112,7 @@ class ServiceClient:
 
         async def handshake() -> "ServiceClient":
             nonlocal client
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=protocol.LINE_LIMIT)
-            client = cls(reader, writer)
+            client = await cls._connect(host, port)
             client.hello = await client.call("hello", version=version)
             return client
 
@@ -122,17 +135,9 @@ class ServiceClient:
             raise
 
     async def close(self) -> None:
-        self._read_task.cancel()
-        try:
-            await self._read_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        self._fail_pending(ConnectionLostError("client closed"))
+        self._finish(ConnectionLostError("client closed"))
+        self.transport.close()
+        await asyncio.shield(self._lost)
 
     # ------------------------------------------------------------------
     async def call(self, op: str, **fields) -> dict:
@@ -146,14 +151,17 @@ class ServiceClient:
         false`` responses (:class:`OverloadedError` for load-shed,
         :class:`KeystoreError` for unknown tenant/key, ...).
         """
-        self._check_open()
+        if not self._open:
+            raise self._closed()
         request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._pending[request_id] = future
         try:
-            await self._send(self._dialect.encode_request(
+            self.transport.write(self._dialect.encode_request(
                 op, request_id, {name: value for name, value
                                  in fields.items() if value is not None}))
+            if self._drained is not None:
+                await asyncio.shield(self._drained)
             response = await future
         finally:
             self._pending.pop(request_id, None)
@@ -167,13 +175,15 @@ class ServiceClient:
               on_reply: Callable[[protocol.Frame | Exception], None]
               ) -> None:
         """Write one v3 request frame under a fresh id, and return: the
-        read loop hands *on_reply* its reply frame undecoded, or the
-        error that ended this connection first."""
-        self._check_open()
+        reply frame reaches *on_reply* undecoded, in the turn it is read
+        (its payload views the read buffer), or else the error that
+        ended this connection first."""
+        if not self._open:
+            raise self._closed()
         request_id = next(self._ids)
         self._dialect.relays[request_id] = on_reply
-        self._writer.write(protocol.encode_frame(verb, payload,
-                                                 id=request_id))
+        self.transport.write(protocol.encode_frame(verb, payload,
+                                                   id=request_id))
 
     async def ping(self) -> bool:
         return (await self.call("ping"))["ok"] is True
@@ -184,29 +194,57 @@ class ServiceClient:
         return (await self.call("stats"))["stats"]
 
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._read_task.done():
-            # The reader has exited (server closed the socket): a future
-            # registered now could never be resolved, and a write into
-            # the half-closed socket would not even error.
-            if self._fatal is not None:
-                raise self._fatal
-            raise ConnectionLostError(
-                "connection closed; reconnect to continue")
+    def _closed(self) -> ConnectionLostError:
+        """What a request on a connection no reply can arrive on any more
+        raises: a future registered now could never be resolved, and a
+        write into the half-closed socket would not even error."""
+        if self._fatal is not None:
+            return self._fatal
+        return ConnectionLostError(
+            "connection closed; reconnect to continue")
 
-    # ------------------------------------------------------------------
-    async def _read_loop(self) -> None:
+    # -- the protocol: replies, flow control, the end -------------------
+    def eof_received(self) -> bool:
+        self.buffer_updated(0, eof=True)
+        self._finish(ConnectionLostError("connection closed by server"))
+        return False
+
+    def connection_lost(self, exc: Exception | None) -> None:
         # The transport dropping mid-pipeline (server restart, reset,
-        # half-read line, or this end's own close()) is a *typed*
-        # failure: every in-flight future fails with one
-        # ConnectionLostError naming the unanswered ids, never a bare
-        # ConnectionResetError/IncompleteReadError.
-        error: Exception = ConnectionLostError("connection closed by server")
+        # or this end's own close()) is a *typed* failure: every
+        # in-flight future fails with one ConnectionLostError naming the
+        # unanswered ids, never a bare ConnectionResetError.
+        self._finish(ConnectionLostError(
+            "connection closed by server" if exc is None
+            else f"connection lost: {exc}"))
+        self.resume_writing()
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._drained = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        drained, self._drained = self._drained, None
+        if drained is not None:
+            drained.set_result(None)
+
+    def buffer_updated(self, nbytes: int, eof: bool = False) -> None:
+        """Hand every reply that ``[_start, _end + nbytes)`` holds to its
+        caller; at *eof*, the rest too."""
+        end = self._end = self._end + nbytes
+        if not self._open:  # nobody is waiting for these bytes
+            self._start = end
+            return
+        view, start = self._view, self._start
+        stop = start
         try:
-            while True:
-                reply = await self._dialect.read_reply(self._reader)
+            while start < end:
+                reply, stop = self._dialect.read_reply(view, start, end,
+                                                       eof)
                 if reply is None:
                     break
+                start = stop
                 request_id, response = reply
                 if response is None:
                     continue  # part of a streamed reply; more follows
@@ -222,20 +260,14 @@ class ServiceClient:
                     future.set_result(response)
                 if response.get("op") == "hello" and response.get("ok"):
                     # A granted hello may change the dialect of every
-                    # byte after it, so the switch must land before the
-                    # next read.
+                    # byte after it, the rest of this read too.
                     self._dialect = self._dialect.upgraded(
                         response.get("version"))
-        except asyncio.CancelledError:
-            error = ConnectionLostError("client closed")
-            raise
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError, OSError) as exc:
-            error = ConnectionLostError(f"connection lost: {exc}")
         except Exception as exc:  # noqa: BLE001 — surfaced via futures
-            error = ServiceError(f"connection error: {exc}")
-        finally:
-            self._fail_pending(error)
+            self._finish(ServiceError(f"connection error: {exc}"))
+            self.transport.close()
+            return
+        self._start, self._stop = start, stop
 
     def _fatal_error(self, response: dict) -> None:
         """Fail everything in flight with the server's *typed* error.
@@ -253,9 +285,11 @@ class ServiceClient:
             + (f" ({len(ids)} requests in flight: ids {list(ids)})"
                if ids else ""),
             in_flight=ids)
-        self._fail_pending(typed)
+        self._finish(typed)
 
-    def _fail_pending(self, error: Exception) -> None:
+    def _finish(self, error: Exception) -> None:
+        """No reply arrives from here on: fail what is in flight."""
+        self._open = False
         in_flight = tuple(sorted(self._pending))
         if isinstance(error, ConnectionLostError) and in_flight:
             error = ConnectionLostError(

@@ -99,7 +99,7 @@ import base64
 import binascii
 import json
 import struct
-from typing import Awaitable, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from ..errors import (ConnectionLostError, FrameTooLargeError, KeystoreError,
                       LedgerError, NodeUnavailableError, OverloadedError,
@@ -113,9 +113,9 @@ __all__ = [
     "LINE_LIMIT", "LineDialect",
     "MAX_SIGN_MANY", "MAX_SIGN_MANY_V3", "MAX_SIGNATURE_B64",
     "MAX_MESSAGE_BYTES", "MAX_MESSAGE_BYTES_V3", "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS", "decode", "decode_frame", "encode",
-    "encode_frame", "error_type", "pack_bytes", "read_frame", "sender",
-    "unpack_bytes",
+    "READ_BUFFER", "SUPPORTED_VERSIONS", "Connection", "decode",
+    "decode_frame", "encode", "encode_frame", "error_type", "pack_bytes",
+    "read_frame", "read_line", "unpack_bytes",
 ]
 
 #: Highest protocol version this build speaks, and every version it serves.
@@ -138,7 +138,7 @@ MAX_SIGNATURE_B64 = 4 * ((max(p.sig_bytes for p in PARAMETER_SETS.values())
 #: ~800 KB — still fits one LINE_LIMIT line.
 MAX_SIGN_MANY = 12
 
-#: Stream limit for readline() on both ends.  1 MiB covers the largest
+#: Longest line either end reads.  1 MiB covers the largest
 #: single-signature frame (MAX_SIGNATURE_B64 + envelope, ~69 KB) about
 #: 15x over, and the worst-case full sign-many response with ~1.3x
 #: headroom.
@@ -260,8 +260,10 @@ _FULL_HEADER = struct.Struct("!IBBQ")
 #: ``deadline_ms`` rides as u32 microseconds; the sentinel means "none".
 _NO_DEADLINE = 0xFFFFFFFF
 
-#: batch_size, wait_ms, total_ms — the fixed head of a sign result.
-_SIGN_RESULT = struct.Struct("!Idd")
+#: deadline, trace length — the fixed run inside a sign head.
+_DEADLINE_TRACE = struct.Struct("!IB")
+#: batch_size, wait_ms, total_ms, params length — a sign result's head.
+_SIGN_RESULT = struct.Struct("!IddB")
 
 _U16, _U32, _F64 = struct.Struct("!H"), struct.Struct("!I"), struct.Struct("!d")
 
@@ -297,23 +299,30 @@ def decode_frame(body: bytes | memoryview) -> Frame:
     return Frame(verb, flags, request_id, view[_HEADER.size:])
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
-    """Read one v3 frame from *reader*; ``None`` on clean EOF.
+def read_frame(data: memoryview, start: int = 0, end: int | None = None,
+               eof: bool = False) -> tuple[Frame | None, int]:
+    """Split the v3 frame that starts at ``data[start]`` off
+    ``data[start:end]``: ``(frame, where the next one starts)``, its
+    payload a view into *data*; ``(None, where it will end)`` while it
+    is incomplete (``start + 4`` until the length prefix is in).
 
-    Raises :class:`FrameTooLargeError` for a length beyond FRAME_LIMIT
-    (the body is left unread, so the stream cannot be resynchronized —
-    close the connection after reporting) and :class:`ProtocolError`
-    when the peer drops mid-frame.
+    Raises :class:`FrameTooLargeError` as soon as a length prefix beyond
+    FRAME_LIMIT is in (the body is never read, so the stream cannot be
+    resynchronized — close the connection after reporting) and
+    :class:`ProtocolError` for a length shorter than the header.  At
+    *eof* a clean end is ``(None, start)`` and a partial frame is a
+    :class:`ProtocolError`.
     """
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection dropped inside a frame length prefix "
-            f"({len(exc.partial)}/4 bytes)") from exc
-    length = int.from_bytes(prefix, "big")
+    if end is None:
+        end = len(data)
+    body = start + 4
+    if body > end:
+        if eof and start < end:
+            raise ProtocolError(
+                f"connection dropped inside a frame length prefix "
+                f"({end - start}/4 bytes)")
+        return None, start if eof else body
+    length = _U32.unpack_from(data, start)[0]
     if length > FRAME_LIMIT:
         raise FrameTooLargeError(
             f"frame of {length} bytes exceeds the {FRAME_LIMIT} B frame "
@@ -322,33 +331,103 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
         raise ProtocolError(
             f"frame length {length} is shorter than the "
             f"{_HEADER.size}-byte header")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection dropped mid-frame "
-            f"({len(exc.partial)}/{length} bytes)") from exc
-    return decode_frame(body)
+    stop = body + length
+    if stop > end:
+        if eof:
+            raise ProtocolError(
+                f"connection dropped mid-frame ({end - body}/{length} "
+                "bytes)")
+        return None, stop
+    verb, flags, request_id = _HEADER.unpack_from(data, body)
+    return Frame(verb, flags, request_id,
+                 data[body + _HEADER.size:stop]), stop
 
 
-def sender(writer: asyncio.StreamWriter
-           ) -> Callable[[bytes], Awaitable[None]]:
-    """``await send(data)`` for one connection's tasks: a write waits on
-    ``drain()`` only past the high-water mark, one waiter at a time (3.9
-    asserted on a second).  A lost peer is its reader's to report."""
-    transport = writer.transport
-    high_water = transport.get_write_buffer_limits()[1]
-    turn = asyncio.Lock()
+def read_line(data: memoryview, start: int = 0, end: int | None = None,
+              eof: bool = False) -> tuple[bytes | None, int]:
+    """Split the line that starts at ``data[start]`` off
+    ``data[start:end]``, newline included: ``(line, where the next one
+    starts)``, or ``(None, 0)`` while it is incomplete (where it will end
+    is unknown).  *data* views a whole buffer, whose ``obj`` is searched
+    for the newline.
 
-    async def send(data: bytes) -> None:
-        writer.write(data)
-        if transport.get_write_buffer_size() > high_water:
-            try:
-                async with turn:
-                    await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-    return send
+    A line whose newline is not within LINE_LIMIT + 1 bytes is a
+    :class:`FrameTooLargeError`; at *eof* an unterminated rest is the
+    last line, and a clean end is ``(None, start)``.
+    """
+    if end is None:
+        end = len(data)
+    newline = data.obj.find(b"\n", start, min(end, start + LINE_LIMIT + 1))
+    if newline >= 0:
+        return data.obj[start:newline + 1], newline + 1
+    if end - start > LINE_LIMIT:
+        raise FrameTooLargeError("line too long")
+    if eof:
+        return (data.obj[start:end], end) if start < end else (None, start)
+    return None, 0
+
+
+#: Size of a connection's read buffer at rest: what one ``recv_into``
+#: fills.  It grows on demand to hold the frame or line being read, and
+#: shrinks back to this once that has been consumed.
+READ_BUFFER = 64 << 10
+#: Free room under which the next read first compacts (or grows) it.
+_READ_ROOM = 4 << 10
+
+
+class Connection(asyncio.BufferedProtocol):
+    """One TCP connection that reads into its own reusable buffer.
+
+    The event loop ``recv_into``\\ s the free tail of the buffer and calls
+    ``buffer_updated``; a subclass splits whole lines or frames out of
+    ``[_start, _end)`` there and then, synchronously, and moves
+    ``_start`` past what it consumed (``_stop``: where the item left at
+    ``_start`` ends, once that is known).  A request or a reply is so
+    served in the loop turn its bytes arrived, and no read allocates.
+    What a split hands out views the buffer: anything kept past the
+    turn must be copied out of it.
+    """
+
+    def __init__(self):
+        self.transport: asyncio.Transport | None = None
+        self._buffer = bytearray(READ_BUFFER)
+        self._view = memoryview(self._buffer)
+        self._start = self._end = 0
+        #: Where the item at ``_start`` will end, once that is known.
+        self._stop = 0
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._start == self._end:  # everything read was consumed
+            self._start = self._end = 0
+            if len(self._buffer) > READ_BUFFER:  # a large item is done
+                self._buffer = bytearray(READ_BUFFER)
+                self._view = memoryview(self._buffer)
+        elif len(self._view) - self._end < _READ_ROOM:
+            self._make_room()
+        return self._view[self._end:]
+
+    def _make_room(self) -> None:
+        """Move the unconsumed bytes to the front of a buffer that holds
+        the item they start: its size once that is known (a frame's
+        length prefix is in), else twice the buffer (a long line)."""
+        start, end = self._start, self._end
+        held, size = end - start, len(self._buffer)
+        if self._stop > end:
+            wanted = self._stop - start
+        else:
+            wanted = held + _READ_ROOM
+            if wanted > size:
+                wanted = max(wanted, 2 * size)
+        if wanted > size or size > READ_BUFFER >= wanted:
+            fresh = bytearray(max(wanted, READ_BUFFER))
+            fresh[:held] = self._view[start:end]
+            self._buffer, self._view = fresh, memoryview(fresh)
+        else:
+            self._view[:held] = self._view[start:end]  # a memmove
+        self._start, self._end, self._stop = 0, held, self._stop - start
 
 
 class _Cursor:
@@ -429,65 +508,94 @@ def _bytes32(value: bytes) -> bytes:
     return len(value).to_bytes(4, "big") + value
 
 
-def _pack_deadline(deadline_ms: float | None) -> bytes:
-    if deadline_ms is None:
-        return _NO_DEADLINE.to_bytes(4, "big")
-    micros = min(max(int(deadline_ms * 1000.0), 0), _NO_DEADLINE - 1)
-    return micros.to_bytes(4, "big")
-
-
-def _check_trace(trace: str) -> str:
-    if len(trace) > 64:
-        raise ProtocolError("'trace' must be at most 64 chars")
-    return trace
-
-
 # --- sign ---------------------------------------------------------------
+# The sign codec reads and writes each run of fixed-width fields with one
+# precompiled struct, in one pass: this is what every replay pays for on
+# both ends, where a _Cursor call per field cost more than v2's JSON.
 def _pack_sign_head(tenant: str, key: str, deadline_ms: float | None,
                     trace: str | None) -> bytes:
     """tenant, key, deadline, trace: how sign and sign-many both open."""
-    return b"".join((
-        _str8(tenant, "tenant"), _str8(key, "key"),
-        _pack_deadline(deadline_ms),
-        _str8(_check_trace(trace) if trace else "", "trace")))
+    tenant_raw, key_raw = tenant.encode(), key.encode()
+    if len(tenant_raw) > 255 or len(key_raw) > 255:
+        raise ProtocolError(
+            f"{'tenant' if len(tenant_raw) > 255 else 'key'!r} exceeds "
+            "255 bytes on the wire")
+    if trace and len(trace) > 64:
+        raise ProtocolError("'trace' must be at most 64 chars")
+    trace_raw = trace.encode() if trace else b""
+    if len(trace_raw) > 255:
+        raise ProtocolError("'trace' exceeds 255 bytes on the wire")
+    micros = (_NO_DEADLINE if deadline_ms is None else
+              min(max(int(deadline_ms * 1000.0), 0), _NO_DEADLINE - 1))
+    return b"".join((bytes((len(tenant_raw),)), tenant_raw,
+                     bytes((len(key_raw),)), key_raw,
+                     _DEADLINE_TRACE.pack(micros, len(trace_raw)),
+                     trace_raw))
 
 
-def _unpack_sign_head(cursor: _Cursor) -> dict:
-    tenant = cursor.str8("tenant")
-    key = cursor.str8("key")
-    micros = cursor.u32("deadline")
-    trace = cursor.str8("trace")
-    return {
-        "tenant": tenant, "key": key or "default",
-        "deadline_ms": None if micros == _NO_DEADLINE else micros / 1000.0,
-        "trace": _check_trace(trace) if trace else None,
-    }
+def _unpack_sign_head(view: memoryview) -> tuple[dict, int]:
+    """-> (tenant, key, deadline_ms, trace args; where the rest starts)."""
+    try:
+        key_at = 1 + view[0]
+        deadline_at = key_at + 1 + view[key_at]
+        micros, size = _DEADLINE_TRACE.unpack_from(view, deadline_at)
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated frame: 'tenant', 'key' and "
+                            "'deadline' do not open its payload") from None
+    trace_at = deadline_at + _DEADLINE_TRACE.size
+    end = trace_at + size
+    if end > len(view):
+        raise ProtocolError("truncated frame: 'trace' ends past the payload")
+    try:
+        tenant = str(view[1:key_at], "utf-8")
+        key = str(view[key_at + 1:deadline_at], "utf-8")
+        trace = str(view[trace_at:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"'tenant', 'key' or 'trace' is not valid "
+                            f"UTF-8: {exc}") from exc
+    if len(trace) > 64:
+        raise ProtocolError("'trace' must be at most 64 chars")
+    return {"tenant": tenant, "key": key or "default",
+            "deadline_ms": None if micros == _NO_DEADLINE
+            else micros / 1000.0,
+            "trace": trace or None}, end
 
 
 def pack_sign_request(tenant: str, key: str, message: bytes,
                       deadline_ms: float | None = None,
                       trace: str | None = None) -> bytes:
-    return (_pack_sign_head(tenant, key, deadline_ms, trace)
-            + _bytes32(message))
+    return b"".join((_pack_sign_head(tenant, key, deadline_ms, trace),
+                     _U32.pack(len(message)), message))
 
 
 def unpack_sign_request(payload: bytes | memoryview) -> dict:
     """-> verb-handler args: tenant, key, message, deadline_ms, trace."""
-    cursor = _Cursor(payload)
-    args = _unpack_sign_head(cursor)
-    args["message"] = cursor.bytes32("message")
-    cursor.done("sign")
+    view = memoryview(payload)
+    args, at = _unpack_sign_head(view)
+    try:
+        size = _U32.unpack_from(view, at)[0]
+    except struct.error:
+        raise ProtocolError("truncated frame: no 'message' length") from None
+    at += 4
+    if at + size != len(view):
+        raise ProtocolError(f"sign frame: a {size}-byte 'message' in "
+                            f"{len(view) - at} bytes")
+    args["message"] = view[at:].tobytes()
     return args
 
 
 def pack_sign_result(signature: bytes, params: str, backend: str,
                      batch_size: int, wait_ms: float,
                      total_ms: float) -> bytes:
+    params_raw, backend_raw = params.encode(), backend.encode()
+    if len(params_raw) > 255 or len(backend_raw) > 255:
+        raise ProtocolError(
+            f"{'params' if len(params_raw) > 255 else 'backend'!r} "
+            "exceeds 255 bytes on the wire")
     return b"".join((
-        _SIGN_RESULT.pack(batch_size, wait_ms, total_ms),
-        _str8(params, "params"), _str8(backend, "backend"),
-        _bytes32(signature),
-    ))
+        _SIGN_RESULT.pack(batch_size, wait_ms, total_ms, len(params_raw)),
+        params_raw, bytes((len(backend_raw),)), backend_raw,
+        _U32.pack(len(signature)), signature))
 
 
 def _pack_sign_result_dict(result: dict) -> bytes:
@@ -496,23 +604,33 @@ def _pack_sign_result_dict(result: dict) -> bytes:
         result["batch_size"], result["wait_ms"], result["total_ms"])
 
 
-def _unpack_sign_result(cursor: _Cursor) -> dict:
-    batch_size, wait_ms, total_ms = _SIGN_RESULT.unpack_from(
-        cursor.view, cursor._skip(_SIGN_RESULT.size, "result"))
+def unpack_sign_result(payload: bytes | memoryview) -> dict:
+    """-> response dict with ``signature`` already raw bytes."""
+    view = memoryview(payload)
+    try:
+        batch_size, wait_ms, total_ms, size = _SIGN_RESULT.unpack_from(view)
+        backend_at = _SIGN_RESULT.size + size
+        signature_at = backend_at + 1 + view[backend_at]
+        size = _U32.unpack_from(view, signature_at)[0]
+    except (IndexError, struct.error):
+        raise ProtocolError("truncated frame: a sign result's head ends "
+                            "early") from None
+    signature_at += 4
+    if signature_at + size != len(view):
+        raise ProtocolError(f"sign result: a {size}-byte 'signature' in "
+                            f"{len(view) - signature_at} bytes")
+    try:
+        params = str(view[_SIGN_RESULT.size:backend_at], "utf-8")
+        backend = str(view[backend_at + 1:signature_at - 4], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"'params' or 'backend' is not valid UTF-8: "
+                            f"{exc}") from exc
     return {
         "ok": True, "batch_size": batch_size,
         "wait_ms": round(wait_ms, 3), "total_ms": round(total_ms, 3),
-        "params": cursor.str8("params"), "backend": cursor.str8("backend"),
-        "signature": cursor.bytes32("signature"),
+        "params": params, "backend": backend,
+        "signature": view[signature_at:].tobytes(),
     }
-
-
-def unpack_sign_result(payload: bytes | memoryview) -> dict:
-    """-> response dict with ``signature`` already raw bytes."""
-    cursor = _Cursor(payload)
-    result = _unpack_sign_result(cursor)
-    cursor.done("sign result")
-    return result
 
 
 # --- relaying (a cluster router forwards frames as bytes) ---------------
@@ -683,7 +801,7 @@ def pack_sign_many_request(tenant: str, key: str,
 
 def unpack_sign_many_request(payload: bytes | memoryview) -> dict:
     cursor = _Cursor(payload)
-    args = _unpack_sign_head(cursor)
+    args, cursor.pos = _unpack_sign_head(cursor.view)
     count = cursor.u16("count")
     if count == 0:
         raise ProtocolError("'messages' must be a non-empty list")
@@ -714,10 +832,9 @@ def unpack_sign_many_item(payload: bytes | memoryview) -> tuple[int, dict]:
     cursor = _Cursor(payload)
     index = cursor.u16("index")
     if cursor.u8("ok"):
-        item = _unpack_sign_result(cursor)
-    else:
-        item = {"ok": False, "error": cursor.str8("error"),
-                "detail": cursor.str16("detail")}
+        return index, unpack_sign_result(cursor.view[cursor.pos:])
+    item = {"ok": False, "error": cursor.str8("error"),
+            "detail": cursor.str16("detail")}
     cursor.done("sign-many item")
     return index, item
 
@@ -842,18 +959,20 @@ class LineDialect:
                        fields: dict) -> bytes:
         return encode({"op": op, **fields, "id": request_id})
 
-    async def read_reply(self, reader: asyncio.StreamReader
-                         ) -> tuple[object, dict | None] | None:
-        """-> ``(request id, response)``; ``None`` on EOF.
+    def read_reply(self, data: memoryview, start: int, end: int,
+                   eof: bool = False
+                   ) -> tuple[tuple[object, dict | None] | None, int]:
+        """Split one reply off ``data[start:end]`` (see :func:`read_line`):
+        ``((request id, response), where the next starts)``.
 
         The id is ``None`` for a fatal error the server could not
         attribute to a request.  A hot verb's response comes back as
         the typed result its v3 frame would carry: the echoed request
         fields dropped, signatures as raw bytes.
         """
-        line = await reader.readline()
-        if not line:
-            return None
+        line, stop = read_line(data, start, end, eof)
+        if line is None:
+            return None, stop
         response = decode(line)
         request_id = response.pop("id", None)
         op = response.get("op")
@@ -866,33 +985,32 @@ class LineDialect:
                 if item.get("ok"):
                     item["signature"] = unpack_bytes(item["signature"],
                                                      name="signature")
-        return request_id, response
+        return (request_id, response), stop
 
     # -- server side ----------------------------------------------------
-    async def read_request(self, reader: asyncio.StreamReader
-                           ) -> tuple[object, object, object] | None:
-        """-> ``(op, request id, body)``; ``None`` on EOF.
+    def read_request(self, data: memoryview, start: int, end: int,
+                     eof: bool = False
+                     ) -> tuple[tuple[object, object, object] | None, int]:
+        """Split one request off ``data[start:end]``, blank lines skipped
+        (see :func:`read_line`): ``((op, request id, body), where the
+        next starts)``.
 
         An unparseable line is not fatal (the next line starts clean):
         its :class:`ProtocolError` rides as the body, for
         :meth:`parse_request` to raise where it can be answered.
         """
         while True:
-            try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError) as exc:
-                # The rest of the line was never read, so the stream
-                # cannot be resynchronized.
-                raise FrameTooLargeError("line too long") from exc
-            if not line:
-                return None
+            line, stop = read_line(data, start, end, eof)
+            if line is None:
+                return None, stop
             if line.strip():
                 break
+            start = stop
         try:
             body = decode(line)
         except ProtocolError as exc:
-            return None, None, exc
-        return body.get("op"), body.get("id"), body
+            return (None, None, exc), stop
+        return (body.get("op"), body.get("id"), body), stop
 
     def parse_request(self, op: object, body: object, registry,
                       version: int) -> tuple:
@@ -901,8 +1019,14 @@ class LineDialect:
             raise body
         return registry.resolve(body, version)
 
-    async def reply(self, send, op: str, request_id: object, args: dict,
-                    result) -> None:
+    def encode_result(self, op: str, request_id: object,
+                      result: dict) -> bytes:
+        if request_id is not None:
+            result["id"] = request_id
+        return encode(result)
+
+    async def reply(self, write: Callable[[bytes], object], op: str,
+                    request_id: object, args: dict, result) -> None:
         """Write *result*; a streamed one (``(index, item)`` pairs in
         completion order) is collected into one response line."""
         if not isinstance(result, dict):
@@ -915,7 +1039,7 @@ class LineDialect:
                 result["trace"] = args["trace"]
         if request_id is not None:
             result["id"] = request_id
-        await send(encode(result))
+        write(encode(result))
 
     def encode_error(self, request_id: object, code: str,
                      detail: str) -> bytes:
@@ -961,23 +1085,26 @@ class FrameDialect:
                 self._streams[request_id] = [None] * len(fields["messages"])
         return encode_frame(code, payload, id=request_id)
 
-    async def read_reply(self, reader: asyncio.StreamReader
-                         ) -> tuple[object, dict | None] | None:
-        """-> ``(request id, response)``; ``None`` on EOF.
+    def read_reply(self, data: memoryview, start: int, end: int,
+                   eof: bool = False
+                   ) -> tuple[tuple[object, dict | None] | None, int]:
+        """Split one reply frame off ``data[start:end]`` (see
+        :func:`read_frame`): ``((request id, response), where the next
+        starts)``.
 
         The id is ``None`` on the reserved id 0 (a fatal error frame);
         the response is ``None`` for a streamed ``sign-many`` item —
         the stream's single response follows its end frame, items in
         request order — and for a relayed request's reply, which goes
-        undecoded to its entry in :attr:`relays`.
+        undecoded, there and then, to its entry in :attr:`relays`.
         """
-        frame = await read_frame(reader)
+        frame, stop = read_frame(data, start, end, eof)
         if frame is None:
-            return None
+            return None, stop
         if self.relays and frame.id in self.relays:
             self.relays.pop(frame.id)(frame)
-            return frame.id, None
-        return frame.id or None, self._decode_reply(frame)
+            return (frame.id, None), stop
+        return (frame.id or None, self._decode_reply(frame)), stop
 
     def _decode_reply(self, frame: Frame) -> dict | None:
         if frame.verb == FRAME_SIGN_MANY_ITEM:
@@ -1012,15 +1139,18 @@ class FrameDialect:
         return (hot.unpack_result if hot else unpack_json)(frame.payload)
 
     # -- server side ----------------------------------------------------
-    async def read_request(self, reader: asyncio.StreamReader
-                           ) -> tuple[object, object, object] | None:
-        """-> ``(op, request id, payload)``; ``None`` on EOF.  An
-        unassigned frame code stands in for the op it does not name."""
-        frame = await read_frame(reader)
+    def read_request(self, data: memoryview, start: int, end: int,
+                     eof: bool = False
+                     ) -> tuple[tuple[object, object, object] | None, int]:
+        """Split one request frame off ``data[start:end]`` (see
+        :func:`read_frame`): ``((op, request id, payload), where the
+        next starts)``.  An unassigned frame code stands in for the op
+        it does not name."""
+        frame, stop = read_frame(data, start, end, eof)
         if frame is None:
-            return None
-        return FRAME_VERBS.get(frame.verb, frame.verb), frame.id, \
-            frame.payload
+            return None, stop
+        return (FRAME_VERBS.get(frame.verb, frame.verb), frame.id,
+                frame.payload), stop
 
     def parse_request(self, op: object, payload: memoryview, registry,
                       version: int) -> tuple:
@@ -1048,29 +1178,30 @@ class FrameDialect:
                     "v3 — reconnect and send the lower hello as JSON")
         return registry.resolve(request, version)
 
-    async def reply(self, send, op: str, request_id: int, args: dict,
-                    result) -> None:
+    def encode_result(self, op: str, request_id: int,
+                      result: dict) -> bytes:
+        pack = _HOT[op].pack_result if op in _HOT else pack_json
+        return encode_frame(FRAME_CODES[op], pack(result), id=request_id,
+                            flags=FLAG_OK)
+
+    async def reply(self, write: Callable[[bytes], object], op: str,
+                    request_id: int, args: dict, result) -> None:
         """Write *result*; a streamed one goes out one item frame per
         ``(index, item)`` as it lands, then an end frame with the count."""
-        # Packed inside the call, so a signature-sized payload is not
-        # kept alive beside its frame for the length of the send.
         if isinstance(result, dict):
-            pack = _HOT[op].pack_result if op in _HOT else pack_json
-            await send(encode_frame(FRAME_CODES[op], pack(result),
-                                    id=request_id, flags=FLAG_OK))
+            write(self.encode_result(op, request_id, result))
             return
         count = 0
         async for index, item in result:
-            await send(encode_frame(
+            write(encode_frame(
                 FRAME_SIGN_MANY_ITEM,
                 pack_sign_many_item(index, result=item) if item["ok"]
                 else pack_sign_many_item(
                     index, error=(item["error"], item["detail"])),
                 id=request_id, flags=FLAG_OK))
             count += 1
-        await send(encode_frame(FRAME_SIGN_MANY_END,
-                                pack_sign_many_end(count), id=request_id,
-                                flags=FLAG_OK))
+        write(encode_frame(FRAME_SIGN_MANY_END, pack_sign_many_end(count),
+                           id=request_id, flags=FLAG_OK))
 
     def encode_error(self, request_id: int | None, code: str,
                      detail: str) -> bytes:

@@ -31,8 +31,9 @@ Design notes
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
                       OverloadedError, ProtocolError, ServiceError)
@@ -46,7 +47,7 @@ from .engine import SigningEngine, require_vectorized
 from .keystore import Keystore
 from .telemetry import Telemetry
 from .verbs import (ConnectionState, VerbRegistry, default_registry,
-                    error_body)
+                    error_body, replay_frame)
 
 __all__ = ["SignOutcome", "SigningService", "SigningServer"]
 
@@ -124,6 +125,44 @@ class SigningService:
     # ------------------------------------------------------------------
     # In-process client API
     # ------------------------------------------------------------------
+    def replay(self, message: bytes, tenant: str,
+               key_name: str = "default") -> SignOutcome | None:
+        """Signing *message* again, answered now, on the loop, from the
+        replay memo: no queue slot (so no ``max_pending``), executor or
+        batch (``batches`` counts what the batcher formed).
+
+        ``None`` when nothing is remembered (randomized signing, a
+        closed service, or a message never signed): then nothing was
+        taken, no admission and no counter, and :meth:`sign` signs it.
+        :meth:`sign` calls this first; a server calls it on the read turn
+        of a v3 ``sign`` frame.  Raises like :meth:`sign`.
+        """
+        keys, params_name = self.keystore.resolve(tenant, key_name)
+        if self.batcher.closed:
+            return None  # ``submit`` refuses
+        clock = SpanClock() if self.tracer is not None else None
+        started = time.perf_counter()
+        hit = self.engine.recall(keys, params_name, message)
+        if hit is None:
+            return None
+        if not self.keystore.admit(tenant):
+            raise self._rate_limited(tenant)
+        total_ms = (time.perf_counter() - started) * 1000.0
+        self.telemetry.record_submitted(tenant)
+        self.telemetry.record_signed(tenant, total_ms, 0.0)
+        outcome = SignOutcome(
+            signature=hit, tenant=tenant, key_name=key_name,
+            params=params_name, backend=self.backend_label,
+            batch_size=1, wait_ms=0.0, total_ms=round(total_ms, 3))
+        if clock is not None:
+            trace = self._trace()
+            self.tracer.record_span(
+                "request", trace=trace, span_id=trace.span_id,
+                start=clock.start, end=clock.end(), tenant=tenant,
+                key=key_name, backend=outcome.backend, batch_size=1,
+                replay=True)
+        return outcome
+
     async def sign(self, message: bytes, tenant: str,
                    key_name: str = "default",
                    deadline_ms: float | None = None) -> SignOutcome:
@@ -135,67 +174,57 @@ class SigningService:
         Raises :class:`KeystoreError` for unknown tenants/keys and
         :class:`OverloadedError` when the service sheds the request.
         """
-        # Fail fast, before queueing; a replay reuses the key pair.
-        keys, params_name = self.keystore.resolve(tenant, key_name)
+        # Fail fast, before queueing: the replay resolves the key.
+        outcome = self.replay(message, tenant, key_name)
+        if outcome is not None:
+            return outcome
         if not self.keystore.admit(tenant):
-            self.telemetry.record_shed(tenant, "rate-limit")
-            _log.warn("request-rate-limited", tenant=tenant)
-            raise OverloadedError(
-                f"tenant {tenant!r} exhausted its admission rate-limit "
-                "budget; request shed"
-            )
+            raise self._rate_limited(tenant)
         trace = clock = None
         if self.tracer is not None:
-            # Root span of this request's trace.  The trace id comes from
-            # the caller's ambient context (the TCP verb layer installs
-            # the client-sent id there); without one, a fresh trace
-            # starts here.  The context rides the PendingSign as data —
-            # the batcher's drain task runs in an empty context.
-            incoming = current_trace()
-            trace = TraceContext(
-                incoming.trace_id if incoming is not None
-                else new_trace_id(),
-                new_span_id())
-            clock = SpanClock()
-        # A replay is answered here, on the loop: no queue slot (so no
-        # ``max_pending``), executor or batch (``batches`` counts what
-        # the batcher formed); closed, ``submit`` refuses.
-        started = time.perf_counter()
-        hit = (None if self.batcher.closed
-               else self.engine.recall(keys, params_name, message))
-        if hit is not None:
-            total_ms = (time.perf_counter() - started) * 1000.0
-            self.telemetry.record_submitted(tenant)
-            self.telemetry.record_signed(tenant, total_ms, 0.0)
-            outcome = SignOutcome(
-                signature=hit, tenant=tenant, key_name=key_name,
-                params=params_name, backend=self.backend_label,
-                batch_size=1, wait_ms=0.0, total_ms=round(total_ms, 3))
-        else:
-            # Sustained overload must shed instead of piling requests up
-            # behind the batch in flight.
-            depth = self._depth()
-            if depth >= self.max_pending:
-                self.telemetry.record_shed(tenant, "queue-full")
-                _log.warn("request-shed", tenant=tenant, depth=depth,
-                          max_pending=self.max_pending)
-                raise OverloadedError(
-                    f"queue depth {depth} at watermark {self.max_pending}; "
-                    "request shed"
-                )
-            self.telemetry.record_submitted(tenant)
-            self.telemetry.observe_depth(depth + 1)
-            budget_s = None if deadline_ms is None else deadline_ms / 1000.0
-            outcome = await self.batcher.submit(
-                tenant, key_name, message, budget_s=budget_s, trace=trace)
+            trace, clock = self._trace(), SpanClock()
+        # Sustained overload must shed instead of piling requests up
+        # behind the batch in flight.
+        depth = self._depth()
+        if depth >= self.max_pending:
+            self.telemetry.record_shed(tenant, "queue-full")
+            _log.warn("request-shed", tenant=tenant, depth=depth,
+                      max_pending=self.max_pending)
+            raise OverloadedError(
+                f"queue depth {depth} at watermark {self.max_pending}; "
+                "request shed"
+            )
+        self.telemetry.record_submitted(tenant)
+        self.telemetry.observe_depth(depth + 1)
+        budget_s = None if deadline_ms is None else deadline_ms / 1000.0
+        outcome = await self.batcher.submit(
+            tenant, key_name, message, budget_s=budget_s, trace=trace)
         if trace is not None:
             self.tracer.record_span(
                 "request", trace=trace, span_id=trace.span_id,
                 start=clock.start, end=clock.end(), tenant=tenant,
                 key=key_name, backend=outcome.backend,
-                batch_size=outcome.batch_size,
-                **({"replay": True} if hit is not None else {}))
+                batch_size=outcome.batch_size)
         return outcome
+
+    def _rate_limited(self, tenant: str) -> OverloadedError:
+        """Shed a request the tenant's admission budget refused."""
+        self.telemetry.record_shed(tenant, "rate-limit")
+        _log.warn("request-rate-limited", tenant=tenant)
+        return OverloadedError(
+            f"tenant {tenant!r} exhausted its admission rate-limit "
+            "budget; request shed")
+
+    @staticmethod
+    def _trace() -> TraceContext:
+        """The root span of a request's trace.  Its id comes from the
+        caller's ambient context (the TCP verb layer installs the
+        client-sent id there); without one, a fresh trace starts here.
+        The context rides the PendingSign as data — the batcher's drain
+        task runs in an empty context."""
+        incoming = current_trace()
+        return TraceContext(incoming.trace_id if incoming is not None
+                            else new_trace_id(), new_span_id())
 
     async def verify(self, message: bytes, signature: bytes, tenant: str,
                      key_name: str = "default") -> tuple[bool, str]:
@@ -316,7 +345,8 @@ class SigningServer:
     hello flips the connection to binary frames (see :mod:`.protocol`) —
     the hello response is still a JSON line, and everything after it on
     the socket is framed in both directions, with ``sign-many`` results
-    streamed per item.
+    streamed per item.  Each connection is a :class:`_Connection`, which
+    serves what it reads in the loop turn it arrived.
     """
 
     def __init__(self, service: SigningService,
@@ -328,7 +358,7 @@ class SigningServer:
         self.registry = registry if registry is not None else \
             default_registry()
         self._server: asyncio.base_events.Server | None = None
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._connections: set[_Connection] = set()
 
     def capabilities(self, version: int = protocol.PROTOCOL_VERSION) -> dict:
         """The ``hello`` capability payload at *version*."""
@@ -354,10 +384,8 @@ class SigningServer:
         }
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=protocol.LINE_LIMIT,
-        )
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         _log.info("server-started", host=self.host, port=self.port,
                   backend=self.service.backend_name, sha256=sha256_choice())
@@ -378,13 +406,7 @@ class SigningServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Close transports (not cancel) so handlers see EOF and exit their
-        # loops normally — cancelling them trips asyncio's stream callback.
-        for writer in list(self._connections.values()):
-            writer.close()
-        if self._connections:
-            await asyncio.gather(*list(self._connections),
-                                 return_exceptions=True)
+        await self._end_connections(lambda transport: transport.close())
 
     async def abort(self) -> None:
         """Kill the server *without* draining — simulates a node crash.
@@ -399,95 +421,177 @@ class SigningServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._connections.values()):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._connections:
-            await asyncio.gather(*list(self._connections),
-                                 return_exceptions=True)
+        await self._end_connections(lambda transport: transport.abort())
         self.service.close()
 
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        tasks: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        conn = ConnectionState()
-        dialect = protocol.LineDialect()
-        connection = asyncio.current_task()
-        if connection is not None:
-            self._connections[connection] = writer
-        send = protocol.sender(writer)
-        relay = None  # what answers hot frames inline, from a v3 hello
+    async def _end_connections(self, end) -> None:
+        """*end* every connection's transport, then wait out the requests
+        they were serving."""
+        connections = list(self._connections)
+        for connection in connections:
+            end(connection.transport)
+        tasks = [task for connection in connections
+                 for task in connection.tasks]
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
+    def _inline(self, write: Callable[[bytes], object]):
+        """``answer(op, request id, payload) -> handled``, run on a v3
+        connection's read turn for every frame but ``hello``, or ``None``
+        (every request takes the verb table and a task).  *write* must
+        get exactly one reply for each frame answered.  A node answers a
+        ``sign`` its service's replay memo remembers; a service surface
+        without :meth:`SigningService.replay` answers nothing here."""
+        if getattr(self.service, "replay", None) is None:
+            return None
+        return functools.partial(replay_frame, self.service, write)
+
+
+class _Connection(protocol.Connection):
+    """One client connection of a :class:`SigningServer`.
+
+    Every request is split out of the read buffer in the turn its bytes
+    arrived.  A ``hello`` is answered there and then, so the rest of that
+    very buffer is read in the dialect it granted; on a v3 connection
+    :meth:`SigningServer._inline` may answer a frame there too (a node's
+    replay, a router's relay); anything else runs as its own task, so a
+    client can pipeline: a slow sign never blocks a ping or stats.
+
+    Flow control: past the transport's write high-water mark the
+    connection reads no more requests (``pause_writing`` pauses reading)
+    until its replies drain.  After the peer's EOF the transport stays
+    open until every request read before it has answered.
+    """
+
+    def __init__(self, server: SigningServer):
+        super().__init__()
+        self.server = server
+        self.dialect: protocol.LineDialect | protocol.FrameDialect = \
+            protocol.LineDialect()
+        self.state = ConnectionState()
+        self.tasks: set[asyncio.Task] = set()
+        self._loop = asyncio.get_running_loop()
+        #: What answers hot frames in the read turn, from a v3 hello.
+        self._inline = None
+        #: Frames ``_inline`` took and has not answered yet.
+        self._owed = 0
+        self._reading = True
+        self._eof = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+
+    def buffer_updated(self, nbytes: int, eof: bool = False) -> None:
+        """Serve every request that ``[_start, _end + nbytes)`` holds,
+        until writing pauses; at *eof*, the rest too."""
+        end = self._end = self._end + nbytes
+        view, start = self._view, self._start
+        stop = start
         try:
-            while True:
-                try:
-                    request = await dialect.read_request(reader)
-                except FrameTooLargeError as exc:
-                    # The oversized line/frame was never read, so the
-                    # stream cannot be resynchronized: report without an
-                    # id (no request maps to it) and close.
-                    await send(dialect.encode_error(
-                        None, protocol.ERROR_PROTOCOL, str(exc)))
-                    break
-                except ProtocolError:
-                    break  # dropped mid-frame: nobody left to answer
+            while start < end and (self._reading or eof):
+                request, stop = self.dialect.read_request(view, start, end,
+                                                          eof)
                 if request is None:
                     break
-                if request[0] == "hello":
-                    # hello is served inline, not as a task: a v3 grant
-                    # flips this connection to binary frames, and the
-                    # switch must land before the next read — the client
-                    # sends its first frame right after the hello line.
-                    await self._serve(dialect, request, send, conn)
-                    dialect = dialect.upgraded(conn.version)
-                    if dialect.binary:
-                        relay = self._inline(writer)
-                        transport = writer.transport
-                        high_water = transport.get_write_buffer_limits()[1]
+                start = stop
+                op, request_id, body = request
+                if op == "hello":
+                    self._hello(request_id, body)
                     continue
-                if relay is not None and relay(*request):
-                    # Its reply is written by a callback, which cannot
-                    # wait: past the high-water mark, read no more
-                    # frames until the buffer drains.
-                    if transport.get_write_buffer_size() > high_water:
-                        await send(b"")
-                    continue
-                # Each request runs as its own task so a client can
-                # pipeline: a slow sign never blocks a ping or stats.
-                task = loop.create_task(
-                    self._serve(dialect, request, send, conn))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            if connection is not None:
-                self._connections.pop(connection, None)
-            if tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                if self._inline is not None:
+                    self._owed += 1
+                    if self._inline(op, request_id, body):
+                        continue
+                    self._owed -= 1
+                if isinstance(body, memoryview):
+                    body = body.tobytes()  # read by a task, after this turn
+                task = self._loop.create_task(
+                    self._serve(self.dialect, op, request_id, body))
+                self.tasks.add(task)
+                task.add_done_callback(self.tasks.discard)
+        except ProtocolError as exc:
+            # An oversized line or frame was never read, and a frame
+            # shorter than its header cannot be skipped, so the stream
+            # cannot be resynchronized: report an oversized one without
+            # an id (no request maps to it), read no more, and close.  A
+            # peer that dropped mid-frame has nobody left to answer.
+            if isinstance(exc, FrameTooLargeError):
+                self.transport.write(self.dialect.encode_error(
+                    None, protocol.ERROR_PROTOCOL, str(exc)))
+            self.transport.pause_reading()
+            self._hang_up()
+            start = end
+        self._start, self._stop = start, stop
 
-    def _inline(self, writer: asyncio.StreamWriter):
-        """``relay(op, request id, payload) -> handled``, run on a v3
-        connection's read loop, or ``None`` (every request a task)."""
+    def eof_received(self) -> bool:
+        self.buffer_updated(0, eof=True)
+        return not self._hang_up()  # kept open until the last answer
 
-    async def _serve(self, dialect, request: tuple, send,
-                     conn: ConnectionState) -> None:
+    def pause_writing(self) -> None:
+        self._reading = False
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._reading = True
+        if not self._eof:
+            self.transport.resume_reading()
+            self.buffer_updated(0)  # what was read before the pause
+
+    def _hello(self, request_id: object, body: object) -> None:
+        """Answer a ``hello`` now: a v3 grant flips every byte after it
+        to binary frames, the rest of this read too."""
+        dialect = self.dialect
+        try:
+            verb, args = dialect.parse_request(
+                "hello", body, self.server.registry, self.state.version)
+            self.transport.write(dialect.encode_result(
+                "hello", request_id,
+                verb.handler(self.server, self.state, args)))
+        except Exception as exc:  # noqa: BLE001 — report, keep the conn
+            self.transport.write(dialect.encode_error(request_id,
+                                                      *error_body(exc)))
+            return
+        self.dialect = dialect.upgraded(self.state.version)
+        if self.dialect.binary and self._inline is None:
+            self._inline = self.server._inline(self._answer)
+
+    async def _serve(self, dialect, op: object, request_id: object,
+                     body: object) -> None:
         """Serve one request read by *dialect*: typed args in, a typed
         result (or typed error) out, written back in the same dialect."""
-        op, request_id, body = request
+        write = self.transport.write
         try:
-            verb, args = dialect.parse_request(op, body, self.registry,
-                                               conn.version)
-            await dialect.reply(send, verb.name, request_id, args,
-                                await verb.handler(self, conn, args))
+            verb, args = dialect.parse_request(
+                op, body, self.server.registry, self.state.version)
+            await dialect.reply(write, verb.name, request_id, args,
+                                await verb.handler(self.server, self.state,
+                                                   args))
         except Exception as exc:  # noqa: BLE001 — report, don't kill the conn
-            code, detail = error_body(exc)
-            await send(dialect.encode_error(request_id, code, detail))
+            write(dialect.encode_error(request_id, *error_body(exc)))
+
+    def _answer(self, data: bytes) -> None:
+        """Write what ``_inline`` owed one frame."""
+        self.transport.write(data)
+        self._owed -= 1
+        if self._eof:
+            self._done()
+
+    def _hang_up(self) -> bool:
+        """Read no more requests: close once every one read has been
+        answered.  Whether that is now."""
+        if not self._eof:
+            self._eof = True
+            for task in self.tasks:
+                task.add_done_callback(self._done)
+        return self._done()
+
+    def _done(self, task: asyncio.Task | None = None) -> bool:
+        """After EOF: close once nothing is owed; whether it was."""
+        if self._owed or self.tasks:
+            return False
+        self.transport.close()
+        return True

@@ -25,7 +25,8 @@ from ..obs.trace import TraceContext, new_span_id, use_trace
 from . import protocol
 
 __all__ = ["ConnectionState", "FieldSpec", "Verb", "VerbRegistry",
-           "default_registry", "error_body", "ledger_registry"]
+           "default_registry", "error_body", "error_frame", "ledger_registry",
+           "replay_frame"]
 
 
 @dataclass
@@ -134,6 +135,8 @@ def _spec(name: str, kind: Callable[[object, str], Any], *,
 #: ``await handler(server, conn, typed args)`` -> the response dict
 #: (binary fields as raw bytes), or — ``sign-many`` — an async iterator
 #: of ``(index, item)`` the connection's dialect collects or streams.
+#: ``hello``'s is called, not awaited: a connection answers it in the
+#: read turn it arrived, before it reads another byte.
 Handler = Callable[[Any, ConnectionState, dict], Awaitable[Any]]
 
 
@@ -210,7 +213,7 @@ class VerbRegistry:
 # ----------------------------------------------------------------------
 # Handlers (the *server* argument is the SigningServer instance)
 # ----------------------------------------------------------------------
-async def _verb_hello(server, conn: ConnectionState, args: dict) -> dict:
+def _verb_hello(server, conn: ConnectionState, args: dict) -> dict:
     # An unknown (too-new) version is answered with a downgrade offer:
     # the highest version this server speaks.  The client decides whether
     # the offer is acceptable — the server never hangs or drops the line.
@@ -260,6 +263,35 @@ async def _verb_sign(server, conn: ConnectionState, args: dict) -> dict:
     if args.get("trace"):
         response["trace"] = args["trace"]
     return response
+
+
+_SIGN = protocol.FRAME_CODES["sign"]
+
+
+def replay_frame(service, write: Callable[[bytes], object], op: object,
+                 request_id: int, payload: memoryview) -> bool:
+    """Answer a v3 ``sign`` frame in its read turn if *service*'s replay
+    memo remembers the message (``True``: *write* got the result frame,
+    or the typed error frame :func:`_verb_sign` would have sent).
+    ``False`` — any other frame, or a message to sign — leaves it to the
+    verb table and a task."""
+    if op != "sign":
+        return False
+    try:
+        args = protocol.unpack_sign_request(payload)
+        with _traced(args):
+            outcome = service.replay(args["message"], args["tenant"],
+                                     args["key"])
+    except Exception as exc:  # noqa: BLE001 — answered, typed
+        write(error_frame(request_id, exc))
+        return True
+    if outcome is None:
+        return False
+    write(protocol.encode_frame(_SIGN, protocol.pack_sign_result(
+        outcome.signature, outcome.params, outcome.backend,
+        outcome.batch_size, outcome.wait_ms, outcome.total_ms),
+        id=request_id, flags=protocol.FLAG_OK))
+    return True
 
 
 async def _verb_verify(server, conn: ConnectionState, args: dict) -> dict:
@@ -414,6 +446,13 @@ def error_body(exc: BaseException) -> tuple[str, str]:
     if isinstance(exc, LedgerError):
         return protocol.ERROR_LEDGER, str(exc)
     return protocol.ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
+
+
+def error_frame(request_id: int, exc: BaseException) -> bytes:
+    """*exc* as a v3 error frame under *request_id*."""
+    return protocol.encode_frame(protocol.FRAME_ERROR,
+                                 protocol.pack_error(*error_body(exc)),
+                                 id=request_id)
 
 
 def default_registry() -> VerbRegistry:

@@ -526,8 +526,8 @@ class TestAdmission:
         asyncio.run(scenario())
 
 
-async def _open_v3(port: int, sock=None):
-    """A raw v3 connection to *port*: ``(reader, writer)`` after hello."""
+async def _open_v3(raw_wire, port: int, sock=None):
+    """A raw v3 connection to *port*: ``(wire, writer)`` after hello."""
     if sock is None:
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", port, limit=protocol.LINE_LIMIT)
@@ -536,11 +536,12 @@ async def _open_v3(port: int, sock=None):
         # socket past twice this, so replies stay on the server's side.
         reader, writer = await asyncio.open_connection(sock=sock,
                                                        limit=1 << 16)
+    wire = raw_wire(reader)
     dialect = protocol.LineDialect()
     writer.write(dialect.encode_request("hello", 1, {"version": 3}))
-    _, hello = await dialect.read_reply(reader)
+    _, hello = await wire.read(dialect.read_reply)
     assert hello["version"] == 3
-    return reader, writer
+    return wire, writer
 
 
 def _sign_frame(request_id: int, tenant: str, message: bytes) -> bytes:
@@ -624,7 +625,8 @@ class TestRelay:
         signature = asyncio.run(scenario())
         assert signature == reference_signature("acme", b"stuck?")
 
-    def test_a_node_error_frame_keeps_the_client_id_and_type(self):
+    def test_a_node_error_frame_keeps_the_client_id_and_type(self,
+                                                             raw_wire):
         """A node whose own keystore sheds answers ``overloaded``: the
         router relays that frame under the id the client sent, and the
         typed client raises :class:`OverloadedError`."""
@@ -638,14 +640,14 @@ class TestRelay:
                 [shedding_node] * 2, router_keystore=make_keystore(),
                 health_interval_s=0.05).start()
             client = await AsyncClusterClient.connect(port=cluster.port)
-            reader, writer = await _open_v3(cluster.port)
+            wire, writer = await _open_v3(raw_wire, cluster.port)
             try:
                 await client.sign("acme", b"spends the one token")
                 with pytest.raises(OverloadedError, match="rate-limit"):
                     await client.sign("acme", b"shed by the node")
                 writer.write(_sign_frame(0xC0FFEE, "acme", b"raw"))
                 frame = await asyncio.wait_for(
-                    protocol.read_frame(reader), timeout=30)
+                    wire.read(protocol.read_frame), timeout=30)
                 snapshot = cluster.router_service.stats()
             finally:
                 writer.close()
@@ -660,6 +662,42 @@ class TestRelay:
         tenant = snapshot["tenants"]["acme"]
         assert (tenant["submitted"], tenant["signed"], tenant["failed"]) \
             == (3, 1, 2)
+
+    def test_a_half_closed_client_gets_every_relayed_reply(self,
+                                                          raw_wire):
+        """A client that pipelines its signs and then shuts its sending
+        side (``SHUT_WR``) still reads every reply, under its id: the
+        router keeps the connection open until the relays still at a
+        node have answered."""
+        messages = [b"half-close %d" % index for index in range(8)]
+
+        async def scenario():
+            cluster = await make_cluster().start()
+            wire, writer = await _open_v3(raw_wire, cluster.port)
+            try:
+                writer.write(b"".join(
+                    _sign_frame(request_id, "acme", message)
+                    for request_id, message in enumerate(messages, 2)))
+                writer.write_eof()
+                frames = [await asyncio.wait_for(
+                    wire.read(protocol.read_frame), timeout=60)
+                    for _ in messages]
+                end = await asyncio.wait_for(
+                    wire.read(protocol.read_frame), timeout=60)
+            finally:
+                writer.close()
+                await cluster.stop()
+            return frames, end
+
+        frames, end = asyncio.run(scenario())
+        assert end is None  # then the router closes
+        assert sorted(frame.id for frame in frames) \
+            == list(range(2, 2 + len(messages)))
+        assert all(frame.verb == protocol.FRAME_CODES["sign"] and frame.ok
+                   for frame in frames)
+        [first] = [frame for frame in frames if frame.id == 2]
+        assert protocol.unpack_sign_result(first.payload)["signature"] \
+            == reference_signature("acme", messages[0])
 
     def test_a_relayed_verify_of_a_corrupted_signature_is_invalid(self):
         async def scenario():
@@ -679,7 +717,8 @@ class TestRelay:
         assert genuine.valid and not corrupted.valid
         assert corrupted.params == "SPHINCS+-128f"
 
-    def test_a_client_that_never_reads_stops_the_router_reading(self):
+    def test_a_client_that_never_reads_stops_the_router_reading(
+            self, raw_wire):
         """Relayed replies are written by a callback, which cannot wait
         on ``drain()``; so past the high-water mark the router reads no
         more frames from that client.  Waves of pipelined signs from a
@@ -697,7 +736,8 @@ class TestRelay:
             sock = socket.socket()
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             sock.connect(("127.0.0.1", cluster.port))
-            reader, writer = await _open_v3(cluster.port, sock=sock)
+            wire, writer = await _open_v3(raw_wire, cluster.port,
+                                          sock=sock)
             try:
                 ids = range(2, 2 + waves * wave)
                 for start in range(0, len(ids), wave):
@@ -706,12 +746,12 @@ class TestRelay:
                         for request_id in ids[start:start + wave]))
                     await writer.drain()
                     await asyncio.sleep(0.1)
-                [northbound] = cluster.router._connections.values()
+                [northbound] = cluster.router._connections
                 buffered = northbound.transport.get_write_buffer_size()
                 forwarded = cluster.router_service.stats()[
                     "tenants"]["acme"]["submitted"] - 1
                 frames = [await asyncio.wait_for(
-                    protocol.read_frame(reader), timeout=60) for _ in ids]
+                    wire.read(protocol.read_frame), timeout=60) for _ in ids]
             finally:
                 writer.close()
                 await cluster.stop()

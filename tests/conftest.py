@@ -85,3 +85,33 @@ def warm_key(walked_region):
         return cache
 
     return seed
+
+
+class RawWire:
+    """The read side of a raw test connection (an ``asyncio``
+    ``StreamReader``), split by the protocol's own splitters."""
+
+    def __init__(self, reader):
+        self.reader = reader
+        self.held = b""
+
+    async def read(self, split):
+        """The next item *split* — ``protocol.read_frame``, or a
+        dialect's ``read_reply`` / ``read_request`` — takes off the
+        stream; ``None`` at a clean EOF."""
+        eof = False
+        while True:
+            item, stop = split(memoryview(self.held), 0, len(self.held), eof)
+            if item is not None or eof:
+                self.held = self.held[stop:]
+                return item
+            chunk = await self.reader.read(1 << 16)
+            eof = not chunk
+            self.held += chunk
+
+
+@pytest.fixture
+def raw_wire():
+    """``raw_wire(reader) -> RawWire``: read frames or replies off a raw
+    test connection."""
+    return RawWire

@@ -200,8 +200,7 @@ class TestConnectionLost:
 
             stub = await asyncio.start_server(rude_server, "127.0.0.1", 0)
             port = stub.sockets[0].getsockname()[1]
-            client = ServiceClient(*await asyncio.open_connection(
-                port=port, limit=protocol.LINE_LIMIT))
+            client = await ServiceClient._connect("127.0.0.1", port)
             pipelined = [asyncio.ensure_future(
                 sign(client, f"m{i}".encode())) for i in range(3)]
             outcomes = await asyncio.wait_for(
@@ -257,8 +256,7 @@ class TestConnectionLost:
             stub = await asyncio.start_server(resetting_server,
                                               "127.0.0.1", 0)
             port = stub.sockets[0].getsockname()[1]
-            client = ServiceClient(*await asyncio.open_connection(
-                port=port, limit=protocol.LINE_LIMIT))
+            client = await ServiceClient._connect("127.0.0.1", port)
             with pytest.raises(ConnectionLostError) as excinfo:
                 await asyncio.wait_for(sign(client, b"m"),
                                        timeout=30)
@@ -282,7 +280,7 @@ class TestRestart:
                                            timeout=60)
             await server.stop()
             # The old connection fails fast with a typed error...
-            await asyncio.wait_for(asyncio.shield(client._read_task),
+            await asyncio.wait_for(asyncio.shield(client._lost),
                                    timeout=5)
             with pytest.raises(ServiceError, match="connection closed"):
                 await client.ping()
@@ -314,7 +312,8 @@ class TestUnreachablePeer:
         async def never_connects(*args, **kwargs):
             await asyncio.Event().wait()
         monkeypatch.setattr(client_module, "HELLO_TIMEOUT_S", 0.2)
-        monkeypatch.setattr(asyncio, "open_connection", never_connects)
+        monkeypatch.setattr(client_module.ServiceClient, "_connect",
+                            never_connects)
 
     def test_async_client_connect_times_out_typed(self, monkeypatch):
         self.hang_connects(monkeypatch)

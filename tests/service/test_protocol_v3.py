@@ -13,6 +13,9 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_wire_golden import CALLS, GOLDEN, HELLO, StubService
 
 from repro.api import AsyncClient
 from repro.errors import (ConnectionLostError, FrameTooLargeError,
@@ -20,6 +23,7 @@ from repro.errors import (ConnectionLostError, FrameTooLargeError,
 from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
                            SigningService, derive_seed, protocol)
+from repro.service.server import _Connection
 from repro.sphincs.signer import Sphincs
 
 
@@ -123,44 +127,223 @@ class TestFrameCodec:
             protocol.unpack_verify_result(payload + b"\x00")
 
     def test_read_frame_rejects_oversized_declared_length(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data((protocol.FRAME_LIMIT + 1).to_bytes(4, "big"))
-            reader.feed_data(b"\x00" * 10)
+        # The prefix alone is enough: the body is never waited for.
+        prefix = (protocol.FRAME_LIMIT + 1).to_bytes(4, "big")
+        for data in (prefix, prefix + b"\x00" * 10):
             with pytest.raises(FrameTooLargeError):
-                await protocol.read_frame(reader)
-
-        run(scenario())
+                protocol.read_frame(memoryview(data))
 
     def test_read_frame_rejects_undersized_declared_length(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data((4).to_bytes(4, "big") + b"\x00" * 4)
-            reader.feed_eof()
-            with pytest.raises(ProtocolError):
-                await protocol.read_frame(reader)
-
-        run(scenario())
+        data = memoryview((4).to_bytes(4, "big") + b"\x00" * 4)
+        with pytest.raises(ProtocolError):
+            protocol.read_frame(data, eof=True)
 
     def test_read_frame_mid_frame_eof_is_a_protocol_error(self):
-        async def scenario():
-            body = protocol.encode_frame(protocol.FRAME_CODES["ping"],
-                                         b"abcdef", id=1)
-            reader = asyncio.StreamReader()
-            reader.feed_data(body[:-3])
-            reader.feed_eof()
+        body = protocol.encode_frame(protocol.FRAME_CODES["ping"],
+                                     b"abcdef", id=1)
+        for cut in (2, len(body) - 3):  # in the prefix, in the body
+            assert protocol.read_frame(memoryview(body[:cut]))[0] is None
             with pytest.raises(ProtocolError):
-                await protocol.read_frame(reader)
-
-        run(scenario())
+                protocol.read_frame(memoryview(body[:cut]), eof=True)
 
     def test_read_frame_clean_eof_returns_none(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            assert await protocol.read_frame(reader) is None
+        assert protocol.read_frame(memoryview(b""), eof=True) == (None, 0)
+        body = protocol.encode_frame(protocol.FRAME_CODES["ping"], id=1)
+        frame, stop = protocol.read_frame(memoryview(body), eof=True)
+        assert (frame.id, stop) == (1, len(body))
+        assert protocol.read_frame(memoryview(body), stop, eof=True) \
+            == (None, stop)
 
-        run(scenario())
+
+class _Transport:
+    """What a connection under test writes, and whether it hung up."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.reading = True
+        self.closed = False
+
+    def write(self, data):
+        self.written += data
+
+    def pause_reading(self):
+        self.reading = False
+
+    def close(self):
+        self.closed = True
+
+
+def _feed(connection, stream: bytes, cuts) -> None:
+    """*stream* into *connection* the way the event loop hands it over:
+    one read per chunk between *cuts*, each as much as ``get_buffer``
+    has room for."""
+    edges = [0, *sorted(set(cuts)), len(stream)]
+    for start, stop in zip(edges, edges[1:]):
+        while start < stop:
+            buffer = connection.get_buffer(-1)
+            count = min(len(buffer), stop - start)
+            buffer[:count] = stream[start:start + count]
+            connection.buffer_updated(count)
+            start += count
+
+
+def _request_stream(dialect: str) -> list[bytes]:
+    return [protocol.encode({"op": "hello", "id": 1,
+                             "version": HELLO[dialect]}),
+            *(request for _, request, _ in GOLDEN[dialect])]
+
+
+def _reply_stream(dialect: str) -> list[bytes]:
+    # A verb without a frame code never leaves a v3 client.
+    return [protocol.encode({"ok": True, "op": "hello", "id": 1,
+                             "version": HELLO[dialect]}),
+            *(response for name, _, response in GOLDEN[dialect]
+              if dialect == "v2" or name != "unknown-verb")]
+
+
+def _server_reads(dialect: str, cuts) -> tuple[list, bytes]:
+    """What a server connection fed the golden requests cut at *cuts*
+    serves, and what it writes in the read turn (the hello answer)."""
+    async def scenario():
+        connection = _Connection(SigningServer(StubService()))
+        transport = _Transport()
+        connection.connection_made(transport)
+        served = []
+
+        async def serve(dialect, op, request_id, body):
+            served.append((op, request_id, body))
+
+        connection._serve = serve
+        _feed(connection, b"".join(_request_stream(dialect)), cuts)
+        await asyncio.sleep(0)
+        return served, bytes(transport.written)
+
+    return asyncio.run(scenario())
+
+
+def _client_reads(dialect: str, cuts) -> dict:
+    """What a client with the golden calls in flight makes of their
+    replies cut at *cuts*: request id -> typed response."""
+    async def scenario():
+        client = ServiceClient()
+        client.connection_made(_Transport())
+        loop = asyncio.get_running_loop()
+        frames = protocol.FrameDialect()
+        if dialect == "v3":  # the calls it sends after the grant
+            client._dialect.upgraded = lambda version: frames
+        pending = {1: loop.create_future()}
+        for name, request, _ in GOLDEN[dialect]:
+            if dialect == "v3" and name == "unknown-verb":
+                continue
+            op, fields, _ = CALLS[name]
+            if dialect == "v3":
+                request_id = protocol.read_frame(memoryview(request))[0].id
+                frames.encode_request(op, request_id, fields)
+            else:
+                request_id = json.loads(request)["id"]
+            pending[request_id] = loop.create_future()
+        client._pending.update(pending)
+        _feed(client, b"".join(_reply_stream(dialect)), cuts)
+        assert client.binary is (dialect == "v3")
+        return {request_id: future.result()
+                for request_id, future in pending.items()}
+
+    return asyncio.run(scenario())
+
+
+def _required_cuts(parts: list[bytes]) -> list[list[int]]:
+    """The hello line and the first frame in one read; a read that ends
+    inside the first frame's length prefix; and inside a later one's."""
+    hello, first = len(parts[0]), len(parts[0]) + len(parts[1])
+    return [[first], [hello + 2], [first + 1, first + 3]]
+
+
+class TestSplitting:
+    """Both ends parse the golden byte streams exactly as when fed whole,
+    however the reads cut them."""
+
+    @pytest.mark.parametrize("dialect", sorted(GOLDEN))
+    def test_the_required_cuts(self, dialect):
+        whole = (_server_reads(dialect, []), _client_reads(dialect, []))
+        for cuts in _required_cuts(_request_stream(dialect)):
+            assert _server_reads(dialect, cuts) == whole[0], cuts
+        for cuts in _required_cuts(_reply_stream(dialect)):
+            assert _client_reads(dialect, cuts) == whole[1], cuts
+
+    @pytest.mark.parametrize("dialect", sorted(GOLDEN))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_cuts(self, dialect, data):
+        for stream, reads in ((_request_stream, _server_reads),
+                              (_reply_stream, _client_reads)):
+            size = len(b"".join(stream(dialect)))
+            cuts = data.draw(st.lists(st.integers(1, size - 1),
+                                      max_size=24))
+            assert reads(dialect, cuts) == reads(dialect, [])
+
+    def test_the_golden_calls_all_parse(self):
+        served, written = _server_reads("v3", [])
+        assert len(served) == len(GOLDEN["v3"])
+        assert json.loads(written)["version"] == 3
+        replies = _client_reads("v3", [])
+        assert all(isinstance(reply, dict) for reply in replies.values())
+        assert replies[4]["results"][1]["error"] == "overloaded"
+
+    def test_a_frame_shorter_than_its_header_hangs_up(self):
+        """Nothing after it can be told apart from noise: the server
+        serves none of it, reads no more and closes, answering nothing."""
+        stream = (protocol.encode({"op": "hello", "id": 1, "version": 3})
+                  + (4).to_bytes(4, "big") + bytes(4)
+                  + protocol.encode_frame(protocol.FRAME_CODES["ping"], id=2))
+
+        async def scenario():
+            connection = _Connection(SigningServer(StubService()))
+            transport = _Transport()
+            connection.connection_made(transport)
+            served = []
+
+            async def serve(dialect, op, request_id, body):
+                served.append(op)
+
+            connection._serve = serve
+            _feed(connection, stream, [])
+            await asyncio.sleep(0)
+            return served, transport
+
+        served, transport = asyncio.run(scenario())
+        assert served == []
+        assert not transport.reading and transport.closed
+        assert json.loads(transport.written)["version"] == 3  # hello only
+
+    def test_a_large_frame_grows_the_buffer_and_shrinks_it_back(self):
+        message = bytes(3 * protocol.READ_BUFFER)
+        stream = [protocol.encode({"op": "hello", "id": 1, "version": 3}),
+                  protocol.encode_frame(
+                      protocol.FRAME_CODES["sign"],
+                      protocol.pack_sign_request("demo", "", message), id=2),
+                  protocol.encode_frame(protocol.FRAME_CODES["ping"], id=3)]
+
+        async def scenario():
+            connection = _Connection(SigningServer(StubService()))
+            connection.connection_made(_Transport())
+            served, sizes = [], []
+
+            async def serve(dialect, op, request_id, body):
+                served.append((op, request_id))
+
+            connection._serve = serve
+            data = b"".join(stream)
+            for start in range(0, len(data), 4096):
+                _feed(connection, data[start:start + 4096], [])
+                sizes.append(len(connection._buffer))
+            connection.get_buffer(-1)
+            await asyncio.sleep(0)
+            return served, sizes, len(connection._buffer)
+
+        served, sizes, rest = asyncio.run(scenario())
+        assert served == [("sign", 2), ("ping", 3)]
+        assert protocol.READ_BUFFER < max(sizes) < 4 * protocol.READ_BUFFER
+        assert rest == protocol.READ_BUFFER
 
 
 class TestLongErrorDetail:
@@ -270,7 +453,7 @@ class TestNegotiationV3:
 
         run(scenario())
 
-    def test_hello_response_is_json_then_frames(self):
+    def test_hello_response_is_json_then_frames(self, raw_wire):
         """The hello exchange itself stays a JSON line in both
         directions; only bytes after the v3 grant are frames."""
         async def scenario():
@@ -290,7 +473,8 @@ class TestNegotiationV3:
                         protocol.FRAME_CODES["ping"], id=2))
                     await writer.drain()
                     frame = await asyncio.wait_for(
-                        protocol.read_frame(reader), timeout=30)
+                        raw_wire(reader).read(protocol.read_frame),
+                        timeout=30)
                     assert frame is not None and frame.id == 2
                     assert frame.ok is True
                 finally:
@@ -494,7 +678,7 @@ class TestStreamingSignMany:
                     client = await AsyncClient.connect(port=server.port,
                                                        version=version)
                     writes = []
-                    writer = client._wire._writer
+                    writer = client._wire.transport
                     write = writer.write
                     writer.write = lambda data: (writes.append(data),
                                                  write(data))
@@ -531,8 +715,8 @@ class TestOverlongInput:
                 pending = asyncio.ensure_future(
                     wire.call("sign", tenant="demo", message=b"in flight"))
                 await asyncio.sleep(0.02)
-                wire._writer.write(b"x" * (protocol.LINE_LIMIT + 1) + b"\n")
-                await wire._writer.drain()
+                wire.transport.write(
+                    b"x" * (protocol.LINE_LIMIT + 1) + b"\n")
                 with pytest.raises(ProtocolError, match="line too long"):
                     await pending
                 # Later requests name the cause and the unanswered ids.
@@ -560,10 +744,9 @@ class TestOverlongInput:
                 await asyncio.sleep(0.02)
                 # A frame whose declared length exceeds FRAME_LIMIT:
                 # the server answers with an id-0 error frame, closes.
-                wire._writer.write(
+                wire.transport.write(
                     (protocol.FRAME_LIMIT + 1).to_bytes(4, "big")
                     + b"\x00" * 10)
-                await wire._writer.drain()
                 with pytest.raises(ProtocolError, match="frame limit"):
                     await pending
                 with pytest.raises(ConnectionLostError) as excinfo:
@@ -586,10 +769,9 @@ class TestOverlongInput:
                     wire.call("sign-many", tenant="demo", key="default",
                               messages=[b"a", b"b", b"c"]))
                 await asyncio.sleep(0.02)
-                wire._writer.write(
+                wire.transport.write(
                     (protocol.FRAME_LIMIT + 1).to_bytes(4, "big")
                     + b"\x00" * 10)
-                await wire._writer.drain()
                 with pytest.raises(ProtocolError, match="frame limit"):
                     await stream
                 await client.close()

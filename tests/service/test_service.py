@@ -13,6 +13,7 @@ from repro.params import get_params
 from repro.service import (Keystore, ServiceClient, SigningServer,
                            SigningService, derive_seed, protocol,
                            render_snapshot)
+from repro.service import server as server_module
 from repro.sphincs.signer import Sphincs
 
 
@@ -462,18 +463,18 @@ class TestTcp:
 
     @pytest.mark.parametrize("version", [3, 2])
     def test_pipelined_replays_past_the_write_high_water_mark(
-            self, version, monkeypatch):
+            self, version, monkeypatch, raw_wire):
         """A client that sends every request before it reads a reply
         pushes the server's writes past the transport's high-water mark:
         each reply still arrives once, under its own id."""
         pauses = []
-        pause = asyncio.streams.FlowControlMixin.pause_writing
+        pause = server_module._Connection.pause_writing
 
         def counted(protocol_self):
             pauses.append(protocol_self)
             pause(protocol_self)
 
-        monkeypatch.setattr(asyncio.streams.FlowControlMixin,
+        monkeypatch.setattr(server_module._Connection,
                             "pause_writing", counted)
         count, message = 24, b"replayed attestation"
 
@@ -491,11 +492,12 @@ class TestTcp:
             sock.connect(("127.0.0.1", server.port))
             reader, writer = await asyncio.open_connection(
                 sock=sock, limit=protocol.LINE_LIMIT)
+            wire = raw_wire(reader)
             try:
                 dialect = protocol.LineDialect()
                 writer.write(dialect.encode_request(
                     "hello", 1, {"version": version}))
-                _, hello = await dialect.read_reply(reader)
+                _, hello = await wire.read(dialect.read_reply)
                 dialect = dialect.upgraded(hello["version"])
                 assert dialect.binary == (version == 3)
                 ids = range(2, 2 + count)
@@ -509,7 +511,7 @@ class TestTcp:
                         break
                     await asyncio.sleep(0.01)
                 replies = [await asyncio.wait_for(
-                    dialect.read_reply(reader), timeout=60)
+                    wire.read(dialect.read_reply), timeout=60)
                     for _ in ids]
             finally:
                 writer.close()
@@ -568,7 +570,7 @@ class TestTcp:
                 await server.stop()
                 # Wait for the client's reader to see EOF.
                 await asyncio.wait_for(
-                    asyncio.shield(client._read_task), timeout=5)
+                    asyncio.shield(client._lost), timeout=5)
                 with pytest.raises(ServiceError, match="connection closed"):
                     await asyncio.wait_for(client.ping(), timeout=5)
             finally:

@@ -47,6 +47,17 @@ ALLOWED = {
     "service/protocol.py::FrameDialect.reply(args)":
         "LineDialect and FrameDialect share one signature; a frame reply "
         "echoes no request field",
+    "service/protocol.py::LineDialect.encode_result(op)":
+        "LineDialect and FrameDialect share one signature; a JSON line "
+        "carries its op inside the result",
+    "service/*.py::*.get_buffer(sizehint)":
+        "asyncio's BufferedProtocol signature; a connection's buffer "
+        "grows to what it reads, not to the transport's hint",
+    "service/server.py::_Connection.connection_lost(exc)":
+        "asyncio's Protocol signature; the peer's tasks answer either way",
+    "service/server.py::_Connection._done(task)":
+        "a task's done callback; whether to close depends on the whole "
+        "connection",
     "__main__.py::*.verifier(message)":
         "the loadtest verifier callback's signature is the load "
         "generator's; every verify checks one seeded pair",
@@ -586,10 +597,7 @@ DEFINITIONS_ALLOWED = {
     "api/*.py::*":
         "the repro.api surface, pinned signature by signature in "
         "tests/api_surface.json",
-    "obs/metrics.py::*.Handler.do_GET":
-        "http.server calls the handler hook by its name",
-    "obs/metrics.py::*.Handler.log_message":
-        "http.server calls the handler hook by its name",
+
     "obs/metrics.py::parse_prometheus":
         "repro.testing's kit: tests read /metrics back through it",
     "testing/chaos.py::FlakyProxy":
@@ -619,8 +627,24 @@ DEFINITIONS_ALLOWED = {
 }
 
 
+#: Methods that code outside the scanned tree calls by their names: they
+#: are reached from the start, and so is what their bodies name.
+CALLED_BY_NAME = {
+    **{f"service/*.py::*.{callback}":
+       "asyncio calls a protocol's callbacks by their names"
+       for callback in ("connection_made", "connection_lost", "get_buffer",
+                        "buffer_updated", "eof_received", "pause_writing",
+                        "resume_writing")},
+    "obs/metrics.py::*.Handler.do_GET":
+        "http.server calls the handler hook by its name",
+    "obs/metrics.py::*.Handler.log_message":
+        "http.server calls the handler hook by its name",
+}
+
+
 def unreached_definitions(root: Path = SRC,
-                          callers: tuple[Path, ...] = CALLERS
+                          callers: tuple[Path, ...] = CALLERS,
+                          called_by_name: dict[str, str] = CALLED_BY_NAME
                           ) -> list[tuple[str, str]]:
     """``(census key, "file:line qualname")`` per function, method or
     class under *root* that no code under *callers* names.
@@ -633,7 +657,7 @@ def unreached_definitions(root: Path = SRC,
     part: ``x.sign`` reaches every ``sign``.  A package's ``__init__.py``
     re-exports reach nothing, strings (``__all__``, docstrings) are not
     names, and dunder methods are never reported; their bodies belong to
-    their class.
+    their class.  A definition *called_by_name* matches is reached.
     """
     definitions = {}  # census key -> (node, name, relative path)
     names = {}  # census key of the owning definition, None at top -> names
@@ -671,6 +695,11 @@ def unreached_definitions(root: Path = SRC,
              mine and path.name == "__init__.py")
 
     live, reached = set(names.get(None, ())), set()
+    for key in definitions:
+        if any(fnmatch.fnmatchcase(key, pattern)
+               for pattern in called_by_name):
+            reached.add(key)
+            live |= names.get(key, set())
     while fresh := {key for key, (_, name, _) in definitions.items()
                     if key not in reached and name in live}:
         reached |= fresh
@@ -689,6 +718,14 @@ def test_every_definition_is_reached_outside_tests():
         "definitions nothing outside tests/ names (delete them with the "
         "tests that only they served, or add a DEFINITIONS_ALLOWED entry "
         "with its reason):\n  " + "\n  ".join(unreached))
+
+
+def test_every_name_called_from_outside_is_defined():
+    unreached = [key for key, _ in unreached_definitions(called_by_name={})]
+    stale = [pattern for pattern in CALLED_BY_NAME
+             if not any(fnmatch.fnmatchcase(key, pattern)
+                        for key in unreached)]
+    assert not stale, f"CALLED_BY_NAME entries that match nothing: {stale}"
 
 
 def test_the_census_sees_a_definition_only_tests_call(tmp_path):

@@ -5,10 +5,12 @@ replays one signed message through one tier, with the client and every
 server in one event loop, and counts the calls made between the
 client's ``sign`` and its result with :func:`sys.setprofile` — calls
 into ``src/repro``, and every other call (the standard library, the
-event loop, C functions).  Three consecutive replays must agree
-exactly, and no row may exceed its pin.  The calls that are not into
-``src/repro`` are the interpreter's and its event loop's, so they are
-pinned for the interpreter they were counted on (:data:`PINNED_ON`); on
+event loop, C functions) — and, from the same hook, the transport's
+work: socket sends, socket receives and event-loop turns
+(``BaseEventLoop._run_once``).  Three consecutive replays must agree
+exactly, and no row may exceed its pin.  Everything but the calls into
+``src/repro`` is the interpreter's and its event loop's, so it is
+pinned for the interpreter it was counted on (:data:`PINNED_ON`); on
 any other, only the ``src/repro`` count is held to its pin.
 
 A count above its pin fails: find the call the change added to the
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import socket
 import sys
+from typing import NamedTuple
 from pathlib import Path
 
 import pytest
@@ -31,15 +35,26 @@ from repro.service import (Keystore, SigningServer, SigningService,
                            derive_seed)
 from repro.params import get_params
 
-#: ``(tier, request)`` -> (calls into ``src/repro``, all other calls),
-#: counted on CPython :data:`PINNED_ON`.
+
+class Cost(NamedTuple):
+    """What one request costs, as :func:`sys.setprofile` sees it."""
+
+    repro: int   # Python calls into ``src/repro``
+    other: int   # every other call, C calls included
+    sends: int   # ``socket.send`` / ``sendall`` / ``sendmsg`` calls
+    receives: int  # ``socket.recv`` / ``recv_into`` calls
+    turns: int   # event-loop iterations (``BaseEventLoop._run_once``)
+
+
+#: ``(tier, request)`` -> its :class:`Cost`, counted on CPython
+#: :data:`PINNED_ON`.
 PINNED_ON = (3, 11)
 COSTS = {
-    ("local", "replay"): (25, 33),
-    ("tcp-v3", "replay"): (115, 319),
-    ("tcp-v2", "replay"): (67, 346),
-    ("cluster-v3", "replay"): (153, 518),
-    ("cluster-v2", "replay"): (177, 665),
+    ("local", "replay"): Cost(25, 33, 0, 0, 0),
+    ("tcp-v3", "replay"): Cost(54, 173, 2, 2, 3),
+    ("tcp-v2", "replay"): Cost(67, 265, 2, 2, 4),
+    ("cluster-v3", "replay"): Cost(88, 290, 4, 4, 5),
+    ("cluster-v2", "replay"): Cost(116, 446, 4, 4, 7),
 }
 
 TENANT, MESSAGE = "ledger", b"a replayed attestation"
@@ -56,20 +71,37 @@ def _keystore() -> Keystore:
     return keystore
 
 
+_SENDS = frozenset(("send", "sendall", "sendmsg"))
+_RECEIVES = frozenset(("recv", "recv_into"))
+
+
 class _Counter:
-    """A profile hook: ``repro`` Python calls, every other call."""
+    """A profile hook: ``repro`` Python calls, every other call, and
+    among those the socket sends, receives and loop turns."""
 
     def __init__(self):
         self.repro = self.other = 0
+        self.sends = self.receives = self.turns = 0
 
     def __call__(self, frame, event, arg):
         if event == "call":
-            if frame.f_code.co_filename.startswith(_SRC):
+            code = frame.f_code
+            if code.co_filename.startswith(_SRC):
                 self.repro += 1
             else:
                 self.other += 1
+                if code.co_name == "_run_once":
+                    self.turns += 1
         elif event == "c_call":
             self.other += 1
+            if isinstance(getattr(arg, "__self__", None), socket.socket):
+                name = arg.__name__
+                self.sends += name in _SENDS
+                self.receives += name in _RECEIVES
+
+    def cost(self) -> Cost:
+        return Cost(self.repro, self.other, self.sends, self.receives,
+                    self.turns)
 
 
 def _counted(call):
@@ -81,7 +113,7 @@ def _counted(call):
     finally:
         sys.setprofile(None)
         gc.enable()
-    return (counter.repro, counter.other), result
+    return counter.cost(), result
 
 
 async def _acounted(call):
@@ -93,10 +125,10 @@ async def _acounted(call):
     finally:
         sys.setprofile(None)
         gc.enable()
-    return (counter.repro, counter.other), result
+    return counter.cost(), result
 
 
-def _local_replays() -> list[tuple[int, int]]:
+def _local_replays() -> list[Cost]:
     client = LocalClient(_keystore(), deterministic=True, workers=0)
     try:
         first = client.sign(TENANT, MESSAGE).signature
@@ -110,7 +142,7 @@ def _local_replays() -> list[tuple[int, int]]:
         client.close()
 
 
-async def _replays(client) -> list[tuple[int, int]]:
+async def _replays(client) -> list[Cost]:
     first = (await client.sign(TENANT, MESSAGE)).signature
     counts = []
     for _ in range(3):
@@ -125,7 +157,7 @@ def _service() -> SigningService:
     return SigningService(_keystore(), deterministic=True)
 
 
-async def _tcp_replays(version: int) -> list[tuple[int, int]]:
+async def _tcp_replays(version: int) -> list[Cost]:
     server = SigningServer(_service(), port=0)
     await server.start()
     try:
@@ -139,7 +171,7 @@ async def _tcp_replays(version: int) -> list[tuple[int, int]]:
         await server.stop()
 
 
-async def _cluster_replays(version: int) -> list[tuple[int, int]]:
+async def _cluster_replays(version: int) -> list[Cost]:
     cluster = await LocalCluster([_service] * 2,
                                  health_interval_s=_NO_HEALTH_S).start()
     try:
@@ -153,7 +185,7 @@ async def _cluster_replays(version: int) -> list[tuple[int, int]]:
         await cluster.stop()
 
 
-def measure(tier: str) -> list[tuple[int, int]]:
+def measure(tier: str) -> list[Cost]:
     """Three consecutive replay counts through *tier*."""
     if tier == "local":
         return _local_replays()
@@ -169,12 +201,16 @@ def test_a_replay_costs_no_more_calls_than_its_pin(tier, request_kind):
         f"{tier} {request_kind}: three replays made {counts} calls — a "
         "count that moves between identical requests gates nothing")
     pin = COSTS[(tier, request_kind)]
-    [(repro_calls, other_calls)] = set(counts)
+    [cost] = set(counts)
     if sys.version_info[:2] != PINNED_ON:
-        other_calls = 0  # the interpreter's own calls differ by version
-    assert repro_calls <= pin[0] and other_calls <= pin[1], (
-        f"{tier} {request_kind}: {repro_calls} + {other_calls} calls, "
-        f"pinned at {pin[0]} + {pin[1]}: a call was added to the path")
+        # The interpreter's own calls and its event loop's socket
+        # operations and turns differ by version.
+        cost = Cost(cost.repro, 0, 0, 0, 0)
+    over = [name for name, count, pinned in zip(Cost._fields, cost, pin)
+            if count > pinned]
+    assert not over, (
+        f"{tier} {request_kind}: {cost} against its pin {pin}: "
+        f"{', '.join(over)} went up — something was added to the path")
 
 
 if __name__ == "__main__":
