@@ -21,8 +21,7 @@ mount just the shards it owns)::
 The shard directory is the first byte of ``sha256(tenant)`` in hex —
 the same hash family the cluster's :class:`~repro.cluster.ring.HashRing`
 uses for placement, so co-owned tenants cluster on disk the way they
-cluster on the ring.  The per-tenant JSON payload is unchanged from the
-original flat layout; only the location moved.
+cluster on the ring.
 
 Every save writes the whole tenant file to ``<name>.json.tmp``, fsyncs it
 and then ``os.replace``\\ s it over the live file, so a crash mid-write can never
@@ -30,16 +29,13 @@ leave a torn keystore — readers see the old file or the new one, nothing
 in between.  A :class:`Keystore` constructed without a root keeps
 everything in memory (tests, demos, ephemeral services).
 
-Migration from the flat layout
-------------------------------
-Keystores written before the sharded layout stored each tenant directly
-under the root (``<root>/acme.json``).  Opening such a root with this
-class upgrades it transparently: every flat tenant file is validated,
-rewritten byte-for-byte-equivalent into its shard directory, and the
-original is kept aside as ``<name>.json.migrated`` for rollback.
-Corrupt files — flat or sharded — are quarantined as
-``<name>.json.corrupt`` exactly as before, and the constructor raises
-one combined :class:`~repro.errors.KeystoreError` naming all of them.
+Opening a root validates every shard file.  Corrupt ones are
+quarantined as ``<name>.json.corrupt`` and the constructor raises one
+combined :class:`~repro.errors.KeystoreError` naming all of them.  A root
+that still holds tenant files directly under it (``<root>/acme.json``,
+the layout before shards) is refused with one error naming them: move
+each to its shard path first, or the keystore would open without those
+tenants.
 
 LRU key cache and admission control
 -----------------------------------
@@ -83,9 +79,6 @@ _KEY_FIELDS = ("sk_seed", "sk_prf", "pk_seed", "pk_root")
 
 #: Subdirectory of the keystore root that holds the shard fan-out.
 SHARD_DIR = "shards"
-
-#: Suffix a flat-layout tenant file gets after its transparent upgrade.
-MIGRATED_SUFFIX = ".migrated"
 
 
 def shard_prefix(tenant: str) -> str:
@@ -144,8 +137,9 @@ class Keystore:
     Parameters
     ----------
     root:
-        Keystore directory (``None`` = memory-only).  A flat pre-shard
-        layout found here is upgraded in place (see the module docstring).
+        Keystore directory (``None`` = memory-only).  A root holding
+        tenant files outside ``shards/`` is refused (see the module
+        docstring).
     max_cached:
         Most tenant records held in memory at once for a disk-backed
         store; least-recently-used records are evicted and reloaded from
@@ -195,19 +189,24 @@ class Keystore:
             self._open_root()
 
     # ------------------------------------------------------------------
-    # Open / migrate
+    # Open
     # ------------------------------------------------------------------
     def _open_root(self) -> None:
-        """Validate and index every tenant file; upgrade the flat layout.
+        """Validate and index every tenant file; refuse a flat root.
 
         Quarantines *every* corrupt tenant file in one pass (not just
         the first), so a single reload after the error comes up cleanly
         with all healthy tenants no matter how many files were damaged.
         """
+        flat = sorted(path.name for path in self.root.glob("*.json"))
+        if flat:
+            raise KeystoreError(
+                f"{self.root} holds tenant files outside {SHARD_DIR}/: "
+                f"{', '.join(flat)} — move each <name>.json to "
+                f"{SHARD_DIR}/<first byte of sha256(name), hex>/<name>.json "
+                "(Keystore.shard_path), then reload the keystore")
         failures = []
-        # Flat pre-shard layout: validate, rewrite into the shard tree,
-        # keep the original aside as ``.migrated`` for rollback.
-        for path in sorted(self.root.glob("*.json")):
+        for path in sorted(self.root.glob(f"{SHARD_DIR}/*/*.json")):
             try:
                 record = self._load_tenant(path)
             except KeystoreError as exc:
@@ -215,21 +214,8 @@ class Keystore:
                 failures.append(f"{exc} (quarantined to "
                                 f"{quarantined.name})")
                 continue
+            self._index[record.name] = path
             self._cache(record)
-            self._save(record)
-            os.replace(path, path.with_name(path.name + MIGRATED_SUFFIX))
-        shard_root = self.root / SHARD_DIR
-        if shard_root.is_dir():
-            for path in sorted(shard_root.glob("*/*.json")):
-                try:
-                    record = self._load_tenant(path)
-                except KeystoreError as exc:
-                    quarantined = self._quarantine(path)
-                    failures.append(f"{exc} (quarantined to "
-                                    f"{quarantined.name})")
-                    continue
-                self._index[record.name] = path
-                self._cache(record)
         if failures:
             raise KeystoreError(
                 "; ".join(failures) + " — restore good copies or "

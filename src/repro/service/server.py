@@ -35,8 +35,8 @@ import functools
 import time
 from typing import Callable, NamedTuple
 
-from ..errors import (BackendError, FrameTooLargeError, KeystoreError,
-                      OverloadedError, ProtocolError, ServiceError)
+from ..errors import (BackendError, FrameTooLargeError, OverloadedError,
+                      ProtocolError, ServiceError)
 from ..hashes.thash import sha256_choice
 from ..obs.log import get_logger
 from ..obs.trace import (SpanClock, TraceContext, Tracer, current_trace,

@@ -11,6 +11,14 @@ from repro.service.keystore import shard_prefix
 from repro.sphincs.signer import Sphincs
 
 
+def _shard_file(root, tenant):
+    """Where a keystore at *root* keeps *tenant*'s file, its directory
+    made: a test writes a tampered tenant file there by hand."""
+    path = root / "shards" / shard_prefix(tenant) / f"{tenant}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 class TestTenants:
     def test_add_and_resolve(self):
         keystore = Keystore()
@@ -162,24 +170,24 @@ class TestPersistence:
     def test_tenant_name_validated_on_load(self, tmp_path):
         """A tampered payload must not smuggle a path-escaping name past
         the write-path rules (a later save would write outside root)."""
-        (tmp_path / "wallet.json").write_text(json.dumps({
+        _shard_file(tmp_path, "wallet").write_text(json.dumps({
             "tenant": "../outside", "params": "SPHINCS+-128f", "keys": {}}))
         with pytest.raises(KeystoreError, match="invalid tenant name"):
             Keystore(tmp_path)
 
     def test_tenant_name_must_match_file(self, tmp_path):
-        (tmp_path / "wallet.json").write_text(json.dumps({
+        _shard_file(tmp_path, "wallet").write_text(json.dumps({
             "tenant": "other", "params": "SPHINCS+-128f", "keys": {}}))
         with pytest.raises(KeystoreError, match="expected 'wallet'"):
             Keystore(tmp_path)
 
     def test_corrupt_file_rejected(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{not json")
+        _shard_file(tmp_path, "bad").write_text("{not json")
         with pytest.raises(KeystoreError, match="corrupt keystore"):
             Keystore(tmp_path)
 
     def test_wrong_key_length_rejected(self, tmp_path):
-        (tmp_path / "acme.json").write_text(json.dumps({
+        _shard_file(tmp_path, "acme").write_text(json.dumps({
             "tenant": "acme", "params": "SPHINCS+-128f",
             "keys": {"default": {f: "00" * 8 for f in
                                  ("sk_seed", "sk_prf", "pk_seed", "pk_root")}},
@@ -187,101 +195,24 @@ class TestPersistence:
         with pytest.raises(KeystoreError, match="must be 16 bytes"):
             Keystore(tmp_path)
 
-
-class TestMigration:
-    """Opening a flat pre-shard root upgrades it transparently."""
-
-    def _seed_flat_layout(self, tmp_path):
-        """Write two tenants in the historical flat layout and return the
-        original file bytes for later byte-identity checks."""
-        old = Keystore()  # memory-only: build records without touching disk
-        originals = {}
-        for name, params, n in (("acme", "128f", 16), ("edge", "192f", 24)):
-            old.add_tenant(name, params)
-            old.generate_key(name, seed=derive_seed(name, n))
-            sharded = Keystore(tmp_path / "scratch")
-            sharded.add_tenant(name, params)
-            sharded.generate_key(name, seed=derive_seed(name, n))
-            flat = tmp_path / f"{name}.json"
-            flat.write_bytes(sharded.shard_path(name).read_bytes())
-            originals[name] = flat.read_bytes()
-        import shutil
-        shutil.rmtree(tmp_path / "scratch")
-        return originals
-
-    def test_flat_layout_migrates_to_shards(self, tmp_path):
-        originals = self._seed_flat_layout(tmp_path)
+    def test_a_root_holding_flat_tenant_files_is_refused(self, tmp_path):
+        """Tenant files directly under the root (the layout before
+        shards) are refused, never skipped: opening without them would
+        answer "unknown tenant" for keys that exist."""
         keystore = Keystore(tmp_path)
-        assert keystore.tenants() == ("acme", "edge")
-        for name in ("acme", "edge"):
-            # Keys come through byte-identical...
-            assert keystore.shard_path(name).read_bytes() == originals[name]
-            # ...the flat original is kept aside for rollback...
-            assert (tmp_path / f"{name}.json.migrated").exists()
-            assert not (tmp_path / f"{name}.json").exists()
-
-    def test_migrated_keys_byte_identical(self, tmp_path):
-        self._seed_flat_layout(tmp_path)
-        migrated = Keystore(tmp_path)
-        reference = Keystore()
-        for name, n in (("acme", 16), ("edge", 24)):
-            reference.add_tenant(name, migrated.params_for(name))
-            reference.generate_key(name, seed=derive_seed(name, n))
-            got, _ = migrated.resolve(name)
-            want, _ = reference.resolve(name)
-            assert got.secret == want.secret
-            assert got.public == want.public
-
-    def test_migration_is_idempotent(self, tmp_path):
-        self._seed_flat_layout(tmp_path)
-        Keystore(tmp_path)
-        again = Keystore(tmp_path)  # second open: nothing left to migrate
-        assert again.tenants() == ("acme", "edge")
-        assert sorted(p.name for p in tmp_path.glob("*.json")) == []
-
-    def test_corrupt_flat_file_quarantined_in_place(self, tmp_path):
-        self._seed_flat_layout(tmp_path)
-        (tmp_path / "bad.json").write_text("{not json")
-        with pytest.raises(KeystoreError, match="corrupt keystore"):
+        keystore.add_tenant("edge", "192f")
+        written = Keystore(tmp_path / "elsewhere")
+        written.add_tenant("acme", "128f")
+        written.generate_key("acme", seed=derive_seed("acme", 16))
+        flat = tmp_path / "acme.json"
+        flat.write_bytes(written.shard_path("acme").read_bytes())
+        with pytest.raises(KeystoreError) as refused:
             Keystore(tmp_path)
-        assert (tmp_path / "bad.json.corrupt").exists()
-        assert not (tmp_path / "bad.json").exists()
-        # Healthy tenants still migrated; a clean reload succeeds.
-        reloaded = Keystore(tmp_path)
-        assert reloaded.tenants() == ("acme", "edge")
-
-    def test_interrupted_migration_completes_on_rerun(self, tmp_path):
-        """A crash mid-migration leaves some tenants sharded (flat file
-        renamed ``.migrated``) and some still flat.  Re-opening must
-        finish the job without duplicating or clobbering anything."""
-        originals = self._seed_flat_layout(tmp_path)
-        # Simulate the interrupted first run: "acme" fully migrated
-        # (shard written, flat renamed aside), "edge" untouched.
-        done = Keystore(tmp_path / "scratch2")
-        done.add_tenant("acme", "128f")
-        done.generate_key("acme", seed=derive_seed("acme", 16))
-        sharded_path = done.shard_path("acme")
-        target = tmp_path / sharded_path.relative_to(tmp_path / "scratch2")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(sharded_path.read_bytes())
-        (tmp_path / "acme.json").rename(tmp_path / "acme.json.migrated")
-        import shutil
-        shutil.rmtree(tmp_path / "scratch2")
-
-        resumed = Keystore(tmp_path)  # the re-run
-        assert resumed.tenants() == ("acme", "edge")
-        for name in ("acme", "edge"):
-            assert resumed.shard_path(name).read_bytes() == originals[name]
-            assert (tmp_path / f"{name}.json.migrated").exists()
-            assert not (tmp_path / f"{name}.json").exists()
-        # A third open changes nothing — the migration reached its fixed
-        # point.
-        before = {path: path.read_bytes()
-                  for path in tmp_path.rglob("*.json")}
-        Keystore(tmp_path)
-        after = {path: path.read_bytes()
-                 for path in tmp_path.rglob("*.json")}
-        assert before == after
+        assert "acme.json" in str(refused.value)
+        assert "edge" not in str(refused.value)
+        assert flat.is_file()  # neither moved nor quarantined
+        flat.rename(_shard_file(tmp_path, "acme"))
+        assert Keystore(tmp_path).tenants() == ("acme", "edge")
 
 
 class TestLRUCache:

@@ -22,13 +22,20 @@ knob no reader can find.
 
 The reach census goes one step further: a function, method or class
 that no code outside ``tests/`` names (:func:`unreached_definitions`) is
-code only a test runs.
+code only a test runs.  A method is named through its receiver where
+the receiver's class is known, so a test-only method cannot hide behind
+a live one of the same name.
+
+The format census is the same rule for files: a reader whose format
+only a test writes (:func:`format_findings`, over :data:`FORMATS`) is
+code only a test runs too, and no name census can see it.
 """
 
 import ast
 import fnmatch
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -642,6 +649,78 @@ CALLED_BY_NAME = {
 }
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _instances(scope: ast.AST, classes: set[str]) -> tuple[set, dict]:
+    """The names *scope* binds, and of those the ones bound exactly once,
+    by ``x = Cls(...)``, mapped to ``Cls``.  Nested functions are scopes
+    of their own; class bodies and comprehensions count as this one (a
+    second binding only makes the name unknown)."""
+    counts, built = {}, {}
+
+    def bind(name, times=1):
+        counts[name] = counts.get(name, 0) + times
+
+    if isinstance(scope, _SCOPES):
+        arguments = scope.args
+        for argument in (*arguments.posonlyargs, *arguments.args,
+                         *arguments.kwonlyargs, arguments.vararg,
+                         arguments.kwarg):
+            if argument is not None:
+                bind(argument.arg)
+    body = scope.body if isinstance(scope.body, list) else [scope.body]
+    pending = list(body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bind(node.name)
+        if isinstance(node, _SCOPES):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bind(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bind(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bind(alias.asname or alias.name.partition(".")[0])
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            for name in node.names:
+                bind(name, 2)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            value = node.value
+            if len(targets) == 1 and isinstance(targets[0], ast.Name) \
+                    and isinstance(value, ast.Call) \
+                    and _name(value.func) in classes:
+                built[targets[0].id] = _name(value.func)
+        pending.extend(ast.iter_child_nodes(node))
+    return set(counts), {name: cls for name, cls in built.items()
+                         if counts.get(name) == 1}
+
+
+def _receiver(value: ast.AST, cls: str | None, scopes: tuple,
+              classes: set[str]) -> str | None:
+    """The class an attribute's receiver *value* is known to be, if any:
+    ``self``, ``cls`` and ``super()`` are the enclosing class *cls*,
+    ``Cls(...)`` is ``Cls``, and a name bound once, by ``x = Cls(...)``,
+    in the scope it resolves to is ``Cls``."""
+    if isinstance(value, ast.Name) and value.id in ("self", "cls"):
+        return cls
+    if isinstance(value, ast.Call):
+        name = _name(value.func)
+        if name == "super":
+            return cls
+        return name if name in classes else None
+    if isinstance(value, ast.Name):
+        for bound, built in scopes:
+            if value.id in bound:
+                return built.get(value.id)
+    return None
+
+
 def unreached_definitions(root: Path = SRC,
                           callers: tuple[Path, ...] = CALLERS,
                           called_by_name: dict[str, str] = CALLED_BY_NAME
@@ -653,18 +732,46 @@ def unreached_definitions(root: Path = SRC,
     ``Name``, an ``Attribute`` or an import — and a scope is reached when
     it is module-level code, code outside *root*, or the body of a
     reached definition, so a name used only inside unreached definitions
-    (its own body included) reaches nothing.  Names resolve by their last
-    part: ``x.sign`` reaches every ``sign``.  A package's ``__init__.py``
+    (its own body included) reaches nothing.
+
+    An attribute resolves by its receiver where the receiver's class is
+    known (:func:`_receiver`): ``self.m``, ``cls.m``, ``super().m``,
+    ``Cls(...).m`` and ``x.m`` after ``x = Cls(...)`` reach ``m`` on every
+    class a receiver of that class can dispatch to — the class, its
+    in-tree bases, its in-tree subclasses and theirs — so interfaces and
+    overrides stay live.  Any other name resolves by its last part:
+    ``x.sign`` reaches every ``sign``.  A package's ``__init__.py``
     re-exports reach nothing, strings (``__all__``, docstrings) are not
     names, and dunder methods are never reported; their bodies belong to
     their class.  A definition *called_by_name* matches is reached.
     """
-    definitions = {}  # census key -> (node, name, relative path)
-    names = {}  # census key of the owning definition, None at top -> names
+    definitions = {}  # census key -> (node, name, relative path, class)
+    # census key of the owning definition, None at top -> the names and
+    # ``(class, attribute)`` pairs its body uses
+    names = {}
     inside = {path.resolve() for path in root.rglob("*.py")}
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted({path for folder in (root, *callers)
+                                 for path in folder.rglob("*.py")})}
+    bases = {}  # class name -> the names of its bases, every file
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    filter(None, map(_name, node.bases)))
+    classes = set(bases)
 
-    def walk(tree, owner, prefix, relative, reexports):
+    def walk(tree, owner, prefix, relative, reexports, cls, member,
+             scopes):
         for node in ast.iter_child_nodes(tree):
+            # Inside the node: the class ``self`` names, the class a def
+            # is a method of, and the scopes a name looks itself up in.
+            inner_cls, inner_member, inner = cls, member, scopes
+            if isinstance(node, ast.ClassDef):
+                inner_cls = inner_member = node.name
+            elif isinstance(node, _SCOPES):
+                inner_member = None
+                inner = (_instances(node, classes), *scopes)
             if relative is not None and isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef,
                            ast.ClassDef)):
@@ -673,40 +780,78 @@ def unreached_definitions(root: Path = SRC,
                 if not (node.name.startswith("__")
                         and node.name.endswith("__")):
                     scope = f"{relative}::{qualname}"
-                    definitions[scope] = (node, node.name, relative)
-                walk(node, scope, qualname + ".", relative, reexports)
+                    definitions[scope] = (node, node.name, relative, member)
+                walk(node, scope, qualname + ".", relative, reexports,
+                     inner_cls, inner_member, inner)
                 continue
             found = names.setdefault(owner, set())
             if isinstance(node, ast.Name):
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
+                receiver = _receiver(node.value, cls, scopes, classes)
+                found.add((receiver, node.attr) if receiver else node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)) \
                     and not reexports:
                 found.update(alias.name.rpartition(".")[2]
                              for alias in node.names)
-            walk(node, owner, prefix, relative, reexports)
+            walk(node, owner, prefix, relative, reexports, inner_cls,
+                 inner_member, inner)
 
-    for path in sorted({path for folder in (root, *callers)
-                        for path in folder.rglob("*.py")}):
+    for path, tree in trees.items():
         mine = path.resolve() in inside
-        walk(ast.parse(path.read_text()), None, "",
+        walk(tree, None, "",
              path.relative_to(root).as_posix() if mine else None,
-             mine and path.name == "__init__.py")
+             mine and path.name == "__init__.py", None, None,
+             (_instances(tree, classes),))
 
-    live, reached = set(names.get(None, ())), set()
-    for key in definitions:
-        if any(fnmatch.fnmatchcase(key, pattern)
-               for pattern in called_by_name):
-            reached.add(key)
-            live |= names.get(key, set())
-    while fresh := {key for key, (_, name, _) in definitions.items()
-                    if key not in reached and name in live}:
-        reached |= fresh
-        for key in fresh:
-            live |= names.get(key, set())
+    subclasses = {}
+    for name, parents in bases.items():
+        for parent in parents:
+            subclasses.setdefault(parent, set()).add(name)
+
+    def closure(start: str, edges: dict) -> set[str]:
+        found, pending = set(), [start]
+        while pending:
+            name = pending.pop()
+            if name not in found:
+                found.add(name)
+                pending.extend(edges.get(name, ()))
+        return found
+
+    def dispatch(cls: str) -> set[str]:
+        """Every class whose methods a receiver of class *cls* runs."""
+        return {ancestor for below in closure(cls, subclasses)
+                for ancestor in closure(below, bases)}
+
+    by_name = {}  # definition name -> [(census key, its class)]
+    for key, (_, name, _, member) in definitions.items():
+        by_name.setdefault(name, []).append((key, member))
+
+    def targets(reference) -> list[str]:
+        if isinstance(reference, str):
+            return [key for key, _ in by_name.get(reference, ())]
+        cls, name = reference
+        family = dispatch(cls)
+        return [key for key, member in by_name.get(name, ())
+                if member in family]
+
+    reached = {key for key in definitions
+               if any(fnmatch.fnmatchcase(key, pattern)
+                      for pattern in called_by_name)}
+    pending = [reference for key in (None, *reached)
+               for reference in names.get(key, ())]
+    seen = set()
+    while pending:
+        reference = pending.pop()
+        if reference in seen:
+            continue
+        seen.add(reference)
+        for key in targets(reference):
+            if key not in reached:
+                reached.add(key)
+                pending.extend(names.get(key, ()))
     return [(key, f"{relative}:{node.lineno} {key.partition('::')[2]}")
-            for key, (node, _, relative) in definitions.items()
+            for key, (node, _, relative, _) in definitions.items()
             if key not in reached]
 
 
@@ -762,3 +907,225 @@ def test_the_census_sees_a_definition_only_tests_call(tmp_path):
         "module.py:5 reexported", "module.py:7 recursive",
         "module.py:9 _only_for_tested"]
     assert unreached_definitions(package, (package, tests)) == []
+
+
+def test_the_census_resolves_a_method_by_its_receiver(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "module.py").write_text(
+        "class Service:\n"
+        "    def report(self):\n"
+        "        return self._render()\n"
+        "    def _render(self):\n"
+        "        return 'service'\n"
+        "class Scheduler:\n"
+        "    def report(self):\n"
+        "        return 'scheduler'\n"
+        "class Base:\n"
+        "    def run(self):\n"
+        "        return self.step()\n"
+        "    def step(self):\n"
+        "        return 0\n"
+        "    def spare(self):\n"
+        "        return 0\n"
+        "    def _unused(self):\n"
+        "        return 0\n"
+        "class Child(Base):\n"
+        "    def step(self):\n"
+        "        return 1\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls._build()\n"
+        "    @classmethod\n"
+        "    def _build(cls):\n"
+        "        return cls()\n"
+        "    def run(self):\n"
+        "        return super().run()\n"
+        "class Other:\n"
+        "    def _unused(self):\n"
+        "        return 1\n"
+        "    def spare(self):\n"
+        "        return 1\n"
+        "_SHARED = Other()\n"
+        "def main():\n"
+        "    service = Service()\n"
+        "    scheduler = Scheduler()\n"
+        "    either = Child()\n"
+        "    either = _SHARED\n"
+        "    return (service, scheduler.report(), Child.make().run(),\n"
+        "            either.spare(), _SHARED._unused())\n"
+        "main()\n")
+    (tests / "test_module.py").write_text(
+        "from pkg.module import Base, Service\n"
+        "Service().report(), Base()._unused()\n")
+    assert [where for _, where in unreached_definitions(
+        package, (package,))] == [
+        "module.py:2 Service.report", "module.py:4 Service._render",
+        "module.py:16 Base._unused"]
+    assert unreached_definitions(package, (package, tests)) == []
+
+
+# ----------------------------------------------------------------------
+# The format census: no file reader whose only writer is a test
+# ----------------------------------------------------------------------
+class Format(NamedTuple):
+    """One on-disk format: the ``file::qualname`` under ``src/repro``
+    that reads it, and the one that writes it — or, for a file the user
+    brings, the reason nothing in the program writes it."""
+
+    reader: str
+    writer: str | None = None
+    reason: str = ""
+
+
+#: Every on-disk format the program reads, by its path pattern.
+FORMATS = {
+    "<keystore>/shards/<xx>/<tenant>.json":
+        Format("service/keystore.py::Keystore._load_tenant",
+               "service/keystore.py::Keystore._save"),
+    "<log>/segments/<start>.seg":
+        Format("ledger/merkle.py::MerkleLog._load",
+               "ledger/merkle.py::MerkleLog._write_segment"),
+    "<log>/checkpoints/<size>.json":
+        Format("ledger/service.py::load_checkpoints",
+               "ledger/service.py::LedgerService._persist_checkpoint"),
+    "--trace-out <spans>.jsonl, read by trace --input":
+        Format("obs/trace.py::load_spans", "obs/trace.py::Tracer.record"),
+    "sign --out <signature>, read by verify --sig":
+        Format("__main__.py::_cmd_verify", "__main__.py::_cmd_sign"),
+    "<vectors>/kat_<set>.json":
+        Format("testing/kat.py::load_kat", "testing/kat.py::generate_kat"),
+    "sign / verify --file <message>":
+        Format("__main__.py::_read_message",
+               reason="the user's message: the program signs and verifies "
+                      "the bytes it is handed"),
+}
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """``x.read_text()``, ``x.read_bytes()``, ``json.load(...)``, or the
+    builtin ``open`` with no mode or one that neither writes, appends,
+    creates nor updates."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("read_text", "read_bytes") or (
+            func.attr == "load" and _name(func.value) == "json")
+    if getattr(func, "id", None) != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (keyword.value for keyword in call.keywords
+         if keyword.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant)
+                and set(str(mode.value)) & set("wax+"))
+
+
+def file_readers(root: Path = SRC) -> dict[str, str]:
+    """``census key -> "file:line qualname"`` per function under *root*
+    whose own body (not a nested function's) reads a file."""
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        for qualname, function in _functions(ast.parse(path.read_text())):
+            pending = list(function.body)
+            while pending:
+                node = pending.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    continue
+                if isinstance(node, ast.Call) and _reads_a_file(node):
+                    found[f"{relative}::{qualname}"] = \
+                        f"{relative}:{function.lineno} {qualname}"
+                    break
+                pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def format_findings(root: Path = SRC, callers: tuple[Path, ...] = CALLERS,
+                    formats: dict[str, Format] = FORMATS) -> list[str]:
+    """What is wrong with *formats*: a function under *root* that reads a
+    file no entry names, an entry whose reader reads no file, and an
+    entry whose writer is not defined or is reached only from tests (by
+    :func:`unreached_definitions` over *callers*)."""
+    readers = file_readers(root)
+    listed = {entry.reader for entry in formats.values()}
+    defined = {f"{relative}::{qualname}"
+               for relative, qualname, _, _ in _definitions(root)}
+    unreached = {key for key, _ in unreached_definitions(root, callers)}
+    found = [f"{where} reads a file no FORMATS entry names"
+             for key, where in readers.items() if key not in listed]
+    for pattern, entry in formats.items():
+        if entry.reader not in readers:
+            found.append(f"{pattern}: {entry.reader} reads no file")
+        if entry.writer is None:
+            if not entry.reason:
+                found.append(f"{pattern}: names neither a writer nor the "
+                             "reason it has none")
+        elif entry.writer not in defined:
+            found.append(f"{pattern}: {entry.writer} is not defined")
+        elif entry.writer in unreached:
+            found.append(f"{pattern}: its writer {entry.writer} is "
+                         "reached only from tests")
+    return found
+
+
+def test_every_file_format_names_a_live_writer():
+    found = format_findings()
+    assert not found, (
+        "file readers without a listed format or a live writer (delete a "
+        "reader whose only writer is a test, with its tests; or list the "
+        "format in FORMATS):\n  " + "\n  ".join(found))
+
+
+def test_the_census_sees_a_reader_only_tests_write_for(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "store.py").write_text(
+        "import json\n"
+        "class Store:\n"
+        "    def save(self, path, value):\n"
+        "        path.write_text(json.dumps(value))\n"
+        "    def load(self, path):\n"
+        "        return json.loads(path.read_text())\n"
+        "class Cache:\n"
+        "    def save(self, path):\n"
+        "        with open(path, 'a') as handle:\n"
+        "            handle.write('{}')\n"
+        "    def load(self, path):\n"
+        "        with open(path) as handle:\n"
+        "            return json.load(handle)\n"
+        "def peek(path):\n"
+        "    with open(path, mode='rb') as handle:\n"
+        "        return handle.read()\n"
+        "def given(path):\n"
+        "    return path.read_bytes()\n"
+        "def main(path):\n"
+        "    store = Store()\n"
+        "    cache = Cache()\n"
+        "    cache.save(path)\n"
+        "    return (store.load(path), cache.load(path), peek(path),\n"
+        "            given(path))\n"
+        "print(main)\n")
+    (tests / "test_store.py").write_text(
+        "from pkg.store import Store\n"
+        "Store().save(None, 1)\n")
+    formats = {
+        "<dir>/store.json": Format("store.py::Store.load",
+                                   "store.py::Store.save"),
+        "<dir>/cache.json": Format("store.py::Cache.load",
+                                   "store.py::Cache.save"),
+        "<input>": Format("store.py::given", reason="the user's file"),
+        "<gone>": Format("store.py::Cache.save", "store.py::gone"),
+        "<unexplained>": Format("store.py::given"),
+    }
+    stale = ["<gone>: store.py::Cache.save reads no file",
+             "<gone>: store.py::gone is not defined",
+             "<unexplained>: names neither a writer nor the reason it has "
+             "none"]
+    assert format_findings(package, (package,), formats) == [
+        "store.py:14 peek reads a file no FORMATS entry names",
+        "<dir>/store.json: its writer store.py::Store.save is reached "
+        "only from tests", *stale]
+    assert format_findings(package, (package, tests), formats) == [
+        "store.py:14 peek reads a file no FORMATS entry names", *stale]

@@ -1,14 +1,17 @@
 """The cost ledger: exact Python calls per request, tier by tier.
 
 A timing drifts with the machine; a count of calls does not.  Each row
-replays one signed message through one tier, with the client and every
-server in one event loop, and counts the calls made between the
-client's ``sign`` and its result with :func:`sys.setprofile` — calls
-into ``src/repro``, and every other call (the standard library, the
-event loop, C functions) — and, from the same hook, the transport's
-work: socket sends, socket receives and event-loop turns
-(``BaseEventLoop._run_once``).  Three consecutive replays must agree
-exactly, and no row may exceed its pin.  Everything but the calls into
+sends one request through one tier — a replay of a signed message, or a
+verify of a triple the verifier already remembers — with the client and
+every server in one event loop, and counts the calls made between the
+client's call and its result with :func:`sys.setprofile` — calls into
+``src/repro``, and every other call (the standard library, the event
+loop, C functions) — and, from the same hook, the transport's work:
+socket sends, socket receives and event-loop turns
+(``BaseEventLoop._run_once``).  A served verify runs on the loop's
+executor thread; :func:`threading.setprofile`, set before any thread
+starts, counts that thread's calls too.  Three consecutive requests must
+agree exactly, and no row may exceed its pin.  Everything but the calls into
 ``src/repro`` is the interpreter's and its event loop's, so it is
 pinned for the interpreter it was counted on (:data:`PINNED_ON`); on
 any other, only the ``src/repro`` count is held to its pin.
@@ -24,6 +27,9 @@ import asyncio
 import gc
 import socket
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.thread import _WorkItem
 from typing import NamedTuple
 from pathlib import Path
 
@@ -55,6 +61,9 @@ COSTS = {
     ("tcp-v2", "replay"): Cost(67, 265, 2, 2, 4),
     ("cluster-v3", "replay"): Cost(88, 290, 4, 4, 5),
     ("cluster-v2", "replay"): Cost(116, 446, 4, 4, 7),
+    ("local", "verify"): Cost(36, 43, 0, 0, 0),
+    ("tcp-v3", "verify"): Cost(103, 366, 3, 4, 6),
+    ("cluster-v3", "verify"): Cost(128, 465, 5, 6, 8),
 }
 
 TENANT, MESSAGE = "ledger", b"a replayed attestation"
@@ -104,14 +113,34 @@ class _Counter:
                     self.turns)
 
 
+#: The counter of the request being counted, if one is.
+_COUNTING: list[_Counter] = []
+#: An executor thread's job: the calls it makes between picking a work
+#: item and resolving its future.  The pool's own bookkeeping after that
+#: races the event loop, so it is not counted.
+_JOB = _WorkItem.run.__code__
+_threads = threading.local()
+
+
+def _thread_hook(frame, event, arg):
+    """Every thread started under :func:`measure` runs this: the calls
+    inside an executor job go to the request being counted."""
+    if frame.f_code is _JOB and event in ("call", "return"):
+        _threads.in_job = event == "call"
+    if _COUNTING and getattr(_threads, "in_job", False):
+        _COUNTING[0](frame, event, arg)
+
+
 def _counted(call):
     counter = _Counter()
     gc.disable()
+    _COUNTING.append(counter)
     sys.setprofile(counter)
     try:
         result = call()
     finally:
         sys.setprofile(None)
+        _COUNTING.clear()
         gc.enable()
     return counter.cost(), result
 
@@ -119,36 +148,55 @@ def _counted(call):
 async def _acounted(call):
     counter = _Counter()
     gc.disable()
+    _COUNTING.append(counter)
     sys.setprofile(counter)
     try:
         result = await call()
     finally:
         sys.setprofile(None)
+        _COUNTING.clear()
         gc.enable()
     return counter.cost(), result
 
 
-def _local_replays() -> list[Cost]:
+def _request(client, request: str, signature: bytes):
+    """The call to count: a replay of the signed message, or a verify of
+    its triple."""
+    if request == "replay":
+        return lambda: client.sign(TENANT, MESSAGE)
+    return lambda: client.verify(TENANT, MESSAGE, signature)
+
+
+def _answered(result, signature: bytes) -> bool:
+    """A replay gave the first signature back; a verify accepted it."""
+    return getattr(result, "signature", signature) == signature \
+        and getattr(result, "valid", True)
+
+
+def _local_requests(request: str) -> list[Cost]:
     client = LocalClient(_keystore(), deterministic=True, workers=0)
     try:
-        first = client.sign(TENANT, MESSAGE).signature
+        signature = client.sign(TENANT, MESSAGE).signature
+        call = _request(client, request, signature)
+        call()  # from now on the verifier remembers the triple too
         counts = []
         for _ in range(3):
-            count, result = _counted(lambda: client.sign(TENANT, MESSAGE))
-            assert result.signature == first
+            count, result = _counted(call)
+            assert _answered(result, signature)
             counts.append(count)
         return counts
     finally:
         client.close()
 
 
-async def _replays(client) -> list[Cost]:
-    first = (await client.sign(TENANT, MESSAGE)).signature
+async def _requests(client, request: str) -> list[Cost]:
+    signature = (await client.sign(TENANT, MESSAGE)).signature
+    call = _request(client, request, signature)
+    await call()  # from now on the verifier remembers the triple too
     counts = []
     for _ in range(3):
-        count, result = await _acounted(
-            lambda: client.sign(TENANT, MESSAGE))
-        assert result.signature == first
+        count, result = await _acounted(call)
+        assert _answered(result, signature)
         counts.append(count)
     return counts
 
@@ -157,50 +205,70 @@ def _service() -> SigningService:
     return SigningService(_keystore(), deterministic=True)
 
 
-async def _tcp_replays(version: int) -> list[Cost]:
+class _OneThread(ThreadPoolExecutor):
+    """An executor whose one thread the client's connect starts, before
+    any count.  A stock pool asks on every submit whether its last job's
+    thread is idle yet, and that answer, and the calls it takes, depend
+    on how the two threads were scheduled."""
+
+    def _adjust_thread_count(self):
+        if not self._threads:
+            super()._adjust_thread_count()
+
+
+def _one_executor_thread() -> None:
+    asyncio.get_running_loop().set_default_executor(_OneThread())
+
+
+async def _tcp_requests(version: int, request: str) -> list[Cost]:
+    _one_executor_thread()
     server = SigningServer(_service(), port=0)
     await server.start()
     try:
         client = await AsyncClient.connect(port=server.port,
                                            version=version)
         try:
-            return await _replays(client)
+            return await _requests(client, request)
         finally:
             await client.close()
     finally:
         await server.stop()
 
 
-async def _cluster_replays(version: int) -> list[Cost]:
+async def _cluster_requests(version: int, request: str) -> list[Cost]:
+    _one_executor_thread()
     cluster = await LocalCluster([_service] * 2,
                                  health_interval_s=_NO_HEALTH_S).start()
     try:
         client = await AsyncClusterClient.connect(port=cluster.port,
                                                   version=version)
         try:
-            return await _replays(client)
+            return await _requests(client, request)
         finally:
             await client.close()
     finally:
         await cluster.stop()
 
 
-def measure(tier: str) -> list[Cost]:
-    """Three consecutive replay counts through *tier*."""
-    if tier == "local":
-        return _local_replays()
-    kind, version = tier.split("-v")
-    replays = _tcp_replays if kind == "tcp" else _cluster_replays
-    return asyncio.run(replays(int(version)))
+def measure(tier: str, request: str = "replay") -> list[Cost]:
+    """Three consecutive counts of *request* through *tier*."""
+    threading.setprofile(_thread_hook)
+    try:
+        if tier == "local":
+            return _local_requests(request)
+        kind, version = tier.split("-v")
+        requests = _tcp_requests if kind == "tcp" else _cluster_requests
+        return asyncio.run(requests(int(version), request))
+    finally:
+        threading.setprofile(None)
 
 
-@pytest.mark.parametrize("tier, request_kind", sorted(COSTS))
-def test_a_replay_costs_no_more_calls_than_its_pin(tier, request_kind):
-    counts = measure(tier)
+def _check(tier: str, request: str) -> None:
+    counts = measure(tier, request)
     assert len(set(counts)) == 1, (
-        f"{tier} {request_kind}: three replays made {counts} calls — a "
+        f"{tier} {request}: three requests made {counts} calls — a "
         "count that moves between identical requests gates nothing")
-    pin = COSTS[(tier, request_kind)]
+    pin = COSTS[(tier, request)]
     [cost] = set(counts)
     if sys.version_info[:2] != PINNED_ON:
         # The interpreter's own calls and its event loop's socket
@@ -209,10 +277,22 @@ def test_a_replay_costs_no_more_calls_than_its_pin(tier, request_kind):
     over = [name for name, count, pinned in zip(Cost._fields, cost, pin)
             if count > pinned]
     assert not over, (
-        f"{tier} {request_kind}: {cost} against its pin {pin}: "
+        f"{tier} {request}: {cost} against its pin {pin}: "
         f"{', '.join(over)} went up — something was added to the path")
 
 
+@pytest.mark.parametrize("tier, request_kind",
+                         sorted(row for row in COSTS if row[1] == "replay"))
+def test_a_replay_costs_no_more_calls_than_its_pin(tier, request_kind):
+    _check(tier, request_kind)
+
+
+@pytest.mark.parametrize("tier", sorted(
+    tier for tier, request in COSTS if request == "verify"))
+def test_a_remembered_verify_costs_no_more_calls_than_its_pin(tier):
+    _check(tier, "verify")
+
+
 if __name__ == "__main__":
-    for tier, _ in sorted(COSTS):
-        print(tier, measure(tier))
+    for tier, request in sorted(COSTS):
+        print(tier, request, measure(tier, request))
