@@ -66,8 +66,7 @@ async def main() -> None:
         service = SigningService(build_keystore(), target_batch_size=4,
                                  max_wait_s=0.05, deterministic=True)
         ledger = LedgerService(signer, tenant=TENANT, root=root,
-                               batch_size=args.batch_size,
-                               max_wait_ms=25.0, metrics=metrics)
+                               batch_size=args.batch_size, metrics=metrics)
         server = LedgerServer(service, ledger, port=0)
         await server.start()
         print(f"ledger server on 127.0.0.1:{server.port} — one port, "

@@ -3,10 +3,10 @@
 :class:`LedgerService` turns a stream of opaque event payloads into an
 append-only, signed :class:`~repro.ledger.merkle.MerkleLog`:
 
-1. **Ingest** — ``await ledger.append(payload)`` parks the event on the
-   pending batch (the same deadline-batching idea as the signing
-   service: first arrival starts a ``max_wait_ms`` window, a full batch
-   seals immediately).
+1. **Ingest** — ``await ledger.append(payload)`` queues the event on
+   the signing service's :class:`~repro.service.batcher.DeadlineBatcher`,
+   whose dispatch is the seal: one seal in flight, the next taking up to
+   ``batch_size`` of what arrived meanwhile, and no timer.
 2. **Batch-sign** — the pending payloads go through the typed facade's
    ``sign_many`` in one call, on *any* transport (local, pooled, tcp,
    cluster), so the ledger exercises whatever tier it is pointed at.
@@ -19,10 +19,11 @@ The ordering is the crash-safety argument for the pipeline's core
 invariant — **no accepted-but-unverifiable entries**: an append is
 acknowledged only after its entries and a checkpoint covering them are
 durable, so every acknowledged receipt can produce an inclusion proof
-against a signed tree head; every failure before that point surfaces to
-the caller as the typed error the signing tier raised.  A crash between
-the segment write and the checkpoint write leaves an *unacknowledged*
-tail, which reload truncates.
+against a signed tree head.  A failure anywhere in the seal — signing,
+the segment write or the checkpoint write — fails every append of that
+seal with the error raised, and the next seal starts from the last
+signed head.  A crash between the segment write and the checkpoint
+write leaves an *unacknowledged* tail, which reload truncates.
 
 Serving rides the existing stack: ``ledger_registry()`` in
 :mod:`repro.service.verbs` adds the ``log-append`` / ``log-proof`` /
@@ -37,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +45,7 @@ from ..durable import write_durably
 from ..errors import LedgerError, ProtocolError
 from ..obs.trace import (SpanClock, Tracer, current_trace, start_trace,
                          use_trace)
+from ..service.batcher import DeadlineBatcher, PendingSign, QueueKey
 from ..service.server import SigningServer, SigningService
 from .merkle import EMPTY_ROOT, MerkleLog, leaf_hash
 
@@ -55,10 +56,6 @@ __all__ = ["AppendReceipt", "Checkpoint", "InclusionProof", "LedgerServer",
 #: Checkpoint files live here under the log root, one per sealed size.
 CHECKPOINT_DIR = "checkpoints"
 _INDEX_WIDTH = 12
-
-#: Most pending appends one seal consumes (sign_many chunks internally,
-#: so this bounds checkpoint cadence, not wire frames).
-MAX_SEAL_BATCH = 64
 
 
 def checkpoint_body(log_id: str, size: int, root: bytes,
@@ -212,9 +209,13 @@ class LedgerService:
         under it, so ``verify`` against the same keystore checks both.
     root:
         Log directory (segments + checkpoints); ``None`` = memory-only.
-    batch_size / max_wait_ms:
-        Seal policy: a full pending batch seals immediately, a partial
-        one when the oldest append has waited *max_wait_ms*.
+    batch_size:
+        The most appends one seal takes.  Appends queue on a
+        :class:`~repro.service.batcher.DeadlineBatcher`: a lone append
+        to an idle ledger seals at once, appends arriving while a seal
+        is in flight wait for the next one, and a longer queue seals in
+        waves of *batch_size*.  A failure anywhere in a seal fails that
+        seal's appends and commits none of them.
     metrics / tracer:
         The unified registry (``repro_ledger_*`` counters/gauges) and
         span sink (``append`` / ``seal`` / ``prove`` spans; one trace id
@@ -223,17 +224,14 @@ class LedgerService:
 
     def __init__(self, client, *, tenant: str = "ledger",
                  key: str = "default", root: str | Path | None = None,
-                 log_id: str = "repro-ledger", batch_size: int = 8,
-                 max_wait_ms: float = 25.0, metrics=None,
-                 tracer: Tracer | None = None):
+                 log_id: str = "repro-ledger", batch_size: int = 64,
+                 metrics=None, tracer: Tracer | None = None):
         if batch_size < 1:
             raise LedgerError(f"batch_size must be >= 1, got {batch_size}")
         self._client = client
         self.tenant = tenant
         self.key = key
         self.log_id = log_id
-        self.batch_size = batch_size
-        self.max_wait_ms = max_wait_ms
         self.root = Path(root) if root is not None else None
         self.tracer = tracer
         self._checkpoints: dict[int, Checkpoint] = {}
@@ -246,11 +244,8 @@ class LedgerService:
         self.log = MerkleLog(
             self.root,
             trusted_size=self._head.size if self._head is not None else 0)
-        #: (payload, future, ambient trace, enqueue wall time) per append.
-        self._pending: list = []
-        self._sealer: asyncio.Task | None = None
-        self._wake = asyncio.Event()
-        self._closed = False
+        self._batcher = DeadlineBatcher(self._seal,
+                                        target_batch_size=batch_size)
         if metrics is None:
             from ..obs.metrics import MetricsRegistry
 
@@ -297,7 +292,7 @@ class LedgerService:
             "checkpoints": len(self._checkpoints),
             "head_size": self._head.size if self._head else 0,
             "head_root": self._head.root.hex() if self._head else None,
-            "pending": len(self._pending),
+            "pending": self._batcher.pending,
         }
 
     # ------------------------------------------------------------------
@@ -306,79 +301,60 @@ class LedgerService:
     async def append(self, payload: bytes) -> AppendReceipt:
         """Ingest one event; resolves once a signed checkpoint covers it.
 
-        Raises the typed signing-tier error (``OverloadedError``,
-        ``NodeUnavailableError``, ...) when the batch could not seal —
-        in that case nothing was committed and the event is not in the
-        log.
+        Raises the error that stopped its seal — the typed signing-tier
+        error (``OverloadedError``, ``NodeUnavailableError``, ...) or the
+        failed segment or checkpoint write's ``OSError``; the event is
+        then not in the log.
         """
-        if self._closed:
+        if self._batcher.closed:
             raise LedgerError("ledger closed; appends are not accepted")
         if not isinstance(payload, (bytes, bytearray, memoryview)):
             raise ProtocolError(
                 f"payload must be bytes, got {type(payload).__name__}")
-        future = asyncio.get_running_loop().create_future()
         ctx = current_trace()
         if ctx is None and self.tracer is not None:
             ctx = start_trace()
-        self._pending.append((bytes(payload), future, ctx, time.time()))
-        if len(self._pending) >= self.batch_size:
-            self._wake.set()
-        if self._sealer is None or self._sealer.done():
-            self._sealer = asyncio.ensure_future(self._seal_loop())
-        return await future
+        return await self._batcher.submit(self.tenant, self.key,
+                                          bytes(payload), trace=ctx)
 
     async def append_many(self, payloads) -> list[AppendReceipt]:
         """Ingest a burst; entries share seal batches where possible."""
         return list(await asyncio.gather(
             *(self.append(payload) for payload in payloads)))
 
-    async def drain(self) -> None:
-        """Wait until every pending append has sealed or failed."""
-        while self._sealer is not None and not self._sealer.done():
-            self._wake.set()
-            await asyncio.shield(self._sealer)
-
     async def close(self) -> None:
-        await self.drain()
-        self._closed = True
+        """Seal what is queued or in flight, then refuse appends."""
+        await self._batcher.flush()
+        self._batcher.close()
 
     # ------------------------------------------------------------------
     # Seal (batch-sign + checkpoint)
     # ------------------------------------------------------------------
-    async def _seal_loop(self) -> None:
-        while self._pending:
-            if len(self._pending) < self.batch_size:
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(),
-                                           self.max_wait_ms / 1000.0)
-                except asyncio.TimeoutError:
-                    pass
-            batch, self._pending = (self._pending[:MAX_SEAL_BATCH],
-                                    self._pending[MAX_SEAL_BATCH:])
-            if batch:
-                await self._seal(batch)
-
     async def _call(self, method, /, *args, **kwargs):
         """Run one client call: await asyncio clients, thread sync ones.
 
         ``asyncio.to_thread`` copies the contextvars context, so the
-        ambient trace installed by the sealer reaches a sync client's
-        own span recording.
+        trace the seal installs reaches a sync client's own span
+        recording.
         """
         if asyncio.iscoroutinefunction(method):
             return await method(*args, **kwargs)
         return await asyncio.to_thread(method, *args, **kwargs)
 
-    async def _seal(self, batch: list) -> None:
-        payloads = [payload for payload, _, _, _ in batch]
-        ctx = next((ctx for _, _, ctx, _ in batch if ctx is not None), None)
+    async def _seal(self, queue_key: QueueKey,
+                    batch: list[PendingSign]) -> None:
+        """The batcher's dispatch: sign *batch* and its checkpoint, then
+        commit both.  Whatever raises is counted and re-raised, and the
+        batcher fails every append of the batch with it."""
+        tenant, key = queue_key  # the ledger's own (tenant, key)
+        payloads = [request.message for request in batch]
+        ctx = next((request.trace for request in batch
+                    if request.trace is not None), None)
         clock = SpanClock()
         try:
             with use_trace(ctx):
                 results = await self._call(
-                    self._client.sign_many, self.tenant, payloads,
-                    key=self.key)
+                    self._client.sign_many, tenant, payloads, key=key)
                 entries = [encode_entry(payload, result.signature)
                            for payload, result in zip(payloads, results)]
                 new_size, new_root = self.log.preview(entries)
@@ -387,22 +363,25 @@ class LedgerService:
                 body = checkpoint_body(self.log_id, new_size, new_root,
                                        prev_root)
                 head_result = await self._call(
-                    self._client.sign, self.tenant, body, key=self.key)
-        except Exception as exc:  # noqa: BLE001 — typed errors fan out
+                    self._client.sign, tenant, body, key=key)
+            # Commit: entries first (their own fsync'd segment), then the
+            # checkpoint that covers them.
+            start = self.log.append(entries)
+            checkpoint = Checkpoint(
+                log_id=self.log_id, size=new_size, root=new_root,
+                prev_root=prev_root, signature=head_result.signature,
+                params=head_result.params, tenant=tenant, key=key)
+            try:
+                self._persist_checkpoint(checkpoint)
+            except Exception:
+                # As after a crash between the two writes: reload drops
+                # the tail no checkpoint covers, so no failed append
+                # stays in the log for the next checkpoint to cover.
+                self.log = MerkleLog(self.root, trusted_size=start)
+                raise
+        except Exception:
             self._failed.inc(len(batch))
-            for _, future, _, _ in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        # Commit: entries first (their own fsync'd segment), then the
-        # checkpoint that covers them; a crash in between leaves an
-        # unacknowledged tail that reload truncates.
-        start = self.log.append(entries)
-        checkpoint = Checkpoint(
-            log_id=self.log_id, size=new_size, root=new_root,
-            prev_root=prev_root, signature=head_result.signature,
-            params=head_result.params, tenant=self.tenant, key=self.key)
-        self._persist_checkpoint(checkpoint)
+            raise
         self._checkpoints[new_size] = checkpoint
         self._head = checkpoint
         self._sealed.inc()
@@ -412,16 +391,17 @@ class LedgerService:
         if self.tracer is not None and ctx is not None:
             self.tracer.record_span(
                 "seal", trace=ctx, span_id=ctx.span_id,
-                start=clock.start, end=ended, tenant=self.tenant,
+                start=clock.start, end=ended, tenant=tenant,
                 batch_size=len(batch), size=new_size)
-        for offset, (_, future, entry_ctx, enqueued) in enumerate(batch):
-            if self.tracer is not None and (entry_ctx or ctx) is not None:
-                span_ctx = entry_ctx if entry_ctx is not None else ctx
+        for offset, request in enumerate(batch):
+            if self.tracer is not None and request.trace is not None:
                 self.tracer.record_span(
-                    "append", trace=span_ctx, parent_id=span_ctx.span_id,
-                    start=enqueued, end=ended, index=start + offset)
-            if not future.done():
-                future.set_result(AppendReceipt(
+                    "append", trace=request.trace,
+                    parent_id=request.trace.span_id,
+                    start=request.enqueued_wall, end=ended,
+                    index=start + offset)
+            if not request.future.done():
+                request.future.set_result(AppendReceipt(
                     index=start + offset,
                     leaf_hash=leaf_hash(entries[offset]),
                     entry=entries[offset], checkpoint=checkpoint))

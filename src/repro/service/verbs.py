@@ -112,8 +112,9 @@ def _b64_list(value: object, name: str,
 
 
 def _entry_list(value: object, name: str) -> list[bytes]:
-    # Ledger appends seal in MAX_SEAL_BATCH waves server-side, so the
-    # wire cap matches the v3 batch ceiling rather than MAX_SIGN_MANY.
+    # A log-append's entries seal in the ledger's batch_size waves
+    # server-side, so the wire cap matches the v3 batch ceiling rather
+    # than MAX_SIGN_MANY.
     return _b64_list(value, name, cap=protocol.MAX_SIGN_MANY_V3)
 
 

@@ -38,7 +38,7 @@ def build_log(tmp_path, entries=5, batch_size=2, keystore_root=None):
         client = LocalClient(keystore, deterministic=True)
         ledger = LedgerService(client, tenant=TENANT,
                                root=tmp_path / "log",
-                               batch_size=batch_size, max_wait_ms=10.0)
+                               batch_size=batch_size)
         await ledger.append_many(
             [f"audit event {i}".encode() for i in range(entries)])
         await ledger.close()

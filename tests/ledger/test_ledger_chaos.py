@@ -89,8 +89,7 @@ class TestPoolWorkerCrash:
             client = LocalClient(keystore, deterministic=True,
                                  **client_options)
             ledger = LedgerService(client, tenant=TENANT,
-                                   root=tmp_path / "log", batch_size=4,
-                                   max_wait_ms=10.0)
+                                   root=tmp_path / "log", batch_size=4)
             offsets = bursty_trace(12, rate=400.0, burst=4, seed=7)
 
             async def crash():
@@ -141,8 +140,7 @@ class TestClusterNodeKill:
                                          health_interval_s=0.05).start()
             client = await AsyncClusterClient.connect(port=cluster.port)
             ledger = LedgerService(client, tenant=TENANT,
-                                   root=tmp_path / "log", batch_size=4,
-                                   max_wait_ms=10.0)
+                                   root=tmp_path / "log", batch_size=4)
             offsets = ramp_trace(10, rate=300.0, seed=11)
 
             async def crash():

@@ -1,4 +1,5 @@
-"""LedgerService pipeline tests: seal ordering, recovery, served verbs.
+"""LedgerService pipeline tests: seal policy and ordering, recovery,
+served verbs.
 
 Everything here runs deterministic SPHINCS+-128f so signatures are
 byte-reproducible; the wire tests drive the ``log-*`` verbs over both
@@ -6,13 +7,16 @@ protocol generations against a live :class:`LedgerServer`.
 """
 
 import asyncio
+import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import LocalClient, verify_inclusion
 from repro.errors import LedgerError, ProtocolError, ServiceError
 from repro.ledger import (InclusionProof, LedgerServer, LedgerService,
-                          decode_entry, verify_consistency_path)
+                          MerkleLog, decode_entry, root_from_inclusion_path,
+                          verify_consistency_path)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.params import get_params
@@ -81,8 +85,7 @@ class TestPipeline:
         async def scenario():
             client = make_client()
             ledger = LedgerService(client, tenant=TENANT,
-                                   root=tmp_path / "log", batch_size=8,
-                                   max_wait_ms=5.0)
+                                   root=tmp_path / "log", batch_size=8)
             first = await ledger.append_many([b"a", b"b", b"c"])
             second = await ledger.append_many([b"d", b"e"])
             await ledger.close()
@@ -157,6 +160,133 @@ class TestPipeline:
             client.close()
 
         asyncio.run(scenario())
+
+
+class InstantClient:
+    """An asyncio client that signs at once: a signature is the
+    message's SHA-256.  ``batches`` holds each ``sign_many``'s payloads
+    and ``called_at`` its ``loop.time()``; while ``gate`` is set to an
+    unset :class:`asyncio.Event`, ``sign_many`` waits for it."""
+
+    def __init__(self):
+        self.batches: list[list[bytes]] = []
+        self.called_at: list[float] = []
+        self.gate: asyncio.Event | None = None
+
+    async def sign_many(self, tenant, payloads, key="default"):
+        self.batches.append(list(payloads))
+        self.called_at.append(asyncio.get_running_loop().time())
+        if self.gate is not None:
+            await self.gate.wait()
+        return [SimpleNamespace(signature=hashlib.sha256(p).digest())
+                for p in payloads]
+
+    async def sign(self, tenant, payload, key="default"):
+        return SimpleNamespace(signature=hashlib.sha256(payload).digest(),
+                               params="SPHINCS+-128f")
+
+
+def proves(ledger, receipt) -> bool:
+    """The receipt's inclusion path leads to its checkpoint's root."""
+    proof = ledger.prove(receipt.index, receipt.checkpoint.size)
+    return root_from_inclusion_path(
+        proof.index, proof.size, receipt.leaf_hash,
+        list(proof.path)) == receipt.checkpoint.root
+
+
+class TestSealPolicy:
+    """One seal in flight, ``batch_size`` as the cap, and no timer."""
+
+    def test_batch_size_below_one_is_refused(self):
+        with pytest.raises(LedgerError, match="batch_size"):
+            LedgerService(InstantClient(), tenant=TENANT, batch_size=0)
+
+    def test_a_lone_append_seals_at_once(self):
+        async def scenario():
+            client = InstantClient()
+            ledger = LedgerService(client, tenant=TENANT, batch_size=8)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            receipt = await ledger.append(b"alone")
+            assert client.batches == [[b"alone"]]
+            assert client.called_at[0] - started < 0.010
+            assert receipt.checkpoint.size == 1
+            await ledger.close()
+
+        asyncio.run(scenario())
+
+    def test_appends_during_a_seal_join_the_next_one(self):
+        async def scenario():
+            client = InstantClient()
+            client.gate = asyncio.Event()
+            ledger = LedgerService(client, tenant=TENANT, batch_size=8)
+            first = asyncio.ensure_future(ledger.append(b"first"))
+            while not client.batches:  # the first seal is in flight
+                await asyncio.sleep(0)
+            later = [asyncio.ensure_future(ledger.append(payload))
+                     for payload in (b"b", b"c", b"d")]
+            await asyncio.sleep(0.01)
+            assert client.batches == [[b"first"]]
+            assert ledger.stats()["pending"] == 3
+            client.gate.set()
+            receipts = [await first] + [await task for task in later]
+            assert client.batches == [[b"first"], [b"b", b"c", b"d"]]
+            assert [r.checkpoint.size for r in receipts] == [1, 4, 4, 4]
+            await ledger.close()
+
+        asyncio.run(scenario())
+
+    def test_a_burst_over_batch_size_seals_in_waves(self):
+        async def scenario():
+            client = InstantClient()
+            ledger = LedgerService(client, tenant=TENANT, batch_size=2)
+            receipts = await ledger.append_many(
+                [b"e%d" % i for i in range(5)])
+            assert [len(batch) for batch in client.batches] == [2, 2, 1]
+            assert [r.checkpoint.size for r in receipts] == [2, 2, 4, 4, 5]
+            await ledger.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("failing", ["segment", "checkpoint"])
+    def test_a_failed_seal_write_fails_every_append_of_the_seal(
+            self, tmp_path, monkeypatch, failing):
+        def broken(*args):
+            raise OSError(f"{failing} write failed")
+
+        if failing == "segment":
+            monkeypatch.setattr(MerkleLog, "append", broken)
+        else:
+            monkeypatch.setattr(LedgerService, "_persist_checkpoint",
+                                broken)
+
+        async def scenario():
+            metrics = MetricsRegistry()
+            ledger = LedgerService(InstantClient(), tenant=TENANT,
+                                   root=tmp_path / "log", batch_size=2,
+                                   metrics=metrics)
+            outcomes = await asyncio.wait_for(asyncio.gather(
+                ledger.append(b"a"), ledger.append(b"b"),
+                return_exceptions=True), 5)
+            assert [str(outcome) for outcome in outcomes] == [
+                f"{failing} write failed"] * 2
+            assert all(isinstance(outcome, OSError)
+                       for outcome in outcomes)
+            assert ledger.head is None and ledger.log.size == 0
+            assert ('repro_ledger_appends_total{outcome="failed"} 2'
+                    in metrics.render_prometheus())
+
+            monkeypatch.undo()
+            receipt = await asyncio.wait_for(ledger.append(b"c"), 5)
+            assert receipt.index == 0 and receipt.checkpoint.size == 1
+            assert proves(ledger, receipt)
+            await ledger.close()
+
+        asyncio.run(scenario())
+        reborn = LedgerService(InstantClient(), tenant=TENANT,
+                               root=tmp_path / "log")
+        assert reborn.log.size == 1
+        assert decode_entry(reborn.log.entry(0))[0] == b"c"
 
 
 class TestRecovery:
@@ -236,8 +366,7 @@ class TestServedVerbs:
                                  max_wait_s=0.05, deterministic=True)
         signer = LocalClient(make_keystore(), deterministic=True)
         ledger = LedgerService(signer, tenant=TENANT,
-                               root=tmp_path / "log", batch_size=4,
-                               max_wait_ms=10.0)
+                               root=tmp_path / "log", batch_size=4)
         server = LedgerServer(service, ledger, port=0)
         await server.start()
         return server, ledger, signer

@@ -350,7 +350,7 @@ class TestRateLimit:
             await server.start()
             client = await AsyncClient.connect(port=server.port)
             ledger = LedgerService(client, root=tmp_path / "log",
-                                   batch_size=4, max_wait_ms=5.0)
+                                   batch_size=4)
             try:
                 # Wave 1: 2 entries + 1 checkpoint = 3 of 7 tokens.
                 first = await ledger.append_many([b"w1-a", b"w1-b"])

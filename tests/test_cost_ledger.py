@@ -1,20 +1,22 @@
 """The cost ledger: exact Python calls per request, tier by tier.
 
 A timing drifts with the machine; a count of calls does not.  Each row
-sends one request through one tier — a replay of a signed message, or a
-verify of a triple the verifier already remembers — with the client and
-every server in one event loop, and counts the calls made between the
+sends one request through one tier — a replay of a signed message, a
+verify of a triple the verifier already remembers, or a ledger append
+whose entry and checkpoint signatures are both replays — with the client
+and every server in one event loop, and counts the calls made between the
 client's call and its result with :func:`sys.setprofile` — calls into
 ``src/repro``, and every other call (the standard library, the event
 loop, C functions) — and, from the same hook, the transport's work:
 socket sends, socket receives and event-loop turns
-(``BaseEventLoop._run_once``).  A served verify runs on the loop's
-executor thread; :func:`threading.setprofile`, set before any thread
-starts, counts that thread's calls too.  Three consecutive requests must
-agree exactly, and no row may exceed its pin.  Everything but the calls into
-``src/repro`` is the interpreter's and its event loop's, so it is
-pinned for the interpreter it was counted on (:data:`PINNED_ON`); on
-any other, only the ``src/repro`` count is held to its pin.
+(``BaseEventLoop._run_once``).  A served verify, and a ledger's call
+into a sync client, runs on the loop's executor thread;
+:func:`threading.setprofile`, set before any thread starts, counts that
+thread's calls too.  Three consecutive requests must agree exactly, and
+no row may exceed its pin.  Everything but the calls into ``src/repro``
+is the interpreter's and its event loop's, so it is pinned for the
+interpreter it was counted on (:data:`PINNED_ON`); on any other, only
+the ``src/repro`` count is held to its pin.
 
 A count above its pin fails: find the call the change added to the
 path, or, if it pays for itself, raise the pin and say why in
@@ -37,6 +39,7 @@ import pytest
 
 from repro.api import AsyncClient, AsyncClusterClient, LocalClient
 from repro.cluster import LocalCluster
+from repro.ledger import LedgerService
 from repro.service import (Keystore, SigningServer, SigningService,
                            derive_seed)
 from repro.params import get_params
@@ -64,6 +67,7 @@ COSTS = {
     ("local", "verify"): Cost(36, 43, 0, 0, 0),
     ("tcp-v3", "verify"): Cost(103, 366, 3, 4, 6),
     ("cluster-v3", "verify"): Cost(128, 465, 5, 6, 8),
+    ("local", "append"): Cost(90, 503, 2, 4, 6),
 }
 
 TENANT, MESSAGE = "ledger", b"a replayed attestation"
@@ -250,10 +254,36 @@ async def _cluster_requests(version: int, request: str) -> list[Cost]:
         await cluster.stop()
 
 
+async def _append_requests() -> list[Cost]:
+    """The first append of a fresh memory-only ledger, three times, on
+    a client whose memo a warm-up ledger filled with that history: the
+    entry's signature and the size-1 checkpoint's are both replays."""
+    _one_executor_thread()
+    client = LocalClient(_keystore(), deterministic=True, workers=0)
+    try:
+        warm = LedgerService(client, tenant=TENANT)
+        signed = await warm.append(MESSAGE)
+        await warm.close()
+        counts = []
+        for _ in range(3):
+            ledger = LedgerService(client, tenant=TENANT)
+            count, receipt = await _acounted(
+                lambda: ledger.append(MESSAGE))
+            await ledger.close()
+            assert receipt.entry == signed.entry
+            assert receipt.checkpoint == signed.checkpoint
+            counts.append(count)
+        return counts
+    finally:
+        client.close()
+
+
 def measure(tier: str, request: str = "replay") -> list[Cost]:
     """Three consecutive counts of *request* through *tier*."""
     threading.setprofile(_thread_hook)
     try:
+        if request == "append":
+            return asyncio.run(_append_requests())
         if tier == "local":
             return _local_requests(request)
         kind, version = tier.split("-v")
@@ -291,6 +321,10 @@ def test_a_replay_costs_no_more_calls_than_its_pin(tier, request_kind):
     tier for tier, request in COSTS if request == "verify"))
 def test_a_remembered_verify_costs_no_more_calls_than_its_pin(tier):
     _check(tier, "verify")
+
+
+def test_a_replayed_append_costs_no_more_calls_than_its_pin():
+    _check("local", "append")
 
 
 if __name__ == "__main__":
