@@ -35,7 +35,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from ..durable import write_durably
+from ..durable import make_dirs, write_durably
 from ..errors import LedgerError
 from ..service.protocol import pack_json
 
@@ -192,7 +192,7 @@ class MerkleLog:
         #: for every such complete subtree; ``_levels[0]`` is leaf hashes.
         self._levels: list[list[bytes]] = [[]]
         if self.root is not None:
-            (self.root / SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
+            make_dirs(self.root / SEGMENT_DIR)
             self._load(trusted_size)
 
     # ------------------------------------------------------------------
@@ -308,22 +308,7 @@ class MerkleLog:
         return (len(self._entries) + len(entries),
                 _fold([node for _, node in pieces]))
 
-    def append(self, entries: list[bytes]) -> int:
-        """Append *entries* as one sealed batch; returns the start index.
-
-        Disk-backed logs persist the batch as one segment file before
-        the in-memory tree advances — fsync-then-rename, so a crash
-        leaves either the whole segment or none of it.
-        """
-        if not entries:
-            raise LedgerError("cannot append an empty batch")
-        start = len(self._entries)
-        if self.root is not None:
-            self._write_segment(start, entries)
-        self._extend(entries)
-        return start
-
-    def _extend(self, entries: list[bytes]) -> None:
+    def extend(self, entries: list[bytes]) -> None:
         """Add *entries* and every complete subtree they close."""
         levels = self._levels
         self._entries.extend(entries)
@@ -340,13 +325,15 @@ class MerkleLog:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _segment_path(self, start: int) -> Path:
+    def write_segment(self, start: int, entries: list[bytes]) -> None:
+        """Persist *entries* as the segment starting at index *start*,
+        fsync-then-rename: a crash leaves all of it or none.  Memory is
+        untouched; a seal calls :meth:`extend` once its checkpoint is
+        durable too."""
         assert self.root is not None
-        return self.root / SEGMENT_DIR / f"{start:0{_INDEX_WIDTH}d}.seg"
-
-    def _write_segment(self, start: int, entries: list[bytes]) -> None:
-        write_durably(self._segment_path(start), pack_json(
-            {"start": start, "entries": entries}) + b"\n", 0o644)
+        write_durably(
+            self.root / SEGMENT_DIR / f"{start:0{_INDEX_WIDTH}d}.seg",
+            pack_json({"start": start, "entries": entries}) + b"\n", 0o644)
 
     def _load(self, trusted_size: int | None) -> None:
         assert self.root is not None
@@ -375,7 +362,7 @@ class MerkleLog:
             # Beyond the last checkpoint nothing was ever acknowledged:
             # drop the tail (the next seal rewrites that segment name).
             entries = entries[:trusted_size]
-        self._extend(entries)
+        self.extend(entries)
 
     def __repr__(self) -> str:
         where = str(self.root) if self.root is not None else "memory"

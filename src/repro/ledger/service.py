@@ -7,13 +7,12 @@ append-only, signed :class:`~repro.ledger.merkle.MerkleLog`:
    the signing service's :class:`~repro.service.batcher.DeadlineBatcher`,
    whose dispatch is the seal: one seal in flight, the next taking up to
    ``batch_size`` of what arrived meanwhile, and no timer.
-2. **Batch-sign** — the pending payloads go through the typed facade's
-   ``sign_many`` in one call, on *any* transport (local, pooled, tcp,
-   cluster), so the ledger exercises whatever tier it is pointed at.
-3. **Checkpoint** — the batch's candidate tree head is signed (one
-   ``sign`` call) *before* anything is committed; only then do the
-   entries land on disk as one segment and the signed checkpoint as one
-   checkpoint file, both fsync-then-rename.
+2. **Batch-sign** — a worker thread sends the pending payloads through
+   the typed facade's ``sign_many`` on *any* transport (local, pooled,
+   tcp, cluster), so the ledger exercises whatever tier it points at.
+3. **Checkpoint** — a second worker-thread job signs the candidate tree
+   head, then writes the segment and the checkpoint (fsync-then-rename);
+   only then does the loop extend the in-memory log and move the head.
 
 The ordering is the crash-safety argument for the pipeline's core
 invariant — **no accepted-but-unverifiable entries**: an append is
@@ -22,8 +21,9 @@ durable, so every acknowledged receipt can produce an inclusion proof
 against a signed tree head.  A failure anywhere in the seal — signing,
 the segment write or the checkpoint write — fails every append of that
 seal with the error raised, and the next seal starts from the last
-signed head.  A crash between the segment write and the checkpoint
-write leaves an *unacknowledged* tail, which reload truncates.
+signed head.  A failed write, or a crash between the two, leaves an
+*unacknowledged* tail on disk, which the next seal overwrites and
+reload truncates.
 
 Serving rides the existing stack: ``ledger_registry()`` in
 :mod:`repro.service.verbs` adds the ``log-append`` / ``log-proof`` /
@@ -38,10 +38,11 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..durable import write_durably
+from ..durable import make_dirs, write_durably
 from ..errors import LedgerError, ProtocolError
 from ..obs.trace import (SpanClock, Tracer, current_trace, start_trace,
                          use_trace)
@@ -200,10 +201,9 @@ class LedgerService:
     Parameters
     ----------
     client:
-        A typed signing client — the sync :class:`~repro.api.SigningClient`
-        facade (local / pooled / tcp / cluster) or the asyncio
-        ``AsyncClient``.  Sync clients run on a worker thread so signing
-        never blocks the event loop.
+        The sync :class:`~repro.api.SigningClient` facade (local / pooled
+        / tcp / cluster), called from worker threads only.  An asyncio
+        ``AsyncClient`` on the ledger's loop is hosted in that facade.
     tenant / key:
         The log's signing identity; entries and checkpoints both sign
         under it, so ``verify`` against the same keystore checks both.
@@ -228,6 +228,11 @@ class LedgerService:
                  metrics=None, tracer: Tracer | None = None):
         if batch_size < 1:
             raise LedgerError(f"batch_size must be >= 1, got {batch_size}")
+        from ..api.tcp import AsyncClient, TcpClient
+
+        if isinstance(client, AsyncClient):
+            client = TcpClient(client, asyncio.get_running_loop(),
+                               threading.current_thread())
         self._client = client
         self.tenant = tenant
         self.key = key
@@ -237,7 +242,7 @@ class LedgerService:
         self._checkpoints: dict[int, Checkpoint] = {}
         self._head: Checkpoint | None = None
         if self.root is not None:
-            (self.root / CHECKPOINT_DIR).mkdir(parents=True, exist_ok=True)
+            make_dirs(self.root / CHECKPOINT_DIR)
             for checkpoint in load_checkpoints(self.root):
                 self._checkpoints[checkpoint.size] = checkpoint
                 self._head = checkpoint
@@ -330,58 +335,34 @@ class LedgerService:
     # ------------------------------------------------------------------
     # Seal (batch-sign + checkpoint)
     # ------------------------------------------------------------------
-    async def _call(self, method, /, *args, **kwargs):
-        """Run one client call: await asyncio clients, thread sync ones.
-
-        ``asyncio.to_thread`` copies the contextvars context, so the
-        trace the seal installs reaches a sync client's own span
-        recording.
-        """
-        if asyncio.iscoroutinefunction(method):
-            return await method(*args, **kwargs)
-        return await asyncio.to_thread(method, *args, **kwargs)
-
     async def _seal(self, queue_key: QueueKey,
                     batch: list[PendingSign]) -> None:
-        """The batcher's dispatch: sign *batch* and its checkpoint, then
-        commit both.  Whatever raises is counted and re-raised, and the
-        batcher fails every append of the batch with it."""
+        """The batcher's dispatch: sign *batch*, then its checkpoint and
+        both writes, on worker threads; extend the log on the loop last.
+        Whatever raises is counted and re-raised, the batcher fails every
+        append of the batch with it, and memory stays at the signed head."""
         tenant, key = queue_key  # the ledger's own (tenant, key)
         payloads = [request.message for request in batch]
         ctx = next((request.trace for request in batch
                     if request.trace is not None), None)
         clock = SpanClock()
+        start = self.log.size
         try:
+            # ``to_thread`` copies the context, so the seal's trace
+            # reaches the client's own span recording.
             with use_trace(ctx):
-                results = await self._call(
+                results = await asyncio.to_thread(
                     self._client.sign_many, tenant, payloads, key=key)
                 entries = [encode_entry(payload, result.signature)
                            for payload, result in zip(payloads, results)]
                 new_size, new_root = self.log.preview(entries)
-                prev_root = (self._head.root if self._head is not None
-                             else EMPTY_ROOT)
-                body = checkpoint_body(self.log_id, new_size, new_root,
-                                       prev_root)
-                head_result = await self._call(
-                    self._client.sign, tenant, body, key=key)
-            # Commit: entries first (their own fsync'd segment), then the
-            # checkpoint that covers them.
-            start = self.log.append(entries)
-            checkpoint = Checkpoint(
-                log_id=self.log_id, size=new_size, root=new_root,
-                prev_root=prev_root, signature=head_result.signature,
-                params=head_result.params, tenant=tenant, key=key)
-            try:
-                self._persist_checkpoint(checkpoint)
-            except Exception:
-                # As after a crash between the two writes: reload drops
-                # the tail no checkpoint covers, so no failed append
-                # stays in the log for the next checkpoint to cover.
-                self.log = MerkleLog(self.root, trusted_size=start)
-                raise
+                checkpoint = await asyncio.to_thread(
+                    self._sign_and_write, start, entries, new_size,
+                    new_root)
         except Exception:
             self._failed.inc(len(batch))
             raise
+        self.log.extend(entries)
         self._checkpoints[new_size] = checkpoint
         self._head = checkpoint
         self._sealed.inc()
@@ -443,17 +424,27 @@ class LedgerService:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _checkpoint_path(self, size: int) -> Path:
-        assert self.root is not None
-        return (self.root / CHECKPOINT_DIR
-                / f"{size:0{_INDEX_WIDTH}d}.json")
-
-    def _persist_checkpoint(self, checkpoint: Checkpoint) -> None:
-        if self.root is None:
-            return
-        write_durably(self._checkpoint_path(checkpoint.size),
-                      json.dumps(checkpoint.as_dict(), indent=2) + "\n",
-                      0o644)
+    def _sign_and_write(self, start: int, entries: list[bytes], size: int,
+                        root: bytes) -> Checkpoint:
+        """The seal's worker-thread commit: sign the tree head over the
+        log plus *entries*, then write the segment and the checkpoint
+        covering it, each durably and in that order.  Nothing in memory
+        changes; one seal is in flight, so the head it reads holds."""
+        prev_root = (self._head.root if self._head is not None
+                     else EMPTY_ROOT)
+        head_result = self._client.sign(
+            self.tenant, checkpoint_body(self.log_id, size, root, prev_root),
+            key=self.key)
+        checkpoint = Checkpoint(
+            log_id=self.log_id, size=size, root=root, prev_root=prev_root,
+            signature=head_result.signature, params=head_result.params,
+            tenant=self.tenant, key=self.key)
+        if self.root is not None:
+            self.log.write_segment(start, entries)
+            write_durably(
+                self.root / CHECKPOINT_DIR / f"{size:0{_INDEX_WIDTH}d}.json",
+                json.dumps(checkpoint.as_dict(), indent=2) + "\n", 0o644)
+        return checkpoint
 
 
 class LedgerServer(SigningServer):

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from ..durable import write_durably
+from ..durable import make_dirs, write_durably
 from ..errors import KeystoreError
 from ..params import get_params
 from ..sphincs.signer import KeyPair, Sphincs
@@ -185,7 +185,7 @@ class Keystore:
         # engine resolves on: no eviction between the LRU's get and move.
         self._lock = threading.RLock()
         if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+            make_dirs(self.root)
             self._open_root()
 
     # ------------------------------------------------------------------
@@ -431,7 +431,7 @@ class Keystore:
             },
         }
         path = self.shard_path(record.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        make_dirs(path.parent)
         # 0600: the file holds secret key material (sk_seed, sk_prf).
         write_durably(path, json.dumps(payload, indent=2) + "\n", 0o600)
         self._index[record.name] = path

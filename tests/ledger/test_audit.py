@@ -120,7 +120,7 @@ class TestRunAudit:
         # A tail segment without a covering checkpoint: never acked.
         from repro.ledger import MerkleLog
 
-        MerkleLog(tmp_path / "log").append([b"never acked"])
+        MerkleLog(tmp_path / "log").write_segment(4, [b"never acked"])
         report = run_audit(tmp_path / "log", keystore, tenant=TENANT,
                            deterministic=True)
         assert report["ok"] is True

@@ -78,8 +78,15 @@ def entries_up_to(n):
 
 def full_log(n):
     log = MerkleLog()
-    log.append(entries_up_to(n))
+    log.extend(entries_up_to(n))
     return log
+
+
+def seal(log, entries):
+    """Write *entries* as the log's next segment, then extend the tree:
+    the two halves a ledger seal runs, in its order."""
+    log.write_segment(log.size, entries)
+    log.extend(entries)
 
 
 class TestTreeHeads:
@@ -108,7 +115,7 @@ class TestTreeHeads:
         tail = [b"six", b"seven"]
         new_size, new_root = log.preview(tail)
         assert log.size == 5  # nothing mutated
-        log.append(tail)
+        log.extend(tail)
         assert (new_size, new_root) == (7, log.root_hash())
 
 
@@ -179,8 +186,8 @@ class TestConsistencyProofs:
     def test_forked_history_fails(self):
         log = full_log(MAX_SIZE)
         fork = MerkleLog()
-        fork.append(entries_up_to(3))
-        fork.append([b"forked!"])
+        fork.extend(entries_up_to(3))
+        fork.extend([b"forked!"])
         for new in range(5, MAX_SIZE + 1):
             path = log.consistency_path(4, new)
             assert not verify_consistency_path(
@@ -228,8 +235,8 @@ class TestConsistencyProofs:
 class TestPersistence:
     def test_reload_preserves_entries_and_root(self, tmp_path):
         log = MerkleLog(tmp_path / "log")
-        log.append(entries_up_to(3))
-        log.append([b"three", b"four"])
+        seal(log, entries_up_to(3))
+        seal(log, [b"three", b"four"])
         reloaded = MerkleLog(tmp_path / "log")
         assert reloaded.size == 5
         assert reloaded.root_hash() == log.root_hash()
@@ -237,30 +244,30 @@ class TestPersistence:
 
     def test_segments_are_atomic_no_temp_residue(self, tmp_path):
         log = MerkleLog(tmp_path / "log")
-        log.append(entries_up_to(4))
+        seal(log, entries_up_to(4))
         segment_dir = tmp_path / "log" / "segments"
         assert sorted(p.name for p in segment_dir.iterdir()) == [
             "000000000000.seg"]
-        log.append([b"more"])
+        seal(log, [b"more"])
         assert not list(segment_dir.glob("*.tmp"))
 
     def test_trusted_size_truncates_unacked_tail(self, tmp_path):
         log = MerkleLog(tmp_path / "log")
-        log.append(entries_up_to(4))
-        log.append([b"never acked", b"also not"])
+        seal(log, entries_up_to(4))
+        seal(log, [b"never acked", b"also not"])
         truncated = MerkleLog(tmp_path / "log", trusted_size=4)
         assert truncated.size == 4
         assert truncated.root_hash() == log.root_hash(4)
 
     def test_trusted_size_beyond_disk_raises(self, tmp_path):
         log = MerkleLog(tmp_path / "log")
-        log.append(entries_up_to(2))
+        seal(log, entries_up_to(2))
         with pytest.raises(LedgerError, match="missing"):
             MerkleLog(tmp_path / "log", trusted_size=5)
 
     def test_corrupt_segment_raises(self, tmp_path):
         log = MerkleLog(tmp_path / "log")
-        log.append(entries_up_to(2))
+        seal(log, entries_up_to(2))
         segment = next((tmp_path / "log" / "segments").glob("*.seg"))
         segment.write_text("{not json")
         with pytest.raises(LedgerError, match="corrupt segment"):
@@ -268,8 +275,8 @@ class TestPersistence:
 
     def test_missing_middle_segment_detected(self, tmp_path):
         log = MerkleLog(tmp_path / "log")
-        log.append(entries_up_to(2))
-        log.append([b"second batch"])
+        seal(log, entries_up_to(2))
+        seal(log, [b"second batch"])
         first = tmp_path / "log" / "segments" / "000000000000.seg"
         first.unlink()
         with pytest.raises(LedgerError, match="missing or duplicated"):
@@ -279,7 +286,7 @@ class TestPersistence:
         # The storage format is part of the audit surface: an external
         # tool must be able to read segments without this codebase.
         log = MerkleLog(tmp_path / "log")
-        log.append([b"\x00\x01binary"])
+        seal(log, [b"\x00\x01binary"])
         record = json.loads(
             (tmp_path / "log" / "segments" / "000000000000.seg")
             .read_text())
@@ -290,8 +297,8 @@ class TestPersistence:
         # golden/ holds the segments this exact history wrote before
         # entries were spliced into the segment JSON as raw bytes.
         log = MerkleLog(tmp_path / "log")
-        log.append([b"first", b"", bytes(range(256))])
-        log.append([_blob(1000), "café ☃".encode()])
+        seal(log, [b"first", b"", bytes(range(256))])
+        seal(log, [_blob(1000), "café ☃".encode()])
         written = tmp_path / "log" / "segments"
         assert sorted(p.name for p in written.iterdir()) == sorted(
             p.name for p in GOLDEN.iterdir())
@@ -338,7 +345,7 @@ class TestAgainstTheRecursiveDefinition:
             hashes = [leaf_hash(entry) for entry in entries + batch]
             assert log.preview(batch) == (len(hashes),
                                           mth(hashes, 0, len(hashes)))
-            log.append(batch)
+            seal(log, batch)
             entries += batch
             if number == reload_after:
                 log = MerkleLog(root)

@@ -8,6 +8,8 @@ protocol generations against a live :class:`LedgerServer`.
 
 import asyncio
 import hashlib
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +19,7 @@ from repro.errors import LedgerError, ProtocolError, ServiceError
 from repro.ledger import (InclusionProof, LedgerServer, LedgerService,
                           MerkleLog, decode_entry, root_from_inclusion_path,
                           verify_consistency_path)
+from repro.ledger import merkle, service as ledger_service
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.params import get_params
@@ -163,25 +166,26 @@ class TestPipeline:
 
 
 class InstantClient:
-    """An asyncio client that signs at once: a signature is the
-    message's SHA-256.  ``batches`` holds each ``sign_many``'s payloads
-    and ``called_at`` its ``loop.time()``; while ``gate`` is set to an
-    unset :class:`asyncio.Event`, ``sign_many`` waits for it."""
+    """A sync client that signs at once: a signature is the message's
+    SHA-256.  ``batches`` holds each ``sign_many``'s payloads and
+    ``called_at`` its ``time.monotonic()``; while ``gate`` is set to an
+    unset :class:`threading.Event`, ``sign_many`` (on the seal's worker
+    thread) waits for it."""
 
     def __init__(self):
         self.batches: list[list[bytes]] = []
         self.called_at: list[float] = []
-        self.gate: asyncio.Event | None = None
+        self.gate: threading.Event | None = None
 
-    async def sign_many(self, tenant, payloads, key="default"):
+    def sign_many(self, tenant, payloads, key="default"):
         self.batches.append(list(payloads))
-        self.called_at.append(asyncio.get_running_loop().time())
+        self.called_at.append(time.monotonic())
         if self.gate is not None:
-            await self.gate.wait()
+            self.gate.wait(5)
         return [SimpleNamespace(signature=hashlib.sha256(p).digest())
                 for p in payloads]
 
-    async def sign(self, tenant, payload, key="default"):
+    def sign(self, tenant, payload, key="default"):
         return SimpleNamespace(signature=hashlib.sha256(payload).digest(),
                                params="SPHINCS+-128f")
 
@@ -205,8 +209,7 @@ class TestSealPolicy:
         async def scenario():
             client = InstantClient()
             ledger = LedgerService(client, tenant=TENANT, batch_size=8)
-            loop = asyncio.get_running_loop()
-            started = loop.time()
+            started = time.monotonic()
             receipt = await ledger.append(b"alone")
             assert client.batches == [[b"alone"]]
             assert client.called_at[0] - started < 0.010
@@ -218,17 +221,19 @@ class TestSealPolicy:
     def test_appends_during_a_seal_join_the_next_one(self):
         async def scenario():
             client = InstantClient()
-            client.gate = asyncio.Event()
+            client.gate = threading.Event()
             ledger = LedgerService(client, tenant=TENANT, batch_size=8)
             first = asyncio.ensure_future(ledger.append(b"first"))
-            while not client.batches:  # the first seal is in flight
-                await asyncio.sleep(0)
-            later = [asyncio.ensure_future(ledger.append(payload))
-                     for payload in (b"b", b"c", b"d")]
-            await asyncio.sleep(0.01)
-            assert client.batches == [[b"first"]]
-            assert ledger.stats()["pending"] == 3
-            client.gate.set()
+            try:
+                while not client.batches:  # the first seal is in flight
+                    await asyncio.sleep(0.001)
+                later = [asyncio.ensure_future(ledger.append(payload))
+                         for payload in (b"b", b"c", b"d")]
+                await asyncio.sleep(0.01)
+                assert client.batches == [[b"first"]]
+                assert ledger.stats()["pending"] == 3
+            finally:
+                client.gate.set()
             receipts = [await first] + [await task for task in later]
             assert client.batches == [[b"first"], [b"b", b"c", b"d"]]
             assert [r.checkpoint.size for r in receipts] == [1, 4, 4, 4]
@@ -255,16 +260,16 @@ class TestSealPolicy:
             raise OSError(f"{failing} write failed")
 
         if failing == "segment":
-            monkeypatch.setattr(MerkleLog, "append", broken)
+            monkeypatch.setattr(MerkleLog, "write_segment", broken)
         else:
-            monkeypatch.setattr(LedgerService, "_persist_checkpoint",
-                                broken)
+            monkeypatch.setattr(ledger_service, "write_durably", broken)
 
         async def scenario():
             metrics = MetricsRegistry()
             ledger = LedgerService(InstantClient(), tenant=TENANT,
                                    root=tmp_path / "log", batch_size=2,
                                    metrics=metrics)
+            log = ledger.log
             outcomes = await asyncio.wait_for(asyncio.gather(
                 ledger.append(b"a"), ledger.append(b"b"),
                 return_exceptions=True), 5)
@@ -273,12 +278,15 @@ class TestSealPolicy:
             assert all(isinstance(outcome, OSError)
                        for outcome in outcomes)
             assert ledger.head is None and ledger.log.size == 0
+            # Memory never moved, so nothing was rebuilt from disk.
+            assert ledger.log is log
             assert ('repro_ledger_appends_total{outcome="failed"} 2'
                     in metrics.render_prometheus())
 
             monkeypatch.undo()
             receipt = await asyncio.wait_for(ledger.append(b"c"), 5)
             assert receipt.index == 0 and receipt.checkpoint.size == 1
+            assert ledger.log is log
             assert proves(ledger, receipt)
             await ledger.close()
 
@@ -287,6 +295,39 @@ class TestSealPolicy:
                                root=tmp_path / "log")
         assert reborn.log.size == 1
         assert decode_entry(reborn.log.entry(0))[0] == b"c"
+
+    def test_a_proof_answers_on_the_loop_while_a_seal_writes(
+            self, tmp_path, monkeypatch):
+        real_write = merkle.write_durably
+        writes = []  # when each durable write began
+
+        def slow_write(path, text, mode):
+            writes.append(time.monotonic())
+            time.sleep(0.3)
+            real_write(path, text, mode)
+
+        async def scenario():
+            ledger = LedgerService(InstantClient(), tenant=TENANT,
+                                   root=tmp_path / "log", batch_size=2)
+            first = await ledger.append(b"sealed")
+            for module in (merkle, ledger_service):
+                monkeypatch.setattr(module, "write_durably", slow_write)
+            sealing = asyncio.ensure_future(ledger.append(b"writing"))
+            while not writes:  # the seal's segment write has begun
+                await asyncio.sleep(0.001)
+            proof = ledger.prove(first.index)
+            answered = time.monotonic() - writes[0]
+            assert answered < 0.1
+            # Memory moves only after both writes: the proof is against
+            # the old head.
+            assert proof.size == 1 and ledger.log.size == 1
+            receipt = await sealing
+            assert len(writes) == 2
+            assert receipt.index == 1 and ledger.log.size == 2
+            assert proves(ledger, receipt)
+            await ledger.close()
+
+        asyncio.run(scenario())
 
 
 class TestRecovery:
@@ -326,7 +367,7 @@ class TestRecovery:
             sealed = ledger.head.size
             await ledger.close()
             # The un-checkpointed tail, written as the crash left it.
-            ledger.log.append([b"never acked"])
+            ledger.log.write_segment(sealed, [b"never acked"])
 
             reborn = LedgerService(client, tenant=TENANT,
                                    root=tmp_path / "log", batch_size=2)

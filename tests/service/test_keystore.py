@@ -107,7 +107,8 @@ class TestPersistence:
 
     def test_save_fsyncs_before_replace(self, tmp_path, monkeypatch):
         """The tenant file's bytes reach the disk before the rename makes
-        them live: the fsynced inode is the one that lands at the path."""
+        them live: the fsynced inode is the one that lands at the path,
+        and the shard directory is fsynced after, so the rename lasts."""
         keystore = Keystore(tmp_path)
         keystore.add_tenant("acme")
         calls = []
@@ -120,7 +121,8 @@ class TestPersistence:
         keystore.generate_key("acme", seed=bytes(48))
         path = keystore.shard_path("acme")
         assert calls == [("fsync", path.stat().st_ino),
-                         ("replace", f"{path}.tmp", str(path))]
+                         ("replace", f"{path}.tmp", str(path)),
+                         ("fsync", path.parent.stat().st_ino)]
 
     def test_failed_save_leaves_old_file_and_no_temp(self, tmp_path,
                                                      monkeypatch):

@@ -986,10 +986,10 @@ FORMATS = {
                "service/keystore.py::Keystore._save"),
     "<log>/segments/<start>.seg":
         Format("ledger/merkle.py::MerkleLog._load",
-               "ledger/merkle.py::MerkleLog._write_segment"),
+               "ledger/merkle.py::MerkleLog.write_segment"),
     "<log>/checkpoints/<size>.json":
         Format("ledger/service.py::load_checkpoints",
-               "ledger/service.py::LedgerService._persist_checkpoint"),
+               "ledger/service.py::LedgerService._sign_and_write"),
     "--trace-out <spans>.jsonl, read by trace --input":
         Format("obs/trace.py::load_spans", "obs/trace.py::Tracer.record"),
     "sign --out <signature>, read by verify --sig":

@@ -67,7 +67,7 @@ COSTS = {
     ("local", "verify"): Cost(36, 43, 0, 0, 0),
     ("tcp-v3", "verify"): Cost(103, 366, 3, 4, 6),
     ("cluster-v3", "verify"): Cost(128, 465, 5, 6, 8),
-    ("local", "append"): Cost(90, 503, 2, 4, 6),
+    ("local", "append"): Cost(86, 479, 2, 4, 6),
 }
 
 TENANT, MESSAGE = "ledger", b"a replayed attestation"
