@@ -46,7 +46,7 @@ import functools
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..hashes.address import AddressTemplate, AddressType, packed_u32
 from ..hashes.thash import HashContext
@@ -54,10 +54,12 @@ from ..params import SphincsParams, get_params
 from ..sphincs.encoding import base_w, message_to_indices, split_digest
 from ..sphincs.fors import ForsSignature
 from ..sphincs.merkle import TreeLevels, auth_path, batched_leaves
-from .layercache import HypertreeLayerCache
+
+if TYPE_CHECKING:
+    from .layercache import HypertreeLayerCache
 
 __all__ = ["FastOps", "FastVerifier", "flat_auth_path", "node_slice",
-           "wots_digits"]
+           "path_hops", "wots_digits"]
 
 #: Accepted triples a :class:`FastVerifier` remembers, as 32-byte digests
 #: (~100 KB full): several thousand ledger rounds' distinct checkpoints.
@@ -113,6 +115,19 @@ def flat_auth_path(nodes: bytes, leaf: int, n: int,
     subtree — ``merkle.auth_path`` for the one-buffer layout."""
     return [nodes[node_slice(level, (leaf >> level) ^ 1, n, 1 << height)]
             for level in range(height)]
+
+
+def path_hops(params: SphincsParams, tree: int, leaf: int,
+              first: int = 0) -> list[tuple[int, int, int]]:
+    """The ``(layer, tree, leaf)`` a hypertree path visits from layer
+    *first*, where it stands at *tree* and *leaf*, to the top: a layer's
+    root is signed one layer up by leaf ``tree mod tree_leaves`` of tree
+    ``tree >> tree_height``."""
+    hops, height = [], params.tree_height
+    for layer in range(first, params.d):
+        hops.append((layer, tree, leaf))
+        leaf, tree = tree & (params.tree_leaves - 1), tree >> height
+    return hops
 
 
 def _absorbed(mid, prefix: bytes):
@@ -478,8 +493,8 @@ class FastVerifier:
 
         # Hypertree: per layer, the node out of its memo or of its walk;
         # the root is the next layer's message.
-        span, height = params.xmss_sig_bytes, params.tree_height
-        for layer in range(params.d):
+        span = params.xmss_sig_bytes
+        for layer, tree, leaf in path_hops(params, tree, leaf):
             prefix = AddressTemplate(
                 layer, tree, AddressType.WOTS_HASH, leaf).prefix
             layer_sig = sig[off:off + span]
@@ -498,8 +513,6 @@ class FastVerifier:
                 if key is not None:
                     learned.append((key, out))
             node = out
-            leaf = tree & (params.tree_leaves - 1)
-            tree >>= height
         return node
 
     def _layer(self, mids, layer: int, tree: int, leaf: int, prefix: bytes,

@@ -42,6 +42,7 @@ from collections import OrderedDict
 
 from ..errors import BackendError
 from ..params import PARAMETER_SETS, SphincsParams, get_params
+from .plan import RUN, SUBTREE, task_hashes
 
 __all__ = [
     "DEFAULT_BUDGET_MB",
@@ -55,10 +56,8 @@ __all__ = [
     "pinned_link_count",
     "pinned_tree_count",
     "savings_fraction",
-    "subtree_build_hashes",
     "tradeoff_table",
     "tree_entry_bytes",
-    "wots_link_sign_hashes",
 ]
 
 DEFAULT_BUDGET_MB = 32.0
@@ -95,17 +94,6 @@ def link_entry_bytes(params: SphincsParams) -> int:
     return params.wots_len * params.n + _ENTRY_OVERHEAD
 
 
-def subtree_build_hashes(params: SphincsParams) -> int:
-    """Hash calls to build one XMSS subtree from scratch."""
-    return (params.tree_leaves * params.hashes_per_wots_leaf
-            + params.tree_leaves - 1)
-
-
-def wots_link_sign_hashes(params: SphincsParams) -> int:
-    """Average hash calls for one WOTS signature (PRF + w/2 steps/chain)."""
-    return params.wots_len * (1 + params.w // 2)
-
-
 def pinned_tree_count(params: SphincsParams, layers: int) -> int:
     """Subtrees in the top *layers* layers reachable from the root.
 
@@ -138,24 +126,22 @@ def pinned_bytes(params: SphincsParams, layers: int) -> int:
 
 
 def fill_hashes(params: SphincsParams, layers: int) -> int:
-    """Hash cost of filling the whole pinned region for one key: the
-    subtree builds, whose chain tables hold every link signature.  Fills
-    on demand pay it at most once, and only for the paths traffic walks."""
-    return pinned_tree_count(params, layers) * subtree_build_hashes(params)
+    """Hash cost of filling the whole pinned region for one key: a
+    ``SUBTREE`` task per tree, whose chain tables hold every link
+    signature.  Fills on demand pay it at most once, and only for the
+    paths traffic walks."""
+    return pinned_tree_count(params, layers) * task_hashes(
+        params, (SUBTREE, 0, 0, ()))
 
 
 def savings_fraction(params: SphincsParams, layers: int) -> float:
-    """Fraction of a fresh signature's hash calls a warm pinned region
-    removes.
-
-    Every signing path traverses all pinned layers: *layers* subtree
-    builds plus, for each pinned layer except the lowest, the WOTS link
-    signature above it.
-    """
+    """Fraction of a fresh signature's hashes a warm pinned region
+    removes: a cold plan is one ``RUN`` with FORS up all ``d`` layers,
+    and every signing path takes *layers* subtree builds of it out of
+    the cache (its links with them: a table lookup costs no hash)."""
     layers = max(0, min(layers, params.d))
-    saved = (layers * subtree_build_hashes(params)
-             + max(0, layers - 1) * wots_link_sign_hashes(params))
-    return saved / params.total_sign_hashes()
+    return (task_hashes(params, (RUN, None, 0, 0, 0, layers))
+            / task_hashes(params, (RUN, b"", 0, 0, 0, params.d)))
 
 
 def choose_pinned_layers(params: SphincsParams, budget_bytes: int) -> int:

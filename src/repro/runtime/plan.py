@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import BackendError
+from ..params import SphincsParams
 from ..sphincs.signer import SignTask
-from .fastops import FastOps, flat_auth_path, wots_digits
+from .fastops import FastOps, flat_auth_path, path_hops, wots_digits
 
 __all__ = ["RUN", "SUBTREE", "SigningPlan", "TaskRun", "chain_values",
-           "cut", "run_task"]
+           "cut", "run_task", "task_hashes"]
 
 #: Task kinds — ``(RUN, fors_msg | None, layer, tree, leaf, layers)``: FORS
 #: if given, then *layers* layers up — and ``(SUBTREE, layer, tree, leaves)``
@@ -83,7 +84,7 @@ def run_task(ops: FastOps, task: tuple):
         fors_msg, tree, leaf)
     fors_seconds = time.perf_counter() - started
     table, hops = None, []
-    for layer in range(first, first + layers):
+    for layer, tree, leaf in path_hops(params, tree, leaf, first)[:layers]:
         nodes, tables = ops.build_subtree(layer, tree, (leaf,))
         if node is None:  # above a cut: the root below is another piece's
             table, chains = tables[leaf], None
@@ -93,8 +94,23 @@ def run_task(ops: FastOps, task: tuple):
         # One buffer of wots_len chain values: serializes the same.
         hops.append(([chains], flat_auth_path(nodes, leaf, n, height)))
         node = nodes[-n:]
-        leaf, tree = tree & (params.tree_leaves - 1), tree >> height
     return fors_sig, table, hops, node, fors_seconds
+
+
+def task_hashes(params: SphincsParams, task: tuple) -> int:
+    """Tweakable-hash digests :func:`run_task` makes for *task*, hashing
+    nothing: a subtree build per layer, every WOTS chain walked whole
+    (a PRF and ``w - 1`` steps) and compressed into its leaf, then the
+    Merkle levels; and, when a ``RUN`` carries FORS, its forest (a PRF
+    and a leaf hash per leaf, the nodes, one compress of the roots).
+    Chain tables are read, not hashed, and a signing leaf costs no more
+    than any other."""
+    leaves = params.tree_leaves
+    subtree = leaves * (params.wots_len * params.w + 1) + leaves - 1
+    if task[0] == SUBTREE:
+        return subtree
+    fors = 0 if task[1] is None else params.k * (3 * params.t - 1) + 1
+    return fors + task[-1] * subtree
 
 
 def chain_values(table: bytes, digits: Sequence[int], n: int,
@@ -126,11 +142,7 @@ class SigningPlan:
         self.paths: list[list[tuple]] = []
         wanted: dict[tuple[int, int], set[int]] = {}
         for task in sign_tasks:
-            hops, tree, leaf = [], task.idx_tree, task.idx_leaf
-            for layer in range(params.d):
-                hops.append((layer, tree, leaf))
-                leaf = tree & (params.tree_leaves - 1)
-                tree >>= params.tree_height
+            hops = path_hops(params, task.idx_tree, task.idx_leaf)
             self.tasks += [
                 (RUN, None if index else task.fors_msg, *hops[piece.start],
                  len(piece)) for index, piece in enumerate(self.cuts)]

@@ -150,8 +150,13 @@ class DeadlineBatcher:
     async def _drain_queues(self) -> None:
         try:
             while self._queues:
-                queue_key = min(self._queues, key=lambda key: min(
-                    request.deadline_at for request in self._queues[key]))
+                # The queue holding the earliest deadline, the first on a
+                # tie; in plain loops, which make no call.
+                queue_key = earliest = None
+                for key in self._queues:
+                    for request in self._queues[key]:
+                        if earliest is None or request.deadline_at < earliest:
+                            queue_key, earliest = key, request.deadline_at
                 queue = self._queues[queue_key]
                 batch = queue[:self.target_batch_size]
                 del queue[:self.target_batch_size]

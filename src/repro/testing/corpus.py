@@ -78,19 +78,17 @@ def signature_regions(params: SphincsParams) -> dict[str, tuple[int, int]]:
     and — at the bottom, a middle and the top hypertree layer — the WOTS
     chain values and the XMSS auth path.
     """
-    n = params.n
-    fors = n
-    hypertree = fors + params.k * (1 + params.log_t) * n
+    n, wots_bytes = params.n, params.wots_sig_bytes
     regions = {
         "randomizer": (0, n),
-        "fors-secret": (fors, n),
-        "fors-auth": (fors + n, params.log_t * n),
+        "fors-secret": (n, n),
+        "fors-auth": (2 * n, params.log_t * n),
     }
     top = params.d - 1
     for layer in sorted({0, top // 2, top}):
-        wots = hypertree + layer * (params.wots_len + params.tree_height) * n
-        regions[f"wots-chain-L{layer}"] = (wots, params.wots_len * n)
-        regions[f"xmss-auth-L{layer}"] = (wots + params.wots_len * n,
+        wots = n + params.fors_sig_bytes + layer * params.xmss_sig_bytes
+        regions[f"wots-chain-L{layer}"] = (wots, wots_bytes)
+        regions[f"xmss-auth-L{layer}"] = (wots + wots_bytes,
                                           params.tree_height * n)
     return regions
 

@@ -21,16 +21,16 @@ divergence to a stage and lets CI replay the exact same fault on every
 push.
 
 :class:`CachedNodeFault` extends the threat model to the hypertree layer
-cache: it corrupts one node *inside a pinned subtree* after a clean
-signing pass; the next fresh message whose path crosses that subtree
-(:meth:`CachedNodeFault.crossing_message`) carries the strike.  A naive
-flip leaves the auth path inconsistent with the root, so verification
-fails — detectable.  The dangerous variant (``consistent``, the default)
-also recomputes the flipped node's ancestors, producing a subtree that
-is internally consistent but *wrong*: the signer happily emits a
-signature that still **verifies**, yet differs byte-for-byte from the
-reference — exactly the fault-attack class only a differential oracle
-catches.
+cache: after a clean signing pass it corrupts one node *inside the pinned
+subtree* that a fixed fresh message's path crosses
+(:attr:`CachedNodeFault.probe`), and signing that message carries the
+strike.  A naive flip leaves the auth path inconsistent with the root, so
+verification fails — detectable.  The dangerous variant (``consistent``,
+the default) also recomputes the flipped node's ancestors, producing a
+subtree that is internally consistent but *wrong*: the signer happily
+emits a signature that still **verifies**, yet differs byte-for-byte from
+the reference — exactly the fault-attack class only a differential
+oracle catches.
 
 :class:`MemoFault` strikes the same cache's replay memo: every signature
 enters it with one bit flipped.  A memo hit signs nothing, so the strike
@@ -75,7 +75,6 @@ Fault specs are parsed from strings so the CLI can take them directly::
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -83,7 +82,7 @@ from dataclasses import dataclass, field
 from ..errors import ConformanceError
 from ..hashes.thash import HashContext
 from ..runtime import plan
-from ..runtime.fastops import FastVerifier, node_slice
+from ..runtime.fastops import FastVerifier, node_slice, path_hops
 from ..runtime.layercache import HypertreeLayerCache
 
 __all__ = ["BitFlipFault", "CachedNodeFault", "MemoFault", "PlanFault",
@@ -202,16 +201,17 @@ class CachedNodeFault(_Fault):
 
     Models a memory fault (rowhammer, cosmic ray, hostile DMA) hitting
     the layer cache *after* it was built and validated.  Applied after a
-    clean signing pass, then shown by a fresh message across the struck
-    subtree (a replayed one is a memo hit and reads no subtree), so the
+    clean signing pass to the pinned subtree that :attr:`probe`'s path
+    crosses, then shown by signing the probe, which that pass did not
+    sign (a replayed message is a memo hit and reads no subtree), so the
     divergence is provably the cached state and nothing else.
 
     Parameters
     ----------
     level:
         Subtree level of the corrupted node (0 = WOTS leaves).  The node
-        chosen is the *sibling* on the signing leaf's auth path, so the
-        flip provably lands in emitted signature bytes.
+        chosen is the *sibling* on the probe's auth path, so the flip
+        provably lands in emitted signature bytes.
     bit:
         Bit of the n-byte node value to flip.
     layer_from_top:
@@ -233,6 +233,8 @@ class CachedNodeFault(_Fault):
     consistent: bool = True
     #: Entry point tapped — mirrors BitFlipFault for CLI diagnostics.
     target = "cache"
+    #: The fresh message whose path the strike lands on.
+    probe = b"cache-fault probe"
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -249,40 +251,23 @@ class CachedNodeFault(_Fault):
         base = f"cache:flip:{self.level}:{self.bit}"
         return base if self.consistent else base + ":benign"
 
-    def _struck_layer(self, params) -> int:
+    def apply(self, ops, task) -> str:
+        """Corrupt the cached subtree :attr:`probe`'s path crosses
+        ``layer_from_top`` layers below the top.
+
+        *ops* is the backend's :class:`~.runtime.fastops.FastOps` for the
+        key, whose layer cache must pin that layer; *task* is the probe's
+        ``prepare`` under the key.  Returns a human-readable detail
+        string for the report.
+        """
+        params = ops.params
+        th = params.tree_height
         layer = params.d - 1 - self.layer_from_top
         if layer < 0:
             raise ConformanceError(
                 f"layer_from_top {self.layer_from_top} exceeds hypertree "
                 f"depth d={params.d}"
             )
-        return layer
-
-    def crossing_message(self, scheme, keys, idx_tree: int) -> bytes:
-        """A fresh message whose hypertree walk crosses the subtree a
-        strike on *idx_tree* corrupts, at the same leaf — so the flipped
-        sibling is in its auth path.  *scheme* is the deterministic
-        reference; a candidate costs its two ``prepare`` hashes and one
-        in ``tree_leaves ** (layer_from_top + 1)`` fits.
-        """
-        shift = scheme.params.tree_height * max(
-            0, self._struck_layer(scheme.params) - 1)
-        for attempt in itertools.count():
-            message = b"cache-fault probe %d" % attempt
-            if scheme.prepare(message, keys).idx_tree >> shift \
-                    == idx_tree >> shift:
-                return message
-
-    def apply(self, ops, idx_tree: int) -> str:
-        """Corrupt the cached subtree that signing *idx_tree* traverses.
-
-        *ops* is the backend's :class:`~.runtime.fastops.FastOps` for the
-        key; its layer cache must pin the target subtree's layer.
-        Returns a human-readable detail string for the report.
-        """
-        params = ops.params
-        th = params.tree_height
-        layer = self._struck_layer(params)
         if layer < ops.cache.pinned_floor:
             raise ConformanceError(
                 f"layer {layer} of {params.name} is below the cache's "
@@ -293,9 +278,10 @@ class CachedNodeFault(_Fault):
             raise ConformanceError(
                 f"level {self.level} out of range for tree_height {th}"
             )
-        tree = idx_tree >> (th * layer)
-        leaf = ((idx_tree >> (th * (layer - 1))) & (params.tree_leaves - 1)
-                if layer else idx_tree & (params.tree_leaves - 1))
+        # The probe's hop at the struck layer, and the one above it whose
+        # link signs the struck subtree's root.
+        (_, tree, leaf), parent = path_hops(
+            params, task.idx_tree, task.idx_leaf)[layer:layer + 2]
         # Build-or-fetch the cached subtree, corrupt a copy and put that
         # in its place — the next signing pass serves the corrupted one.
         n, leaves = params.n, params.tree_leaves
@@ -317,7 +303,6 @@ class CachedNodeFault(_Fault):
             # The parent layer's cached WOTS link signs the *old* root;
             # replace it with one over the corrupted root (a fresh link
             # that verifies), as a signer without the stale one would.
-            parent = (layer + 1, tree >> th, tree & (params.tree_leaves - 1))
             ops.cache.store_link(ops.seed, *parent, b"".join(
                 ops.wots_sign(bytes(nodes[-n:]), *parent)))
         ops.cache.store_tree(ops.seed, layer, tree, bytes(nodes))

@@ -50,10 +50,10 @@ from, in one verifier's sight.
 
 A :class:`~repro.testing.faults.CachedNodeFault` runs a focused two-pass
 flow instead: warm the vectorized backend's hypertree layer cache over
-the corpus (pass 1 must byte-match), corrupt one pinned subtree node,
-then sign a *fresh* message whose path crosses that subtree — the corpus
-again would be answered from the replay memo and read no subtree — so
-the divergence is provably the cached state.
+the corpus (pass 1 must byte-match), corrupt one node of the pinned
+subtree a fixed *fresh* probe message's path crosses, then sign the
+probe — the corpus again would be answered from the replay memo and read
+no subtree — so the divergence is provably the cached state.
 A *consistent* strike produces signatures that still verify, so the
 report must show ``verify_failed=False`` divergences: the fault-attack
 class only the differential compare catches.
@@ -555,14 +555,12 @@ class DifferentialOracle:
             return [warm], None
         detail = None
         with self._path("backend:vectorized+cached-fault") as struck:
-            # Strike the pinned subtree that the first corpus message's
-            # hypertree walk traverses, then sign a fresh message whose
-            # walk crosses it too: the corpus again would be all memo
-            # hits, which read no subtree.
-            idx_tree = self._scheme.prepare(self.corpus[0][1], keys).idx_tree
-            detail = fault.apply(backend._ops(keys), idx_tree)
-            case = "cache-fault probe"
-            probe = fault.crossing_message(self._scheme, keys, idx_tree)
+            # Strike the pinned subtree the probe's path crosses, then
+            # sign the probe, which the warm pass did not: the corpus
+            # again would be all memo hits, which read no subtree.
+            case, probe = "cache-fault probe", fault.probe
+            detail = fault.apply(backend._ops(keys),
+                                 self._scheme.prepare(probe, keys))
             self._expected[case] = self._scheme.sign(probe, keys)
             self._compare(struck,
                           backend.sign_batch([probe], keys).signatures,

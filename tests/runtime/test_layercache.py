@@ -35,10 +35,10 @@ from repro.runtime.layercache import (
     pinned_link_count,
     pinned_tree_count,
     savings_fraction,
-    subtree_build_hashes,
     tradeoff_table,
     tree_entry_bytes,
 )
+from repro.runtime.plan import SUBTREE, task_hashes
 from repro.testing.kat import KAT_SETS
 
 
@@ -128,19 +128,20 @@ class TestModel:
     def test_prewarm_costs_the_subtree_builds_and_keeps_each_sets_layers(
             self):
         """A fill reads its links out of its own chain tables, so the
-        whole region's price is the subtree builds alone — and dropping
-        the link walks from it moves no parameter set's pinned layer
-        count."""
+        whole region's price is the subtree builds alone, each the
+        digests a ``SUBTREE`` task makes (``test_plan.py`` records
+        them) — and dropping the link walks from it moves no parameter
+        set's pinned layer count."""
         rows = {row["params"]: (row["pinned_layers"], row["fill_hashes"])
                 for row in tradeoff_table()}
         assert rows == {
-            "SPHINCS+-128f": (3, 327_551), "SPHINCS+-128s": (1, 287_231),
-            "SPHINCS+-192f": (3, 477_055), "SPHINCS+-192s": (1, 418_303),
-            "SPHINCS+-256f": (2, 291_839), "SPHINCS+-256s": (1, 274_687)}
+            "SPHINCS+-128f": (3, 328_135), "SPHINCS+-128s": (1, 287_743),
+            "SPHINCS+-192f": (3, 477_639), "SPHINCS+-192s": (1, 418_815),
+            "SPHINCS+-256f": (2, 292_111), "SPHINCS+-256s": (1, 274_943)}
         for name, (layers, hashes) in rows.items():
             params = get_params(name)
             assert hashes == (pinned_tree_count(params, layers)
-                              * subtree_build_hashes(params))
+                              * task_hashes(params, (SUBTREE, 0, 0, ())))
 
     def test_savings_fraction_grows_with_layers(self):
         params = get_params("128f")

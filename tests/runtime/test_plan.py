@@ -23,9 +23,10 @@ from test_fast_verify import RecordingContext
 from repro.hashes.thash import HashContext
 from repro.params import get_params
 from repro.runtime import WorkerPool, get_backend
-from repro.runtime.fastops import FastOps
+from repro.runtime.fastops import FastOps, path_hops
 from repro.runtime.layercache import HypertreeLayerCache
-from repro.runtime.plan import RUN, SUBTREE, SigningPlan, cut, run_task
+from repro.runtime.plan import (RUN, SUBTREE, SigningPlan, cut, run_task,
+                                task_hashes)
 from repro.sphincs.signer import SignTask, Sphincs
 from repro.testing.kat import KAT_SETS, load_kat
 
@@ -185,6 +186,58 @@ def test_plan_hashes_the_reference_inputs_minus_the_wots_rewalk():
     # ~300 of ~5,150 hashes per layer.
     share = len(walk_ctx.inputs) / len(ref_ctx.inputs)
     assert 0.04 < share < 0.08, share
+
+
+#: A cold plan's digests, summed over its tasks: a run with FORS and the
+#: pinned subtree fills, ``d`` subtree builds in all.
+COLD_PLAN_HASHES = {"128f": 105_194, "128s": 2_186_220,
+                    "192s": 3_767_273, "256s": 3_280_867}
+
+
+@pytest.mark.parametrize("params_name", KAT_SETS)
+def test_each_task_shape_makes_the_digests_it_counts(params_name):
+    """One layer of each task shape, run under a recording context: a
+    run with FORS, a run above a cut, and a subtree fill with and without
+    a signing leaf — the layer count a run multiplies is checked whole by
+    the cold plan's sum."""
+    params = get_params(params_name)
+    reference, keys, _ = _reference(params_name)
+    sign_task = reference.prepare(b"abc", keys)
+    ctx = RecordingContext(params)
+    ops = FastOps(ctx, keys.sk_seed, keys.pk_seed)
+    top = params.d - 1
+    for task in [(RUN, sign_task.fors_msg, 0, sign_task.idx_tree,
+                  sign_task.idx_leaf, 1),
+                 (RUN, None, top, 0, sign_task.idx_leaf, 1),
+                 (SUBTREE, top, 0, (sign_task.idx_leaf,)),
+                 (SUBTREE, top, 0, ())]:
+        ctx.inputs.clear()
+        run_task(ops, task)
+        assert len(ctx.inputs) == task_hashes(params, task), task[:2]
+
+    plan = SigningPlan(FastOps(HashContext(params), keys.sk_seed,
+                               keys.pk_seed, HypertreeLayerCache(params)),
+                       [sign_task])
+    assert sum(task_hashes(params, task) for task in plan.tasks) \
+        == COLD_PLAN_HASHES[params_name]
+
+
+@given(idx_tree=st.integers(0, 2 ** 63 - 1), idx_leaf=st.integers(0, 7),
+       first=st.integers(0, 22))
+def test_the_walk_hops_as_the_hypertree_does(idx_tree, idx_leaf, first):
+    """From layer 0 and from any layer on its way, ``path_hops`` is this
+    file's own walk: each layer's root is signed by leaf ``tree & 7`` of
+    tree ``tree >> 3`` one layer up, and the top tree is tree 0."""
+    params = get_params("128f")
+    hops, tree, leaf = [], idx_tree, idx_leaf
+    for layer in range(params.d):
+        hops.append((layer, tree, leaf))
+        leaf, tree = tree & 7, tree >> 3
+    assert tree == 0
+    assert path_hops(params, idx_tree, idx_leaf) == hops
+    if first < params.d:
+        _, tree, leaf = hops[first]
+    assert path_hops(params, tree, leaf, first) == hops[first:]
 
 
 @settings(max_examples=60, deadline=None)

@@ -621,8 +621,6 @@ DEFINITIONS_ALLOWED = {
         "docs/architecture.md prints the layer-cache trade-off table",
     "runtime/layercache.py::savings_fraction":
         "a column of the trade-off table docs/architecture.md prints",
-    "runtime/layercache.py::wots_link_sign_hashes":
-        "a term of the trade-off table docs/architecture.md prints",
     "service/keystore.py::Keystore.set_rate_limit":
         "docs/operations.md documents per-tenant admission overrides",
     "service/keystore.py::Keystore.rotate_key":

@@ -6,7 +6,8 @@ verify of a triple the verifier already remembers, or a ledger append
 whose entry and checkpoint signatures are both replays — with the client
 and every server in one event loop, and counts the calls made between the
 client's call and its result with :func:`sys.setprofile` — calls into
-``src/repro``, and every other call (the standard library, the event
+``src/repro`` (by the resolved path of the code's file, however ``repro``
+was imported), and every other call (the standard library, the event
 loop, C functions) — and, from the same hook, the transport's work:
 socket sends, socket receives and event-loop turns
 (``BaseEventLoop._run_once``).  A served verify, and a ledger's call
@@ -16,7 +17,9 @@ thread's calls too.  Three consecutive requests must agree exactly, and
 no row may exceed its pin.  Everything but the calls into ``src/repro``
 is the interpreter's and its event loop's, so it is pinned for the
 interpreter it was counted on (:data:`PINNED_ON`); on any other, only
-the ``src/repro`` count is held to its pin.
+the ``src/repro`` count is held to its pin.  A row that counts no call
+into ``src/repro`` fails on every interpreter: it is not watching the
+package it gates.
 
 A count above its pin fails: find the call the change added to the
 path, or, if it pays for itself, raise the pin and say why in
@@ -67,11 +70,15 @@ COSTS = {
     ("local", "verify"): Cost(36, 43, 0, 0, 0),
     ("tcp-v3", "verify"): Cost(103, 366, 3, 4, 6),
     ("cluster-v3", "verify"): Cost(128, 465, 5, 6, 8),
-    ("local", "append"): Cost(86, 479, 2, 4, 6),
+    ("local", "append"): Cost(83, 477, 2, 4, 6),
 }
 
 TENANT, MESSAGE = "ledger", b"a replayed attestation"
-_SRC = str(Path(__file__).resolve().parent.parent / "src" / "repro")
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+#: Code file name -> whether it resolves under :data:`_SRC`: a relative
+#: ``sys.path`` entry leaves ``co_filename`` relative, and resolving it on
+#: every call would cost more than the call it counts.
+_IN_SRC: dict[str, bool] = {}
 #: A cluster's health loop must not tick inside a counted request.
 _NO_HEALTH_S = 3600.0
 
@@ -99,7 +106,11 @@ class _Counter:
     def __call__(self, frame, event, arg):
         if event == "call":
             code = frame.f_code
-            if code.co_filename.startswith(_SRC):
+            inside = _IN_SRC.get(code.co_filename)
+            if inside is None:
+                inside = _IN_SRC[code.co_filename] = Path(
+                    code.co_filename).resolve().is_relative_to(_SRC)
+            if inside:
                 self.repro += 1
             else:
                 self.other += 1
@@ -300,6 +311,9 @@ def _check(tier: str, request: str) -> None:
         "count that moves between identical requests gates nothing")
     pin = COSTS[(tier, request)]
     [cost] = set(counts)
+    assert cost.repro, (
+        f"{tier} {request}: no call into {_SRC} was counted — the count "
+        "is not seeing the package it gates")
     if sys.version_info[:2] != PINNED_ON:
         # The interpreter's own calls and its event loop's socket
         # operations and turns differ by version.

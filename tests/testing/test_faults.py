@@ -240,9 +240,9 @@ class TestCachedNodeFault:
     naive (benign) flip breaks the auth path and verification catches it;
     the consistent flip re-derives the corrupted subtree's ancestors and
     yields a signature that still verifies — only the byte-level
-    differential compare sees it.  Either shows on the next *fresh*
-    message across the struck subtree; a replay is a memo hit and reads
-    no subtree."""
+    differential compare sees it.  Either strikes the pinned subtree the
+    fault's fresh probe message crosses and shows when the probe is
+    signed; a replay is a memo hit and reads no subtree."""
 
     def _struck_backend(self, fault):
         scheme = Sphincs("128f", deterministic=True)
@@ -250,13 +250,14 @@ class TestCachedNodeFault:
         keys = backend.keygen(seed=bytes(48))
         victim = b"cache fault victim"
         clean = backend.sign_batch([victim], keys).signatures[0]
-        idx_tree = scheme.prepare(victim, keys).idx_tree
-        detail = fault.apply(backend._ops(keys), idx_tree)
-        assert fault.fired
-        probe = fault.crossing_message(scheme, keys, idx_tree)
+        probe = fault.probe
         assert probe != victim
-        # Same subtree, same leaf, one layer below the top.
-        assert scheme.prepare(probe, keys).idx_tree >> 57 == idx_tree >> 57
+        task = scheme.prepare(probe, keys)
+        detail = fault.apply(backend._ops(keys), task)
+        assert fault.fired
+        # The probe's own subtree one layer below the top: layer 20 of
+        # 22, three tree bits per layer above its idx_tree at layer 0.
+        assert f"(layer 20, tree {task.idx_tree >> 60})" in detail
         # The struck cache is not read for a message it has seen.
         assert backend.sign_batch([victim], keys).signatures[0] == clean
         return scheme, backend, keys, probe, detail
@@ -269,8 +270,10 @@ class TestCachedNodeFault:
         # 128s pins its top layer only: one below it nothing is cached.
         backend = get_backend("vectorized", "128s", deterministic=True)
         keys = backend.keygen(seed=bytes(48))
+        fault = CachedNodeFault()
+        task = Sphincs("128s", deterministic=True).prepare(fault.probe, keys)
         with pytest.raises(ConformanceError, match="no cached subtree"):
-            CachedNodeFault().apply(backend._ops(keys), 0)
+            fault.apply(backend._ops(keys), task)
 
     def test_benign_flip_caught_by_verify(self):
         scheme, backend, keys, probe, detail = self._struck_backend(
