@@ -42,7 +42,7 @@ from collections import OrderedDict
 
 from ..errors import BackendError
 from ..params import PARAMETER_SETS, SphincsParams, get_params
-from .plan import RUN, SUBTREE, task_hashes
+from .plan import fors_hashes, subtree_hashes
 
 __all__ = [
     "DEFAULT_BUDGET_MB",
@@ -130,8 +130,7 @@ def fill_hashes(params: SphincsParams, layers: int) -> int:
     ``SUBTREE`` task per tree, whose chain tables hold every link
     signature.  Fills on demand pay it at most once, and only for the
     paths traffic walks."""
-    return pinned_tree_count(params, layers) * task_hashes(
-        params, (SUBTREE, 0, 0, ()))
+    return pinned_tree_count(params, layers) * subtree_hashes(params)
 
 
 def savings_fraction(params: SphincsParams, layers: int) -> float:
@@ -140,8 +139,8 @@ def savings_fraction(params: SphincsParams, layers: int) -> float:
     and every signing path takes *layers* subtree builds of it out of
     the cache (its links with them: a table lookup costs no hash)."""
     layers = max(0, min(layers, params.d))
-    return (task_hashes(params, (RUN, None, 0, 0, 0, layers))
-            / task_hashes(params, (RUN, b"", 0, 0, 0, params.d)))
+    subtree = subtree_hashes(params)
+    return layers * subtree / (fors_hashes(params) + params.d * subtree)
 
 
 def choose_pinned_layers(params: SphincsParams, budget_bytes: int) -> int:

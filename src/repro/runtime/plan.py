@@ -38,7 +38,7 @@ from ..sphincs.signer import SignTask
 from .fastops import FastOps, flat_auth_path, path_hops, wots_digits
 
 __all__ = ["RUN", "SUBTREE", "SigningPlan", "TaskRun", "chain_values",
-           "cut", "run_task", "task_hashes"]
+           "cut", "fors_hashes", "run_task", "subtree_hashes"]
 
 #: Task kinds — ``(RUN, fors_msg | None, layer, tree, leaf, layers)``: FORS
 #: if given, then *layers* layers up — and ``(SUBTREE, layer, tree, leaves)``
@@ -97,20 +97,21 @@ def run_task(ops: FastOps, task: tuple):
     return fors_sig, table, hops, node, fors_seconds
 
 
-def task_hashes(params: SphincsParams, task: tuple) -> int:
-    """Tweakable-hash digests :func:`run_task` makes for *task*, hashing
-    nothing: a subtree build per layer, every WOTS chain walked whole
-    (a PRF and ``w - 1`` steps) and compressed into its leaf, then the
-    Merkle levels; and, when a ``RUN`` carries FORS, its forest (a PRF
-    and a leaf hash per leaf, the nodes, one compress of the roots).
-    Chain tables are read, not hashed, and a signing leaf costs no more
-    than any other."""
+def subtree_hashes(params: SphincsParams) -> int:
+    """Tweakable-hash digests :func:`run_task` makes per layer, hashing
+    nothing: a subtree build, every WOTS chain walked whole (a PRF and
+    ``w - 1`` steps) and compressed into its leaf, then the Merkle
+    levels.  Chain tables are read, not hashed, and a signing leaf costs
+    no more than any other.  A task makes ``layers`` of these (one for a
+    ``SUBTREE``) and, when a ``RUN`` carries FORS, :func:`fors_hashes`."""
     leaves = params.tree_leaves
-    subtree = leaves * (params.wots_len * params.w + 1) + leaves - 1
-    if task[0] == SUBTREE:
-        return subtree
-    fors = 0 if task[1] is None else params.k * (3 * params.t - 1) + 1
-    return fors + task[-1] * subtree
+    return leaves * (params.wots_len * params.w + 1) + leaves - 1
+
+
+def fors_hashes(params: SphincsParams) -> int:
+    """Tweakable-hash digests a ``RUN``'s FORS makes, hashing nothing: a
+    PRF and a leaf hash per leaf, the nodes, one compress of the roots."""
+    return params.k * (3 * params.t - 1) + 1
 
 
 def chain_values(table: bytes, digits: Sequence[int], n: int,

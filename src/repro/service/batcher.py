@@ -150,8 +150,7 @@ class DeadlineBatcher:
     async def _drain_queues(self) -> None:
         try:
             while self._queues:
-                # The queue holding the earliest deadline, the first on a
-                # tie; in plain loops, which make no call.
+                # The queue holding the earliest deadline, the first on a tie.
                 queue_key = earliest = None
                 for key in self._queues:
                     for request in self._queues[key]:

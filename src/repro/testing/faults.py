@@ -200,11 +200,12 @@ class CachedNodeFault(_Fault):
     """Flip one bit of one node inside a cached hypertree subtree.
 
     Models a memory fault (rowhammer, cosmic ray, hostile DMA) hitting
-    the layer cache *after* it was built and validated.  Applied after a
-    clean signing pass to the pinned subtree that :attr:`probe`'s path
-    crosses, then shown by signing the probe, which that pass did not
-    sign (a replayed message is a memo hit and reads no subtree), so the
-    divergence is provably the cached state and nothing else.
+    the layer cache.  Applied after a clean signing pass to the pinned
+    subtree :attr:`probe`'s path crosses (built by the strike if that
+    pass never walked it), then shown by signing the probe, which that
+    pass did not sign (a replayed message is a memo hit and reads no
+    subtree), so the divergence is provably the cached state and
+    nothing else.
 
     Parameters
     ----------

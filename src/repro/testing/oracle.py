@@ -555,9 +555,9 @@ class DifferentialOracle:
             return [warm], None
         detail = None
         with self._path("backend:vectorized+cached-fault") as struck:
-            # Strike the pinned subtree the probe's path crosses, then
-            # sign the probe, which the warm pass did not: the corpus
-            # again would be all memo hits, which read no subtree.
+            # Strike the pinned subtree the probe's path crosses (built
+            # here if the warm pass never walked it) and sign the probe:
+            # the corpus again would be all memo hits, reading no subtree.
             case, probe = "cache-fault probe", fault.probe
             detail = fault.apply(backend._ops(keys),
                                  self._scheme.prepare(probe, keys))

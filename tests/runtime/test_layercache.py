@@ -38,7 +38,7 @@ from repro.runtime.layercache import (
     tradeoff_table,
     tree_entry_bytes,
 )
-from repro.runtime.plan import SUBTREE, task_hashes
+from repro.runtime.plan import subtree_hashes
 from repro.testing.kat import KAT_SETS
 
 
@@ -141,7 +141,7 @@ class TestModel:
         for name, (layers, hashes) in rows.items():
             params = get_params(name)
             assert hashes == (pinned_tree_count(params, layers)
-                              * task_hashes(params, (SUBTREE, 0, 0, ())))
+                              * subtree_hashes(params))
 
     def test_savings_fraction_grows_with_layers(self):
         params = get_params("128f")

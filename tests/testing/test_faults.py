@@ -248,16 +248,21 @@ class TestCachedNodeFault:
         scheme = Sphincs("128f", deterministic=True)
         backend = get_backend("vectorized", "128f", deterministic=True)
         keys = backend.keygen(seed=bytes(48))
-        victim = b"cache fault victim"
+        victim = b"cache fault victim 14"
         clean = backend.sign_batch([victim], keys).signatures[0]
-        probe = fault.probe
+        probe, ops = fault.probe, backend._ops(keys)
         assert probe != victim
         task = scheme.prepare(probe, keys)
-        detail = fault.apply(backend._ops(keys), task)
-        assert fault.fired
         # The probe's own subtree one layer below the top: layer 20 of
         # 22, three tree bits per layer above its idx_tree at layer 0.
-        assert f"(layer 20, tree {task.idx_tree >> 60})" in detail
+        # The victim's walk crosses it, so clean signing built it and
+        # the replay below would read it if a memo hit read subtrees.
+        tree = task.idx_tree >> 60
+        assert scheme.prepare(victim, keys).idx_tree >> 60 == tree
+        assert ops.cache.lookup_tree(ops.seed, 20, tree) is not None
+        detail = fault.apply(ops, task)
+        assert fault.fired
+        assert f"(layer 20, tree {tree})" in detail
         # The struck cache is not read for a message it has seen.
         assert backend.sign_batch([victim], keys).signatures[0] == clean
         return scheme, backend, keys, probe, detail
